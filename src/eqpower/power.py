@@ -90,10 +90,6 @@ class PowerElement:
         return f"[{body}{',' if body else ''}({loop})]"
 
 
-def power_at(element: PowerElement, i: int) -> str:
-    return element.at(i)
-
-
 def constant_stream(value: str) -> PowerElement:
     return PowerElement((), (value,))
 
@@ -356,7 +352,7 @@ def consistent(structure: FiniteStructure, system: PowerSystem) -> ConsistencyVe
     classifier = AtomClassifier(structure, system.variables)
     for i in range(stab + period):
         entries = projection_entries(system, i)
-        if classifier.system_solutions(atom for atom, _ in entries):
+        if classifier.system_mask(atom for atom, _ in entries):
             continue
         refs = dict(entries)
         core = minimal_inconsistent_subset(
@@ -386,9 +382,9 @@ def power_systems_equivalent(structure: FiniteStructure, first: PowerSystem, sec
     stab, period = max(stab_a, stab_b), math.lcm(per_a, per_b)
     classifier = AtomClassifier(structure, first.variables)
     for i in range(stab + period):
-        sols_a = classifier.system_solutions(atom for atom, _ in projection_entries(first, i))
-        sols_b = classifier.system_solutions(atom for atom, _ in projection_entries(second, i))
-        if sols_a != sols_b:
+        mask_a = classifier.system_mask(atom for atom, _ in projection_entries(first, i))
+        mask_b = classifier.system_mask(atom for atom, _ in projection_entries(second, i))
+        if mask_a != mask_b:
             return False
     return True
 

@@ -1,9 +1,13 @@
-"""Atomic equations over a finite structure and the exhaustive solver.
+"""Atomic equations over a finite structure and the exact solver.
 
 Equations are relation atoms or equality atoms whose arguments are variables
-or constants.  Solving enumerates all k^n assignments, which is the intended
-operating regime (small universes, one or two variables) and doubles as the
-verification oracle for everything built on top.
+or constants.  A solution set over n variables and a k-element universe is a
+subset of the k^n assignments, held as one int: bit j stands for the j-th
+assignment of itertools.product(universe, repeat=n).  AtomClassifier builds an
+atom's mask from the relation table with big-int ANDs and ORs, so solving,
+intersecting systems and searching for minimal cores are mask arithmetic.
+Masks are decoded into label tuples only where a result leaves the solver
+(AlgebraicSet, ClassId, and the solution sets that wrap reports).
 """
 
 from __future__ import annotations
@@ -177,39 +181,99 @@ def evaluate(structure: FiniteStructure, eq: Equation, assignment: Mapping[str, 
 
 
 class AtomClassifier:
-    """Memoizes per-atom solution sets and class ids over fixed structure and variables."""
+    """Memoized solution-set masks of atoms over a fixed structure and variable list.
+
+    A mask is an int over the k^n assignments, bit j for the j-th assignment of
+    itertools.product(universe, repeat=n).  The cylinder mask for variable
+    position p and element index u has bit j set when assignment j gives
+    variable p the element u.  A relation atom's mask is the OR, over the
+    table rows that agree with its constants, of the AND of the cylinders its
+    variables pick out; repeated variables need no special case because
+    disjoint cylinders AND to zero.
+
+    mask and system_mask are the working interface.  solutions,
+    system_solutions and class_of decode masks into label-tuple frozensets,
+    memoized per mask so equal sets come back as the same object.
+    """
 
     def __init__(self, structure: FiniteStructure, variables: tuple[str, ...]) -> None:
         self.structure = structure
         self.variables = tuple(variables)
-        self._solutions: dict[Equation, frozenset[tuple[str, ...]]] = {}
+        k, n = structure.size, len(self.variables)
+        self.space_size = k**n
+        self.full = (1 << self.space_size) - 1
+        self._position = {v: p for p, v in enumerate(self.variables)}
+        self._cylinders = []
+        for p in range(n):
+            block = k ** (n - 1 - p)
+            repunit = self.full // ((1 << k * block) - 1)  # one bit every k * block positions
+            ones = (1 << block) - 1
+            self._cylinders.append([(ones << u * block) * repunit for u in range(k)])
+        self._masks: dict[Equation, int] = {}
+        self._decoded: dict[int, frozenset[tuple[str, ...]]] = {}
 
-    def solutions(self, eq: Equation) -> frozenset[tuple[str, ...]]:
-        cached = self._solutions.get(eq)
+    def mask(self, eq: Equation) -> int:
+        cached = self._masks.get(eq)
         if cached is None:
             check_equation(self.structure, self.variables, eq)
-            pts = set()
-            for combo in product(self.structure.universe, repeat=len(self.variables)):
-                if evaluate(self.structure, eq, dict(zip(self.variables, combo))):
-                    pts.add(combo)
-            cached = frozenset(pts)
-            self._solutions[eq] = cached
+            cached = self._masks[eq] = self._build_mask(eq)
         return cached
+
+    def _build_mask(self, eq: Equation) -> int:
+        index, position, cylinders = self.structure.index, self._position, self._cylinders
+        if isinstance(eq, EqualityAtom):
+            lhs, rhs = (eq.rhs, eq.lhs) if isinstance(eq.lhs, Const) else (eq.lhs, eq.rhs)
+            if isinstance(lhs, Const):
+                return self.full if lhs.value == rhs.value else 0
+            left = cylinders[position[lhs.name]]
+            if isinstance(rhs, Const):
+                return left[index(rhs.value)]
+            right = cylinders[position[rhs.name]]
+            out = 0
+            for u in range(self.structure.size):
+                out |= left[u] & right[u]
+            return out
+        slots = [(position[a.name], None) if isinstance(a, Var) else (None, index(a.value)) for a in eq.args]
+        out = 0
+        for row in self.structure.index_table(eq.symbol):
+            m = self.full
+            for (p, c), u in zip(slots, row):
+                if p is not None:
+                    m &= cylinders[p][u]
+                elif c != u:
+                    break
+            else:
+                out |= m
+        return out
+
+    def system_mask(self, equations: Iterable[Equation]) -> int:
+        m = self.full
+        for eq in equations:
+            m &= self.mask(eq)
+            if not m:
+                break
+        return m
+
+    def decode(self, mask: int) -> frozenset[tuple[str, ...]]:
+        points = self._decoded.get(mask)
+        if points is None:
+            bits = format(mask, f"0{self.space_size}b")[::-1]  # bits[j] is bit j
+            assignments = product(self.structure.universe, repeat=len(self.variables))
+            points = self._decoded[mask] = frozenset(a for a, bit in zip(assignments, bits) if bit == "1")
+        return points
+
+    def solutions(self, eq: Equation) -> frozenset[tuple[str, ...]]:
+        return self.decode(self.mask(eq))
 
     def class_of(self, eq: Equation) -> ClassId:
         return ClassId(template_of(eq), self.solutions(eq))
 
     def system_solutions(self, equations: Iterable[Equation]) -> frozenset[tuple[str, ...]]:
-        pts = frozenset(product(self.structure.universe, repeat=len(self.variables)))
-        for eq in equations:
-            pts &= self.solutions(eq)
-            if not pts:
-                break
-        return pts
+        return self.decode(self.system_mask(equations))
 
 
 def solve(structure: FiniteStructure, system: EquationSystem) -> AlgebraicSet:
-    """Exhaustive scan over all assignments; the empty system yields the full space."""
+    """Exact solution set; the empty system yields the full space."""
     classifier = AtomClassifier(structure, system.variables)
     return AlgebraicSet(system.variables, classifier.system_solutions(system.equations))
 
@@ -217,7 +281,8 @@ def solve(structure: FiniteStructure, system: EquationSystem) -> AlgebraicSet:
 def equivalent(structure: FiniteStructure, first: EquationSystem, second: EquationSystem) -> bool:
     if first.variables != second.variables:
         raise ValueError(f"variable lists differ: {first.variables} vs {second.variables}")
-    return solve(structure, first).points == solve(structure, second).points
+    classifier = AtomClassifier(structure, first.variables)
+    return classifier.system_mask(first.equations) == classifier.system_mask(second.equations)
 
 
 def class_of(structure: FiniteStructure, eq: Equation, variables: tuple[str, ...]) -> ClassId:
@@ -227,17 +292,25 @@ def class_of(structure: FiniteStructure, eq: Equation, variables: tuple[str, ...
 def minimal_inconsistent_subset(structure: FiniteStructure, system: EquationSystem) -> EquationSystem | None:
     """Deletion-minimal inconsistent core, or None when the system has a solution.
 
-    Deterministic: equations are tried for deletion in list order, so the same
-    input always yields the same core.
+    Deterministic: equations are tried for deletion one position at a time in
+    list order, so the same input always yields the same core, and a repeated
+    equation keeps one copy when the core needs it.
     """
     classifier = AtomClassifier(structure, system.variables)
-    if classifier.system_solutions(system.equations):
+    masks = [classifier.mask(eq) for eq in system.equations]
+    # suffix[t] is the intersection of the equations from position t on
+    suffix = [classifier.full] * (len(masks) + 1)
+    for t in reversed(range(len(masks))):
+        suffix[t] = suffix[t + 1] & masks[t]
+    if suffix[0]:
         return None
-    core = list(system.equations)
-    for eq in list(core):
-        trial = [e for e in core if e != eq]
-        if not classifier.system_solutions(trial):
-            core = trial
+    kept = classifier.full
+    core = []
+    for t, eq in enumerate(system.equations):
+        # deleting position t leaves the kept prefix plus every later equation
+        if kept & suffix[t + 1]:
+            kept &= masks[t]
+            core.append(eq)
     return EquationSystem(system.variables, tuple(core))
 
 
@@ -330,15 +403,3 @@ def system_from_json_dict(doc: Any) -> EquationSystem:
     if not isinstance(equations, list):
         raise InputFormatError("system equations must be a list")
     return EquationSystem(tuple(variables), tuple(equation_from_json_dict(e) for e in equations))
-
-
-def algebraic_set_to_json_dict(sols: AlgebraicSet) -> dict:
-    return {"variables": list(sols.variables), "solutions": [list(p) for p in sols.sorted_points()]}
-
-
-def algebraic_set_from_json_dict(doc: Any) -> AlgebraicSet:
-    if not isinstance(doc, Mapping) or set(doc) != {"variables", "solutions"}:
-        raise InputFormatError("solution document must have keys {'variables','solutions'}")
-    return AlgebraicSet(
-        tuple(doc["variables"]), frozenset(tuple(p) for p in doc["solutions"])
-    )

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping
 
 from .errors import InputFormatError
 from .power import (
@@ -24,6 +24,7 @@ from .power import (
     PowerElement,
     PowerSystem,
     SourceRef,
+    _decode_power_const,
     coordinate_profile,
     power_equation_to_json_dict,
     power_system_from_json_dict,
@@ -73,9 +74,15 @@ class EventuallyPeriodicIndexSet:
         return {"prefix": list(self.prefix), "cycle": list(self.cycle)}
 
     @staticmethod
-    def from_json_dict(doc: Mapping) -> "EventuallyPeriodicIndexSet":
+    def from_json_dict(doc: Any) -> "EventuallyPeriodicIndexSet":
+        doc = _object(doc, {"prefix", "cycle"}, "index set")
+        prefix = _list(doc["prefix"], "index set prefix")
+        cycle = _list(doc["cycle"], "index set cycle")
+        if not cycle:
+            raise InputFormatError("index set cycle must be nonempty")
         return EventuallyPeriodicIndexSet(
-            tuple(bool(b) for b in doc["prefix"]), tuple(bool(b) for b in doc["cycle"])
+            tuple(_bool(b, "index set entries") for b in prefix),
+            tuple(_bool(b, "index set entries") for b in cycle),
         )
 
 
@@ -300,11 +307,15 @@ def verify_wrap(
     classifier = AtomClassifier(structure, original.variables)
     mismatches = []
     for i in range(stab + 2 * period):
-        sols_orig = classifier.system_solutions(a for a, _ in projection_entries(original, i))
-        sols_wrap = classifier.system_solutions(a for a, _ in projection_entries(wrapped, i))
-        if sols_orig != sols_wrap:
+        mask_orig = classifier.system_mask(a for a, _ in projection_entries(original, i))
+        mask_wrap = classifier.system_mask(a for a, _ in projection_entries(wrapped, i))
+        if mask_orig != mask_wrap:
             mismatches.append(
-                CoordinateMismatch(i, tuple(sorted(sols_orig)), tuple(sorted(sols_wrap)))
+                CoordinateMismatch(
+                    i,
+                    tuple(sorted(classifier.decode(mask_orig))),
+                    tuple(sorted(classifier.decode(mask_wrap))),
+                )
             )
     return WrapVerification(not mismatches, stab + period, period, tuple(mismatches))
 
@@ -330,11 +341,17 @@ def class_rep_to_json_dict(rep: ClassRep) -> dict:
     }
 
 
-def class_rep_from_json_dict(doc: Mapping) -> ClassRep:
+def class_rep_from_json_dict(doc: Any) -> ClassRep:
+    doc = _object(doc, {"solutions", "equation", "coordinate", "source"}, "class representative")
+    points = []
+    for point in _list(doc["solutions"], "class representative solutions"):
+        if not isinstance(point, list) or not all(isinstance(v, str) for v in point):
+            raise InputFormatError(f"solution points must be lists of labels, got {point!r}")
+        points.append(tuple(point))
     return ClassRep(
-        frozenset(tuple(p) for p in doc["solutions"]),
+        frozenset(points),
         equation_from_json_dict(doc["equation"]),
-        int(doc["coordinate"]),
+        _int(doc["coordinate"], "class representative coordinate"),
         SourceRef.from_json_dict(doc["source"]),
     )
 
@@ -367,26 +384,62 @@ def wrap_result_to_json_dict(result: WrapResult) -> dict:
     }
 
 
-def wrap_result_from_json_dict(doc: Mapping) -> WrapResult:
-    from .power import _decode_power_const  # shared constant decoding
-
-    if not isinstance(doc, Mapping) or set(doc) != {"wrapped", "verified", "bound_ok", "trace"}:
-        raise InputFormatError("wrap result must have keys {'wrapped','verified','bound_ok','trace'}")
-    tdoc = doc["trace"]
-    reps = tuple(class_rep_from_json_dict(r) for r in tdoc["representatives"])
-    seeds = tuple(equation_from_json_dict(e, _decode_power_const) for e in tdoc["seeds"])
-    steps = tuple(
-        WrapStep(
-            int(s["representative"]),
-            EventuallyPeriodicIndexSet.from_json_dict(s["match"]),
-            equation_from_json_dict(s["merged"], _decode_power_const),
-        )
-        for s in tdoc["steps"]
+def wrap_result_from_json_dict(doc: Any) -> WrapResult:
+    doc = _object(doc, {"wrapped", "verified", "bound_ok", "trace"}, "wrap result")
+    tdoc = _object(
+        doc["trace"],
+        {"stabilization", "period", "representatives", "source_pairs", "seeds", "steps"},
+        "wrap trace",
     )
-    trace = WrapTrace(int(tdoc["stabilization"]), int(tdoc["period"]), reps, seeds, steps)
+    reps = tuple(class_rep_from_json_dict(r) for r in _list(tdoc["representatives"], "representatives"))
+    seeds = tuple(equation_from_json_dict(e, _decode_power_const) for e in _list(tdoc["seeds"], "seeds"))
+    steps = []
+    for sdoc in _list(tdoc["steps"], "steps"):
+        sdoc = _object(sdoc, {"representative", "match", "other", "merged"}, "wrap step")
+        match = EventuallyPeriodicIndexSet.from_json_dict(sdoc["match"])
+        if EventuallyPeriodicIndexSet.from_json_dict(sdoc["other"]) != match.complement():
+            raise InputFormatError("wrap step 'other' must be the complement of 'match'")
+        steps.append(
+            WrapStep(
+                _int(sdoc["representative"], "step representative"),
+                match,
+                equation_from_json_dict(sdoc["merged"], _decode_power_const),
+            )
+        )
+    trace = WrapTrace(
+        _int(tdoc["stabilization"], "stabilization"),
+        _int(tdoc["period"], "period"),
+        reps,
+        seeds,
+        tuple(steps),
+    )
     return WrapResult(
         power_system_from_json_dict(doc["wrapped"]),
         trace,
-        bool(doc["verified"]),
-        bool(doc["bound_ok"]),
+        _bool(doc["verified"], "verified"),
+        _bool(doc["bound_ok"], "bound_ok"),
     )
+
+
+def _object(doc: Any, keys: set[str], what: str) -> Mapping:
+    if not isinstance(doc, Mapping) or set(doc) != keys:
+        raise InputFormatError(f"{what} must be an object with keys {sorted(keys)}, got {doc!r}")
+    return doc
+
+
+def _list(doc: Any, what: str) -> list:
+    if not isinstance(doc, list):
+        raise InputFormatError(f"{what} must be a list, got {doc!r}")
+    return doc
+
+
+def _int(doc: Any, what: str) -> int:
+    if isinstance(doc, bool) or not isinstance(doc, int):
+        raise InputFormatError(f"{what} must be an integer, got {doc!r}")
+    return doc
+
+
+def _bool(doc: Any, what: str) -> bool:
+    if not isinstance(doc, bool):
+        raise InputFormatError(f"{what} must be true or false, got {doc!r}")
+    return doc

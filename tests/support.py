@@ -11,8 +11,54 @@ import random
 from itertools import combinations, permutations, product
 
 from eqpower.power import PowerElement, PowerSystem, Staircase, StaircaseFamily
-from eqpower.solver import Const, EqualityAtom, RelationAtom, Var
+from eqpower.solver import Const, EqualityAtom, EquationSystem, RelationAtom, Var, evaluate
 from eqpower.structures import FiniteStructure, Signature, graph_from_edges, matroid_signature
+
+
+def oracle_atom_solutions(structure: FiniteStructure, variables, eq) -> frozenset:
+    """Solution set of one atom by evaluating it under every assignment, one dict each."""
+    pts = set()
+    for combo in product(structure.universe, repeat=len(variables)):
+        if evaluate(structure, eq, dict(zip(variables, combo))):
+            pts.add(combo)
+    return frozenset(pts)
+
+
+def brute_solutions(structure: FiniteStructure, system: EquationSystem) -> frozenset:
+    """Independent solver: evaluate every atom against every assignment directly."""
+    pts = set()
+    for combo in product(structure.universe, repeat=len(system.variables)):
+        env = dict(zip(system.variables, combo))
+
+        def val(a):
+            return env[a.name] if isinstance(a, Var) else a.value
+
+        ok = True
+        for eq in system.equations:
+            if isinstance(eq, RelationAtom):
+                ok = structure.holds(eq.symbol, tuple(val(a) for a in eq.args))
+            else:
+                ok = val(eq.lhs) == val(eq.rhs)
+            if not ok:
+                break
+        if ok:
+            pts.add(combo)
+    return frozenset(pts)
+
+
+def brute_minimal_core(structure: FiniteStructure, system: EquationSystem):
+    """Deletion-minimal core by trying each position in list order against brute_solutions."""
+    if brute_solutions(structure, system):
+        return None
+    core = list(system.equations)
+    pos = 0
+    while pos < len(core):
+        trial = core[:pos] + core[pos + 1 :]
+        if brute_solutions(structure, EquationSystem(system.variables, tuple(trial))):
+            pos += 1
+        else:
+            core = trial
+    return EquationSystem(system.variables, tuple(core))
 
 
 def enumerate_graphs(n: int):

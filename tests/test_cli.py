@@ -74,6 +74,14 @@ def test_solve_inconsistent_prints_core(capsys, tmp_path):
     assert doc["solutions"] == [] and len(doc["minimal_core"]) == 2
 
 
+def test_solve_core_keeps_one_copy_of_a_repeated_equation(capsys, tmp_path):
+    x_is_a = {"eq": [{"var": "x"}, {"const": "a"}]}
+    system = write_json(tmp_path, "sys.json", base_system_doc(x_is_a, x_is_a, rel("E", "a")))
+    code, out, _ = run(capsys, "solve", str(FIXTURES / "triangle.json"), system, "--format", "json")
+    assert code == 1
+    assert json.loads(out)["minimal_core"] == [x_is_a, rel("E", "a")]
+
+
 def test_project_demo(capsys):
     code, out, _ = run(
         capsys,

@@ -1,0 +1,107 @@
+"""Golden CLI transcripts: exact stdout and exit code of every subcommand on the fixtures.
+
+Each case's stdout is stored byte for byte under tests/golden/<case>.txt and its
+exit code in tests/golden/exit_codes.json.  After an intended output change,
+rewrite the transcripts with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and review the diff of tests/golden/ before committing it.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+
+from eqpower.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURES = ROOT / "fixtures"
+GOLDEN = Path(__file__).resolve().parent / "golden"
+INPUTS = GOLDEN / "inputs"
+
+STRUCTURES = (
+    "antichain3",
+    "chain2",
+    "cycle5",
+    "free_matroid2",
+    "free_matroid3",
+    "path4",
+    "rank_one_matroid2",
+    "star3",
+    "triangle",
+)
+POWER_SYSTEMS = ("planted_inconsistent", "staircase_demo")  # both paired with the triangle
+BASE_SYSTEMS = {
+    "chain2_below": "chain2",
+    "free_matroid2_repeated": "free_matroid2",
+    "triangle_duplicate_core": "triangle",
+    "triangle_inconsistent": "triangle",
+    "triangle_three_vars": "triangle",
+    "triangle_walk": "triangle",
+}
+
+
+def _fixture(name: str) -> str:
+    return str(FIXTURES / f"{name}.json")
+
+
+def _cases() -> dict[str, list[str]]:
+    plain: dict[str, list[str]] = {}
+    for name in STRUCTURES:
+        plain[f"validate_{name}"] = ["validate", _fixture(name)]
+        plain[f"noetherian_{name}"] = ["noetherian", _fixture(name)]
+        plain[f"witness_{name}"] = ["witness", _fixture(name), "--depth", "6"]
+    for name in POWER_SYSTEMS:
+        pair = [_fixture("triangle"), _fixture(name)]
+        plain[f"consistent_{name}"] = ["consistent", *pair]
+        for i in range(4):
+            plain[f"project_{name}_{i}"] = ["project", *pair, "--coordinate", str(i)]
+        plain[f"wrap_{name}"] = ["wrap", *pair]
+    for name, structure in BASE_SYSTEMS.items():
+        plain[f"solve_{name}"] = ["solve", _fixture(structure), str(INPUTS / f"{name}.json")]
+    cases = {}
+    for name, argv in plain.items():
+        cases[f"{name}_text"] = argv
+        cases[f"{name}_json"] = argv + ["--format", "json"]
+    return cases
+
+
+CASES = _cases()
+
+
+def _run(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def _exit_codes() -> dict[str, int]:
+    return json.loads((GOLDEN / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_transcript(case):
+    code, out = _run(CASES[case])
+    assert out == (GOLDEN / f"{case}.txt").read_text()
+    assert code == _exit_codes()[case]
+
+
+def test_golden_directory_has_no_stale_cases():
+    recorded = {p.stem for p in GOLDEN.glob("*.txt")}
+    assert recorded == set(CASES)
+    assert set(_exit_codes()) == set(CASES)
+
+
+if __name__ == "__main__":
+    codes = {}
+    for case in sorted(CASES):
+        codes[case], out = _run(CASES[case])
+        (GOLDEN / f"{case}.txt").write_text(out)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")

@@ -1,7 +1,8 @@
 import json
-from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eqpower.errors import InputFormatError, UnboundVariableError
 from eqpower.fixtures import chain_poset, triangle_graph
@@ -26,6 +27,9 @@ from eqpower.solver import (
     system_to_json_dict,
     template_of,
 )
+from eqpower.structures import FiniteStructure, Signature
+
+from support import brute_minimal_core, brute_solutions, oracle_atom_solutions
 
 
 def E(*args):
@@ -33,28 +37,6 @@ def E(*args):
 
 
 x, y = Var("x"), Var("y")
-
-
-def brute_solutions(structure, system):
-    """Independent solver: evaluate every atom against every assignment directly."""
-    pts = set()
-    for combo in product(structure.universe, repeat=len(system.variables)):
-        env = dict(zip(system.variables, combo))
-
-        def val(a):
-            return env[a.name] if isinstance(a, Var) else a.value
-
-        ok = True
-        for eq in system.equations:
-            if isinstance(eq, RelationAtom):
-                ok = structure.holds(eq.symbol, tuple(val(a) for a in eq.args))
-            else:
-                ok = val(eq.lhs) == val(eq.rhs)
-            if not ok:
-                break
-        if ok:
-            pts.add(combo)
-    return frozenset(pts)
 
 
 def test_template_round_trip():
@@ -172,6 +154,97 @@ def test_minimal_inconsistent_subset():
     for i in range(len(core.equations)):
         rest = EquationSystem(core.variables, core.equations[:i] + core.equations[i + 1 :])
         assert not solve(g, rest).is_empty
+
+
+def test_minimal_core_keeps_one_copy_of_a_repeated_equation():
+    g = triangle_graph()
+    system = EquationSystem(("x",), (EqualityAtom(x, Const("a")), EqualityAtom(x, Const("a")), E(x, Const("a"))))
+    core = minimal_inconsistent_subset(g, system)
+    assert core.equations == (EqualityAtom(x, Const("a")), E(x, Const("a")))
+
+
+# --- masks against the brute-force oracles ------------------------------------
+
+
+@st.composite
+def structures_and_atoms(draw, min_atoms=1, max_atoms=1):
+    """A random structure over symbols of arity 1..3, a variable list, and atoms over both."""
+    k = draw(st.integers(1, 4))
+    labels = [f"u{i}" for i in range(k)]
+    arities = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    symbols = tuple((f"R{i}", a) for i, a in enumerate(arities))
+    tables = {
+        name: draw(st.sets(st.tuples(*[st.sampled_from(labels)] * arity), max_size=k**arity))
+        for name, arity in symbols
+    }
+    structure = FiniteStructure(Signature(symbols), labels, tables)
+    variables = tuple(f"x{i}" for i in range(draw(st.integers(0, 4))))
+    consts = st.builds(Const, st.sampled_from(labels))
+    args = st.one_of(consts, st.builds(Var, st.sampled_from(variables))) if variables else consts
+    relation = st.sampled_from(symbols).flatmap(
+        lambda sym: st.tuples(*[args] * sym[1]).map(lambda a, name=sym[0]: RelationAtom(name, a))
+    )
+    equality = st.builds(EqualityAtom, args, args)
+    atoms = draw(st.lists(st.one_of(relation, equality), min_size=min_atoms, max_size=max_atoms))
+    return structure, variables, atoms
+
+
+@settings(max_examples=200, deadline=None)
+@given(structures_and_atoms())
+def test_atom_solutions_match_oracle(case):
+    structure, variables, (atom,) = case
+    clf = AtomClassifier(structure, variables)
+    assert clf.solutions(atom) == oracle_atom_solutions(structure, variables, atom)
+
+
+@settings(max_examples=150, deadline=None)
+@given(structures_and_atoms(min_atoms=0, max_atoms=6))
+def test_systems_and_cores_match_oracle(case):
+    structure, variables, atoms = case
+    system = EquationSystem(variables, tuple(atoms))
+    expected = brute_solutions(structure, system)
+    assert AtomClassifier(structure, variables).system_solutions(atoms) == expected
+    assert solve(structure, system).points == expected
+    assert minimal_inconsistent_subset(structure, system) == brute_minimal_core(structure, system)
+
+
+def test_mask_shapes_match_oracle():
+    """Repeated variables, x = x, constant-only atoms and variable equality on a fixed structure."""
+    labels = ["p", "q", "r"]
+    structure = FiniteStructure(
+        Signature((("U", 1), ("R", 2), ("T", 3))),
+        labels,
+        {
+            "U": [("q",)],
+            "R": [("p", "p"), ("p", "q"), ("r", "r"), ("q", "p")],
+            "T": [("p", "q", "p"), ("q", "q", "r"), ("r", "p", "r"), ("p", "p", "p")],
+        },
+    )
+    z = Var("z")
+    p, q = Const("p"), Const("q")
+    atoms = [
+        RelationAtom("R", (x, x)),
+        RelationAtom("T", (x, y, x)),
+        RelationAtom("T", (z, z, z)),
+        RelationAtom("T", (x, p, y)),
+        RelationAtom("R", (p, q)),
+        RelationAtom("R", (q, q)),
+        RelationAtom("U", (y,)),
+        EqualityAtom(x, x),
+        EqualityAtom(x, y),
+        EqualityAtom(z, x),
+        EqualityAtom(p, p),
+        EqualityAtom(p, q),
+        EqualityAtom(q, y),
+    ]
+    for variables in [("x", "y", "z"), ("z", "y", "x", "w")]:
+        clf = AtomClassifier(structure, variables)
+        for atom in atoms:
+            assert clf.solutions(atom) == oracle_atom_solutions(structure, variables, atom), atom
+    # no variables: one empty assignment, kept or not
+    clf = AtomClassifier(structure, ())
+    assert clf.solutions(RelationAtom("R", (p, q))) == {()}
+    assert clf.solutions(EqualityAtom(p, q)) == frozenset()
 
 
 def test_equation_json_round_trip():

@@ -183,3 +183,26 @@ def test_wrap_result_rejects_malformed_documents():
     extra["surprise"] = 1
     with pytest.raises(InputFormatError):
         wrap_result_from_json_dict(extra)
+
+
+def _without_steps(doc):
+    del doc["trace"]["steps"]
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc.update(verified="zz"),
+        lambda doc: doc.update(bound_ok=1),
+        lambda doc: doc["trace"]["steps"][0]["match"]["cycle"].__setitem__(0, "x"),
+        _without_steps,
+        lambda doc: doc["trace"]["representatives"][0].update(solutions=5),
+        lambda doc: doc["trace"]["representatives"][0].update(solutions=["ab"]),
+    ],
+    ids=["verified-string", "bound-ok-int", "index-set-string", "steps-dropped", "solutions-int", "solutions-string"],
+)
+def test_wrap_result_decoding_is_strict(mutate):
+    doc = json.loads(json.dumps(wrap_result_to_json_dict(wrap(triangle_graph(), staircase_demo_system()))))
+    mutate(doc)
+    with pytest.raises(InputFormatError):
+        wrap_result_from_json_dict(doc)
