@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .errors import InputFormatError, InvalidCertificateError
+from .errors import InputFormatError, InvalidCertificateError, json_int, json_list, json_object, json_str
 from .power import (
     PowerElement,
     PowerSystem,
@@ -43,6 +43,8 @@ from .structures import (
 NOETHERIAN = "NOETHERIAN"
 NOT_NOETHERIAN = "NOT_NOETHERIAN"
 NO_OBSTRUCTION_FOUND = "NO_OBSTRUCTION_FOUND"
+STATUSES = (NOETHERIAN, NOT_NOETHERIAN, NO_OBSTRUCTION_FOUND)
+CERTIFICATE_SIZES = {"quadruple": 4, "triple": 3, "pair": 2}
 
 
 @dataclass(frozen=True)
@@ -64,18 +66,33 @@ class NoetherianVerdict:
         return doc
 
     @staticmethod
-    def from_json_dict(doc: Mapping) -> "NoetherianVerdict":
-        cert = doc.get("certificate")
-        cert_kind = None
-        values = None
-        if cert is not None:
-            if not isinstance(cert, Mapping) or len(cert) != 1:
-                raise InputFormatError(f"bad certificate {cert!r}")
-            ((cert_kind, payload),) = cert.items()
-            values = tuple(str(v) for v in payload)
-        return NoetherianVerdict(
-            str(doc["status"]), str(doc["kind"]), cert_kind, values, doc.get("transcript")
-        )
+    def from_json_dict(doc: Any) -> "NoetherianVerdict":
+        keys = {"status", "kind", "certificate"}
+        if isinstance(doc, Mapping) and "transcript" in doc:
+            keys.add("transcript")
+        doc = json_object(doc, keys, "verdict")
+        status = json_str(doc["status"], "verdict status")
+        if status not in STATUSES:
+            raise InputFormatError(f"verdict status must be one of {list(STATUSES)}, got {status!r}")
+        cert_kind, values = None, None
+        if doc["certificate"] is not None:
+            cert_kind, values = _certificate_from_json_dict(doc["certificate"])
+        transcript = json_str(doc["transcript"], "verdict transcript") if "transcript" in doc else None
+        return NoetherianVerdict(status, json_str(doc["kind"], "verdict kind"), cert_kind, values, transcript)
+
+
+def _certificate_from_json_dict(doc: Any) -> tuple[str, tuple[str, ...]]:
+    """{"quadruple": [4 labels]}, {"triple": [3 labels]} or {"pair": [2 labels]}."""
+    if not isinstance(doc, Mapping) or len(doc) != 1:
+        raise InputFormatError(f"certificate must be an object with one key, got {doc!r}")
+    ((cert_kind, payload),) = doc.items()
+    if cert_kind not in CERTIFICATE_SIZES:
+        raise InputFormatError(f"certificate kind must be one of {list(CERTIFICATE_SIZES)}, got {cert_kind!r}")
+    values = tuple(json_str(v, "certificate entries") for v in json_list(payload, "certificate"))
+    size = CERTIFICATE_SIZES[cert_kind]
+    if len(values) != size:
+        raise InputFormatError(f"a {cert_kind} certificate has {size} entries, got {len(values)}")
+    return cert_kind, values
 
 
 def _require_valid(structure: FiniteStructure, kind: str) -> None:
@@ -221,21 +238,19 @@ class WitnessPackage:
         }
 
     @staticmethod
-    def from_json_dict(doc: Mapping) -> "WitnessPackage":
-        cert = doc["certificate"]
-        if not isinstance(cert, Mapping) or len(cert) != 1:
-            raise InputFormatError(f"bad certificate {cert!r}")
-        ((cert_kind, payload),) = cert.items()
-        rule = doc["witness_rule"]
+    def from_json_dict(doc: Any) -> "WitnessPackage":
+        doc = json_object(doc, {"kind", "certificate", "variable", "family", "witness_rule"}, "witness package")
+        cert_kind, values = _certificate_from_json_dict(doc["certificate"])
+        rule = json_object(doc["witness_rule"], {"repeat", "tail", "offset"}, "witness rule")
         return WitnessPackage(
-            str(doc["kind"]),
-            str(cert_kind),
-            tuple(str(v) for v in payload),
-            str(doc["variable"]),
+            json_str(doc["kind"], "witness kind"),
+            cert_kind,
+            values,
+            json_str(doc["variable"], "witness variable"),
             family_from_json_dict(doc["family"]),
-            str(rule["repeat"]),
-            str(rule["tail"]),
-            int(rule["offset"]),
+            json_str(rule["repeat"], "witness rule repeat"),
+            json_str(rule["tail"], "witness rule tail"),
+            json_int(rule["offset"], "witness rule offset"),
         )
 
 

@@ -18,21 +18,20 @@ import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import InputFormatError
+from .errors import InputFormatError, UnboundVariableError, json_int
 from .solver import (
     AtomClassifier,
     ClassId,
     Const,
     Equation,
     EquationSystem,
+    RelationAtom,
     Var,
     atom_args,
     equation_from_json_dict,
     equation_to_json_dict,
-    evaluate,
     map_constants,
     minimal_inconsistent_subset,
-    rebuild_atom,
 )
 from .structures import FiniteStructure
 
@@ -136,6 +135,33 @@ class StaircaseFamily:
     def descriptors(self) -> tuple[Staircase, ...]:
         return tuple(a.value for a in atom_args(self.atom) if isinstance(a, Const))
 
+    def coordinate_checks(self, stab: int, period: int) -> set[tuple[int, tuple[str, ...]]]:
+        """(coordinate, slot values) pairs that decide the family at a point.
+
+        At coordinate i every member n >= i + 2 projects to the generators at
+        i, and member n <= i + 1 projects to the joint tail at position
+        j = i - n + 1.  So at a point whose values repeat with `period` from
+        coordinate `stab` on, the family holds exactly when its atom holds
+          * with the generator values at i in its slots, at each coordinate
+            i below stab + lcm(period, generator lengths), and
+          * with the joint tail values at position j in its slots, for each
+            j below tail prefix + lcm(tail cycles), at each coordinate i in
+            [j, max(j, stab) + period), which covers every i >= j.
+        Later coordinates repeat those generator rows, and a later tail
+        position repeats position j - lcm(tail cycles) against fewer
+        coordinates.  A family with no constant slot gets the empty tuple at
+        each coordinate below stab + period: its atom at every coordinate.
+        """
+        descs = self.descriptors()
+        gen_horizon = stab + _lcm([period] + [len(s.generator) for s in descs])
+        checks = {(i, tuple(s.generator_at(i) for s in descs)) for i in range(gen_horizon)}
+        tail_prefix = max((len(s.tail.prefix) for s in descs), default=0)
+        tail_horizon = tail_prefix + _lcm(len(s.tail.cycle) for s in descs)
+        for j in range(tail_horizon):
+            values = tuple(s.tail.at(j) for s in descs)
+            checks.update((i, values) for i in range(j, max(j, stab) + period))
+        return checks
+
     def member(self, n: int) -> Equation:
         return map_constants(self.atom, lambda s: s.member_constant(n))
 
@@ -187,11 +213,12 @@ class SourceRef:
         return {"family": self.index, "member": self.member}
 
     @staticmethod
-    def from_json_dict(doc: Mapping) -> "SourceRef":
-        if set(doc) == {"explicit"}:
-            return SourceRef("explicit", int(doc["explicit"]))
-        if set(doc) == {"family", "member"}:
-            return SourceRef("family", int(doc["family"]), int(doc["member"]))
+    def from_json_dict(doc: Any) -> "SourceRef":
+        if isinstance(doc, Mapping) and set(doc) == {"explicit"}:
+            return SourceRef("explicit", json_int(doc["explicit"], "explicit index", 0))
+        if isinstance(doc, Mapping) and set(doc) == {"family", "member"}:
+            index = json_int(doc["family"], "family index", 0)
+            return SourceRef("family", index, json_int(doc["member"], "family member", 1))
         raise InputFormatError(f"bad source reference {doc!r}")
 
 
@@ -302,26 +329,59 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Coord
     return CoordinateProfile(stab, period, table)
 
 
-def _point_horizon(system_stab: int, system_period: int, point: Sequence[PowerElement]) -> tuple[int, int]:
-    stab = max([system_stab] + [len(pe.prefix) for pe in point])
-    period = _lcm([system_period] + [len(pe.cycle) for pe in point])
-    return stab, period
+def _stream_of(streams: Mapping[str, PowerElement], arg: Any) -> PowerElement:
+    """The stream an argument takes: the point's entry for a variable, else the constant's stream."""
+    if isinstance(arg, Var):
+        try:
+            return streams[arg.name]
+        except KeyError:
+            raise UnboundVariableError(f"no value assigned to variable {arg.name!r}") from None
+    value = arg.value
+    return value if isinstance(value, PowerElement) else PowerElement((), (value,))
+
+
+def _column(pe: PowerElement, length: int) -> list[str]:
+    """The stream's values at coordinates 0..length-1."""
+    reps = -(-max(0, length - len(pe.prefix)) // len(pe.cycle))
+    return (list(pe.prefix) + list(pe.cycle) * reps)[:length]
+
+
+def _rows_hold(structure: FiniteStructure, eq: Equation, rows: set[tuple[str, ...]]) -> bool:
+    """Whether the atom holds on every row of argument labels."""
+    if not isinstance(eq, RelationAtom):
+        return all(lhs == rhs for lhs, rhs in rows)
+    table, index = structure.index_table(eq.symbol), structure.index
+    return all(tuple(map(index, row)) in table for row in rows)
 
 
 def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[PowerElement]) -> bool:
-    """Exact membership of the point in the system's solution set.
+    """Exact membership of the point in the system's solution set, one equation at a time.
 
-    Coordinates below the joint stabilization + period of system and point are
-    checked outright; beyond that both sides repeat, so the answer is exact.
+    An explicit equation's rows repeat after the largest prefix plus the lcm
+    of the cycles among its own streams (constants and the point's entries
+    for its variables), so only the coordinates below that are checked.  A
+    family is decided by StaircaseFamily.coordinate_checks against the
+    horizon of the point's entries for the family's variables.
     """
     if len(point) != len(system.variables):
         raise ValueError(f"point has {len(point)} entries for variables {system.variables}")
-    stab, period = _point_horizon(*stream_horizon(system), point)
-    for i in range(stab + period):
-        assignment = {v: pe.at(i) for v, pe in zip(system.variables, point)}
-        for atom, _ in projection_entries(system, i):
-            if not evaluate(structure, atom, assignment):
-                return False
+    streams = dict(zip(system.variables, point))
+    for eq in system.explicit:
+        args = [_stream_of(streams, a) for a in atom_args(eq)]
+        horizon = max((len(pe.prefix) for pe in args), default=0) + _lcm(len(pe.cycle) for pe in args)
+        rows = set(zip(*(_column(pe, horizon) for pe in args))) if args else {()}
+        if not _rows_hold(structure, eq, rows):
+            return False
+    for fam in system.families:
+        args = [_stream_of(streams, a) if isinstance(a, Var) else None for a in atom_args(fam.atom)]
+        used = [pe for pe in args if pe is not None]
+        stab = max((len(pe.prefix) for pe in used), default=0)
+        rows = set()
+        for i, values in fam.coordinate_checks(stab, _lcm(len(pe.cycle) for pe in used)):
+            slot = iter(values)
+            rows.add(tuple(next(slot) if pe is None else pe.at(i) for pe in args))
+        if not _rows_hold(structure, fam.atom, rows):
+            return False
     return True
 
 

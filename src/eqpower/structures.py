@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import InputFormatError, SignatureMismatchError
+from .errors import InputFormatError, SignatureMismatchError, json_bool, json_list, json_object, json_str
 
 GRAPH_EDGE_SYMBOL = "E"
 POSET_ORDER_SYMBOL = "leq"
@@ -174,12 +174,17 @@ class ValidationReport:
         }
 
     @staticmethod
-    def from_json_dict(doc: Mapping) -> "ValidationReport":
-        violations = tuple(
-            (str(entry["axiom"]), tuple(str(v) for v in entry["witness"]))
-            for entry in doc["violations"]
-        )
-        return ValidationReport(str(doc["kind"]), bool(doc["passed"]), violations)
+    def from_json_dict(doc: Any) -> "ValidationReport":
+        doc = json_object(doc, {"kind", "passed", "violations"}, "validation report")
+        violations = []
+        for entry in json_list(doc["violations"], "violations"):
+            entry = json_object(entry, {"axiom", "witness"}, "violation")
+            witness = json_list(entry["witness"], "violation witness")
+            violations.append(
+                (json_str(entry["axiom"], "violation axiom"), tuple(json_str(v, "witness labels") for v in witness))
+            )
+        kind = json_str(doc["kind"], "report kind")
+        return ValidationReport(kind, json_bool(doc["passed"], "report passed"), tuple(violations))
 
 
 def _check_kind_signature(structure: FiniteStructure, kind: str) -> None:

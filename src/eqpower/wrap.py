@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from typing import Any, Iterable
 
-from .errors import InputFormatError
+from .errors import InputFormatError, json_bool, json_int, json_list, json_object
 from .power import (
     CoordinateProfile,
     PowerElement,
@@ -75,14 +75,14 @@ class EventuallyPeriodicIndexSet:
 
     @staticmethod
     def from_json_dict(doc: Any) -> "EventuallyPeriodicIndexSet":
-        doc = _object(doc, {"prefix", "cycle"}, "index set")
-        prefix = _list(doc["prefix"], "index set prefix")
-        cycle = _list(doc["cycle"], "index set cycle")
+        doc = json_object(doc, {"prefix", "cycle"}, "index set")
+        prefix = json_list(doc["prefix"], "index set prefix")
+        cycle = json_list(doc["cycle"], "index set cycle")
         if not cycle:
             raise InputFormatError("index set cycle must be nonempty")
         return EventuallyPeriodicIndexSet(
-            tuple(_bool(b, "index set entries") for b in prefix),
-            tuple(_bool(b, "index set entries") for b in cycle),
+            tuple(json_bool(b, "index set entries") for b in prefix),
+            tuple(json_bool(b, "index set entries") for b in cycle),
         )
 
 
@@ -342,16 +342,16 @@ def class_rep_to_json_dict(rep: ClassRep) -> dict:
 
 
 def class_rep_from_json_dict(doc: Any) -> ClassRep:
-    doc = _object(doc, {"solutions", "equation", "coordinate", "source"}, "class representative")
+    doc = json_object(doc, {"solutions", "equation", "coordinate", "source"}, "class representative")
     points = []
-    for point in _list(doc["solutions"], "class representative solutions"):
+    for point in json_list(doc["solutions"], "class representative solutions"):
         if not isinstance(point, list) or not all(isinstance(v, str) for v in point):
             raise InputFormatError(f"solution points must be lists of labels, got {point!r}")
         points.append(tuple(point))
     return ClassRep(
         frozenset(points),
         equation_from_json_dict(doc["equation"]),
-        _int(doc["coordinate"], "class representative coordinate"),
+        json_int(doc["coordinate"], "class representative coordinate"),
         SourceRef.from_json_dict(doc["source"]),
     )
 
@@ -385,30 +385,30 @@ def wrap_result_to_json_dict(result: WrapResult) -> dict:
 
 
 def wrap_result_from_json_dict(doc: Any) -> WrapResult:
-    doc = _object(doc, {"wrapped", "verified", "bound_ok", "trace"}, "wrap result")
-    tdoc = _object(
+    doc = json_object(doc, {"wrapped", "verified", "bound_ok", "trace"}, "wrap result")
+    tdoc = json_object(
         doc["trace"],
         {"stabilization", "period", "representatives", "source_pairs", "seeds", "steps"},
         "wrap trace",
     )
-    reps = tuple(class_rep_from_json_dict(r) for r in _list(tdoc["representatives"], "representatives"))
-    seeds = tuple(equation_from_json_dict(e, _decode_power_const) for e in _list(tdoc["seeds"], "seeds"))
+    reps = tuple(class_rep_from_json_dict(r) for r in json_list(tdoc["representatives"], "representatives"))
+    seeds = tuple(equation_from_json_dict(e, _decode_power_const) for e in json_list(tdoc["seeds"], "seeds"))
     steps = []
-    for sdoc in _list(tdoc["steps"], "steps"):
-        sdoc = _object(sdoc, {"representative", "match", "other", "merged"}, "wrap step")
+    for sdoc in json_list(tdoc["steps"], "steps"):
+        sdoc = json_object(sdoc, {"representative", "match", "other", "merged"}, "wrap step")
         match = EventuallyPeriodicIndexSet.from_json_dict(sdoc["match"])
         if EventuallyPeriodicIndexSet.from_json_dict(sdoc["other"]) != match.complement():
             raise InputFormatError("wrap step 'other' must be the complement of 'match'")
         steps.append(
             WrapStep(
-                _int(sdoc["representative"], "step representative"),
+                json_int(sdoc["representative"], "step representative"),
                 match,
                 equation_from_json_dict(sdoc["merged"], _decode_power_const),
             )
         )
     trace = WrapTrace(
-        _int(tdoc["stabilization"], "stabilization"),
-        _int(tdoc["period"], "period"),
+        json_int(tdoc["stabilization"], "stabilization"),
+        json_int(tdoc["period"], "period"),
         reps,
         seeds,
         tuple(steps),
@@ -416,30 +416,7 @@ def wrap_result_from_json_dict(doc: Any) -> WrapResult:
     return WrapResult(
         power_system_from_json_dict(doc["wrapped"]),
         trace,
-        _bool(doc["verified"], "verified"),
-        _bool(doc["bound_ok"], "bound_ok"),
+        json_bool(doc["verified"], "verified"),
+        json_bool(doc["bound_ok"], "bound_ok"),
     )
 
-
-def _object(doc: Any, keys: set[str], what: str) -> Mapping:
-    if not isinstance(doc, Mapping) or set(doc) != keys:
-        raise InputFormatError(f"{what} must be an object with keys {sorted(keys)}, got {doc!r}")
-    return doc
-
-
-def _list(doc: Any, what: str) -> list:
-    if not isinstance(doc, list):
-        raise InputFormatError(f"{what} must be a list, got {doc!r}")
-    return doc
-
-
-def _int(doc: Any, what: str) -> int:
-    if isinstance(doc, bool) or not isinstance(doc, int):
-        raise InputFormatError(f"{what} must be an integer, got {doc!r}")
-    return doc
-
-
-def _bool(doc: Any, what: str) -> bool:
-    if not isinstance(doc, bool):
-        raise InputFormatError(f"{what} must be true or false, got {doc!r}")
-    return doc

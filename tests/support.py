@@ -7,10 +7,18 @@ logic, not against itself.
 
 from __future__ import annotations
 
+import math
 import random
 from itertools import combinations, permutations, product
 
-from eqpower.power import PowerElement, PowerSystem, Staircase, StaircaseFamily
+from eqpower.power import (
+    PowerElement,
+    PowerSystem,
+    Staircase,
+    StaircaseFamily,
+    projection_entries,
+    stream_horizon,
+)
 from eqpower.solver import Const, EqualityAtom, EquationSystem, RelationAtom, Var, evaluate
 from eqpower.structures import FiniteStructure, Signature, graph_from_edges, matroid_signature
 
@@ -22,6 +30,26 @@ def oracle_atom_solutions(structure: FiniteStructure, variables, eq) -> frozense
         if evaluate(structure, eq, dict(zip(variables, combo))):
             pts.add(combo)
     return frozenset(pts)
+
+
+def oracle_satisfies(structure: FiniteStructure, system: PowerSystem, point) -> bool:
+    """Membership by scanning every coordinate projection up to the joint horizon of system and point.
+
+    Below max(stabilization, point prefixes) + lcm(period, point cycles) every
+    projected equation is evaluated under the point's values at that
+    coordinate; beyond it both system and point repeat.
+    """
+    if len(point) != len(system.variables):
+        raise ValueError(f"point has {len(point)} entries for variables {system.variables}")
+    stab, period = stream_horizon(system)
+    stab = max([stab] + [len(pe.prefix) for pe in point])
+    period = math.lcm(period, *(len(pe.cycle) for pe in point))
+    for i in range(stab + period):
+        assignment = {v: pe.at(i) for v, pe in zip(system.variables, point)}
+        for atom, _ in projection_entries(system, i):
+            if not evaluate(structure, atom, assignment):
+                return False
+    return True
 
 
 def brute_solutions(structure: FiniteStructure, system: EquationSystem) -> frozenset:

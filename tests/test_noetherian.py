@@ -3,7 +3,7 @@ import json
 import pytest
 
 import support
-from eqpower.errors import InvalidCertificateError
+from eqpower.errors import InputFormatError, InvalidCertificateError
 from eqpower.fixtures import (
     antichain_poset,
     chain_poset,
@@ -31,8 +31,15 @@ from eqpower.noetherian import (
     power_noetherian,
     verify_witness,
 )
-from eqpower.power import satisfies
+from eqpower.power import PowerSystem, satisfies
 from eqpower.structures import FiniteStructure, matroid_signature, star_bipartite_graph
+
+
+def uniform_rank2_matroid3() -> FiniteStructure:
+    """Every pair of distinct elements is independent, no triple is: the pair graph is a triangle."""
+    labels = ["e1", "e2", "e3"]
+    pairs = [(a, b) for a in labels for b in labels if a != b]
+    return FiniteStructure(matroid_signature(3), labels, {"P1": [(u,) for u in labels], "P2": pairs, "P3": []})
 
 
 def test_quasi_identity_matches_oracle_exhaustively():
@@ -100,14 +107,7 @@ def test_matroid_verdicts():
 
 def test_matroid_quadruple_path():
     """No independent triple, but independent pairs form a triangle."""
-    labels = ["e1", "e2", "e3"]
-    pairs = [(a, b) for a in labels for b in labels if a != b]
-    m = FiniteStructure(
-        matroid_signature(3),
-        labels,
-        {"P1": [(u,) for u in labels], "P2": pairs, "P3": []},
-    )
-    verdict = matroid_power_noetherian(m)
+    verdict = matroid_power_noetherian(uniform_rank2_matroid3())
     assert verdict.status == NOT_NOETHERIAN
     assert verdict.certificate_kind == "quadruple"
 
@@ -146,6 +146,38 @@ def test_matroid_witness_family():
         assert first_violated_member(m, package, n) == n + 2
 
 
+DEEP_WITNESS_CASES = {
+    "graph-quadruple-cycle5": (cycle_graph(5), "graph", "quadruple", 1),
+    "graph-quadruple-path4": (path_graph(4), "graph", "quadruple", 1),
+    "poset-pair-chain2": (chain_poset(2), "poset", "pair", 2),
+    "matroid-triple-free3": (free_matroid(3), "matroid", "triple", 2),
+    "matroid-quadruple-uniform2": (uniform_rank2_matroid3(), "matroid", "quadruple", 1),
+}
+ORACLE_DEPTHS = (*range(1, 11), 20, 40, 60, 80)
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_WITNESS_CASES))
+def test_deep_witness_matches_oracle(case):
+    """Every depth up to 80 verifies; the point first fails member n+1 (quadruples) or n+2 (others)."""
+    structure, kind, cert_kind, offset = DEEP_WITNESS_CASES[case]
+    verdict = power_noetherian(structure, kind)
+    assert verdict.certificate_kind == cert_kind
+    package = build_witness_family(structure, kind, verdict.certificate)
+    for n in range(1, 81):
+        assert verify_witness(structure, package, n)
+        assert first_violated_member(structure, package, n) == n + offset
+    for n in ORACLE_DEPTHS:
+        point = package.witness_point(n)
+        assert support.oracle_satisfies(structure, package.truncation(n), point)
+        assert not support.oracle_satisfies(structure, package.family_system(), point)
+        variables = (package.variable,)
+        held = [
+            support.oracle_satisfies(structure, PowerSystem(variables, (package.family.member(m),)), point)
+            for m in range(n + 1, n + offset + 1)
+        ]
+        assert held == [True] * (offset - 1) + [False]
+
+
 def test_witness_rejects_bogus_certificates():
     g = star_bipartite_graph(2)  # closing walk everywhere, nothing to witness
     with pytest.raises(InvalidCertificateError):
@@ -177,3 +209,68 @@ def test_witness_package_json_round_trip():
     package = build_witness_family(triangle_graph(), "graph", ("a", "b", "c", "a"))
     doc = json.loads(json.dumps(package.to_json_dict()))
     assert WitnessPackage.from_json_dict(doc) == package
+
+
+def _verdict_doc():
+    return json.loads(json.dumps(graph_power_noetherian(triangle_graph()).to_json_dict()))
+
+
+def _passing_verdict_doc():
+    return json.loads(json.dumps(graph_power_noetherian(star_bipartite_graph(2)).to_json_dict()))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"status": 7, "kind": None},
+        {"status": 7, "kind": None, "certificate": None},
+        {**_verdict_doc(), "status": "MAYBE"},
+        {**_verdict_doc(), "kind": 3},
+        {**_verdict_doc(), "surprise": 1},
+        {key: value for key, value in _verdict_doc().items() if key != "certificate"},
+        {**_verdict_doc(), "certificate": ["a", "b", "c", "a"]},
+        {**_verdict_doc(), "certificate": {"quadruple": "abca"}},
+        {**_verdict_doc(), "certificate": {"quadruple": ["a", "b", "c"]}},
+        {**_verdict_doc(), "certificate": {"quadruple": ["a", "b", "c", 1]}},
+        {**_verdict_doc(), "certificate": {"walk": ["a", "b", "c", "a"]}},
+        {**_passing_verdict_doc(), "transcript": None},
+        {**_passing_verdict_doc(), "transcript": 5},
+        ["NOT_NOETHERIAN", "graph"],
+    ],
+)
+def test_verdict_decoding_is_strict(doc):
+    with pytest.raises(InputFormatError):
+        NoetherianVerdict.from_json_dict(doc)
+
+
+def _package_doc():
+    package = build_witness_family(triangle_graph(), "graph", ("a", "b", "c", "a"))
+    return json.loads(json.dumps(package.to_json_dict()))
+
+
+def _mutated_package(edit):
+    doc = _package_doc()
+    edit(doc)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _mutated_package(lambda doc: doc.pop("certificate")),
+        _mutated_package(lambda doc: doc.pop("witness_rule")),
+        _mutated_package(lambda doc: doc.update(surprise=1)),
+        _mutated_package(lambda doc: doc.update(kind=None)),
+        _mutated_package(lambda doc: doc.update(variable=["x"])),
+        _mutated_package(lambda doc: doc.update(certificate={"quadruple": ["a", "b"]})),
+        _mutated_package(lambda doc: doc["witness_rule"].update(offset="-1")),
+        _mutated_package(lambda doc: doc["witness_rule"].update(offset=True)),
+        _mutated_package(lambda doc: doc["witness_rule"].update(repeat=3)),
+        _mutated_package(lambda doc: doc["witness_rule"].pop("tail")),
+        _mutated_package(lambda doc: doc.update(family={"rel": "E", "args": []})),
+        "package",
+    ],
+)
+def test_witness_package_decoding_is_strict(doc):
+    with pytest.raises(InputFormatError):
+        WitnessPackage.from_json_dict(doc)

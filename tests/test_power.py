@@ -1,10 +1,12 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqpower.errors import InputFormatError
+import support
+from eqpower.errors import InputFormatError, UnboundVariableError
 from eqpower.fixtures import staircase_demo_system, triangle_graph
 from eqpower.power import (
     PowerElement,
@@ -26,6 +28,7 @@ from eqpower.power import (
     stream_horizon,
 )
 from eqpower.solver import Const, EqualityAtom, RelationAtom, Var, solve
+from eqpower.structures import FiniteStructure, Signature
 
 x = Var("x")
 
@@ -252,3 +255,167 @@ def test_source_ref_round_trip():
         assert SourceRef.from_json_dict(json.loads(json.dumps(ref.to_json_dict()))) == ref
     with pytest.raises(InputFormatError):
         SourceRef.from_json_dict({"weird": 1})
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"explicit": True},
+        {"explicit": 2.9},
+        {"explicit": "1"},
+        {"explicit": -1},
+        {"family": "0", "member": 0},
+        {"family": 0, "member": 0},
+        {"family": 0, "member": True},
+        {"family": -1, "member": 1},
+        {"family": 0, "member": 1.0},
+        ["explicit"],
+        "explicit",
+    ],
+)
+def test_source_ref_decoding_is_strict(doc):
+    with pytest.raises(InputFormatError):
+        SourceRef.from_json_dict(doc)
+
+
+# --- satisfies against the per-coordinate oracle ------------------------------
+
+SAT_SIGNATURE = Signature((("R", 2), ("T", 3)))
+
+
+@st.composite
+def streams(draw, labels, max_prefix=3):
+    prefix = draw(st.lists(st.sampled_from(labels), max_size=max_prefix))
+    cycle = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3))
+    return PowerElement(tuple(prefix), tuple(cycle))
+
+
+def staircases(labels):
+    return st.builds(
+        lambda gen, tail: Staircase(tuple(gen), tail),
+        st.lists(st.sampled_from(labels), min_size=1, max_size=3),
+        streams(labels),
+    )
+
+
+@st.composite
+def satisfies_cases(draw):
+    """A structure with binary R and ternary T, a power system over it, and a point."""
+    k = draw(st.integers(1, 3))
+    labels = [f"u{i}" for i in range(k)]
+    pairs = [(a, b) for a in labels for b in labels]
+    triples = [(a, b, c) for a in labels for b in labels for c in labels]
+    tables = {
+        "R": draw(st.lists(st.sampled_from(pairs), unique=True)),
+        "T": draw(st.lists(st.sampled_from(triples), unique=True)),
+    }
+    structure = FiniteStructure(SAT_SIGNATURE, labels, tables)
+    used = ("x", "y")[: draw(st.integers(1, 2))]
+    variables = used + (("w",) if draw(st.booleans()) else ())  # w: a point entry no equation reads
+
+    def atom(const):
+        kind = draw(st.sampled_from(["R", "T", "eq"]))
+        args = [
+            Var(draw(st.sampled_from(used))) if draw(st.booleans()) else Const(draw(const))
+            for _ in range({"R": 2, "T": 3, "eq": 2}[kind])
+        ]
+        return EqualityAtom(*args) if kind == "eq" else RelationAtom(kind, tuple(args))
+
+    explicit = tuple(atom(streams(labels)) for _ in range(draw(st.integers(0, 3))))
+    families = tuple(StaircaseFamily(atom(staircases(labels))) for _ in range(draw(st.integers(0, 2))))
+    point = tuple(draw(streams(labels)) for _ in variables)
+    return structure, PowerSystem(variables, explicit, families), point
+
+
+@settings(deadline=None, max_examples=300)
+@given(satisfies_cases())
+def test_satisfies_matches_oracle(case):
+    structure, system, point = case
+    assert satisfies(structure, system, point) == support.oracle_satisfies(structure, system, point)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.data())
+def test_coordinate_checks_cover_every_member_projection(data):
+    """The staircase identity: the checks' rows are exactly the rows of all members at all coordinates."""
+    labels = ["a", "b", "c"]
+    descs = data.draw(st.lists(staircases(labels), max_size=3))
+    point = data.draw(st.lists(streams(labels), min_size=1, max_size=2))
+    fam = StaircaseFamily(RelationAtom("R", tuple(Const(s) for s in descs)))
+    stab = max(len(pe.prefix) for pe in point)
+    period = math.lcm(*(len(pe.cycle) for pe in point))
+
+    def at(i):
+        return tuple(pe.at(i) for pe in point)
+
+    checked = {(at(i), values) for i, values in fam.coordinate_checks(stab, period)}
+    window = 40  # every row of the infinite family shows up at a coordinate below this
+    members = {
+        (at(i), tuple(s.value_at(n, i) for s in descs)) for i in range(window) for n in range(1, window + 3)
+    }
+    assert checked == members
+
+
+def test_satisfies_edge_cases_match_oracle():
+    g = FiniteStructure(
+        SAT_SIGNATURE,
+        ["a", "b", "c"],
+        {
+            "R": [("a", "b"), ("b", "a"), ("b", "c"), ("c", "b"), ("a", "a")],
+            "T": [("a", u, v) for u in "abc" for v in "abc"] + [("b", "a", "c")],
+        },
+    )
+    ab, ba = PowerElement((), ("a", "b")), PowerElement((), ("b", "a"))
+    y = Var("y")
+    no_slot = StaircaseFamily(RelationAtom("R", (x, y)))
+    # two slots whose tails differ in prefix and cycle length
+    first = Staircase(("a", "b"), PowerElement(("a", "a", "c"), ("a",)))
+    second = Staircase(("c",), PowerElement(("c",), ("c", "b", "c")))
+    two_slots = StaircaseFamily(RelationAtom("T", (x, Const(first), Const(second))))
+    a_stair = Const(Staircase(("a",), constant_stream("a")))
+    constants_only = StaircaseFamily(EqualityAtom(a_stair, a_stair))
+    loop = StaircaseFamily(RelationAtom("R", (x, x)))
+    to_b = RelationAtom("R", (x, Const(constant_stream("b"))))
+    w = PowerElement(("c",), ("a",))
+    cases = [
+        (("x", "y"), (), (no_slot,), (ab, ba)),
+        (("x", "y"), (), (no_slot,), (ab, PowerElement(("b",), ("c",)))),
+        (("x",), (), (two_slots,), (constant_stream("a"),)),
+        (("x",), (), (two_slots,), (PowerElement(("a", "a", "a"), ("b",)),)),
+        (("x",), (RelationAtom("R", (x, x)),), (), (PowerElement(("a",), ("b",)),)),
+        (("x",), (RelationAtom("R", (x, x)),), (), (constant_stream("a"),)),
+        (("x", "y"), (EqualityAtom(x, y),), (), (ab, PowerElement(("b",), ("b", "a")))),
+        (("x", "y"), (EqualityAtom(x, y),), (), (ab, ab)),
+        (("x",), (RelationAtom("R", (Const(ab), Const(ba))),), (), (constant_stream("c"),)),
+        (("x",), (RelationAtom("R", (Const(ab), Const(ab))),), (), (constant_stream("c"),)),
+        (("x",), (), (constants_only,), (constant_stream("c"),)),
+        # w is declared and given a value, but no equation reads it
+        (("x", "w"), (to_b,), (loop,), (constant_stream("a"), w)),
+        (("x", "w"), (to_b,), (loop,), (ab, w)),
+        (("x",), (), (), (constant_stream("a"),)),
+        # cycles of length 2 and 3: the row (b, b) first shows at coordinate 5
+        (("x",), (RelationAtom("R", (x, Const(PowerElement((), ("a", "a", "b"))))),), (), (ab,)),
+    ]
+    answers = []
+    for variables, explicit, families, point in cases:
+        system = PowerSystem(variables, explicit, families)
+        answers.append(satisfies(g, system, point))
+        assert answers[-1] == support.oracle_satisfies(g, system, point), (system, point)
+    assert answers == [True, False, True, False, False, True, False, True, True, False, True, True, False, True, False]
+
+
+def test_satisfies_rejects_bad_points_like_the_oracle():
+    g = triangle_graph()
+    system = staircase_demo_system()
+    for check in (satisfies, support.oracle_satisfies):
+        with pytest.raises(ValueError):
+            check(g, system, ())
+        with pytest.raises(ValueError):
+            check(g, system, (constant_stream("a"), constant_stream("b")))
+        undeclared = PowerSystem(("x",), (RelationAtom("E", (Var("z"), Const(constant_stream("a")))),), ())
+        with pytest.raises(UnboundVariableError):
+            check(g, undeclared, (constant_stream("b"),))
+        stair = Const(Staircase(("a",), constant_stream("b")))
+        in_family = PowerSystem(("x",), (), (StaircaseFamily(RelationAtom("E", (Var("z"), stair))),))
+        with pytest.raises(UnboundVariableError):
+            check(g, in_family, (constant_stream("b"),))

@@ -223,3 +223,27 @@ def test_validation_report_round_trip():
     report = validate(FiniteStructure(graph_signature(), ["a"], {"E": [("a", "a")]}), "graph")
     doc = json.loads(json.dumps(report.to_json_dict()))
     assert ValidationReport.from_json_dict(doc) == report
+
+
+def _report_doc():
+    report = validate(FiniteStructure(graph_signature(), ["a"], {"E": [("a", "a")]}), "graph")
+    return json.loads(json.dumps(report.to_json_dict()))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_report_doc(), "passed": "zz"},
+        {**_report_doc(), "passed": 0},
+        {**_report_doc(), "kind": 1},
+        {**_report_doc(), "extra": 1},
+        {key: value for key, value in _report_doc().items() if key != "violations"},
+        {**_report_doc(), "violations": [{"axiom": "loop-free"}]},
+        {**_report_doc(), "violations": [{"axiom": "loop-free", "witness": "a"}]},
+        {**_report_doc(), "violations": [{"axiom": 3, "witness": ["a"]}]},
+        [],
+    ],
+)
+def test_validation_report_decoding_is_strict(doc):
+    with pytest.raises(InputFormatError):
+        ValidationReport.from_json_dict(doc)
