@@ -14,7 +14,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .errors import (
     InputFormatError,
@@ -32,8 +32,6 @@ from .noetherian import (
     verify_witness,
 )
 from .power import (
-    PowerElement,
-    PowerSystem,
     consistent,
     power_equation_to_json_dict,
     power_system_from_json_dict,
@@ -52,7 +50,7 @@ from .solver import (
     system_from_json_dict,
     system_to_json_dict,
 )
-from .structures import FiniteStructure, structure_from_json_dict, validate
+from .structures import structure_from_json_dict, validate
 from .wrap import wrap, wrap_result_to_json_dict
 
 
@@ -60,45 +58,22 @@ class CliInputError(Exception):
     """Input that cannot be used; reported on stderr with exit code 2."""
 
 
-def _load_json(path: str) -> Any:
+def _load(path: str, decode: Callable[[Any], Any]) -> Any:
+    """Read a JSON file and decode it; unusable input becomes a CliInputError naming the file."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliInputError(f"{path}: {exc.strerror or exc}") from None
     try:
-        return json.loads(text)
+        return decode(json.loads(text))
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
-
-
-def _load_structure(path: str) -> tuple[str, FiniteStructure]:
-    try:
-        return structure_from_json_dict(_load_json(path))
-    except InputFormatError as exc:
-        raise CliInputError(f"{path}: {exc}") from None
-
-
-def _load_power_system(path: str) -> PowerSystem:
-    try:
-        return power_system_from_json_dict(_load_json(path))
-    except InputFormatError as exc:
-        raise CliInputError(f"{path}: {exc}") from None
-
-
-def _load_base_system(path: str):
-    try:
-        return system_from_json_dict(_load_json(path))
     except InputFormatError as exc:
         raise CliInputError(f"{path}: {exc}") from None
 
 
 def _render_arg(arg) -> str:
-    if isinstance(arg, Var):
-        return arg.name
-    value = arg.value
-    if isinstance(value, PowerElement):
-        return str(value)
-    return str(value)
+    return arg.name if isinstance(arg, Var) else str(arg.value)
 
 
 def _render_equation(eq: Equation) -> str:
@@ -134,7 +109,7 @@ def _print_json(doc: Any) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    kind, structure = _load_structure(args.structure)
+    kind, structure = _load(args.structure, structure_from_json_dict)
     report = validate(structure, kind)
     if args.format == "json":
         _print_json(report.to_json_dict())
@@ -148,8 +123,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    _, structure = _load_structure(args.structure)
-    system = _load_base_system(args.system)
+    _, structure = _load(args.structure, structure_from_json_dict)
+    system = _load(args.system, system_from_json_dict)
     result = solve(structure, system)
     if args.format == "json":
         doc = {
@@ -174,8 +149,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
 
 def cmd_project(args: argparse.Namespace) -> int:
-    _, structure = _load_structure(args.structure)
-    system = _load_power_system(args.system)
+    _, structure = _load(args.structure, structure_from_json_dict)
+    system = _load(args.system, power_system_from_json_dict)
     if args.coordinate < 0:
         raise CliInputError("coordinate must be >= 0")
     projected = projected_system(system, args.coordinate)
@@ -191,8 +166,8 @@ def cmd_project(args: argparse.Namespace) -> int:
 
 
 def cmd_consistent(args: argparse.Namespace) -> int:
-    _, structure = _load_structure(args.structure)
-    system = _load_power_system(args.system)
+    _, structure = _load(args.structure, structure_from_json_dict)
+    system = _load(args.system, power_system_from_json_dict)
     verdict = consistent(structure, system)
     if args.format == "json":
         doc: dict[str, Any] = {"consistent": verdict.consistent}
@@ -220,7 +195,7 @@ def cmd_consistent(args: argparse.Namespace) -> int:
 
 
 def cmd_noetherian(args: argparse.Namespace) -> int:
-    kind, structure = _load_structure(args.structure)
+    kind, structure = _load(args.structure, structure_from_json_dict)
     if kind == "generic":
         raise CliInputError("noetherian verdicts need kind graph, poset, or matroid")
     verdict = power_noetherian(structure, kind)
@@ -236,7 +211,7 @@ def cmd_noetherian(args: argparse.Namespace) -> int:
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
-    kind, structure = _load_structure(args.structure)
+    kind, structure = _load(args.structure, structure_from_json_dict)
     if kind == "generic":
         raise CliInputError("witness families need kind graph, poset, or matroid")
     if args.depth < 1:
@@ -287,8 +262,8 @@ def cmd_wrap(args: argparse.Namespace) -> int:
     else:
         if not args.structure or not args.system:
             raise CliInputError("wrap needs a structure file and a system file (or --paper-example-1)")
-        _, structure = _load_structure(args.structure)
-        system = _load_power_system(args.system)
+        _, structure = _load(args.structure, structure_from_json_dict)
+        system = _load(args.system, power_system_from_json_dict)
     result = wrap(structure, system)
     if args.format == "json":
         _print_json(wrap_result_to_json_dict(result))

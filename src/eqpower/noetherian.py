@@ -34,8 +34,6 @@ from .structures import (
     GRAPH_EDGE_SYMBOL,
     POSET_ORDER_SYMBOL,
     adjacency,
-    graph_distances,
-    has_triangle,
     matroid_underlying_graph,
     validate,
 )
@@ -116,18 +114,6 @@ def graph_quasi_identity(graph: FiniteStructure) -> tuple[str, str, str, str] | 
                     if (x4, x1) not in table:
                         return tuple(graph.label(v) for v in (x1, x2, x3, x4))
     return None
-
-
-def graph_structural_check(graph: FiniteStructure) -> bool:
-    """Diagnostic only: triangle-free and every finite distance at most 3.
-
-    This condition is NOT equivalent to the quasi-identity (the 4-path and the
-    5-cycle satisfy it yet fail the quasi-identity), so verdicts never rely on
-    it; it exists for reporting and for pinning that disagreement in tests.
-    """
-    if has_triangle(graph) is not None:
-        return False
-    return all(d == float("inf") or d <= 3 for d in graph_distances(graph).values())
 
 
 def graph_power_noetherian(graph: FiniteStructure) -> NoetherianVerdict:

@@ -1,8 +1,10 @@
 """Direct powers with countably many coordinates: elements, systems, staircase families.
 
-Elements of the power are eventually periodic streams of universe labels,
-stored as a finite prefix plus a repeating cycle and kept in canonical form
-(shortest prefix, then shortest cycle).  Equation systems over the power may
+Periodic is the one eventually periodic sequence type: a finite prefix plus a
+repeating cycle.  Elements of the power are Periodic streams of universe
+labels kept in canonical form (shortest prefix, then shortest cycle).  The
+coordinate profile and wrap's index sets are Periodic too, and horizon() is
+the one rule for when a set of them repeats.  Equation systems over the power may
 list equations explicitly and may also include staircase families, which
 present one equation per n >= 1 by splicing a repeating generator stream in
 front of a shifted tail stream.
@@ -16,18 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Callable, Iterable, Mapping, Sequence
 
 from .errors import InputFormatError, UnboundVariableError, json_int
 from .solver import (
     AtomClassifier,
-    ClassId,
     Const,
     Equation,
     EquationSystem,
     RelationAtom,
     Var,
     atom_args,
+    const_values,
     equation_from_json_dict,
     equation_to_json_dict,
     map_constants,
@@ -54,31 +56,54 @@ def _canonical(prefix: tuple[str, ...], cycle: tuple[str, ...]) -> tuple[tuple[s
 
 
 @dataclass(frozen=True)
-class PowerElement:
-    """Eventually periodic stream: prefix entries, then the cycle forever.
+class Periodic:
+    """Eventually periodic sequence: the prefix entries, then the cycle forever."""
 
-    Construction canonicalizes, so structural equality coincides with equality
-    of the streams themselves.
-    """
-
-    prefix: tuple[str, ...] = ()
-    cycle: tuple[str, ...] = ()
+    prefix: tuple[Any, ...] = ()
+    cycle: tuple[Any, ...] = ()
 
     def __post_init__(self) -> None:
-        prefix = tuple(str(v) for v in self.prefix)
-        cycle = tuple(str(v) for v in self.cycle)
-        if not cycle:
+        if not self.cycle:
             raise ValueError("cycle must be nonempty")
-        prefix, cycle = _canonical(prefix, cycle)
-        object.__setattr__(self, "prefix", prefix)
-        object.__setattr__(self, "cycle", cycle)
 
-    def at(self, i: int) -> str:
+    def at(self, i: int) -> Any:
         if i < 0:
             raise IndexError("coordinates are numbered from 0")
         if i < len(self.prefix):
             return self.prefix[i]
         return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
+
+    def map(self, fn: Callable[[Any], Any]) -> "Periodic":
+        """The entrywise image, with the same prefix and cycle lengths."""
+        return Periodic(tuple(map(fn, self.prefix)), tuple(map(fn, self.cycle)))
+
+    def take(self, n: int) -> tuple[Any, ...]:
+        """The entries at 0..n-1."""
+        repeats = -(-max(0, n - len(self.prefix)) // len(self.cycle))
+        return (self.prefix + self.cycle * repeats)[:n]
+
+
+def horizon(streams: Iterable[Periodic]) -> tuple[int, int]:
+    """(largest prefix, lcm of the cycle lengths): from there on every stream repeats with that period."""
+    stab, period = 0, 1
+    for s in streams:
+        stab, period = max(stab, len(s.prefix)), math.lcm(period, len(s.cycle))
+    return stab, period
+
+
+@dataclass(frozen=True)
+class PowerElement(Periodic):
+    """Element of the power: a stream of universe labels.
+
+    Construction canonicalizes (shortest prefix, then shortest cycle), so
+    structural equality coincides with equality of the streams themselves.
+    """
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        prefix, cycle = _canonical(tuple(map(str, self.prefix)), tuple(map(str, self.cycle)))
+        object.__setattr__(self, "prefix", prefix)
+        object.__setattr__(self, "cycle", cycle)
 
     def values(self) -> frozenset[str]:
         return frozenset(self.prefix) | frozenset(self.cycle)
@@ -116,7 +141,7 @@ class Staircase:
     def member_constant(self, n: int) -> PowerElement:
         if n < 1:
             raise ValueError("family members are numbered from 1")
-        head = tuple(self.generator_at(i) for i in range(n - 1))
+        head = Periodic((), self.generator).take(n - 1)
         return PowerElement(head + self.tail.prefix, self.tail.cycle)
 
     def value_at(self, n: int, i: int) -> str:
@@ -153,11 +178,10 @@ class StaircaseFamily:
         each coordinate below stab + period: its atom at every coordinate.
         """
         descs = self.descriptors()
-        gen_horizon = stab + _lcm([period] + [len(s.generator) for s in descs])
+        _, gen_period = horizon(Periodic((), s.generator) for s in descs)
+        gen_horizon = stab + math.lcm(period, gen_period)
         checks = {(i, tuple(s.generator_at(i) for s in descs)) for i in range(gen_horizon)}
-        tail_prefix = max((len(s.tail.prefix) for s in descs), default=0)
-        tail_horizon = tail_prefix + _lcm(len(s.tail.cycle) for s in descs)
-        for j in range(tail_horizon):
+        for j in range(sum(horizon(s.tail for s in descs))):
             values = tuple(s.tail.at(j) for s in descs)
             checks.update((i, values) for i in range(j, max(j, stab) + period))
         return checks
@@ -257,76 +281,45 @@ def projected_system(system: PowerSystem, i: int) -> EquationSystem:
     return EquationSystem(system.variables, tuple(atom for atom, _ in projection_entries(system, i)))
 
 
-def _lcm(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = math.lcm(out, v)
-    return out
+def _const_streams(eq: Equation) -> list[PowerElement]:
+    return [v for v in const_values(eq) if isinstance(v, PowerElement)]
 
 
-def stream_horizon(system: PowerSystem) -> tuple[int, int]:
-    """(stabilization, period) bounding when per-coordinate projections repeat.
+def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
+    """(stabilization, period) bounding when the systems' per-coordinate projections repeat.
 
     Stabilization covers every explicit constant prefix and, per family, one
     full pass of the joint tail streams (new tail values stop appearing after
     max prefix + lcm of tail cycles).  The period is the lcm of all cycle
-    lengths: explicit constants, family tails, family generators.
+    lengths: explicit constants, family tails, family generators.  Given
+    several systems, this is their joint horizon.
     """
-    stab = [0]
-    periods = [1]
-    for eq in system.explicit:
-        for value in (a.value for a in atom_args(eq) if isinstance(a, Const)):
-            if isinstance(value, PowerElement):
-                stab.append(len(value.prefix))
-                periods.append(len(value.cycle))
-    for fam in system.families:
+    stab, period = horizon(pe for system in systems for eq in system.explicit for pe in _const_streams(eq))
+    for fam in (f for system in systems for f in system.families):
         descs = fam.descriptors()
-        if not descs:
-            continue
-        tail_pref = max(len(s.tail.prefix) for s in descs)
-        tail_cycles = _lcm(len(s.tail.cycle) for s in descs)
-        stab.append(tail_pref + tail_cycles)
-        periods.append(tail_cycles)
-        periods.append(_lcm(len(s.generator) for s in descs))
-    return max(stab), _lcm(periods)
+        if descs:
+            tail_stab, tail_period = horizon(s.tail for s in descs)
+            _, gen_period = horizon(Periodic((), s.generator) for s in descs)
+            stab, period = max(stab, tail_stab + tail_period), math.lcm(period, tail_period, gen_period)
+    return stab, period
 
 
-def projected_classes(
-    structure: FiniteStructure, system: PowerSystem, i: int, classifier: AtomClassifier | None = None
-) -> frozenset[ClassId]:
-    """Class ids occurring in pi_i(system), computed directly from the data."""
-    classifier = classifier or AtomClassifier(structure, system.variables)
-    return frozenset(classifier.class_of(atom) for atom, _ in projection_entries(system, i))
+def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Periodic:
+    """Per-coordinate solution profile: the distinct atom masks of pi_i(system), in projection order.
 
-
-@dataclass(frozen=True)
-class CoordinateProfile:
-    """Per-coordinate class sets: exact up to stabilization + period, repeating after.
-
-    The repeat is certified at construction by recomputing one extra period and
-    comparing, so callers may rely on classes_at for every coordinate.
+    The prefix covers the stabilization and the cycle one period.  The repeat
+    is certified by recomputing one extra period and comparing the projected
+    atoms at i + period with those at i, so callers may rely on at(i) for
+    every coordinate.
     """
-
-    stabilization: int
-    period: int
-    table: tuple[frozenset[ClassId], ...]  # length stabilization + period
-
-    def classes_at(self, i: int) -> frozenset[ClassId]:
-        if i < len(self.table):
-            return self.table[i]
-        return self.table[self.stabilization + (i - self.stabilization) % self.period]
-
-
-def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> CoordinateProfile:
     stab, period = stream_horizon(system)
     classifier = AtomClassifier(structure, system.variables)
-    table = tuple(projected_classes(structure, system, i, classifier) for i in range(stab + period))
+    rows = [projection_entries(system, i) for i in range(stab + period)]
+    table = tuple(tuple(dict.fromkeys(classifier.mask(atom) for atom, _ in row)) for row in rows)
     for i in range(stab, stab + period):
-        if projected_classes(structure, system, i + period, classifier) != table[i]:
-            raise RuntimeError(
-                f"profile period certification failed at coordinate {i}; this is a bug"
-            )
-    return CoordinateProfile(stab, period, table)
+        if {atom for atom, _ in projection_entries(system, i + period)} != {atom for atom, _ in rows[i]}:
+            raise RuntimeError(f"profile period certification failed at coordinate {i}; this is a bug")
+    return Periodic(table[:stab], table[stab:])
 
 
 def _stream_of(streams: Mapping[str, PowerElement], arg: Any) -> PowerElement:
@@ -338,12 +331,6 @@ def _stream_of(streams: Mapping[str, PowerElement], arg: Any) -> PowerElement:
             raise UnboundVariableError(f"no value assigned to variable {arg.name!r}") from None
     value = arg.value
     return value if isinstance(value, PowerElement) else PowerElement((), (value,))
-
-
-def _column(pe: PowerElement, length: int) -> list[str]:
-    """The stream's values at coordinates 0..length-1."""
-    reps = -(-max(0, length - len(pe.prefix)) // len(pe.cycle))
-    return (list(pe.prefix) + list(pe.cycle) * reps)[:length]
 
 
 def _rows_hold(structure: FiniteStructure, eq: Equation, rows: set[tuple[str, ...]]) -> bool:
@@ -368,16 +355,15 @@ def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[P
     streams = dict(zip(system.variables, point))
     for eq in system.explicit:
         args = [_stream_of(streams, a) for a in atom_args(eq)]
-        horizon = max((len(pe.prefix) for pe in args), default=0) + _lcm(len(pe.cycle) for pe in args)
-        rows = set(zip(*(_column(pe, horizon) for pe in args))) if args else {()}
+        length = sum(horizon(args))
+        rows = set(zip(*(pe.take(length) for pe in args))) if args else {()}
         if not _rows_hold(structure, eq, rows):
             return False
     for fam in system.families:
         args = [_stream_of(streams, a) if isinstance(a, Var) else None for a in atom_args(fam.atom)]
         used = [pe for pe in args if pe is not None]
-        stab = max((len(pe.prefix) for pe in used), default=0)
         rows = set()
-        for i, values in fam.coordinate_checks(stab, _lcm(len(pe.cycle) for pe in used)):
+        for i, values in fam.coordinate_checks(*horizon(used)):
             slot = iter(values)
             rows.add(tuple(next(slot) if pe is None else pe.at(i) for pe in args))
         if not _rows_hold(structure, fam.atom, rows):
@@ -433,20 +419,15 @@ def power_systems_equivalent(structure: FiniteStructure, first: PowerSystem, sec
     """
     if first.variables != second.variables:
         raise ValueError(f"variable lists differ: {first.variables} vs {second.variables}")
-    a = consistent(structure, first)
-    b = consistent(structure, second)
-    if not a.consistent or not b.consistent:
-        return a.consistent == b.consistent
-    stab_a, per_a = stream_horizon(first)
-    stab_b, per_b = stream_horizon(second)
-    stab, period = max(stab_a, stab_b), math.lcm(per_a, per_b)
     classifier = AtomClassifier(structure, first.variables)
-    for i in range(stab + period):
-        mask_a = classifier.system_mask(atom for atom, _ in projection_entries(first, i))
-        mask_b = classifier.system_mask(atom for atom, _ in projection_entries(second, i))
-        if mask_a != mask_b:
-            return False
-    return True
+
+    def mask(system: PowerSystem, i: int) -> int:
+        return classifier.system_mask(atom for atom, _ in projection_entries(system, i))
+
+    # once one system solves, a coordinate where the other has no solution differs
+    if not any(all(mask(s, i) for i in range(sum(stream_horizon(s)))) for s in (first, second)):
+        return True
+    return all(mask(first, i) == mask(second, i) for i in range(sum(stream_horizon(first, second))))
 
 
 # --- JSON layout -----------------------------------------------------------
@@ -457,8 +438,8 @@ def power_systems_equivalent(structure: FiniteStructure, first: PowerSystem, sec
 #         {"staircase": {"generator": ["b", "c"], "tail": {"prefix": [], "cycle": ["a"]}}}]}}]}
 
 
-def power_element_to_json_dict(pe: PowerElement) -> dict:
-    return {"prefix": list(pe.prefix), "cycle": list(pe.cycle)}
+def periodic_to_json_dict(p: Periodic) -> dict:
+    return {"prefix": list(p.prefix), "cycle": list(p.cycle)}
 
 
 def power_element_from_json_dict(doc: Any) -> PowerElement:
@@ -477,7 +458,7 @@ def power_element_from_json_dict(doc: Any) -> PowerElement:
 def _encode_power_const(value: Any) -> Any:
     if not isinstance(value, PowerElement):
         raise InputFormatError(f"expected a stream constant, got {value!r}")
-    return power_element_to_json_dict(value)
+    return periodic_to_json_dict(value)
 
 
 def _decode_power_const(doc: Any) -> Any:
@@ -485,7 +466,7 @@ def _decode_power_const(doc: Any) -> Any:
 
 
 def staircase_to_json_dict(s: Staircase) -> dict:
-    return {"generator": list(s.generator), "tail": power_element_to_json_dict(s.tail)}
+    return {"generator": list(s.generator), "tail": periodic_to_json_dict(s.tail)}
 
 
 def staircase_from_json_dict(doc: Any) -> Staircase:

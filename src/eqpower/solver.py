@@ -7,7 +7,7 @@ assignment of itertools.product(universe, repeat=n).  AtomClassifier builds an
 atom's mask from the relation table with big-int ANDs and ORs, so solving,
 intersecting systems and searching for minimal cores are mask arithmetic.
 Masks are decoded into label tuples only where a result leaves the solver
-(AlgebraicSet, ClassId, and the solution sets that wrap reports).
+(AlgebraicSet, and the solution sets that wrap reports).
 """
 
 from __future__ import annotations
@@ -142,14 +142,6 @@ class AlgebraicSet:
         return tuple(sorted(self.points))
 
 
-@dataclass(frozen=True)
-class ClassId:
-    """Equivalence class of an atom: its template plus its exact solution set."""
-
-    template: Template
-    points: frozenset[tuple[str, ...]]
-
-
 def check_equation(structure: FiniteStructure, variables: tuple[str, ...], eq: Equation) -> None:
     """Reject equations that are not well-formed over the structure and variable list."""
     if isinstance(eq, RelationAtom):
@@ -191,8 +183,8 @@ class AtomClassifier:
     variables pick out; repeated variables need no special case because
     disjoint cylinders AND to zero.
 
-    mask and system_mask are the working interface.  solutions,
-    system_solutions and class_of decode masks into label-tuple frozensets,
+    mask and system_mask are the working interface.  solutions and
+    system_solutions decode masks into label-tuple frozensets,
     memoized per mask so equal sets come back as the same object.
     """
 
@@ -265,9 +257,6 @@ class AtomClassifier:
     def solutions(self, eq: Equation) -> frozenset[tuple[str, ...]]:
         return self.decode(self.mask(eq))
 
-    def class_of(self, eq: Equation) -> ClassId:
-        return ClassId(template_of(eq), self.solutions(eq))
-
     def system_solutions(self, equations: Iterable[Equation]) -> frozenset[tuple[str, ...]]:
         return self.decode(self.system_mask(equations))
 
@@ -283,10 +272,6 @@ def equivalent(structure: FiniteStructure, first: EquationSystem, second: Equati
         raise ValueError(f"variable lists differ: {first.variables} vs {second.variables}")
     classifier = AtomClassifier(structure, first.variables)
     return classifier.system_mask(first.equations) == classifier.system_mask(second.equations)
-
-
-def class_of(structure: FiniteStructure, eq: Equation, variables: tuple[str, ...]) -> ClassId:
-    return AtomClassifier(structure, variables).class_of(eq)
 
 
 def minimal_inconsistent_subset(structure: FiniteStructure, system: EquationSystem) -> EquationSystem | None:

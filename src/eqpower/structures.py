@@ -8,7 +8,6 @@ repaired silently.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -287,38 +286,6 @@ def adjacency(graph: FiniteStructure) -> dict[int, tuple[int, ...]]:
     for x, y in table:
         neigh[x].append(y)
     return {i: tuple(sorted(vs)) for i, vs in neigh.items()}
-
-
-def has_triangle(graph: FiniteStructure) -> tuple[str, str, str] | None:
-    """Lexicographically least triple (x1, x2, x3) of pairwise adjacent vertices, if any."""
-    neigh = adjacency(graph)
-    table = graph.index_table(GRAPH_EDGE_SYMBOL)
-    for x1 in range(graph.size):
-        for x2 in neigh[x1]:
-            for x3 in neigh[x2]:
-                if (x3, x1) in table:
-                    return (graph.label(x1), graph.label(x2), graph.label(x3))
-    return None
-
-
-def graph_distances(graph: FiniteStructure) -> dict[tuple[str, str], float]:
-    """All-pairs hop distances; unreachable pairs map to math.inf."""
-    neigh = adjacency(graph)
-    out: dict[tuple[str, str], float] = {}
-    for start in range(graph.size):
-        dist = {start: 0}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w in neigh[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        for v in range(graph.size):
-            out[(graph.label(start), graph.label(v))] = dist.get(v, math.inf)
-    return out
 
 
 def star_bipartite_graph(n: int) -> FiniteStructure:

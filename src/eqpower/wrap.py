@@ -14,18 +14,21 @@ n variables, the output never exceeds 2^(k^n + 1) equations.
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .errors import InputFormatError, json_bool, json_int, json_list, json_object
 from .power import (
-    CoordinateProfile,
+    Periodic,
     PowerElement,
     PowerSystem,
     SourceRef,
+    _const_streams,
     _decode_power_const,
     coordinate_profile,
+    horizon,
+    periodic_to_json_dict,
     power_equation_to_json_dict,
     power_system_from_json_dict,
     power_system_to_json_dict,
@@ -36,9 +39,8 @@ from .power import (
 )
 from .solver import (
     AtomClassifier,
-    Const,
     Equation,
-    atom_args,
+    const_values,
     equation_from_json_dict,
     equation_to_json_dict,
     fill_template,
@@ -47,43 +49,6 @@ from .solver import (
 from .structures import FiniteStructure
 
 SolutionSet = frozenset[tuple[str, ...]]
-
-
-@dataclass(frozen=True)
-class EventuallyPeriodicIndexSet:
-    """Set of coordinates given by explicit prefix membership plus a repeating cycle."""
-
-    prefix: tuple[bool, ...]
-    cycle: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        if not self.cycle:
-            raise ValueError("cycle must be nonempty")
-
-    def contains(self, i: int) -> bool:
-        if i < len(self.prefix):
-            return self.prefix[i]
-        return self.cycle[(i - len(self.prefix)) % len(self.cycle)]
-
-    def complement(self) -> "EventuallyPeriodicIndexSet":
-        return EventuallyPeriodicIndexSet(
-            tuple(not b for b in self.prefix), tuple(not b for b in self.cycle)
-        )
-
-    def to_json_dict(self) -> dict:
-        return {"prefix": list(self.prefix), "cycle": list(self.cycle)}
-
-    @staticmethod
-    def from_json_dict(doc: Any) -> "EventuallyPeriodicIndexSet":
-        doc = json_object(doc, {"prefix", "cycle"}, "index set")
-        prefix = json_list(doc["prefix"], "index set prefix")
-        cycle = json_list(doc["cycle"], "index set cycle")
-        if not cycle:
-            raise InputFormatError("index set cycle must be nonempty")
-        return EventuallyPeriodicIndexSet(
-            tuple(json_bool(b, "index set entries") for b in prefix),
-            tuple(json_bool(b, "index set entries") for b in cycle),
-        )
 
 
 @dataclass(frozen=True)
@@ -99,7 +64,7 @@ class ClassRep:
 @dataclass(frozen=True)
 class WrapStep:
     representative: int  # index into the representatives list
-    match: EventuallyPeriodicIndexSet  # coordinates where the solution set occurs
+    match: Periodic  # of bools: the coordinates where the solution set occurs
     merged: Equation  # the built power equation for this solution set
 
 
@@ -138,22 +103,9 @@ class WrapResult:
     bound_ok: bool
 
 
-def _solution_sets(profile: CoordinateProfile, i: int) -> frozenset[SolutionSet]:
-    return frozenset(cid.points for cid in profile.classes_at(i))
-
-
-def _own_horizon(eq: Equation) -> int:
-    """Coordinates after which a power equation's projections only repeat."""
-    prefixes = [0]
-    cycles = [1]
-    for arg in atom_args(eq):
-        if isinstance(arg, Const) and isinstance(arg.value, PowerElement):
-            prefixes.append(len(arg.value.prefix))
-            cycles.append(len(arg.value.cycle))
-    out = 1
-    for c in cycles:
-        out = math.lcm(out, c)
-    return max(prefixes) + out
+def _discovered(profile: Periodic) -> list[int]:
+    """The profile's distinct masks, ordered by first occurrence in the coordinate scan."""
+    return list(dict.fromkeys(mask for masks in profile.prefix + profile.cycle for mask in masks))
 
 
 def _candidates(system: PowerSystem, horizon: int) -> list[tuple[SourceRef, Equation]]:
@@ -165,63 +117,54 @@ def _candidates(system: PowerSystem, horizon: int) -> list[tuple[SourceRef, Equa
 
 
 def class_representatives(
-    structure: FiniteStructure, system: PowerSystem, profile: CoordinateProfile | None = None
+    structure: FiniteStructure, system: PowerSystem, profile: Periodic | None = None
 ) -> tuple[ClassRep, ...]:
     """One representative per projected solution set, sources chosen greedily.
 
-    Sets are ordered by first occurrence in the coordinate scan.  Sources are
-    picked by repeatedly taking the candidate (explicit equations first, then
-    family members by ascending index and n) that realizes the most still
-    uncovered sets; each set then gets the least coordinate at which its
-    chosen source realizes it.
+    Sets are ordered by first occurrence in the coordinate scan, read off the
+    coordinate profile.  Sources are picked by repeatedly taking the
+    candidate (explicit equations first, then family members by ascending
+    index and n) that realizes the most still uncovered sets; each set then
+    gets the least coordinate at which its chosen source realizes it.
     """
     profile = profile or coordinate_profile(structure, system)
-    horizon = profile.stabilization + profile.period
     classifier = AtomClassifier(structure, system.variables)
-
-    discovery: list[SolutionSet] = []
-    seen: set[SolutionSet] = set()
-    for i in range(horizon):
-        for atom, _ in projection_entries(system, i):
-            sols = classifier.solutions(atom)
-            if sols not in seen:
-                seen.add(sols)
-                discovery.append(sols)
+    discovery = _discovered(profile)
+    uncovered = set(discovery)
 
     # least coordinate per solution set realized by each candidate source
-    coverage: list[tuple[SourceRef, Equation, dict[SolutionSet, int]]] = []
-    for ref, eq in _candidates(system, horizon):
-        realized: dict[SolutionSet, int] = {}
-        for i in range(_own_horizon(eq)):
-            sols = classifier.solutions(project_equation(eq, i))
-            if sols in seen and sols not in realized:
-                realized[sols] = i
+    coverage: list[tuple[SourceRef, Equation, dict[int, int]]] = []
+    for ref, eq in _candidates(system, len(profile.prefix) + len(profile.cycle)):
+        realized: dict[int, int] = {}
+        for i in range(sum(horizon(_const_streams(eq)))):
+            mask = classifier.mask(project_equation(eq, i))
+            if mask in uncovered and mask not in realized:
+                realized[mask] = i
         coverage.append((ref, eq, realized))
 
-    uncovered = set(discovery)
-    assignment: dict[SolutionSet, tuple[int, SourceRef, Equation]] = {}
+    assignment: dict[int, tuple[int, SourceRef, Equation]] = {}
     while uncovered:
         best = None
         best_gain = 0
         for ref, eq, realized in coverage:
-            gain = sum(1 for sols in realized if sols in uncovered)
+            gain = sum(1 for mask in realized if mask in uncovered)
             if gain > best_gain:
                 best, best_gain = (ref, eq, realized), gain
         if best is None:
             raise RuntimeError("uncovered projected solution set without a source; this is a bug")
         ref, eq, realized = best
-        for sols, least_i in realized.items():
-            if sols in uncovered:
-                uncovered.discard(sols)
-                assignment[sols] = (least_i, ref, eq)
+        for mask, least_i in realized.items():
+            if mask in uncovered:
+                uncovered.discard(mask)
+                assignment[mask] = (least_i, ref, eq)
 
     reps = []
-    for sols in discovery:
-        coord, ref, eq = assignment[sols]
+    for mask in discovery:
+        coord, ref, eq = assignment[mask]
         representative = project_equation(eq, coord)
-        if classifier.solutions(representative) != sols:
+        if classifier.mask(representative) != mask:
             raise RuntimeError("representative does not realize its solution set; this is a bug")
-        reps.append(ClassRep(sols, representative, coord, ref))
+        reps.append(ClassRep(classifier.decode(mask), representative, coord, ref))
     return tuple(reps)
 
 
@@ -246,42 +189,29 @@ def seed_equations(
     return tuple(seeds)
 
 
-def _merged_equation(
-    rep: ClassRep, source_eq: Equation, match: EventuallyPeriodicIndexSet, stab: int, period: int
-) -> Equation:
+def _merged_equation(rep: ClassRep, source_eq: Equation, match: Periodic) -> Equation:
     """Per-set equation: the set's value where it occurs, the source value elsewhere."""
-    template = template_of(rep.representative)
-    slots = [a.value for a in atom_args(source_eq) if isinstance(a, Const)]
     merged_values = []
-    for slot in slots:
+    for slot in const_values(source_eq):
         if not isinstance(slot, PowerElement):
             raise ValueError("wrap needs explicit stream constants in source equations")
         rep_value = slot.at(rep.coordinate)
-        pre_len = max(stab, len(slot.prefix))
-        cyc_len = math.lcm(period, len(slot.cycle))
-        prefix = tuple(rep_value if match.contains(l) else slot.at(l) for l in range(pre_len))
-        cycle = tuple(
-            rep_value if match.contains(l) else slot.at(l) for l in range(pre_len, pre_len + cyc_len)
-        )
-        merged_values.append(PowerElement(prefix, cycle))
-    return fill_template(template, merged_values)
+        stab, period = horizon((match, slot))
+        values = tuple(rep_value if match.at(i) else slot.at(i) for i in range(stab + period))
+        merged_values.append(PowerElement(values[:stab], values[stab:]))
+    return fill_template(template_of(rep.representative), merged_values)
 
 
 def wrap(structure: FiniteStructure, system: PowerSystem) -> WrapResult:
     """Compute the finite equivalent system plus the full construction trace."""
     profile = coordinate_profile(structure, system)
-    stab, period = profile.stabilization, profile.period
     reps = class_representatives(structure, system, profile)
     seeds = seed_equations(structure, system, reps)
 
     steps = []
-    for idx, rep in enumerate(reps):
-        match = EventuallyPeriodicIndexSet(
-            tuple(rep.solutions in _solution_sets(profile, i) for i in range(stab)),
-            tuple(rep.solutions in _solution_sets(profile, stab + t) for t in range(period)),
-        )
-        source_eq = resolve_source(system, rep.source)
-        steps.append(WrapStep(idx, match, _merged_equation(rep, source_eq, match, stab, period)))
+    for idx, (mask, rep) in enumerate(zip(_discovered(profile), reps)):
+        match = profile.map(lambda masks: mask in masks)
+        steps.append(WrapStep(idx, match, _merged_equation(rep, resolve_source(system, rep.source), match)))
 
     equations: list[Equation] = []
     for eq in list(seeds) + [st.merged for st in steps]:
@@ -289,7 +219,7 @@ def wrap(structure: FiniteStructure, system: PowerSystem) -> WrapResult:
             equations.append(eq)
     wrapped = PowerSystem(system.variables, tuple(equations), ())
 
-    trace = WrapTrace(stab, period, reps, seeds, tuple(steps))
+    trace = WrapTrace(len(profile.prefix), len(profile.cycle), reps, seeds, tuple(steps))
     verification = verify_wrap(structure, system, wrapped)
     bound_ok = check_size_bounds(structure, system, reps, wrapped)
     return WrapResult(wrapped, trace, verification.passed, bound_ok)
@@ -301,9 +231,7 @@ def verify_wrap(
     """Per-coordinate equivalence over the joint horizon, plus one extra period."""
     if original.variables != wrapped.variables:
         raise ValueError("variable lists differ between original and wrapped systems")
-    stab_a, per_a = stream_horizon(original)
-    stab_b, per_b = stream_horizon(wrapped)
-    stab, period = max(stab_a, stab_b), math.lcm(per_a, per_b)
+    stab, period = stream_horizon(original, wrapped)
     classifier = AtomClassifier(structure, original.variables)
     mismatches = []
     for i in range(stab + 2 * period):
@@ -330,6 +258,18 @@ def check_size_bounds(
 
 
 # --- JSON layout -----------------------------------------------------------
+
+
+def index_set_from_json_dict(doc: Any) -> Periodic:
+    doc = json_object(doc, {"prefix", "cycle"}, "index set")
+    prefix = json_list(doc["prefix"], "index set prefix")
+    cycle = json_list(doc["cycle"], "index set cycle")
+    if not cycle:
+        raise InputFormatError("index set cycle must be nonempty")
+    return Periodic(
+        tuple(json_bool(b, "index set entries") for b in prefix),
+        tuple(json_bool(b, "index set entries") for b in cycle),
+    )
 
 
 def class_rep_to_json_dict(rep: ClassRep) -> dict:
@@ -374,8 +314,8 @@ def wrap_result_to_json_dict(result: WrapResult) -> dict:
             "steps": [
                 {
                     "representative": st.representative,
-                    "match": st.match.to_json_dict(),
-                    "other": st.match.complement().to_json_dict(),
+                    "match": periodic_to_json_dict(st.match),
+                    "other": periodic_to_json_dict(st.match.map(operator.not_)),
                     "merged": power_equation_to_json_dict(st.merged),
                 }
                 for st in trace.steps
@@ -396,8 +336,8 @@ def wrap_result_from_json_dict(doc: Any) -> WrapResult:
     steps = []
     for sdoc in json_list(tdoc["steps"], "steps"):
         sdoc = json_object(sdoc, {"representative", "match", "other", "merged"}, "wrap step")
-        match = EventuallyPeriodicIndexSet.from_json_dict(sdoc["match"])
-        if EventuallyPeriodicIndexSet.from_json_dict(sdoc["other"]) != match.complement():
+        match = index_set_from_json_dict(sdoc["match"])
+        if index_set_from_json_dict(sdoc["other"]) != match.map(operator.not_):
             raise InputFormatError("wrap step 'other' must be the complement of 'match'")
         steps.append(
             WrapStep(

@@ -20,7 +20,14 @@ from eqpower.power import (
     stream_horizon,
 )
 from eqpower.solver import Const, EqualityAtom, EquationSystem, RelationAtom, Var, evaluate
-from eqpower.structures import FiniteStructure, Signature, graph_from_edges, matroid_signature
+from eqpower.structures import (
+    GRAPH_EDGE_SYMBOL,
+    FiniteStructure,
+    Signature,
+    adjacency,
+    graph_from_edges,
+    matroid_signature,
+)
 
 
 def oracle_atom_solutions(structure: FiniteStructure, variables, eq) -> frozenset:
@@ -30,6 +37,12 @@ def oracle_atom_solutions(structure: FiniteStructure, variables, eq) -> frozense
         if evaluate(structure, eq, dict(zip(variables, combo))):
             pts.add(combo)
     return frozenset(pts)
+
+
+def oracle_profile(structure: FiniteStructure, system: PowerSystem, i: int) -> frozenset:
+    """The distinct solution sets of the atoms projected at coordinate i, each by oracle_atom_solutions."""
+    entries = projection_entries(system, i)
+    return frozenset(oracle_atom_solutions(structure, system.variables, atom) for atom, _ in entries)
 
 
 def oracle_satisfies(structure: FiniteStructure, system: PowerSystem, point) -> bool:
@@ -100,6 +113,50 @@ def enumerate_graphs(n: int):
 def enumerate_graphs_up_to(n: int):
     for size in range(1, n + 1):
         yield from enumerate_graphs(size)
+
+
+def has_triangle(graph: FiniteStructure) -> tuple[str, str, str] | None:
+    """Lexicographically least triple (x1, x2, x3) of pairwise adjacent vertices, if any."""
+    neigh = adjacency(graph)
+    table = graph.index_table(GRAPH_EDGE_SYMBOL)
+    for x1 in range(graph.size):
+        for x2 in neigh[x1]:
+            for x3 in neigh[x2]:
+                if (x3, x1) in table:
+                    return (graph.label(x1), graph.label(x2), graph.label(x3))
+    return None
+
+
+def graph_distances(graph: FiniteStructure) -> dict[tuple[str, str], float]:
+    """All-pairs hop distances; unreachable pairs map to math.inf."""
+    neigh = adjacency(graph)
+    out: dict[tuple[str, str], float] = {}
+    for start in range(graph.size):
+        dist = {start: 0}
+        frontier = [start]
+        while frontier:
+            nxt = []
+            for v in frontier:
+                for w in neigh[v]:
+                    if w not in dist:
+                        dist[w] = dist[v] + 1
+                        nxt.append(w)
+            frontier = nxt
+        for v in range(graph.size):
+            out[(graph.label(start), graph.label(v))] = dist.get(v, math.inf)
+    return out
+
+
+def graph_structural_check(graph: FiniteStructure) -> bool:
+    """Triangle-free and every finite distance at most 3.
+
+    This condition is NOT equivalent to the quasi-identity (the 4-path and the
+    5-cycle satisfy it yet fail the quasi-identity), so no verdict relies on
+    it; the acceptance tests use it to pin that disagreement.
+    """
+    if has_triangle(graph) is not None:
+        return False
+    return all(d == float("inf") or d <= 3 for d in graph_distances(graph).values())
 
 
 def quasi_identity_oracle(graph: FiniteStructure):

@@ -29,7 +29,6 @@ from eqpower.noetherian import (
     build_witness_family,
     first_violated_member,
     graph_quasi_identity,
-    graph_structural_check,
     matroid_power_noetherian,
     poset_power_noetherian,
     verify_witness,
@@ -46,7 +45,6 @@ from eqpower.power import (
 from eqpower.solver import Const, EqualityAtom, EquationSystem, RelationAtom, Var, solve
 from eqpower.structures import (
     graph_from_edges,
-    graph_distances,
     matroid_underlying_graph,
     star_bipartite_graph,
     validate,
@@ -143,7 +141,7 @@ def test_quasi_identity_preserving_constructions():
     star_bad = []
     for n in range(1, 21):
         star = star_bipartite_graph(n)
-        connected = all(d != math.inf for d in graph_distances(star).values())
+        connected = all(d != math.inf for d in support.graph_distances(star).values())
         if graph_quasi_identity(star) is not None or not connected or star.size != n + 2:
             star_bad.append(n)
     passing = [g for g in support.enumerate_graphs_up_to(4) if graph_quasi_identity(g) is None]
@@ -306,7 +304,7 @@ def test_structural_check_vs_quasi_identity_regression():
     expected = ("v1", "v2", "v3", "v4")
     ok = True
     for g in (path_graph(4), cycle_graph(5)):
-        structural = graph_structural_check(g)
+        structural = support.graph_structural_check(g)
         quadruple = graph_quasi_identity(g)
         oracle = support.quasi_identity_oracle(g)
         if not structural or quadruple != expected or oracle != expected:

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import support
+from support import graph_structural_check
 from eqpower.errors import InputFormatError, InvalidCertificateError
 from eqpower.fixtures import (
     antichain_poset,
@@ -23,7 +24,6 @@ from eqpower.noetherian import (
     first_violated_member,
     graph_power_noetherian,
     graph_quasi_identity,
-    graph_structural_check,
     matroid_independent_triple,
     matroid_power_noetherian,
     poset_power_noetherian,

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 import support
 from eqpower.errors import InputFormatError, UnboundVariableError
 from eqpower.fixtures import staircase_demo_system, triangle_graph
+from eqpower import power
 from eqpower.power import (
+    Periodic,
     PowerElement,
     PowerSystem,
     SourceRef,
@@ -17,6 +20,7 @@ from eqpower.power import (
     consistent,
     constant_stream,
     coordinate_profile,
+    horizon,
     power_system_from_json_dict,
     power_system_to_json_dict,
     power_systems_equivalent,
@@ -27,7 +31,7 @@ from eqpower.power import (
     satisfies,
     stream_horizon,
 )
-from eqpower.solver import Const, EqualityAtom, RelationAtom, Var, solve
+from eqpower.solver import AtomClassifier, Const, EqualityAtom, RelationAtom, Var, solve
 from eqpower.structures import FiniteStructure, Signature
 
 x = Var("x")
@@ -78,6 +82,18 @@ def test_power_element_basics():
         PowerElement(("a",), ())
     with pytest.raises(IndexError):
         constant_stream("a").at(-1)
+
+
+def test_periodic_take_map_and_horizon():
+    p = Periodic((1, 2), (3, 4, 5))
+    assert p.take(0) == () and p.take(1) == (1,)
+    assert p.take(9) == (1, 2, 3, 4, 5, 3, 4, 5, 3)
+    assert p.take(9) == tuple(p.at(i) for i in range(9))
+    assert p.map(str) == Periodic(("1", "2"), ("3", "4", "5"))
+    assert horizon([p, Periodic((0,) * 3, (0, 0))]) == (3, 6)
+    assert horizon([]) == (0, 1)
+    # a canonical stream is a Periodic with its own equality
+    assert PowerElement(("a",), ("a",)) == PowerElement((), ("a",)) != Periodic((), ("a",))
 
 
 def test_staircase_members_pinned():
@@ -138,34 +154,42 @@ def test_coordinate_profile_demo():
     g = triangle_graph()
     system = staircase_demo_system()
     profile = coordinate_profile(g, system)
-    assert (profile.stabilization, profile.period) == (1, 2)
-    solsets = [frozenset(c.points for c in cell) for cell in profile.table]
+    assert (len(profile.prefix), len(profile.cycle)) == (1, 2)
+    clf = AtomClassifier(g, system.variables)
+    solsets = [frozenset(map(clf.decode, masks)) for masks in profile.take(3)]
     nbh = {v: frozenset({(w,) for w in "abc" if w != v}) for v in "abc"}
     assert solsets == [
         frozenset({nbh["a"], nbh["b"]}),
         frozenset({nbh["a"], nbh["c"]}),
         frozenset({nbh["a"], nbh["b"]}),
     ]
-    assert profile.classes_at(3) == profile.table[1]
-    assert profile.classes_at(100) == profile.table[2]
+    # masks come in projection order: E(x, a) from member 1, then E(x, b) from member 2
+    assert profile.at(0) == tuple(clf.mask(atom) for atom, _ in projection_entries(system, 0))
+    assert profile.at(3) == profile.cycle[0]
+    assert profile.at(100) == profile.cycle[1]
+
+
+def test_profile_certification_catches_an_underreported_period(monkeypatch):
+    g = triangle_graph()
+    system = staircase_demo_system()
+    monkeypatch.setattr(power, "stream_horizon", lambda s: (1, 1))  # the true period is 2
+    with pytest.raises(RuntimeError, match="certification failed at coordinate 1"):
+        coordinate_profile(g, system)
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 2**30))
 def test_profile_fold_matches_recomputation(seed):
     """Beyond the certified zone the folded profile still equals direct recomputation."""
-    import random
-
-    import support
-
     rng = random.Random(seed)
     structure = support.random_relational_structure(rng)
     system = support.random_power_system(rng, structure)
     profile = coordinate_profile(structure, system)
-    from eqpower.power import projected_classes
-
-    for i in range(profile.stabilization + 3 * profile.period):
-        assert profile.classes_at(i) == projected_classes(structure, system, i)
+    clf = AtomClassifier(structure, system.variables)
+    for i in range(len(profile.prefix) + 3 * len(profile.cycle)):
+        masks = profile.at(i)
+        assert len(set(masks)) == len(masks)
+        assert frozenset(map(clf.decode, masks)) == support.oracle_profile(structure, system, i)
 
 
 def test_satisfies_demo_points():

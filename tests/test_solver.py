@@ -14,7 +14,6 @@ from eqpower.solver import (
     RelationAtom,
     Var,
     check_equation,
-    class_of,
     const_values,
     equation_from_json_dict,
     equation_to_json_dict,
@@ -119,22 +118,12 @@ def test_equivalent():
         equivalent(g, b, EquationSystem(("y",), (E(y, Const("a")),)))
 
 
-def test_class_of_distinguishes_templates():
-    g = triangle_graph()
-    # same solution set {b, c}, different shapes
-    rel = class_of(g, E(x, Const("a")), ("x",))
-    assert rel.points == {("b",), ("c",)}
-    again = class_of(g, E(x, Const("a")), ("x",))
-    assert rel == again
-    eqcls = class_of(g, EqualityAtom(x, Const("a")), ("x",))
-    assert eqcls.points == {("a",)}
-    assert rel != eqcls
-
-
 def test_classifier_memoizes():
     g = triangle_graph()
     clf = AtomClassifier(g, ("x",))
     first = clf.solutions(E(x, Const("a")))
+    assert first == {("b",), ("c",)}
+    assert clf.solutions(EqualityAtom(x, Const("a"))) == {("a",)}
     assert clf.solutions(E(x, Const("a"))) is first
     assert clf.system_solutions([E(x, Const("a")), E(x, Const("b"))]) == {("c",)}
 

@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from support import graph_distances, has_triangle
 
 from eqpower.errors import InputFormatError, SignatureMismatchError
 from eqpower.fixtures import (
@@ -18,10 +19,8 @@ from eqpower.structures import (
     Signature,
     ValidationReport,
     adjacency,
-    graph_distances,
     graph_from_edges,
     graph_signature,
-    has_triangle,
     matroid_signature,
     matroid_underlying_graph,
     poset_signature,

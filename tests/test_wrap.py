@@ -1,20 +1,23 @@
 import json
+import operator
 
 import pytest
 
 from eqpower.errors import InputFormatError
 from eqpower.fixtures import staircase_demo_system, triangle_graph
 from eqpower.power import (
+    Periodic,
     PowerElement,
     PowerSystem,
     SourceRef,
     power_systems_equivalent,
 )
 from eqpower.solver import Const, EqualityAtom, RelationAtom, Var
+from eqpower.power import periodic_to_json_dict
 from eqpower.wrap import (
-    EventuallyPeriodicIndexSet,
     class_representatives,
     check_size_bounds,
+    index_set_from_json_dict,
     seed_equations,
     verify_wrap,
     wrap,
@@ -31,17 +34,18 @@ MEMBER3 = edge(PowerElement(("b", "c"), ("a",)))
 
 
 def test_index_set_membership_and_complement():
-    s = EventuallyPeriodicIndexSet((True, False), (False, True))
-    assert [s.contains(i) for i in range(6)] == [True, False, False, True, False, True]
-    c = s.complement()
-    assert [c.contains(i) for i in range(6)] == [False, True, True, False, True, False]
+    s = Periodic((True, False), (False, True))
+    assert [s.at(i) for i in range(6)] == [True, False, False, True, False, True]
+    c = s.map(operator.not_)
+    assert [c.at(i) for i in range(6)] == [False, True, True, False, True, False]
+    assert c == Periodic((False, True), (True, False))
     with pytest.raises(ValueError):
-        EventuallyPeriodicIndexSet((), ())
+        Periodic((), ())
 
 
 def test_index_set_json_round_trip():
-    s = EventuallyPeriodicIndexSet((True,), (False, True))
-    assert EventuallyPeriodicIndexSet.from_json_dict(json.loads(json.dumps(s.to_json_dict()))) == s
+    s = Periodic((True,), (False, True))
+    assert index_set_from_json_dict(json.loads(json.dumps(periodic_to_json_dict(s)))) == s
 
 
 def test_demo_class_representatives():
@@ -94,15 +98,9 @@ def test_demo_match_sets():
         result.trace.representatives[st.representative].solutions: st.match
         for st in result.trace.steps
     }
-    assert by_solutions[frozenset({("b",), ("c",)})] == EventuallyPeriodicIndexSet(
-        (True,), (True, True)
-    )
-    assert by_solutions[frozenset({("a",), ("c",)})] == EventuallyPeriodicIndexSet(
-        (True,), (False, True)
-    )
-    assert by_solutions[frozenset({("a",), ("b",)})] == EventuallyPeriodicIndexSet(
-        (False,), (True, False)
-    )
+    assert by_solutions[frozenset({("b",), ("c",)})] == Periodic((True,), (True, True))
+    assert by_solutions[frozenset({("a",), ("c",)})] == Periodic((True,), (False, True))
+    assert by_solutions[frozenset({("a",), ("b",)})] == Periodic((False,), (True, False))
 
 
 def test_wrapped_system_is_equivalent_to_original():
