@@ -16,12 +16,7 @@ import sys
 from pathlib import Path
 from typing import Any, Callable
 
-from .errors import (
-    InputFormatError,
-    InvalidCertificateError,
-    SignatureMismatchError,
-    UnboundVariableError,
-)
+from .errors import InputFormatError, UnboundVariableError
 from .fixtures import staircase_demo_system, triangle_graph
 from .noetherian import (
     NO_OBSTRUCTION_FOUND,
@@ -29,7 +24,6 @@ from .noetherian import (
     build_witness_family,
     first_violated_member,
     power_noetherian,
-    verify_witness,
 )
 from .power import (
     consistent,
@@ -226,8 +220,8 @@ def cmd_witness(args: argparse.Namespace) -> int:
     package = build_witness_family(structure, kind, verdict.certificate)
     checks = []
     for n in range(1, args.depth + 1):
-        ok = verify_witness(structure, package, n)
-        checks.append((n, ok, first_violated_member(structure, package, n) if ok else None))
+        first = first_violated_member(structure, package, n)
+        checks.append((n, first is not None, first))
     all_ok = all(ok for _, ok, _ in checks)
     if args.format == "json":
         _print_json(
@@ -359,22 +353,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.handler(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        InputFormatError,
-        SignatureMismatchError,
-        InvalidCertificateError,
-        UnboundVariableError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except KeyError as exc:
-        print(f"error: {exc.args[0]}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CliInputError, ValueError, UnboundVariableError, KeyError) as exc:
+        # ValueError covers InputFormatError, SignatureMismatchError and InvalidCertificateError;
+        # str() of a KeyError quotes its message, so the message is printed as given
+        print(f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}", file=sys.stderr)
         return 2
 
 

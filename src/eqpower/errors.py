@@ -51,3 +51,9 @@ def json_str(doc: Any, what: str) -> str:
     if not isinstance(doc, str):
         raise InputFormatError(f"{what} must be a string, got {doc!r}")
     return doc
+
+
+def json_str_list(doc: Any, what: str) -> list[str]:
+    if not isinstance(doc, list) or not all(isinstance(v, str) for v in doc):
+        raise InputFormatError(f"{what} must be a list of strings, got {doc!r}")
+    return doc

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from .errors import InputFormatError, InvalidCertificateError, json_int, json_list, json_object, json_str
+from .errors import InputFormatError, InvalidCertificateError, json_int, json_object, json_str, json_str_list
 from .power import (
     PowerElement,
     PowerSystem,
@@ -43,6 +43,7 @@ NOT_NOETHERIAN = "NOT_NOETHERIAN"
 NO_OBSTRUCTION_FOUND = "NO_OBSTRUCTION_FOUND"
 STATUSES = (NOETHERIAN, NOT_NOETHERIAN, NO_OBSTRUCTION_FOUND)
 CERTIFICATE_SIZES = {"quadruple": 4, "triple": 3, "pair": 2}
+WITNESS_VARIABLE = "x"
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def _certificate_from_json_dict(doc: Any) -> tuple[str, tuple[str, ...]]:
     ((cert_kind, payload),) = doc.items()
     if cert_kind not in CERTIFICATE_SIZES:
         raise InputFormatError(f"certificate kind must be one of {list(CERTIFICATE_SIZES)}, got {cert_kind!r}")
-    values = tuple(json_str(v, "certificate entries") for v in json_list(payload, "certificate"))
+    values = tuple(json_str_list(payload, "certificate"))
     size = CERTIFICATE_SIZES[cert_kind]
     if len(values) != size:
         raise InputFormatError(f"a {cert_kind} certificate has {size} entries, got {len(values)}")
@@ -240,13 +241,13 @@ class WitnessPackage:
         )
 
 
-def _edge_family(symbol: str, variable: str, generator: str, tail: str) -> StaircaseFamily:
+def _edge_family(symbol: str, generator: str, tail: str) -> StaircaseFamily:
     stair = Staircase((generator,), PowerElement((), (tail,)))
-    return StaircaseFamily(RelationAtom(symbol, (Var(variable), Const(stair))))
+    return StaircaseFamily(RelationAtom(symbol, (Var(WITNESS_VARIABLE), Const(stair))))
 
 
 def build_witness_family(
-    structure: FiniteStructure, kind: str, certificate: tuple[str, ...], variable: str = "x"
+    structure: FiniteStructure, kind: str, certificate: tuple[str, ...]
 ) -> WitnessPackage:
     """Turn a verified NOT_NOETHERIAN certificate into a concrete witness family.
 
@@ -272,7 +273,7 @@ def build_witness_family(
         # members pair the repeating a4 stream against the a2 tail; the point
         # puts n - 1 copies of a3 in front of a1 forever
         return WitnessPackage(
-            kind, "quadruple", labels, variable, _edge_family(symbol, variable, a4, a2), a3, a1, -1
+            kind, "quadruple", labels, WITNESS_VARIABLE, _edge_family(symbol, a4, a2), a3, a1, -1
         )
     if kind == "poset":
         if len(labels) != 2:
@@ -281,7 +282,7 @@ def build_witness_family(
         if a == b or not structure.holds(POSET_ORDER_SYMBOL, (a, b)):
             raise InvalidCertificateError(f"{labels} is not a strict ordered pair")
         return WitnessPackage(
-            kind, "pair", labels, variable, _edge_family(POSET_ORDER_SYMBOL, variable, a, b), a, b, 0
+            kind, "pair", labels, WITNESS_VARIABLE, _edge_family(POSET_ORDER_SYMBOL, a, b), a, b, 0
         )
     if kind == "matroid":
         if len(labels) != 3:
@@ -289,27 +290,33 @@ def build_witness_family(
         a, b, c = labels
         if "P3" not in structure.signature.names() or not structure.holds("P3", (a, b, c)):
             raise InvalidCertificateError(f"{labels} is not an independent triple")
-        return WitnessPackage(
-            kind, "triple", labels, variable, _edge_family("P2", variable, b, a), c, b, 0
-        )
+        return WitnessPackage(kind, "triple", labels, WITNESS_VARIABLE, _edge_family("P2", b, a), c, b, 0)
     raise ValueError(f"no witness construction for kind {kind!r}")
 
 
 def verify_witness(structure: FiniteStructure, package: WitnessPackage, n: int) -> bool:
-    """Exact check that witness_point(n) solves the first n members but not the family."""
-    point = package.witness_point(n)
-    if not satisfies(structure, package.truncation(n), point):
-        return False
-    return not satisfies(structure, package.family_system(), point)
+    """Whether witness_point(n) solves the first n members but not the family.
+
+    Checked as first_violated_member: the point solves members 1..m-1 for the
+    predicted m > n and fails member m, which implies the claim.  For every
+    package build_witness_family makes, the two are equivalent.
+    """
+    return first_violated_member(structure, package, n) is not None
 
 
-def first_violated_member(
-    structure: FiniteStructure, package: WitnessPackage, n: int, search_limit: int = 8
-) -> int | None:
-    """Smallest member index beyond n that witness_point(n) fails, scanning a bounded range."""
+def first_violated_member(structure: FiniteStructure, package: WitnessPackage, n: int) -> int | None:
+    """The first member that witness_point(n) fails: m = n + point_offset + 2.
+
+    Member m reads its generator at coordinates 0..m-2, and witness_point(n)
+    switches from point_repeat to point_tail at coordinate n + point_offset.
+    The certificate makes point_tail against the generator the one failing
+    row, so m is the first member whose generator reaches the switch.  m is
+    returned only after checking that the point solves members 1..m-1 and
+    fails member m; when either check fails, or when m <= n, the result is None.
+    """
+    m = n + package.point_offset + 2
     point = package.witness_point(n)
-    for m in range(n + 1, n + 1 + search_limit):
-        member = PowerSystem((package.variable,), (package.family.member(m),), ())
-        if not satisfies(structure, member, point):
-            return m
-    return None
+    if m <= n or not satisfies(structure, package.truncation(m - 1), point):
+        return None
+    member = PowerSystem((package.variable,), (package.family.member(m),), ())
+    return None if satisfies(structure, member, point) else m

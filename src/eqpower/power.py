@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping, Sequence
 
-from .errors import InputFormatError, UnboundVariableError, json_int
+from .errors import InputFormatError, UnboundVariableError, json_int, json_object, json_str_list
 from .solver import (
     AtomClassifier,
     Const,
@@ -34,6 +34,7 @@ from .solver import (
     equation_to_json_dict,
     map_constants,
     minimal_inconsistent_subset,
+    system_fields_from_json,
 )
 from .structures import FiniteStructure
 
@@ -104,9 +105,6 @@ class PowerElement(Periodic):
         prefix, cycle = _canonical(tuple(map(str, self.prefix)), tuple(map(str, self.cycle)))
         object.__setattr__(self, "prefix", prefix)
         object.__setattr__(self, "cycle", cycle)
-
-    def values(self) -> frozenset[str]:
-        return frozenset(self.prefix) | frozenset(self.cycle)
 
     def __str__(self) -> str:
         body = ",".join(self.prefix)
@@ -210,10 +208,6 @@ class PowerSystem:
         object.__setattr__(self, "families", tuple(self.families))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variables: {self.variables}")
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.explicit and not self.families
 
 
 def project_equation(eq: Equation, i: int) -> Equation:
@@ -442,17 +436,19 @@ def periodic_to_json_dict(p: Periodic) -> dict:
     return {"prefix": list(p.prefix), "cycle": list(p.cycle)}
 
 
-def power_element_from_json_dict(doc: Any) -> PowerElement:
-    if not isinstance(doc, Mapping) or set(doc) != {"prefix", "cycle"}:
-        raise InputFormatError(f"stream constants must have keys {{'prefix','cycle'}}, got {doc!r}")
-    prefix, cycle = doc["prefix"], doc["cycle"]
-    if not isinstance(prefix, list) or not isinstance(cycle, list):
-        raise InputFormatError("stream prefix and cycle must be lists")
-    if not all(isinstance(v, str) for v in prefix + cycle):
-        raise InputFormatError("stream entries must be strings")
+def periodic_from_json_dict(
+    doc: Any, make: Callable[[tuple, tuple], Periodic], entries: Callable[[Any, str], list], what: str
+) -> Periodic:
+    """Decode {"prefix": [...], "cycle": [...]} as make(prefix, cycle); entries checks each list."""
+    doc = json_object(doc, {"prefix", "cycle"}, what)
+    prefix, cycle = entries(doc["prefix"], f"{what} prefix"), entries(doc["cycle"], f"{what} cycle")
     if not cycle:
-        raise InputFormatError("stream cycle must be nonempty")
-    return PowerElement(tuple(prefix), tuple(cycle))
+        raise InputFormatError(f"{what} cycle must be nonempty")
+    return make(tuple(prefix), tuple(cycle))
+
+
+def power_element_from_json_dict(doc: Any) -> PowerElement:
+    return periodic_from_json_dict(doc, PowerElement, json_str_list, "stream constant")
 
 
 def _encode_power_const(value: Any) -> Any:
@@ -461,72 +457,33 @@ def _encode_power_const(value: Any) -> Any:
     return periodic_to_json_dict(value)
 
 
-def _decode_power_const(doc: Any) -> Any:
-    return power_element_from_json_dict(doc)
-
-
 def staircase_to_json_dict(s: Staircase) -> dict:
     return {"generator": list(s.generator), "tail": periodic_to_json_dict(s.tail)}
 
 
 def staircase_from_json_dict(doc: Any) -> Staircase:
-    if not isinstance(doc, Mapping) or set(doc) != {"generator", "tail"}:
-        raise InputFormatError(f"staircase must have keys {{'generator','tail'}}, got {doc!r}")
-    generator = doc["generator"]
-    if not isinstance(generator, list) or not all(isinstance(v, str) for v in generator) or not generator:
-        raise InputFormatError("staircase generator must be a nonempty list of strings")
+    doc = json_object(doc, {"generator", "tail"}, "staircase")
+    generator = json_str_list(doc["generator"], "staircase generator")
+    if not generator:
+        raise InputFormatError("staircase generator must be nonempty")
     return Staircase(tuple(generator), power_element_from_json_dict(doc["tail"]))
 
 
 def family_to_json_dict(fam: StaircaseFamily) -> dict:
-    body = equation_to_json_dict(fam.atom, staircase_to_json_dict)
-
-    # constant slots carry staircase descriptors, so rename their payload key
-    def rewrite(entry: Any) -> Any:
-        if isinstance(entry, Mapping) and set(entry) == {"const"}:
-            return {"staircase": entry["const"]}
-        return entry
-
-    if "args" in body:
-        body["args"] = [rewrite(a) for a in body["args"]]
-    else:
-        body["eq"] = [rewrite(a) for a in body["eq"]]
-    return {"family": body}
+    return {"family": equation_to_json_dict(fam.atom, ("staircase", staircase_to_json_dict))}
 
 
 def family_from_json_dict(doc: Any) -> StaircaseFamily:
-    if not isinstance(doc, Mapping) or set(doc) != {"family"}:
-        raise InputFormatError(f"family entries must have the single key 'family', got {doc!r}")
-    body = doc["family"]
-    if not isinstance(body, Mapping):
-        raise InputFormatError("family body must be an object")
-    # translate staircase args into const args, then decode payloads
-    def translate(entry: Any) -> Any:
-        if isinstance(entry, Mapping) and set(entry) == {"staircase"}:
-            return {"const": entry["staircase"]}
-        if isinstance(entry, Mapping) and set(entry) == {"var"}:
-            return entry
-        raise InputFormatError(f"family arguments must be 'var' or 'staircase', got {entry!r}")
-
-    body = dict(body)
-    if set(body) == {"rel", "args"}:
-        if not isinstance(body["args"], list):
-            raise InputFormatError("family args must be a list")
-        body["args"] = [translate(a) for a in body["args"]]
-    elif set(body) == {"eq"}:
-        if not isinstance(body["eq"], list) or len(body["eq"]) != 2:
-            raise InputFormatError("family equality atoms take exactly two arguments")
-        body["eq"] = [translate(a) for a in body["eq"]]
-    else:
-        raise InputFormatError(
-            f"family body must have keys {{'rel','args'}} or {{'eq'}}, got {sorted(body)}"
-        )
-    atom = equation_from_json_dict(body, staircase_from_json_dict)
-    return StaircaseFamily(atom)
+    body = json_object(doc, {"family"}, "family entry")["family"]
+    return StaircaseFamily(equation_from_json_dict(body, ("staircase", staircase_from_json_dict)))
 
 
 def power_equation_to_json_dict(eq: Equation) -> dict:
-    return equation_to_json_dict(eq, _encode_power_const)
+    return equation_to_json_dict(eq, ("const", _encode_power_const))
+
+
+def power_equation_from_json_dict(doc: Any) -> Equation:
+    return equation_from_json_dict(doc, ("const", power_element_from_json_dict))
 
 
 def power_system_to_json_dict(system: PowerSystem) -> dict:
@@ -536,23 +493,11 @@ def power_system_to_json_dict(system: PowerSystem) -> dict:
 
 
 def power_system_from_json_dict(doc: Any) -> PowerSystem:
-    if not isinstance(doc, Mapping):
-        raise InputFormatError("system document must be a JSON object")
-    if set(doc) != {"variables", "equations"}:
-        raise InputFormatError(
-            f"system must have keys {{'variables','equations'}}, got {sorted(set(doc))}"
-        )
-    variables = doc["variables"]
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise InputFormatError("system variables must be a list of strings")
-    entries = doc["equations"]
-    if not isinstance(entries, list):
-        raise InputFormatError("system equations must be a list")
-    explicit = []
-    families = []
+    variables, entries = system_fields_from_json(doc)
+    explicit, families = [], []
     for entry in entries:
         if isinstance(entry, Mapping) and set(entry) == {"family"}:
             families.append(family_from_json_dict(entry))
         else:
-            explicit.append(equation_from_json_dict(entry, _decode_power_const))
-    return PowerSystem(tuple(variables), tuple(explicit), tuple(families))
+            explicit.append(power_equation_from_json_dict(entry))
+    return PowerSystem(variables, tuple(explicit), tuple(families))

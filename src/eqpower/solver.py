@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterable, Mapping
 
-from .errors import InputFormatError, UnboundVariableError
+from .errors import InputFormatError, UnboundVariableError, json_list, json_object, json_str, json_str_list
 from .structures import FiniteStructure
 
 
@@ -66,14 +66,6 @@ def map_constants(eq: Equation, fn: Callable[[Any], Any]) -> Equation:
     return rebuild_atom(eq, (Const(fn(a.value)) if isinstance(a, Const) else a for a in atom_args(eq)))
 
 
-def equation_variables(eq: Equation) -> tuple[str, ...]:
-    seen = []
-    for a in atom_args(eq):
-        if isinstance(a, Var) and a.name not in seen:
-            seen.append(a.name)
-    return tuple(seen)
-
-
 @dataclass(frozen=True)
 class Template:
     """Atomic shape: the symbol plus which argument slots are variables.
@@ -85,9 +77,6 @@ class Template:
     kind: str  # "rel" or "eq"
     symbol: str | None
     slots: tuple[Any, ...]  # ("var", name) or ("const",) per argument position
-
-    def const_slot_count(self) -> int:
-        return sum(1 for s in self.slots if s == ("const",))
 
 
 def template_of(eq: Equation) -> Template:
@@ -305,8 +294,11 @@ def minimal_inconsistent_subset(structure: FiniteStructure, system: EquationSyst
 #     {"rel": "E", "args": [{"var": "x"}, {"const": "a"}]},
 #     {"eq": [{"var": "x"}, {"const": "a"}]}]}
 #
-# Constant payload encoding is pluggable so the direct-power layer can reuse
-# the exact same shapes with structured constants.
+# Constant slots are pluggable: a (key, codec) pair names the argument key and
+# codes its payload, so the direct-power layer reuses the exact same shapes
+# with {"const": stream} and {"staircase": descriptor} slots.
+
+ConstCodec = tuple[str, Callable[[Any], Any]]
 
 
 def _encode_base_const(value: Any) -> Any:
@@ -315,57 +307,45 @@ def _encode_base_const(value: Any) -> Any:
     return value
 
 
-def _decode_base_const(doc: Any) -> Any:
-    if not isinstance(doc, str):
-        raise InputFormatError(f"constants must be strings, got {doc!r}")
-    return doc
+_BASE_CONST_ENCODER: ConstCodec = ("const", _encode_base_const)
+_BASE_CONST_DECODER: ConstCodec = ("const", lambda doc: json_str(doc, "constants"))
 
 
-def arg_to_json_dict(arg: Arg, encode_const: Callable[[Any], Any] = _encode_base_const) -> dict:
+def arg_to_json_dict(arg: Arg, const: ConstCodec = _BASE_CONST_ENCODER) -> dict:
     if isinstance(arg, Var):
         return {"var": arg.name}
-    return {"const": encode_const(arg.value)}
+    key, encode = const
+    return {key: encode(arg.value)}
 
 
-def arg_from_json_dict(doc: Any, decode_const: Callable[[Any], Any] = _decode_base_const) -> Arg:
-    if not isinstance(doc, Mapping) or len(doc) != 1:
-        raise InputFormatError(f"argument must be a single-key object, got {doc!r}")
-    ((key, payload),) = doc.items()
-    if key == "var":
-        if not isinstance(payload, str):
-            raise InputFormatError("variable names must be strings")
-        return Var(payload)
-    if key == "const":
-        return Const(decode_const(payload))
-    raise InputFormatError(f"argument key must be 'var' or 'const', got {key!r}")
+def arg_from_json_dict(doc: Any, const: ConstCodec = _BASE_CONST_DECODER) -> Arg:
+    key, decode = const
+    if isinstance(doc, Mapping) and len(doc) == 1:
+        ((found, payload),) = doc.items()
+        if found == "var":
+            return Var(json_str(payload, "variable names"))
+        if found == key:
+            return Const(decode(payload))
+    raise InputFormatError(f"argument must be an object with the single key 'var' or {key!r}, got {doc!r}")
 
 
-def equation_to_json_dict(eq: Equation, encode_const: Callable[[Any], Any] = _encode_base_const) -> dict:
+def equation_to_json_dict(eq: Equation, const: ConstCodec = _BASE_CONST_ENCODER) -> dict:
     if isinstance(eq, RelationAtom):
-        return {"rel": eq.symbol, "args": [arg_to_json_dict(a, encode_const) for a in eq.args]}
-    return {"eq": [arg_to_json_dict(eq.lhs, encode_const), arg_to_json_dict(eq.rhs, encode_const)]}
+        return {"rel": eq.symbol, "args": [arg_to_json_dict(a, const) for a in eq.args]}
+    return {"eq": [arg_to_json_dict(eq.lhs, const), arg_to_json_dict(eq.rhs, const)]}
 
 
-def equation_from_json_dict(doc: Any, decode_const: Callable[[Any], Any] = _decode_base_const) -> Equation:
-    if not isinstance(doc, Mapping):
-        raise InputFormatError(f"equation must be an object, got {doc!r}")
-    keys = set(doc)
-    if keys == {"rel", "args"}:
-        symbol = doc["rel"]
-        if not isinstance(symbol, str):
-            raise InputFormatError("relation symbol must be a string")
-        args = doc["args"]
-        if not isinstance(args, list):
-            raise InputFormatError("relation args must be a list")
-        return RelationAtom(symbol, tuple(arg_from_json_dict(a, decode_const) for a in args))
-    if keys == {"eq"}:
-        pair = doc["eq"]
-        if not isinstance(pair, list) or len(pair) != 2:
+def equation_from_json_dict(doc: Any, const: ConstCodec = _BASE_CONST_DECODER) -> Equation:
+    if isinstance(doc, Mapping) and set(doc) == {"rel", "args"}:
+        symbol = json_str(doc["rel"], "relation symbol")
+        args = json_list(doc["args"], "relation args")
+        return RelationAtom(symbol, tuple(arg_from_json_dict(a, const) for a in args))
+    if isinstance(doc, Mapping) and set(doc) == {"eq"}:
+        pair = json_list(doc["eq"], "equality atom")
+        if len(pair) != 2:
             raise InputFormatError("equality atoms take exactly two arguments")
-        return EqualityAtom(
-            arg_from_json_dict(pair[0], decode_const), arg_from_json_dict(pair[1], decode_const)
-        )
-    raise InputFormatError(f"equation must have keys {{'rel','args'}} or {{'eq'}}, got {sorted(keys)}")
+        return EqualityAtom(arg_from_json_dict(pair[0], const), arg_from_json_dict(pair[1], const))
+    raise InputFormatError(f"equation must be an object with keys {{'rel','args'}} or {{'eq'}}, got {doc!r}")
 
 
 def system_to_json_dict(system: EquationSystem) -> dict:
@@ -375,16 +355,15 @@ def system_to_json_dict(system: EquationSystem) -> dict:
     }
 
 
+def system_fields_from_json(doc: Any) -> tuple[tuple[str, ...], list]:
+    """The distinct variables and the undecoded equation list of a {"variables", "equations"} document."""
+    doc = json_object(doc, {"variables", "equations"}, "system")
+    variables = tuple(json_str_list(doc["variables"], "system variables"))
+    if len(set(variables)) != len(variables):
+        raise InputFormatError(f"system variables must be distinct, got {list(variables)}")
+    return variables, json_list(doc["equations"], "system equations")
+
+
 def system_from_json_dict(doc: Any) -> EquationSystem:
-    if not isinstance(doc, Mapping):
-        raise InputFormatError("system document must be a JSON object")
-    keys = set(doc)
-    if keys != {"variables", "equations"}:
-        raise InputFormatError(f"system must have keys {{'variables','equations'}}, got {sorted(keys)}")
-    variables = doc["variables"]
-    if not isinstance(variables, list) or not all(isinstance(v, str) for v in variables):
-        raise InputFormatError("system variables must be a list of strings")
-    equations = doc["equations"]
-    if not isinstance(equations, list):
-        raise InputFormatError("system equations must be a list")
-    return EquationSystem(tuple(variables), tuple(equation_from_json_dict(e) for e in equations))
+    variables, equations = system_fields_from_json(doc)
+    return EquationSystem(variables, tuple(equation_from_json_dict(e) for e in equations))

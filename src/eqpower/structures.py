@@ -11,7 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
-from .errors import InputFormatError, SignatureMismatchError, json_bool, json_list, json_object, json_str
+from .errors import (
+    InputFormatError,
+    SignatureMismatchError,
+    json_bool,
+    json_int,
+    json_list,
+    json_object,
+    json_str,
+    json_str_list,
+)
 
 GRAPH_EDGE_SYMBOL = "E"
 POSET_ORDER_SYMBOL = "leq"
@@ -178,10 +187,8 @@ class ValidationReport:
         violations = []
         for entry in json_list(doc["violations"], "violations"):
             entry = json_object(entry, {"axiom", "witness"}, "violation")
-            witness = json_list(entry["witness"], "violation witness")
-            violations.append(
-                (json_str(entry["axiom"], "violation axiom"), tuple(json_str(v, "witness labels") for v in witness))
-            )
+            witness = json_str_list(entry["witness"], "violation witness")
+            violations.append((json_str(entry["axiom"], "violation axiom"), tuple(witness)))
         kind = json_str(doc["kind"], "report kind")
         return ValidationReport(kind, json_bool(doc["passed"], "report passed"), tuple(violations))
 
@@ -324,49 +331,23 @@ def structure_to_json_dict(structure: FiniteStructure, kind: str) -> dict:
     return {"kind": kind, "universe": list(structure.universe), "relations": relations}
 
 
-def _require_keys(doc: Mapping, allowed: set[str], required: set[str], what: str) -> None:
-    keys = set(doc)
-    unknown = keys - allowed
-    if unknown:
-        raise InputFormatError(f"{what}: unknown keys {sorted(unknown)}")
-    missing = required - keys
-    if missing:
-        raise InputFormatError(f"{what}: missing keys {sorted(missing)}")
-
-
-def structure_from_json_dict(doc: Mapping) -> tuple[str, FiniteStructure]:
+def structure_from_json_dict(doc: Any) -> tuple[str, FiniteStructure]:
     """Parse {"kind", "universe", "relations"}; unknown keys are rejected."""
-    if not isinstance(doc, Mapping):
-        raise InputFormatError("structure document must be a JSON object")
-    _require_keys(doc, {"kind", "universe", "relations"}, {"kind", "universe", "relations"}, "structure")
+    doc = json_object(doc, {"kind", "universe", "relations"}, "structure")
     kind = doc["kind"]
     if kind not in STRUCTURE_KINDS:
         raise InputFormatError(f"structure kind must be one of {STRUCTURE_KINDS}, got {kind!r}")
-    universe = doc["universe"]
-    if not isinstance(universe, list) or not all(isinstance(u, str) for u in universe):
-        raise InputFormatError("structure universe must be a list of strings")
+    universe = json_str_list(doc["universe"], "structure universe")
     relations = doc["relations"]
     if not isinstance(relations, Mapping):
         raise InputFormatError("structure relations must be an object")
     symbols = []
     tables = {}
     for name, entry in relations.items():
-        if not isinstance(entry, Mapping):
-            raise InputFormatError(f"relation {name!r} must be an object")
-        _require_keys(entry, {"arity", "tuples"}, {"arity", "tuples"}, f"relation {name!r}")
-        arity = entry["arity"]
-        if not isinstance(arity, int) or arity < 1:
-            raise InputFormatError(f"relation {name!r} arity must be a positive integer")
-        rows = entry["tuples"]
-        if not isinstance(rows, list):
-            raise InputFormatError(f"relation {name!r} tuples must be a list")
-        parsed_rows = []
-        for row in rows:
-            if not isinstance(row, list) or not all(isinstance(v, str) for v in row):
-                raise InputFormatError(f"relation {name!r} tuples must be lists of strings")
-            parsed_rows.append(tuple(row))
-        symbols.append((str(name), arity))
-        tables[str(name)] = parsed_rows
+        entry = json_object(entry, {"arity", "tuples"}, f"relation {name!r}")
+        symbols.append((str(name), json_int(entry["arity"], f"relation {name!r} arity", 1)))
+        what = f"relation {name!r} tuples"
+        tables[str(name)] = [tuple(json_str_list(row, what)) for row in json_list(entry["tuples"], what)]
     try:
         structure = FiniteStructure(Signature(tuple(symbols)), universe, tables)
     except ValueError as exc:

@@ -18,17 +18,18 @@ import operator
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .errors import InputFormatError, json_bool, json_int, json_list, json_object
+from .errors import InputFormatError, json_bool, json_int, json_list, json_object, json_str_list
 from .power import (
     Periodic,
     PowerElement,
     PowerSystem,
     SourceRef,
     _const_streams,
-    _decode_power_const,
     coordinate_profile,
     horizon,
+    periodic_from_json_dict,
     periodic_to_json_dict,
+    power_equation_from_json_dict,
     power_equation_to_json_dict,
     power_system_from_json_dict,
     power_system_to_json_dict,
@@ -261,15 +262,10 @@ def check_size_bounds(
 
 
 def index_set_from_json_dict(doc: Any) -> Periodic:
-    doc = json_object(doc, {"prefix", "cycle"}, "index set")
-    prefix = json_list(doc["prefix"], "index set prefix")
-    cycle = json_list(doc["cycle"], "index set cycle")
-    if not cycle:
-        raise InputFormatError("index set cycle must be nonempty")
-    return Periodic(
-        tuple(json_bool(b, "index set entries") for b in prefix),
-        tuple(json_bool(b, "index set entries") for b in cycle),
-    )
+    def bools(entries: Any, what: str) -> list[bool]:
+        return [json_bool(b, "index set entries") for b in json_list(entries, what)]
+
+    return periodic_from_json_dict(doc, Periodic, bools, "index set")
 
 
 def class_rep_to_json_dict(rep: ClassRep) -> dict:
@@ -283,13 +279,9 @@ def class_rep_to_json_dict(rep: ClassRep) -> dict:
 
 def class_rep_from_json_dict(doc: Any) -> ClassRep:
     doc = json_object(doc, {"solutions", "equation", "coordinate", "source"}, "class representative")
-    points = []
-    for point in json_list(doc["solutions"], "class representative solutions"):
-        if not isinstance(point, list) or not all(isinstance(v, str) for v in point):
-            raise InputFormatError(f"solution points must be lists of labels, got {point!r}")
-        points.append(tuple(point))
+    points = json_list(doc["solutions"], "class representative solutions")
     return ClassRep(
-        frozenset(points),
+        frozenset(tuple(json_str_list(point, "solution points")) for point in points),
         equation_from_json_dict(doc["equation"]),
         json_int(doc["coordinate"], "class representative coordinate"),
         SourceRef.from_json_dict(doc["source"]),
@@ -332,7 +324,7 @@ def wrap_result_from_json_dict(doc: Any) -> WrapResult:
         "wrap trace",
     )
     reps = tuple(class_rep_from_json_dict(r) for r in json_list(tdoc["representatives"], "representatives"))
-    seeds = tuple(equation_from_json_dict(e, _decode_power_const) for e in json_list(tdoc["seeds"], "seeds"))
+    seeds = tuple(power_equation_from_json_dict(e) for e in json_list(tdoc["seeds"], "seeds"))
     steps = []
     for sdoc in json_list(tdoc["steps"], "steps"):
         sdoc = json_object(sdoc, {"representative", "match", "other", "merged"}, "wrap step")
@@ -343,7 +335,7 @@ def wrap_result_from_json_dict(doc: Any) -> WrapResult:
             WrapStep(
                 json_int(sdoc["representative"], "step representative"),
                 match,
-                equation_from_json_dict(sdoc["merged"], _decode_power_const),
+                power_equation_from_json_dict(sdoc["merged"]),
             )
         )
     trace = WrapTrace(

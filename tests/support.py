@@ -65,6 +65,19 @@ def oracle_satisfies(structure: FiniteStructure, system: PowerSystem, point) -> 
     return True
 
 
+def oracle_first_violated_member(structure: FiniteStructure, package, n: int, search_limit: int = 8):
+    """Smallest member index beyond n that witness_point(n) fails, by oracle_satisfies on each member.
+
+    The scan stops after search_limit members and then returns None.
+    """
+    point = package.witness_point(n)
+    for m in range(n + 1, n + 1 + search_limit):
+        member = PowerSystem((package.variable,), (package.family.member(m),), ())
+        if not oracle_satisfies(structure, member, point):
+            return m
+    return None
+
+
 def brute_solutions(structure: FiniteStructure, system: EquationSystem) -> frozenset:
     """Independent solver: evaluate every atom against every assignment directly."""
     pts = set()

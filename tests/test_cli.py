@@ -263,6 +263,19 @@ def test_wrong_document_shape(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_decoding_errors_name_the_file(capsys, tmp_path):
+    structure = {"kind": "generic", "universe": ["a"], "relations": {"P": {"arity": True, "tuples": [["a"]]}}}
+    path = write_json(tmp_path, "bool_arity.json", structure)
+    code, out, err = run(capsys, "validate", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ")
+
+    path = write_json(tmp_path, "duplicate_variables.json", {"variables": ["x", "x"], "equations": []})
+    code, out, err = run(capsys, "solve", str(FIXTURES / "triangle.json"), path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["definitely-not-a-command"]) == 2
     capsys.readouterr()

@@ -21,11 +21,20 @@ from eqpower.noetherian import (
     build_witness_family,
     power_noetherian,
 )
-from eqpower.power import power_system_from_json_dict
+from eqpower.power import (
+    PowerElement,
+    PowerSystem,
+    Staircase,
+    StaircaseFamily,
+    power_system_from_json_dict,
+    power_system_to_json_dict,
+)
+from eqpower.solver import Const, EqualityAtom, Var, system_from_json_dict
 from eqpower.structures import ValidationReport, structure_from_json_dict, validate
 from eqpower.wrap import wrap, wrap_result_from_json_dict, wrap_result_to_json_dict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+BASE_SYSTEMS = Path(__file__).resolve().parent / "golden" / "inputs"
 REPLACEMENTS = (None, 7, 2.5, True, "zz", ["zz"], {"zz": 1})
 
 
@@ -58,10 +67,26 @@ def mutants(doc):
             yield mutant
 
 
+def _equality_family_system() -> PowerSystem:
+    """A family over an equality atom beside an explicit stream equation; no fixture has one."""
+    stair = Staircase(("a", "b"), PowerElement(("c",), ("a",)))
+    family = StaircaseFamily(EqualityAtom(Var("x"), Const(stair)))
+    explicit = EqualityAtom(Var("y"), Const(PowerElement((), ("b", "c"))))
+    return PowerSystem(("x", "y"), (explicit,), (family,))
+
+
 def _corpus():
-    """(decoder, document): the demo wrap result, the fixture power systems, every fixture structure's artifacts."""
+    """(decoder, document) pairs that reach every decoder.
+
+    The demo wrap result, a family over an equality atom, the base systems of
+    the golden transcripts, the fixture power systems, and every fixture
+    structure with its validation report, verdict and witness package.
+    """
     wrap_doc = wrap_result_to_json_dict(wrap(triangle_graph(), staircase_demo_system()))
     yield wrap_result_from_json_dict, wrap_doc
+    yield power_system_from_json_dict, power_system_to_json_dict(_equality_family_system())
+    for path in sorted(BASE_SYSTEMS.glob("*.json")):
+        yield system_from_json_dict, json.loads(path.read_text())
     for path in sorted(FIXTURES.glob("*.json")):
         doc = json.loads(path.read_text())
         if "kind" not in doc:  # a power system, not a structure

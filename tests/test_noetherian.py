@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -158,14 +159,18 @@ ORACLE_DEPTHS = (*range(1, 11), 20, 40, 60, 80)
 
 @pytest.mark.parametrize("case", sorted(DEEP_WITNESS_CASES))
 def test_deep_witness_matches_oracle(case):
-    """Every depth up to 80 verifies; the point first fails member n+1 (quadruples) or n+2 (others)."""
+    """Every depth up to 80 verifies, and the point first fails member n+1 (quadruples) or n+2 (others).
+
+    That member is also the one the bounded oracle scan finds.
+    """
     structure, kind, cert_kind, offset = DEEP_WITNESS_CASES[case]
     verdict = power_noetherian(structure, kind)
     assert verdict.certificate_kind == cert_kind
     package = build_witness_family(structure, kind, verdict.certificate)
     for n in range(1, 81):
+        first = first_violated_member(structure, package, n)
+        assert first == n + offset == support.oracle_first_violated_member(structure, package, n)
         assert verify_witness(structure, package, n)
-        assert first_violated_member(structure, package, n) == n + offset
     for n in ORACLE_DEPTHS:
         point = package.witness_point(n)
         assert support.oracle_satisfies(structure, package.truncation(n), point)
@@ -186,6 +191,19 @@ def test_witness_rejects_bogus_certificates():
         build_witness_family(chain_poset(2), "poset", ("c2", "c1"))
     with pytest.raises(InvalidCertificateError):
         build_witness_family(free_matroid(2), "matroid", ("e1", "e2", "e1"))
+
+
+def test_first_violated_member_refuses_a_wrong_package():
+    """The predicted member is returned only if the point solves every earlier member and fails it."""
+    g = triangle_graph()
+    package = build_witness_family(g, "graph", ("a", "b", "c", "a"))  # E(x, stair(a; b)), point c..c a a ...
+    assert first_violated_member(g, package, 3) == 4
+    looped = dataclasses.replace(package, point_repeat="a")  # the point is constant a: E(a, a) fails member 2
+    never = dataclasses.replace(package, point_tail="c")  # the point is constant c: every member holds
+    early = dataclasses.replace(package, point_offset=-2)  # predicts m = n
+    for bad in (looped, never, early):
+        assert first_violated_member(g, bad, 3) is None
+        assert not verify_witness(g, bad, 3)
 
 
 def test_union_of_passing_graphs_passes_small():

@@ -249,10 +249,11 @@ def test_power_system_json_round_trip():
     doc = json.loads(json.dumps(power_system_to_json_dict(system)))
     assert power_system_from_json_dict(doc) == system
 
+    equality_family = StaircaseFamily(EqualityAtom(Const(Staircase(("b",), PowerElement((), ("c", "a")))), x))
     mixed = PowerSystem(
         ("x", "y"),
         (RelationAtom("E", (x, Const(PowerElement(("a",), ("b",))))), EqualityAtom(x, Var("y"))),
-        staircase_demo_system().families,
+        staircase_demo_system().families + (equality_family,),
     )
     doc = json.loads(json.dumps(power_system_to_json_dict(mixed)))
     assert power_system_from_json_dict(doc) == mixed

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from eqpower.errors import InputFormatError, UnboundVariableError
 from eqpower.fixtures import chain_poset, triangle_graph
+from eqpower.power import power_system_from_json_dict
 from eqpower.solver import (
     AtomClassifier,
     Const,
@@ -43,7 +44,6 @@ def test_template_round_trip():
     t = template_of(eq)
     assert t.kind == "rel" and t.symbol == "E"
     assert t.slots == (("var", "x"), ("const",), ("var", "y"))
-    assert t.const_slot_count() == 1
     assert fill_template(t, ["b"]) == E(x, Const("b"), y)
     assert const_values(eq) == ("a",)
 
@@ -56,6 +56,12 @@ def test_template_round_trip():
 def test_system_rejects_duplicate_variables():
     with pytest.raises(ValueError):
         EquationSystem(("x", "x"), ())
+
+
+@pytest.mark.parametrize("decode", [system_from_json_dict, power_system_from_json_dict])
+def test_system_json_rejects_duplicate_variables(decode):
+    with pytest.raises(InputFormatError, match="distinct"):
+        decode({"variables": ["x", "y", "x"], "equations": []})
 
 
 def test_evaluate():

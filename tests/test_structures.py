@@ -211,6 +211,7 @@ def test_structure_json_round_trip():
         {"kind": "graph", "universe": ["a"], "relations": {"E": {"arity": 2, "tuples": [["a"]]}}},
         {"kind": "graph", "universe": ["a"], "relations": {"E": {"tuples": []}}},
         {"kind": "graph", "universe": ["a"], "relations": {"E": {"arity": 2, "tuples": [[1, 2]]}}},
+        {"kind": "generic", "universe": ["a"], "relations": {"P": {"arity": True, "tuples": [["a"]]}}},
     ],
 )
 def test_structure_json_rejects_malformed(doc):
