@@ -93,7 +93,7 @@ def _render_family(fam) -> str:
 
 
 def _render_source(ref) -> str:
-    if ref.kind == "explicit":
+    if ref.member is None:
         return f"explicit {ref.index}"
     return f"family {ref.index} member {ref.member}"
 
@@ -218,19 +218,16 @@ def cmd_witness(args: argparse.Namespace) -> int:
             print(f"status: {verdict.status}; no witness family to build")
         return 1
     package = build_witness_family(structure, kind, verdict.certificate)
-    checks = []
-    for n in range(1, args.depth + 1):
-        first = first_violated_member(structure, package, n)
-        checks.append((n, first is not None, first))
-    all_ok = all(ok for _, ok, _ in checks)
+    firsts = {n: first_violated_member(structure, package, n) for n in range(1, args.depth + 1)}
+    all_ok = None not in firsts.values()
     if args.format == "json":
         _print_json(
             {
                 "status": verdict.status,
                 "witness": package.to_json_dict(),
                 "checked_members": [
-                    {"n": n, "ok": ok, "first_violated_member": first}
-                    for n, ok, first in checks
+                    {"n": n, "ok": first is not None, "first_violated_member": first}
+                    for n, first in firsts.items()
                 ],
                 "all_ok": all_ok,
             }
@@ -238,9 +235,9 @@ def cmd_witness(args: argparse.Namespace) -> int:
     else:
         print(f"certificate ({package.certificate_kind}): {', '.join(package.certificate)}")
         print(f"family: {_render_family(package.family)}")
-        for n, ok, first in checks:
+        for n, first in firsts.items():
             point = package.witness_point(n)[0]
-            status = "ok" if ok else "FAILED"
+            status = "ok" if first is not None else "FAILED"
             tail = f", first violated member {first}" if first is not None else ""
             print(f"  depth {n}: point {point} solves members 1..{n} but not the family: {status}{tail}")
         print(f"witness verified to depth {args.depth}: {'yes' if all_ok else 'NO'}")

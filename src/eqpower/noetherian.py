@@ -15,8 +15,9 @@ finite truncations is equivalent to the whole.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import InputFormatError, InvalidCertificateError, json_int, json_object, json_str, json_str_list
 from .power import (
@@ -28,7 +29,7 @@ from .power import (
     family_to_json_dict,
     satisfies,
 )
-from .solver import Const, RelationAtom, Var
+from .solver import Const, RelationAtom, Var, atom_args
 from .structures import (
     FiniteStructure,
     GRAPH_EDGE_SYMBOL,
@@ -42,7 +43,9 @@ NOETHERIAN = "NOETHERIAN"
 NOT_NOETHERIAN = "NOT_NOETHERIAN"
 NO_OBSTRUCTION_FOUND = "NO_OBSTRUCTION_FOUND"
 STATUSES = (NOETHERIAN, NOT_NOETHERIAN, NO_OBSTRUCTION_FOUND)
-CERTIFICATE_SIZES = {"quadruple": 4, "triple": 3, "pair": 2}
+CERTIFICATE_KINDS = {4: "quadruple", 3: "triple", 2: "pair"}  # by the number of labels
+# the certificate kinds that verdicts and witness packages on each kind of structure carry
+KIND_CERTIFICATES = {"graph": ("quadruple",), "poset": ("pair",), "matroid": ("triple", "quadruple")}
 WITNESS_VARIABLE = "x"
 
 
@@ -50,9 +53,13 @@ WITNESS_VARIABLE = "x"
 class NoetherianVerdict:
     status: str
     kind: str
-    certificate_kind: str | None = None  # "quadruple", "triple", or "pair"
-    certificate: tuple[str, ...] | None = None
+    certificate: tuple[str, ...] | None = None  # present exactly when the status is NOT_NOETHERIAN
     transcript: str | None = None
+
+    @property
+    def certificate_kind(self) -> str | None:
+        """"quadruple", "triple" or "pair", read off the certificate's length."""
+        return None if self.certificate is None else CERTIFICATE_KINDS[len(self.certificate)]
 
     def to_json_dict(self) -> dict:
         doc: dict[str, Any] = {"status": self.status, "kind": self.kind}
@@ -73,25 +80,34 @@ class NoetherianVerdict:
         status = json_str(doc["status"], "verdict status")
         if status not in STATUSES:
             raise InputFormatError(f"verdict status must be one of {list(STATUSES)}, got {status!r}")
-        cert_kind, values = None, None
+        kind = _kind_from_json(doc["kind"], "verdict kind")
+        values = None
         if doc["certificate"] is not None:
-            cert_kind, values = _certificate_from_json_dict(doc["certificate"])
+            values = _certificate_from_json_dict(doc["certificate"], kind)
+        if (status == NOT_NOETHERIAN) != (values is not None):
+            raise InputFormatError(f"a verdict has a certificate exactly when its status is {NOT_NOETHERIAN}")
         transcript = json_str(doc["transcript"], "verdict transcript") if "transcript" in doc else None
-        return NoetherianVerdict(status, json_str(doc["kind"], "verdict kind"), cert_kind, values, transcript)
+        return NoetherianVerdict(status, kind, values, transcript)
 
 
-def _certificate_from_json_dict(doc: Any) -> tuple[str, tuple[str, ...]]:
-    """{"quadruple": [4 labels]}, {"triple": [3 labels]} or {"pair": [2 labels]}."""
+def _kind_from_json(doc: Any, what: str) -> str:
+    kind = json_str(doc, what)
+    if kind not in KIND_CERTIFICATES:
+        raise InputFormatError(f"{what} must be one of {list(KIND_CERTIFICATES)}, got {kind!r}")
+    return kind
+
+
+def _certificate_from_json_dict(doc: Any, kind: str) -> tuple[str, ...]:
+    """{"quadruple": [4 labels]}, {"triple": [3 labels]} or {"pair": [2 labels]}, as the kind allows."""
     if not isinstance(doc, Mapping) or len(doc) != 1:
         raise InputFormatError(f"certificate must be an object with one key, got {doc!r}")
     ((cert_kind, payload),) = doc.items()
-    if cert_kind not in CERTIFICATE_SIZES:
-        raise InputFormatError(f"certificate kind must be one of {list(CERTIFICATE_SIZES)}, got {cert_kind!r}")
+    if cert_kind not in KIND_CERTIFICATES[kind]:
+        raise InputFormatError(f"{kind} certificates are {list(KIND_CERTIFICATES[kind])}, got {cert_kind!r}")
     values = tuple(json_str_list(payload, "certificate"))
-    size = CERTIFICATE_SIZES[cert_kind]
-    if len(values) != size:
-        raise InputFormatError(f"a {cert_kind} certificate has {size} entries, got {len(values)}")
-    return cert_kind, values
+    if CERTIFICATE_KINDS.get(len(values)) != cert_kind:
+        raise InputFormatError(f"a {cert_kind} certificate cannot have {len(values)} entries")
+    return values
 
 
 def _require_valid(structure: FiniteStructure, kind: str) -> None:
@@ -124,7 +140,7 @@ def graph_power_noetherian(graph: FiniteStructure) -> NoetherianVerdict:
         return NoetherianVerdict(
             NOETHERIAN, "graph", transcript=f"all {graph.size ** 4} vertex quadruples close their walks"
         )
-    return NoetherianVerdict(NOT_NOETHERIAN, "graph", "quadruple", bad)
+    return NoetherianVerdict(NOT_NOETHERIAN, "graph", bad)
 
 
 def poset_strict_pair(poset: FiniteStructure) -> tuple[str, str] | None:
@@ -141,7 +157,7 @@ def poset_power_noetherian(poset: FiniteStructure) -> NoetherianVerdict:
     _require_valid(poset, "poset")
     pair = poset_strict_pair(poset)
     if pair is not None:
-        return NoetherianVerdict(NOT_NOETHERIAN, "poset", "pair", pair)
+        return NoetherianVerdict(NOT_NOETHERIAN, "poset", pair)
     return NoetherianVerdict(
         NO_OBSTRUCTION_FOUND,
         "poset",
@@ -160,7 +176,7 @@ def matroid_power_noetherian(matroid: FiniteStructure) -> NoetherianVerdict:
     _require_valid(matroid, "matroid")
     triple = matroid_independent_triple(matroid)
     if triple is not None:
-        return NoetherianVerdict(NOT_NOETHERIAN, "matroid", "triple", triple)
+        return NoetherianVerdict(NOT_NOETHERIAN, "matroid", triple)
     bad = graph_quasi_identity(matroid_underlying_graph(matroid))
     if bad is None:
         return NoetherianVerdict(
@@ -168,7 +184,7 @@ def matroid_power_noetherian(matroid: FiniteStructure) -> NoetherianVerdict:
             "matroid",
             transcript="no independent triple; all walks in the independent-pair graph close",
         )
-    return NoetherianVerdict(NOT_NOETHERIAN, "matroid", "quadruple", bad)
+    return NoetherianVerdict(NOT_NOETHERIAN, "matroid", bad)
 
 
 def power_noetherian(structure: FiniteStructure, kind: str) -> NoetherianVerdict:
@@ -181,6 +197,10 @@ def power_noetherian(structure: FiniteStructure, kind: str) -> NoetherianVerdict
     raise ValueError(f"no decision procedure for kind {kind!r}")
 
 
+def _family_variables(family: StaircaseFamily) -> set[str]:
+    return {a.name for a in atom_args(family.atom) if isinstance(a, Var)}
+
+
 @dataclass(frozen=True)
 class WitnessPackage:
     """A certificate expanded into an infinite family plus a per-n witness point.
@@ -190,13 +210,20 @@ class WitnessPackage:
     """
 
     kind: str
-    certificate_kind: str
     certificate: tuple[str, ...]
-    variable: str
-    family: StaircaseFamily
+    family: StaircaseFamily  # its atom reads one variable
     point_repeat: str  # leading entry of the witness point
     point_tail: str  # entry repeated forever after
     point_offset: int  # number of leading entries is n + point_offset
+
+    @property
+    def certificate_kind(self) -> str:
+        return CERTIFICATE_KINDS[len(self.certificate)]
+
+    @property
+    def variable(self) -> str:
+        (name,) = _family_variables(self.family)
+        return name
 
     def witness_point(self, n: int) -> tuple[PowerElement, ...]:
         if n < 1:
@@ -227,14 +254,17 @@ class WitnessPackage:
     @staticmethod
     def from_json_dict(doc: Any) -> "WitnessPackage":
         doc = json_object(doc, {"kind", "certificate", "variable", "family", "witness_rule"}, "witness package")
-        cert_kind, values = _certificate_from_json_dict(doc["certificate"])
+        kind = _kind_from_json(doc["kind"], "witness kind")
+        values = _certificate_from_json_dict(doc["certificate"], kind)
+        variable = json_str(doc["variable"], "witness variable")
+        family = family_from_json_dict(doc["family"])
+        if _family_variables(family) != {variable}:
+            raise InputFormatError(f"witness variable {variable!r} must be the one variable the family reads")
         rule = json_object(doc["witness_rule"], {"repeat", "tail", "offset"}, "witness rule")
         return WitnessPackage(
-            json_str(doc["kind"], "witness kind"),
-            cert_kind,
+            kind,
             values,
-            json_str(doc["variable"], "witness variable"),
-            family_from_json_dict(doc["family"]),
+            family,
             json_str(rule["repeat"], "witness rule repeat"),
             json_str(rule["tail"], "witness rule tail"),
             json_int(rule["offset"], "witness rule offset"),
@@ -272,25 +302,21 @@ def build_witness_family(
             )
         # members pair the repeating a4 stream against the a2 tail; the point
         # puts n - 1 copies of a3 in front of a1 forever
-        return WitnessPackage(
-            kind, "quadruple", labels, WITNESS_VARIABLE, _edge_family(symbol, a4, a2), a3, a1, -1
-        )
+        return WitnessPackage(kind, labels, _edge_family(symbol, a4, a2), a3, a1, -1)
     if kind == "poset":
         if len(labels) != 2:
             raise InvalidCertificateError(f"poset certificates are pairs, got {labels}")
         a, b = labels
         if a == b or not structure.holds(POSET_ORDER_SYMBOL, (a, b)):
             raise InvalidCertificateError(f"{labels} is not a strict ordered pair")
-        return WitnessPackage(
-            kind, "pair", labels, WITNESS_VARIABLE, _edge_family(POSET_ORDER_SYMBOL, a, b), a, b, 0
-        )
+        return WitnessPackage(kind, labels, _edge_family(POSET_ORDER_SYMBOL, a, b), a, b, 0)
     if kind == "matroid":
         if len(labels) != 3:
             raise InvalidCertificateError(f"matroid certificates are triples or quadruples, got {labels}")
         a, b, c = labels
         if "P3" not in structure.signature.names() or not structure.holds("P3", (a, b, c)):
             raise InvalidCertificateError(f"{labels} is not an independent triple")
-        return WitnessPackage(kind, "triple", labels, WITNESS_VARIABLE, _edge_family("P2", b, a), c, b, 0)
+        return WitnessPackage(kind, labels, _edge_family("P2", b, a), c, b, 0)
     raise ValueError(f"no witness construction for kind {kind!r}")
 
 

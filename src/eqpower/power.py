@@ -17,8 +17,9 @@ input data and re-certified by recomputation, never assumed.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Sequence
+from typing import Any
 
 from .errors import InputFormatError, UnboundVariableError, json_int, json_object, json_str_list
 from .solver import (
@@ -151,7 +152,7 @@ class Staircase:
 
 @dataclass(frozen=True)
 class StaircaseFamily:
-    """One equation per n >= 1, all sharing a template; constants follow Staircase descriptors."""
+    """One equation per n >= 1: the atom with each Staircase constant replaced by member n's stream."""
 
     atom: Equation  # Const args hold Staircase descriptors
 
@@ -219,30 +220,29 @@ def project_equation(eq: Equation, i: int) -> Equation:
 
 @dataclass(frozen=True)
 class SourceRef:
-    """Where a projected equation came from: an explicit equation or a family member."""
+    """Where a projected equation came from: explicit equation `index`, or a member of family `index`."""
 
-    kind: str  # "explicit" or "family"
     index: int
     member: int | None = None
 
     def to_json_dict(self) -> dict:
-        if self.kind == "explicit":
+        if self.member is None:
             return {"explicit": self.index}
         return {"family": self.index, "member": self.member}
 
     @staticmethod
     def from_json_dict(doc: Any) -> "SourceRef":
         if isinstance(doc, Mapping) and set(doc) == {"explicit"}:
-            return SourceRef("explicit", json_int(doc["explicit"], "explicit index", 0))
+            return SourceRef(json_int(doc["explicit"], "explicit index", 0))
         if isinstance(doc, Mapping) and set(doc) == {"family", "member"}:
             index = json_int(doc["family"], "family index", 0)
-            return SourceRef("family", index, json_int(doc["member"], "family member", 1))
+            return SourceRef(index, json_int(doc["member"], "family member", 1))
         raise InputFormatError(f"bad source reference {doc!r}")
 
 
 def resolve_source(system: PowerSystem, ref: SourceRef) -> Equation:
     """The power equation a SourceRef points at."""
-    if ref.kind == "explicit":
+    if ref.member is None:
         return system.explicit[ref.index]
     return system.families[ref.index].member(ref.member)
 
@@ -260,13 +260,13 @@ def projection_entries(system: PowerSystem, i: int) -> list[tuple[Equation, Sour
         atom = project_equation(eq, i)
         if atom not in seen:
             seen.add(atom)
-            out.append((atom, SourceRef("explicit", idx)))
+            out.append((atom, SourceRef(idx)))
     for fidx, fam in enumerate(system.families):
         for n in range(1, i + 3):
             atom = fam.projected_member(n, i)
             if atom not in seen:
                 seen.add(atom)
-                out.append((atom, SourceRef("family", fidx, n)))
+                out.append((atom, SourceRef(fidx, n)))
     return out
 
 
@@ -382,8 +382,11 @@ class InconsistencyCertificate:
 
 @dataclass(frozen=True)
 class ConsistencyVerdict:
-    consistent: bool
     certificate: InconsistencyCertificate | None = None
+
+    @property
+    def consistent(self) -> bool:
+        return self.certificate is None
 
 
 def consistent(structure: FiniteStructure, system: PowerSystem) -> ConsistencyVerdict:
@@ -400,8 +403,8 @@ def consistent(structure: FiniteStructure, system: PowerSystem) -> ConsistencyVe
         )
         sources = tuple(refs[atom] for atom in core.equations)
         lifted = tuple(resolve_source(system, ref) for ref in sources)
-        return ConsistencyVerdict(False, InconsistencyCertificate(i, core, sources, lifted))
-    return ConsistencyVerdict(True)
+        return ConsistencyVerdict(InconsistencyCertificate(i, core, sources, lifted))
+    return ConsistencyVerdict()
 
 
 def power_systems_equivalent(structure: FiniteStructure, first: PowerSystem, second: PowerSystem) -> bool:

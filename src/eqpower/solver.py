@@ -12,9 +12,10 @@ Masks are decoded into label tuples only where a result leaves the solver
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any
 
 from .errors import InputFormatError, UnboundVariableError, json_list, json_object, json_str, json_str_list
 from .structures import FiniteStructure
@@ -64,40 +65,6 @@ def rebuild_atom(eq: Equation, args: Iterable[Arg]) -> Equation:
 
 def map_constants(eq: Equation, fn: Callable[[Any], Any]) -> Equation:
     return rebuild_atom(eq, (Const(fn(a.value)) if isinstance(a, Const) else a for a in atom_args(eq)))
-
-
-@dataclass(frozen=True)
-class Template:
-    """Atomic shape: the symbol plus which argument slots are variables.
-
-    Constant slots are anonymized, so two atoms share a template exactly when
-    they differ only in their constants.
-    """
-
-    kind: str  # "rel" or "eq"
-    symbol: str | None
-    slots: tuple[Any, ...]  # ("var", name) or ("const",) per argument position
-
-
-def template_of(eq: Equation) -> Template:
-    slots = tuple(("var", a.name) if isinstance(a, Var) else ("const",) for a in atom_args(eq))
-    if isinstance(eq, RelationAtom):
-        return Template("rel", eq.symbol, slots)
-    return Template("eq", None, slots)
-
-
-def fill_template(template: Template, const_values: Iterable[Any]) -> Equation:
-    values = iter(const_values)
-    args: list[Arg] = []
-    for slot in template.slots:
-        if slot == ("const",):
-            args.append(Const(next(values)))
-        else:
-            args.append(Var(slot[1]))
-    if template.kind == "rel":
-        return RelationAtom(template.symbol, tuple(args))
-    lhs, rhs = args
-    return EqualityAtom(lhs, rhs)
 
 
 def const_values(eq: Equation) -> tuple[Any, ...]:

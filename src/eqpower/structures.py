@@ -8,8 +8,9 @@ repaired silently.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any
 
 from .errors import (
     InputFormatError,
@@ -171,8 +172,11 @@ class ValidationReport:
     """Outcome of the kind-specific axiom check; passed iff violations is empty."""
 
     kind: str
-    passed: bool
     violations: tuple[tuple[str, tuple[str, ...]], ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def to_json_dict(self) -> dict:
         return {
@@ -190,7 +194,12 @@ class ValidationReport:
             witness = json_str_list(entry["witness"], "violation witness")
             violations.append((json_str(entry["axiom"], "violation axiom"), tuple(witness)))
         kind = json_str(doc["kind"], "report kind")
-        return ValidationReport(kind, json_bool(doc["passed"], "report passed"), tuple(violations))
+        if kind not in STRUCTURE_KINDS:
+            raise InputFormatError(f"report kind must be one of {STRUCTURE_KINDS}, got {kind!r}")
+        report = ValidationReport(kind, tuple(violations))
+        if json_bool(doc["passed"], "report passed") != report.passed:
+            raise InputFormatError("report 'passed' must be true exactly when there are no violations")
+        return report
 
 
 def _check_kind_signature(structure: FiniteStructure, kind: str) -> None:
@@ -283,7 +292,7 @@ def validate(structure: FiniteStructure, kind: str) -> ValidationReport:
         violations = _matroid_violations(structure)
     else:
         violations = []
-    return ValidationReport(kind, not violations, tuple(violations))
+    return ValidationReport(kind, tuple(violations))
 
 
 def adjacency(graph: FiniteStructure) -> dict[int, tuple[int, ...]]:

@@ -38,15 +38,7 @@ from .power import (
     resolve_source,
     stream_horizon,
 )
-from .solver import (
-    AtomClassifier,
-    Equation,
-    const_values,
-    equation_from_json_dict,
-    equation_to_json_dict,
-    fill_template,
-    template_of,
-)
+from .solver import AtomClassifier, Equation, equation_from_json_dict, equation_to_json_dict, map_constants
 from .structures import FiniteStructure
 
 SolutionSet = frozenset[tuple[str, ...]]
@@ -64,7 +56,8 @@ class ClassRep:
 
 @dataclass(frozen=True)
 class WrapStep:
-    representative: int  # index into the representatives list
+    """The step for the representative at the same position in WrapTrace.representatives."""
+
     match: Periodic  # of bools: the coordinates where the solution set occurs
     merged: Equation  # the built power equation for this solution set
 
@@ -90,10 +83,11 @@ class CoordinateMismatch:
 
 @dataclass(frozen=True)
 class WrapVerification:
-    passed: bool
-    horizon: int  # strict per-coordinate checks ran for i < horizon
-    period: int  # and again for one extra period to re-certify the repeat
     mismatches: tuple[CoordinateMismatch, ...]
+
+    @property
+    def passed(self) -> bool:
+        return not self.mismatches
 
 
 @dataclass(frozen=True)
@@ -110,10 +104,10 @@ def _discovered(profile: Periodic) -> list[int]:
 
 
 def _candidates(system: PowerSystem, horizon: int) -> list[tuple[SourceRef, Equation]]:
-    out = [(SourceRef("explicit", idx), eq) for idx, eq in enumerate(system.explicit)]
+    out = [(SourceRef(idx), eq) for idx, eq in enumerate(system.explicit)]
     for fidx, fam in enumerate(system.families):
         for n in range(1, horizon + 2):
-            out.append((SourceRef("family", fidx, n), fam.member(n)))
+            out.append((SourceRef(fidx, n), fam.member(n)))
     return out
 
 
@@ -192,15 +186,16 @@ def seed_equations(
 
 def _merged_equation(rep: ClassRep, source_eq: Equation, match: Periodic) -> Equation:
     """Per-set equation: the set's value where it occurs, the source value elsewhere."""
-    merged_values = []
-    for slot in const_values(source_eq):
+
+    def merged(slot: Any) -> PowerElement:
         if not isinstance(slot, PowerElement):
             raise ValueError("wrap needs explicit stream constants in source equations")
         rep_value = slot.at(rep.coordinate)
         stab, period = horizon((match, slot))
         values = tuple(rep_value if match.at(i) else slot.at(i) for i in range(stab + period))
-        merged_values.append(PowerElement(values[:stab], values[stab:]))
-    return fill_template(template_of(rep.representative), merged_values)
+        return PowerElement(values[:stab], values[stab:])
+
+    return map_constants(source_eq, merged)
 
 
 def wrap(structure: FiniteStructure, system: PowerSystem) -> WrapResult:
@@ -210,9 +205,9 @@ def wrap(structure: FiniteStructure, system: PowerSystem) -> WrapResult:
     seeds = seed_equations(structure, system, reps)
 
     steps = []
-    for idx, (mask, rep) in enumerate(zip(_discovered(profile), reps)):
+    for mask, rep in zip(_discovered(profile), reps):
         match = profile.map(lambda masks: mask in masks)
-        steps.append(WrapStep(idx, match, _merged_equation(rep, resolve_source(system, rep.source), match)))
+        steps.append(WrapStep(match, _merged_equation(rep, resolve_source(system, rep.source), match)))
 
     equations: list[Equation] = []
     for eq in list(seeds) + [st.merged for st in steps]:
@@ -246,7 +241,7 @@ def verify_wrap(
                     tuple(sorted(classifier.decode(mask_wrap))),
                 )
             )
-    return WrapVerification(not mismatches, stab + period, period, tuple(mismatches))
+    return WrapVerification(tuple(mismatches))
 
 
 def check_size_bounds(
@@ -305,50 +300,53 @@ def wrap_result_to_json_dict(result: WrapResult) -> dict:
             "seeds": [power_equation_to_json_dict(eq) for eq in trace.seeds],
             "steps": [
                 {
-                    "representative": st.representative,
+                    "representative": idx,
                     "match": periodic_to_json_dict(st.match),
                     "other": periodic_to_json_dict(st.match.map(operator.not_)),
                     "merged": power_equation_to_json_dict(st.merged),
                 }
-                for st in trace.steps
+                for idx, st in enumerate(trace.steps)
             ],
         },
     }
 
 
 def wrap_result_from_json_dict(doc: Any) -> WrapResult:
+    """Decode a wrap result; every field the document repeats must agree with what it is derived from."""
     doc = json_object(doc, {"wrapped", "verified", "bound_ok", "trace"}, "wrap result")
     tdoc = json_object(
         doc["trace"],
         {"stabilization", "period", "representatives", "source_pairs", "seeds", "steps"},
         "wrap trace",
     )
+    stab, period = json_int(tdoc["stabilization"], "stabilization"), json_int(tdoc["period"], "period")
     reps = tuple(class_rep_from_json_dict(r) for r in json_list(tdoc["representatives"], "representatives"))
     seeds = tuple(power_equation_from_json_dict(e) for e in json_list(tdoc["seeds"], "seeds"))
+    sdocs = json_list(tdoc["steps"], "steps")
+    if len(sdocs) != len(reps):
+        raise InputFormatError(f"a wrap trace has one step per representative, got {len(sdocs)} steps")
     steps = []
-    for sdoc in json_list(tdoc["steps"], "steps"):
+    for idx, sdoc in enumerate(sdocs):
         sdoc = json_object(sdoc, {"representative", "match", "other", "merged"}, "wrap step")
+        if json_int(sdoc["representative"], "step representative") != idx:
+            raise InputFormatError(f"wrap step {idx} must name representative {idx}")
         match = index_set_from_json_dict(sdoc["match"])
+        if (len(match.prefix), len(match.cycle)) != (stab, period):
+            raise InputFormatError(f"wrap step {idx} 'match' needs {stab} prefix and {period} cycle entries")
         if index_set_from_json_dict(sdoc["other"]) != match.map(operator.not_):
             raise InputFormatError("wrap step 'other' must be the complement of 'match'")
-        steps.append(
-            WrapStep(
-                json_int(sdoc["representative"], "step representative"),
-                match,
-                power_equation_from_json_dict(sdoc["merged"]),
-            )
-        )
-    trace = WrapTrace(
-        json_int(tdoc["stabilization"], "stabilization"),
-        json_int(tdoc["period"], "period"),
-        reps,
-        seeds,
-        tuple(steps),
-    )
+        steps.append(WrapStep(match, power_equation_from_json_dict(sdoc["merged"])))
+    trace = WrapTrace(stab, period, reps, seeds, tuple(steps))
+    pairs = []
+    for pdoc in json_list(tdoc["source_pairs"], "source pairs"):
+        pdoc = json_object(pdoc, {"coordinate", "source"}, "source pair")
+        coordinate = json_int(pdoc["coordinate"], "source pair coordinate")
+        pairs.append((coordinate, SourceRef.from_json_dict(pdoc["source"])))
+    if tuple(pairs) != trace.source_pairs():
+        raise InputFormatError("wrap trace 'source_pairs' must repeat the representatives' sources")
     return WrapResult(
         power_system_from_json_dict(doc["wrapped"]),
         trace,
         json_bool(doc["verified"], "verified"),
         json_bool(doc["bound_ok"], "bound_ok"),
     )
-

@@ -3,7 +3,9 @@
 Every mutant of a real document drops one object key or replaces one value
 (at any depth) by a JSON value of another type.  A decoder may accept the
 mutant or refuse it with InputFormatError; any other exception is a decoder
-that trusts its input.
+that trusts its input.  Each decoder may accept at most ACCEPTED_AT_MOST of
+its mutants, so a field whose copies stop being checked against each other
+shows up as a rise in that count.
 """
 
 from __future__ import annotations
@@ -36,6 +38,15 @@ from eqpower.wrap import wrap, wrap_result_from_json_dict, wrap_result_to_json_d
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 BASE_SYSTEMS = Path(__file__).resolve().parent / "golden" / "inputs"
 REPLACEMENTS = (None, 7, 2.5, True, "zz", ["zz"], {"zz": 1})
+ACCEPTED_AT_MOST = {
+    "wrap_result_from_json_dict": 88,
+    "power_system_from_json_dict": 39,
+    "system_from_json_dict": 59,
+    "structure_from_json_dict": 14,
+    "ValidationReport.from_json_dict": 9,  # each leaves the document as it was
+    "NoetherianVerdict.from_json_dict": 29,
+    "WitnessPackage.from_json_dict": 62,
+}
 
 
 def _paths(node, path=()):
@@ -107,6 +118,7 @@ def _corpus():
 def test_decoders_raise_only_input_format_errors():
     escaped = []
     count = 0
+    accepted = dict.fromkeys(ACCEPTED_AT_MOST, 0)
     for decode, doc in _corpus():
         decode(copy.deepcopy(doc))  # the unmutated document decodes
         for mutant in mutants(doc):
@@ -114,8 +126,11 @@ def test_decoders_raise_only_input_format_errors():
             try:
                 decode(mutant)
             except InputFormatError:
-                pass
+                continue
             except Exception as exc:  # any other type is the finding
                 escaped.append((decode.__qualname__, type(exc).__name__, json.dumps(mutant)[:200]))
+                continue
+            accepted[decode.__qualname__] += 1
     assert count > 5000
     assert escaped == []
+    assert {name: n for name, n in accepted.items() if n > ACCEPTED_AT_MOST[name]} == {}

@@ -292,3 +292,35 @@ def _mutated_package(edit):
 def test_witness_package_decoding_is_strict(doc):
     with pytest.raises(InputFormatError):
         WitnessPackage.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_verdict_doc(), "kind": "generic"},
+        {**_verdict_doc(), "certificate": None},
+        {**_passing_verdict_doc(), "certificate": {"quadruple": ["x0", "x1", "x0", "x1"]}},
+        {**_verdict_doc(), "certificate": {"pair": ["a", "b"]}},
+        {**_verdict_doc(), "kind": "poset"},
+    ],
+    ids=["kind-generic", "refuted-uncertified", "passing-certified", "graph-pair", "poset-quadruple"],
+)
+def test_verdict_copies_must_agree(doc):
+    with pytest.raises(InputFormatError):
+        NoetherianVerdict.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _mutated_package(lambda doc: doc.update(kind="generic")),
+        _mutated_package(lambda doc: doc.update(kind="poset")),
+        _mutated_package(lambda doc: doc.update(certificate={"triple": ["a", "b", "c"]})),
+        _mutated_package(lambda doc: doc.update(variable="y")),
+    ],
+    ids=["kind-generic", "poset-quadruple", "graph-triple", "variable"],
+)
+def test_witness_package_copies_must_agree(doc):
+    with pytest.raises(InputFormatError):
+        WitnessPackage.from_json_dict(doc)
+

@@ -126,7 +126,7 @@ def test_projection_entries_order_and_dedup():
         RelationAtom("E", (x, Const("a"))),
         RelationAtom("E", (x, Const("b"))),
     ]
-    assert [ref for _, ref in entries] == [SourceRef("family", 0, 1), SourceRef("family", 0, 2)]
+    assert [ref for _, ref in entries] == [SourceRef(0, 1), SourceRef(0, 2)]
     # members beyond n = i + 2 only repeat earlier projections
     fam = system.families[0]
     for i in range(4):
@@ -141,7 +141,7 @@ def test_projected_system_and_sources():
         RelationAtom("E", (x, Const("a"))),
         RelationAtom("E", (x, Const("c"))),
     )
-    assert resolve_source(system, SourceRef("family", 0, 3)) == system.families[0].member(3)
+    assert resolve_source(system, SourceRef(0, 3)) == system.families[0].member(3)
 
 
 def test_stream_horizon_demo():
@@ -218,7 +218,7 @@ def test_consistency_certificate():
     assert cert.coordinate == 2
     assert len(cert.core.equations) == 2
     assert solve(g, cert.core).is_empty
-    assert cert.sources == (SourceRef("explicit", 0), SourceRef("explicit", 1))
+    assert cert.sources == (SourceRef(0), SourceRef(1))
     assert cert.lifted == system.explicit
 
     assert consistent(g, staircase_demo_system()).consistent
@@ -276,7 +276,7 @@ def test_power_system_json_rejects_malformed(doc):
 
 
 def test_source_ref_round_trip():
-    for ref in [SourceRef("explicit", 2), SourceRef("family", 0, 5)]:
+    for ref in [SourceRef(2), SourceRef(0, 5)]:
         assert SourceRef.from_json_dict(json.loads(json.dumps(ref.to_json_dict()))) == ref
     with pytest.raises(InputFormatError):
         SourceRef.from_json_dict({"weird": 1})

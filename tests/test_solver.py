@@ -20,12 +20,11 @@ from eqpower.solver import (
     equation_to_json_dict,
     equivalent,
     evaluate,
-    fill_template,
+    map_constants,
     minimal_inconsistent_subset,
     solve,
     system_from_json_dict,
     system_to_json_dict,
-    template_of,
 )
 from eqpower.structures import FiniteStructure, Signature
 
@@ -39,18 +38,13 @@ def E(*args):
 x, y = Var("x"), Var("y")
 
 
-def test_template_round_trip():
+def test_map_constants_keeps_the_shape():
     eq = E(x, Const("a"), y)
-    t = template_of(eq)
-    assert t.kind == "rel" and t.symbol == "E"
-    assert t.slots == (("var", "x"), ("const",), ("var", "y"))
-    assert fill_template(t, ["b"]) == E(x, Const("b"), y)
+    assert map_constants(eq, {"a": "b"}.get) == E(x, Const("b"), y)
     assert const_values(eq) == ("a",)
 
-    eq2 = EqualityAtom(x, Const("a"))
-    t2 = template_of(eq2)
-    assert t2.kind == "eq" and t2.symbol is None
-    assert fill_template(t2, ["c"]) == EqualityAtom(x, Const("c"))
+    eq2 = EqualityAtom(Const("a"), x)
+    assert map_constants(eq2, {"a": "c"}.get) == EqualityAtom(Const("c"), x)
 
 
 def test_system_rejects_duplicate_variables():

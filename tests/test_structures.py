@@ -247,3 +247,17 @@ def _report_doc():
 def test_validation_report_decoding_is_strict(doc):
     with pytest.raises(InputFormatError):
         ValidationReport.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {**_report_doc(), "kind": "zz"},
+        {**_report_doc(), "passed": True},
+        {**_report_doc(), "passed": False, "violations": []},
+    ],
+    ids=["kind", "passed-with-violations", "failed-without-violations"],
+)
+def test_validation_report_copies_must_agree(doc):
+    with pytest.raises(InputFormatError):
+        ValidationReport.from_json_dict(doc)

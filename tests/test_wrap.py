@@ -57,7 +57,7 @@ def test_demo_class_representatives():
         frozenset({("a",), ("b",)}),
     ]
     # one source equation, the three-step family member, covers all classes
-    assert {rep.source for rep in reps} == {SourceRef("family", 0, 3)}
+    assert {rep.source for rep in reps} == {SourceRef(0, 3)}
     assert [rep.coordinate for rep in reps] == [2, 0, 1]
     assert [rep.representative for rep in reps] == [
         RelationAtom("E", (Var("x"), Const("a"))),
@@ -86,18 +86,16 @@ def test_demo_wrap_output_pinned():
         edge(PowerElement(("b",), ("c", "a"))),
     )
     assert result.trace.source_pairs() == (
-        (2, SourceRef("family", 0, 3)),
-        (0, SourceRef("family", 0, 3)),
-        (1, SourceRef("family", 0, 3)),
+        (2, SourceRef(0, 3)),
+        (0, SourceRef(0, 3)),
+        (1, SourceRef(0, 3)),
     )
 
 
 def test_demo_match_sets():
     result = wrap(triangle_graph(), staircase_demo_system())
-    by_solutions = {
-        result.trace.representatives[st.representative].solutions: st.match
-        for st in result.trace.steps
-    }
+    trace = result.trace
+    by_solutions = {rep.solutions: st.match for rep, st in zip(trace.representatives, trace.steps)}
     assert by_solutions[frozenset({("b",), ("c",)})] == Periodic((True,), (True, True))
     assert by_solutions[frozenset({("a",), ("c",)})] == Periodic((True,), (False, True))
     assert by_solutions[frozenset({("a",), ("b",)})] == Periodic((False,), (True, False))
@@ -200,6 +198,43 @@ def _without_steps(doc):
     ids=["verified-string", "bound-ok-int", "index-set-string", "steps-dropped", "solutions-int", "solutions-string"],
 )
 def test_wrap_result_decoding_is_strict(mutate):
+    doc = json.loads(json.dumps(wrap_result_to_json_dict(wrap(triangle_graph(), staircase_demo_system()))))
+    mutate(doc)
+    with pytest.raises(InputFormatError):
+        wrap_result_from_json_dict(doc)
+
+
+def _shift_match(doc):
+    """Step 0's index sets with the prefix folded into the cycle: the same coordinates, other lengths."""
+    step = doc["trace"]["steps"][0]
+    step["match"] = {"prefix": [], "cycle": [True, True]}
+    step["other"] = {"prefix": [], "cycle": [False, False]}
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda doc: doc["trace"]["source_pairs"][0].update(coordinate=5),
+        lambda doc: doc["trace"]["source_pairs"][1].update(source={"family": 0, "member": 4}),
+        lambda doc: doc["trace"]["source_pairs"].pop(),
+        lambda doc: doc["trace"]["steps"][1].update(representative=0),
+        lambda doc: doc["trace"]["steps"].pop(),
+        _shift_match,
+        lambda doc: doc["trace"].update(stabilization=7),
+        lambda doc: doc["trace"].update(period=1),
+    ],
+    ids=[
+        "source-pair-coordinate",
+        "source-pair-source",
+        "source-pair-dropped",
+        "step-representative",
+        "step-dropped",
+        "match-lengths",
+        "stabilization",
+        "period",
+    ],
+)
+def test_wrap_result_copies_must_agree(mutate):
     doc = json.loads(json.dumps(wrap_result_to_json_dict(wrap(triangle_graph(), staircase_demo_system()))))
     mutate(doc)
     with pytest.raises(InputFormatError):
