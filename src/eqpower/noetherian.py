@@ -235,8 +235,8 @@ class WitnessPackage:
         return PowerSystem((self.variable,), (), (self.family,))
 
     def truncation(self, n: int) -> PowerSystem:
-        members = tuple(self.family.member(m) for m in range(1, n + 1))
-        return PowerSystem((self.variable,), members, ())
+        """Members 1..n of the family, as the family bounded at n."""
+        return PowerSystem((self.variable,), (), (StaircaseFamily(self.family.atom, n),))
 
     def to_json_dict(self) -> dict:
         return {

@@ -6,8 +6,8 @@ labels kept in canonical form (shortest prefix, then shortest cycle).  The
 coordinate profile and wrap's index sets are Periodic too, and horizon() is
 the one rule for when a set of them repeats.  Equation systems over the power may
 list equations explicitly and may also include staircase families, which
-present one equation per n >= 1 by splicing a repeating generator stream in
-front of a shifted tail stream.
+present one equation per n >= 1 (or per n up to a bound, for a truncation) by
+splicing a repeating generator stream in front of a shifted tail stream.
 
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  The finite horizon used for those reductions is computed from the
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any
 
 from .errors import InputFormatError, UnboundVariableError, json_int, json_object, json_str_list
@@ -152,20 +153,34 @@ class Staircase:
 
 @dataclass(frozen=True)
 class StaircaseFamily:
-    """One equation per n >= 1: the atom with each Staircase constant replaced by member n's stream."""
+    """One equation per member n: the atom with each Staircase constant replaced by member n's stream.
+
+    The members are n = 1..bound, or every n >= 1 when bound is None.  A
+    bounded family is how a finite truncation of a family is presented.
+    """
 
     atom: Equation  # Const args hold Staircase descriptors
+    bound: int | None = None
+
+    def __post_init__(self) -> None:
+        if self.bound is not None and self.bound < 1:
+            raise ValueError("a bounded family has at least member 1")
 
     def descriptors(self) -> tuple[Staircase, ...]:
         return tuple(a.value for a in atom_args(self.atom) if isinstance(a, Const))
 
+    def members(self, last: int) -> range:
+        """The family's member indices among 1..last."""
+        return range(1, (last if self.bound is None else min(last, self.bound)) + 1)
+
     def coordinate_checks(self, stab: int, period: int) -> set[tuple[int, tuple[str, ...]]]:
         """(coordinate, slot values) pairs that decide the family at a point.
 
-        At coordinate i every member n >= i + 2 projects to the generators at
-        i, and member n <= i + 1 projects to the joint tail at position
-        j = i - n + 1.  So at a point whose values repeat with `period` from
-        coordinate `stab` on, the family holds exactly when its atom holds
+        At coordinate i member n projects to the generators at i when
+        n >= i + 2, and to the joint tail at position j = i - n + 1 when
+        n <= i + 1.  So at a point whose values repeat with `period` from
+        coordinate `stab` on, the unbounded family holds exactly when its
+        atom holds
           * with the generator values at i in its slots, at each coordinate
             i below stab + lcm(period, generator lengths), and
           * with the joint tail values at position j in its slots, for each
@@ -175,23 +190,57 @@ class StaircaseFamily:
         position repeats position j - lcm(tail cycles) against fewer
         coordinates.  A family with no constant slot gets the empty tuple at
         each coordinate below stab + period: its atom at every coordinate.
+
+        With a bound N, coordinate i gets the generator values only when
+        i <= N - 2, and the joint tail at the window of positions
+        max(0, i - N + 1) .. i.  Generator rows are checked at each i below
+        min(N - 1, stab + lcm(period, generator lengths)), by the argument
+        above.  Tail rows are checked at each i below
+        max(stab, N - 1 + tail prefix) + lcm(period, tail cycles), with the
+        window's prefix positions one by one and at most one tail cycle of
+        its later positions (the joint tail repeats with lcm(tail cycles)
+        past its prefix, so a longer stretch adds no value).  That covers
+        every coordinate: for i >= max(stab, N - 1 + tail prefix) the window
+        has N positions, all past the tail prefix, so its joint tail values
+        depend only on i mod lcm(tail cycles), and the point's values depend
+        only on i mod period; so the rows at i are those at
+        i - lcm(period, tail cycles), and by induction those of a checked i.
         """
         descs = self.descriptors()
         _, gen_period = horizon(Periodic((), s.generator) for s in descs)
         gen_horizon = stab + math.lcm(period, gen_period)
+        if self.bound is not None:
+            gen_horizon = min(gen_horizon, self.bound - 1)
         checks = {(i, tuple(s.generator_at(i) for s in descs)) for i in range(gen_horizon)}
-        for j in range(sum(horizon(s.tail for s in descs))):
-            values = tuple(s.tail.at(j) for s in descs)
-            checks.update((i, values) for i in range(j, max(j, stab) + period))
+        tail_prefix, tail_cycle = horizon(s.tail for s in descs)
+        rows = [tuple(s.tail.at(j) for s in descs) for j in range(tail_prefix + tail_cycle)]
+        if self.bound is None:
+            for j, values in enumerate(rows):
+                checks.update((i, values) for i in range(j, max(j, stab) + period))
+            return checks
+        joint = Periodic(tuple(rows[:tail_prefix]), tuple(rows[tail_prefix:]))
+        for i in range(max(stab, self.bound - 1 + tail_prefix) + math.lcm(period, tail_cycle)):
+            low = max(0, i - self.bound + 1)
+            past = max(low, tail_prefix)
+            window = chain(range(low, min(i + 1, tail_prefix)), range(past, min(i + 1, past + tail_cycle)))
+            checks.update((i, joint.at(j)) for j in window)
         return checks
 
+    def _require_member(self, n: int) -> None:
+        if n < 1:
+            raise ValueError("family members are numbered from 1")
+        if self.bound is not None and n > self.bound:
+            raise ValueError(f"the family has members 1..{self.bound}, not {n}")
+
     def member(self, n: int) -> Equation:
+        self._require_member(n)
         return map_constants(self.atom, lambda s: s.member_constant(n))
 
     def projected_member(self, n: int, i: int) -> Equation:
         """Base-structure equation pi_i(member n)."""
-        if n < 1:
-            raise ValueError("family members are numbered from 1")
+        # tested inline, not by a call: projection_entries calls this once per entry
+        if n < 1 or (self.bound is not None and n > self.bound):
+            self._require_member(n)
         return map_constants(self.atom, lambda s: s.value_at(n, i))
 
 
@@ -252,7 +301,8 @@ def projection_entries(system: PowerSystem, i: int) -> list[tuple[Equation, Sour
 
     Order is canonical: explicit equations by index, then families by index
     with members by ascending n.  At coordinate i members beyond n = i + 2
-    repeat the n = i + 2 projection, so the scan stops there.
+    repeat the n = i + 2 projection, so the scan stops there, or at the
+    family's bound.
     """
     seen: set[Equation] = set()
     out: list[tuple[Equation, SourceRef]] = []
@@ -262,7 +312,7 @@ def projection_entries(system: PowerSystem, i: int) -> list[tuple[Equation, Sour
             seen.add(atom)
             out.append((atom, SourceRef(idx)))
     for fidx, fam in enumerate(system.families):
-        for n in range(1, i + 3):
+        for n in fam.members(i + 2):
             atom = fam.projected_member(n, i)
             if atom not in seen:
                 seen.add(atom)
@@ -284,7 +334,10 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
 
     Stabilization covers every explicit constant prefix and, per family, one
     full pass of the joint tail streams (new tail values stop appearing after
-    max prefix + lcm of tail cycles).  The period is the lcm of all cycle
+    max prefix + lcm of tail cycles).  A family bounded at N instead covers
+    N - 1 + tail prefix: from there on no member reads its generator and the
+    window of tail positions at coordinate i lies past the tail prefix (see
+    StaircaseFamily.coordinate_checks).  The period is the lcm of all cycle
     lengths: explicit constants, family tails, family generators.  Given
     several systems, this is their joint horizon.
     """
@@ -294,7 +347,8 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
         if descs:
             tail_stab, tail_period = horizon(s.tail for s in descs)
             _, gen_period = horizon(Periodic((), s.generator) for s in descs)
-            stab, period = max(stab, tail_stab + tail_period), math.lcm(period, tail_period, gen_period)
+            fam_stab = tail_stab + (tail_period if fam.bound is None else fam.bound - 1)
+            stab, period = max(stab, fam_stab), math.lcm(period, tail_period, gen_period)
     return stab, period
 
 
@@ -473,6 +527,8 @@ def staircase_from_json_dict(doc: Any) -> Staircase:
 
 
 def family_to_json_dict(fam: StaircaseFamily) -> dict:
+    if fam.bound is not None:
+        raise ValueError("a bounded family (a truncation) has no JSON form")
     return {"family": equation_to_json_dict(fam.atom, ("staircase", staircase_to_json_dict))}
 
 

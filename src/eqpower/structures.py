@@ -26,6 +26,13 @@ from .errors import (
 GRAPH_EDGE_SYMBOL = "E"
 POSET_ORDER_SYMBOL = "leq"
 STRUCTURE_KINDS = ("graph", "poset", "matroid", "generic")
+# the axioms validate reports per kind, each with its witness length (None: any nonempty length)
+KIND_AXIOMS = {
+    "graph": {"no loops": 1, "symmetry": 2},
+    "poset": {"reflexivity": 1, "antisymmetry": 2, "transitivity": 3},
+    "matroid": {"no repeated elements": None, "hereditary": None, "exchange": None},
+    "generic": {},
+}
 
 
 @dataclass(frozen=True)
@@ -187,15 +194,22 @@ class ValidationReport:
 
     @staticmethod
     def from_json_dict(doc: Any) -> "ValidationReport":
+        """Decode a report; each violation must be one that validate can report for the kind."""
         doc = json_object(doc, {"kind", "passed", "violations"}, "validation report")
-        violations = []
-        for entry in json_list(doc["violations"], "violations"):
-            entry = json_object(entry, {"axiom", "witness"}, "violation")
-            witness = json_str_list(entry["witness"], "violation witness")
-            violations.append((json_str(entry["axiom"], "violation axiom"), tuple(witness)))
         kind = json_str(doc["kind"], "report kind")
         if kind not in STRUCTURE_KINDS:
             raise InputFormatError(f"report kind must be one of {STRUCTURE_KINDS}, got {kind!r}")
+        violations = []
+        for entry in json_list(doc["violations"], "violations"):
+            entry = json_object(entry, {"axiom", "witness"}, "violation")
+            witness = tuple(json_str_list(entry["witness"], "violation witness"))
+            axiom = json_str(entry["axiom"], "violation axiom")
+            if axiom not in KIND_AXIOMS[kind]:
+                raise InputFormatError(f"{kind} axioms are {list(KIND_AXIOMS[kind])}, got {axiom!r}")
+            length = KIND_AXIOMS[kind][axiom]
+            if not witness or length not in (None, len(witness)):
+                raise InputFormatError(f"a {axiom!r} witness cannot have {len(witness)} entries")
+            violations.append((axiom, witness))
         report = ValidationReport(kind, tuple(violations))
         if json_bool(doc["passed"], "report passed") != report.passed:
             raise InputFormatError("report 'passed' must be true exactly when there are no violations")

@@ -106,7 +106,7 @@ def _discovered(profile: Periodic) -> list[int]:
 def _candidates(system: PowerSystem, horizon: int) -> list[tuple[SourceRef, Equation]]:
     out = [(SourceRef(idx), eq) for idx, eq in enumerate(system.explicit)]
     for fidx, fam in enumerate(system.families):
-        for n in range(1, horizon + 2):
+        for n in fam.members(horizon + 1):
             out.append((SourceRef(fidx, n), fam.member(n)))
     return out
 

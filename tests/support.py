@@ -65,6 +65,47 @@ def oracle_satisfies(structure: FiniteStructure, system: PowerSystem, point) -> 
     return True
 
 
+def explicit_members(family: StaircaseFamily, n: int) -> tuple:
+    """Members 1..n of a family, each written out as an explicit equation."""
+    return tuple(family.member(m) for m in range(1, n + 1))
+
+
+def explicit_truncation(package, n: int) -> PowerSystem:
+    """The witness package's truncation at n: members 1..n as explicit equations, not a bounded family."""
+    return PowerSystem((package.variable,), explicit_members(package.family, n), ())
+
+
+def random_solution_points(rng: random.Random, structure: FiniteStructure, system: PowerSystem) -> list:
+    """A point that solves the system and one that fails it at a random coordinate, or [] if none solves.
+
+    The first point takes a random solution of pi_i(system), found by
+    brute_solutions, at each coordinate i below the system's stabilization
+    plus one period, and repeats the last period after that.  The second
+    takes a random non-solution instead at one random coordinate that has
+    one, if any does.
+    """
+    stab, period = stream_horizon(system)
+    universe = list(product(structure.universe, repeat=len(system.variables)))
+    columns, misses = [], []
+    for i in range(stab + period):
+        atoms = tuple(atom for atom, _ in projection_entries(system, i))
+        solutions = brute_solutions(structure, EquationSystem(system.variables, atoms))
+        if not solutions:
+            return []
+        columns.append(rng.choice(sorted(solutions)))
+        misses.append([values for values in universe if values not in solutions])
+
+    def point(columns):
+        rows = [[column[k] for column in columns] for k in range(len(system.variables))]
+        return tuple(PowerElement(tuple(row[:stab]), tuple(row[stab:])) for row in rows)
+
+    missable = [i for i, values in enumerate(misses) if values]
+    if not missable:
+        return [point(columns)]
+    i = rng.choice(missable)
+    return [point(columns), point(columns[:i] + [rng.choice(misses[i])] + columns[i + 1 :])]
+
+
 def oracle_first_violated_member(structure: FiniteStructure, package, n: int, search_limit: int = 8):
     """Smallest member index beyond n that witness_point(n) fails, by oracle_satisfies on each member.
 
@@ -212,15 +253,16 @@ def enumerate_independence_systems(universe_size: int):
         yield FiniteStructure(sig, labels, tables)
 
 
-def random_stream(rng: random.Random, labels) -> PowerElement:
-    prefix = tuple(rng.choice(labels) for _ in range(rng.randint(0, 2)))
-    cycle = tuple(rng.choice(labels) for _ in range(rng.randint(1, 3)))
+def random_stream(rng: random.Random, labels, max_prefix: int = 2, max_cycle: int = 3) -> PowerElement:
+    prefix = tuple(rng.choice(labels) for _ in range(rng.randint(0, max_prefix)))
+    cycle = tuple(rng.choice(labels) for _ in range(rng.randint(1, max_cycle)))
     return PowerElement(prefix, cycle)
 
 
-def random_staircase(rng: random.Random, labels) -> Staircase:
+def random_staircase(rng: random.Random, labels, max_prefix: int = 2, max_cycle: int = 3) -> Staircase:
+    """A generator of 1..3 labels in front of a random_stream tail."""
     generator = tuple(rng.choice(labels) for _ in range(rng.randint(1, 3)))
-    return Staircase(generator, random_stream(rng, labels))
+    return Staircase(generator, random_stream(rng, labels, max_prefix, max_cycle))
 
 
 def random_relational_structure(rng: random.Random, max_size: int = 3) -> FiniteStructure:
@@ -230,24 +272,32 @@ def random_relational_structure(rng: random.Random, max_size: int = 3) -> Finite
     return FiniteStructure(Signature((("R", 2),)), labels, {"R": rows})
 
 
-def random_power_system(rng: random.Random, structure: FiniteStructure) -> PowerSystem:
-    """Mixed staircase families and explicit equations over one binary symbol."""
+def random_power_system(
+    rng: random.Random, structure: FiniteStructure, max_prefix: int = 2, max_cycle: int = 3
+) -> PowerSystem:
+    """Mixed staircase families and explicit equations over one binary symbol.
+
+    Stream constants and staircase tails have up to max_prefix prefix and
+    max_cycle cycle entries.
+    """
     labels = list(structure.universe)
     variables = ("x", "y")[: rng.randint(1, 2)]
+
+    shape = (max_prefix, max_cycle)
 
     def var_or(maker):
         if rng.random() < 0.55:
             return Var(rng.choice(variables))
-        return Const(maker(rng, labels))
+        return Const(maker(rng, labels, *shape))
 
     families = []
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.7:
             atom = RelationAtom("R", (var_or(random_staircase), var_or(random_staircase)))
         else:
-            atom = EqualityAtom(Var(rng.choice(variables)), Const(random_staircase(rng, labels)))
+            atom = EqualityAtom(Var(rng.choice(variables)), Const(random_staircase(rng, labels, *shape)))
         if not any(isinstance(a, Const) for a in _args(atom)):
-            atom = RelationAtom("R", (Var(variables[0]), Const(random_staircase(rng, labels))))
+            atom = RelationAtom("R", (Var(variables[0]), Const(random_staircase(rng, labels, *shape))))
         families.append(StaircaseFamily(atom))
     explicit = tuple(
         RelationAtom("R", (var_or(random_stream), var_or(random_stream)))

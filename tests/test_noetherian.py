@@ -173,7 +173,7 @@ def test_deep_witness_matches_oracle(case):
         assert verify_witness(structure, package, n)
     for n in ORACLE_DEPTHS:
         point = package.witness_point(n)
-        assert support.oracle_satisfies(structure, package.truncation(n), point)
+        assert support.oracle_satisfies(structure, support.explicit_truncation(package, n), point)
         assert not support.oracle_satisfies(structure, package.family_system(), point)
         variables = (package.variable,)
         held = [

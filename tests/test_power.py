@@ -359,14 +359,20 @@ def test_satisfies_matches_oracle(case):
     assert satisfies(structure, system, point) == support.oracle_satisfies(structure, system, point)
 
 
-@settings(deadline=None, max_examples=100)
+@settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_coordinate_checks_cover_every_member_projection(data):
-    """The staircase identity: the checks' rows are exactly the rows of all members at all coordinates."""
+    """The staircase identity: the checks' rows are exactly the rows of all members at all coordinates.
+
+    For a family bounded at N, all members means members 1..N.  Bounds up to
+    4 are drawn more often: there the window of tail positions meets the
+    tail and point prefixes.
+    """
     labels = ["a", "b", "c"]
     descs = data.draw(st.lists(staircases(labels), max_size=3))
     point = data.draw(st.lists(streams(labels), min_size=1, max_size=2))
-    fam = StaircaseFamily(RelationAtom("R", tuple(Const(s) for s in descs)))
+    bound = data.draw(st.none() | st.integers(1, 4) | st.integers(1, 20))
+    fam = StaircaseFamily(RelationAtom("R", tuple(Const(s) for s in descs)), bound)
     stab = max(len(pe.prefix) for pe in point)
     period = math.lcm(*(len(pe.cycle) for pe in point))
 
@@ -374,11 +380,78 @@ def test_coordinate_checks_cover_every_member_projection(data):
         return tuple(pe.at(i) for pe in point)
 
     checked = {(at(i), values) for i, values in fam.coordinate_checks(stab, period)}
-    window = 40  # every row of the infinite family shows up at a coordinate below this
+    window = 40  # every row of the family shows up at a coordinate below this
     members = {
-        (at(i), tuple(s.value_at(n, i) for s in descs)) for i in range(window) for n in range(1, window + 3)
+        (at(i), tuple(s.value_at(n, i) for s in descs))
+        for i in range(window)
+        for n in fam.members(window + 2)
     }
     assert checked == members
+
+
+def test_unbounded_coordinate_checks_pinned():
+    fam = staircase_demo_system().families[0]
+    assert fam.coordinate_checks(1, 2) == {
+        (0, ("a",)), (0, ("b",)), (1, ("a",)), (1, ("c",)), (2, ("a",)), (2, ("b",))
+    }
+    first = Staircase(("a", "b"), PowerElement(("a", "a", "c"), ("a",)))
+    second = Staircase(("c",), PowerElement(("c",), ("c", "b", "c")))
+    two_slots = StaircaseFamily(RelationAtom("T", (x, Const(first), Const(second))))
+    assert two_slots.coordinate_checks(2, 1) == {
+        (0, ("a", "c")), (1, ("a", "c")), (1, ("b", "c")), (2, ("a", "c")), (2, ("c", "b")),
+        (3, ("a", "c")), (3, ("b", "c")), (4, ("a", "c")), (5, ("a", "b")),
+    }
+    assert StaircaseFamily(two_slots.atom, None) == two_slots
+
+
+# --- bounded families against their members written out ----------------------
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**30), st.integers(1, 40))
+def test_bounded_family_matches_its_explicit_members(seed, bound):
+    """Members 1..bound as one bounded family and as explicit equations carve out the same solutions."""
+    rng = random.Random(seed)
+    structure = support.random_relational_structure(rng)
+    system = support.random_power_system(rng, structure, max_prefix=3, max_cycle=4)
+    bounded = PowerSystem(
+        system.variables, system.explicit, tuple(StaircaseFamily(fam.atom, bound) for fam in system.families)
+    )
+    members = tuple(eq for fam in system.families for eq in support.explicit_members(fam, bound))
+    explicit = PowerSystem(system.variables, system.explicit + members)
+    labels = list(structure.universe)
+    point = tuple(support.random_stream(rng, labels, max_prefix=3, max_cycle=4) for _ in system.variables)
+    for p in [point] + support.random_solution_points(rng, structure, explicit):
+        assert satisfies(structure, bounded, p) == support.oracle_satisfies(structure, explicit, p)
+
+    def atoms(s, i):
+        return {atom for atom, _ in projection_entries(s, i)}
+
+    stab, period = stream_horizon(bounded, explicit)
+    own_stab, own_period = stream_horizon(bounded)
+    for i in range(stab + 3 * period):
+        assert atoms(bounded, i) == atoms(explicit, i)
+        if i >= own_stab:  # the bounded family's own horizon holds too
+            assert atoms(bounded, i) == atoms(bounded, own_stab + (i - own_stab) % own_period)
+    assert power_systems_equivalent(structure, bounded, explicit)
+
+
+def test_bounded_family_members_and_codec():
+    fam = staircase_demo_system().families[0]
+    bounded = StaircaseFamily(fam.atom, 3)
+    assert bounded.member(3) == fam.member(3)
+    assert list(bounded.members(10)) == [1, 2, 3] and list(fam.members(4)) == [1, 2, 3, 4]
+    system = PowerSystem(("x",), (), (bounded,))
+    with pytest.raises(ValueError, match="members 1..3"):
+        bounded.member(4)
+    with pytest.raises(ValueError, match="members 1..3"):
+        bounded.projected_member(4, 0)
+    with pytest.raises(ValueError, match="members 1..3"):
+        resolve_source(system, SourceRef(0, 4))
+    with pytest.raises(ValueError):
+        StaircaseFamily(fam.atom, 0)
+    with pytest.raises(ValueError, match="no JSON form"):
+        power_system_to_json_dict(system)
 
 
 def test_satisfies_edge_cases_match_oracle():

@@ -220,9 +220,20 @@ def test_structure_json_rejects_malformed(doc):
 
 
 def test_validation_report_round_trip():
-    report = validate(FiniteStructure(graph_signature(), ["a"], {"E": [("a", "a")]}), "graph")
-    doc = json.loads(json.dumps(report.to_json_dict()))
-    assert ValidationReport.from_json_dict(doc) == report
+    matroid_tables = {"P1": [("b",)], "P2": [("a", "a"), ("a", "b")]}
+    reports = [
+        validate(FiniteStructure(graph_signature(), ["a"], {"E": [("a", "a")]}), "graph"),
+        validate(FiniteStructure(poset_signature(), ["a", "b"], {"leq": [("a", "b"), ("b", "a")]}), "poset"),
+        validate(FiniteStructure(matroid_signature(2), ["a", "b"], matroid_tables), "matroid"),
+    ]
+    assert [sorted({axiom for axiom, _ in r.violations}) for r in reports] == [
+        ["no loops"],
+        ["antisymmetry", "reflexivity", "transitivity"],
+        ["exchange", "hereditary", "no repeated elements"],
+    ]
+    for report in reports:
+        doc = json.loads(json.dumps(report.to_json_dict()))
+        assert ValidationReport.from_json_dict(doc) == report
 
 
 def _report_doc():
@@ -259,5 +270,46 @@ def test_validation_report_decoding_is_strict(doc):
     ids=["kind", "passed-with-violations", "failed-without-violations"],
 )
 def test_validation_report_copies_must_agree(doc):
+    with pytest.raises(InputFormatError):
+        ValidationReport.from_json_dict(doc)
+
+
+def _failed_report(kind, axiom, witness):
+    return {"kind": kind, "passed": False, "violations": [{"axiom": axiom, "witness": witness}]}
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        _failed_report("graph", "zz", []),
+        _failed_report("graph", "no loops", ["a", "a"]),
+        _failed_report("graph", "symmetry", ["a"]),
+        _failed_report("graph", "reflexivity", ["a"]),
+        _failed_report("poset", "reflexivity", ["a", "a"]),
+        _failed_report("poset", "antisymmetry", ["a", "b", "c"]),
+        _failed_report("poset", "transitivity", ["a", "b"]),
+        _failed_report("matroid", "no repeated elements", []),
+        _failed_report("matroid", "hereditary", []),
+        _failed_report("matroid", "exchange", []),
+        _failed_report("matroid", "symmetry", ["a", "b"]),
+        _failed_report("generic", "symmetry", ["a", "b"]),
+    ],
+    ids=[
+        "graph-unknown-axiom",
+        "graph-no-loops-length",
+        "graph-symmetry-length",
+        "graph-poset-axiom",
+        "poset-reflexivity-length",
+        "poset-antisymmetry-length",
+        "poset-transitivity-length",
+        "matroid-no-repeated-elements-empty",
+        "matroid-hereditary-empty",
+        "matroid-exchange-empty",
+        "matroid-graph-axiom",
+        "generic-any-violation",
+    ],
+)
+def test_validation_report_violations_must_be_reportable(doc):
+    """validate reports only its kind's axioms, each with a witness of that axiom's length."""
     with pytest.raises(InputFormatError):
         ValidationReport.from_json_dict(doc)
