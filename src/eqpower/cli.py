@@ -11,6 +11,7 @@ inconsistency, NOT_NOETHERIAN, failed verification), 2 for unusable input.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -19,7 +20,6 @@ from typing import Any, Callable
 from .errors import InputFormatError, UnboundVariableError
 from .fixtures import staircase_demo_system, triangle_graph
 from .noetherian import (
-    NO_OBSTRUCTION_FOUND,
     NOT_NOETHERIAN,
     build_witness_family,
     first_violated_member,
@@ -36,7 +36,6 @@ from .solver import (
     Equation,
     RelationAtom,
     Var,
-    atom_args,
     check_equation,
     equation_to_json_dict,
     minimal_inconsistent_subset,
@@ -55,13 +54,17 @@ class CliInputError(Exception):
 def _load(path: str, decode: Callable[[Any], Any]) -> Any:
     """Read a JSON file and decode it; unusable input becomes a CliInputError naming the file."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise CliInputError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise CliInputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         return decode(json.loads(text))
     except json.JSONDecodeError as exc:
         raise CliInputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise CliInputError(f"{path}: JSON nested too deeply to decode") from None
     except InputFormatError as exc:
         raise CliInputError(f"{path}: {exc}") from None
 
@@ -77,19 +80,7 @@ def _render_equation(eq: Equation) -> str:
 
 
 def _render_family(fam) -> str:
-    parts = []
-    for a in atom_args(fam.atom):
-        if isinstance(a, Var):
-            parts.append(a.name)
-        else:
-            s = a.value
-            parts.append(f"stair(generator={','.join(s.generator)}; tail={s.tail})")
-    atom = fam.atom
-    if isinstance(atom, RelationAtom):
-        body = f"{atom.symbol}({', '.join(parts)})"
-    else:
-        body = f"{parts[0]} = {parts[1]}"
-    return f"{body} for every member n >= 1"
+    return f"{_render_equation(fam.atom)} for every member n >= 1"
 
 
 def _render_source(ref) -> str:
@@ -120,24 +111,23 @@ def cmd_solve(args: argparse.Namespace) -> int:
     _, structure = _load(args.structure, structure_from_json_dict)
     system = _load(args.system, system_from_json_dict)
     result = solve(structure, system)
+    core = minimal_inconsistent_subset(structure, system).equations if result.is_empty else None
     if args.format == "json":
         doc = {
             "variables": list(system.variables),
             "solutions": [list(p) for p in result.sorted_points()],
             "count": len(result.points),
         }
-        if result.is_empty:
-            core = minimal_inconsistent_subset(structure, system)
-            doc["minimal_core"] = [equation_to_json_dict(eq) for eq in core.equations]
+        if core is not None:
+            doc["minimal_core"] = [equation_to_json_dict(eq) for eq in core]
         _print_json(doc)
     else:
         for point in result.sorted_points():
             print(", ".join(f"{v}={x}" for v, x in zip(system.variables, point)))
         print(f"solutions: {len(result.points)}")
-        if result.is_empty:
-            core = minimal_inconsistent_subset(structure, system)
+        if core is not None:
             print("minimal inconsistent core:")
-            for eq in core.equations:
+            for eq in core:
                 print(f"  {_render_equation(eq)}")
     return 0 if result.points else 1
 
@@ -282,7 +272,9 @@ def cmd_wrap(args: argparse.Namespace) -> int:
     return 0 if result.verified and result.bound_ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="eqpower",
         description="Equation systems over direct powers of finite structures: "

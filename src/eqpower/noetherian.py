@@ -110,12 +110,6 @@ def _certificate_from_json_dict(doc: Any, kind: str) -> tuple[str, ...]:
     return values
 
 
-def _require_valid(structure: FiniteStructure, kind: str) -> None:
-    report = validate(structure, kind)
-    if not report.passed:
-        raise ValueError(f"structure fails {kind} validation: {report.violations[:3]}")
-
-
 def graph_quasi_identity(graph: FiniteStructure) -> tuple[str, str, str, str] | None:
     """First (lexicographically least) length-3 walk that does not close, else None.
 
@@ -133,16 +127,6 @@ def graph_quasi_identity(graph: FiniteStructure) -> tuple[str, str, str, str] | 
     return None
 
 
-def graph_power_noetherian(graph: FiniteStructure) -> NoetherianVerdict:
-    _require_valid(graph, "graph")
-    bad = graph_quasi_identity(graph)
-    if bad is None:
-        return NoetherianVerdict(
-            NOETHERIAN, "graph", transcript=f"all {graph.size ** 4} vertex quadruples close their walks"
-        )
-    return NoetherianVerdict(NOT_NOETHERIAN, "graph", bad)
-
-
 def poset_strict_pair(poset: FiniteStructure) -> tuple[str, str] | None:
     table = poset.index_table(POSET_ORDER_SYMBOL)
     for a in range(poset.size):
@@ -152,19 +136,6 @@ def poset_strict_pair(poset: FiniteStructure) -> tuple[str, str] | None:
     return None
 
 
-def poset_power_noetherian(poset: FiniteStructure) -> NoetherianVerdict:
-    """Any strict pair refutes; without one, no conclusion is available either way."""
-    _require_valid(poset, "poset")
-    pair = poset_strict_pair(poset)
-    if pair is not None:
-        return NoetherianVerdict(NOT_NOETHERIAN, "poset", pair)
-    return NoetherianVerdict(
-        NO_OBSTRUCTION_FOUND,
-        "poset",
-        transcript="no strict pair exists (the order is trivial); no refutation is known for this case",
-    )
-
-
 def matroid_independent_triple(matroid: FiniteStructure) -> tuple[str, str, str] | None:
     if not matroid.signature.has("P3"):
         return None
@@ -172,29 +143,43 @@ def matroid_independent_triple(matroid: FiniteStructure) -> tuple[str, str, str]
     return rows[0] if rows else None
 
 
-def matroid_power_noetherian(matroid: FiniteStructure) -> NoetherianVerdict:
-    _require_valid(matroid, "matroid")
-    triple = matroid_independent_triple(matroid)
-    if triple is not None:
-        return NoetherianVerdict(NOT_NOETHERIAN, "matroid", triple)
-    bad = graph_quasi_identity(matroid_underlying_graph(matroid))
-    if bad is None:
-        return NoetherianVerdict(
-            NOETHERIAN,
-            "matroid",
-            transcript="no independent triple; all walks in the independent-pair graph close",
-        )
-    return NoetherianVerdict(NOT_NOETHERIAN, "matroid", bad)
-
-
 def power_noetherian(structure: FiniteStructure, kind: str) -> NoetherianVerdict:
-    if kind == "graph":
-        return graph_power_noetherian(structure)
+    """The verdict for the power of a structure that passes validation as its kind.
+
+    A poset is refuted by any strict pair; without one no conclusion is
+    available either way.  A matroid is refuted by an independent triple;
+    otherwise it and a graph are decided by the walk scan, the matroid on its
+    graph of independent pairs.
+    """
+    if kind not in KIND_CERTIFICATES:
+        raise ValueError(f"no decision procedure for kind {kind!r}")
+    report = validate(structure, kind)
+    if not report.passed:
+        raise ValueError(f"structure fails {kind} validation: {report.violations[:3]}")
     if kind == "poset":
-        return poset_power_noetherian(structure)
+        pair = poset_strict_pair(structure)
+        if pair is not None:
+            return NoetherianVerdict(NOT_NOETHERIAN, kind, pair)
+        return NoetherianVerdict(
+            NO_OBSTRUCTION_FOUND,
+            kind,
+            transcript="no strict pair exists (the order is trivial); no refutation is known for this case",
+        )
+    graph = structure
     if kind == "matroid":
-        return matroid_power_noetherian(structure)
-    raise ValueError(f"no decision procedure for kind {kind!r}")
+        triple = matroid_independent_triple(structure)
+        if triple is not None:
+            return NoetherianVerdict(NOT_NOETHERIAN, kind, triple)
+        graph = matroid_underlying_graph(structure)
+    bad = graph_quasi_identity(graph)
+    if bad is not None:
+        return NoetherianVerdict(NOT_NOETHERIAN, kind, bad)
+    transcript = (
+        f"all {graph.size ** 4} vertex quadruples close their walks"
+        if kind == "graph"
+        else "no independent triple; all walks in the independent-pair graph close"
+    )
+    return NoetherianVerdict(NOETHERIAN, kind, transcript=transcript)
 
 
 def _family_variables(family: StaircaseFamily) -> set[str]:

@@ -62,8 +62,8 @@ def _canonical(prefix: tuple[str, ...], cycle: tuple[str, ...]) -> tuple[tuple[s
 class Periodic:
     """Eventually periodic sequence: the prefix entries, then the cycle forever."""
 
-    prefix: tuple[Any, ...] = ()
-    cycle: tuple[Any, ...] = ()
+    prefix: tuple[Any, ...]
+    cycle: tuple[Any, ...]
 
     def __post_init__(self) -> None:
         if not self.cycle:
@@ -134,6 +134,9 @@ class Staircase:
         object.__setattr__(self, "generator", tuple(str(v) for v in self.generator))
         if not self.generator:
             raise ValueError("generator must be nonempty")
+
+    def __str__(self) -> str:
+        return f"stair(generator={','.join(self.generator)}; tail={self.tail})"
 
     def generator_at(self, i: int) -> str:
         return self.generator[i % len(self.generator)]

@@ -112,17 +112,17 @@ def _candidates(system: PowerSystem, horizon: int) -> list[tuple[SourceRef, Equa
 
 
 def class_representatives(
-    structure: FiniteStructure, system: PowerSystem, profile: Periodic | None = None
+    structure: FiniteStructure, system: PowerSystem, profile: Periodic
 ) -> tuple[ClassRep, ...]:
     """One representative per projected solution set, sources chosen greedily.
 
-    Sets are ordered by first occurrence in the coordinate scan, read off the
-    coordinate profile.  Sources are picked by repeatedly taking the
-    candidate (explicit equations first, then family members by ascending
-    index and n) that realizes the most still uncovered sets; each set then
-    gets the least coordinate at which its chosen source realizes it.
+    Sets are ordered by first occurrence in the coordinate scan, read off
+    profile, the system's coordinate_profile.  Sources are picked by
+    repeatedly taking the candidate (explicit equations first, then family
+    members by ascending index and n) that realizes the most still uncovered
+    sets; each set then gets the least coordinate at which its chosen source
+    realizes it.
     """
-    profile = profile or coordinate_profile(structure, system)
     classifier = AtomClassifier(structure, system.variables)
     discovery = _discovered(profile)
     uncovered = set(discovery)

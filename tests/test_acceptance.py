@@ -29,8 +29,7 @@ from eqpower.noetherian import (
     build_witness_family,
     first_violated_member,
     graph_quasi_identity,
-    matroid_power_noetherian,
-    poset_power_noetherian,
+    power_noetherian,
     verify_witness,
 )
 from eqpower.power import (
@@ -161,7 +160,7 @@ def test_quasi_identity_preserving_constructions():
 
 def test_two_chain_staircase_points():
     chain = chain_poset(2)
-    verdict = poset_power_noetherian(chain)
+    verdict = power_noetherian(chain, "poset")
     package = build_witness_family(chain, "poset", verdict.certificate)
     family_system = package.family_system()
 
@@ -196,14 +195,14 @@ def test_two_chain_staircase_points():
 
 def test_matroid_verdicts_and_graph_reduction_agreement():
     fm3 = free_matroid(3)
-    verdict = matroid_power_noetherian(fm3)
+    verdict = power_noetherian(fm3, "matroid")
     fm3_ok = verdict.status == NOT_NOETHERIAN
     if fm3_ok:
         package = build_witness_family(fm3, "matroid", verdict.certificate)
         fm3_ok = all(verify_witness(fm3, package, n) for n in range(1, 11))
     small_ok = (
-        matroid_power_noetherian(free_matroid(2)).status == NOETHERIAN
-        and matroid_power_noetherian(rank_one_matroid(2)).status == NOETHERIAN
+        power_noetherian(free_matroid(2), "matroid").status == NOETHERIAN
+        and power_noetherian(rank_one_matroid(2), "matroid").status == NOETHERIAN
     )
 
     valid = 0
@@ -213,7 +212,7 @@ def test_matroid_verdicts_and_graph_reduction_agreement():
             if not validate(m, "matroid").passed:
                 continue
             valid += 1
-            lib = matroid_power_noetherian(m).status
+            lib = power_noetherian(m, "matroid").status
             has_triple = m.signature.has("P3") and bool(m.tuples("P3"))
             pair_rows = m.tuples("P2") if m.signature.has("P2") else ()
             pair_graph = graph_from_edges(m.universe, pair_rows)

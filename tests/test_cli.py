@@ -1,3 +1,4 @@
+import argparse
 import json
 from pathlib import Path
 
@@ -256,6 +257,22 @@ def test_missing_file(capsys, tmp_path):
     assert "nope.json" in err
 
 
+def test_too_deeply_nested_json_names_the_file(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ")
+
+
+def test_non_utf8_file_names_the_file(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "validate", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {path}: ")
+
+
 def test_wrong_document_shape(capsys, tmp_path):
     path = write_json(tmp_path, "notastructure.json", {"variables": [], "equations": []})
     code, _, err = run(capsys, "validate", str(path))
@@ -284,3 +301,38 @@ def test_usage_error_exit_code(capsys):
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+def test_second_call_builds_no_parser(capsys, monkeypatch):
+    triangle = str(FIXTURES / "triangle.json")
+    run(capsys, "validate", triangle)
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+    code, out, _ = run(capsys, "validate", triangle)
+    assert (code, built) == (0, [])
+    assert "graph axioms: PASS" in out
+
+
+def test_no_value_carries_over_between_calls(capsys):
+    triangle = str(FIXTURES / "triangle.json")
+    code, out, _ = run(capsys, "witness", triangle, "--depth", "2")
+    assert code == 0 and out.count("  depth ") == 2
+    code, out, _ = run(capsys, "witness", triangle)
+    assert code == 0 and out.count("  depth ") == 10
+
+    code, out, _ = run(capsys, "noetherian", triangle, "--format", "json")
+    assert json.loads(out)["status"] == "NOT_NOETHERIAN"
+    code, out, _ = run(capsys, "noetherian", triangle)
+    assert out.startswith("status: NOT_NOETHERIAN\n")
+
+    code, out, _ = run(capsys, "wrap", "--paper-example-1")
+    assert code == 0
+    code, out, err = run(capsys, "wrap", triangle, str(FIXTURES / "staircase_demo.json"))
+    assert (code, err) == (0, "")
+    assert "wrapped system: 4 equations" in out

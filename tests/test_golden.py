@@ -1,7 +1,9 @@
 """Golden CLI transcripts: exact stdout and exit code of every subcommand on the fixtures.
 
 Each case's stdout is stored byte for byte under tests/golden/<case>.txt and its
-exit code in tests/golden/exit_codes.json.  After an intended output change,
+exit code in tests/golden/exit_codes.json.  The help text of the program and
+of each subcommand is pinned too; argparse wraps it to the terminal width, so
+every case runs with COLUMNS=80.  After an intended output change,
 rewrite the transcripts with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -14,7 +16,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -46,6 +50,8 @@ BASE_SYSTEMS = {
     "triangle_walk": "triangle",
 }
 
+SUBCOMMANDS = ("validate", "solve", "project", "consistent", "noetherian", "witness", "wrap")
+
 
 def _fixture(name: str) -> str:
     return str(FIXTURES / f"{name}.json")
@@ -65,7 +71,9 @@ def _cases() -> dict[str, list[str]]:
         plain[f"wrap_{name}"] = ["wrap", *pair]
     for name, structure in BASE_SYSTEMS.items():
         plain[f"solve_{name}"] = ["solve", _fixture(structure), str(INPUTS / f"{name}.json")]
-    cases = {}
+    cases = {"help": ["--help"]}
+    for command in SUBCOMMANDS:
+        cases[f"help_{command}"] = [command, "--help"]
     for name, argv in plain.items():
         cases[f"{name}_text"] = argv
         cases[f"{name}_json"] = argv + ["--format", "json"]
@@ -77,7 +85,7 @@ CASES = _cases()
 
 def _run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(out), mock.patch.dict(os.environ, {"COLUMNS": "80"}):
         code = main(argv)
     return code, out.getvalue()
 

@@ -23,11 +23,8 @@ from eqpower.noetherian import (
     WitnessPackage,
     build_witness_family,
     first_violated_member,
-    graph_power_noetherian,
     graph_quasi_identity,
     matroid_independent_triple,
-    matroid_power_noetherian,
-    poset_power_noetherian,
     poset_strict_pair,
     power_noetherian,
     verify_witness,
@@ -65,7 +62,7 @@ def test_structural_check_disagrees_on_path_and_cycle():
 
 
 def test_graph_verdicts():
-    verdict = graph_power_noetherian(triangle_graph())
+    verdict = power_noetherian(triangle_graph(), "graph")
     assert verdict.status == NOT_NOETHERIAN
     assert verdict.certificate_kind == "quadruple"
     a1, a2, a3, a4 = verdict.certificate
@@ -73,7 +70,7 @@ def test_graph_verdicts():
     assert g.holds("E", (a1, a2)) and g.holds("E", (a2, a3)) and g.holds("E", (a3, a4))
     assert not g.holds("E", (a4, a1))
 
-    passing = graph_power_noetherian(star_bipartite_graph(2))
+    passing = power_noetherian(star_bipartite_graph(2), "graph")
     assert passing.status == NOETHERIAN
     assert passing.certificate is None
 
@@ -81,17 +78,17 @@ def test_graph_verdicts():
 def test_graph_verdict_requires_valid_graph():
     loop = FiniteStructure(triangle_graph().signature, ["a"], {"E": [("a", "a")]})
     with pytest.raises(ValueError):
-        graph_power_noetherian(loop)
+        power_noetherian(loop, "graph")
 
 
 def test_poset_verdicts():
     assert poset_strict_pair(chain_poset(2)) == ("c1", "c2")
     assert poset_strict_pair(antichain_poset(2)) is None
 
-    verdict = poset_power_noetherian(chain_poset(3))
+    verdict = power_noetherian(chain_poset(3), "poset")
     assert verdict.status == NOT_NOETHERIAN and verdict.certificate_kind == "pair"
 
-    open_case = poset_power_noetherian(antichain_poset(3))
+    open_case = power_noetherian(antichain_poset(3), "poset")
     assert open_case.status == NO_OBSTRUCTION_FOUND
     assert open_case.certificate is None
     assert open_case.transcript
@@ -101,14 +98,14 @@ def test_matroid_verdicts():
     assert matroid_independent_triple(free_matroid(3)) == ("e1", "e2", "e3")
     assert matroid_independent_triple(free_matroid(2)) is None
 
-    assert matroid_power_noetherian(free_matroid(3)).status == NOT_NOETHERIAN
-    assert matroid_power_noetherian(free_matroid(2)).status == NOETHERIAN
-    assert matroid_power_noetherian(rank_one_matroid(3)).status == NOETHERIAN
+    assert power_noetherian(free_matroid(3), "matroid").status == NOT_NOETHERIAN
+    assert power_noetherian(free_matroid(2), "matroid").status == NOETHERIAN
+    assert power_noetherian(rank_one_matroid(3), "matroid").status == NOETHERIAN
 
 
 def test_matroid_quadruple_path():
     """No independent triple, but independent pairs form a triangle."""
-    verdict = matroid_power_noetherian(uniform_rank2_matroid3())
+    verdict = power_noetherian(uniform_rank2_matroid3(), "matroid")
     assert verdict.status == NOT_NOETHERIAN
     assert verdict.certificate_kind == "quadruple"
 
@@ -215,9 +212,9 @@ def test_union_of_passing_graphs_passes_small():
 
 def test_verdict_json_round_trip():
     for verdict in [
-        graph_power_noetherian(triangle_graph()),
-        poset_power_noetherian(antichain_poset(2)),
-        matroid_power_noetherian(free_matroid(2)),
+        power_noetherian(triangle_graph(), "graph"),
+        power_noetherian(antichain_poset(2), "poset"),
+        power_noetherian(free_matroid(2), "matroid"),
     ]:
         doc = json.loads(json.dumps(verdict.to_json_dict()))
         assert NoetherianVerdict.from_json_dict(doc) == verdict
@@ -230,11 +227,11 @@ def test_witness_package_json_round_trip():
 
 
 def _verdict_doc():
-    return json.loads(json.dumps(graph_power_noetherian(triangle_graph()).to_json_dict()))
+    return json.loads(json.dumps(power_noetherian(triangle_graph(), "graph").to_json_dict()))
 
 
 def _passing_verdict_doc():
-    return json.loads(json.dumps(graph_power_noetherian(star_bipartite_graph(2)).to_json_dict()))
+    return json.loads(json.dumps(power_noetherian(star_bipartite_graph(2), "graph").to_json_dict()))
 
 
 @pytest.mark.parametrize(

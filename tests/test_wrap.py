@@ -10,6 +10,7 @@ from eqpower.power import (
     PowerElement,
     PowerSystem,
     SourceRef,
+    coordinate_profile,
     power_systems_equivalent,
 )
 from eqpower.solver import Const, EqualityAtom, RelationAtom, Var
@@ -50,7 +51,8 @@ def test_index_set_json_round_trip():
 
 def test_demo_class_representatives():
     g = triangle_graph()
-    reps = class_representatives(g, staircase_demo_system())
+    system = staircase_demo_system()
+    reps = class_representatives(g, system, coordinate_profile(g, system))
     assert [rep.solutions for rep in reps] == [
         frozenset({("b",), ("c",)}),
         frozenset({("a",), ("c",)}),
@@ -69,7 +71,7 @@ def test_demo_class_representatives():
 def test_demo_seeds():
     g = triangle_graph()
     system = staircase_demo_system()
-    reps = class_representatives(g, system)
+    reps = class_representatives(g, system, coordinate_profile(g, system))
     assert seed_equations(g, system, reps) == (MEMBER3,)
 
 
