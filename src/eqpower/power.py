@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import repeat
 from typing import Any
 
 from .errors import InputFormatError, UnboundVariableError, json_int, json_object, json_str_list
@@ -51,11 +51,14 @@ def _primitive_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
 
 def _canonical(prefix: tuple[str, ...], cycle: tuple[str, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
     cycle = _primitive_cycle(cycle)
-    # absorb prefix entries that already agree with the rotated cycle
-    while prefix and prefix[-1] == cycle[-1]:
-        cycle = (cycle[-1],) + cycle[:-1]
-        prefix = prefix[:-1]
-    return prefix, cycle
+    if not prefix or prefix[-1] != cycle[-1]:
+        return prefix, cycle
+    # count the prefix entries that agree with the cycle read backwards, then absorb them all at once
+    k, c = 1, len(cycle)
+    while k < len(prefix) and prefix[-1 - k] == cycle[-1 - k % c]:
+        k += 1
+    cut = c - k % c
+    return prefix[:-k], cycle[cut:] + cycle[:cut]
 
 
 @dataclass(frozen=True)
@@ -176,57 +179,60 @@ class StaircaseFamily:
         """The family's member indices among 1..last."""
         return range(1, (last if self.bound is None else min(last, self.bound)) + 1)
 
-    def coordinate_checks(self, stab: int, period: int) -> set[tuple[int, tuple[str, ...]]]:
-        """(coordinate, slot values) pairs that decide the family at a point.
+    def coordinate_checks(self, stab: int, period: int) -> list[tuple[range, tuple[str, ...]]]:
+        """(coordinates, slot values) blocks that decide the family at a point.
 
-        At coordinate i member n projects to the generators at i when
-        n >= i + 2, and to the joint tail at position j = i - n + 1 when
-        n <= i + 1.  So at a point whose values repeat with `period` from
-        coordinate `stab` on, the unbounded family holds exactly when its
-        atom holds
-          * with the generator values at i in its slots, at each coordinate
-            i below stab + lcm(period, generator lengths), and
-          * with the joint tail values at position j in its slots, for each
-            j below tail prefix + lcm(tail cycles), at each coordinate i in
-            [j, max(j, stab) + period), which covers every i >= j.
-        Later coordinates repeat those generator rows, and a later tail
-        position repeats position j - lcm(tail cycles) against fewer
-        coordinates.  A family with no constant slot gets the empty tuple at
-        each coordinate below stab + period: its atom at every coordinate.
+        The family holds at the point exactly when its atom holds at every
+        coordinate i of every block, with the point's values at i and the
+        block's values in the slots.  At coordinate i member n projects to the
+        generators at i when n >= i + 2, and to the joint tail at position
+        j = i - n + 1 when n <= i + 1.  Let the point's values repeat with
+        `period` from coordinate `stab` on, let L be the lcm of the generator
+        lengths and C the lcm of the tail cycles.  The unbounded family gets
+          * per residue r < L, the generator values at r on
+            range(r, stab + lcm(period, L), L): the generator values at i
+            depend only on i mod L, and later coordinates repeat these rows;
+          * per joint tail position j below tail prefix + C, its values on
+            range(j, max(j, stab) + period), which stands for every
+            coordinate i >= j; a later tail position repeats position j - C
+            against fewer coordinates.
+        A family with no constant slot gets the empty tuple on
+        range(0, stab + period): its atom at every coordinate.
 
         With a bound N, coordinate i gets the generator values only when
-        i <= N - 2, and the joint tail at the window of positions
-        max(0, i - N + 1) .. i.  Generator rows are checked at each i below
-        min(N - 1, stab + lcm(period, generator lengths)), by the argument
-        above.  Tail rows are checked at each i below
-        max(stab, N - 1 + tail prefix) + lcm(period, tail cycles), with the
-        window's prefix positions one by one and at most one tail cycle of
-        its later positions (the joint tail repeats with lcm(tail cycles)
-        past its prefix, so a longer stretch adds no value).  That covers
-        every coordinate: for i >= max(stab, N - 1 + tail prefix) the window
-        has N positions, all past the tail prefix, so its joint tail values
-        depend only on i mod lcm(tail cycles), and the point's values depend
-        only on i mod period; so the rows at i are those at
-        i - lcm(period, tail cycles), and by induction those of a checked i.
+        i <= N - 2, so the generator ranges stop at
+        min(N - 1, stab + lcm(period, L)), and i gets the joint tail at the
+        window of positions max(0, i - N + 1) .. i.  From
+        max(stab, N - 1 + tail prefix) on that window has N positions, all
+        past the tail prefix, so the rows at i are those at
+        i - lcm(period, C), and coordinates below
+        E = max(stab, N - 1 + tail prefix) + lcm(period, C) suffice.  Below E:
+          * a tail prefix position j is in the window of i exactly for i in
+            range(j, min(j + N, E));
+          * a tail cycle position j (tail prefix <= j < tail prefix + C)
+            stands for the positions j + kC, k >= 0, which carry its values;
+            j + kC is in the window of i for j + kC <= i < j + kC + N.  When
+            N >= C these windows join into range(j, E), and otherwise they are
+            the N stepped ranges range(j + d, E, C) for d < N.
         """
         descs = self.descriptors()
         _, gen_period = horizon(Periodic((), s.generator) for s in descs)
-        gen_horizon = stab + math.lcm(period, gen_period)
+        gen_stop = stab + math.lcm(period, gen_period)
         if self.bound is not None:
-            gen_horizon = min(gen_horizon, self.bound - 1)
-        checks = {(i, tuple(s.generator_at(i) for s in descs)) for i in range(gen_horizon)}
+            gen_stop = min(gen_stop, self.bound - 1)
+        checks = [
+            (range(r, gen_stop, gen_period), tuple(s.generator_at(r) for s in descs))
+            for r in range(min(gen_period, gen_stop))
+        ]
         tail_prefix, tail_cycle = horizon(s.tail for s in descs)
         rows = [tuple(s.tail.at(j) for s in descs) for j in range(tail_prefix + tail_cycle)]
         if self.bound is None:
-            for j, values in enumerate(rows):
-                checks.update((i, values) for i in range(j, max(j, stab) + period))
-            return checks
-        joint = Periodic(tuple(rows[:tail_prefix]), tuple(rows[tail_prefix:]))
-        for i in range(max(stab, self.bound - 1 + tail_prefix) + math.lcm(period, tail_cycle)):
-            low = max(0, i - self.bound + 1)
-            past = max(low, tail_prefix)
-            window = chain(range(low, min(i + 1, tail_prefix)), range(past, min(i + 1, past + tail_cycle)))
-            checks.update((i, joint.at(j)) for j in window)
+            return checks + [(range(j, max(j, stab) + period), values) for j, values in enumerate(rows)]
+        n = self.bound
+        stop = max(stab, n - 1 + tail_prefix) + math.lcm(period, tail_cycle)
+        checks += [(range(j, min(j + n, stop)), rows[j]) for j in range(tail_prefix)]
+        offsets, step = (range(1), 1) if n >= tail_cycle else (range(n), tail_cycle)
+        checks += [(range(j + d, stop, step), rows[j]) for j in range(tail_prefix, len(rows)) for d in offsets]
         return checks
 
     def _require_member(self, n: int) -> None:
@@ -324,7 +330,15 @@ def projection_entries(system: PowerSystem, i: int) -> list[tuple[Equation, Sour
 
 
 def projected_system(system: PowerSystem, i: int) -> EquationSystem:
-    """pi_i of the whole system as a base equation system (distinct equations)."""
+    """pi_i of the whole system as a base equation system (distinct equations).
+
+    For i >= stab, pi_(i + period) lists the same equations as pi_i in the
+    same order (see stream_horizon), so a coordinate past the first period
+    is read at stab + (i - stab) mod period.
+    """
+    stab, period = stream_horizon(system)
+    if i >= stab + period:
+        i = stab + (i - stab) % period
     return EquationSystem(system.variables, tuple(atom for atom, _ in projection_entries(system, i)))
 
 
@@ -398,8 +412,10 @@ def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[P
     An explicit equation's rows repeat after the largest prefix plus the lcm
     of the cycles among its own streams (constants and the point's entries
     for its variables), so only the coordinates below that are checked.  A
-    family is decided by StaircaseFamily.coordinate_checks against the
-    horizon of the point's entries for the family's variables.
+    family is decided by the blocks of StaircaseFamily.coordinate_checks
+    against the horizon of the point's entries for the family's variables:
+    each block's rows are slices of those entries, each written out once up
+    to the largest block stop, zipped with the block's slot values.
     """
     if len(point) != len(system.variables):
         raise ValueError(f"point has {len(point)} entries for variables {system.variables}")
@@ -411,12 +427,16 @@ def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[P
         if not _rows_hold(structure, eq, rows):
             return False
     for fam in system.families:
-        args = [_stream_of(streams, a) if isinstance(a, Var) else None for a in atom_args(fam.atom)]
-        used = [pe for pe in args if pe is not None]
+        args = atom_args(fam.atom)
+        used = {a.name: _stream_of(streams, a) for a in args if isinstance(a, Var)}
+        blocks = fam.coordinate_checks(*horizon(used.values()))
+        stop = max(r.stop for r, _ in blocks)
+        taken = {name: pe.take(stop) for name, pe in used.items()}
         rows = set()
-        for i, values in fam.coordinate_checks(*horizon(used)):
-            slot = iter(values)
-            rows.add(tuple(next(slot) if pe is None else pe.at(i) for pe in args))
+        for r, values in blocks:
+            cut, slot = slice(r.start, r.stop, r.step), iter(values)
+            columns = [taken[a.name][cut] if isinstance(a, Var) else repeat(next(slot), len(r)) for a in args]
+            rows.update(zip(*columns))
         if not _rows_hold(structure, fam.atom, rows):
             return False
     return True

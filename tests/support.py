@@ -65,6 +65,11 @@ def oracle_satisfies(structure: FiniteStructure, system: PowerSystem, point) -> 
     return True
 
 
+def expand_checks(blocks) -> set:
+    """The (coordinate, slot values) pairs that StaircaseFamily.coordinate_checks blocks stand for."""
+    return {(i, values) for coords, values in blocks for i in coords}
+
+
 def explicit_members(family: StaircaseFamily, n: int) -> tuple:
     """Members 1..n of a family, each written out as an explicit equation."""
     return tuple(family.member(m) for m in range(1, n + 1))

@@ -97,6 +97,23 @@ def test_project_demo(capsys):
     assert "E(x, a)" in out and "E(x, b)" in out
 
 
+def test_project_far_coordinate_reads_its_residue(capsys):
+    def project(coordinate):
+        return run(
+            capsys,
+            "project",
+            str(FIXTURES / "triangle.json"),
+            str(FIXTURES / "staircase_demo.json"),
+            "--coordinate",
+            coordinate,
+        )
+
+    code, far, _ = project("1000000000000")  # stabilization 1, period 2: read at coordinate 2
+    _, near, _ = project("2")
+    assert code == 0
+    assert far == near.replace("coordinate 2:", "coordinate 1000000000000:")
+
+
 def test_project_rejects_negative_coordinate(capsys):
     code, _, err = run(
         capsys,

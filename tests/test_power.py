@@ -1,6 +1,7 @@
 import json
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from eqpower.power import (
     satisfies,
     stream_horizon,
 )
-from eqpower.solver import AtomClassifier, Const, EqualityAtom, RelationAtom, Var, solve
+from eqpower.solver import AtomClassifier, Const, EqualityAtom, EquationSystem, RelationAtom, Var, solve
 from eqpower.structures import FiniteStructure, Signature
 
 x = Var("x")
@@ -82,6 +83,13 @@ def test_power_element_basics():
         PowerElement(("a",), ())
     with pytest.raises(IndexError):
         constant_stream("a").at(-1)
+
+
+def test_long_folding_prefix_canonicalizes_in_one_pass():
+    long = PowerElement(("a",) * 200_000, ("a",))
+    assert (long.prefix, long.cycle) == ((), ("a",))
+    rotated = PowerElement(("x",) + ("a", "b") * 100_000 + ("a",), ("b", "a"))
+    assert (rotated.prefix, rotated.cycle) == (("x",), ("a", "b"))
 
 
 def test_periodic_take_map_and_horizon():
@@ -142,6 +150,22 @@ def test_projected_system_and_sources():
         RelationAtom("E", (x, Const("c"))),
     )
     assert resolve_source(system, SourceRef(0, 3)) == system.families[0].member(3)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**30), st.integers(0, 40), st.none() | st.integers(1, 8))
+def test_projected_system_reads_far_coordinates_at_their_residue(seed, offset, bound):
+    """Past the first period, projected_system matches projection_entries at the coordinate itself, in order."""
+    rng = random.Random(seed)
+    system = support.random_power_system(rng, support.random_relational_structure(rng), max_prefix=3, max_cycle=4)
+    if bound is not None:
+        system = PowerSystem(
+            system.variables, system.explicit, tuple(StaircaseFamily(fam.atom, bound) for fam in system.families)
+        )
+    stab, period = stream_horizon(system)
+    i = stab + period + offset
+    direct = tuple(atom for atom, _ in projection_entries(system, i))
+    assert projected_system(system, i) == EquationSystem(system.variables, direct)
 
 
 def test_stream_horizon_demo():
@@ -379,7 +403,7 @@ def test_coordinate_checks_cover_every_member_projection(data):
     def at(i):
         return tuple(pe.at(i) for pe in point)
 
-    checked = {(at(i), values) for i, values in fam.coordinate_checks(stab, period)}
+    checked = {(at(i), values) for i, values in support.expand_checks(fam.coordinate_checks(stab, period))}
     window = 40  # every row of the family shows up at a coordinate below this
     members = {
         (at(i), tuple(s.value_at(n, i) for s in descs))
@@ -391,13 +415,13 @@ def test_coordinate_checks_cover_every_member_projection(data):
 
 def test_unbounded_coordinate_checks_pinned():
     fam = staircase_demo_system().families[0]
-    assert fam.coordinate_checks(1, 2) == {
+    assert support.expand_checks(fam.coordinate_checks(1, 2)) == {
         (0, ("a",)), (0, ("b",)), (1, ("a",)), (1, ("c",)), (2, ("a",)), (2, ("b",))
     }
     first = Staircase(("a", "b"), PowerElement(("a", "a", "c"), ("a",)))
     second = Staircase(("c",), PowerElement(("c",), ("c", "b", "c")))
     two_slots = StaircaseFamily(RelationAtom("T", (x, Const(first), Const(second))))
-    assert two_slots.coordinate_checks(2, 1) == {
+    assert support.expand_checks(two_slots.coordinate_checks(2, 1)) == {
         (0, ("a", "c")), (1, ("a", "c")), (1, ("b", "c")), (2, ("a", "c")), (2, ("c", "b")),
         (3, ("a", "c")), (3, ("b", "c")), (4, ("a", "c")), (5, ("a", "b")),
     }
@@ -434,6 +458,33 @@ def test_bounded_family_matches_its_explicit_members(seed, bound):
         if i >= own_stab:  # the bounded family's own horizon holds too
             assert atoms(bounded, i) == atoms(bounded, own_stab + (i - own_stab) % own_period)
     assert power_systems_equivalent(structure, bounded, explicit)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**30), st.integers(1, 7), st.integers(1, 6) | st.integers(1, 60))
+def test_bounded_family_blocks_match_explicit_truncation(seed, tail_cycle, bound):
+    """satisfies on a family bounded at N against the oracle on members 1..N written out.
+
+    Tail cycles up to 7 and bounds up to 60, behind tail prefixes up to 5,
+    give both N < tail cycle (stepped tail blocks) and N >= tail cycle (one
+    block per tail cycle position); bounds up to 6 are drawn more often so
+    that the first case is common.
+    """
+    rng = random.Random(seed)
+    labels = ["u1", "u2", "u3"]  # three labels keep most drawn tail cycles primitive
+    rows = [(a, b) for a in labels for b in labels if rng.random() < 0.6]
+    structure = FiniteStructure(Signature((("R", 2),)), labels, {"R": rows})
+    tail = PowerElement(
+        tuple(rng.choice(labels) for _ in range(rng.randint(0, 5))),
+        tuple(rng.choice(labels) for _ in range(tail_cycle)),
+    )
+    stair = Const(Staircase(tuple(rng.choice(labels) for _ in range(rng.randint(1, 3))), tail))
+    fam = StaircaseFamily(RelationAtom("R", (x, stair) if rng.random() < 0.5 else (stair, x)), bound)
+    bounded = PowerSystem(("x",), (), (fam,))
+    explicit = support.explicit_truncation(SimpleNamespace(variable="x", family=fam), bound)
+    point = (support.random_stream(rng, labels, max_prefix=bound + 5),)
+    for p in [point] + support.random_solution_points(rng, structure, explicit):
+        assert satisfies(structure, bounded, p) == support.oracle_satisfies(structure, explicit, p)
 
 
 def test_bounded_family_members_and_codec():
