@@ -5,7 +5,8 @@ project and compress systems over direct powers, decide the Noetherian
 property, and expand refutation certificates into verified witness families.
 
 Exit codes: 0 for a passing result, 1 for a negative result (axiom violations,
-inconsistency, NOT_NOETHERIAN, failed verification), 2 for unusable input.
+inconsistency, NOT_NOETHERIAN, failed verification), 2 for unusable input, 141
+(128 + SIGPIPE, as a shell reports it) when stdout closes before all is written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -341,7 +343,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse already printed usage or help
         return int(exc.code or 0)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()  # so a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader went away; stdout now goes to devnull, so the exit-time flush succeeds
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     except (CliInputError, ValueError, UnboundVariableError, KeyError) as exc:
         # ValueError covers InputFormatError, SignatureMismatchError and InvalidCertificateError;
         # str() of a KeyError quotes its message, so the message is printed as given

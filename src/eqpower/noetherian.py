@@ -15,21 +15,22 @@ finite truncations is equivalent to the whole.
 
 from __future__ import annotations
 
+import functools
+import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import InputFormatError, InvalidCertificateError, json_int, json_object, json_str, json_str_list
+from .errors import InputFormatError, InvalidCertificateError, json_object, json_str, json_str_list
 from .power import (
     PowerElement,
     PowerSystem,
     Staircase,
     StaircaseFamily,
-    family_from_json_dict,
     family_to_json_dict,
     satisfies,
 )
-from .solver import Const, RelationAtom, Var, atom_args
+from .solver import Const, RelationAtom, Var
 from .structures import (
     FiniteStructure,
     GRAPH_EDGE_SYMBOL,
@@ -182,8 +183,18 @@ def power_noetherian(structure: FiniteStructure, kind: str) -> NoetherianVerdict
     return NoetherianVerdict(NOETHERIAN, kind, transcript=transcript)
 
 
-def _family_variables(family: StaircaseFamily) -> set[str]:
-    return {a.name for a in atom_args(family.atom) if isinstance(a, Var)}
+def _expand_certificate(kind: str, labels: tuple[str, ...]) -> tuple[str, str, str, str, str, int]:
+    """(relation, generator, tail, point repeat, point tail, point offset) that a certificate fixes."""
+    if len(labels) == 4:
+        a1, a2, a3, a4 = labels
+        # members pair the repeating a4 stream against the a2 tail; the point
+        # puts n - 1 copies of a3 in front of a1 forever
+        return GRAPH_EDGE_SYMBOL if kind == "graph" else "P2", a4, a2, a3, a1, -1
+    if kind == "poset":
+        a, b = labels
+        return POSET_ORDER_SYMBOL, a, b, a, b, 0
+    a, b, c = labels  # an independent triple of a matroid
+    return "P2", b, a, c, b, 0
 
 
 @dataclass(frozen=True)
@@ -191,30 +202,40 @@ class WitnessPackage:
     """A certificate expanded into an infinite family plus a per-n witness point.
 
     witness_point(n) satisfies the first n family members but is not a
-    solution of the whole family, so no truncation is equivalent to it.
+    solution of the whole family, so no truncation is equivalent to it.  A
+    package stores only its kind and certificate; _expand_certificate derives the rest.
     """
 
     kind: str
     certificate: tuple[str, ...]
-    family: StaircaseFamily  # its atom reads one variable
-    point_repeat: str  # leading entry of the witness point
-    point_tail: str  # entry repeated forever after
-    point_offset: int  # number of leading entries is n + point_offset
+    variable = WITNESS_VARIABLE  # not a field: the one variable every family reads
+
+    def __post_init__(self) -> None:
+        shapes = KIND_CERTIFICATES.get(self.kind, ())
+        if CERTIFICATE_KINDS.get(len(self.certificate)) not in shapes:
+            allowed = " or ".join(f"{shape}s" for shape in shapes) or "not defined"
+            raise InvalidCertificateError(f"{self.kind} certificates are {allowed}, got {self.certificate}")
 
     @property
     def certificate_kind(self) -> str:
         return CERTIFICATE_KINDS[len(self.certificate)]
 
+    @functools.cached_property
+    def family(self) -> StaircaseFamily:
+        relation, generator, tail, _, _, _ = _expand_certificate(self.kind, self.certificate)
+        stair = Staircase((generator,), PowerElement((), (tail,)))
+        return StaircaseFamily(RelationAtom(relation, (Var(WITNESS_VARIABLE), Const(stair))))
+
     @property
-    def variable(self) -> str:
-        (name,) = _family_variables(self.family)
-        return name
+    def witness_rule(self) -> tuple[str, str, int]:
+        """(repeat, tail, offset): witness_point(n) is n + offset repeats, then the tail forever."""
+        return _expand_certificate(self.kind, self.certificate)[3:]
 
     def witness_point(self, n: int) -> tuple[PowerElement, ...]:
         if n < 1:
             raise ValueError("witness points are indexed from 1")
-        head = (self.point_repeat,) * (n + self.point_offset)
-        return (PowerElement(head, (self.point_tail,)),)
+        repeat, tail, offset = self.witness_rule
+        return (PowerElement((repeat,) * (n + offset), (tail,)),)
 
     def family_system(self) -> PowerSystem:
         return PowerSystem((self.variable,), (), (self.family,))
@@ -224,41 +245,24 @@ class WitnessPackage:
         return PowerSystem((self.variable,), (), (StaircaseFamily(self.family.atom, n),))
 
     def to_json_dict(self) -> dict:
+        repeat, tail, offset = self.witness_rule
         return {
             "kind": self.kind,
             "certificate": {self.certificate_kind: list(self.certificate)},
             "variable": self.variable,
             "family": family_to_json_dict(self.family),
-            "witness_rule": {
-                "repeat": self.point_repeat,
-                "tail": self.point_tail,
-                "offset": self.point_offset,
-            },
+            "witness_rule": {"repeat": repeat, "tail": tail, "offset": offset},
         }
 
     @staticmethod
     def from_json_dict(doc: Any) -> "WitnessPackage":
         doc = json_object(doc, {"kind", "certificate", "variable", "family", "witness_rule"}, "witness package")
         kind = _kind_from_json(doc["kind"], "witness kind")
-        values = _certificate_from_json_dict(doc["certificate"], kind)
-        variable = json_str(doc["variable"], "witness variable")
-        family = family_from_json_dict(doc["family"])
-        if _family_variables(family) != {variable}:
-            raise InputFormatError(f"witness variable {variable!r} must be the one variable the family reads")
-        rule = json_object(doc["witness_rule"], {"repeat", "tail", "offset"}, "witness rule")
-        return WitnessPackage(
-            kind,
-            values,
-            family,
-            json_str(rule["repeat"], "witness rule repeat"),
-            json_str(rule["tail"], "witness rule tail"),
-            json_int(rule["offset"], "witness rule offset"),
-        )
-
-
-def _edge_family(symbol: str, generator: str, tail: str) -> StaircaseFamily:
-    stair = Staircase((generator,), PowerElement((), (tail,)))
-    return StaircaseFamily(RelationAtom(symbol, (Var(WITNESS_VARIABLE), Const(stair))))
+        package = WitnessPackage(kind, _certificate_from_json_dict(doc["certificate"], kind))
+        expected = json.dumps(package.to_json_dict(), sort_keys=True)
+        if json.dumps(doc, sort_keys=True) != expected:  # as JSON text, so 0 and false, or 1 and 1.0, differ
+            raise InputFormatError(f"a witness package with this certificate is {expected}, got {json.dumps(doc)}")
+        return package
 
 
 def build_witness_family(
@@ -269,11 +273,12 @@ def build_witness_family(
     The certificate is re-verified against the structure first; a stale or
     wrong one raises InvalidCertificateError.
     """
-    labels = tuple(certificate)
+    package = WitnessPackage(kind, tuple(certificate))  # checks the kind and the certificate's length
+    labels = package.certificate
     for v in labels:
         if not structure.has_label(v):
             raise InvalidCertificateError(f"certificate element {v!r} is not in the universe")
-    if kind == "graph" or (kind == "matroid" and len(labels) == 4):
+    if len(labels) == 4:
         symbol = GRAPH_EDGE_SYMBOL if kind == "graph" else "P2"
         a1, a2, a3, a4 = labels
         walk_ok = (
@@ -285,24 +290,13 @@ def build_witness_family(
             raise InvalidCertificateError(
                 f"quadruple {labels} is not an open walk of length 3 under {symbol!r}"
             )
-        # members pair the repeating a4 stream against the a2 tail; the point
-        # puts n - 1 copies of a3 in front of a1 forever
-        return WitnessPackage(kind, labels, _edge_family(symbol, a4, a2), a3, a1, -1)
-    if kind == "poset":
-        if len(labels) != 2:
-            raise InvalidCertificateError(f"poset certificates are pairs, got {labels}")
+    elif kind == "poset":
         a, b = labels
         if a == b or not structure.holds(POSET_ORDER_SYMBOL, (a, b)):
             raise InvalidCertificateError(f"{labels} is not a strict ordered pair")
-        return WitnessPackage(kind, labels, _edge_family(POSET_ORDER_SYMBOL, a, b), a, b, 0)
-    if kind == "matroid":
-        if len(labels) != 3:
-            raise InvalidCertificateError(f"matroid certificates are triples or quadruples, got {labels}")
-        a, b, c = labels
-        if "P3" not in structure.signature.names() or not structure.holds("P3", (a, b, c)):
-            raise InvalidCertificateError(f"{labels} is not an independent triple")
-        return WitnessPackage(kind, labels, _edge_family("P2", b, a), c, b, 0)
-    raise ValueError(f"no witness construction for kind {kind!r}")
+    elif "P3" not in structure.signature.names() or not structure.holds("P3", labels):
+        raise InvalidCertificateError(f"{labels} is not an independent triple")
+    return package
 
 
 def verify_witness(structure: FiniteStructure, package: WitnessPackage, n: int) -> bool:
@@ -316,18 +310,15 @@ def verify_witness(structure: FiniteStructure, package: WitnessPackage, n: int) 
 
 
 def first_violated_member(structure: FiniteStructure, package: WitnessPackage, n: int) -> int | None:
-    """The first member that witness_point(n) fails: m = n + point_offset + 2.
+    """The first member that witness_point(n) fails: m = n + offset + 2.
 
     Member m reads its generator at coordinates 0..m-2, and witness_point(n)
-    switches from point_repeat to point_tail at coordinate n + point_offset.
-    The certificate makes point_tail against the generator the one failing
-    row, so m is the first member whose generator reaches the switch.  m is
-    returned only after checking that the point solves members 1..m-1 and
-    fails member m; when either check fails, or when m <= n, the result is None.
+    switches from its repeat to its tail at coordinate n + offset; the
+    certificate makes that tail against the generator the one failing row.
+    m is returned only if the point solves truncation(m - 1) but not
+    truncation(m), else None.  Offsets are -1 or 0, so m > n always.
     """
-    m = n + package.point_offset + 2
+    m = n + package.witness_rule[2] + 2
     point = package.witness_point(n)
-    if m <= n or not satisfies(structure, package.truncation(m - 1), point):
-        return None
-    member = PowerSystem((package.variable,), (package.family.member(m),), ())
-    return None if satisfies(structure, member, point) else m
+    solves_earlier = satisfies(structure, package.truncation(m - 1), point)
+    return m if solves_earlier and not satisfies(structure, package.truncation(m), point) else None

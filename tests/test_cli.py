@@ -1,10 +1,16 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from eqpower.cli import main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -353,3 +359,25 @@ def test_no_value_carries_over_between_calls(capsys):
     code, out, err = run(capsys, "wrap", triangle, str(FIXTURES / "staircase_demo.json"))
     assert (code, err) == (0, "")
     assert "wrapped system: 4 equations" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["witness", str(FIXTURES / "cycle5.json"), "--depth", "300", "--format", "json"],  # fails while printing
+        ["wrap", "--paper-example-1"],  # fits the buffer, so fails only when flushed
+    ],
+    ids=["witness", "wrap"],
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    """A reader gone before any output is written gives exit 141 (128 + SIGPIPE) and nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "eqpower", *argv], stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr.decode()) == (141, "")

@@ -45,7 +45,7 @@ ACCEPTED_AT_MOST = {
     "structure_from_json_dict": 14,
     "ValidationReport.from_json_dict": 9,  # each leaves the document as it was
     "NoetherianVerdict.from_json_dict": 29,
-    "WitnessPackage.from_json_dict": 62,
+    "WitnessPackage.from_json_dict": 0,
 }
 
 

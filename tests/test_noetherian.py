@@ -1,4 +1,3 @@
-import dataclasses
 import json
 
 import pytest
@@ -188,6 +187,10 @@ def test_witness_rejects_bogus_certificates():
         build_witness_family(chain_poset(2), "poset", ("c2", "c1"))
     with pytest.raises(InvalidCertificateError):
         build_witness_family(free_matroid(2), "matroid", ("e1", "e2", "e1"))
+    with pytest.raises(InvalidCertificateError, match="graph certificates are quadruples"):
+        build_witness_family(triangle_graph(), "graph", ("a", "b"))
+    with pytest.raises(InvalidCertificateError, match="poset certificates are pairs"):
+        build_witness_family(chain_poset(2), "poset", ("c1", "c2", "c2"))
 
 
 def test_first_violated_member_refuses_a_wrong_package():
@@ -195,10 +198,9 @@ def test_first_violated_member_refuses_a_wrong_package():
     g = triangle_graph()
     package = build_witness_family(g, "graph", ("a", "b", "c", "a"))  # E(x, stair(a; b)), point c..c a a ...
     assert first_violated_member(g, package, 3) == 4
-    looped = dataclasses.replace(package, point_repeat="a")  # the point is constant a: E(a, a) fails member 2
-    never = dataclasses.replace(package, point_tail="c")  # the point is constant c: every member holds
-    early = dataclasses.replace(package, point_offset=-2)  # predicts m = n
-    for bad in (looped, never, early):
+    looped = WitnessPackage("graph", ("a", "b", "a", "a"))  # the point is constant a: E(a, a) fails member 2
+    never = WitnessPackage("graph", ("c", "b", "c", "a"))  # the point is constant c: every member holds
+    for bad in (looped, never):
         assert first_violated_member(g, bad, 3) is None
         assert not verify_witness(g, bad, 3)
 
@@ -258,15 +260,20 @@ def test_verdict_decoding_is_strict(doc):
         NoetherianVerdict.from_json_dict(doc)
 
 
-def _package_doc():
-    package = build_witness_family(triangle_graph(), "graph", ("a", "b", "c", "a"))
+def _package_doc(structure=None, kind="graph", certificate=("a", "b", "c", "a")):
+    package = build_witness_family(structure or triangle_graph(), kind, certificate)
     return json.loads(json.dumps(package.to_json_dict()))
 
 
-def _mutated_package(edit):
-    doc = _package_doc()
+def _mutated_package(edit, doc=None):
+    doc = _package_doc() if doc is None else doc
     edit(doc)
     return doc
+
+
+def _swap_repeat_and_tail(doc):
+    rule = doc["witness_rule"]
+    rule["repeat"], rule["tail"] = rule["tail"], rule["repeat"]
 
 
 @pytest.mark.parametrize(
@@ -314,8 +321,14 @@ def test_verdict_copies_must_agree(doc):
         _mutated_package(lambda doc: doc.update(kind="poset")),
         _mutated_package(lambda doc: doc.update(certificate={"triple": ["a", "b", "c"]})),
         _mutated_package(lambda doc: doc.update(variable="y")),
+        _mutated_package(
+            lambda doc: doc["witness_rule"].update(offset=False),  # the pair package's offset is 0
+            _package_doc(chain_poset(2), "poset", ("c1", "c2")),
+        ),
+        _mutated_package(lambda doc: doc.update(family=_package_doc(certificate=("b", "c", "a", "b"))["family"])),
+        _mutated_package(_swap_repeat_and_tail),
     ],
-    ids=["kind-generic", "poset-quadruple", "graph-triple", "variable"],
+    ids=["kind-generic", "poset-quadruple", "graph-triple", "variable", "offset-false", "other-family", "swapped-rule"],
 )
 def test_witness_package_copies_must_agree(doc):
     with pytest.raises(InputFormatError):
