@@ -14,7 +14,6 @@ from .structures import (
     graph_from_edges,
     matroid_signature,
     poset_signature,
-    star_bipartite_graph,
 )
 
 
@@ -94,17 +93,3 @@ def staircase_demo_system() -> PowerSystem:
     )
     return PowerSystem(("x",), (), (family,))
 
-
-def fixture_structures() -> dict[str, tuple[str, FiniteStructure]]:
-    """Name -> (kind, structure) for the files shipped under fixtures/."""
-    return {
-        "triangle": ("graph", triangle_graph()),
-        "path4": ("graph", path_graph(4)),
-        "cycle5": ("graph", cycle_graph(5)),
-        "star3": ("graph", star_bipartite_graph(3)),
-        "chain2": ("poset", chain_poset(2)),
-        "antichain3": ("poset", antichain_poset(3)),
-        "free_matroid2": ("matroid", free_matroid(2)),
-        "free_matroid3": ("matroid", free_matroid(3)),
-        "rank_one_matroid2": ("matroid", rank_one_matroid(2)),
-    }

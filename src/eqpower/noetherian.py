@@ -237,9 +237,6 @@ class WitnessPackage:
         repeat, tail, offset = self.witness_rule
         return (PowerElement((repeat,) * (n + offset), (tail,)),)
 
-    def family_system(self) -> PowerSystem:
-        return PowerSystem((self.variable,), (), (self.family,))
-
     def truncation(self, n: int) -> PowerSystem:
         """Members 1..n of the family, as the family bounded at n."""
         return PowerSystem((self.variable,), (), (StaircaseFamily(self.family.atom, n),))

@@ -10,8 +10,12 @@ present one equation per n >= 1 (or per n up to a bound, for a truncation) by
 splicing a repeating generator stream in front of a shifted tail stream.
 
 Everything decidable here reduces to per-coordinate questions over the base
-structure.  The finite horizon used for those reductions is computed from the
-input data and re-certified by recomputation, never assumed.
+structure.  coordinate_masks gives each coordinate's solution set, the AND of
+its atom masks, computed coordinate by coordinate; consistent,
+power_systems_equivalent and wrap's verify_wrap are queries on it.
+coordinate_profile keeps each coordinate's distinct masks in projection order,
+which wrap reads.  The finite horizon used for those reductions is computed
+from the input data and re-certified by recomputation, never assumed.
 """
 
 from __future__ import annotations
@@ -466,22 +470,40 @@ class ConsistencyVerdict:
         return self.certificate is None
 
 
-def consistent(structure: FiniteStructure, system: PowerSystem) -> ConsistencyVerdict:
-    """A system solves iff every coordinate projection solves; first failure certifies."""
-    stab, period = stream_horizon(system)
+def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int) -> list[int]:
+    """The AND of the atom masks of pi_i(system) at every coordinate i < stop.
+
+    Each entry is computed at its own coordinate, never read off a folded
+    cycle.  An explicit equation is projected at every i.  A family's blocks
+    from StaircaseFamily.coordinate_checks(stop, 1), as for a point that is
+    constant from `stop` on, list exactly the coordinates below `stop` where
+    their slot values occur, so each block's one mask is ANDed into those.
+    """
     classifier = AtomClassifier(structure, system.variables)
-    for i in range(stab + period):
-        entries = projection_entries(system, i)
-        if classifier.system_mask(atom for atom, _ in entries):
-            continue
-        refs = dict(entries)
-        core = minimal_inconsistent_subset(
-            structure, EquationSystem(system.variables, tuple(atom for atom, _ in entries))
-        )
-        sources = tuple(refs[atom] for atom in core.equations)
-        lifted = tuple(resolve_source(system, ref) for ref in sources)
-        return ConsistencyVerdict(InconsistencyCertificate(i, core, sources, lifted))
-    return ConsistencyVerdict()
+    masks = [classifier.full] * stop
+    for eq in system.explicit:
+        for i in range(stop):
+            masks[i] &= classifier.mask(project_equation(eq, i))
+    for fam in system.families:
+        for r, values in fam.coordinate_checks(stop, 1):
+            slot = iter(values)
+            mask = classifier.mask(map_constants(fam.atom, lambda _: next(slot)))
+            for i in range(r.start, min(r.stop, stop), r.step):  # r[:stop] would cut by count
+                masks[i] &= mask
+    return masks
+
+
+def consistent(structure: FiniteStructure, system: PowerSystem) -> ConsistencyVerdict:
+    """A system solves iff every coordinate projection solves; the first failure certifies."""
+    masks = coordinate_masks(structure, system, sum(stream_horizon(system)))
+    if all(masks):
+        return ConsistencyVerdict()
+    i = masks.index(0)
+    refs = dict(projection_entries(system, i))
+    core = minimal_inconsistent_subset(structure, EquationSystem(system.variables, tuple(refs)))
+    sources = tuple(refs[atom] for atom in core.equations)
+    lifted = tuple(resolve_source(system, ref) for ref in sources)
+    return ConsistencyVerdict(InconsistencyCertificate(i, core, sources, lifted))
 
 
 def power_systems_equivalent(structure: FiniteStructure, first: PowerSystem, second: PowerSystem) -> bool:
@@ -493,15 +515,9 @@ def power_systems_equivalent(structure: FiniteStructure, first: PowerSystem, sec
     """
     if first.variables != second.variables:
         raise ValueError(f"variable lists differ: {first.variables} vs {second.variables}")
-    classifier = AtomClassifier(structure, first.variables)
-
-    def mask(system: PowerSystem, i: int) -> int:
-        return classifier.system_mask(atom for atom, _ in projection_entries(system, i))
-
-    # once one system solves, a coordinate where the other has no solution differs
-    if not any(all(mask(s, i) for i in range(sum(stream_horizon(s)))) for s in (first, second)):
-        return True
-    return all(mask(first, i) == mask(second, i) for i in range(sum(stream_horizon(first, second))))
+    stop = sum(stream_horizon(first, second))
+    a, b = (coordinate_masks(structure, s, stop) for s in (first, second))
+    return a == b or (0 in a and 0 in b)
 
 
 # --- JSON layout -----------------------------------------------------------

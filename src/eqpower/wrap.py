@@ -25,6 +25,7 @@ from .power import (
     PowerSystem,
     SourceRef,
     _const_streams,
+    coordinate_masks,
     coordinate_profile,
     horizon,
     periodic_from_json_dict,
@@ -33,7 +34,6 @@ from .power import (
     power_equation_to_json_dict,
     power_system_from_json_dict,
     power_system_to_json_dict,
-    projection_entries,
     project_equation,
     resolve_source,
     stream_horizon,
@@ -224,24 +224,20 @@ def wrap(structure: FiniteStructure, system: PowerSystem) -> WrapResult:
 def verify_wrap(
     structure: FiniteStructure, original: PowerSystem, wrapped: PowerSystem
 ) -> WrapVerification:
-    """Per-coordinate equivalence over the joint horizon, plus one extra period."""
+    """Per-coordinate equivalence over the joint horizon, plus one extra period, each coordinate computed."""
     if original.variables != wrapped.variables:
         raise ValueError("variable lists differ between original and wrapped systems")
     stab, period = stream_horizon(original, wrapped)
-    classifier = AtomClassifier(structure, original.variables)
-    mismatches = []
-    for i in range(stab + 2 * period):
-        mask_orig = classifier.system_mask(a for a, _ in projection_entries(original, i))
-        mask_wrap = classifier.system_mask(a for a, _ in projection_entries(wrapped, i))
-        if mask_orig != mask_wrap:
-            mismatches.append(
-                CoordinateMismatch(
-                    i,
-                    tuple(sorted(classifier.decode(mask_orig))),
-                    tuple(sorted(classifier.decode(mask_wrap))),
-                )
-            )
-    return WrapVerification(tuple(mismatches))
+    stop = stab + 2 * period
+    decode = AtomClassifier(structure, original.variables).decode
+    pairs = zip(coordinate_masks(structure, original, stop), coordinate_masks(structure, wrapped, stop))
+    return WrapVerification(
+        tuple(
+            CoordinateMismatch(i, tuple(sorted(decode(a))), tuple(sorted(decode(b))))
+            for i, (a, b) in enumerate(pairs)
+            if a != b
+        )
+    )
 
 
 def check_size_bounds(

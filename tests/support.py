@@ -11,6 +11,15 @@ import math
 import random
 from itertools import combinations, permutations, product
 
+from eqpower.fixtures import (
+    antichain_poset,
+    chain_poset,
+    cycle_graph,
+    free_matroid,
+    path_graph,
+    rank_one_matroid,
+    triangle_graph,
+)
 from eqpower.power import (
     PowerElement,
     PowerSystem,
@@ -27,6 +36,7 @@ from eqpower.structures import (
     adjacency,
     graph_from_edges,
     matroid_signature,
+    star_bipartite_graph,
 )
 
 
@@ -78,6 +88,26 @@ def explicit_members(family: StaircaseFamily, n: int) -> tuple:
 def explicit_truncation(package, n: int) -> PowerSystem:
     """The witness package's truncation at n: members 1..n as explicit equations, not a bounded family."""
     return PowerSystem((package.variable,), explicit_members(package.family, n), ())
+
+
+def family_system(package) -> PowerSystem:
+    """The witness package's whole family as a system: every member, unbounded."""
+    return PowerSystem((package.variable,), (), (package.family,))
+
+
+def fixture_structures() -> dict[str, tuple[str, FiniteStructure]]:
+    """Name -> (kind, structure) for the files shipped under fixtures/."""
+    return {
+        "triangle": ("graph", triangle_graph()),
+        "path4": ("graph", path_graph(4)),
+        "cycle5": ("graph", cycle_graph(5)),
+        "star3": ("graph", star_bipartite_graph(3)),
+        "chain2": ("poset", chain_poset(2)),
+        "antichain3": ("poset", antichain_poset(3)),
+        "free_matroid2": ("matroid", free_matroid(2)),
+        "free_matroid3": ("matroid", free_matroid(3)),
+        "rank_one_matroid2": ("matroid", rank_one_matroid(2)),
+    }
 
 
 def random_solution_points(rng: random.Random, structure: FiniteStructure, system: PowerSystem) -> list:

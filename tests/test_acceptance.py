@@ -162,7 +162,7 @@ def test_two_chain_staircase_points():
     chain = chain_poset(2)
     verdict = power_noetherian(chain, "poset")
     package = build_witness_family(chain, "poset", verdict.certificate)
-    family_system = package.family_system()
+    family_system = support.family_system(package)
 
     bottom = PowerElement((), ("c1",))
     bottom_ok = satisfies(chain, family_system, (bottom,))
@@ -179,7 +179,7 @@ def test_two_chain_staircase_points():
             point_ok = False
         if not satisfies(chain, package.truncation(n + 1), point):
             point_ok = False
-        next_member = PowerSystem(package.family_system().variables, (package.family.member(n + 2),), ())
+        next_member = PowerSystem((package.variable,), (package.family.member(n + 2),), ())
         if satisfies(chain, next_member, point):
             point_ok = False
         if first_violated_member(chain, package, n) != n + 2:

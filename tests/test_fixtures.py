@@ -3,7 +3,8 @@
 import json
 from pathlib import Path
 
-from eqpower.fixtures import fixture_structures, staircase_demo_system
+import support
+from eqpower.fixtures import staircase_demo_system
 from eqpower.power import power_system_from_json_dict
 from eqpower.structures import structure_from_json_dict
 
@@ -17,7 +18,7 @@ def _documents() -> dict:
 def test_structure_files_match_fixture_structures():
     docs = _documents()
     decoded = {stem: structure_from_json_dict(doc) for stem, doc in docs.items() if "kind" in doc}
-    assert decoded == fixture_structures()
+    assert decoded == support.fixture_structures()
 
 
 def test_staircase_demo_file_matches_staircase_demo_system():

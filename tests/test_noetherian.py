@@ -123,7 +123,7 @@ def test_graph_witness_family():
     for n in range(1, 7):
         assert verify_witness(g, package, n)
         assert first_violated_member(g, package, n) == n + 1
-    assert not satisfies(g, package.family_system(), package.witness_point(3))
+    assert not satisfies(g, support.family_system(package), package.witness_point(3))
     assert satisfies(g, package.truncation(3), package.witness_point(3))
 
 
@@ -170,7 +170,7 @@ def test_deep_witness_matches_oracle(case):
     for n in ORACLE_DEPTHS:
         point = package.witness_point(n)
         assert support.oracle_satisfies(structure, support.explicit_truncation(package, n), point)
-        assert not support.oracle_satisfies(structure, package.family_system(), point)
+        assert not support.oracle_satisfies(structure, support.family_system(package), point)
         variables = (package.variable,)
         held = [
             support.oracle_satisfies(structure, PowerSystem(variables, (package.family.member(m),)), point)

@@ -1,6 +1,9 @@
+import importlib
 import json
 import math
 import random
+from itertools import product
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -20,6 +23,7 @@ from eqpower.power import (
     StaircaseFamily,
     consistent,
     constant_stream,
+    coordinate_masks,
     coordinate_profile,
     horizon,
     power_system_from_json_dict,
@@ -34,6 +38,7 @@ from eqpower.power import (
 )
 from eqpower.solver import AtomClassifier, Const, EqualityAtom, EquationSystem, RelationAtom, Var, solve
 from eqpower.structures import FiniteStructure, Signature
+from eqpower.wrap import verify_wrap, wrap
 
 x = Var("x")
 
@@ -214,6 +219,50 @@ def test_profile_fold_matches_recomputation(seed):
         masks = profile.at(i)
         assert len(set(masks)) == len(masks)
         assert frozenset(map(clf.decode, masks)) == support.oracle_profile(structure, system, i)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**30))
+def test_coordinate_masks_match_the_oracle_at_every_coordinate(seed):
+    """Entry i is the intersection of pi_i's solution sets, also past the horizon and for bounded families."""
+    rng = random.Random(seed)
+    structure = support.random_relational_structure(rng)
+    system = support.random_power_system(rng, structure)
+    families = tuple(
+        StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
+    )
+    system = PowerSystem(system.variables, system.explicit, families)
+    stab, period = stream_horizon(system)
+    stop = rng.randint(0, stab + 3 * period + 5)
+    masks = coordinate_masks(structure, system, stop)
+    assert len(masks) == stop
+    clf = AtomClassifier(structure, system.variables)
+    everything = frozenset(product(structure.universe, repeat=len(system.variables)))
+    for i, mask in enumerate(masks):
+        assert clf.decode(mask) == everything.intersection(*support.oracle_profile(structure, system, i))
+
+
+def test_profile_queries_project_only_at_a_failing_coordinate(monkeypatch):
+    """consistent, power_systems_equivalent and verify_wrap read coordinate_masks, not projection_entries."""
+    g = triangle_graph()
+    demo = staircase_demo_system()
+    planted_file = Path(__file__).resolve().parent.parent / "fixtures" / "planted_inconsistent.json"
+    planted = power_system_from_json_dict(json.loads(planted_file.read_text()))
+    wrapped = wrap(g, demo).wrapped
+    calls = []
+
+    def counted(system, i):
+        calls.append(i)
+        return projection_entries(system, i)
+
+    monkeypatch.setattr(power, "projection_entries", counted)
+    monkeypatch.setattr(importlib.import_module("eqpower.wrap"), "projection_entries", counted, raising=False)
+    assert verify_wrap(g, demo, wrapped).passed
+    assert power_systems_equivalent(g, demo, wrapped)
+    assert consistent(g, demo).consistent
+    assert calls == []
+    assert consistent(g, planted).certificate.coordinate == 2
+    assert calls == [2]
 
 
 def test_satisfies_demo_points():

@@ -1,3 +1,4 @@
+import importlib
 import json
 import operator
 
@@ -241,3 +242,14 @@ def test_wrap_result_copies_must_agree(mutate):
     mutate(doc)
     with pytest.raises(InputFormatError):
         wrap_result_from_json_dict(doc)
+
+
+def test_verify_wrap_computes_its_extra_period(monkeypatch):
+    """Under a horizon reported as (1, 1) every coordinate up to 2 is still computed, not read off a cycle."""
+    wrap_module = importlib.import_module("eqpower.wrap")  # eqpower.wrap the attribute is the function
+    monkeypatch.setattr(wrap_module, "stream_horizon", lambda *systems: (1, 1))  # the demo's true period is 2
+    wrapped = PowerSystem(("x",), (EqualityAtom(Var("x"), Const(PowerElement(("c",), ("b",)))),), ())
+    verification = verify_wrap(triangle_graph(), staircase_demo_system(), wrapped)
+    assert [(m.coordinate, m.original_solutions, m.wrapped_solutions) for m in verification.mismatches] == [
+        (2, (("c",),), (("b",),))
+    ]
