@@ -12,7 +12,10 @@ splicing a repeating generator stream in front of a shifted tail stream.
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of
 its atom masks, computed coordinate by coordinate; consistent,
-power_systems_equivalent and wrap's verify_wrap are queries on it.
+power_systems_equivalent and wrap's verify_wrap are queries on it.  It
+classifies an explicit equation once per distinct tuple of slot values, not
+once per coordinate, through the one AtomClassifier.of that serves a
+structure and variable list, so consistent's core search reuses its masks.
 coordinate_profile keeps each coordinate's distinct masks in projection order,
 which wrap reads.  The finite horizon used for those reductions is computed
 from the input data and re-certified by recomputation, never assumed.
@@ -474,16 +477,26 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
     """The AND of the atom masks of pi_i(system) at every coordinate i < stop.
 
     Each entry is computed at its own coordinate, never read off a folded
-    cycle.  An explicit equation is projected at every i.  A family's blocks
-    from StaircaseFamily.coordinate_checks(stop, 1), as for a point that is
-    constant from `stop` on, list exactly the coordinates below `stop` where
-    their slot values occur, so each block's one mask is ANDed into those.
+    cycle.  An explicit equation's slot values at i are its streams' entries
+    at i (a slot that holds no stream keeps its value), and each distinct
+    tuple of them is turned into an atom and classified once.  A family's
+    blocks from StaircaseFamily.coordinate_checks(stop, 1), as for a point
+    that is constant from `stop` on, list exactly the coordinates below
+    `stop` where their slot values occur, so each block's one mask is ANDed
+    into those.  The classifier is AtomClassifier.of's, which
+    minimal_inconsistent_subset reads after this scan.
     """
-    classifier = AtomClassifier(structure, system.variables)
+    classifier = AtomClassifier.of(structure, system.variables)
     masks = [classifier.full] * stop
     for eq in system.explicit:
-        for i in range(stop):
-            masks[i] &= classifier.mask(project_equation(eq, i))
+        columns = [v.take(stop) if isinstance(v, PowerElement) else repeat(v, stop) for v in const_values(eq)]
+        seen: dict[tuple[Any, ...], int] = {}
+        for i, values in enumerate(zip(*columns) if columns else repeat((), stop)):
+            mask = seen.get(values)
+            if mask is None:
+                slot = iter(values)
+                mask = seen[values] = classifier.mask(map_constants(eq, lambda _: next(slot)))
+            masks[i] &= mask
     for fam in system.families:
         for r, values in fam.coordinate_checks(stop, 1):
             slot = iter(values)

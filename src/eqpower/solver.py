@@ -142,6 +142,12 @@ class AtomClassifier:
     mask and system_mask are the working interface.  solutions and
     system_solutions decode masks into label-tuple frozensets,
     memoized per mask so equal sets come back as the same object.
+
+    AtomClassifier.of(structure, variables) is the one classifier that
+    solve, equivalent, minimal_inconsistent_subset and the power layer's
+    coordinate_masks share for a structure and variable list, so an atom is
+    checked by check_equation and built once however many of them meet it.
+    It is memoized on the structure instance and dies with it.
     """
 
     def __init__(self, structure: FiniteStructure, variables: tuple[str, ...]) -> None:
@@ -159,6 +165,15 @@ class AtomClassifier:
             self._cylinders.append([(ones << u * block) * repunit for u in range(k)])
         self._masks: dict[Equation, int] = {}
         self._decoded: dict[int, frozenset[tuple[str, ...]]] = {}
+
+    @classmethod
+    def of(cls, structure: FiniteStructure, variables: tuple[str, ...]) -> "AtomClassifier":
+        """The shared classifier for the structure and variable list, built on first use."""
+        variables = tuple(variables)
+        classifier = structure._classifiers.get(variables)
+        if classifier is None:
+            classifier = structure._classifiers[variables] = cls(structure, variables)
+        return classifier
 
     def mask(self, eq: Equation) -> int:
         cached = self._masks.get(eq)
@@ -219,14 +234,14 @@ class AtomClassifier:
 
 def solve(structure: FiniteStructure, system: EquationSystem) -> AlgebraicSet:
     """Exact solution set; the empty system yields the full space."""
-    classifier = AtomClassifier(structure, system.variables)
+    classifier = AtomClassifier.of(structure, system.variables)
     return AlgebraicSet(system.variables, classifier.system_solutions(system.equations))
 
 
 def equivalent(structure: FiniteStructure, first: EquationSystem, second: EquationSystem) -> bool:
     if first.variables != second.variables:
         raise ValueError(f"variable lists differ: {first.variables} vs {second.variables}")
-    classifier = AtomClassifier(structure, first.variables)
+    classifier = AtomClassifier.of(structure, first.variables)
     return classifier.system_mask(first.equations) == classifier.system_mask(second.equations)
 
 
@@ -237,7 +252,7 @@ def minimal_inconsistent_subset(structure: FiniteStructure, system: EquationSyst
     list order, so the same input always yields the same core, and a repeated
     equation keeps one copy when the core needs it.
     """
-    classifier = AtomClassifier(structure, system.variables)
+    classifier = AtomClassifier.of(structure, system.variables)
     masks = [classifier.mask(eq) for eq in system.equations]
     # suffix[t] is the intersection of the equations from position t on
     suffix = [classifier.full] * (len(masks) + 1)

@@ -100,6 +100,7 @@ class FiniteStructure:
         self.universe = labels
         self._index = {label: i for i, label in enumerate(labels)}
         self._tables: dict[str, frozenset[tuple[int, ...]]] = {}
+        self._classifiers: dict[tuple[str, ...], Any] = {}  # variable list -> AtomClassifier.of(self, variables)
         tables = dict(tables or {})
         for name in tables:
             if not signature.has(name):

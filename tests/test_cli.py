@@ -163,6 +163,22 @@ def test_consistent_negative_certificate(capsys, tmp_path):
     assert len(doc["certificate"]["lifted"]) == len(doc["certificate"]["sources"])
 
 
+def test_consistent_rejects_an_unknown_label_past_the_failing_coordinate(capsys, tmp_path):
+    """Every atom of the horizon is classified, also after the first coordinate without a solution."""
+    system = {
+        "variables": ["x"],
+        "equations": [
+            {"eq": [{"var": "x"}, {"const": {"prefix": ["a"], "cycle": ["b"]}}]},
+            {"eq": [{"var": "x"}, {"const": {"prefix": ["b", "b", "b"], "cycle": ["z"]}}]},
+        ],
+    }
+    path = write_json(tmp_path, "late_label.json", system)
+    code, out, err = run(capsys, "consistent", str(FIXTURES / "triangle.json"), path)
+    assert code == 2
+    assert out == ""
+    assert "error: constant 'z' is not a universe element" in err
+
+
 def test_noetherian_exit_codes(capsys):
     code, out, _ = run(capsys, "noetherian", str(FIXTURES / "triangle.json"))
     assert code == 1

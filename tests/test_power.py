@@ -232,6 +232,13 @@ def test_coordinate_masks_match_the_oracle_at_every_coordinate(seed):
         StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
     )
     system = PowerSystem(system.variables, system.explicit, families)
+    labels = list(structure.universe)
+    equalities = (  # random_power_system's explicit equations are all R atoms
+        EqualityAtom(Var(rng.choice(system.variables)), Const(support.random_stream(rng, labels))),
+        EqualityAtom(Const(support.random_stream(rng, labels)), Const(support.random_stream(rng, labels))),
+    )
+    explicit = system.explicit + tuple(eq for eq in equalities if rng.random() < 0.5)
+    system = PowerSystem(system.variables, explicit, families)
     stab, period = stream_horizon(system)
     stop = rng.randint(0, stab + 3 * period + 5)
     masks = coordinate_masks(structure, system, stop)
@@ -263,6 +270,35 @@ def test_profile_queries_project_only_at_a_failing_coordinate(monkeypatch):
     assert calls == []
     assert consistent(g, planted).certificate.coordinate == 2
     assert calls == [2]
+
+
+@pytest.mark.parametrize("fixture", ["planted_inconsistent", "staircase_demo"])
+def test_consistent_builds_one_mask_per_distinct_atom(fixture, monkeypatch):
+    """The scan classifies each distinct atom of the horizon once, and the core search builds none."""
+    path = Path(__file__).resolve().parent.parent / "fixtures" / f"{fixture}.json"
+    system = power_system_from_json_dict(json.loads(path.read_text()))
+    built = []
+    original = AtomClassifier._build_mask
+
+    def counted(self, eq):
+        built.append(eq)
+        return original(self, eq)
+
+    monkeypatch.setattr(AtomClassifier, "_build_mask", counted)
+    consistent(triangle_graph(), system)
+    stab, period = stream_horizon(system)
+    atoms = {atom for i in range(stab + period) for atom, _ in projection_entries(system, i)}
+    assert len(built) == len(atoms)
+    assert set(built) == atoms
+
+
+def test_coordinate_masks_read_a_plain_label_slot_at_every_coordinate():
+    """An explicit slot that holds no stream keeps its value, as project_equation keeps it."""
+    g = triangle_graph()
+    plain = PowerSystem(("x",), (RelationAtom("E", (x, Const("a"))),))
+    stream = PowerSystem(("x",), (RelationAtom("E", (x, Const(constant_stream("a")))),))
+    assert project_equation(plain.explicit[0], 3) == plain.explicit[0]
+    assert coordinate_masks(g, plain, 4) == coordinate_masks(g, stream, 4)
 
 
 def test_satisfies_demo_points():
