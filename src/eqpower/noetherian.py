@@ -238,8 +238,8 @@ class WitnessPackage:
         return (PowerElement((repeat,) * (n + offset), (tail,)),)
 
     def truncation(self, n: int) -> PowerSystem:
-        """Members 1..n of the family, as the family bounded at n."""
-        return PowerSystem((self.variable,), (), (StaircaseFamily(self.family.atom, n),))
+        """Members 1..n of the family, as the family bounded at n that shares its slot rows."""
+        return PowerSystem((self.variable,), (), (self.family.truncated(n),))
 
     def to_json_dict(self) -> dict:
         repeat, tail, offset = self.witness_rule

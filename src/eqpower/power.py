@@ -23,11 +23,12 @@ from the input data and re-certified by recomputation, never assumed.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import InputFormatError, UnboundVariableError, json_int, json_object, json_str_list
 from .solver import (
@@ -164,6 +165,16 @@ class Staircase:
         return self.tail.at(i - (n - 1))
 
 
+class SlotRows(NamedTuple):
+    """A family's slot values by generator residue and joint tail position; they depend on the atom alone."""
+
+    generator_period: int  # L, the lcm of the generator lengths
+    generators: tuple[tuple[str, ...], ...]  # the generator values at each residue r < L
+    tail_prefix: int  # the largest tail prefix
+    tail_cycle: int  # C, the lcm of the tail cycles
+    tails: tuple[tuple[str, ...], ...]  # the joint tail values at each position j < tail prefix + C
+
+
 @dataclass(frozen=True)
 class StaircaseFamily:
     """One equation per member n: the atom with each Staircase constant replaced by member n's stream.
@@ -185,6 +196,26 @@ class StaircaseFamily:
     def members(self, last: int) -> range:
         """The family's member indices among 1..last."""
         return range(1, (last if self.bound is None else min(last, self.bound)) + 1)
+
+    @functools.cached_property
+    def slot_rows(self) -> SlotRows:
+        """The slot values coordinate_checks reads, computed on first use."""
+        descs = self.descriptors()
+        _, gen_period = horizon(Periodic((), s.generator) for s in descs)
+        tail_prefix, tail_cycle = horizon(s.tail for s in descs)
+        return SlotRows(
+            gen_period,
+            tuple(tuple(s.generator_at(r) for s in descs) for r in range(gen_period)),
+            tail_prefix,
+            tail_cycle,
+            tuple(tuple(s.tail.at(j) for s in descs) for j in range(tail_prefix + tail_cycle)),
+        )
+
+    def truncated(self, n: int) -> "StaircaseFamily":
+        """Members 1..n, as the family bounded at n; it shares this family's slot_rows."""
+        fam = StaircaseFamily(self.atom, n)
+        fam.__dict__["slot_rows"] = self.slot_rows  # where cached_property keeps its value
+        return fam
 
     def coordinate_checks(self, stab: int, period: int) -> list[tuple[range, tuple[str, ...]]]:
         """(coordinates, slot values) blocks that decide the family at a point.
@@ -221,18 +252,14 @@ class StaircaseFamily:
             j + kC is in the window of i for j + kC <= i < j + kC + N.  When
             N >= C these windows join into range(j, E), and otherwise they are
             the N stepped ranges range(j + d, E, C) for d < N.
+        The slot values per residue and tail position are slot_rows; only
+        the ranges are built per call.
         """
-        descs = self.descriptors()
-        _, gen_period = horizon(Periodic((), s.generator) for s in descs)
+        gen_period, generators, tail_prefix, tail_cycle, rows = self.slot_rows
         gen_stop = stab + math.lcm(period, gen_period)
         if self.bound is not None:
             gen_stop = min(gen_stop, self.bound - 1)
-        checks = [
-            (range(r, gen_stop, gen_period), tuple(s.generator_at(r) for s in descs))
-            for r in range(min(gen_period, gen_stop))
-        ]
-        tail_prefix, tail_cycle = horizon(s.tail for s in descs)
-        rows = [tuple(s.tail.at(j) for s in descs) for j in range(tail_prefix + tail_cycle)]
+        checks = [(range(r, gen_stop, gen_period), generators[r]) for r in range(min(gen_period, gen_stop))]
         if self.bound is None:
             return checks + [(range(j, max(j, stab) + period), values) for j, values in enumerate(rows)]
         n = self.bound
@@ -385,7 +412,7 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
     every coordinate.
     """
     stab, period = stream_horizon(system)
-    classifier = AtomClassifier(structure, system.variables)
+    classifier = AtomClassifier.of(structure, system.variables)
     rows = [projection_entries(system, i) for i in range(stab + period)]
     table = tuple(tuple(dict.fromkeys(classifier.mask(atom) for atom, _ in row)) for row in rows)
     for i in range(stab, stab + period):

@@ -104,9 +104,10 @@ def _discovered(profile: Periodic) -> list[int]:
 
 
 def _candidates(system: PowerSystem, horizon: int) -> list[tuple[SourceRef, Equation]]:
+    """The explicit equations, then per family its members 1..min(horizon, L) + 1 (see class_representatives)."""
     out = [(SourceRef(idx), eq) for idx, eq in enumerate(system.explicit)]
     for fidx, fam in enumerate(system.families):
-        for n in fam.members(horizon + 1):
+        for n in fam.members(min(horizon, fam.slot_rows.generator_period) + 1):
             out.append((SourceRef(fidx, n), fam.member(n)))
     return out
 
@@ -122,8 +123,18 @@ def class_representatives(
     members by ascending index and n) that realizes the most still uncovered
     sets; each set then gets the least coordinate at which its chosen source
     realizes it.
+
+    A family's candidates stop at member min(H + 1, L + 1), where H is the
+    profile's horizon and L the lcm of the family's generator lengths.
+    Member n projects to the generator values at each i <= n - 2, which
+    depend only on i mod L, and to the joint tail at every later i, from
+    tail position 0 on.  So from n = L + 1 on every member realizes the same
+    sets: those of all L generator residues and of every tail position.  A
+    candidate is taken only for a strictly larger gain than every earlier
+    one, and equal sets give equal gains, so no member past L + 1 is ever
+    taken and scanning it would change nothing.
     """
-    classifier = AtomClassifier(structure, system.variables)
+    classifier = AtomClassifier.of(structure, system.variables)
     discovery = _discovered(profile)
     uncovered = set(discovery)
 
@@ -176,7 +187,7 @@ def seed_equations(
         eq = resolve_source(system, rep.source)
         if eq not in seeds:
             seeds.append(eq)
-    classifier = AtomClassifier(structure, system.variables)
+    classifier = AtomClassifier.of(structure, system.variables)
     for rep in reps:
         eq = resolve_source(system, rep.source)
         if classifier.solutions(project_equation(eq, rep.coordinate)) != rep.solutions:
@@ -229,7 +240,7 @@ def verify_wrap(
         raise ValueError("variable lists differ between original and wrapped systems")
     stab, period = stream_horizon(original, wrapped)
     stop = stab + 2 * period
-    decode = AtomClassifier(structure, original.variables).decode
+    decode = AtomClassifier.of(structure, original.variables).decode
     pairs = zip(coordinate_masks(structure, original, stop), coordinate_masks(structure, wrapped, stop))
     return WrapVerification(
         tuple(

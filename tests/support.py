@@ -23,12 +23,24 @@ from eqpower.fixtures import (
 from eqpower.power import (
     PowerElement,
     PowerSystem,
+    SourceRef,
     Staircase,
     StaircaseFamily,
+    horizon,
+    project_equation,
     projection_entries,
     stream_horizon,
 )
-from eqpower.solver import Const, EqualityAtom, EquationSystem, RelationAtom, Var, evaluate
+from eqpower.solver import (
+    AtomClassifier,
+    Const,
+    EqualityAtom,
+    EquationSystem,
+    RelationAtom,
+    Var,
+    const_values,
+    evaluate,
+)
 from eqpower.structures import (
     GRAPH_EDGE_SYMBOL,
     FiniteStructure,
@@ -38,6 +50,7 @@ from eqpower.structures import (
     matroid_signature,
     star_bipartite_graph,
 )
+from eqpower.wrap import ClassRep
 
 
 def oracle_atom_solutions(structure: FiniteStructure, variables, eq) -> frozenset:
@@ -152,6 +165,43 @@ def oracle_first_violated_member(structure: FiniteStructure, package, n: int, se
         if not oracle_satisfies(structure, member, point):
             return m
     return None
+
+
+def reference_class_representatives(structure: FiniteStructure, system: PowerSystem, profile) -> tuple:
+    """wrap's greedy cover with every family member up to the profile's horizon plus one as a candidate.
+
+    No cut at member L + 1: each candidate is projected at every coordinate
+    of its own horizon, a candidate is taken for a strictly larger count of
+    uncovered sets than every earlier one, and each set gets the least
+    coordinate at which its source realizes it.
+    """
+    classifier = AtomClassifier(structure, system.variables)
+    discovery = list(dict.fromkeys(m for masks in profile.prefix + profile.cycle for m in masks))
+    last = len(profile.prefix) + len(profile.cycle) + 1
+    candidates = [(SourceRef(idx), eq) for idx, eq in enumerate(system.explicit)]
+    for fidx, fam in enumerate(system.families):
+        candidates += [(SourceRef(fidx, n), fam.member(n)) for n in fam.members(last)]
+    coverage = []
+    for ref, eq in candidates:
+        streams = [v for v in const_values(eq) if isinstance(v, PowerElement)]
+        realized = {}
+        for i in range(sum(horizon(streams))):
+            realized.setdefault(classifier.mask(project_equation(eq, i)), i)
+        coverage.append((ref, eq, {m: i for m, i in realized.items() if m in discovery}))
+    uncovered, assignment = set(discovery), {}
+    while uncovered:
+        gains = [len(uncovered & realized.keys()) for _, _, realized in coverage]
+        if not max(gains):
+            raise AssertionError("an uncovered solution set has no source")
+        ref, eq, realized = coverage[gains.index(max(gains))]
+        for m in uncovered & realized.keys():
+            assignment[m] = (realized[m], ref, eq)
+        uncovered -= realized.keys()
+    reps = []
+    for m in discovery:
+        coord, ref, eq = assignment[m]
+        reps.append(ClassRep(classifier.decode(m), project_equation(eq, coord), coord, ref))
+    return tuple(reps)
 
 
 def brute_solutions(structure: FiniteStructure, system: EquationSystem) -> frozenset:

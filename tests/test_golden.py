@@ -27,7 +27,8 @@ from eqpower.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 FIXTURES = ROOT / "fixtures"
 GOLDEN = Path(__file__).resolve().parent / "golden"
-INPUTS = GOLDEN / "inputs"
+INPUTS = GOLDEN / "inputs"  # base systems, which the decoder fuzz corpus reads too
+POWER_INPUTS = GOLDEN / "power_inputs"
 
 STRUCTURES = (
     "antichain3",
@@ -41,6 +42,8 @@ STRUCTURES = (
     "triangle",
 )
 POWER_SYSTEMS = ("planted_inconsistent", "staircase_demo")  # both paired with the triangle
+# horizon 3 + 90: the generator has length 5, and the class of E(x, c) first occurs at member 6
+WRAP_INPUTS = {"wide_staircase": "triangle"}
 BASE_SYSTEMS = {
     "chain2_below": "chain2",
     "free_matroid2_repeated": "free_matroid2",
@@ -69,6 +72,8 @@ def _cases() -> dict[str, list[str]]:
         for i in range(4):
             plain[f"project_{name}_{i}"] = ["project", *pair, "--coordinate", str(i)]
         plain[f"wrap_{name}"] = ["wrap", *pair]
+    for name, structure in WRAP_INPUTS.items():
+        plain[f"wrap_{name}"] = ["wrap", _fixture(structure), str(POWER_INPUTS / f"{name}.json")]
     for name, structure in BASE_SYSTEMS.items():
         plain[f"solve_{name}"] = ["solve", _fixture(structure), str(INPUTS / f"{name}.json")]
     cases = {"help": ["--help"]}

@@ -513,6 +513,24 @@ def test_unbounded_coordinate_checks_pinned():
     assert StaircaseFamily(two_slots.atom, None) == two_slots
 
 
+def test_truncated_family_shares_slot_rows():
+    """A truncation is the bounded family, and reuses the slot values its parent computed."""
+    first = Staircase(("a", "b", "c"), PowerElement(("a", "c"), ("b", "a")))
+    second = Staircase(("c", "a"), PowerElement((), ("b",)))
+    fam = StaircaseFamily(RelationAtom("T", (x, Const(first), Const(second))))
+    assert fam.slot_rows == (
+        6,
+        (("a", "c"), ("b", "a"), ("c", "c"), ("a", "a"), ("b", "c"), ("c", "a")),
+        2,
+        2,
+        (("a", "b"), ("c", "b"), ("b", "b"), ("a", "b")),
+    )
+    for n in (1, 4, 9):
+        cut = fam.truncated(n)
+        assert cut == StaircaseFamily(fam.atom, n) and cut.slot_rows is fam.slot_rows
+        assert cut.coordinate_checks(3, 2) == StaircaseFamily(fam.atom, n).coordinate_checks(3, 2)
+
+
 # --- bounded families against their members written out ----------------------
 
 

@@ -1,17 +1,25 @@
 import importlib
 import json
 import operator
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import support
 from eqpower.errors import InputFormatError
-from eqpower.fixtures import staircase_demo_system, triangle_graph
+from eqpower.fixtures import path_graph, staircase_demo_system, triangle_graph
 from eqpower.power import (
     Periodic,
     PowerElement,
     PowerSystem,
     SourceRef,
+    Staircase,
+    StaircaseFamily,
     coordinate_profile,
+    power_system_from_json_dict,
     power_systems_equivalent,
 )
 from eqpower.solver import Const, EqualityAtom, RelationAtom, Var
@@ -253,3 +261,73 @@ def test_verify_wrap_computes_its_extra_period(monkeypatch):
     assert [(m.coordinate, m.original_solutions, m.wrapped_solutions) for m in verification.mismatches] == [
         (2, (("c",),), (("b",),))
     ]
+
+
+WRAP_MODULE = importlib.import_module("eqpower.wrap")  # eqpower.wrap the attribute is the function
+WIDE_STAIRCASE = Path(__file__).resolve().parent / "golden" / "power_inputs" / "wide_staircase.json"
+
+
+@st.composite
+def staircase_systems(draw):
+    """(structure, system): 1-3 families, bounded or not, and 0-2 explicit stream equations over 1-2 variables.
+
+    Generators have 1-6 entries; tails and explicit streams have a prefix of
+    0-3 and a cycle of 1-4 entries.
+    """
+    structure = draw(st.sampled_from((triangle_graph(), path_graph(4))))
+    variables = ("x", "y")[: draw(st.integers(1, 2))]
+    label = st.sampled_from(structure.universe)
+    var = st.sampled_from(variables).map(Var)
+    stream = st.builds(
+        PowerElement,
+        st.lists(label, max_size=3).map(tuple),
+        st.lists(label, min_size=1, max_size=4).map(tuple),
+    )
+    stair = st.builds(Staircase, st.lists(label, min_size=1, max_size=6).map(tuple), stream)
+
+    def atom(slot):
+        args = draw(st.tuples(var | slot.map(Const), slot.map(Const)))
+        return RelationAtom("E", args[::-1] if draw(st.booleans()) else args)
+
+    families = tuple(
+        StaircaseFamily(atom(stair), draw(st.none() | st.integers(1, 12))) for _ in range(draw(st.integers(1, 3)))
+    )
+    explicit = tuple(atom(stream) for _ in range(draw(st.integers(0, 2))))
+    return structure, PowerSystem(variables, explicit, families)
+
+
+@settings(deadline=None, max_examples=100)
+@given(staircase_systems())
+def test_cut_candidate_scan_matches_the_uncut_reference(drawn):
+    """Scanning members up to L + 1 per family picks what scanning every member up to the horizon picks."""
+    structure, system = drawn
+    profile = coordinate_profile(structure, system)
+    expected = support.reference_class_representatives(structure, system, profile)
+    assert class_representatives(structure, system, profile) == expected
+    with mock.patch.object(WRAP_MODULE, "class_representatives", support.reference_class_representatives):
+        reference = wrap_result_to_json_dict(wrap(structure, system))
+    assert wrap_result_to_json_dict(wrap(structure, system)) == reference
+
+
+@pytest.mark.parametrize("case", ["staircase_demo", "wide_staircase"])
+def test_wrap_builds_no_member_past_generator_period_plus_one(case):
+    """Member L + 1 is the last one wrap writes out, L the lcm of the family's generator lengths."""
+    if case == "staircase_demo":
+        system = staircase_demo_system()
+    else:
+        system = power_system_from_json_dict(json.loads(WIDE_STAIRCASE.read_text()))
+    built = []
+    member = StaircaseFamily.member
+
+    def spy(fam, n):
+        built.append(n)
+        return member(fam, n)
+
+    with mock.patch.object(StaircaseFamily, "member", spy):
+        result = wrap(triangle_graph(), system)
+    (fam,) = system.families
+    last = fam.slot_rows.generator_period + 1
+    assert max(built) == last  # both inputs take member L + 1 as a source
+    assert {rep.source for rep in result.trace.representatives if rep.source.member is not None} == {
+        SourceRef(0, last)
+    }
