@@ -21,12 +21,7 @@ from typing import Any, Callable
 
 from .errors import InputFormatError, UnboundVariableError
 from .fixtures import staircase_demo_system, triangle_graph
-from .noetherian import (
-    NOT_NOETHERIAN,
-    build_witness_family,
-    first_violated_member,
-    power_noetherian,
-)
+from .noetherian import build_witness_family, first_violated_member, power_noetherian
 from .power import (
     consistent,
     power_equation_to_json_dict,
@@ -193,7 +188,7 @@ def cmd_noetherian(args: argparse.Namespace) -> int:
             print(f"certificate ({verdict.certificate_kind}): {', '.join(verdict.certificate)}")
         if verdict.transcript:
             print(f"note: {verdict.transcript}")
-    return 1 if verdict.status == NOT_NOETHERIAN else 0
+    return 0 if verdict.certificate is None else 1
 
 
 def cmd_witness(args: argparse.Namespace) -> int:
@@ -203,7 +198,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     if args.depth < 1:
         raise CliInputError("depth must be >= 1")
     verdict = power_noetherian(structure, kind)
-    if verdict.status != NOT_NOETHERIAN:
+    if verdict.certificate is None:
         if args.format == "json":
             _print_json({"status": verdict.status, "witness": None})
         else:

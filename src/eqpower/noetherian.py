@@ -4,9 +4,14 @@ For a finite graph the power is equationally Noetherian exactly when every
 walk of length three closes back to its start (a quasi-identity over all
 vertex quadruples, repeats included).  For matroids the same criterion runs on
 the underlying graph of independent pairs after ruling out independent
-triples.  For posets any strict pair already refutes the property; no
-sufficient condition is known here, so the positive answer stays an open
-NO_OBSTRUCTION_FOUND rather than NOETHERIAN.
+triples.  A poset is refuted by any strict pair.  Without one it is an
+antichain, and its power is Noetherian: leq is equality in A and in A^N, so
+every atom is s = t over variables and constants.  A system in n variables has
+at most n^2 distinct variable-variable atoms.  A false constant-constant atom
+refutes it alone; two different pins on one class of variables refute it with
+at most n + 1 atoms, the two pins and a path of equalities between them.
+Otherwise one pin per class plus the variable equalities is an equivalent
+finite subsystem.
 
 Every negative verdict carries a certificate, and every certificate expands
 into a concrete witness family: an infinite staircase system none of whose
@@ -42,8 +47,6 @@ from .structures import (
 
 NOETHERIAN = "NOETHERIAN"
 NOT_NOETHERIAN = "NOT_NOETHERIAN"
-NO_OBSTRUCTION_FOUND = "NO_OBSTRUCTION_FOUND"
-STATUSES = (NOETHERIAN, NOT_NOETHERIAN, NO_OBSTRUCTION_FOUND)
 CERTIFICATE_KINDS = {4: "quadruple", 3: "triple", 2: "pair"}  # by the number of labels
 # the certificate kinds that verdicts and witness packages on each kind of structure carry
 KIND_CERTIFICATES = {"graph": ("quadruple",), "poset": ("pair",), "matroid": ("triple", "quadruple")}
@@ -52,10 +55,14 @@ WITNESS_VARIABLE = "x"
 
 @dataclass(frozen=True)
 class NoetherianVerdict:
-    status: str
     kind: str
-    certificate: tuple[str, ...] | None = None  # present exactly when the status is NOT_NOETHERIAN
+    certificate: tuple[str, ...] | None = None  # the obstruction, if the power is not Noetherian
     transcript: str | None = None
+
+    @property
+    def status(self) -> str:
+        """NOT_NOETHERIAN exactly when a certificate is present, else NOETHERIAN."""
+        return NOETHERIAN if self.certificate is None else NOT_NOETHERIAN
 
     @property
     def certificate_kind(self) -> str | None:
@@ -78,17 +85,16 @@ class NoetherianVerdict:
         if isinstance(doc, Mapping) and "transcript" in doc:
             keys.add("transcript")
         doc = json_object(doc, keys, "verdict")
-        status = json_str(doc["status"], "verdict status")
-        if status not in STATUSES:
-            raise InputFormatError(f"verdict status must be one of {list(STATUSES)}, got {status!r}")
         kind = _kind_from_json(doc["kind"], "verdict kind")
         values = None
         if doc["certificate"] is not None:
             values = _certificate_from_json_dict(doc["certificate"], kind)
-        if (status == NOT_NOETHERIAN) != (values is not None):
-            raise InputFormatError(f"a verdict has a certificate exactly when its status is {NOT_NOETHERIAN}")
         transcript = json_str(doc["transcript"], "verdict transcript") if "transcript" in doc else None
-        return NoetherianVerdict(status, kind, values, transcript)
+        verdict = NoetherianVerdict(kind, values, transcript)
+        if doc["status"] != verdict.status:
+            have = "without" if values is None else "with"
+            raise InputFormatError(f"a verdict {have} a certificate has status {verdict.status}, got {doc['status']!r}")
+        return verdict
 
 
 def _kind_from_json(doc: Any, what: str) -> str:
@@ -147,10 +153,10 @@ def matroid_independent_triple(matroid: FiniteStructure) -> tuple[str, str, str]
 def power_noetherian(structure: FiniteStructure, kind: str) -> NoetherianVerdict:
     """The verdict for the power of a structure that passes validation as its kind.
 
-    A poset is refuted by any strict pair; without one no conclusion is
-    available either way.  A matroid is refuted by an independent triple;
-    otherwise it and a graph are decided by the walk scan, the matroid on its
-    graph of independent pairs.
+    The certificate is the kind's obstruction: a strict pair for a poset, an
+    independent triple or else an open walk in the graph of independent pairs
+    for a matroid, an open walk for a graph.  Without one the power is
+    Noetherian, and the transcript names the argument.
     """
     if kind not in KIND_CERTIFICATES:
         raise ValueError(f"no decision procedure for kind {kind!r}")
@@ -158,29 +164,17 @@ def power_noetherian(structure: FiniteStructure, kind: str) -> NoetherianVerdict
     if not report.passed:
         raise ValueError(f"structure fails {kind} validation: {report.violations[:3]}")
     if kind == "poset":
-        pair = poset_strict_pair(structure)
-        if pair is not None:
-            return NoetherianVerdict(NOT_NOETHERIAN, kind, pair)
-        return NoetherianVerdict(
-            NO_OBSTRUCTION_FOUND,
-            kind,
-            transcript="no strict pair exists (the order is trivial); no refutation is known for this case",
-        )
-    graph = structure
-    if kind == "matroid":
-        triple = matroid_independent_triple(structure)
-        if triple is not None:
-            return NoetherianVerdict(NOT_NOETHERIAN, kind, triple)
-        graph = matroid_underlying_graph(structure)
-    bad = graph_quasi_identity(graph)
-    if bad is not None:
-        return NoetherianVerdict(NOT_NOETHERIAN, kind, bad)
-    transcript = (
-        f"all {graph.size ** 4} vertex quadruples close their walks"
-        if kind == "graph"
-        else "no independent triple; all walks in the independent-pair graph close"
-    )
-    return NoetherianVerdict(NOETHERIAN, kind, transcript=transcript)
+        obstruction = poset_strict_pair(structure)
+        transcript = "no strict pair, so the order is equality: one pin per class plus the variable equalities suffice"
+    elif kind == "matroid":
+        obstruction = matroid_independent_triple(structure) or graph_quasi_identity(matroid_underlying_graph(structure))
+        transcript = "no independent triple; all walks in the independent-pair graph close"
+    else:
+        obstruction = graph_quasi_identity(structure)
+        transcript = f"all {structure.size ** 4} vertex quadruples close their walks"
+    if obstruction is not None:
+        return NoetherianVerdict(kind, obstruction)
+    return NoetherianVerdict(kind, transcript=transcript)
 
 
 def _expand_certificate(kind: str, labels: tuple[str, ...]) -> tuple[str, str, str, str, str, int]:

@@ -27,6 +27,7 @@ from eqpower.power import (
     Staircase,
     StaircaseFamily,
     horizon,
+    power_systems_equivalent,
     project_equation,
     projection_entries,
     stream_horizon,
@@ -43,11 +44,13 @@ from eqpower.solver import (
 )
 from eqpower.structures import (
     GRAPH_EDGE_SYMBOL,
+    POSET_ORDER_SYMBOL,
     FiniteStructure,
     Signature,
     adjacency,
     graph_from_edges,
     matroid_signature,
+    poset_signature,
     star_bipartite_graph,
 )
 from eqpower.wrap import ClassRep
@@ -338,6 +341,39 @@ def enumerate_independence_systems(universe_size: int):
         yield FiniteStructure(sig, labels, tables)
 
 
+def enumerate_posets(n: int):
+    """All labeled partial orders on p1..pn, by subset of strict pairs, kept if antisymmetric and transitive."""
+    labels = [f"p{i}" for i in range(1, n + 1)]
+    pairs = list(permutations(labels, 2))
+    for bits in range(2 ** len(pairs)):
+        strict = {p for i, p in enumerate(pairs) if bits >> i & 1}
+        if any((b, a) in strict for a, b in strict):
+            continue
+        if any((a, d) not in strict for a, b in strict for c, d in strict if b == c):
+            continue
+        rows = [(u, u) for u in labels] + sorted(strict)
+        yield FiniteStructure(poset_signature(), labels, {POSET_ORDER_SYMBOL: rows})
+
+
+def enumerate_posets_up_to(n: int):
+    for size in range(1, n + 1):
+        yield from enumerate_posets(size)
+
+
+def least_equivalent_truncation(structure: FiniteStructure, system: PowerSystem) -> int | None:
+    """Least N <= stab + 2 * period + 2 at which the system with every family cut to members 1..N is equivalent.
+
+    Explicit equations stay; each family becomes family.truncated(N).  None
+    when no such N exists up to that bound.
+    """
+    stab, period = stream_horizon(system)
+    for n in range(1, stab + 2 * period + 3):
+        truncation = PowerSystem(system.variables, system.explicit, tuple(f.truncated(n) for f in system.families))
+        if power_systems_equivalent(structure, truncation, system):
+            return n
+    return None
+
+
 def random_stream(rng: random.Random, labels, max_prefix: int = 2, max_cycle: int = 3) -> PowerElement:
     prefix = tuple(rng.choice(labels) for _ in range(rng.randint(0, max_prefix)))
     cycle = tuple(rng.choice(labels) for _ in range(rng.randint(1, max_cycle)))
@@ -358,12 +394,12 @@ def random_relational_structure(rng: random.Random, max_size: int = 3) -> Finite
 
 
 def random_power_system(
-    rng: random.Random, structure: FiniteStructure, max_prefix: int = 2, max_cycle: int = 3
+    rng: random.Random, structure: FiniteStructure, max_prefix: int = 2, max_cycle: int = 3, symbol: str = "R"
 ) -> PowerSystem:
     """Mixed staircase families and explicit equations over one binary symbol.
 
     Stream constants and staircase tails have up to max_prefix prefix and
-    max_cycle cycle entries.
+    max_cycle cycle entries.  The symbol changes no draw.
     """
     labels = list(structure.universe)
     variables = ("x", "y")[: rng.randint(1, 2)]
@@ -378,14 +414,14 @@ def random_power_system(
     families = []
     for _ in range(rng.randint(1, 3)):
         if rng.random() < 0.7:
-            atom = RelationAtom("R", (var_or(random_staircase), var_or(random_staircase)))
+            atom = RelationAtom(symbol, (var_or(random_staircase), var_or(random_staircase)))
         else:
             atom = EqualityAtom(Var(rng.choice(variables)), Const(random_staircase(rng, labels, *shape)))
         if not any(isinstance(a, Const) for a in _args(atom)):
-            atom = RelationAtom("R", (Var(variables[0]), Const(random_staircase(rng, labels, *shape))))
+            atom = RelationAtom(symbol, (Var(variables[0]), Const(random_staircase(rng, labels, *shape))))
         families.append(StaircaseFamily(atom))
     explicit = tuple(
-        RelationAtom("R", (var_or(random_stream), var_or(random_stream)))
+        RelationAtom(symbol, (var_or(random_stream), var_or(random_stream)))
         for _ in range(rng.randint(0, 2))
     )
     return PowerSystem(variables, explicit, tuple(families))

@@ -190,7 +190,7 @@ def test_noetherian_exit_codes(capsys):
 
     code, out, _ = run(capsys, "noetherian", str(FIXTURES / "antichain3.json"))
     assert code == 0
-    assert "status: NO_OBSTRUCTION_FOUND" in out and "note:" in out
+    assert "status: NOETHERIAN" in out and "note:" in out
 
 
 def test_noetherian_rejects_generic_kind(capsys, tmp_path):

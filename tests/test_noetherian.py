@@ -1,4 +1,6 @@
 import json
+import random
+from itertools import product
 
 import pytest
 
@@ -15,7 +17,6 @@ from eqpower.fixtures import (
     triangle_graph,
 )
 from eqpower.noetherian import (
-    NO_OBSTRUCTION_FOUND,
     NOETHERIAN,
     NOT_NOETHERIAN,
     NoetherianVerdict,
@@ -88,9 +89,62 @@ def test_poset_verdicts():
     assert verdict.status == NOT_NOETHERIAN and verdict.certificate_kind == "pair"
 
     open_case = power_noetherian(antichain_poset(3), "poset")
-    assert open_case.status == NO_OBSTRUCTION_FOUND
+    assert open_case.status == NOETHERIAN
     assert open_case.certificate is None
     assert open_case.transcript
+
+
+def test_poset_verdicts_over_every_poset_up_to_four_elements():
+    """NOETHERIAN exactly for the 4 antichains; every other certificate is the least strict pair.
+
+    Each certificate expands into a witness family that verifies to depth 5,
+    and each verdict round-trips through JSON.
+    """
+    posets = list(support.enumerate_posets_up_to(4))
+    assert len(posets) == 242
+    antichains = 0
+    for poset in posets:
+        verdict = power_noetherian(poset, "poset")
+        order = set(poset.tuples("leq"))
+        strict = [(a, b) for a, b in product(poset.universe, repeat=2) if a != b and (a, b) in order]
+        assert verdict.certificate == (strict[0] if strict else None)
+        assert NoetherianVerdict.from_json_dict(json.loads(json.dumps(verdict.to_json_dict()))) == verdict
+        if not strict:
+            antichains += 1
+            assert verdict.status == NOETHERIAN
+            continue
+        assert verdict.status == NOT_NOETHERIAN
+        package = build_witness_family(poset, "poset", verdict.certificate)
+        assert all(verify_witness(poset, package, n) for n in range(1, 6))
+    assert antichains == 4
+
+
+SYSTEM_CHECK_CASES = {
+    **{f"antichain{n}": (antichain_poset(n), "poset", "leq") for n in range(1, 5)},
+    "star3": (star_bipartite_graph(3), "graph", "E"),
+    "free_matroid2": (free_matroid(2), "matroid", "P2"),
+    "rank_one_matroid2": (rank_one_matroid(2), "matroid", "P2"),
+}
+
+
+def test_noetherian_verdicts_hold_on_random_systems():
+    """On each NOETHERIAN structure, 100 random staircase systems are each equivalent to a truncation.
+
+    A truncation cuts every family to its first N members, so it is a finite
+    subsystem.  chain2 is the negative control: at least one of its systems
+    is equivalent to no truncation up to the bound.
+    """
+    for name, (structure, kind, symbol) in SYSTEM_CHECK_CASES.items():
+        assert power_noetherian(structure, kind).status == NOETHERIAN
+        rng = random.Random(0)
+        for _ in range(100):
+            system = support.random_power_system(rng, structure, symbol=symbol)
+            assert support.least_equivalent_truncation(structure, system) is not None, (name, system)
+    chain = chain_poset(2)
+    assert power_noetherian(chain, "poset").status == NOT_NOETHERIAN
+    rng = random.Random(0)
+    systems = [support.random_power_system(rng, chain, symbol="leq") for _ in range(100)]
+    assert None in [support.least_equivalent_truncation(chain, system) for system in systems]
 
 
 def test_matroid_verdicts():
@@ -306,8 +360,9 @@ def test_witness_package_decoding_is_strict(doc):
         {**_passing_verdict_doc(), "certificate": {"quadruple": ["x0", "x1", "x0", "x1"]}},
         {**_verdict_doc(), "certificate": {"pair": ["a", "b"]}},
         {**_verdict_doc(), "kind": "poset"},
+        {**_passing_verdict_doc(), "status": "NO_OBSTRUCTION_FOUND"},
     ],
-    ids=["kind-generic", "refuted-uncertified", "passing-certified", "graph-pair", "poset-quadruple"],
+    ids=["kind-generic", "refuted-uncertified", "passing-certified", "graph-pair", "poset-quadruple", "retired-status"],
 )
 def test_verdict_copies_must_agree(doc):
     with pytest.raises(InputFormatError):
