@@ -220,7 +220,7 @@ class WitnessPackage:
         stair = Staircase((generator,), PowerElement((), (tail,)))
         return StaircaseFamily(RelationAtom(relation, (Var(WITNESS_VARIABLE), Const(stair))))
 
-    @property
+    @functools.cached_property
     def witness_rule(self) -> tuple[str, str, int]:
         """(repeat, tail, offset): witness_point(n) is n + offset repeats, then the tail forever."""
         return _expand_certificate(self.kind, self.certificate)[3:]

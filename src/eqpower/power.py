@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import repeat
+from operator import itemgetter
 from typing import Any, NamedTuple
 
 from .errors import InputFormatError, UnboundVariableError, json_int, json_object, json_str_list
@@ -211,10 +212,24 @@ class StaircaseFamily:
             tuple(tuple(s.tail.at(j) for s in descs) for j in range(tail_prefix + tail_cycle)),
         )
 
+    @functools.cached_property
+    def row_order(self) -> Callable[[tuple[str, ...]], tuple[str, ...]] | None:
+        """Puts a row of the atom's variables' values, then its slot values, in argument order.
+
+        The variables are the atom's distinct ones in order of first
+        appearance, as satisfies writes them.  None when such a row already
+        is in argument order, as it is for every atom of one argument.
+        """
+        args = atom_args(self.atom)
+        names = list(dict.fromkeys(a.name for a in args if isinstance(a, Var)))
+        slots = iter(range(len(names), len(args)))
+        order = [names.index(a.name) if isinstance(a, Var) else next(slots) for a in args]
+        return None if order == list(range(len(args))) else itemgetter(*order)
+
     def truncated(self, n: int) -> "StaircaseFamily":
-        """Members 1..n, as the family bounded at n; it shares this family's slot_rows."""
+        """Members 1..n, as the family bounded at n; it shares this family's slot_rows and row_order."""
         fam = StaircaseFamily(self.atom, n)
-        fam.__dict__["slot_rows"] = self.slot_rows  # where cached_property keeps its value
+        fam.__dict__.update(slot_rows=self.slot_rows, row_order=self.row_order)  # where cached_property keeps values
         return fam
 
     def coordinate_checks(self, stab: int, period: int) -> list[tuple[range, tuple[str, ...]]]:
@@ -252,8 +267,8 @@ class StaircaseFamily:
             j + kC is in the window of i for j + kC <= i < j + kC + N.  When
             N >= C these windows join into range(j, E), and otherwise they are
             the N stepped ranges range(j + d, E, C) for d < N.
-        The slot values per residue and tail position are slot_rows; only
-        the ranges are built per call.
+        Every block's range is nonempty.  The slot values per residue and
+        tail position are slot_rows; only the ranges are built per call.
         """
         gen_period, generators, tail_prefix, tail_cycle, rows = self.slot_rows
         gen_stop = stab + math.lcm(period, gen_period)
@@ -432,12 +447,22 @@ def _stream_of(streams: Mapping[str, PowerElement], arg: Any) -> PowerElement:
     return value if isinstance(value, PowerElement) else PowerElement((), (value,))
 
 
-def _rows_hold(structure: FiniteStructure, eq: Equation, rows: set[tuple[str, ...]]) -> bool:
-    """Whether the atom holds on every row of argument labels."""
+def _rows_hold(structure: FiniteStructure, eq: Equation, rows: Collection[tuple[str, ...]]) -> bool:
+    """Whether the atom holds on every row of argument labels.
+
+    A relation atom's rows are looked up among the table's label rows.  The
+    first row in iteration order that is not there decides: it raises
+    KeyError if one of its labels is outside the universe, else the atom fails.
+    """
     if not isinstance(eq, RelationAtom):
         return all(lhs == rhs for lhs, rhs in rows)
-    table, index = structure.index_table(eq.symbol), structure.index
-    return all(tuple(map(index, row)) in table for row in rows)
+    table = structure.label_table(eq.symbol)
+    if table.issuperset(rows):
+        return True
+    row = next(row for row in rows if row not in table)
+    for label in row:
+        structure.index(label)  # raises for a label outside the universe
+    return False
 
 
 def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[PowerElement]) -> bool:
@@ -447,9 +472,13 @@ def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[P
     of the cycles among its own streams (constants and the point's entries
     for its variables), so only the coordinates below that are checked.  A
     family is decided by the blocks of StaircaseFamily.coordinate_checks
-    against the horizon of the point's entries for the family's variables:
-    each block's rows are slices of those entries, each written out once up
-    to the largest block stop, zipped with the block's slot values.
+    against the horizon of the point's entries for the family's variables.
+    Each of those entries is written out once, up to the largest block stop,
+    and a block reads only the distinct tuples of the point's values over its
+    coordinates: set(column[cut]) for one variable, set(zip(*slices)) for
+    several, and the one empty tuple for an atom without a variable (every
+    block is nonempty).  Each distinct (tuple, slot values) row is put in
+    argument order by the family's row_order and checked once.
     """
     if len(point) != len(system.variables):
         raise ValueError(f"point has {len(point)} entries for variables {system.variables}")
@@ -465,12 +494,19 @@ def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[P
         used = {a.name: _stream_of(streams, a) for a in args if isinstance(a, Var)}
         blocks = fam.coordinate_checks(*horizon(used.values()))
         stop = max(r.stop for r, _ in blocks)
-        taken = {name: pe.take(stop) for name, pe in used.items()}
-        rows = set()
+        columns = [pe.take(stop) for pe in used.values()]
+        rows = set()  # the point's values, then the slot values
         for r, values in blocks:
-            cut, slot = slice(r.start, r.stop, r.step), iter(values)
-            columns = [taken[a.name][cut] if isinstance(a, Var) else repeat(next(slot), len(r)) for a in args]
-            rows.update(zip(*columns))
+            cut = slice(r.start, r.stop, r.step)
+            if len(columns) == 1:  # a set of labels builds no tuple per coordinate
+                tuples = zip(set(columns[0][cut]))
+            elif columns:
+                tuples = set(zip(*(column[cut] for column in columns)))
+            else:
+                tuples = [()]
+            rows.update(map(tuple.__add__, tuples, repeat(values)))
+        if fam.row_order is not None:
+            rows = list(map(fam.row_order, rows))
         if not _rows_hold(structure, fam.atom, rows):
             return False
     return True

@@ -101,6 +101,7 @@ class FiniteStructure:
         self._index = {label: i for i, label in enumerate(labels)}
         self._tables: dict[str, frozenset[tuple[int, ...]]] = {}
         self._classifiers: dict[tuple[str, ...], Any] = {}  # variable list -> AtomClassifier.of(self, variables)
+        self._label_tables: dict[str, frozenset[tuple[str, ...]]] = {}  # symbol -> label_table(symbol)
         tables = dict(tables or {})
         for name in tables:
             if not signature.has(name):
@@ -142,6 +143,13 @@ class FiniteStructure:
         if symbol not in self._tables:
             raise KeyError(f"unknown relation symbol {symbol!r}")
         return self._tables[symbol]
+
+    def label_table(self, symbol: str) -> frozenset[tuple[str, ...]]:
+        """The symbol's rows as label tuples, built on first use."""
+        table = self._label_tables.get(symbol)
+        if table is None:
+            table = self._label_tables[symbol] = frozenset(self.tuples(symbol))
+        return table
 
     def tuples(self, symbol: str) -> tuple[tuple[str, ...], ...]:
         rows = sorted(self.index_table(symbol))

@@ -233,6 +233,26 @@ def test_deep_witness_matches_oracle(case):
         assert held == [True] * (offset - 1) + [False]
 
 
+@pytest.mark.parametrize("case", sorted(DEEP_WITNESS_CASES))
+def test_deep_witness_index_at_long_depths(case):
+    """At depths 100, 500 and 1000 the point first fails member n + offset + 2 of its witness rule."""
+    structure, kind, _, offset = DEEP_WITNESS_CASES[case]
+    package = build_witness_family(structure, kind, power_noetherian(structure, kind).certificate)
+    for n in (100, 500, 1000):
+        assert first_violated_member(structure, package, n) == n + package.witness_rule[2] + 2 == n + offset
+
+
+def test_witness_package_computes_its_rule_once_and_truncations_share_the_family_data():
+    """witness_rule is computed on first use; every truncation reuses the family's slot rows and row order."""
+    structure = cycle_graph(5)
+    package = build_witness_family(structure, "graph", power_noetherian(structure, "graph").certificate)
+    assert package.witness_rule is package.witness_rule
+    for n in (1, 30, 300):
+        (fam,) = package.truncation(n).families
+        assert fam.bound == n and fam.slot_rows is package.family.slot_rows
+        assert fam.__dict__["row_order"] is package.family.row_order is None
+
+
 def test_witness_rejects_bogus_certificates():
     g = star_bipartite_graph(2)  # closing walk everywhere, nothing to witness
     with pytest.raises(InvalidCertificateError):

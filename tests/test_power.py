@@ -433,8 +433,31 @@ def staircases(labels):
 
 
 @st.composite
-def satisfies_cases(draw):
-    """A structure with binary R and ternary T, a power system over it, and a point."""
+def long_streams(draw, labels):
+    """A stream whose prefix has 50 to 200 entries: a short pattern repeated, with up to two entries changed.
+
+    With two labels or more the last prefix entry differs from the last cycle
+    entry, so canonical form keeps the whole prefix.
+    """
+    pattern = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3))
+    prefix = [pattern[i % len(pattern)] for i in range(draw(st.integers(50, 200)))]
+    for i in draw(st.lists(st.integers(0, len(prefix) - 1), max_size=2)):
+        prefix[i] = draw(st.sampled_from(labels))
+    cycle = draw(st.lists(st.sampled_from(labels), min_size=1, max_size=3))
+    others = [label for label in labels if label != cycle[-1]]
+    if others:
+        prefix[-1] = draw(st.sampled_from(others))
+    return PowerElement(tuple(prefix), tuple(cycle))
+
+
+@st.composite
+def satisfies_cases(draw, point_streams=streams, bounds=st.none(), family_counts=st.integers(0, 2)):
+    """A structure with binary R and ternary T, a power system over it, and a point.
+
+    point_streams draws each point entry from the labels, bounds each
+    family's bound (None for an unbounded family) and family_counts the
+    number of families.
+    """
     k = draw(st.integers(1, 3))
     labels = [f"u{i}" for i in range(k)]
     pairs = [(a, b) for a in labels for b in labels]
@@ -456,14 +479,28 @@ def satisfies_cases(draw):
         return EqualityAtom(*args) if kind == "eq" else RelationAtom(kind, tuple(args))
 
     explicit = tuple(atom(streams(labels)) for _ in range(draw(st.integers(0, 3))))
-    families = tuple(StaircaseFamily(atom(staircases(labels))) for _ in range(draw(st.integers(0, 2))))
-    point = tuple(draw(streams(labels)) for _ in variables)
+    families = tuple(
+        StaircaseFamily(atom(staircases(labels)), draw(bounds)) for _ in range(draw(family_counts))
+    )
+    point = tuple(draw(point_streams(labels)) for _ in variables)
     return structure, PowerSystem(variables, explicit, families), point
 
 
 @settings(deadline=None, max_examples=300)
 @given(satisfies_cases())
 def test_satisfies_matches_oracle(case):
+    structure, system, point = case
+    assert satisfies(structure, system, point) == support.oracle_satisfies(structure, system, point)
+
+
+@settings(deadline=None, max_examples=100)
+@given(satisfies_cases(long_streams, st.none() | st.integers(1, 250), st.integers(1, 2)))
+def test_satisfies_matches_oracle_on_long_prefixes(case):
+    """Point prefixes of 50 to 200 entries, against unbounded families and families bounded below or past them.
+
+    A block then spans up to about 200 coordinates, and satisfies reads only
+    the distinct tuples of point values among them.
+    """
     structure, system, point = case
     assert satisfies(structure, system, point) == support.oracle_satisfies(structure, system, point)
 
@@ -488,7 +525,9 @@ def test_coordinate_checks_cover_every_member_projection(data):
     def at(i):
         return tuple(pe.at(i) for pe in point)
 
-    checked = {(at(i), values) for i, values in support.expand_checks(fam.coordinate_checks(stab, period))}
+    blocks = fam.coordinate_checks(stab, period)
+    assert all(coords for coords, _ in blocks)  # so a block of an atom without a variable is one row
+    checked = {(at(i), values) for i, values in support.expand_checks(blocks)}
     window = 40  # every row of the family shows up at a coordinate below this
     members = {
         (at(i), tuple(s.value_at(n, i) for s in descs))
@@ -528,7 +567,27 @@ def test_truncated_family_shares_slot_rows():
     for n in (1, 4, 9):
         cut = fam.truncated(n)
         assert cut == StaircaseFamily(fam.atom, n) and cut.slot_rows is fam.slot_rows
+        assert cut.row_order is fam.row_order is None  # x comes first, so rows are in argument order
         assert cut.coordinate_checks(3, 2) == StaircaseFamily(fam.atom, n).coordinate_checks(3, 2)
+
+
+def test_row_order_puts_variable_values_then_slot_values_in_argument_order():
+    """A row is the distinct variables' values in order of first appearance, then the slot values."""
+    stair = Const(Staircase(("a",), PowerElement((), ("b",))))
+    y = Var("y")
+    cases = [
+        (RelationAtom("T", (stair, x, y)), ("u", "v", "s"), ("s", "u", "v")),
+        (RelationAtom("T", (y, stair, x)), ("u", "v", "s"), ("u", "s", "v")),
+        (RelationAtom("T", (x, stair, x)), ("u", "s"), ("u", "s", "u")),
+        (RelationAtom("T", (stair, stair, x)), ("u", "s", "t"), ("s", "t", "u")),
+        (EqualityAtom(stair, x), ("u", "s"), ("s", "u")),
+    ]
+    for atom, row, expected in cases:
+        fam = StaircaseFamily(atom)
+        assert fam.row_order(row) == expected
+        assert fam.truncated(3).row_order is fam.row_order
+    for atom in (RelationAtom("T", (x, y, stair)), RelationAtom("T", (x, stair, stair)), EqualityAtom(x, stair)):
+        assert StaircaseFamily(atom).row_order is None
 
 
 # --- bounded families against their members written out ----------------------
@@ -654,6 +713,29 @@ def test_satisfies_edge_cases_match_oracle():
         answers.append(satisfies(g, system, point))
         assert answers[-1] == support.oracle_satisfies(g, system, point), (system, point)
     assert answers == [True, False, True, False, False, True, False, True, True, False, True, True, False, True, False]
+
+
+def test_satisfies_names_a_point_label_outside_the_universe():
+    """A relation atom raises KeyError naming the label, explicit or in a family; an equality atom compares it."""
+    g = triangle_graph()
+    to_a = Const(constant_stream("a"))
+    stair = Const(Staircase(("a",), constant_stream("a")))  # every member is the constant a
+    relations = [
+        PowerSystem(("x",), (RelationAtom("E", (x, to_a)),)),
+        PowerSystem(("x",), (), (StaircaseFamily(RelationAtom("E", (x, stair))),)),
+    ]
+    # "b" alone solves both; "z" is read only at coordinate 0 of the second point
+    for point in (constant_stream("z"), PowerElement(("z",), ("b",))):
+        for system in relations:
+            assert satisfies(g, system, (constant_stream("b"),))
+            with pytest.raises(KeyError, match="unknown universe element 'z'"):
+                satisfies(g, system, (point,))
+    z = Const(constant_stream("z"))
+    assert satisfies(g, PowerSystem(("x",), (EqualityAtom(x, z),)), (constant_stream("z"),)) is True
+    assert satisfies(g, PowerSystem(("x",), (EqualityAtom(x, to_a),)), (constant_stream("z"),)) is False
+    family = PowerSystem(("x",), (), (StaircaseFamily(EqualityAtom(x, stair)),))
+    assert satisfies(g, family, (constant_stream("z"),)) is False
+    assert satisfies(g, family, (constant_stream("a"),)) is True
 
 
 def test_satisfies_rejects_bad_points_like_the_oracle():
