@@ -8,6 +8,9 @@ the one rule for when a set of them repeats.  Equation systems over the power ma
 list equations explicitly and may also include staircase families, which
 present one equation per n >= 1 (or per n up to a bound, for a truncation) by
 splicing a repeating generator stream in front of a shifted tail stream.
+A family's slot_rows are its slot values per generator residue and per
+joint tail position, and every per-coordinate reading of a family goes
+through them; Staircase.member_constant writes one member out.
 
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of
@@ -94,6 +97,8 @@ class Periodic:
 
     def take(self, n: int) -> tuple[Any, ...]:
         """The entries at 0..n-1."""
+        if n < 0:
+            raise IndexError("coordinates are numbered from 0")
         repeats = -(-max(0, n - len(self.prefix)) // len(self.cycle))
         return (self.prefix + self.cycle * repeats)[:n]
 
@@ -126,10 +131,6 @@ class PowerElement(Periodic):
         return f"[{body}{',' if body else ''}({loop})]"
 
 
-def constant_stream(value: str) -> PowerElement:
-    return PowerElement((), (value,))
-
-
 @dataclass(frozen=True)
 class Staircase:
     """Descriptor for one constant slot of a staircase family.
@@ -150,20 +151,11 @@ class Staircase:
     def __str__(self) -> str:
         return f"stair(generator={','.join(self.generator)}; tail={self.tail})"
 
-    def generator_at(self, i: int) -> str:
-        return self.generator[i % len(self.generator)]
-
     def member_constant(self, n: int) -> PowerElement:
         if n < 1:
             raise ValueError("family members are numbered from 1")
         head = Periodic((), self.generator).take(n - 1)
         return PowerElement(head + self.tail.prefix, self.tail.cycle)
-
-    def value_at(self, n: int, i: int) -> str:
-        """Coordinate i of member n's constant, computed without building the member."""
-        if i <= n - 2:
-            return self.generator_at(i)
-        return self.tail.at(i - (n - 1))
 
 
 class SlotRows(NamedTuple):
@@ -200,16 +192,23 @@ class StaircaseFamily:
 
     @functools.cached_property
     def slot_rows(self) -> SlotRows:
-        """The slot values coordinate_checks reads, computed on first use."""
+        """The family's slot values per coordinate, computed on first use.
+
+        Every per-coordinate reading of the family goes through these rows:
+        projected_member, coordinate_checks and stream_horizon.  A family
+        without a constant slot has one empty row of each kind.
+        """
         descs = self.descriptors()
-        _, gen_period = horizon(Periodic((), s.generator) for s in descs)
+        if not descs:
+            return SlotRows(1, ((),), 0, 1, ((),))
+        gen_period = math.lcm(*(len(s.generator) for s in descs))
         tail_prefix, tail_cycle = horizon(s.tail for s in descs)
         return SlotRows(
             gen_period,
-            tuple(tuple(s.generator_at(r) for s in descs) for r in range(gen_period)),
+            tuple(zip(*(s.generator * (gen_period // len(s.generator)) for s in descs))),
             tail_prefix,
             tail_cycle,
-            tuple(tuple(s.tail.at(j) for s in descs) for j in range(tail_prefix + tail_cycle)),
+            tuple(zip(*(s.tail.take(tail_prefix + tail_cycle) for s in descs))),
         )
 
     @functools.cached_property
@@ -295,11 +294,25 @@ class StaircaseFamily:
         return map_constants(self.atom, lambda s: s.member_constant(n))
 
     def projected_member(self, n: int, i: int) -> Equation:
-        """Base-structure equation pi_i(member n)."""
+        """Base-structure equation pi_i(member n), read off slot_rows.
+
+        Member n shows the generators at i <= n - 2, which depend only on
+        i mod L, and the joint tail at position j = i - n + 1 after that; a
+        position past tail prefix + C repeats the one C positions earlier.
+        """
         # tested inline, not by a call: projection_entries calls this once per entry
         if n < 1 or (self.bound is not None and n > self.bound):
             self._require_member(n)
-        return map_constants(self.atom, lambda s: s.value_at(n, i))
+        gen_period, generators, tail_prefix, tail_cycle, tails = self.slot_rows
+        if n >= i + 2:
+            values = generators[i % gen_period]
+        else:
+            j = i - n + 1
+            if j >= tail_prefix + tail_cycle:
+                j = tail_prefix + (j - tail_prefix) % tail_cycle
+            values = tails[j]
+        slot = iter(values)
+        return map_constants(self.atom, lambda _: next(slot))
 
 
 @dataclass(frozen=True)
@@ -404,17 +417,16 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
     N - 1 + tail prefix: from there on no member reads its generator and the
     window of tail positions at coordinate i lies past the tail prefix (see
     StaircaseFamily.coordinate_checks).  The period is the lcm of all cycle
-    lengths: explicit constants, family tails, family generators.  Given
-    several systems, this is their joint horizon.
+    lengths: explicit constants, family tails, family generators.  A
+    family's L, tail prefix and C are read off its slot_rows.  Given several
+    systems, this is their joint horizon.
     """
     stab, period = horizon(pe for system in systems for eq in system.explicit for pe in _const_streams(eq))
     for fam in (f for system in systems for f in system.families):
-        descs = fam.descriptors()
-        if descs:
-            tail_stab, tail_period = horizon(s.tail for s in descs)
-            _, gen_period = horizon(Periodic((), s.generator) for s in descs)
-            fam_stab = tail_stab + (tail_period if fam.bound is None else fam.bound - 1)
-            stab, period = max(stab, fam_stab), math.lcm(period, tail_period, gen_period)
+        if fam.descriptors():
+            gen_period, _, tail_prefix, tail_cycle, _ = fam.slot_rows
+            fam_stab = tail_prefix + (tail_cycle if fam.bound is None else fam.bound - 1)
+            stab, period = max(stab, fam_stab), math.lcm(period, tail_cycle, gen_period)
     return stab, period
 
 

@@ -327,20 +327,6 @@ def adjacency(graph: FiniteStructure) -> dict[int, tuple[int, ...]]:
     return {i: tuple(sorted(vs)) for i, vs in neigh.items()}
 
 
-def star_bipartite_graph(n: int) -> FiniteStructure:
-    """Vertices x0..x{n+1}; x0 and x{n+1} are both joined to every middle vertex.
-
-    The result is the complete bipartite graph with parts {x0, x{n+1}} and
-    {x1..xn}, so it has n + 2 vertices.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    labels = [f"x{i}" for i in range(n + 2)]
-    edges = [(labels[0], labels[i]) for i in range(1, n + 1)]
-    edges += [(labels[i], labels[n + 1]) for i in range(1, n + 1)]
-    return graph_from_edges(labels, edges)
-
-
 def matroid_underlying_graph(matroid: FiniteStructure) -> FiniteStructure:
     """Graph on the same universe whose edges are the independent pairs.
 
@@ -354,13 +340,6 @@ def matroid_underlying_graph(matroid: FiniteStructure) -> FiniteStructure:
         for a, b in matroid.tuples("P2"):
             edges.append((a, b))
     return graph_from_edges(matroid.universe, edges)
-
-
-def structure_to_json_dict(structure: FiniteStructure, kind: str) -> dict:
-    relations = {}
-    for name, arity in structure.signature.symbols:
-        relations[name] = {"arity": arity, "tuples": [list(row) for row in structure.tuples(name)]}
-    return {"kind": kind, "universe": list(structure.universe), "relations": relations}
 
 
 def structure_from_json_dict(doc: Any) -> tuple[str, FiniteStructure]:

@@ -285,7 +285,7 @@ def class_rep_from_json_dict(doc: Any) -> ClassRep:
     return ClassRep(
         frozenset(tuple(json_str_list(point, "solution points")) for point in points),
         equation_from_json_dict(doc["equation"]),
-        json_int(doc["coordinate"], "class representative coordinate"),
+        json_int(doc["coordinate"], "class representative coordinate", 0),
         SourceRef.from_json_dict(doc["source"]),
     )
 
@@ -326,7 +326,7 @@ def wrap_result_from_json_dict(doc: Any) -> WrapResult:
         {"stabilization", "period", "representatives", "source_pairs", "seeds", "steps"},
         "wrap trace",
     )
-    stab, period = json_int(tdoc["stabilization"], "stabilization"), json_int(tdoc["period"], "period")
+    stab, period = json_int(tdoc["stabilization"], "stabilization", 0), json_int(tdoc["period"], "period", 1)
     reps = tuple(class_rep_from_json_dict(r) for r in json_list(tdoc["representatives"], "representatives"))
     seeds = tuple(power_equation_from_json_dict(e) for e in json_list(tdoc["seeds"], "seeds"))
     sdocs = json_list(tdoc["steps"], "steps")
@@ -347,7 +347,7 @@ def wrap_result_from_json_dict(doc: Any) -> WrapResult:
     pairs = []
     for pdoc in json_list(tdoc["source_pairs"], "source pairs"):
         pdoc = json_object(pdoc, {"coordinate", "source"}, "source pair")
-        coordinate = json_int(pdoc["coordinate"], "source pair coordinate")
+        coordinate = json_int(pdoc["coordinate"], "source pair coordinate", 0)
         pairs.append((coordinate, SourceRef.from_json_dict(pdoc["source"])))
     if tuple(pairs) != trace.source_pairs():
         raise InputFormatError("wrap trace 'source_pairs' must repeat the representatives' sources")

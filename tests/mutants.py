@@ -12,7 +12,8 @@ old text that does not occur exactly once in its file fails the run before
 any test runs, so an entry cannot go stale unnoticed, and the union of the
 selections must pass on an unmutated copy first.  The exit status is 0 only
 when every mutant is killed.  Pytest does not collect this file (its name
-does not start with test_), and it needs nothing beyond the standard library.
+does not start with test_), and the script itself uses only the standard
+library.
 """
 
 from __future__ import annotations
@@ -129,6 +130,62 @@ MUTANTS = (
         "    for a in range(poset.size):\n        for b in range(poset.size):",
         "    for a in reversed(range(poset.size)):\n        for b in range(poset.size):",
         ("tests/test_noetherian.py::test_poset_verdicts_over_every_poset_up_to_four_elements",),
+    ),
+    Mutant(
+        "projected_member reads a tail position past tail prefix + C without folding it",
+        "src/eqpower/power.py",
+        "j = tail_prefix + (j - tail_prefix) % tail_cycle",
+        "j = j",
+        ("tests/test_power.py::test_projected_member_is_the_projection_of_the_written_out_member",),
+    ),
+    Mutant(
+        "slot_rows repeats each generator once, not to length L",
+        "src/eqpower/power.py",
+        "zip(*(s.generator * (gen_period // len(s.generator)) for s in descs))",
+        "zip(*(s.generator for s in descs))",
+        ("tests/test_power.py::test_projected_member_is_the_projection_of_the_written_out_member",),
+    ),
+    Mutant(
+        "stream_horizon leaves C out of the period",
+        "src/eqpower/power.py",
+        "math.lcm(period, tail_cycle, gen_period)",
+        "math.lcm(period, gen_period)",
+        ("tests/test_power.py::test_projected_system_reads_far_coordinates_at_their_residue",),
+    ),
+    Mutant(
+        "Periodic.take reads a negative n as a negative slice",
+        "src/eqpower/power.py",
+        'if n < 0:\n            raise IndexError("coordinates are numbered from 0")\n        repeats',
+        "repeats",
+        ("tests/test_power.py::test_periodic_take_map_and_horizon",),
+    ),
+    Mutant(
+        "the wrap-result decoder takes a negative stabilization",
+        "src/eqpower/wrap.py",
+        'json_int(tdoc["stabilization"], "stabilization", 0)',
+        'json_int(tdoc["stabilization"], "stabilization")',
+        ("tests/test_wrap.py::test_wrap_result_refuses_negative_numbers[stabilization]",),
+    ),
+    Mutant(
+        "the wrap-result decoder takes a negative period",
+        "src/eqpower/wrap.py",
+        'json_int(tdoc["period"], "period", 1)',
+        'json_int(tdoc["period"], "period")',
+        ("tests/test_wrap.py::test_wrap_result_refuses_negative_numbers[period]",),
+    ),
+    Mutant(
+        "the wrap-result decoder takes a negative representative coordinate",
+        "src/eqpower/wrap.py",
+        'json_int(doc["coordinate"], "class representative coordinate", 0)',
+        'json_int(doc["coordinate"], "class representative coordinate")',
+        ("tests/test_wrap.py::test_wrap_result_refuses_negative_numbers[representative-coordinate]",),
+    ),
+    Mutant(
+        "the wrap-result decoder takes a negative source pair coordinate",
+        "src/eqpower/wrap.py",
+        'json_int(pdoc["coordinate"], "source pair coordinate", 0)',
+        'json_int(pdoc["coordinate"], "source pair coordinate")',
+        ("tests/test_wrap.py::test_wrap_result_refuses_negative_numbers[source-pair-coordinate]",),
     ),
 )
 

@@ -11,15 +11,7 @@ import math
 import random
 from itertools import combinations, permutations, product
 
-from eqpower.fixtures import (
-    antichain_poset,
-    chain_poset,
-    cycle_graph,
-    free_matroid,
-    path_graph,
-    rank_one_matroid,
-    triangle_graph,
-)
+from eqpower.fixtures import triangle_graph
 from eqpower.power import (
     PowerElement,
     PowerSystem,
@@ -29,7 +21,6 @@ from eqpower.power import (
     horizon,
     power_systems_equivalent,
     project_equation,
-    projection_entries,
     stream_horizon,
 )
 from eqpower.solver import (
@@ -41,6 +32,7 @@ from eqpower.solver import (
     Var,
     const_values,
     evaluate,
+    map_constants,
 )
 from eqpower.structures import (
     GRAPH_EDGE_SYMBOL,
@@ -51,9 +43,114 @@ from eqpower.structures import (
     graph_from_edges,
     matroid_signature,
     poset_signature,
-    star_bipartite_graph,
 )
 from eqpower.wrap import ClassRep
+
+
+# --- structures and streams the tests build -------------------------------
+
+
+def constant_stream(value: str) -> PowerElement:
+    return PowerElement((), (value,))
+
+
+def path_graph(n: int) -> FiniteStructure:
+    """Path v1 - v2 - ... - vn."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    labels = [f"v{i}" for i in range(1, n + 1)]
+    return graph_from_edges(labels, zip(labels, labels[1:]))
+
+
+def cycle_graph(n: int) -> FiniteStructure:
+    """Cycle v1 - ... - vn - v1."""
+    if n < 3:
+        raise ValueError("n must be >= 3")
+    labels = [f"v{i}" for i in range(1, n + 1)]
+    edges = list(zip(labels, labels[1:])) + [(labels[-1], labels[0])]
+    return graph_from_edges(labels, edges)
+
+
+def star_bipartite_graph(n: int) -> FiniteStructure:
+    """Vertices x0..x{n+1}; x0 and x{n+1} are both joined to every middle vertex.
+
+    The result is the complete bipartite graph with parts {x0, x{n+1}} and
+    {x1..xn}, so it has n + 2 vertices.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    labels = [f"x{i}" for i in range(n + 2)]
+    edges = [(labels[0], labels[i]) for i in range(1, n + 1)]
+    edges += [(labels[i], labels[n + 1]) for i in range(1, n + 1)]
+    return graph_from_edges(labels, edges)
+
+
+def chain_poset(n: int) -> FiniteStructure:
+    """Total order c1 <= c2 <= ... <= cn."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    labels = [f"c{i}" for i in range(1, n + 1)]
+    rows = [(labels[i], labels[j]) for i in range(n) for j in range(i, n)]
+    return FiniteStructure(poset_signature(), labels, {POSET_ORDER_SYMBOL: rows})
+
+
+def antichain_poset(n: int) -> FiniteStructure:
+    """Poset in which distinct elements are incomparable."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    labels = [f"c{i}" for i in range(1, n + 1)]
+    return FiniteStructure(poset_signature(), labels, {POSET_ORDER_SYMBOL: [(u, u) for u in labels]})
+
+
+def free_matroid(n: int) -> FiniteStructure:
+    """Every repeat-free tuple over n ground elements is independent."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    labels = [f"e{i}" for i in range(1, n + 1)]
+    tables = {f"P{k}": [tuple(p) for p in permutations(labels, k)] for k in range(1, n + 1)}
+    return FiniteStructure(matroid_signature(n), labels, tables)
+
+
+def rank_one_matroid(n: int) -> FiniteStructure:
+    """Singletons are independent, pairs never are."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    labels = [f"e{i}" for i in range(1, n + 1)]
+    return FiniteStructure(matroid_signature(2), labels, {"P1": [(u,) for u in labels], "P2": []})
+
+
+def structure_to_json_dict(structure: FiniteStructure, kind: str) -> dict:
+    """The structure file layout that structure_from_json_dict reads."""
+    relations = {}
+    for name, arity in structure.signature.symbols:
+        relations[name] = {"arity": arity, "tuples": [list(row) for row in structure.tuples(name)]}
+    return {"kind": kind, "universe": list(structure.universe), "relations": relations}
+
+
+# --- oracles ----------------------------------------------------------------
+
+
+def staircase_value_at(stair: Staircase, n: int, i: int) -> str:
+    """Coordinate i of member n's constant: the generator at i <= n - 2, then the tail restarted at n - 1.
+
+    The oracles' own copy of the staircase rule, so they do not read
+    StaircaseFamily.slot_rows.
+    """
+    if i <= n - 2:
+        return stair.generator[i % len(stair.generator)]
+    return stair.tail.at(i - (n - 1))
+
+
+def oracle_projection(system: PowerSystem, i: int) -> list:
+    """Every equation of pi_i(system): the explicit ones, then members 1..i + 2 of each family, by staircase_value_at.
+
+    Members past i + 2 project like member i + 2, whose coordinate i reads the generator.
+    """
+    atoms = [project_equation(eq, i) for eq in system.explicit]
+    for fam in system.families:
+        for n in fam.members(i + 2):
+            atoms.append(map_constants(fam.atom, lambda s: staircase_value_at(s, n, i)))
+    return atoms
 
 
 def oracle_atom_solutions(structure: FiniteStructure, variables, eq) -> frozenset:
@@ -66,9 +163,9 @@ def oracle_atom_solutions(structure: FiniteStructure, variables, eq) -> frozense
 
 
 def oracle_profile(structure: FiniteStructure, system: PowerSystem, i: int) -> frozenset:
-    """The distinct solution sets of the atoms projected at coordinate i, each by oracle_atom_solutions."""
-    entries = projection_entries(system, i)
-    return frozenset(oracle_atom_solutions(structure, system.variables, atom) for atom, _ in entries)
+    """The distinct solution sets of oracle_projection(system, i), each by oracle_atom_solutions."""
+    atoms = oracle_projection(system, i)
+    return frozenset(oracle_atom_solutions(structure, system.variables, atom) for atom in atoms)
 
 
 def oracle_satisfies(structure: FiniteStructure, system: PowerSystem, point) -> bool:
@@ -85,7 +182,7 @@ def oracle_satisfies(structure: FiniteStructure, system: PowerSystem, point) -> 
     period = math.lcm(period, *(len(pe.cycle) for pe in point))
     for i in range(stab + period):
         assignment = {v: pe.at(i) for v, pe in zip(system.variables, point)}
-        for atom, _ in projection_entries(system, i):
+        for atom in oracle_projection(system, i):
             if not evaluate(structure, atom, assignment):
                 return False
     return True
@@ -139,7 +236,7 @@ def random_solution_points(rng: random.Random, structure: FiniteStructure, syste
     universe = list(product(structure.universe, repeat=len(system.variables)))
     columns, misses = [], []
     for i in range(stab + period):
-        atoms = tuple(atom for atom, _ in projection_entries(system, i))
+        atoms = tuple(oracle_projection(system, i))
         solutions = brute_solutions(structure, EquationSystem(system.variables, atoms))
         if not solutions:
             return []

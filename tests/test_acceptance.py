@@ -13,16 +13,9 @@ from itertools import combinations
 
 import support
 from conftest import record_acceptance
+from support import chain_poset, cycle_graph, free_matroid, path_graph, rank_one_matroid, star_bipartite_graph
 
-from eqpower.fixtures import (
-    chain_poset,
-    cycle_graph,
-    free_matroid,
-    path_graph,
-    rank_one_matroid,
-    staircase_demo_system,
-    triangle_graph,
-)
+from eqpower.fixtures import staircase_demo_system, triangle_graph
 from eqpower.noetherian import (
     NOETHERIAN,
     NOT_NOETHERIAN,
@@ -42,12 +35,7 @@ from eqpower.power import (
     stream_horizon,
 )
 from eqpower.solver import Const, EqualityAtom, EquationSystem, RelationAtom, Var, solve
-from eqpower.structures import (
-    graph_from_edges,
-    matroid_underlying_graph,
-    star_bipartite_graph,
-    validate,
-)
+from eqpower.structures import graph_from_edges, matroid_underlying_graph, validate
 from eqpower.wrap import verify_wrap, wrap
 
 SEED = 20260821

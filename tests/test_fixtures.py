@@ -1,4 +1,4 @@
-"""The JSON files under fixtures/ are the documents that eqpower.fixtures builds."""
+"""The JSON files under fixtures/ are the documents that eqpower.fixtures and support.fixture_structures build."""
 
 import json
 from pathlib import Path

@@ -5,17 +5,18 @@ from itertools import product
 import pytest
 
 import support
-from support import graph_structural_check
-from eqpower.errors import InputFormatError, InvalidCertificateError
-from eqpower.fixtures import (
+from support import (
     antichain_poset,
     chain_poset,
     cycle_graph,
     free_matroid,
+    graph_structural_check,
     path_graph,
     rank_one_matroid,
-    triangle_graph,
+    star_bipartite_graph,
 )
+from eqpower.errors import InputFormatError, InvalidCertificateError
+from eqpower.fixtures import triangle_graph
 from eqpower.noetherian import (
     NOETHERIAN,
     NOT_NOETHERIAN,
@@ -30,7 +31,7 @@ from eqpower.noetherian import (
     verify_witness,
 )
 from eqpower.power import PowerSystem, satisfies
-from eqpower.structures import FiniteStructure, matroid_signature, star_bipartite_graph
+from eqpower.structures import FiniteStructure, matroid_signature
 
 
 def uniform_rank2_matroid3() -> FiniteStructure:

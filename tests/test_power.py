@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from support import constant_stream
 from eqpower.errors import InputFormatError, UnboundVariableError
 from eqpower.fixtures import staircase_demo_system, triangle_graph
 from eqpower import power
@@ -22,7 +23,6 @@ from eqpower.power import (
     Staircase,
     StaircaseFamily,
     consistent,
-    constant_stream,
     coordinate_masks,
     coordinate_profile,
     horizon,
@@ -102,6 +102,8 @@ def test_periodic_take_map_and_horizon():
     assert p.take(0) == () and p.take(1) == (1,)
     assert p.take(9) == (1, 2, 3, 4, 5, 3, 4, 5, 3)
     assert p.take(9) == tuple(p.at(i) for i in range(9))
+    with pytest.raises(IndexError, match="numbered from 0"):
+        Periodic(("a", "b"), ("c",)).take(-1)  # a negative slice would read ("a",)
     assert p.map(str) == Periodic(("1", "2"), ("3", "4", "5"))
     assert horizon([p, Periodic((0,) * 3, (0, 0))]) == (3, 6)
     assert horizon([]) == (0, 1)
@@ -121,8 +123,34 @@ def test_staircase_members_pinned():
 
 @given(st.integers(1, 7), st.integers(0, 9), prefix_st, cycle_st, cycle_st)
 def test_staircase_value_at_matches_member(n, i, tail_prefix, tail_cycle, generator):
+    """The oracles' staircase rule and the one-slot family's projection both read member n's constant at i."""
     s = Staircase(generator, PowerElement(tail_prefix, tail_cycle))
-    assert s.value_at(n, i) == s.member_constant(n).at(i)
+    assert support.staircase_value_at(s, n, i) == s.member_constant(n).at(i)
+    fam = StaircaseFamily(EqualityAtom(x, Const(s)))
+    assert fam.projected_member(n, i) == EqualityAtom(x, Const(s.member_constant(n).at(i)))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.data())
+def test_projected_member_is_the_projection_of_the_written_out_member(data):
+    """projected_member(n, i), read off slot_rows, equals pi_i of member(n), which member_constant writes out.
+
+    Families of 1-3 slots beside one variable, tail prefixes up to 3 and
+    cycles up to 4, bounded or not; coordinates run past tail prefix + C, so
+    tail positions are folded.
+    """
+    labels = st.sampled_from(["a", "b", "c"])
+    tail = st.builds(
+        PowerElement, st.lists(labels, max_size=3).map(tuple), st.lists(labels, min_size=1, max_size=4).map(tuple)
+    )
+    stair = st.builds(lambda gen, t: Staircase(tuple(gen), t), st.lists(labels, min_size=1, max_size=3), tail)
+    slots = [Const(s) for s in data.draw(st.lists(stair, min_size=1, max_size=3))]
+    args = data.draw(st.permutations([x, *slots]))
+    fam = StaircaseFamily(RelationAtom("R", tuple(args)), data.draw(st.none() | st.integers(1, 12)))
+    for n in fam.members(14):
+        member = fam.member(n)
+        for i in range(24):
+            assert fam.projected_member(n, i) == project_equation(member, i), (n, i)
 
 
 def test_family_projection_consistency():
@@ -529,11 +557,8 @@ def test_coordinate_checks_cover_every_member_projection(data):
     assert all(coords for coords, _ in blocks)  # so a block of an atom without a variable is one row
     checked = {(at(i), values) for i, values in support.expand_checks(blocks)}
     window = 40  # every row of the family shows up at a coordinate below this
-    members = {
-        (at(i), tuple(s.value_at(n, i) for s in descs))
-        for i in range(window)
-        for n in fam.members(window + 2)
-    }
+    constants = [tuple(s.member_constant(n) for s in descs) for n in fam.members(window + 2)]
+    members = {(at(i), tuple(c.at(i) for c in member)) for i in range(window) for member in constants}
     assert checked == members
 
 

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from support import chain_poset
+
 from eqpower.errors import InputFormatError, UnboundVariableError
-from eqpower.fixtures import chain_poset, triangle_graph
+from eqpower.fixtures import triangle_graph
 from eqpower.power import power_system_from_json_dict
 from eqpower.solver import (
     AtomClassifier,

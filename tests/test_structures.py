@@ -2,18 +2,21 @@ import json
 import math
 
 import pytest
-from support import graph_distances, has_triangle
-
-from eqpower.errors import InputFormatError, SignatureMismatchError
-from eqpower.fixtures import (
+from support import (
     antichain_poset,
     chain_poset,
     cycle_graph,
     free_matroid,
+    graph_distances,
+    has_triangle,
     path_graph,
     rank_one_matroid,
-    triangle_graph,
+    star_bipartite_graph,
+    structure_to_json_dict,
 )
+
+from eqpower.errors import InputFormatError, SignatureMismatchError
+from eqpower.fixtures import triangle_graph
 from eqpower.structures import (
     FiniteStructure,
     Signature,
@@ -24,9 +27,7 @@ from eqpower.structures import (
     matroid_signature,
     matroid_underlying_graph,
     poset_signature,
-    star_bipartite_graph,
     structure_from_json_dict,
-    structure_to_json_dict,
     validate,
 )
 

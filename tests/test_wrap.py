@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from support import path_graph
 from eqpower.errors import InputFormatError
-from eqpower.fixtures import path_graph, staircase_demo_system, triangle_graph
+from eqpower.fixtures import staircase_demo_system, triangle_graph
 from eqpower.power import (
     Periodic,
     PowerElement,
@@ -249,6 +250,42 @@ def test_wrap_result_copies_must_agree(mutate):
     doc = json.loads(json.dumps(wrap_result_to_json_dict(wrap(triangle_graph(), staircase_demo_system()))))
     mutate(doc)
     with pytest.raises(InputFormatError):
+        wrap_result_from_json_dict(doc)
+
+
+def _negative_representative_coordinate(doc):
+    doc["trace"]["representatives"][0]["coordinate"] = -5
+    doc["trace"]["source_pairs"][0]["coordinate"] = -5  # the pair repeats it
+
+
+@pytest.mark.parametrize(
+    "system, mutate, message",
+    [
+        (
+            PowerSystem(("x",), (), ()),
+            lambda doc: doc["trace"].update(stabilization=-3),
+            "stabilization must be at least 0",
+        ),
+        (PowerSystem(("x",), (), ()), lambda doc: doc["trace"].update(period=-2), "period must be at least 1"),
+        (
+            staircase_demo_system(),
+            _negative_representative_coordinate,
+            "class representative coordinate must be at least 0",
+        ),
+        (
+            staircase_demo_system(),
+            lambda doc: doc["trace"]["source_pairs"][0].update(coordinate=-5),
+            "source pair coordinate must be at least 0",
+        ),
+    ],
+    ids=["stabilization", "period", "representative-coordinate", "source-pair-coordinate"],
+)
+def test_wrap_result_refuses_negative_numbers(system, mutate, message):
+    """The empty system's wrap has no step whose lengths would catch a bad horizon; the field's own check must."""
+    doc = json.loads(json.dumps(wrap_result_to_json_dict(wrap(triangle_graph(), system))))
+    wrap_result_from_json_dict(json.loads(json.dumps(doc)))
+    mutate(doc)
+    with pytest.raises(InputFormatError, match=message):
         wrap_result_from_json_dict(doc)
 
 
