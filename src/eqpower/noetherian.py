@@ -24,6 +24,7 @@ import functools
 import json
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import product
 from typing import Any
 
 from .errors import InputFormatError, InvalidCertificateError, json_object, json_str, json_str_list
@@ -135,12 +136,8 @@ def graph_quasi_identity(graph: FiniteStructure) -> tuple[str, str, str, str] | 
 
 
 def poset_strict_pair(poset: FiniteStructure) -> tuple[str, str] | None:
-    table = poset.index_table(POSET_ORDER_SYMBOL)
-    for a in range(poset.size):
-        for b in range(poset.size):
-            if a != b and (a, b) in table:
-                return (poset.label(a), poset.label(b))
-    return None
+    """First (lexicographically least) strict pair, else None."""
+    return next((pair for pair in product(poset.universe, repeat=2) if _is_obstruction(poset, "poset", pair)), None)
 
 
 def matroid_independent_triple(matroid: FiniteStructure) -> tuple[str, str, str] | None:
@@ -175,6 +172,21 @@ def power_noetherian(structure: FiniteStructure, kind: str) -> NoetherianVerdict
     if obstruction is not None:
         return NoetherianVerdict(kind, obstruction)
     return NoetherianVerdict(kind, transcript=transcript)
+
+
+def _is_obstruction(structure: FiniteStructure, kind: str, labels: tuple[str, ...]) -> bool:
+    """Whether the labels are the kind's obstruction, told apart by their number.
+
+    Four labels must be an open length-3 walk under E (graphs) or P2
+    (matroids), two a strict pair under leq, three a row of P3.
+    """
+    if len(labels) == 4:
+        symbol = GRAPH_EDGE_SYMBOL if kind == "graph" else "P2"
+        walk = all(structure.holds(symbol, step) for step in zip(labels, labels[1:]))
+        return walk and not structure.holds(symbol, (labels[3], labels[0]))
+    if len(labels) == 2:
+        return labels[0] != labels[1] and structure.holds(POSET_ORDER_SYMBOL, labels)
+    return structure.signature.has("P3") and structure.holds("P3", labels)
 
 
 def _expand_certificate(kind: str, labels: tuple[str, ...]) -> tuple[str, str, str, str, str, int]:
@@ -269,24 +281,8 @@ def build_witness_family(
     for v in labels:
         if not structure.has_label(v):
             raise InvalidCertificateError(f"certificate element {v!r} is not in the universe")
-    if len(labels) == 4:
-        symbol = GRAPH_EDGE_SYMBOL if kind == "graph" else "P2"
-        a1, a2, a3, a4 = labels
-        walk_ok = (
-            structure.holds(symbol, (a1, a2))
-            and structure.holds(symbol, (a2, a3))
-            and structure.holds(symbol, (a3, a4))
-        )
-        if not walk_ok or structure.holds(symbol, (a4, a1)):
-            raise InvalidCertificateError(
-                f"quadruple {labels} is not an open walk of length 3 under {symbol!r}"
-            )
-    elif kind == "poset":
-        a, b = labels
-        if a == b or not structure.holds(POSET_ORDER_SYMBOL, (a, b)):
-            raise InvalidCertificateError(f"{labels} is not a strict ordered pair")
-    elif "P3" not in structure.signature.names() or not structure.holds("P3", labels):
-        raise InvalidCertificateError(f"{labels} is not an independent triple")
+    if not _is_obstruction(structure, kind, labels):
+        raise InvalidCertificateError(f"{package.certificate_kind} {labels} is not an obstruction in this {kind}")
     return package
 
 

@@ -8,9 +8,10 @@ the one rule for when a set of them repeats.  Equation systems over the power ma
 list equations explicitly and may also include staircase families, which
 present one equation per n >= 1 (or per n up to a bound, for a truncation) by
 splicing a repeating generator stream in front of a shifted tail stream.
-A family's slot_rows are its slot values per generator residue and per
-joint tail position, and every per-coordinate reading of a family goes
-through them; Staircase.member_constant writes one member out.
+A family's slot_rows are two Periodic streams of slot-value rows, one by
+generator residue and one by joint tail position, and every per-coordinate
+reading of a family goes through them with at(); Staircase.member_constant
+writes one member out.
 
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of
@@ -32,7 +33,7 @@ from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
-from typing import Any, NamedTuple
+from typing import Any
 
 from .errors import InputFormatError, UnboundVariableError, json_int, json_object, json_str_list
 from .solver import (
@@ -158,16 +159,6 @@ class Staircase:
         return PowerElement(head + self.tail.prefix, self.tail.cycle)
 
 
-class SlotRows(NamedTuple):
-    """A family's slot values by generator residue and joint tail position; they depend on the atom alone."""
-
-    generator_period: int  # L, the lcm of the generator lengths
-    generators: tuple[tuple[str, ...], ...]  # the generator values at each residue r < L
-    tail_prefix: int  # the largest tail prefix
-    tail_cycle: int  # C, the lcm of the tail cycles
-    tails: tuple[tuple[str, ...], ...]  # the joint tail values at each position j < tail prefix + C
-
-
 @dataclass(frozen=True)
 class StaircaseFamily:
     """One equation per member n: the atom with each Staircase constant replaced by member n's stream.
@@ -191,25 +182,26 @@ class StaircaseFamily:
         return range(1, (last if self.bound is None else min(last, self.bound)) + 1)
 
     @functools.cached_property
-    def slot_rows(self) -> SlotRows:
-        """The family's slot values per coordinate, computed on first use.
+    def slot_rows(self) -> tuple[Periodic, Periodic]:
+        """(generators, tails): the family's slot values as two Periodic row streams, computed on first use.
 
-        Every per-coordinate reading of the family goes through these rows:
+        generators has no prefix and a cycle of L rows, L the lcm of the
+        generator lengths: row r holds the generator values at residue r.
+        tails holds the joint tail values by tail position: a prefix as long
+        as the largest tail prefix, then a cycle of C rows, C the lcm of the
+        tail cycles.  The rows depend on the atom alone, and every
+        per-coordinate reading of the family goes through them:
         projected_member, coordinate_checks and stream_horizon.  A family
-        without a constant slot has one empty row of each kind.
+        without a constant slot has one empty row in each cycle.
         """
         descs = self.descriptors()
         if not descs:
-            return SlotRows(1, ((),), 0, 1, ((),))
+            return Periodic((), ((),)), Periodic((), ((),))
         gen_period = math.lcm(*(len(s.generator) for s in descs))
         tail_prefix, tail_cycle = horizon(s.tail for s in descs)
-        return SlotRows(
-            gen_period,
-            tuple(zip(*(s.generator * (gen_period // len(s.generator)) for s in descs))),
-            tail_prefix,
-            tail_cycle,
-            tuple(zip(*(s.tail.take(tail_prefix + tail_cycle) for s in descs))),
-        )
+        tails = tuple(zip(*(s.tail.take(tail_prefix + tail_cycle) for s in descs)))
+        generators = tuple(zip(*(s.generator * (gen_period // len(s.generator)) for s in descs)))
+        return Periodic((), generators), Periodic(tails[:tail_prefix], tails[tail_prefix:])
 
     @functools.cached_property
     def row_order(self) -> Callable[[tuple[str, ...]], tuple[str, ...]] | None:
@@ -266,14 +258,17 @@ class StaircaseFamily:
             j + kC is in the window of i for j + kC <= i < j + kC + N.  When
             N >= C these windows join into range(j, E), and otherwise they are
             the N stepped ranges range(j + d, E, C) for d < N.
-        Every block's range is nonempty.  The slot values per residue and
-        tail position are slot_rows; only the ranges are built per call.
+        Every block's range is nonempty.  The slot values per residue are
+        the cycle of slot_rows' generators, those per tail position the
+        prefix and cycle of its tails; only the ranges are built per call.
         """
-        gen_period, generators, tail_prefix, tail_cycle, rows = self.slot_rows
+        generators, tails = self.slot_rows
+        gen_period, tail_prefix, tail_cycle = len(generators.cycle), len(tails.prefix), len(tails.cycle)
+        rows = tails.prefix + tails.cycle
         gen_stop = stab + math.lcm(period, gen_period)
         if self.bound is not None:
             gen_stop = min(gen_stop, self.bound - 1)
-        checks = [(range(r, gen_stop, gen_period), generators[r]) for r in range(min(gen_period, gen_stop))]
+        checks = [(range(r, gen_stop, gen_period), generators.cycle[r]) for r in range(min(gen_period, gen_stop))]
         if self.bound is None:
             return checks + [(range(j, max(j, stab) + period), values) for j, values in enumerate(rows)]
         n = self.bound
@@ -294,24 +289,16 @@ class StaircaseFamily:
         return map_constants(self.atom, lambda s: s.member_constant(n))
 
     def projected_member(self, n: int, i: int) -> Equation:
-        """Base-structure equation pi_i(member n), read off slot_rows.
+        """Base-structure equation pi_i(member n), read off slot_rows with Periodic.at.
 
-        Member n shows the generators at i <= n - 2, which depend only on
-        i mod L, and the joint tail at position j = i - n + 1 after that; a
-        position past tail prefix + C repeats the one C positions earlier.
+        Member n shows the generator row at i for i <= n - 2 and the joint
+        tail row at position i - n + 1 after that.
         """
         # tested inline, not by a call: projection_entries calls this once per entry
         if n < 1 or (self.bound is not None and n > self.bound):
             self._require_member(n)
-        gen_period, generators, tail_prefix, tail_cycle, tails = self.slot_rows
-        if n >= i + 2:
-            values = generators[i % gen_period]
-        else:
-            j = i - n + 1
-            if j >= tail_prefix + tail_cycle:
-                j = tail_prefix + (j - tail_prefix) % tail_cycle
-            values = tails[j]
-        slot = iter(values)
+        generators, tails = self.slot_rows
+        slot = iter(generators.at(i) if n >= i + 2 else tails.at(i - n + 1))
         return map_constants(self.atom, lambda _: next(slot))
 
 
@@ -418,15 +405,16 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
     window of tail positions at coordinate i lies past the tail prefix (see
     StaircaseFamily.coordinate_checks).  The period is the lcm of all cycle
     lengths: explicit constants, family tails, family generators.  A
-    family's L, tail prefix and C are read off its slot_rows.  Given several
-    systems, this is their joint horizon.
+    family's tail prefix and lcm(L, C) are horizon() of its slot_rows, and C
+    is the length of the tails' cycle.  Given several systems, this is their
+    joint horizon.
     """
     stab, period = horizon(pe for system in systems for eq in system.explicit for pe in _const_streams(eq))
     for fam in (f for system in systems for f in system.families):
         if fam.descriptors():
-            gen_period, _, tail_prefix, tail_cycle, _ = fam.slot_rows
-            fam_stab = tail_prefix + (tail_cycle if fam.bound is None else fam.bound - 1)
-            stab, period = max(stab, fam_stab), math.lcm(period, tail_cycle, gen_period)
+            tail_prefix, fam_period = horizon(fam.slot_rows)
+            fam_stab = tail_prefix + (len(fam.slot_rows[1].cycle) if fam.bound is None else fam.bound - 1)
+            stab, period = max(stab, fam_stab), math.lcm(period, fam_period)
     return stab, period
 
 

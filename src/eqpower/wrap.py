@@ -107,7 +107,7 @@ def _candidates(system: PowerSystem, horizon: int) -> list[tuple[SourceRef, Equa
     """The explicit equations, then per family its members 1..min(horizon, L) + 1 (see class_representatives)."""
     out = [(SourceRef(idx), eq) for idx, eq in enumerate(system.explicit)]
     for fidx, fam in enumerate(system.families):
-        for n in fam.members(min(horizon, fam.slot_rows.generator_period) + 1):
+        for n in fam.members(min(horizon, len(fam.slot_rows[0].cycle)) + 1):
             out.append((SourceRef(fidx, n), fam.member(n)))
     return out
 

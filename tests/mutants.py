@@ -120,23 +120,16 @@ MUTANTS = (
     Mutant(
         "wrap's candidate scan stops at member L",
         "src/eqpower/wrap.py",
-        "fam.members(min(horizon, fam.slot_rows.generator_period) + 1)",
-        "fam.members(min(horizon, fam.slot_rows.generator_period))",
+        "fam.members(min(horizon, len(fam.slot_rows[0].cycle)) + 1)",
+        "fam.members(min(horizon, len(fam.slot_rows[0].cycle)))",
         ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
     ),
     Mutant(
         "the poset scan returns the last strict pair",
         "src/eqpower/noetherian.py",
-        "    for a in range(poset.size):\n        for b in range(poset.size):",
-        "    for a in reversed(range(poset.size)):\n        for b in range(poset.size):",
+        "pair for pair in product(poset.universe, repeat=2) if",
+        "pair for pair in reversed(list(product(poset.universe, repeat=2))) if",
         ("tests/test_noetherian.py::test_poset_verdicts_over_every_poset_up_to_four_elements",),
-    ),
-    Mutant(
-        "projected_member reads a tail position past tail prefix + C without folding it",
-        "src/eqpower/power.py",
-        "j = tail_prefix + (j - tail_prefix) % tail_cycle",
-        "j = j",
-        ("tests/test_power.py::test_projected_member_is_the_projection_of_the_written_out_member",),
     ),
     Mutant(
         "slot_rows repeats each generator once, not to length L",
@@ -148,9 +141,30 @@ MUTANTS = (
     Mutant(
         "stream_horizon leaves C out of the period",
         "src/eqpower/power.py",
-        "math.lcm(period, tail_cycle, gen_period)",
-        "math.lcm(period, gen_period)",
+        "tail_prefix, fam_period = horizon(fam.slot_rows)",
+        "tail_prefix, fam_period = len(fam.slot_rows[1].prefix), len(fam.slot_rows[0].cycle)",
         ("tests/test_power.py::test_projected_system_reads_far_coordinates_at_their_residue",),
+    ),
+    Mutant(
+        "Periodic.at reads the cycle without subtracting the prefix length",
+        "src/eqpower/power.py",
+        "return self.cycle[(i - len(self.prefix)) % len(self.cycle)]",
+        "return self.cycle[i % len(self.cycle)]",
+        ("tests/test_power.py::test_projected_member_is_the_projection_of_the_written_out_member",),
+    ),
+    Mutant(
+        "stream_horizon drops the - 1 of a bounded family",
+        "src/eqpower/power.py",
+        "if fam.bound is None else fam.bound - 1)",
+        "if fam.bound is None else fam.bound)",
+        ("tests/test_power.py::test_stream_horizon_of_one_family_matches_the_descriptor_formula",),
+    ),
+    Mutant(
+        "_is_obstruction accepts a pair with a == b",
+        "src/eqpower/noetherian.py",
+        "return labels[0] != labels[1] and structure.holds(POSET_ORDER_SYMBOL, labels)",
+        "return structure.holds(POSET_ORDER_SYMBOL, labels)",
+        ("tests/test_noetherian.py::test_witness_rejects_bogus_certificates",),
     ),
     Mutant(
         "Periodic.take reads a negative n as a negative slice",

@@ -141,6 +141,19 @@ def staircase_value_at(stair: Staircase, n: int, i: int) -> str:
     return stair.tail.at(i - (n - 1))
 
 
+def staircase_family_horizon(stairs, bound: int | None) -> tuple[int, int]:
+    """(stabilization, period) of one staircase family, from its Staircase descriptors alone.
+
+    The stabilization is the largest tail prefix plus C, the lcm of the tail
+    cycles, or plus N - 1 for a family bounded at N; the period is the lcm of
+    C and the generator lengths.
+    """
+    tail_prefix = max(len(s.tail.prefix) for s in stairs)
+    tail_cycle = math.lcm(*(len(s.tail.cycle) for s in stairs))
+    period = math.lcm(tail_cycle, *(len(s.generator) for s in stairs))
+    return tail_prefix + (tail_cycle if bound is None else bound - 1), period
+
+
 def oracle_projection(system: PowerSystem, i: int) -> list:
     """Every equation of pi_i(system): the explicit ones, then members 1..i + 2 of each family, by staircase_value_at.
 

@@ -261,6 +261,8 @@ def test_witness_rejects_bogus_certificates():
     with pytest.raises(InvalidCertificateError):
         build_witness_family(chain_poset(2), "poset", ("c2", "c1"))
     with pytest.raises(InvalidCertificateError):
+        build_witness_family(chain_poset(2), "poset", ("c1", "c1"))  # leq is reflexive, but the pair is not strict
+    with pytest.raises(InvalidCertificateError):
         build_witness_family(free_matroid(2), "matroid", ("e1", "e2", "e1"))
     with pytest.raises(InvalidCertificateError, match="graph certificates are quadruples"):
         build_witness_family(triangle_graph(), "graph", ("a", "b"))

@@ -207,6 +207,30 @@ def test_stream_horizon_demo():
     assert stream_horizon(empty) == (0, 1)
 
 
+@settings(deadline=None, max_examples=200)
+@given(st.data())
+def test_stream_horizon_of_one_family_matches_the_descriptor_formula(data):
+    """stream_horizon of a one-family system, with or without one explicit equation, against support's formula.
+
+    Families are unbounded or bounded at 1-8, with 1-3 slots, generators of
+    length 1-5, tail prefixes up to 3 and tail cycles of 1-4 entries.
+    """
+    labels = st.sampled_from(["a", "b", "c"])
+    stream = st.builds(
+        PowerElement, st.lists(labels, max_size=3).map(tuple), st.lists(labels, min_size=1, max_size=4).map(tuple)
+    )
+    stair = st.builds(Staircase, st.lists(labels, min_size=1, max_size=5).map(tuple), stream)
+    stairs = data.draw(st.lists(stair, min_size=1, max_size=3))
+    bound = data.draw(st.none() | st.integers(1, 8))
+    explicit = tuple(EqualityAtom(x, Const(pe)) for pe in data.draw(st.lists(stream, max_size=1)))
+    system = PowerSystem(("x",), explicit, (StaircaseFamily(RelationAtom("R", (x, *map(Const, stairs))), bound),))
+    stab, period = support.staircase_family_horizon(stairs, bound)
+    for eq in explicit:
+        pe = eq.rhs.value
+        stab, period = max(stab, len(pe.prefix)), math.lcm(period, len(pe.cycle))
+    assert stream_horizon(system) == (stab, period)
+
+
 def test_coordinate_profile_demo():
     g = triangle_graph()
     system = staircase_demo_system()
@@ -583,11 +607,8 @@ def test_truncated_family_shares_slot_rows():
     second = Staircase(("c", "a"), PowerElement((), ("b",)))
     fam = StaircaseFamily(RelationAtom("T", (x, Const(first), Const(second))))
     assert fam.slot_rows == (
-        6,
-        (("a", "c"), ("b", "a"), ("c", "c"), ("a", "a"), ("b", "c"), ("c", "a")),
-        2,
-        2,
-        (("a", "b"), ("c", "b"), ("b", "b"), ("a", "b")),
+        Periodic((), (("a", "c"), ("b", "a"), ("c", "c"), ("a", "a"), ("b", "c"), ("c", "a"))),
+        Periodic((("a", "b"), ("c", "b")), (("b", "b"), ("a", "b"))),
     )
     for n in (1, 4, 9):
         cut = fam.truncated(n)

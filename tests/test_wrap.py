@@ -363,7 +363,7 @@ def test_wrap_builds_no_member_past_generator_period_plus_one(case):
     with mock.patch.object(StaircaseFamily, "member", spy):
         result = wrap(triangle_graph(), system)
     (fam,) = system.families
-    last = fam.slot_rows.generator_period + 1
+    last = len(fam.slot_rows[0].cycle) + 1
     assert max(built) == last  # both inputs take member L + 1 as a source
     assert {rep.source for rep in result.trace.representatives if rep.source.member is not None} == {
         SourceRef(0, last)
