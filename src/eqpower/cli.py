@@ -27,7 +27,6 @@ from .power import (
     power_equation_to_json_dict,
     power_system_from_json_dict,
     projected_system,
-    stream_horizon,
 )
 from .solver import (
     Equation,
@@ -262,10 +261,9 @@ def cmd_wrap(args: argparse.Namespace) -> int:
         print(f"wrapped system: {len(result.wrapped.explicit)} equations")
         for eq in result.wrapped.explicit:
             print(f"  {_render_equation(eq)}")
-        stab, period = stream_horizon(system)
         print(f"verified equivalent per coordinate: {'yes' if result.verified else 'NO'}")
         print(f"size bounds respected: {'yes' if result.bound_ok else 'NO'}")
-        print(f"(original horizon: stabilization {stab}, period {period})")
+        print(f"(original horizon: stabilization {trace.stabilization}, period {trace.period})")
     return 0 if result.verified and result.bound_ok else 1
 
 

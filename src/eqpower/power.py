@@ -354,27 +354,24 @@ def resolve_source(system: PowerSystem, ref: SourceRef) -> Equation:
     return system.families[ref.index].member(ref.member)
 
 
-def projection_entries(system: PowerSystem, i: int) -> list[tuple[Equation, SourceRef]]:
-    """Distinct equations of pi_i(system), each with its earliest source.
+def projection_entries(system: PowerSystem, i: int) -> dict[Equation, SourceRef]:
+    """The distinct equations of pi_i(system), in insertion order, each mapped to its earliest source.
 
     Order is canonical: explicit equations by index, then families by index
     with members by ascending n.  At coordinate i members beyond n = i + 2
     repeat the n = i + 2 projection, so the scan stops there, or at the
     family's bound.
     """
-    seen: set[Equation] = set()
-    out: list[tuple[Equation, SourceRef]] = []
+    out: dict[Equation, SourceRef] = {}
     for idx, eq in enumerate(system.explicit):
         atom = project_equation(eq, i)
-        if atom not in seen:
-            seen.add(atom)
-            out.append((atom, SourceRef(idx)))
+        if atom not in out:
+            out[atom] = SourceRef(idx)
     for fidx, fam in enumerate(system.families):
         for n in fam.members(i + 2):
             atom = fam.projected_member(n, i)
-            if atom not in seen:
-                seen.add(atom)
-                out.append((atom, SourceRef(fidx, n)))
+            if atom not in out:
+                out[atom] = SourceRef(fidx, n)
     return out
 
 
@@ -388,7 +385,7 @@ def projected_system(system: PowerSystem, i: int) -> EquationSystem:
     stab, period = stream_horizon(system)
     if i >= stab + period:
         i = stab + (i - stab) % period
-    return EquationSystem(system.variables, tuple(atom for atom, _ in projection_entries(system, i)))
+    return EquationSystem(system.variables, tuple(projection_entries(system, i)))
 
 
 def _const_streams(eq: Equation) -> list[PowerElement]:
@@ -429,9 +426,9 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
     stab, period = stream_horizon(system)
     classifier = AtomClassifier.of(structure, system.variables)
     rows = [projection_entries(system, i) for i in range(stab + period)]
-    table = tuple(tuple(dict.fromkeys(classifier.mask(atom) for atom, _ in row)) for row in rows)
+    table = tuple(tuple(dict.fromkeys(map(classifier.mask, row))) for row in rows)
     for i in range(stab, stab + period):
-        if {atom for atom, _ in projection_entries(system, i + period)} != {atom for atom, _ in rows[i]}:
+        if projection_entries(system, i + period).keys() != rows[i].keys():
             raise RuntimeError(f"profile period certification failed at coordinate {i}; this is a bug")
     return Periodic(table[:stab], table[stab:])
 
@@ -450,18 +447,19 @@ def _stream_of(streams: Mapping[str, PowerElement], arg: Any) -> PowerElement:
 def _rows_hold(structure: FiniteStructure, eq: Equation, rows: Collection[tuple[str, ...]]) -> bool:
     """Whether the atom holds on every row of argument labels.
 
-    A relation atom's rows are looked up among the table's label rows.  The
-    first row in iteration order that is not there decides: it raises
-    KeyError if one of its labels is outside the universe, else the atom fails.
+    A relation atom's rows are looked up among the table's label rows.  If
+    some are not there, every label of every such row is looked up, rows in
+    sorted order, so a label outside the universe raises KeyError whatever
+    the rows' iteration order; otherwise the atom fails.
     """
     if not isinstance(eq, RelationAtom):
         return all(lhs == rhs for lhs, rhs in rows)
     table = structure.label_table(eq.symbol)
     if table.issuperset(rows):
         return True
-    row = next(row for row in rows if row not in table)
-    for label in row:
-        structure.index(label)  # raises for a label outside the universe
+    for row in sorted(row for row in rows if row not in table):
+        for label in row:
+            structure.index(label)  # raises for a label outside the universe
     return False
 
 
@@ -575,7 +573,7 @@ def consistent(structure: FiniteStructure, system: PowerSystem) -> ConsistencyVe
     if all(masks):
         return ConsistencyVerdict()
     i = masks.index(0)
-    refs = dict(projection_entries(system, i))
+    refs = projection_entries(system, i)
     core = minimal_inconsistent_subset(structure, EquationSystem(system.variables, tuple(refs)))
     sources = tuple(refs[atom] for atom in core.equations)
     lifted = tuple(resolve_source(system, ref) for ref in sources)

@@ -129,10 +129,10 @@ def class_representatives(
     Member n projects to the generator values at each i <= n - 2, which
     depend only on i mod L, and to the joint tail at every later i, from
     tail position 0 on.  So from n = L + 1 on every member realizes the same
-    sets: those of all L generator residues and of every tail position.  A
-    candidate is taken only for a strictly larger gain than every earlier
-    one, and equal sets give equal gains, so no member past L + 1 is ever
-    taken and scanning it would change nothing.
+    sets: those of all L generator residues and of every tail position.
+    max takes the first candidate of the largest gain, and equal sets give
+    equal gains, so no member past L + 1 is ever taken and scanning it would
+    change nothing.
     """
     classifier = AtomClassifier.of(structure, system.variables)
     discovery = _discovered(profile)
@@ -150,15 +150,9 @@ def class_representatives(
 
     assignment: dict[int, tuple[int, SourceRef, Equation]] = {}
     while uncovered:
-        best = None
-        best_gain = 0
-        for ref, eq, realized in coverage:
-            gain = sum(1 for mask in realized if mask in uncovered)
-            if gain > best_gain:
-                best, best_gain = (ref, eq, realized), gain
-        if best is None:
+        ref, eq, realized = max(coverage, key=lambda c: sum(1 for mask in c[2] if mask in uncovered))
+        if uncovered.isdisjoint(realized):
             raise RuntimeError("uncovered projected solution set without a source; this is a bug")
-        ref, eq, realized = best
         for mask, least_i in realized.items():
             if mask in uncovered:
                 uncovered.discard(mask)
@@ -174,25 +168,13 @@ def class_representatives(
     return tuple(reps)
 
 
-def seed_equations(
-    structure: FiniteStructure, system: PowerSystem, reps: Iterable[ClassRep]
-) -> tuple[Equation, ...]:
+def seed_equations(system: PowerSystem, reps: Iterable[ClassRep]) -> tuple[Equation, ...]:
     """The chosen source equations, deduplicated in first-use order.
 
-    Every representative solution set must occur among the projections of the
-    seeds; that is rechecked here rather than assumed.
+    class_representatives has already checked that each source realizes its
+    set at the representative's coordinate; verify_wrap re-checks the output.
     """
-    seeds: list[Equation] = []
-    for rep in reps:
-        eq = resolve_source(system, rep.source)
-        if eq not in seeds:
-            seeds.append(eq)
-    classifier = AtomClassifier.of(structure, system.variables)
-    for rep in reps:
-        eq = resolve_source(system, rep.source)
-        if classifier.solutions(project_equation(eq, rep.coordinate)) != rep.solutions:
-            raise RuntimeError("seed equations do not realize every solution set; this is a bug")
-    return tuple(seeds)
+    return tuple(dict.fromkeys(resolve_source(system, rep.source) for rep in reps))
 
 
 def _merged_equation(rep: ClassRep, source_eq: Equation, match: Periodic) -> Equation:
@@ -213,18 +195,16 @@ def wrap(structure: FiniteStructure, system: PowerSystem) -> WrapResult:
     """Compute the finite equivalent system plus the full construction trace."""
     profile = coordinate_profile(structure, system)
     reps = class_representatives(structure, system, profile)
-    seeds = seed_equations(structure, system, reps)
+    seeds = seed_equations(system, reps)
 
     steps = []
     for mask, rep in zip(_discovered(profile), reps):
         match = profile.map(lambda masks: mask in masks)
         steps.append(WrapStep(match, _merged_equation(rep, resolve_source(system, rep.source), match)))
 
-    equations: list[Equation] = []
-    for eq in list(seeds) + [st.merged for st in steps]:
-        if eq not in equations:  # canonical stream form makes this structural equality
-            equations.append(eq)
-    wrapped = PowerSystem(system.variables, tuple(equations), ())
+    # canonical stream form makes equal equations structurally equal
+    equations = tuple(dict.fromkeys(seeds + tuple(st.merged for st in steps)))
+    wrapped = PowerSystem(system.variables, equations, ())
 
     trace = WrapTrace(len(profile.prefix), len(profile.cycle), reps, seeds, tuple(steps))
     verification = verify_wrap(structure, system, wrapped)

@@ -118,6 +118,27 @@ MUTANTS = (
         ("tests/test_power.py::test_satisfies_names_a_point_label_outside_the_universe",),
     ),
     Mutant(
+        "_rows_hold checks only the first failing row",
+        "src/eqpower/power.py",
+        "for row in sorted(row for row in rows if row not in table):",
+        "for row in sorted(row for row in rows if row not in table)[:1]:",
+        ("tests/test_power.py::test_satisfies_names_an_unknown_label_whatever_the_row_order",),
+    ),
+    Mutant(
+        "projection_entries keeps the latest source of a repeated equation",
+        "src/eqpower/power.py",
+        "            if atom not in out:\n                out[atom] = SourceRef(fidx, n)",
+        "            out[atom] = SourceRef(fidx, n)",
+        ("tests/test_power.py::test_projection_entries_order_and_dedup",),
+    ),
+    Mutant(
+        "the greedy takes the last candidate of the largest gain",
+        "src/eqpower/wrap.py",
+        "max(coverage, key=",
+        "max(reversed(coverage), key=",
+        ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
+    ),
+    Mutant(
         "wrap's candidate scan stops at member L",
         "src/eqpower/wrap.py",
         "fam.members(min(horizon, len(fam.slot_rows[0].cycle)) + 1)",

@@ -163,11 +163,15 @@ def test_family_projection_consistency():
 def test_projection_entries_order_and_dedup():
     system = staircase_demo_system()
     entries = projection_entries(system, 0)
-    assert [atom for atom, _ in entries] == [
-        RelationAtom("E", (x, Const("a"))),
-        RelationAtom("E", (x, Const("b"))),
+    assert list(entries.items()) == [
+        (RelationAtom("E", (x, Const("a"))), SourceRef(0, 1)),
+        (RelationAtom("E", (x, Const("b"))), SourceRef(0, 2)),
     ]
-    assert [ref for _, ref in entries] == [SourceRef(0, 1), SourceRef(0, 2)]
+    # at coordinate 2 members 1-3 all project to E(x, a): the earliest source is kept
+    assert list(projection_entries(system, 2).items()) == [
+        (RelationAtom("E", (x, Const("a"))), SourceRef(0, 1)),
+        (RelationAtom("E", (x, Const("b"))), SourceRef(0, 4)),
+    ]
     # members beyond n = i + 2 only repeat earlier projections
     fam = system.families[0]
     for i in range(4):
@@ -197,7 +201,7 @@ def test_projected_system_reads_far_coordinates_at_their_residue(seed, offset, b
         )
     stab, period = stream_horizon(system)
     i = stab + period + offset
-    direct = tuple(atom for atom, _ in projection_entries(system, i))
+    direct = tuple(projection_entries(system, i))
     assert projected_system(system, i) == EquationSystem(system.variables, direct)
 
 
@@ -245,7 +249,7 @@ def test_coordinate_profile_demo():
         frozenset({nbh["a"], nbh["b"]}),
     ]
     # masks come in projection order: E(x, a) from member 1, then E(x, b) from member 2
-    assert profile.at(0) == tuple(clf.mask(atom) for atom, _ in projection_entries(system, 0))
+    assert profile.at(0) == tuple(map(clf.mask, projection_entries(system, 0)))
     assert profile.at(3) == profile.cycle[0]
     assert profile.at(100) == profile.cycle[1]
 
@@ -339,7 +343,7 @@ def test_consistent_builds_one_mask_per_distinct_atom(fixture, monkeypatch):
     monkeypatch.setattr(AtomClassifier, "_build_mask", counted)
     consistent(triangle_graph(), system)
     stab, period = stream_horizon(system)
-    atoms = {atom for i in range(stab + period) for atom, _ in projection_entries(system, i)}
+    atoms = {atom for i in range(stab + period) for atom in projection_entries(system, i)}
     assert len(built) == len(atoms)
     assert set(built) == atoms
 
@@ -657,7 +661,7 @@ def test_bounded_family_matches_its_explicit_members(seed, bound):
         assert satisfies(structure, bounded, p) == support.oracle_satisfies(structure, explicit, p)
 
     def atoms(s, i):
-        return {atom for atom, _ in projection_entries(s, i)}
+        return set(projection_entries(s, i))
 
     stab, period = stream_horizon(bounded, explicit)
     own_stab, own_period = stream_horizon(bounded)
@@ -782,6 +786,30 @@ def test_satisfies_names_a_point_label_outside_the_universe():
     family = PowerSystem(("x",), (), (StaircaseFamily(EqualityAtom(x, stair)),))
     assert satisfies(g, family, (constant_stream("z"),)) is False
     assert satisfies(g, family, (constant_stream("a"),)) is True
+
+
+def test_satisfies_names_an_unknown_label_whatever_the_row_order():
+    """The unknown label is named even when a row of known labels fails too, under every hash seed.
+
+    Against E(x, a) on the triangle the point [zk,(a)] gives two failing
+    rows, (zk, a) and (a, a).  Which one a set of rows meets first depends
+    on the string hashes, so over 40 labels zk a check that reads only the
+    first failing row misses some of them under any seed.
+    """
+    g = triangle_graph()
+    to_a = Const(constant_stream("a"))
+    stair = Const(Staircase(("a",), constant_stream("a")))
+    systems = [
+        PowerSystem(("x",), (RelationAtom("E", (x, to_a)),)),
+        PowerSystem(("x",), (), (StaircaseFamily(RelationAtom("E", (x, stair))),)),
+    ]
+    for k in range(40):
+        point = (PowerElement((f"z{k}",), ("a",)),)
+        for system in systems:
+            with pytest.raises(KeyError, match=f"unknown universe element 'z{k}'"):
+                satisfies(g, system, point)
+            with pytest.raises(KeyError, match=f"'z{k}'"):  # the oracle's KeyError holds the bare label
+                support.oracle_satisfies(g, system, point)
 
 
 def test_satisfies_rejects_bad_points_like_the_oracle():

@@ -82,7 +82,7 @@ def test_demo_seeds():
     g = triangle_graph()
     system = staircase_demo_system()
     reps = class_representatives(g, system, coordinate_profile(g, system))
-    assert seed_equations(g, system, reps) == (MEMBER3,)
+    assert seed_equations(system, reps) == (MEMBER3,)
 
 
 def test_demo_wrap_output_pinned():
