@@ -137,7 +137,7 @@ class FiniteStructure:
     def holds(self, symbol: str, row: Sequence[str]) -> bool:
         if symbol not in self._tables:
             raise KeyError(f"unknown relation symbol {symbol!r}")
-        return tuple(self._index[v] for v in row) in self._tables[symbol]
+        return tuple(map(self.index, row)) in self._tables[symbol]
 
     def index_table(self, symbol: str) -> frozenset[tuple[int, ...]]:
         if symbol not in self._tables:

@@ -75,32 +75,11 @@ class WrapTrace:
 
 
 @dataclass(frozen=True)
-class CoordinateMismatch:
-    coordinate: int
-    original_solutions: tuple[tuple[str, ...], ...]
-    wrapped_solutions: tuple[tuple[str, ...], ...]
-
-
-@dataclass(frozen=True)
-class WrapVerification:
-    mismatches: tuple[CoordinateMismatch, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-
-@dataclass(frozen=True)
 class WrapResult:
     wrapped: PowerSystem
     trace: WrapTrace
     verified: bool
     bound_ok: bool
-
-
-def _discovered(profile: Periodic) -> list[int]:
-    """The profile's distinct masks, ordered by first occurrence in the coordinate scan."""
-    return list(dict.fromkeys(mask for masks in profile.prefix + profile.cycle for mask in masks))
 
 
 def _candidates(system: PowerSystem, horizon: int) -> list[tuple[SourceRef, Equation]]:
@@ -122,7 +101,8 @@ def class_representatives(
     repeatedly taking the candidate (explicit equations first, then family
     members by ascending index and n) that realizes the most still uncovered
     sets; each set then gets the least coordinate at which its chosen source
-    realizes it.
+    realizes it, and its representative is the source's projection there,
+    the very equation the coverage scan classified into that set.
 
     A family's candidates stop at member min(H + 1, L + 1), where H is the
     profile's horizon and L the lcm of the family's generator lengths.
@@ -135,7 +115,7 @@ def class_representatives(
     change nothing.
     """
     classifier = AtomClassifier.of(structure, system.variables)
-    discovery = _discovered(profile)
+    discovery = list(dict.fromkeys(mask for masks in profile.prefix + profile.cycle for mask in masks))
     uncovered = set(discovery)
 
     # least coordinate per solution set realized by each candidate source
@@ -161,18 +141,16 @@ def class_representatives(
     reps = []
     for mask in discovery:
         coord, ref, eq = assignment[mask]
-        representative = project_equation(eq, coord)
-        if classifier.mask(representative) != mask:
-            raise RuntimeError("representative does not realize its solution set; this is a bug")
-        reps.append(ClassRep(classifier.decode(mask), representative, coord, ref))
+        reps.append(ClassRep(classifier.decode(mask), project_equation(eq, coord), coord, ref))
     return tuple(reps)
 
 
 def seed_equations(system: PowerSystem, reps: Iterable[ClassRep]) -> tuple[Equation, ...]:
     """The chosen source equations, deduplicated in first-use order.
 
-    class_representatives has already checked that each source realizes its
-    set at the representative's coordinate; verify_wrap re-checks the output.
+    Each source realizes its set at the representative's coordinate because
+    class_representatives' coverage scan found it there; verify_wrap re-checks
+    the output.
     """
     return tuple(dict.fromkeys(resolve_source(system, rep.source) for rep in reps))
 
@@ -197,8 +175,10 @@ def wrap(structure: FiniteStructure, system: PowerSystem) -> WrapResult:
     reps = class_representatives(structure, system, profile)
     seeds = seed_equations(system, reps)
 
+    classifier = AtomClassifier.of(structure, system.variables)
     steps = []
-    for mask, rep in zip(_discovered(profile), reps):
+    for rep in reps:
+        mask = classifier.mask(rep.representative)  # memoized: the coverage scan classified it
         match = profile.map(lambda masks: mask in masks)
         steps.append(WrapStep(match, _merged_equation(rep, resolve_source(system, rep.source), match)))
 
@@ -207,28 +187,18 @@ def wrap(structure: FiniteStructure, system: PowerSystem) -> WrapResult:
     wrapped = PowerSystem(system.variables, equations, ())
 
     trace = WrapTrace(len(profile.prefix), len(profile.cycle), reps, seeds, tuple(steps))
-    verification = verify_wrap(structure, system, wrapped)
+    verified = verify_wrap(structure, system, wrapped)
     bound_ok = check_size_bounds(structure, system, reps, wrapped)
-    return WrapResult(wrapped, trace, verification.passed, bound_ok)
+    return WrapResult(wrapped, trace, verified, bound_ok)
 
 
-def verify_wrap(
-    structure: FiniteStructure, original: PowerSystem, wrapped: PowerSystem
-) -> WrapVerification:
+def verify_wrap(structure: FiniteStructure, original: PowerSystem, wrapped: PowerSystem) -> bool:
     """Per-coordinate equivalence over the joint horizon, plus one extra period, each coordinate computed."""
     if original.variables != wrapped.variables:
         raise ValueError("variable lists differ between original and wrapped systems")
     stab, period = stream_horizon(original, wrapped)
     stop = stab + 2 * period
-    decode = AtomClassifier.of(structure, original.variables).decode
-    pairs = zip(coordinate_masks(structure, original, stop), coordinate_masks(structure, wrapped, stop))
-    return WrapVerification(
-        tuple(
-            CoordinateMismatch(i, tuple(sorted(decode(a))), tuple(sorted(decode(b))))
-            for i, (a, b) in enumerate(pairs)
-            if a != b
-        )
-    )
+    return coordinate_masks(structure, original, stop) == coordinate_masks(structure, wrapped, stop)
 
 
 def check_size_bounds(

@@ -55,6 +55,27 @@ MUTANTS = (
         ("tests/test_wrap.py::test_verify_wrap_computes_its_extra_period",),
     ),
     Mutant(
+        "verify_wrap compares the original with itself",
+        "src/eqpower/wrap.py",
+        "== coordinate_masks(structure, wrapped, stop)",
+        "== coordinate_masks(structure, original, stop)",
+        ("tests/test_wrap.py::test_verify_wrap_reports_first_bad_coordinate",),
+    ),
+    Mutant(
+        "every wrap step reads the first representative's mask",
+        "src/eqpower/wrap.py",
+        "mask = classifier.mask(rep.representative)",
+        "mask = classifier.mask(reps[0].representative)",
+        ("tests/test_wrap.py::test_verify_wrap_matches_the_oracle_profile",),
+    ),
+    Mutant(
+        "holds looks labels up with a bare index",
+        "src/eqpower/structures.py",
+        "tuple(map(self.index, row))",
+        "tuple(self._index[v] for v in row)",
+        ("tests/test_structures.py::test_holds_names_an_unknown_label_like_index",),
+    ),
+    Mutant(
         "an explicit equation without a constant slot gets a bare zip()",
         "src/eqpower/power.py",
         "zip(*columns) if columns else repeat((), stop)",

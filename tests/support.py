@@ -177,7 +177,7 @@ def oracle_atom_solutions(structure: FiniteStructure, variables, eq) -> frozense
 
 def oracle_profile(structure: FiniteStructure, system: PowerSystem, i: int) -> frozenset:
     """The distinct solution sets of oracle_projection(system, i), each by oracle_atom_solutions."""
-    atoms = oracle_projection(system, i)
+    atoms = set(oracle_projection(system, i))  # members far apart often project to the same atom
     return frozenset(oracle_atom_solutions(structure, system.variables, atom) for atom in atoms)
 
 

@@ -70,14 +70,14 @@ def test_triangle_staircase_wrap_end_to_end():
         len(result.wrapped.explicit) <= 4
         and result.verified
         and result.bound_ok
-        and listed_check.passed
+        and listed_check
         and elapsed < 1.0
     )
     check(
         "wrap-triangle-staircase",
         passed,
         f"{len(result.wrapped.explicit)} equations, verified={result.verified}, "
-        f"known 4-equation compression verified={listed_check.passed}, {elapsed:.3f}s",
+        f"known 4-equation compression verified={listed_check}, {elapsed:.3f}s",
     )
 
 

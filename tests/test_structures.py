@@ -73,6 +73,15 @@ def test_structure_tables_and_equality():
     assert g != path_graph(3)
 
 
+def test_holds_names_an_unknown_label_like_index():
+    g = triangle_graph()
+    for row in (("z0", "a"), ("a", "z0")):
+        with pytest.raises(KeyError, match="unknown universe element 'z0'"):
+            g.holds("E", row)
+    with pytest.raises(KeyError, match="unknown relation symbol 'F'"):
+        g.holds("F", ("a", "b"))
+
+
 def test_missing_table_means_empty_relation():
     g = FiniteStructure(graph_signature(), ["a", "b"])
     assert g.tuples("E") == ()

@@ -1,6 +1,8 @@
+import functools
 import importlib
 import json
 import operator
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -19,11 +21,13 @@ from eqpower.power import (
     SourceRef,
     Staircase,
     StaircaseFamily,
+    coordinate_masks,
     coordinate_profile,
     power_system_from_json_dict,
     power_systems_equivalent,
+    stream_horizon,
 )
-from eqpower.solver import Const, EqualityAtom, RelationAtom, Var
+from eqpower.solver import AtomClassifier, Const, EqualityAtom, RelationAtom, Var
 from eqpower.power import periodic_to_json_dict
 from eqpower.wrap import (
     class_representatives,
@@ -128,14 +132,20 @@ def test_wrap_of_finite_system_is_stable():
     assert power_systems_equivalent(g, once.wrapped, again.wrapped)
 
 
+def _differences(structure, original, wrapped, stop) -> list:
+    """(i, original solutions, wrapped solutions) at each i < stop where the two coordinate_masks lists differ."""
+    decode = AtomClassifier.of(structure, original.variables).decode
+    pairs = zip(coordinate_masks(structure, original, stop), coordinate_masks(structure, wrapped, stop))
+    return [(i, sorted(decode(a)), sorted(decode(b))) for i, (a, b) in enumerate(pairs) if a != b]
+
+
 def test_verify_wrap_reports_first_bad_coordinate():
     g = triangle_graph()
+    demo = staircase_demo_system()
     incomplete = PowerSystem(("x",), (MEMBER3,), ())
-    verification = verify_wrap(g, staircase_demo_system(), incomplete)
-    assert not verification.passed
-    assert verification.mismatches[0].coordinate == 0
-    assert verification.mismatches[0].original_solutions == (("c",),)
-    assert verification.mismatches[0].wrapped_solutions == (("a",), ("c",))
+    assert verify_wrap(g, demo, incomplete) is False
+    stab, period = stream_horizon(demo, incomplete)
+    assert _differences(g, demo, incomplete, stab + 2 * period)[0] == (0, [("c",)], [("a",), ("c",)])
 
 
 def test_verify_wrap_rejects_variable_mismatch():
@@ -294,10 +304,8 @@ def test_verify_wrap_computes_its_extra_period(monkeypatch):
     wrap_module = importlib.import_module("eqpower.wrap")  # eqpower.wrap the attribute is the function
     monkeypatch.setattr(wrap_module, "stream_horizon", lambda *systems: (1, 1))  # the demo's true period is 2
     wrapped = PowerSystem(("x",), (EqualityAtom(Var("x"), Const(PowerElement(("c",), ("b",)))),), ())
-    verification = verify_wrap(triangle_graph(), staircase_demo_system(), wrapped)
-    assert [(m.coordinate, m.original_solutions, m.wrapped_solutions) for m in verification.mismatches] == [
-        (2, (("c",),), (("b",),))
-    ]
+    assert verify_wrap(triangle_graph(), staircase_demo_system(), wrapped) is False
+    assert _differences(triangle_graph(), staircase_demo_system(), wrapped, 3) == [(2, [("c",)], [("b",)])]
 
 
 WRAP_MODULE = importlib.import_module("eqpower.wrap")  # eqpower.wrap the attribute is the function
@@ -344,6 +352,32 @@ def test_cut_candidate_scan_matches_the_uncut_reference(drawn):
     with mock.patch.object(WRAP_MODULE, "class_representatives", support.reference_class_representatives):
         reference = wrap_result_to_json_dict(wrap(structure, system))
     assert wrap_result_to_json_dict(wrap(structure, system)) == reference
+
+
+@settings(deadline=None, max_examples=50)
+@given(staircase_systems())
+def test_verify_wrap_matches_the_oracle_profile(drawn):
+    """wrap's output verifies, and a copy without one equation verifies exactly when the oracle sees no difference.
+
+    The oracle intersects support.oracle_profile at every coordinate below
+    stab + 2 * period of the joint stream_horizon; the empty intersection is
+    the full assignment space.
+    """
+    structure, system = drawn
+    everything = frozenset(product(structure.universe, repeat=len(system.variables)))
+
+    @functools.cache
+    def solutions(s: PowerSystem, i: int) -> frozenset:
+        return everything.intersection(*support.oracle_profile(structure, s, i))
+
+    result = wrap(structure, system)
+    assert result.verified
+    eqs = result.wrapped.explicit
+    for candidate in [eqs] + [eqs[:k] + eqs[k + 1 :] for k in range(len(eqs))]:
+        candidate = PowerSystem(system.variables, candidate, ())
+        stab, period = stream_horizon(system, candidate)
+        expected = all(solutions(system, i) == solutions(candidate, i) for i in range(stab + 2 * period))
+        assert verify_wrap(structure, system, candidate) == expected
 
 
 @pytest.mark.parametrize("case", ["staircase_demo", "wide_staircase"])
