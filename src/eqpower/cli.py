@@ -30,7 +30,6 @@ from .power import (
 )
 from .solver import (
     Equation,
-    RelationAtom,
     Var,
     check_equation,
     equation_to_json_dict,
@@ -39,7 +38,7 @@ from .solver import (
     system_from_json_dict,
     system_to_json_dict,
 )
-from .structures import structure_from_json_dict, validate
+from .structures import EQUALITY, structure_from_json_dict, validate
 from .wrap import wrap, wrap_result_to_json_dict
 
 
@@ -70,9 +69,9 @@ def _render_arg(arg) -> str:
 
 
 def _render_equation(eq: Equation) -> str:
-    if isinstance(eq, RelationAtom):
-        return f"{eq.symbol}({', '.join(_render_arg(a) for a in eq.args)})"
-    return f"{_render_arg(eq.lhs)} = {_render_arg(eq.rhs)}"
+    if eq.symbol == EQUALITY:
+        return " = ".join(map(_render_arg, eq.args))
+    return f"{eq.symbol}({', '.join(map(_render_arg, eq.args))})"
 
 
 def _render_family(fam) -> str:

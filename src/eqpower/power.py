@@ -41,9 +41,7 @@ from .solver import (
     Const,
     Equation,
     EquationSystem,
-    RelationAtom,
     Var,
-    atom_args,
     const_values,
     equation_from_json_dict,
     equation_to_json_dict,
@@ -51,7 +49,7 @@ from .solver import (
     minimal_inconsistent_subset,
     system_fields_from_json,
 )
-from .structures import FiniteStructure
+from .structures import EQUALITY, FiniteStructure
 
 
 def _primitive_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
@@ -175,7 +173,7 @@ class StaircaseFamily:
             raise ValueError("a bounded family has at least member 1")
 
     def descriptors(self) -> tuple[Staircase, ...]:
-        return tuple(a.value for a in atom_args(self.atom) if isinstance(a, Const))
+        return tuple(a.value for a in self.atom.args if isinstance(a, Const))
 
     def members(self, last: int) -> range:
         """The family's member indices among 1..last."""
@@ -211,7 +209,7 @@ class StaircaseFamily:
         appearance, as satisfies writes them.  None when such a row already
         is in argument order, as it is for every atom of one argument.
         """
-        args = atom_args(self.atom)
+        args = self.atom.args
         names = list(dict.fromkeys(a.name for a in args if isinstance(a, Var)))
         slots = iter(range(len(names), len(args)))
         order = [names.index(a.name) if isinstance(a, Var) else next(slots) for a in args]
@@ -447,12 +445,14 @@ def _stream_of(streams: Mapping[str, PowerElement], arg: Any) -> PowerElement:
 def _rows_hold(structure: FiniteStructure, eq: Equation, rows: Collection[tuple[str, ...]]) -> bool:
     """Whether the atom holds on every row of argument labels.
 
-    A relation atom's rows are looked up among the table's label rows.  If
-    some are not there, every label of every such row is looked up, rows in
-    sorted order, so a label outside the universe raises KeyError whatever
-    the rows' iteration order; otherwise the atom fails.
+    An equality compares each row's two labels, so a label outside the
+    universe is just unequal.  Other atoms' rows are looked up among the
+    table's label rows.  If some are not there, every label of every such
+    row is looked up, rows in sorted order, so a label outside the universe
+    raises KeyError whatever the rows' iteration order; otherwise the atom
+    fails.
     """
-    if not isinstance(eq, RelationAtom):
+    if eq.symbol == EQUALITY:
         return all(lhs == rhs for lhs, rhs in rows)
     table = structure.label_table(eq.symbol)
     if table.issuperset(rows):
@@ -482,13 +482,13 @@ def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[P
         raise ValueError(f"point has {len(point)} entries for variables {system.variables}")
     streams = dict(zip(system.variables, point))
     for eq in system.explicit:
-        args = [_stream_of(streams, a) for a in atom_args(eq)]
+        args = [_stream_of(streams, a) for a in eq.args]
         length = sum(horizon(args))
         rows = set(zip(*(pe.take(length) for pe in args))) if args else {()}
         if not _rows_hold(structure, eq, rows):
             return False
     for fam in system.families:
-        args = atom_args(fam.atom)
+        args = fam.atom.args
         used = {a.name: _stream_of(streams, a) for a in args if isinstance(a, Var)}
         blocks = fam.coordinate_checks(*horizon(used.values()))
         stop = max(r.stop for r, _ in blocks)

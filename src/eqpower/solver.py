@@ -1,8 +1,9 @@
 """Atomic equations over a finite structure and the exact solver.
 
-Equations are relation atoms or equality atoms whose arguments are variables
-or constants.  A solution set over n variables and a k-element universe is a
-subset of the k^n assignments, held as one int: bit j stands for the j-th
+An equation is a relation atom whose arguments are variables or constants;
+an equality is an atom of EQUALITY, every structure's diagonal relation.  A
+solution set over n variables and a k-element universe is a subset of the
+k^n assignments, held as one int: bit j stands for the j-th
 assignment of itertools.product(universe, repeat=n).  AtomClassifier builds an
 atom's mask from the relation table with big-int ANDs and ORs, so solving,
 intersecting systems and searching for minimal cores are mask arithmetic.
@@ -18,7 +19,7 @@ from itertools import product
 from typing import Any
 
 from .errors import InputFormatError, UnboundVariableError, json_list, json_object, json_str, json_str_list
-from .structures import FiniteStructure
+from .structures import EQUALITY, FiniteStructure
 
 
 @dataclass(frozen=True)
@@ -40,35 +41,15 @@ class RelationAtom:
     args: tuple[Arg, ...]
 
 
-@dataclass(frozen=True)
-class EqualityAtom:
-    lhs: Arg
-    rhs: Arg
-
-
-Equation = RelationAtom | EqualityAtom
-
-
-def atom_args(eq: Equation) -> tuple[Arg, ...]:
-    if isinstance(eq, RelationAtom):
-        return eq.args
-    return (eq.lhs, eq.rhs)
-
-
-def rebuild_atom(eq: Equation, args: Iterable[Arg]) -> Equation:
-    args = tuple(args)
-    if isinstance(eq, RelationAtom):
-        return RelationAtom(eq.symbol, args)
-    lhs, rhs = args
-    return EqualityAtom(lhs, rhs)
+Equation = RelationAtom
 
 
 def map_constants(eq: Equation, fn: Callable[[Any], Any]) -> Equation:
-    return rebuild_atom(eq, (Const(fn(a.value)) if isinstance(a, Const) else a for a in atom_args(eq)))
+    return RelationAtom(eq.symbol, tuple(Const(fn(a.value)) if isinstance(a, Const) else a for a in eq.args))
 
 
 def const_values(eq: Equation) -> tuple[Any, ...]:
-    return tuple(a.value for a in atom_args(eq) if isinstance(a, Const))
+    return tuple(a.value for a in eq.args if isinstance(a, Const))
 
 
 @dataclass(frozen=True)
@@ -100,11 +81,10 @@ class AlgebraicSet:
 
 def check_equation(structure: FiniteStructure, variables: tuple[str, ...], eq: Equation) -> None:
     """Reject equations that are not well-formed over the structure and variable list."""
-    if isinstance(eq, RelationAtom):
-        arity = structure.signature.arity(eq.symbol)  # raises KeyError for unknown symbols
-        if arity != len(eq.args):
-            raise ValueError(f"{eq.symbol!r} expects {arity} arguments, got {len(eq.args)}")
-    for a in atom_args(eq):
+    arity = structure.signature.arity(eq.symbol)  # raises KeyError for unknown symbols
+    if arity != len(eq.args):
+        raise ValueError(f"{eq.symbol!r} expects {arity} arguments, got {len(eq.args)}")
+    for a in eq.args:
         if isinstance(a, Var):
             if a.name not in variables:
                 raise UnboundVariableError(f"variable {a.name!r} is not declared by the system")
@@ -113,7 +93,7 @@ def check_equation(structure: FiniteStructure, variables: tuple[str, ...], eq: E
 
 
 def evaluate(structure: FiniteStructure, eq: Equation, assignment: Mapping[str, str]) -> bool:
-    """Truth value of one atom under a total assignment of labels to variables."""
+    """Truth value of one atom under a total assignment of labels to variables; equality compares labels."""
 
     def value(a: Arg) -> str:
         if isinstance(a, Var):
@@ -123,9 +103,11 @@ def evaluate(structure: FiniteStructure, eq: Equation, assignment: Mapping[str, 
                 raise UnboundVariableError(f"no value assigned to variable {a.name!r}") from None
         return a.value
 
-    if isinstance(eq, RelationAtom):
-        return structure.holds(eq.symbol, tuple(value(a) for a in eq.args))
-    return value(eq.lhs) == value(eq.rhs)
+    values = tuple(value(a) for a in eq.args)
+    if eq.symbol == EQUALITY:
+        lhs, rhs = values
+        return lhs == rhs
+    return structure.holds(eq.symbol, values)
 
 
 class AtomClassifier:
@@ -134,10 +116,10 @@ class AtomClassifier:
     A mask is an int over the k^n assignments, bit j for the j-th assignment of
     itertools.product(universe, repeat=n).  The cylinder mask for variable
     position p and element index u has bit j set when assignment j gives
-    variable p the element u.  A relation atom's mask is the OR, over the
-    table rows that agree with its constants, of the AND of the cylinders its
-    variables pick out; repeated variables need no special case because
-    disjoint cylinders AND to zero.
+    variable p the element u.  An atom's mask is the OR, over the table rows
+    that agree with its constants, of the AND of the cylinders its variables
+    pick out, an equality's table being the diagonal; repeated variables
+    need no special case because disjoint cylinders AND to zero.
 
     mask and system_mask are the working interface.  solutions and
     system_solutions decode masks into label-tuple frozensets,
@@ -184,18 +166,6 @@ class AtomClassifier:
 
     def _build_mask(self, eq: Equation) -> int:
         index, position, cylinders = self.structure.index, self._position, self._cylinders
-        if isinstance(eq, EqualityAtom):
-            lhs, rhs = (eq.rhs, eq.lhs) if isinstance(eq.lhs, Const) else (eq.lhs, eq.rhs)
-            if isinstance(lhs, Const):
-                return self.full if lhs.value == rhs.value else 0
-            left = cylinders[position[lhs.name]]
-            if isinstance(rhs, Const):
-                return left[index(rhs.value)]
-            right = cylinders[position[rhs.name]]
-            out = 0
-            for u in range(self.structure.size):
-                out |= left[u] & right[u]
-            return out
         slots = [(position[a.name], None) if isinstance(a, Var) else (None, index(a.value)) for a in eq.args]
         out = 0
         for row in self.structure.index_table(eq.symbol):
@@ -312,21 +282,22 @@ def arg_from_json_dict(doc: Any, const: ConstCodec = _BASE_CONST_DECODER) -> Arg
 
 
 def equation_to_json_dict(eq: Equation, const: ConstCodec = _BASE_CONST_ENCODER) -> dict:
-    if isinstance(eq, RelationAtom):
-        return {"rel": eq.symbol, "args": [arg_to_json_dict(a, const) for a in eq.args]}
-    return {"eq": [arg_to_json_dict(eq.lhs, const), arg_to_json_dict(eq.rhs, const)]}
+    args = [arg_to_json_dict(a, const) for a in eq.args]
+    return {"eq": args} if eq.symbol == EQUALITY else {"rel": eq.symbol, "args": args}
 
 
 def equation_from_json_dict(doc: Any, const: ConstCodec = _BASE_CONST_DECODER) -> Equation:
     if isinstance(doc, Mapping) and set(doc) == {"rel", "args"}:
         symbol = json_str(doc["rel"], "relation symbol")
+        if symbol == EQUALITY:
+            raise InputFormatError('equality is written {"eq": [lhs, rhs]}, not {"rel": "="}')
         args = json_list(doc["args"], "relation args")
         return RelationAtom(symbol, tuple(arg_from_json_dict(a, const) for a in args))
     if isinstance(doc, Mapping) and set(doc) == {"eq"}:
         pair = json_list(doc["eq"], "equality atom")
         if len(pair) != 2:
             raise InputFormatError("equality atoms take exactly two arguments")
-        return EqualityAtom(arg_from_json_dict(pair[0], const), arg_from_json_dict(pair[1], const))
+        return RelationAtom(EQUALITY, tuple(arg_from_json_dict(a, const) for a in pair))
     raise InputFormatError(f"equation must be an object with keys {{'rel','args'}} or {{'eq'}}, got {doc!r}")
 
 

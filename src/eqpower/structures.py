@@ -23,6 +23,7 @@ from .errors import (
     json_str_list,
 )
 
+EQUALITY = "="  # every structure's diagonal relation; no signature declares it
 GRAPH_EDGE_SYMBOL = "E"
 POSET_ORDER_SYMBOL = "leq"
 STRUCTURE_KINDS = ("graph", "poset", "matroid", "generic")
@@ -37,7 +38,7 @@ KIND_AXIOMS = {
 
 @dataclass(frozen=True)
 class Signature:
-    """Named relation symbols with positive arities; equality is always available."""
+    """Named relation symbols with positive arities; every signature also has the binary EQUALITY, undeclared."""
 
     symbols: tuple[tuple[str, int], ...]
 
@@ -46,6 +47,8 @@ class Signature:
         names = [name for name, _ in self.symbols]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate relation symbols: {sorted(names)}")
+        if EQUALITY in names:
+            raise ValueError(f"{EQUALITY!r} is reserved for equality, which every signature has")
         for name, arity in self.symbols:
             if arity < 1:
                 raise ValueError(f"relation {name!r} needs arity >= 1, got {arity}")
@@ -54,6 +57,8 @@ class Signature:
         return tuple(name for name, _ in self.symbols)
 
     def arity(self, name: str) -> int:
+        if name == EQUALITY:
+            return 2
         for sym, arity in self.symbols:
             if sym == name:
                 return arity
@@ -82,7 +87,7 @@ class FiniteStructure:
 
     Universe elements are identified by their labels; the label order given at
     construction is the canonical element order used for all deterministic
-    iteration.  Missing tables are interpreted as empty relations.
+    iteration.  Missing tables are empty relations; EQUALITY's is the diagonal.
     """
 
     def __init__(
@@ -117,6 +122,7 @@ class FiniteStructure:
                 except KeyError as exc:
                     raise ValueError(f"{name!r} tuple {row} mentions unknown element {exc.args[0]!r}") from None
             self._tables[name] = frozenset(rows)
+        self._tables[EQUALITY] = frozenset((i, i) for i in range(len(labels)))
 
     @property
     def size(self) -> int:

@@ -145,14 +145,14 @@ def class_representatives(
     return tuple(reps)
 
 
-def seed_equations(system: PowerSystem, reps: Iterable[ClassRep]) -> tuple[Equation, ...]:
-    """The chosen source equations, deduplicated in first-use order.
+def seed_equations(system: PowerSystem, reps: Iterable[ClassRep]) -> dict[SourceRef, Equation]:
+    """Each distinct chosen source and its equation, written out once, in first-use order.
 
     Each source realizes its set at the representative's coordinate because
     class_representatives' coverage scan found it there; verify_wrap re-checks
     the output.
     """
-    return tuple(dict.fromkeys(resolve_source(system, rep.source) for rep in reps))
+    return {ref: resolve_source(system, ref) for ref in dict.fromkeys(rep.source for rep in reps)}
 
 
 def _merged_equation(rep: ClassRep, source_eq: Equation, match: Periodic) -> Equation:
@@ -173,14 +173,15 @@ def wrap(structure: FiniteStructure, system: PowerSystem) -> WrapResult:
     """Compute the finite equivalent system plus the full construction trace."""
     profile = coordinate_profile(structure, system)
     reps = class_representatives(structure, system, profile)
-    seeds = seed_equations(system, reps)
+    sources = seed_equations(system, reps)
+    seeds = tuple(dict.fromkeys(sources.values()))  # distinct sources may write out equal equations
 
     classifier = AtomClassifier.of(structure, system.variables)
     steps = []
     for rep in reps:
         mask = classifier.mask(rep.representative)  # memoized: the coverage scan classified it
         match = profile.map(lambda masks: mask in masks)
-        steps.append(WrapStep(match, _merged_equation(rep, resolve_source(system, rep.source), match)))
+        steps.append(WrapStep(match, _merged_equation(rep, sources[rep.source], match)))
 
     # canonical stream form makes equal equations structurally equal
     equations = tuple(dict.fromkeys(seeds + tuple(st.merged for st in steps)))

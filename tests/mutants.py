@@ -243,6 +243,34 @@ MUTANTS = (
         'json_int(pdoc["coordinate"], "source pair coordinate")',
         ("tests/test_wrap.py::test_wrap_result_refuses_negative_numbers[source-pair-coordinate]",),
     ),
+    Mutant(
+        "the equality table misses the diagonal's last element",
+        "src/eqpower/structures.py",
+        "frozenset((i, i) for i in range(len(labels)))",
+        "frozenset((i, i) for i in range(len(labels) - 1))",
+        ("tests/test_solver.py::test_equalities_match_brute_force_on_every_fixture",),
+    ),
+    Mutant(
+        "the rel decoder accepts the equality symbol",
+        "src/eqpower/solver.py",
+        "if symbol == EQUALITY:",
+        "if False:",
+        ("tests/test_solver.py::test_equation_json_rejects_malformed",),
+    ),
+    Mutant(
+        "the equation encoder writes equality as a rel",
+        "src/eqpower/solver.py",
+        'return {"eq": args} if eq.symbol == EQUALITY else {"rel": eq.symbol, "args": args}',
+        'return {"rel": eq.symbol, "args": args}',
+        ("tests/test_solver.py::test_equation_json_round_trip",),
+    ),
+    Mutant(
+        "every wrap step reads the first representative's source",
+        "src/eqpower/wrap.py",
+        "_merged_equation(rep, sources[rep.source], match)",
+        "_merged_equation(rep, sources[reps[0].source], match)",
+        ("tests/test_wrap.py::test_verify_wrap_matches_the_oracle_profile",),
+    ),
 )
 
 

@@ -26,7 +26,6 @@ from eqpower.power import (
 from eqpower.solver import (
     AtomClassifier,
     Const,
-    EqualityAtom,
     EquationSystem,
     RelationAtom,
     Var,
@@ -35,6 +34,7 @@ from eqpower.solver import (
     map_constants,
 )
 from eqpower.structures import (
+    EQUALITY,
     GRAPH_EDGE_SYMBOL,
     POSET_ORDER_SYMBOL,
     FiniteStructure,
@@ -328,10 +328,11 @@ def brute_solutions(structure: FiniteStructure, system: EquationSystem) -> froze
 
         ok = True
         for eq in system.equations:
-            if isinstance(eq, RelationAtom):
-                ok = structure.holds(eq.symbol, tuple(val(a) for a in eq.args))
+            values = tuple(val(a) for a in eq.args)
+            if eq.symbol == EQUALITY:  # by value, not through the structure's diagonal table
+                ok = len(values) == 2 and values[0] == values[1]
             else:
-                ok = val(eq.lhs) == val(eq.rhs)
+                ok = structure.holds(eq.symbol, values)
             if not ok:
                 break
         if ok:
@@ -526,8 +527,8 @@ def random_power_system(
         if rng.random() < 0.7:
             atom = RelationAtom(symbol, (var_or(random_staircase), var_or(random_staircase)))
         else:
-            atom = EqualityAtom(Var(rng.choice(variables)), Const(random_staircase(rng, labels, *shape)))
-        if not any(isinstance(a, Const) for a in _args(atom)):
+            atom = RelationAtom(EQUALITY, (Var(rng.choice(variables)), Const(random_staircase(rng, labels, *shape))))
+        if not any(isinstance(a, Const) for a in atom.args):
             atom = RelationAtom(symbol, (Var(variables[0]), Const(random_staircase(rng, labels, *shape))))
         families.append(StaircaseFamily(atom))
     explicit = tuple(
@@ -535,10 +536,6 @@ def random_power_system(
         for _ in range(rng.randint(0, 2))
     )
     return PowerSystem(variables, explicit, tuple(families))
-
-
-def _args(atom):
-    return atom.args if isinstance(atom, RelationAtom) else (atom.lhs, atom.rhs)
 
 
 def edge_staircase_family(rng: random.Random, labels) -> PowerSystem:

@@ -34,8 +34,8 @@ from eqpower.power import (
     satisfies,
     stream_horizon,
 )
-from eqpower.solver import Const, EqualityAtom, EquationSystem, RelationAtom, Var, solve
-from eqpower.structures import graph_from_edges, matroid_underlying_graph, validate
+from eqpower.solver import Const, EquationSystem, RelationAtom, Var, solve
+from eqpower.structures import EQUALITY, graph_from_edges, matroid_underlying_graph, validate
 from eqpower.wrap import verify_wrap, wrap
 
 SEED = 20260821
@@ -260,9 +260,9 @@ def test_planted_inconsistency_certificates():
         system = PowerSystem(
             ("x", "y"),
             (
-                EqualityAtom(Var("x"), Const(PowerElement(shared + (low,), (low,)))),
-                EqualityAtom(Var("x"), Const(PowerElement(shared + (high,), (high,)))),
-                EqualityAtom(Var("y"), Const(support.random_stream(rng, labels))),
+                RelationAtom(EQUALITY, (Var("x"), Const(PowerElement(shared + (low,), (low,))))),
+                RelationAtom(EQUALITY, (Var("x"), Const(PowerElement(shared + (high,), (high,))))),
+                RelationAtom(EQUALITY, (Var("y"), Const(support.random_stream(rng, labels)))),
             ),
             (),
         )

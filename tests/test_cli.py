@@ -319,6 +319,19 @@ def test_wrong_document_shape(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_equality_is_reserved_in_input_files(capsys, tmp_path):
+    """A structure cannot declare "=", and a system writes equality only as {"eq": ...}."""
+    structure = {"kind": "generic", "universe": ["a"], "relations": {"=": {"arity": 2, "tuples": [["a", "a"]]}}}
+    code, out, err = run(capsys, "validate", write_json(tmp_path, "declares_equality.json", structure))
+    assert (code, out) == (2, "")
+    assert "'=' is reserved for equality" in err
+
+    system = write_json(tmp_path, "rel_equality.json", base_system_doc(rel("=", "a")))
+    code, out, err = run(capsys, "solve", str(FIXTURES / "triangle.json"), system)
+    assert (code, out) == (2, "")
+    assert 'equality is written {"eq": [lhs, rhs]}' in err
+
+
 def test_decoding_errors_name_the_file(capsys, tmp_path):
     structure = {"kind": "generic", "universe": ["a"], "relations": {"P": {"arity": True, "tuples": [["a"]]}}}
     path = write_json(tmp_path, "bool_arity.json", structure)

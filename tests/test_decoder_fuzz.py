@@ -31,8 +31,8 @@ from eqpower.power import (
     power_system_from_json_dict,
     power_system_to_json_dict,
 )
-from eqpower.solver import Const, EqualityAtom, Var, system_from_json_dict
-from eqpower.structures import ValidationReport, structure_from_json_dict, validate
+from eqpower.solver import Const, RelationAtom, Var, system_from_json_dict
+from eqpower.structures import EQUALITY, ValidationReport, structure_from_json_dict, validate
 from eqpower.wrap import wrap, wrap_result_from_json_dict, wrap_result_to_json_dict
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -81,8 +81,8 @@ def mutants(doc):
 def _equality_family_system() -> PowerSystem:
     """A family over an equality atom beside an explicit stream equation; no fixture has one."""
     stair = Staircase(("a", "b"), PowerElement(("c",), ("a",)))
-    family = StaircaseFamily(EqualityAtom(Var("x"), Const(stair)))
-    explicit = EqualityAtom(Var("y"), Const(PowerElement((), ("b", "c"))))
+    family = StaircaseFamily(RelationAtom(EQUALITY, (Var("x"), Const(stair))))
+    explicit = RelationAtom(EQUALITY, (Var("y"), Const(PowerElement((), ("b", "c")))))
     return PowerSystem(("x", "y"), (explicit,), (family,))
 
 

@@ -36,8 +36,8 @@ from eqpower.power import (
     satisfies,
     stream_horizon,
 )
-from eqpower.solver import AtomClassifier, Const, EqualityAtom, EquationSystem, RelationAtom, Var, solve
-from eqpower.structures import FiniteStructure, Signature
+from eqpower.solver import AtomClassifier, Const, EquationSystem, RelationAtom, Var, solve
+from eqpower.structures import EQUALITY, FiniteStructure, Signature
 from eqpower.wrap import verify_wrap, wrap
 
 x = Var("x")
@@ -126,8 +126,8 @@ def test_staircase_value_at_matches_member(n, i, tail_prefix, tail_cycle, genera
     """The oracles' staircase rule and the one-slot family's projection both read member n's constant at i."""
     s = Staircase(generator, PowerElement(tail_prefix, tail_cycle))
     assert support.staircase_value_at(s, n, i) == s.member_constant(n).at(i)
-    fam = StaircaseFamily(EqualityAtom(x, Const(s)))
-    assert fam.projected_member(n, i) == EqualityAtom(x, Const(s.member_constant(n).at(i)))
+    fam = StaircaseFamily(RelationAtom(EQUALITY, (x, Const(s))))
+    assert fam.projected_member(n, i) == RelationAtom(EQUALITY, (x, Const(s.member_constant(n).at(i))))
 
 
 @settings(deadline=None, max_examples=150)
@@ -226,11 +226,11 @@ def test_stream_horizon_of_one_family_matches_the_descriptor_formula(data):
     stair = st.builds(Staircase, st.lists(labels, min_size=1, max_size=5).map(tuple), stream)
     stairs = data.draw(st.lists(stair, min_size=1, max_size=3))
     bound = data.draw(st.none() | st.integers(1, 8))
-    explicit = tuple(EqualityAtom(x, Const(pe)) for pe in data.draw(st.lists(stream, max_size=1)))
+    explicit = tuple(RelationAtom(EQUALITY, (x, Const(pe))) for pe in data.draw(st.lists(stream, max_size=1)))
     system = PowerSystem(("x",), explicit, (StaircaseFamily(RelationAtom("R", (x, *map(Const, stairs))), bound),))
     stab, period = support.staircase_family_horizon(stairs, bound)
     for eq in explicit:
-        pe = eq.rhs.value
+        pe = eq.args[1].value
         stab, period = max(stab, len(pe.prefix)), math.lcm(period, len(pe.cycle))
     assert stream_horizon(system) == (stab, period)
 
@@ -290,8 +290,8 @@ def test_coordinate_masks_match_the_oracle_at_every_coordinate(seed):
     system = PowerSystem(system.variables, system.explicit, families)
     labels = list(structure.universe)
     equalities = (  # random_power_system's explicit equations are all R atoms
-        EqualityAtom(Var(rng.choice(system.variables)), Const(support.random_stream(rng, labels))),
-        EqualityAtom(Const(support.random_stream(rng, labels)), Const(support.random_stream(rng, labels))),
+        RelationAtom(EQUALITY, (Var(rng.choice(system.variables)), Const(support.random_stream(rng, labels)))),
+        RelationAtom(EQUALITY, (Const(support.random_stream(rng, labels)), Const(support.random_stream(rng, labels)))),
     )
     explicit = system.explicit + tuple(eq for eq in equalities if rng.random() < 0.5)
     system = PowerSystem(system.variables, explicit, families)
@@ -374,7 +374,7 @@ def test_consistency_certificate():
     s2 = constant_stream("a")
     system = PowerSystem(
         ("x",),
-        (EqualityAtom(x, Const(s1)), EqualityAtom(x, Const(s2))),
+        (RelationAtom(EQUALITY, (x, Const(s1))), RelationAtom(EQUALITY, (x, Const(s2)))),
         (),
     )
     verdict = consistent(g, system)
@@ -398,10 +398,11 @@ def test_power_systems_equivalent():
     two = PowerSystem(("x",), (fam.member(2), fam.member(3)), ())
     assert not power_systems_equivalent(g, system, two)
     # two inconsistent systems are equivalent no matter where they fail
-    bad1 = PowerSystem(("x",), (EqualityAtom(Const(constant_stream("a")), Const(constant_stream("b"))),), ())
+    a_is_b = RelationAtom(EQUALITY, (Const(constant_stream("a")), Const(constant_stream("b"))))
+    bad1 = PowerSystem(("x",), (a_is_b,), ())
     bad2 = PowerSystem(
         ("x",),
-        (EqualityAtom(x, Const(constant_stream("a"))), RelationAtom("E", (x, Const(constant_stream("a"))))),
+        (RelationAtom(EQUALITY, (x, Const(constant_stream("a")))), RelationAtom("E", (x, Const(constant_stream("a"))))),
         (),
     )
     assert power_systems_equivalent(g, bad1, bad2)
@@ -414,10 +415,11 @@ def test_power_system_json_round_trip():
     doc = json.loads(json.dumps(power_system_to_json_dict(system)))
     assert power_system_from_json_dict(doc) == system
 
-    equality_family = StaircaseFamily(EqualityAtom(Const(Staircase(("b",), PowerElement((), ("c", "a")))), x))
+    stair = Const(Staircase(("b",), PowerElement((), ("c", "a"))))
+    equality_family = StaircaseFamily(RelationAtom(EQUALITY, (stair, x)))
     mixed = PowerSystem(
         ("x", "y"),
-        (RelationAtom("E", (x, Const(PowerElement(("a",), ("b",))))), EqualityAtom(x, Var("y"))),
+        (RelationAtom("E", (x, Const(PowerElement(("a",), ("b",))))), RelationAtom(EQUALITY, (x, Var("y")))),
         staircase_demo_system().families + (equality_family,),
     )
     doc = json.loads(json.dumps(power_system_to_json_dict(mixed)))
@@ -527,12 +529,12 @@ def satisfies_cases(draw, point_streams=streams, bounds=st.none(), family_counts
     variables = used + (("w",) if draw(st.booleans()) else ())  # w: a point entry no equation reads
 
     def atom(const):
-        kind = draw(st.sampled_from(["R", "T", "eq"]))
+        symbol = draw(st.sampled_from(["R", "T", EQUALITY]))
         args = [
             Var(draw(st.sampled_from(used))) if draw(st.booleans()) else Const(draw(const))
-            for _ in range({"R": 2, "T": 3, "eq": 2}[kind])
+            for _ in range({"R": 2, "T": 3, EQUALITY: 2}[symbol])
         ]
-        return EqualityAtom(*args) if kind == "eq" else RelationAtom(kind, tuple(args))
+        return RelationAtom(symbol, tuple(args))
 
     explicit = tuple(atom(streams(labels)) for _ in range(draw(st.integers(0, 3))))
     families = tuple(
@@ -630,13 +632,15 @@ def test_row_order_puts_variable_values_then_slot_values_in_argument_order():
         (RelationAtom("T", (y, stair, x)), ("u", "v", "s"), ("u", "s", "v")),
         (RelationAtom("T", (x, stair, x)), ("u", "s"), ("u", "s", "u")),
         (RelationAtom("T", (stair, stair, x)), ("u", "s", "t"), ("s", "t", "u")),
-        (EqualityAtom(stair, x), ("u", "s"), ("s", "u")),
+        (RelationAtom(EQUALITY, (stair, x)), ("u", "s"), ("s", "u")),
     ]
     for atom, row, expected in cases:
         fam = StaircaseFamily(atom)
         assert fam.row_order(row) == expected
         assert fam.truncated(3).row_order is fam.row_order
-    for atom in (RelationAtom("T", (x, y, stair)), RelationAtom("T", (x, stair, stair)), EqualityAtom(x, stair)):
+    for atom in (
+        RelationAtom("T", (x, y, stair)), RelationAtom("T", (x, stair, stair)), RelationAtom(EQUALITY, (x, stair)),
+    ):
         assert StaircaseFamily(atom).row_order is None
 
 
@@ -734,7 +738,7 @@ def test_satisfies_edge_cases_match_oracle():
     second = Staircase(("c",), PowerElement(("c",), ("c", "b", "c")))
     two_slots = StaircaseFamily(RelationAtom("T", (x, Const(first), Const(second))))
     a_stair = Const(Staircase(("a",), constant_stream("a")))
-    constants_only = StaircaseFamily(EqualityAtom(a_stair, a_stair))
+    constants_only = StaircaseFamily(RelationAtom(EQUALITY, (a_stair, a_stair)))
     loop = StaircaseFamily(RelationAtom("R", (x, x)))
     to_b = RelationAtom("R", (x, Const(constant_stream("b"))))
     w = PowerElement(("c",), ("a",))
@@ -745,8 +749,8 @@ def test_satisfies_edge_cases_match_oracle():
         (("x",), (), (two_slots,), (PowerElement(("a", "a", "a"), ("b",)),)),
         (("x",), (RelationAtom("R", (x, x)),), (), (PowerElement(("a",), ("b",)),)),
         (("x",), (RelationAtom("R", (x, x)),), (), (constant_stream("a"),)),
-        (("x", "y"), (EqualityAtom(x, y),), (), (ab, PowerElement(("b",), ("b", "a")))),
-        (("x", "y"), (EqualityAtom(x, y),), (), (ab, ab)),
+        (("x", "y"), (RelationAtom(EQUALITY, (x, y)),), (), (ab, PowerElement(("b",), ("b", "a")))),
+        (("x", "y"), (RelationAtom(EQUALITY, (x, y)),), (), (ab, ab)),
         (("x",), (RelationAtom("R", (Const(ab), Const(ba))),), (), (constant_stream("c"),)),
         (("x",), (RelationAtom("R", (Const(ab), Const(ab))),), (), (constant_stream("c"),)),
         (("x",), (), (constants_only,), (constant_stream("c"),)),
@@ -781,9 +785,9 @@ def test_satisfies_names_a_point_label_outside_the_universe():
             with pytest.raises(KeyError, match="unknown universe element 'z'"):
                 satisfies(g, system, (point,))
     z = Const(constant_stream("z"))
-    assert satisfies(g, PowerSystem(("x",), (EqualityAtom(x, z),)), (constant_stream("z"),)) is True
-    assert satisfies(g, PowerSystem(("x",), (EqualityAtom(x, to_a),)), (constant_stream("z"),)) is False
-    family = PowerSystem(("x",), (), (StaircaseFamily(EqualityAtom(x, stair)),))
+    assert satisfies(g, PowerSystem(("x",), (RelationAtom(EQUALITY, (x, z)),)), (constant_stream("z"),)) is True
+    assert satisfies(g, PowerSystem(("x",), (RelationAtom(EQUALITY, (x, to_a)),)), (constant_stream("z"),)) is False
+    family = PowerSystem(("x",), (), (StaircaseFamily(RelationAtom(EQUALITY, (x, stair))),))
     assert satisfies(g, family, (constant_stream("z"),)) is False
     assert satisfies(g, family, (constant_stream("a"),)) is True
 

@@ -1,9 +1,10 @@
-"""README transcripts: every `$ eqpower ...` line in a sh block prints the lines under it.
+"""README examples: the command tour's transcripts and the library sketch.
 
-Each command runs through cli.main from the repository root, so the fixture
+Every `$ eqpower ...` line in a sh block prints the lines under it.  Each
+command runs through cli.main from the repository root, so the fixture
 paths in the README resolve as they do for a reader there.  The expected
 stdout is every line after the command up to the next `$ ` line or the end of
-the block.
+the block.  The one python block, the library sketch, runs as written.
 """
 
 from __future__ import annotations
@@ -52,3 +53,16 @@ def test_readme_transcript(command, monkeypatch):
     with contextlib.redirect_stdout(out):
         main(shlex.split(command)[1:])
     assert out.getvalue() == TRANSCRIPTS[command]
+
+
+def test_readme_library_sketch_runs_and_its_comments_hold(monkeypatch):
+    """The sketch wraps to four equations that verify, and its witness check for n = 5 holds."""
+    blocks = (ROOT / "README.md").read_text().split("```python\n")
+    assert len(blocks) == 2
+    sketch = blocks[1].split("```\n")[0]
+    monkeypatch.chdir(ROOT)
+    names: dict = {}
+    exec(sketch, names)
+    assert len(names["result"].wrapped.explicit) == 4
+    assert names["result"].verified
+    assert names["verify_witness"](names["g"], names["package"], 5)

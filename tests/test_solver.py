@@ -12,7 +12,6 @@ from eqpower.power import power_system_from_json_dict
 from eqpower.solver import (
     AtomClassifier,
     Const,
-    EqualityAtom,
     EquationSystem,
     RelationAtom,
     Var,
@@ -28,9 +27,9 @@ from eqpower.solver import (
     system_from_json_dict,
     system_to_json_dict,
 )
-from eqpower.structures import FiniteStructure, Signature
+from eqpower.structures import EQUALITY, FiniteStructure, Signature
 
-from support import brute_minimal_core, brute_solutions, oracle_atom_solutions
+from support import brute_minimal_core, brute_solutions, fixture_structures, oracle_atom_solutions
 
 
 def E(*args):
@@ -45,8 +44,8 @@ def test_map_constants_keeps_the_shape():
     assert map_constants(eq, {"a": "b"}.get) == E(x, Const("b"), y)
     assert const_values(eq) == ("a",)
 
-    eq2 = EqualityAtom(Const("a"), x)
-    assert map_constants(eq2, {"a": "c"}.get) == EqualityAtom(Const("c"), x)
+    eq2 = RelationAtom(EQUALITY, (Const("a"), x))
+    assert map_constants(eq2, {"a": "c"}.get) == RelationAtom(EQUALITY, (Const("c"), x))
 
 
 def test_system_rejects_duplicate_variables():
@@ -64,7 +63,7 @@ def test_evaluate():
     g = triangle_graph()
     assert evaluate(g, E(x, y), {"x": "a", "y": "b"})
     assert not evaluate(g, E(x, y), {"x": "a", "y": "a"})
-    assert evaluate(g, EqualityAtom(x, Const("a")), {"x": "a"})
+    assert evaluate(g, RelationAtom(EQUALITY, (x, Const("a"))), {"x": "a"})
     assert evaluate(g, E(Const("a"), Const("b")), {})
 
 
@@ -92,7 +91,7 @@ def test_solve_pinned():
     empty_system = solve(g, EquationSystem(("x", "y"), ()))
     assert len(empty_system.points) == 9
 
-    none = solve(g, EquationSystem(("x",), (E(x, Const("a")), EqualityAtom(x, Const("a")))))
+    none = solve(g, EquationSystem(("x",), (E(x, Const("a")), RelationAtom(EQUALITY, (x, Const("a"))))))
     assert none.is_empty
 
 
@@ -101,11 +100,22 @@ def test_solve_matches_brute_force():
     p = chain_poset(3)
     systems = [
         (g, EquationSystem(("x", "y"), (E(x, y), E(y, Const("a"))))),
-        (g, EquationSystem(("x", "y"), (EqualityAtom(x, y),))),
+        (g, EquationSystem(("x", "y"), (RelationAtom(EQUALITY, (x, y)),))),
         (g, EquationSystem(("x",), (E(Const("a"), Const("b")), E(x, Const("c"))))),
         (p, EquationSystem(("x", "y"), (RelationAtom("leq", (x, y)), RelationAtom("leq", (y, Const("c2")))))),
     ]
     for structure, system in systems:
+        assert solve(structure, system).points == brute_solutions(structure, system)
+
+
+@pytest.mark.parametrize("name", sorted(fixture_structures()))
+def test_equalities_match_brute_force_on_every_fixture(name):
+    """solve reads equality off the diagonal table; brute_solutions compares labels by value."""
+    _, structure = fixture_structures()[name]
+    labels = [Const(u) for u in structure.universe]
+    pairs = [(x, y), (x, x)] + [(x, c) for c in labels] + [(c, d) for c in labels for d in labels]
+    for lhs, rhs in pairs:
+        system = EquationSystem(("x", "y"), (RelationAtom(EQUALITY, (lhs, rhs)),))
         assert solve(structure, system).points == brute_solutions(structure, system)
 
 
@@ -125,7 +135,7 @@ def test_classifier_memoizes():
     clf = AtomClassifier(g, ("x",))
     first = clf.solutions(E(x, Const("a")))
     assert first == {("b",), ("c",)}
-    assert clf.solutions(EqualityAtom(x, Const("a"))) == {("a",)}
+    assert clf.solutions(RelationAtom(EQUALITY, (x, Const("a")))) == {("a",)}
     assert clf.solutions(E(x, Const("a"))) is first
     assert clf.system_solutions([E(x, Const("a")), E(x, Const("b"))]) == {("c",)}
 
@@ -136,10 +146,10 @@ def test_minimal_inconsistent_subset():
     assert minimal_inconsistent_subset(g, consistent) is None
 
     system = EquationSystem(
-        ("x",), (E(x, Const("a")), EqualityAtom(x, Const("a")), E(x, Const("b")))
+        ("x",), (E(x, Const("a")), RelationAtom(EQUALITY, (x, Const("a"))), E(x, Const("b")))
     )
     core = minimal_inconsistent_subset(g, system)
-    assert core.equations == (E(x, Const("a")), EqualityAtom(x, Const("a")))
+    assert core.equations == (E(x, Const("a")), RelationAtom(EQUALITY, (x, Const("a"))))
     # deletion-minimal: the core is inconsistent, every remove-one subset is not
     assert solve(g, core).is_empty
     for i in range(len(core.equations)):
@@ -149,9 +159,10 @@ def test_minimal_inconsistent_subset():
 
 def test_minimal_core_keeps_one_copy_of_a_repeated_equation():
     g = triangle_graph()
-    system = EquationSystem(("x",), (EqualityAtom(x, Const("a")), EqualityAtom(x, Const("a")), E(x, Const("a"))))
+    x_is_a = RelationAtom(EQUALITY, (x, Const("a")))
+    system = EquationSystem(("x",), (x_is_a, x_is_a, E(x, Const("a"))))
     core = minimal_inconsistent_subset(g, system)
-    assert core.equations == (EqualityAtom(x, Const("a")), E(x, Const("a")))
+    assert core.equations == (x_is_a, E(x, Const("a")))
 
 
 # --- masks against the brute-force oracles ------------------------------------
@@ -175,7 +186,7 @@ def structures_and_atoms(draw, min_atoms=1, max_atoms=1):
     relation = st.sampled_from(symbols).flatmap(
         lambda sym: st.tuples(*[args] * sym[1]).map(lambda a, name=sym[0]: RelationAtom(name, a))
     )
-    equality = st.builds(EqualityAtom, args, args)
+    equality = st.tuples(args, args).map(lambda pair: RelationAtom(EQUALITY, pair))
     atoms = draw(st.lists(st.one_of(relation, equality), min_size=min_atoms, max_size=max_atoms))
     return structure, variables, atoms
 
@@ -221,12 +232,12 @@ def test_mask_shapes_match_oracle():
         RelationAtom("R", (p, q)),
         RelationAtom("R", (q, q)),
         RelationAtom("U", (y,)),
-        EqualityAtom(x, x),
-        EqualityAtom(x, y),
-        EqualityAtom(z, x),
-        EqualityAtom(p, p),
-        EqualityAtom(p, q),
-        EqualityAtom(q, y),
+        RelationAtom(EQUALITY, (x, x)),
+        RelationAtom(EQUALITY, (x, y)),
+        RelationAtom(EQUALITY, (z, x)),
+        RelationAtom(EQUALITY, (p, p)),
+        RelationAtom(EQUALITY, (p, q)),
+        RelationAtom(EQUALITY, (q, y)),
     ]
     for variables in [("x", "y", "z"), ("z", "y", "x", "w")]:
         clf = AtomClassifier(structure, variables)
@@ -235,17 +246,17 @@ def test_mask_shapes_match_oracle():
     # no variables: one empty assignment, kept or not
     clf = AtomClassifier(structure, ())
     assert clf.solutions(RelationAtom("R", (p, q))) == {()}
-    assert clf.solutions(EqualityAtom(p, q)) == frozenset()
+    assert clf.solutions(RelationAtom(EQUALITY, (p, q))) == frozenset()
 
 
 def test_equation_json_round_trip():
-    for eq in [E(x, Const("a")), EqualityAtom(x, y), EqualityAtom(Const("a"), Const("b"))]:
+    for eq in [E(x, Const("a")), RelationAtom(EQUALITY, (x, y)), RelationAtom(EQUALITY, (Const("a"), Const("b")))]:
         doc = json.loads(json.dumps(equation_to_json_dict(eq)))
         assert equation_from_json_dict(doc) == eq
 
 
 def test_system_json_round_trip():
-    system = EquationSystem(("x", "y"), (E(x, y), EqualityAtom(x, Const("a"))))
+    system = EquationSystem(("x", "y"), (E(x, y), RelationAtom(EQUALITY, (x, Const("a")))))
     doc = json.loads(json.dumps(system_to_json_dict(system)))
     assert system_from_json_dict(doc) == system
 
@@ -260,6 +271,7 @@ def test_system_json_round_trip():
         {"eq": [{"var": "x"}]},
         {"rel": "E", "args": [{"var": "x"}, {"const": 5}]},
         {"rel": "E", "args": [{"bad": "x"}, {"const": "a"}]},
+        {"rel": "=", "args": [{"var": "x"}, {"const": "a"}]},
     ],
 )
 def test_equation_json_rejects_malformed(doc):

@@ -18,6 +18,7 @@ from support import (
 from eqpower.errors import InputFormatError, SignatureMismatchError
 from eqpower.fixtures import triangle_graph
 from eqpower.structures import (
+    EQUALITY,
     FiniteStructure,
     Signature,
     ValidationReport,
@@ -37,6 +38,17 @@ def test_signature_rejects_duplicates_and_bad_arity():
         Signature((("E", 2), ("E", 3)))
     with pytest.raises(ValueError):
         Signature((("E", 0),))
+
+
+def test_equality_is_every_structures_undeclared_diagonal():
+    with pytest.raises(ValueError, match="reserved for equality"):
+        Signature(((EQUALITY, 2),))
+    g = triangle_graph()
+    assert g.signature.arity(EQUALITY) == 2 and not g.signature.has(EQUALITY)
+    assert g.tuples(EQUALITY) == (("a", "a"), ("b", "b"), ("c", "c"))
+    assert g.holds(EQUALITY, ("b", "b")) and not g.holds(EQUALITY, ("a", "b"))
+    with pytest.raises(ValueError, match="not in the signature"):
+        FiniteStructure(graph_signature(), ["a"], {EQUALITY: [("a", "a")]})
 
 
 def test_signature_lookup():
@@ -222,6 +234,7 @@ def test_structure_json_round_trip():
         {"kind": "graph", "universe": ["a"], "relations": {"E": {"tuples": []}}},
         {"kind": "graph", "universe": ["a"], "relations": {"E": {"arity": 2, "tuples": [[1, 2]]}}},
         {"kind": "generic", "universe": ["a"], "relations": {"P": {"arity": True, "tuples": [["a"]]}}},
+        {"kind": "generic", "universe": ["a"], "relations": {"=": {"arity": 2, "tuples": [["a", "a"]]}}},
     ],
 )
 def test_structure_json_rejects_malformed(doc):

@@ -27,7 +27,8 @@ from eqpower.power import (
     power_systems_equivalent,
     stream_horizon,
 )
-from eqpower.solver import AtomClassifier, Const, EqualityAtom, RelationAtom, Var
+from eqpower.solver import AtomClassifier, Const, RelationAtom, Var
+from eqpower.structures import EQUALITY
 from eqpower.power import periodic_to_json_dict
 from eqpower.wrap import (
     class_representatives,
@@ -39,6 +40,8 @@ from eqpower.wrap import (
     wrap_result_from_json_dict,
     wrap_result_to_json_dict,
 )
+
+WRAP_MODULE = importlib.import_module("eqpower.wrap")  # eqpower.wrap the attribute is the function
 
 
 def edge(stream: PowerElement) -> RelationAtom:
@@ -86,7 +89,22 @@ def test_demo_seeds():
     g = triangle_graph()
     system = staircase_demo_system()
     reps = class_representatives(g, system, coordinate_profile(g, system))
-    assert seed_equations(system, reps) == (MEMBER3,)
+    assert seed_equations(system, reps) == {SourceRef(0, 3): MEMBER3}
+    assert wrap(g, system).trace.seeds == (MEMBER3,)
+
+
+def test_wrap_writes_each_chosen_source_out_once():
+    """The demo's three representatives share one source, so wrap resolves it once."""
+    calls = []
+    resolve = WRAP_MODULE.resolve_source
+
+    def spy(system, ref):
+        calls.append(ref)
+        return resolve(system, ref)
+
+    with mock.patch.object(WRAP_MODULE, "resolve_source", spy):
+        wrap(triangle_graph(), staircase_demo_system())
+    assert calls == [SourceRef(0, 3)]
 
 
 def test_demo_wrap_output_pinned():
@@ -160,8 +178,8 @@ def test_wrap_inconsistent_system_still_verifies():
     system = PowerSystem(
         ("x",),
         (
-            EqualityAtom(Var("x"), Const(PowerElement((), ("a",)))),
-            EqualityAtom(Var("x"), Const(PowerElement((), ("b",)))),
+            RelationAtom(EQUALITY, (Var("x"), Const(PowerElement((), ("a",))))),
+            RelationAtom(EQUALITY, (Var("x"), Const(PowerElement((), ("b",))))),
         ),
         (),
     )
@@ -301,14 +319,12 @@ def test_wrap_result_refuses_negative_numbers(system, mutate, message):
 
 def test_verify_wrap_computes_its_extra_period(monkeypatch):
     """Under a horizon reported as (1, 1) every coordinate up to 2 is still computed, not read off a cycle."""
-    wrap_module = importlib.import_module("eqpower.wrap")  # eqpower.wrap the attribute is the function
-    monkeypatch.setattr(wrap_module, "stream_horizon", lambda *systems: (1, 1))  # the demo's true period is 2
-    wrapped = PowerSystem(("x",), (EqualityAtom(Var("x"), Const(PowerElement(("c",), ("b",)))),), ())
+    monkeypatch.setattr(WRAP_MODULE, "stream_horizon", lambda *systems: (1, 1))  # the demo's true period is 2
+    wrapped = PowerSystem(("x",), (RelationAtom(EQUALITY, (Var("x"), Const(PowerElement(("c",), ("b",))))),), ())
     assert verify_wrap(triangle_graph(), staircase_demo_system(), wrapped) is False
     assert _differences(triangle_graph(), staircase_demo_system(), wrapped, 3) == [(2, [("c",)], [("b",)])]
 
 
-WRAP_MODULE = importlib.import_module("eqpower.wrap")  # eqpower.wrap the attribute is the function
 WIDE_STAIRCASE = Path(__file__).resolve().parent / "golden" / "power_inputs" / "wide_staircase.json"
 
 
