@@ -22,7 +22,9 @@ once per coordinate, through the one AtomClassifier.of that serves a
 structure and variable list, so consistent's core search reuses its masks.
 coordinate_profile keeps each coordinate's distinct masks in projection order,
 which wrap reads.  The finite horizon used for those reductions is computed
-from the input data and re-certified by recomputation, never assumed.
+from the input data by stream_horizon; coordinate_profile's docstring proves
+that the projections repeat from there on, and verify_wrap re-checks wrap's
+output coordinate by coordinate past it.
 """
 
 from __future__ import annotations
@@ -377,7 +379,7 @@ def projected_system(system: PowerSystem, i: int) -> EquationSystem:
     """pi_i of the whole system as a base equation system (distinct equations).
 
     For i >= stab, pi_(i + period) lists the same equations as pi_i in the
-    same order (see stream_horizon), so a coordinate past the first period
+    same order (see coordinate_profile), so a coordinate past the first period
     is read at stab + (i - stab) mod period.
     """
     stab, period = stream_horizon(system)
@@ -416,18 +418,39 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
 def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Periodic:
     """Per-coordinate solution profile: the distinct atom masks of pi_i(system), in projection order.
 
-    The prefix covers the stabilization and the cycle one period.  The repeat
-    is certified by recomputing one extra period and comparing the projected
-    atoms at i + period with those at i, so callers may rely on at(i) for
-    every coordinate.
+    The prefix covers the stabilization and the cycle one period, so at(i)
+    holds for every coordinate because, with (stab, period) the
+    stream_horizon, projection_entries(system, i + period) lists the same
+    atoms in the same order as projection_entries(system, i) for every
+    i >= stab.  The atoms come in the first-occurrence order of a sequence
+    made of one segment per explicit equation and per family, and the
+    first-occurrence order of a concatenation is determined by those of its
+    segments, so it suffices that each segment's first-occurrence order
+    repeats.  An atom is a function of its slot values, so it suffices that
+    the slot values do:
+      * an explicit equation's slot values at i are its streams' entries at
+        i; stab covers every prefix and period is a multiple of every cycle;
+      * a family without a constant slot projects to its atom everywhere;
+      * an unbounded family lists, for members n = 1 .. i + 2, the tail rows
+        at positions i, i - 1, .., 0 and then the generator row at i mod L.
+        Since stab >= tail prefix + C, positions i .. i - C + 1 lie in the
+        tail cycle, so the walk meets all C cycle rows within its first C
+        steps.  The walk from i + period meets the same rows in the same
+        order there, since C divides period, and after them both walks only
+        repeat cycle rows until they reach the same prefix rows.  The
+        generator row is the same because L divides period;
+      * a family bounded at N lists, for members n = 1 .. N, the tail rows
+        at positions i .. i - N + 1: no generator row occurs, since
+        i >= stab >= N - 1 + tail prefix gives n <= N <= i + 1, and the
+        whole window lies in the tail cycle, so the window at i + period
+        holds the same rows in the same order, shifted by a multiple of C.
+    Nothing recomputes a period to check this; verify_wrap re-checks wrap's
+    output against the original coordinate by coordinate past the horizon.
     """
     stab, period = stream_horizon(system)
     classifier = AtomClassifier.of(structure, system.variables)
-    rows = [projection_entries(system, i) for i in range(stab + period)]
+    rows = (projection_entries(system, i) for i in range(stab + period))
     table = tuple(tuple(dict.fromkeys(map(classifier.mask, row))) for row in rows)
-    for i in range(stab, stab + period):
-        if projection_entries(system, i + period).keys() != rows[i].keys():
-            raise RuntimeError(f"profile period certification failed at coordinate {i}; this is a bug")
     return Periodic(table[:stab], table[stab:])
 
 

@@ -5,8 +5,10 @@ representative equation per distinct solution set (with a source equation
 realizing it), seed the output with the chosen sources, then add one equation
 per solution set whose coordinate stream follows that set wherever it occurs
 and falls back to the source stream elsewhere.  The output is equivalent to
-the input coordinate by coordinate, which verify_wrap checks exhaustively over
-a certified horizon.
+the input coordinate by coordinate, since the profile it is built from
+repeats as coordinate_profile's docstring proves.  verify_wrap checks that
+exhaustively, computing every coordinate below the joint stream_horizon plus
+one extra period, so an output spoilt by a wrong horizon is never verified.
 
 Because there are at most 2^(k^n) solution sets over a k-element structure and
 n variables, the output never exceeds 2^(k^n + 1) equations.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from .errors import InputFormatError, json_bool, json_int, json_list, json_object, json_str_list
 from .power import (
@@ -35,7 +37,6 @@ from .power import (
     power_system_from_json_dict,
     power_system_to_json_dict,
     project_equation,
-    resolve_source,
     stream_horizon,
 )
 from .solver import AtomClassifier, Equation, equation_from_json_dict, equation_to_json_dict, map_constants
@@ -82,17 +83,20 @@ class WrapResult:
     bound_ok: bool
 
 
-def _candidates(system: PowerSystem, horizon: int) -> list[tuple[SourceRef, Equation]]:
+def _candidates(system: PowerSystem, horizon: int) -> dict[SourceRef, Equation]:
     """The explicit equations, then per family its members 1..min(horizon, L) + 1 (see class_representatives)."""
-    out = [(SourceRef(idx), eq) for idx, eq in enumerate(system.explicit)]
+    out = {SourceRef(idx): eq for idx, eq in enumerate(system.explicit)}
     for fidx, fam in enumerate(system.families):
         for n in fam.members(min(horizon, len(fam.slot_rows[0].cycle)) + 1):
-            out.append((SourceRef(fidx, n), fam.member(n)))
+            out[SourceRef(fidx, n)] = fam.member(n)
     return out
 
 
 def class_representatives(
-    structure: FiniteStructure, system: PowerSystem, profile: Periodic
+    structure: FiniteStructure,
+    system: PowerSystem,
+    profile: Periodic,
+    candidates: Mapping[SourceRef, Equation],
 ) -> tuple[ClassRep, ...]:
     """One representative per projected solution set, sources chosen greedily.
 
@@ -112,7 +116,8 @@ def class_representatives(
     sets: those of all L generator residues and of every tail position.
     max takes the first candidate of the largest gain, and equal sets give
     equal gains, so no member past L + 1 is ever taken and scanning it would
-    change nothing.
+    change nothing.  candidates is that list as _candidates writes it out
+    for the profile's horizon; wrap builds it once and seed_equations reuses it.
     """
     classifier = AtomClassifier.of(structure, system.variables)
     discovery = list(dict.fromkeys(mask for masks in profile.prefix + profile.cycle for mask in masks))
@@ -120,7 +125,7 @@ def class_representatives(
 
     # least coordinate per solution set realized by each candidate source
     coverage: list[tuple[SourceRef, Equation, dict[int, int]]] = []
-    for ref, eq in _candidates(system, len(profile.prefix) + len(profile.cycle)):
+    for ref, eq in candidates.items():
         realized: dict[int, int] = {}
         for i in range(sum(horizon(_const_streams(eq)))):
             mask = classifier.mask(project_equation(eq, i))
@@ -145,14 +150,17 @@ def class_representatives(
     return tuple(reps)
 
 
-def seed_equations(system: PowerSystem, reps: Iterable[ClassRep]) -> dict[SourceRef, Equation]:
-    """Each distinct chosen source and its equation, written out once, in first-use order.
+def seed_equations(
+    candidates: Mapping[SourceRef, Equation], reps: Iterable[ClassRep]
+) -> dict[SourceRef, Equation]:
+    """Each distinct chosen source and its equation, in first-use order, read from the candidates.
 
-    Each source realizes its set at the representative's coordinate because
-    class_representatives' coverage scan found it there; verify_wrap re-checks
-    the output.
+    The equations are the ones class_representatives' coverage scan
+    projected, so no source is written out a second time.  Each source
+    realizes its set at the representative's coordinate because that scan
+    found it there; verify_wrap re-checks the output.
     """
-    return {ref: resolve_source(system, ref) for ref in dict.fromkeys(rep.source for rep in reps)}
+    return {rep.source: candidates[rep.source] for rep in reps}
 
 
 def _merged_equation(rep: ClassRep, source_eq: Equation, match: Periodic) -> Equation:
@@ -172,8 +180,9 @@ def _merged_equation(rep: ClassRep, source_eq: Equation, match: Periodic) -> Equ
 def wrap(structure: FiniteStructure, system: PowerSystem) -> WrapResult:
     """Compute the finite equivalent system plus the full construction trace."""
     profile = coordinate_profile(structure, system)
-    reps = class_representatives(structure, system, profile)
-    sources = seed_equations(system, reps)
+    candidates = _candidates(system, len(profile.prefix) + len(profile.cycle))
+    reps = class_representatives(structure, system, profile, candidates)
+    sources = seed_equations(candidates, reps)
     seeds = tuple(dict.fromkeys(sources.values()))  # distinct sources may write out equal equations
 
     classifier = AtomClassifier.of(structure, system.variables)

@@ -202,6 +202,16 @@ MUTANTS = (
         ("tests/test_power.py::test_stream_horizon_of_one_family_matches_the_descriptor_formula",),
     ),
     Mutant(
+        "stream_horizon leaves the tail pass out of an unbounded family's stabilization",
+        "src/eqpower/power.py",
+        "fam_stab = tail_prefix + (len(fam.slot_rows[1].cycle) if fam.bound is None else fam.bound - 1)",
+        "fam_stab = tail_prefix + (0 if fam.bound is None else fam.bound - 1)",
+        (
+            "tests/test_power.py::test_profile_fold_matches_recomputation",
+            "tests/test_wrap.py::test_verify_wrap_matches_the_oracle_profile",
+        ),
+    ),
+    Mutant(
         "_is_obstruction accepts a pair with a == b",
         "src/eqpower/noetherian.py",
         "return labels[0] != labels[1] and structure.holds(POSET_ORDER_SYMBOL, labels)",

@@ -254,26 +254,30 @@ def test_coordinate_profile_demo():
     assert profile.at(100) == profile.cycle[1]
 
 
-def test_profile_certification_catches_an_underreported_period(monkeypatch):
+def test_an_underreported_profile_period_fails_wrap_verification(monkeypatch):
+    """The profile trusts stream_horizon; verify_wrap, through its own binding, catches a wrong one."""
     g = triangle_graph()
     system = staircase_demo_system()
     monkeypatch.setattr(power, "stream_horizon", lambda s: (1, 1))  # the true period is 2
-    with pytest.raises(RuntimeError, match="certification failed at coordinate 1"):
-        coordinate_profile(g, system)
+    assert wrap(g, system).verified is False
 
 
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 2**30))
 def test_profile_fold_matches_recomputation(seed):
-    """Beyond the certified zone the folded profile still equals direct recomputation."""
+    """Over two periods past the horizon the folded profile equals direct recomputation, in projection order."""
     rng = random.Random(seed)
     structure = support.random_relational_structure(rng)
     system = support.random_power_system(rng, structure)
+    families = tuple(
+        StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
+    )
+    system = PowerSystem(system.variables, system.explicit, families)
     profile = coordinate_profile(structure, system)
     clf = AtomClassifier(structure, system.variables)
     for i in range(len(profile.prefix) + 3 * len(profile.cycle)):
         masks = profile.at(i)
-        assert len(set(masks)) == len(masks)
+        assert masks == tuple(dict.fromkeys(map(clf.mask, projection_entries(system, i)))), i
         assert frozenset(map(clf.decode, masks)) == support.oracle_profile(structure, system, i)
 
 

@@ -66,10 +66,16 @@ def test_index_set_json_round_trip():
     assert index_set_from_json_dict(json.loads(json.dumps(periodic_to_json_dict(s)))) == s
 
 
+def _scan(structure, system):
+    """The profile and the candidates wrap hands to class_representatives."""
+    profile = coordinate_profile(structure, system)
+    return profile, WRAP_MODULE._candidates(system, len(profile.prefix) + len(profile.cycle))
+
+
 def test_demo_class_representatives():
     g = triangle_graph()
     system = staircase_demo_system()
-    reps = class_representatives(g, system, coordinate_profile(g, system))
+    reps = class_representatives(g, system, *_scan(g, system))
     assert [rep.solutions for rep in reps] == [
         frozenset({("b",), ("c",)}),
         frozenset({("a",), ("c",)}),
@@ -88,23 +94,25 @@ def test_demo_class_representatives():
 def test_demo_seeds():
     g = triangle_graph()
     system = staircase_demo_system()
-    reps = class_representatives(g, system, coordinate_profile(g, system))
-    assert seed_equations(system, reps) == {SourceRef(0, 3): MEMBER3}
+    candidates = {SourceRef(0, n): system.families[0].member(n) for n in (1, 2, 3)}
+    reps = class_representatives(g, system, coordinate_profile(g, system), candidates)
+    assert seed_equations(candidates, reps) == {SourceRef(0, 3): MEMBER3}
     assert wrap(g, system).trace.seeds == (MEMBER3,)
 
 
 def test_wrap_writes_each_chosen_source_out_once():
-    """The demo's three representatives share one source, so wrap resolves it once."""
-    calls = []
-    resolve = WRAP_MODULE.resolve_source
+    """The candidate scan writes out members 1..3, and the seeds reuse member 3 rather than writing it again."""
+    built = []
+    member = StaircaseFamily.member
 
-    def spy(system, ref):
-        calls.append(ref)
-        return resolve(system, ref)
+    def spy(fam, n):
+        built.append(n)
+        return member(fam, n)
 
-    with mock.patch.object(WRAP_MODULE, "resolve_source", spy):
-        wrap(triangle_graph(), staircase_demo_system())
-    assert calls == [SourceRef(0, 3)]
+    with mock.patch.object(StaircaseFamily, "member", spy):
+        result = wrap(triangle_graph(), staircase_demo_system())
+    assert built == [1, 2, 3]
+    assert result.trace.seeds == (MEMBER3,)
 
 
 def test_demo_wrap_output_pinned():
@@ -362,10 +370,12 @@ def staircase_systems(draw):
 def test_cut_candidate_scan_matches_the_uncut_reference(drawn):
     """Scanning members up to L + 1 per family picks what scanning every member up to the horizon picks."""
     structure, system = drawn
-    profile = coordinate_profile(structure, system)
+    profile, candidates = _scan(structure, system)
     expected = support.reference_class_representatives(structure, system, profile)
-    assert class_representatives(structure, system, profile) == expected
-    with mock.patch.object(WRAP_MODULE, "class_representatives", support.reference_class_representatives):
+    assert class_representatives(structure, system, profile, candidates) == expected
+    with mock.patch.object(
+        WRAP_MODULE, "class_representatives", lambda st, sy, p, c: support.reference_class_representatives(st, sy, p)
+    ):
         reference = wrap_result_to_json_dict(wrap(structure, system))
     assert wrap_result_to_json_dict(wrap(structure, system)) == reference
 
