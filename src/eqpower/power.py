@@ -51,7 +51,7 @@ from .solver import (
     minimal_inconsistent_subset,
     system_fields_from_json,
 )
-from .structures import EQUALITY, FiniteStructure
+from .structures import FiniteStructure
 
 
 def _primitive_cycle(cycle: tuple[str, ...]) -> tuple[str, ...]:
@@ -304,7 +304,11 @@ class StaircaseFamily:
 
 @dataclass(frozen=True)
 class PowerSystem:
-    """Equations over the direct power: an explicit list plus staircase families."""
+    """Equations over the direct power: an explicit list plus staircase families.
+
+    A constant of the power is a stream: construction writes a plain label a
+    in an explicit equation as its constant stream (a, a, ...).
+    """
 
     variables: tuple[str, ...]
     explicit: tuple[Equation, ...] = ()
@@ -312,7 +316,11 @@ class PowerSystem:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "variables", tuple(self.variables))
-        object.__setattr__(self, "explicit", tuple(self.explicit))
+
+        def stream(v: Any) -> PowerElement:
+            return v if isinstance(v, PowerElement) else PowerElement((), (v,))
+
+        object.__setattr__(self, "explicit", tuple(map_constants(eq, stream) for eq in self.explicit))
         object.__setattr__(self, "families", tuple(self.families))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variables: {self.variables}")
@@ -322,7 +330,7 @@ def project_equation(eq: Equation, i: int) -> Equation:
     """Replace every stream constant by its value at coordinate i."""
     if i < 0:
         raise IndexError("coordinates are numbered from 0")
-    return map_constants(eq, lambda v: v.at(i) if isinstance(v, PowerElement) else v)
+    return map_constants(eq, lambda v: v.at(i))
 
 
 @dataclass(frozen=True)
@@ -388,10 +396,6 @@ def projected_system(system: PowerSystem, i: int) -> EquationSystem:
     return EquationSystem(system.variables, tuple(projection_entries(system, i)))
 
 
-def _const_streams(eq: Equation) -> list[PowerElement]:
-    return [v for v in const_values(eq) if isinstance(v, PowerElement)]
-
-
 def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
     """(stabilization, period) bounding when the systems' per-coordinate projections repeat.
 
@@ -406,7 +410,7 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
     is the length of the tails' cycle.  Given several systems, this is their
     joint horizon.
     """
-    stab, period = horizon(pe for system in systems for eq in system.explicit for pe in _const_streams(eq))
+    stab, period = horizon(pe for system in systems for eq in system.explicit for pe in const_values(eq))
     for fam in (f for system in systems for f in system.families):
         if fam.descriptors():
             tail_prefix, fam_period = horizon(fam.slot_rows)
@@ -455,28 +459,24 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
 
 
 def _stream_of(streams: Mapping[str, PowerElement], arg: Any) -> PowerElement:
-    """The stream an argument takes: the point's entry for a variable, else the constant's stream."""
+    """The stream an argument takes: the point's entry for a variable, else the constant itself."""
     if isinstance(arg, Var):
         try:
             return streams[arg.name]
         except KeyError:
             raise UnboundVariableError(f"no value assigned to variable {arg.name!r}") from None
-    value = arg.value
-    return value if isinstance(value, PowerElement) else PowerElement((), (value,))
+    return arg.value
 
 
 def _rows_hold(structure: FiniteStructure, eq: Equation, rows: Collection[tuple[str, ...]]) -> bool:
     """Whether the atom holds on every row of argument labels.
 
-    An equality compares each row's two labels, so a label outside the
-    universe is just unequal.  Other atoms' rows are looked up among the
-    table's label rows.  If some are not there, every label of every such
-    row is looked up, rows in sorted order, so a label outside the universe
+    The rows are looked up among the table's label rows; an equality's table
+    is the diagonal.  If some are not there, every label of every such row
+    is looked up, rows in sorted order, so a label outside the universe
     raises KeyError whatever the rows' iteration order; otherwise the atom
     fails.
     """
-    if eq.symbol == EQUALITY:
-        return all(lhs == rhs for lhs, rhs in rows)
     table = structure.label_table(eq.symbol)
     if table.issuperset(rows):
         return True
@@ -562,7 +562,7 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
 
     Each entry is computed at its own coordinate, never read off a folded
     cycle.  An explicit equation's slot values at i are its streams' entries
-    at i (a slot that holds no stream keeps its value), and each distinct
+    at i (PowerSystem makes every constant a stream), and each distinct
     tuple of them is turned into an atom and classified once.  A family's
     blocks from StaircaseFamily.coordinate_checks(stop, 1), as for a point
     that is constant from `stop` on, list exactly the coordinates below
@@ -573,7 +573,7 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
     classifier = AtomClassifier.of(structure, system.variables)
     masks = [classifier.full] * stop
     for eq in system.explicit:
-        columns = [v.take(stop) if isinstance(v, PowerElement) else repeat(v, stop) for v in const_values(eq)]
+        columns = [v.take(stop) for v in const_values(eq)]
         seen: dict[tuple[Any, ...], int] = {}
         for i, values in enumerate(zip(*columns) if columns else repeat((), stop)):
             mask = seen.get(values)

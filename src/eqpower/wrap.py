@@ -26,7 +26,6 @@ from .power import (
     PowerElement,
     PowerSystem,
     SourceRef,
-    _const_streams,
     coordinate_masks,
     coordinate_profile,
     horizon,
@@ -39,7 +38,8 @@ from .power import (
     project_equation,
     stream_horizon,
 )
-from .solver import AtomClassifier, Equation, equation_from_json_dict, equation_to_json_dict, map_constants
+from .solver import AtomClassifier, Equation, const_values, map_constants
+from .solver import equation_from_json_dict, equation_to_json_dict
 from .structures import FiniteStructure
 
 SolutionSet = frozenset[tuple[str, ...]]
@@ -127,7 +127,7 @@ def class_representatives(
     coverage: list[tuple[SourceRef, Equation, dict[int, int]]] = []
     for ref, eq in candidates.items():
         realized: dict[int, int] = {}
-        for i in range(sum(horizon(_const_streams(eq)))):
+        for i in range(sum(horizon(const_values(eq)))):
             mask = classifier.mask(project_equation(eq, i))
             if mask in uncovered and mask not in realized:
                 realized[mask] = i
@@ -166,9 +166,7 @@ def seed_equations(
 def _merged_equation(rep: ClassRep, source_eq: Equation, match: Periodic) -> Equation:
     """Per-set equation: the set's value where it occurs, the source value elsewhere."""
 
-    def merged(slot: Any) -> PowerElement:
-        if not isinstance(slot, PowerElement):
-            raise ValueError("wrap needs explicit stream constants in source equations")
+    def merged(slot: PowerElement) -> PowerElement:
         rep_value = slot.at(rep.coordinate)
         stab, period = horizon((match, slot))
         values = tuple(rep_value if match.at(i) else slot.at(i) for i in range(stab + period))

@@ -281,6 +281,28 @@ MUTANTS = (
         "_merged_equation(rep, sources[reps[0].source], match)",
         ("tests/test_wrap.py::test_verify_wrap_matches_the_oracle_profile",),
     ),
+    Mutant(
+        "PowerSystem keeps a plain label",
+        "src/eqpower/power.py",
+        "return v if isinstance(v, PowerElement) else PowerElement((), (v,))",
+        "return v",
+        ("tests/test_power.py::test_a_plain_label_is_its_constant_stream",),
+    ),
+    Mutant(
+        "satisfies compares equality labels pairwise",
+        "src/eqpower/power.py",
+        "    table = structure.label_table(eq.symbol)\n    if table.issuperset(rows):",
+        '    if eq.symbol == "=":\n        return all(lhs == rhs for lhs, rhs in rows)\n'
+        "    table = structure.label_table(eq.symbol)\n    if table.issuperset(rows):",
+        ("tests/test_power.py::test_satisfies_names_a_point_label_outside_the_universe",),
+    ),
+    Mutant(  # of the random corpora, only support.planted_power_system writes plain labels
+        "PowerSystem writes plain labels as streams in its first explicit equation only",
+        "src/eqpower/power.py",
+        "tuple(map_constants(eq, stream) for eq in self.explicit))",
+        "tuple(map_constants(eq, stream) for eq in self.explicit[:1]) + tuple(self.explicit[1:]))",
+        ("tests/test_wrap.py::test_wrap_verifies_planted_systems",),
+    ),
 )
 
 

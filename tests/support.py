@@ -538,6 +538,81 @@ def random_power_system(
     return PowerSystem(variables, explicit, tuple(families))
 
 
+def planted_power_system(rng: random.Random, structure: FiniteStructure) -> tuple[PowerSystem, tuple]:
+    """(system, point): 1-2 staircase families and 0-2 explicit equations that the point solves.
+
+    The point is drawn first: one stream per variable over a palette of one
+    or two labels, so that a structure with few related tuples still admits
+    atoms.  Each atom takes a symbol of the structure or equality, so arities
+    1 and 3 occur where the signature has them, and draws its constants
+    from the table rows that agree with the point's values:
+      * an explicit stream constant has a prefix at least the point's and a
+        cycle a multiple of the point's period, and is drawn row by row at
+        the coordinates below that, so every later coordinate repeats one;
+      * a plain label (a whole row of them) agrees at every coordinate;
+      * a family has one staircase slot.  Its generator value at residue r
+        agrees at every coordinate i = r mod L, and its tail value at
+        position j at every coordinate i >= j: member n shows that value at
+        coordinate n - 1 + j.
+    An atom without such a value keeps its symbol and is drawn again, up to
+    eight times, and is then left out; a family left out is not replaced.
+    """
+    labels = list(structure.universe)
+    variables = ("x", "y")[: rng.randint(1, 2)]
+    point = tuple(random_stream(rng, rng.sample(labels, min(len(labels), rng.randint(1, 2)))) for _ in variables)
+    stab, period = horizon(point)
+    symbols = [*structure.signature.symbols, (EQUALITY, 2)]
+
+    def rows_at(symbol, pattern, i):
+        """The symbol's rows that agree with the point at coordinate i where pattern names a variable."""
+        values = {v: pe.at(i) for v, pe in zip(variables, point)}
+        rows = structure.tuples(symbol)
+        return [row for row in rows if all(a is None or values[a] == u for a, u in zip(pattern, row))]
+
+    def explicit_atom(symbol, arity):
+        pattern = [rng.choice(variables) if rng.random() < 0.5 else None for _ in range(arity)]
+        if rng.random() < 0.3:  # plain labels
+            rows = sorted(set.intersection(*(set(rows_at(symbol, pattern, i)) for i in range(stab + period))))
+            if not rows:
+                return None
+            row = rng.choice(rows)
+            return RelationAtom(symbol, tuple(Const(u) if a is None else Var(a) for a, u in zip(pattern, row)))
+        prefix, cycle = stab + rng.randint(0, 1), period * rng.randint(1, 2)
+        drawn = []
+        for i in range(prefix + cycle):
+            rows = rows_at(symbol, pattern, i)
+            if not rows:
+                return None
+            drawn.append(rng.choice(rows))
+        columns = [tuple(row[k] for row in drawn) for k in range(arity)]
+        args = (Var(a) if a else Const(PowerElement(c[:prefix], c[prefix:])) for a, c in zip(pattern, columns))
+        return RelationAtom(symbol, tuple(args))
+
+    def family_atom(symbol, arity):
+        slot = rng.randrange(arity)
+        pattern = [None if k == slot else rng.choice(variables) for k in range(arity)]
+
+        def value(coords):
+            options = set.intersection(*({row[slot] for row in rows_at(symbol, pattern, i)} for i in coords))
+            return rng.choice(sorted(options)) if options else None
+
+        gen_period, tail_prefix, tail_cycle = rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 3)
+        generator = [value(range(r, stab + math.lcm(period, gen_period), gen_period)) for r in range(gen_period)]
+        tail = [value(range(j, max(j, stab) + period)) for j in range(tail_prefix + tail_cycle)]
+        if None in generator + tail:
+            return None
+        stair = Staircase(tuple(generator), PowerElement(tuple(tail[:tail_prefix]), tuple(tail[tail_prefix:])))
+        return StaircaseFamily(RelationAtom(symbol, tuple(Var(a) if a else Const(stair) for a in pattern)))
+
+    def retried(make):
+        symbol, arity = rng.choice(symbols)
+        return next((atom for atom in (make(symbol, arity) for _ in range(8)) if atom is not None), None)
+
+    families = tuple(f for f in (retried(family_atom) for _ in range(rng.randint(1, 2))) if f is not None)
+    explicit = tuple(e for e in (retried(explicit_atom) for _ in range(rng.randint(0, 2))) if e is not None)
+    return PowerSystem(variables, explicit, families), point
+
+
 def edge_staircase_family(rng: random.Random, labels) -> PowerSystem:
     """Single-variable edge family with a random generator and tail."""
     stair = random_staircase(rng, labels)

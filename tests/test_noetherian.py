@@ -148,6 +148,22 @@ def test_noetherian_verdicts_hold_on_random_systems():
     assert None in [support.least_equivalent_truncation(chain, system) for system in systems]
 
 
+def test_planted_systems_on_noetherian_structures_are_reducible():
+    """On each NOETHERIAN structure, 50 planted systems, all consistent, are each equivalent to a truncation.
+
+    chain2 is again the negative control.
+    """
+    for name, (structure, _, _) in SYSTEM_CHECK_CASES.items():
+        rng = random.Random(0)
+        for _ in range(50):
+            system, _ = support.planted_power_system(rng, structure)
+            assert support.least_equivalent_truncation(structure, system) is not None, (name, system)
+    chain = chain_poset(2)
+    rng = random.Random(0)
+    systems = [support.planted_power_system(rng, chain)[0] for _ in range(50)]
+    assert None in [support.least_equivalent_truncation(chain, system) for system in systems]
+
+
 def test_matroid_verdicts():
     assert matroid_independent_triple(free_matroid(3)) == ("e1", "e2", "e3")
     assert matroid_independent_triple(free_matroid(2)) is None

@@ -352,13 +352,16 @@ def test_consistent_builds_one_mask_per_distinct_atom(fixture, monkeypatch):
     assert set(built) == atoms
 
 
-def test_coordinate_masks_read_a_plain_label_slot_at_every_coordinate():
-    """An explicit slot that holds no stream keeps its value, as project_equation keeps it."""
+def test_a_plain_label_is_its_constant_stream():
+    """PowerSystem writes a plain label a as the stream (a, a, ...), so every reader, wrap too, sees one system."""
     g = triangle_graph()
-    plain = PowerSystem(("x",), (RelationAtom("E", (x, Const("a"))),))
-    stream = PowerSystem(("x",), (RelationAtom("E", (x, Const(constant_stream("a")))),))
-    assert project_equation(plain.explicit[0], 3) == plain.explicit[0]
-    assert coordinate_masks(g, plain, 4) == coordinate_masks(g, stream, 4)
+    other = RelationAtom("E", (x, Const(PowerElement(("b",), ("c",)))))
+    plain = PowerSystem(("x",), (RelationAtom("E", (x, Const("a"))), other))
+    stream = PowerSystem(("x",), (RelationAtom("E", (x, Const(constant_stream("a")))), other))
+    assert plain == stream
+    assert coordinate_masks(g, plain, 8) == coordinate_masks(g, stream, 8)
+    result = wrap(g, plain)
+    assert result == wrap(g, stream) and result.verified
 
 
 def test_satisfies_demo_points():
@@ -774,7 +777,7 @@ def test_satisfies_edge_cases_match_oracle():
 
 
 def test_satisfies_names_a_point_label_outside_the_universe():
-    """A relation atom raises KeyError naming the label, explicit or in a family; an equality atom compares it."""
+    """Any atom, equality too, raises KeyError naming the label, explicit or in a family."""
     g = triangle_graph()
     to_a = Const(constant_stream("a"))
     stair = Const(Staircase(("a",), constant_stream("a")))  # every member is the constant a
@@ -789,11 +792,15 @@ def test_satisfies_names_a_point_label_outside_the_universe():
             with pytest.raises(KeyError, match="unknown universe element 'z'"):
                 satisfies(g, system, (point,))
     z = Const(constant_stream("z"))
-    assert satisfies(g, PowerSystem(("x",), (RelationAtom(EQUALITY, (x, z)),)), (constant_stream("z"),)) is True
-    assert satisfies(g, PowerSystem(("x",), (RelationAtom(EQUALITY, (x, to_a)),)), (constant_stream("z"),)) is False
-    family = PowerSystem(("x",), (), (StaircaseFamily(RelationAtom(EQUALITY, (x, stair))),))
-    assert satisfies(g, family, (constant_stream("z"),)) is False
-    assert satisfies(g, family, (constant_stream("a"),)) is True
+    equalities = [
+        PowerSystem(("x",), (RelationAtom(EQUALITY, (x, z)),)),
+        PowerSystem(("x",), (RelationAtom(EQUALITY, (x, to_a)),)),
+        PowerSystem(("x",), (), (StaircaseFamily(RelationAtom(EQUALITY, (x, stair))),)),
+    ]
+    for system in equalities:
+        with pytest.raises(KeyError, match="unknown universe element 'z'"):
+            satisfies(g, system, (constant_stream("z"),))
+    assert satisfies(g, equalities[-1], (constant_stream("a"),)) is True
 
 
 def test_satisfies_names_an_unknown_label_whatever_the_row_order():

@@ -2,6 +2,7 @@ import functools
 import importlib
 import json
 import operator
+import random
 from itertools import product
 from pathlib import Path
 from unittest import mock
@@ -25,6 +26,7 @@ from eqpower.power import (
     coordinate_profile,
     power_system_from_json_dict,
     power_systems_equivalent,
+    satisfies,
     stream_horizon,
 )
 from eqpower.solver import AtomClassifier, Const, RelationAtom, Var
@@ -404,6 +406,22 @@ def test_verify_wrap_matches_the_oracle_profile(drawn):
         stab, period = stream_horizon(system, candidate)
         expected = all(solutions(system, i) == solutions(candidate, i) for i in range(stab + 2 * period))
         assert verify_wrap(structure, system, candidate) == expected
+
+
+@pytest.mark.parametrize("name", sorted(support.fixture_structures()))
+def test_wrap_verifies_planted_systems(name):
+    """On every fixture, 40 systems with a planted solution: the point solves, and wrap's output is equivalent.
+
+    The random corpora above are nearly all inconsistent, and any two
+    inconsistent systems are equivalent; these systems all solve.
+    """
+    _, structure = support.fixture_structures()[name]
+    rng = random.Random(0)
+    for _ in range(40):
+        system, point = support.planted_power_system(rng, structure)
+        assert satisfies(structure, system, point) and support.oracle_satisfies(structure, system, point), system
+        result = wrap(structure, system)
+        assert result.verified and power_systems_equivalent(structure, system, result.wrapped), system
 
 
 @pytest.mark.parametrize("case", ["staircase_demo", "wide_staircase"])
