@@ -21,10 +21,14 @@ classifies an explicit equation once per distinct tuple of slot values, not
 once per coordinate, through the one AtomClassifier.of that serves a
 structure and variable list, so consistent's core search reuses its masks.
 coordinate_profile keeps each coordinate's distinct masks in projection order,
-which wrap reads.  The finite horizon used for those reductions is computed
-from the input data by stream_horizon; coordinate_profile's docstring proves
-that the projections repeat from there on, and verify_wrap re-checks wrap's
-output coordinate by coordinate past it.
+which wrap reads.  It reads a family's distinct rows at a coordinate from
+StaircaseFamily.rows_at, which walks at most tail prefix + tail cycle + 1
+members however far out the coordinate is, and classifies each distinct row
+once.  The finite horizon used for those reductions is computed from the
+input data by stream_horizon; coordinate_profile's docstring proves that the
+projections repeat from there on, citing rows_at for the order within a
+family, and verify_wrap re-checks wrap's output coordinate by coordinate
+past it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import functools
 import math
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import Any
 
@@ -102,6 +106,12 @@ class Periodic:
             raise IndexError("coordinates are numbered from 0")
         repeats = -(-max(0, n - len(self.prefix)) // len(self.cycle))
         return (self.prefix + self.cycle * repeats)[:n]
+
+
+def _with_slots(atom: Equation, values: Iterable[Any]) -> Equation:
+    """The atom with its constant slots, in argument order, holding the values."""
+    slot = iter(values)
+    return map_constants(atom, lambda _: next(slot))
 
 
 def horizon(streams: Iterable[Periodic]) -> tuple[int, int]:
@@ -191,8 +201,8 @@ class StaircaseFamily:
         as the largest tail prefix, then a cycle of C rows, C the lcm of the
         tail cycles.  The rows depend on the atom alone, and every
         per-coordinate reading of the family goes through them:
-        projected_member, coordinate_checks and stream_horizon.  A family
-        without a constant slot has one empty row in each cycle.
+        projected_member, rows_at, coordinate_checks and stream_horizon.  A
+        family without a constant slot has one empty row in each cycle.
         """
         descs = self.descriptors()
         if not descs:
@@ -294,12 +304,32 @@ class StaircaseFamily:
         Member n shows the generator row at i for i <= n - 2 and the joint
         tail row at position i - n + 1 after that.
         """
-        # tested inline, not by a call: projection_entries calls this once per entry
-        if n < 1 or (self.bound is not None and n > self.bound):
-            self._require_member(n)
+        self._require_member(n)
         generators, tails = self.slot_rows
-        slot = iter(generators.at(i) if n >= i + 2 else tails.at(i - n + 1))
-        return map_constants(self.atom, lambda _: next(slot))
+        return _with_slots(self.atom, generators.at(i) if n >= i + 2 else tails.at(i - n + 1))
+
+    def rows_at(self, i: int) -> dict[tuple[str, ...], int]:
+        """The distinct slot-value rows of members 1..min(i + 2, bound) at coordinate i, each to its least member.
+
+        Rows come in ascending member order.  Member n shows the generator
+        row at i when n >= i + 2 and the joint tail row at position i - n + 1
+        otherwise, as in projected_member, and members past i + 2 repeat
+        member i + 2.  With P the tail prefix and C the tail cycle, the walk
+        skips members C + 1 .. i - P + 1.  Such a member shows the tail
+        position j = i - n + 1 with P <= j <= i - C, a cycle row.  When that
+        range is nonempty, members 1..C show positions i - C + 1 .. i, which
+        are C consecutive positions past P and so hold every cycle row; one
+        of them is j + kC for some k >= 1, with a smaller member.  So a
+        skipped member adds no row and is never a row's least member, and
+        the walk reads at most C + P + 1 members however large i is.
+        """
+        generators, tails = self.slot_rows
+        last = i + 2 if self.bound is None else min(i + 2, self.bound)
+        skip = range(len(tails.cycle) + 1, i - len(tails.prefix) + 2)
+        rows: dict[tuple[str, ...], int] = {}
+        for n in chain(range(1, min(last + 1, skip.start)), range(max(skip.start, skip.stop), last + 1)):
+            rows.setdefault(generators.at(i) if n >= i + 2 else tails.at(i - n + 1), n)
+        return rows
 
 
 @dataclass(frozen=True)
@@ -366,9 +396,8 @@ def projection_entries(system: PowerSystem, i: int) -> dict[Equation, SourceRef]
     """The distinct equations of pi_i(system), in insertion order, each mapped to its earliest source.
 
     Order is canonical: explicit equations by index, then families by index
-    with members by ascending n.  At coordinate i members beyond n = i + 2
-    repeat the n = i + 2 projection, so the scan stops there, or at the
-    family's bound.
+    with members by ascending n.  A family contributes one atom per row of
+    StaircaseFamily.rows_at(i), which carries the row's least member.
     """
     out: dict[Equation, SourceRef] = {}
     for idx, eq in enumerate(system.explicit):
@@ -376,8 +405,8 @@ def projection_entries(system: PowerSystem, i: int) -> dict[Equation, SourceRef]
         if atom not in out:
             out[atom] = SourceRef(idx)
     for fidx, fam in enumerate(system.families):
-        for n in fam.members(i + 2):
-            atom = fam.projected_member(n, i)
+        for row, n in fam.rows_at(i).items():
+            atom = _with_slots(fam.atom, row)
             if atom not in out:
                 out[atom] = SourceRef(fidx, n)
     return out
@@ -422,16 +451,22 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
 def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Periodic:
     """Per-coordinate solution profile: the distinct atom masks of pi_i(system), in projection order.
 
+    The masks come in the first-occurrence order of a sequence made of one
+    segment per explicit equation and per family: an explicit equation's
+    slot values at i, then each family's rows from
+    StaircaseFamily.rows_at(i), which lists the distinct rows of its
+    members 1..i + 2 in first-occurrence order.  Each segment keeps one
+    dict from slot values to mask, so each distinct row is turned into an
+    atom and classified once.  That is projection_entries' order: an atom
+    is a function of its slot values, and repeats only drop later copies.
+
     The prefix covers the stabilization and the cycle one period, so at(i)
     holds for every coordinate because, with (stab, period) the
-    stream_horizon, projection_entries(system, i + period) lists the same
-    atoms in the same order as projection_entries(system, i) for every
-    i >= stab.  The atoms come in the first-occurrence order of a sequence
-    made of one segment per explicit equation and per family, and the
-    first-occurrence order of a concatenation is determined by those of its
-    segments, so it suffices that each segment's first-occurrence order
-    repeats.  An atom is a function of its slot values, so it suffices that
-    the slot values do:
+    stream_horizon, the sequence at i + period has the same first-occurrence
+    order as the one at i for every i >= stab.  The first-occurrence order
+    of a concatenation is determined by those of its segments, so it
+    suffices that each segment's first-occurrence order of slot values
+    repeats:
       * an explicit equation's slot values at i are its streams' entries at
         i; stab covers every prefix and period is a multiple of every cycle;
       * a family without a constant slot projects to its atom everywhere;
@@ -453,9 +488,22 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
     """
     stab, period = stream_horizon(system)
     classifier = AtomClassifier.of(structure, system.variables)
-    rows = (projection_entries(system, i) for i in range(stab + period))
-    table = tuple(tuple(dict.fromkeys(map(classifier.mask, row))) for row in rows)
-    return Periodic(table[:stab], table[stab:])
+    atoms = system.explicit + tuple(fam.atom for fam in system.families)
+    explicit = [const_values(eq) for eq in system.explicit]
+    masks: list[dict[tuple[Any, ...], int]] = [{} for _ in atoms]  # per segment: slot values -> mask
+    table = []
+    for i in range(stab + period):
+        segments = [(tuple(v.at(i) for v in values),) for values in explicit]
+        segments += [fam.rows_at(i) for fam in system.families]
+        entry: dict[int, None] = {}
+        for atom, seen, rows in zip(atoms, masks, segments):
+            for values in rows:
+                mask = seen.get(values)
+                if mask is None:
+                    mask = seen[values] = classifier.mask(_with_slots(atom, values))
+                entry[mask] = None
+        table.append(tuple(entry))
+    return Periodic(tuple(table[:stab]), tuple(table[stab:]))
 
 
 def _stream_of(streams: Mapping[str, PowerElement], arg: Any) -> PowerElement:
@@ -578,13 +626,11 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
         for i, values in enumerate(zip(*columns) if columns else repeat((), stop)):
             mask = seen.get(values)
             if mask is None:
-                slot = iter(values)
-                mask = seen[values] = classifier.mask(map_constants(eq, lambda _: next(slot)))
+                mask = seen[values] = classifier.mask(_with_slots(eq, values))
             masks[i] &= mask
     for fam in system.families:
         for r, values in fam.coordinate_checks(stop, 1):
-            slot = iter(values)
-            mask = classifier.mask(map_constants(fam.atom, lambda _: next(slot)))
+            mask = classifier.mask(_with_slots(fam.atom, values))
             for i in range(r.start, min(r.stop, stop), r.step):  # r[:stop] would cut by count
                 masks[i] &= mask
     return masks

@@ -6,9 +6,14 @@ realizing it), seed the output with the chosen sources, then add one equation
 per solution set whose coordinate stream follows that set wherever it occurs
 and falls back to the source stream elsewhere.  The output is equivalent to
 the input coordinate by coordinate, since the profile it is built from
-repeats as coordinate_profile's docstring proves.  verify_wrap checks that
-exhaustively, computing every coordinate below the joint stream_horizon plus
-one extra period, so an output spoilt by a wrong horizon is never verified.
+repeats as coordinate_profile's docstring proves; that profile reads each
+family's distinct rows once per coordinate through StaircaseFamily.rows_at,
+whose docstring proves that the members it skips add nothing.  The JSON
+trace stores each fact once: no step repeats the complement of its index
+set, and no list repeats the representatives' coordinates and sources.
+verify_wrap checks the equivalence exhaustively, computing every coordinate
+below the joint stream_horizon plus one extra period, so an output spoilt by
+a wrong horizon is never verified.
 
 Because there are at most 2^(k^n) solution sets over a k-element structure and
 n variables, the output never exceeds 2^(k^n + 1) equations.
@@ -16,7 +21,6 @@ n variables, the output never exceeds 2^(k^n + 1) equations.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping
 
@@ -70,9 +74,6 @@ class WrapTrace:
     representatives: tuple[ClassRep, ...]
     seeds: tuple[Equation, ...]  # chosen source equations, deduplicated
     steps: tuple[WrapStep, ...]
-
-    def source_pairs(self) -> tuple[tuple[int, SourceRef], ...]:
-        return tuple((rep.coordinate, rep.source) for rep in self.representatives)
 
 
 @dataclass(frozen=True)
@@ -258,16 +259,11 @@ def wrap_result_to_json_dict(result: WrapResult) -> dict:
             "stabilization": trace.stabilization,
             "period": trace.period,
             "representatives": [class_rep_to_json_dict(rep) for rep in trace.representatives],
-            "source_pairs": [
-                {"coordinate": coord, "source": ref.to_json_dict()}
-                for coord, ref in trace.source_pairs()
-            ],
             "seeds": [power_equation_to_json_dict(eq) for eq in trace.seeds],
             "steps": [
                 {
                     "representative": idx,
                     "match": periodic_to_json_dict(st.match),
-                    "other": periodic_to_json_dict(st.match.map(operator.not_)),
                     "merged": power_equation_to_json_dict(st.merged),
                 }
                 for idx, st in enumerate(trace.steps)
@@ -277,13 +273,9 @@ def wrap_result_to_json_dict(result: WrapResult) -> dict:
 
 
 def wrap_result_from_json_dict(doc: Any) -> WrapResult:
-    """Decode a wrap result; every field the document repeats must agree with what it is derived from."""
+    """Decode a wrap result; steps must fit their representatives and the horizon, and seeds and steps the output."""
     doc = json_object(doc, {"wrapped", "verified", "bound_ok", "trace"}, "wrap result")
-    tdoc = json_object(
-        doc["trace"],
-        {"stabilization", "period", "representatives", "source_pairs", "seeds", "steps"},
-        "wrap trace",
-    )
+    tdoc = json_object(doc["trace"], {"stabilization", "period", "representatives", "seeds", "steps"}, "wrap trace")
     stab, period = json_int(tdoc["stabilization"], "stabilization", 0), json_int(tdoc["period"], "period", 1)
     reps = tuple(class_rep_from_json_dict(r) for r in json_list(tdoc["representatives"], "representatives"))
     seeds = tuple(power_equation_from_json_dict(e) for e in json_list(tdoc["seeds"], "seeds"))
@@ -292,26 +284,22 @@ def wrap_result_from_json_dict(doc: Any) -> WrapResult:
         raise InputFormatError(f"a wrap trace has one step per representative, got {len(sdocs)} steps")
     steps = []
     for idx, sdoc in enumerate(sdocs):
-        sdoc = json_object(sdoc, {"representative", "match", "other", "merged"}, "wrap step")
+        sdoc = json_object(sdoc, {"representative", "match", "merged"}, "wrap step")
         if json_int(sdoc["representative"], "step representative") != idx:
             raise InputFormatError(f"wrap step {idx} must name representative {idx}")
         match = index_set_from_json_dict(sdoc["match"])
         if (len(match.prefix), len(match.cycle)) != (stab, period):
             raise InputFormatError(f"wrap step {idx} 'match' needs {stab} prefix and {period} cycle entries")
-        if index_set_from_json_dict(sdoc["other"]) != match.map(operator.not_):
-            raise InputFormatError("wrap step 'other' must be the complement of 'match'")
-        steps.append(WrapStep(match, power_equation_from_json_dict(sdoc["merged"])))
-    trace = WrapTrace(stab, period, reps, seeds, tuple(steps))
-    pairs = []
-    for pdoc in json_list(tdoc["source_pairs"], "source pairs"):
-        pdoc = json_object(pdoc, {"coordinate", "source"}, "source pair")
-        coordinate = json_int(pdoc["coordinate"], "source pair coordinate", 0)
-        pairs.append((coordinate, SourceRef.from_json_dict(pdoc["source"])))
-    if tuple(pairs) != trace.source_pairs():
-        raise InputFormatError("wrap trace 'source_pairs' must repeat the representatives' sources")
+        merged = power_equation_from_json_dict(sdoc["merged"])
+        if any(match.at(i) and project_equation(merged, i) != reps[idx].representative for i in range(stab + period)):
+            raise InputFormatError(f"wrap step {idx} 'merged' must show its representative wherever 'match' holds")
+        steps.append(WrapStep(match, merged))
+    wrapped = power_system_from_json_dict(doc["wrapped"])
+    if wrapped.families or wrapped.explicit != tuple(dict.fromkeys(seeds + tuple(st.merged for st in steps))):
+        raise InputFormatError("the wrapped system must list the seeds, then the merged equations, each once")
     return WrapResult(
-        power_system_from_json_dict(doc["wrapped"]),
-        trace,
+        wrapped,
+        WrapTrace(stab, period, reps, seeds, tuple(steps)),
         json_bool(doc["verified"], "verified"),
         json_bool(doc["bound_ok"], "bound_ok"),
     )

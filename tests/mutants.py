@@ -153,6 +153,20 @@ MUTANTS = (
         ("tests/test_power.py::test_projection_entries_order_and_dedup",),
     ),
     Mutant(
+        "rows_at skips from member C, not C + 1",
+        "src/eqpower/power.py",
+        "skip = range(len(tails.cycle) + 1, i - len(tails.prefix) + 2)",
+        "skip = range(len(tails.cycle), i - len(tails.prefix) + 2)",
+        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+    ),
+    Mutant(
+        "rows_at skips through member i - P + 2, one past the last cycle row",
+        "src/eqpower/power.py",
+        "skip = range(len(tails.cycle) + 1, i - len(tails.prefix) + 2)",
+        "skip = range(len(tails.cycle) + 1, i - len(tails.prefix) + 3)",
+        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+    ),
+    Mutant(
         "the greedy takes the last candidate of the largest gain",
         "src/eqpower/wrap.py",
         "max(coverage, key=",
@@ -245,13 +259,6 @@ MUTANTS = (
         'json_int(doc["coordinate"], "class representative coordinate", 0)',
         'json_int(doc["coordinate"], "class representative coordinate")',
         ("tests/test_wrap.py::test_wrap_result_refuses_negative_numbers[representative-coordinate]",),
-    ),
-    Mutant(
-        "the wrap-result decoder takes a negative source pair coordinate",
-        "src/eqpower/wrap.py",
-        'json_int(pdoc["coordinate"], "source pair coordinate", 0)',
-        'json_int(pdoc["coordinate"], "source pair coordinate")',
-        ("tests/test_wrap.py::test_wrap_result_refuses_negative_numbers[source-pair-coordinate]",),
     ),
     Mutant(
         "the equality table misses the diagonal's last element",

@@ -166,6 +166,23 @@ def oracle_projection(system: PowerSystem, i: int) -> list:
     return atoms
 
 
+def reference_projection_entries(system: PowerSystem, i: int) -> dict:
+    """projection_entries without the member cut: every member 1..min(i + 2, bound) written out and projected.
+
+    Each member is written out with StaircaseFamily.member and projected with
+    project_equation, so slot_rows is never read.  Each distinct atom keeps
+    its earliest source: explicit equations by index, then families by index
+    with members by ascending n.
+    """
+    out = {}
+    for idx, eq in enumerate(system.explicit):
+        out.setdefault(project_equation(eq, i), SourceRef(idx))
+    for fidx, fam in enumerate(system.families):
+        for n in fam.members(i + 2):
+            out.setdefault(project_equation(fam.member(n), i), SourceRef(fidx, n))
+    return out
+
+
 def oracle_atom_solutions(structure: FiniteStructure, variables, eq) -> frozenset:
     """Solution set of one atom by evaluating it under every assignment, one dict each."""
     pts = set()

@@ -177,6 +177,51 @@ def test_projection_entries_order_and_dedup():
     for i in range(4):
         for n in range(i + 2, i + 6):
             assert fam.projected_member(n, i) == fam.projected_member(i + 2, i)
+    # an atom that an explicit equation or an earlier family already shows keeps that source
+    explicit = RelationAtom("E", (x, Const(constant_stream("b"))))
+    doubled = PowerSystem(("x",), (explicit,), (fam, fam))
+    assert list(projection_entries(doubled, 0).items()) == [
+        (RelationAtom("E", (x, Const("b"))), SourceRef(0)),
+        (RelationAtom("E", (x, Const("a"))), SourceRef(0, 1)),
+    ]
+
+
+def test_rows_at_demo():
+    """The demo family (generator b, c; tail (a)) at coordinate 5: member 1 shows the tail, member 7 the generator.
+
+    Members 2..6 would repeat the tail's one cycle row, so the walk skips them.
+    """
+    fam = staircase_demo_system().families[0]
+    assert fam.rows_at(0) == {("a",): 1, ("b",): 2}
+    assert fam.rows_at(5) == {("a",): 1, ("c",): 7}
+    assert StaircaseFamily(fam.atom, 4).rows_at(5) == {("a",): 1}
+    assert StaircaseFamily(fam.atom, 7).rows_at(5) == {("a",): 1, ("c",): 7}
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**30), st.booleans())
+def test_projection_entries_match_the_uncut_reference(seed, planted):
+    """At every i < stab + 3 * period, projection_entries equals the walk over every member, items, order and sources.
+
+    Systems come from support.random_power_system or from
+    support.planted_power_system on a fixture structure, with about 35% of
+    their families bounded at 1-9.
+    """
+    rng = random.Random(seed)
+    if planted:
+        structure = rng.choice(sorted(support.fixture_structures().items()))[1][1]
+        system, _ = support.planted_power_system(rng, structure)
+    else:
+        structure = support.random_relational_structure(rng)
+        system = support.random_power_system(rng, structure, max_prefix=3, max_cycle=4)
+    families = tuple(
+        StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
+    )
+    system = PowerSystem(system.variables, system.explicit, families)
+    stab, period = stream_horizon(system)
+    for i in range(stab + 3 * period):
+        expected = list(support.reference_projection_entries(system, i).items())
+        assert list(projection_entries(system, i).items()) == expected, i
 
 
 def test_projected_system_and_sources():
@@ -265,7 +310,11 @@ def test_an_underreported_profile_period_fails_wrap_verification(monkeypatch):
 @settings(deadline=None, max_examples=25)
 @given(st.integers(0, 2**30))
 def test_profile_fold_matches_recomputation(seed):
-    """Over two periods past the horizon the folded profile equals direct recomputation, in projection order."""
+    """Over two periods past the horizon the folded profile equals direct recomputation, in projection order.
+
+    The recomputation projects every member written out, by
+    support.reference_projection_entries, not through rows_at.
+    """
     rng = random.Random(seed)
     structure = support.random_relational_structure(rng)
     system = support.random_power_system(rng, structure)
@@ -277,7 +326,7 @@ def test_profile_fold_matches_recomputation(seed):
     clf = AtomClassifier(structure, system.variables)
     for i in range(len(profile.prefix) + 3 * len(profile.cycle)):
         masks = profile.at(i)
-        assert masks == tuple(dict.fromkeys(map(clf.mask, projection_entries(system, i)))), i
+        assert masks == tuple(dict.fromkeys(map(clf.mask, support.reference_projection_entries(system, i)))), i
         assert frozenset(map(clf.decode, masks)) == support.oracle_profile(structure, system, i)
 
 

@@ -129,11 +129,11 @@ def test_demo_wrap_output_pinned():
         edge(PowerElement(("b", "c"), ("b", "a"))),
         edge(PowerElement(("b",), ("c", "a"))),
     )
-    assert result.trace.source_pairs() == (
+    assert [(rep.coordinate, rep.source) for rep in result.trace.representatives] == [
         (2, SourceRef(0, 3)),
         (0, SourceRef(0, 3)),
         (1, SourceRef(0, 3)),
-    )
+    ]
 
 
 def test_demo_match_sets():
@@ -255,33 +255,35 @@ def test_wrap_result_decoding_is_strict(mutate):
 
 
 def _shift_match(doc):
-    """Step 0's index sets with the prefix folded into the cycle: the same coordinates, other lengths."""
-    step = doc["trace"]["steps"][0]
-    step["match"] = {"prefix": [], "cycle": [True, True]}
-    step["other"] = {"prefix": [], "cycle": [False, False]}
+    """Step 0's index set with the prefix folded into the cycle: the same coordinates, other lengths."""
+    doc["trace"]["steps"][0]["match"] = {"prefix": [], "cycle": [True, True]}
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda doc: doc["trace"]["source_pairs"][0].update(coordinate=5),
-        lambda doc: doc["trace"]["source_pairs"][1].update(source={"family": 0, "member": 4}),
-        lambda doc: doc["trace"]["source_pairs"].pop(),
         lambda doc: doc["trace"]["steps"][1].update(representative=0),
         lambda doc: doc["trace"]["steps"].pop(),
         _shift_match,
+        lambda doc: doc["trace"]["steps"][2]["match"]["prefix"].__setitem__(0, True),
+        lambda doc: doc["trace"]["representatives"][0]["equation"]["args"][1].update(const="b"),
         lambda doc: doc["trace"].update(stabilization=7),
         lambda doc: doc["trace"].update(period=1),
+        lambda doc: doc["wrapped"]["equations"].pop(),
+        lambda doc: doc["wrapped"]["equations"].reverse(),
+        lambda doc: doc["trace"]["seeds"][0]["args"][1]["const"].update(prefix=["c"]),
     ],
     ids=[
-        "source-pair-coordinate",
-        "source-pair-source",
-        "source-pair-dropped",
         "step-representative",
         "step-dropped",
         "match-lengths",
+        "match-entry",
+        "representative-equation",
         "stabilization",
         "period",
+        "wrapped-dropped",
+        "wrapped-reordered",
+        "seed",
     ],
 )
 def test_wrap_result_copies_must_agree(mutate):
@@ -291,9 +293,23 @@ def test_wrap_result_copies_must_agree(mutate):
         wrap_result_from_json_dict(doc)
 
 
-def _negative_representative_coordinate(doc):
-    doc["trace"]["representatives"][0]["coordinate"] = -5
-    doc["trace"]["source_pairs"][0]["coordinate"] = -5  # the pair repeats it
+def _with_source_pairs(doc):
+    trace = doc["trace"]
+    trace["source_pairs"] = [{"coordinate": r["coordinate"], "source": r["source"]} for r in trace["representatives"]]
+
+
+def _with_other(doc):
+    step = doc["trace"]["steps"][0]
+    step["other"] = {part: [not b for b in step["match"][part]] for part in ("prefix", "cycle")}
+
+
+@pytest.mark.parametrize("mutate", [_with_source_pairs, _with_other], ids=["source-pairs", "other"])
+def test_wrap_result_refuses_the_dropped_derived_fields(mutate):
+    """A trace no longer repeats each representative's source nor each step's complement; a copy is an unknown key."""
+    doc = json.loads(json.dumps(wrap_result_to_json_dict(wrap(triangle_graph(), staircase_demo_system()))))
+    mutate(doc)  # the field as the encoder used to write it, in agreement with the rest
+    with pytest.raises(InputFormatError, match="must be an object with keys"):
+        wrap_result_from_json_dict(doc)
 
 
 @pytest.mark.parametrize(
@@ -307,16 +323,11 @@ def _negative_representative_coordinate(doc):
         (PowerSystem(("x",), (), ()), lambda doc: doc["trace"].update(period=-2), "period must be at least 1"),
         (
             staircase_demo_system(),
-            _negative_representative_coordinate,
+            lambda doc: doc["trace"]["representatives"][0].update(coordinate=-5),
             "class representative coordinate must be at least 0",
         ),
-        (
-            staircase_demo_system(),
-            lambda doc: doc["trace"]["source_pairs"][0].update(coordinate=-5),
-            "source pair coordinate must be at least 0",
-        ),
     ],
-    ids=["stabilization", "period", "representative-coordinate", "source-pair-coordinate"],
+    ids=["stabilization", "period", "representative-coordinate"],
 )
 def test_wrap_result_refuses_negative_numbers(system, mutate, message):
     """The empty system's wrap has no step whose lengths would catch a bad horizon; the field's own check must."""
@@ -400,6 +411,7 @@ def test_verify_wrap_matches_the_oracle_profile(drawn):
 
     result = wrap(structure, system)
     assert result.verified
+    assert wrap_result_from_json_dict(json.loads(json.dumps(wrap_result_to_json_dict(result)))) == result
     eqs = result.wrapped.explicit
     for candidate in [eqs] + [eqs[:k] + eqs[k + 1 :] for k in range(len(eqs))]:
         candidate = PowerSystem(system.variables, candidate, ())
