@@ -20,14 +20,15 @@ power_systems_equivalent and wrap's verify_wrap are queries on it.  It
 classifies an explicit equation once per distinct tuple of slot values, not
 once per coordinate, through the one AtomClassifier.of that serves a
 structure and variable list, so consistent's core search reuses its masks.
-coordinate_profile keeps each coordinate's distinct masks in projection order,
-which wrap reads.  It reads a family's distinct rows at a coordinate from
+projection_rows lists pi_i in projection order: each explicit equation's
+slot values at i, then each family's distinct rows from
 StaircaseFamily.rows_at, which walks at most tail prefix + tail cycle + 1
-members however far out the coordinate is, and classifies each distinct row
-once.  The finite horizon used for those reductions is computed from the
-input data by stream_horizon; coordinate_profile's docstring proves that the
-projections repeat from there on, citing rows_at for the order within a
-family, and verify_wrap re-checks wrap's output coordinate by coordinate
+members however far out i is.  projection_entries makes its rows atoms with
+their earliest sources; coordinate_profile makes them each coordinate's
+distinct masks, which wrap reads, classifying each distinct row once.  The
+finite horizon used for those reductions is computed from the input data by
+stream_horizon; projection_rows' docstring proves that the rows repeat from
+there on, and verify_wrap re-checks wrap's output coordinate by coordinate
 past it.
 """
 
@@ -392,36 +393,60 @@ def resolve_source(system: PowerSystem, ref: SourceRef) -> Equation:
     return system.families[ref.index].member(ref.member)
 
 
-def projection_entries(system: PowerSystem, i: int) -> dict[Equation, SourceRef]:
-    """The distinct equations of pi_i(system), in insertion order, each mapped to its earliest source.
+def projection_rows(system: PowerSystem, i: int) -> list[tuple[Equation, int, Mapping[tuple[Any, ...], int | None]]]:
+    """pi_i(system) in projection order: (atom, index, rows) per explicit equation, then per family.
 
-    Order is canonical: explicit equations by index, then families by index
-    with members by ascending n.  A family contributes one atom per row of
-    StaircaseFamily.rows_at(i), which carries the row's least member.
+    An explicit equation has one row, its streams' values at i, mapped to
+    None.  Family `index` has StaircaseFamily.rows_at(i) as it is: the
+    distinct slot-value rows of its members in ascending member order, each
+    mapped to its least member.  The atom with a row in its slots is pi_i of
+    every source that shows the row, and SourceRef(index, member) names the
+    earliest.
+
+    With (stab, period) the stream_horizon, the rows at i + period are those
+    at i, entry by entry and in the same order, for every i >= stab; only
+    the members they map to may differ.  rows_at lists the distinct rows of
+    the walk over members 1..min(i + 2, bound) in first-occurrence order
+    (the members it skips add none), so it suffices that each walk's
+    first-occurrence order of rows repeats.  Let L be a family's lcm of
+    generator lengths and C its lcm of tail cycles:
+      * an explicit equation's row at i holds its streams' entries at i;
+        stab covers every prefix and period is a multiple of every cycle;
+      * a family without a constant slot has the empty row everywhere;
+      * an unbounded family lists, for members n = 1 .. i + 2, the tail rows
+        at positions i, i - 1, .., 0 and then the generator row at i mod L.
+        Since stab >= tail prefix + C, positions i .. i - C + 1 lie in the
+        tail cycle, so the walk meets all C cycle rows within its first C
+        steps.  The walk from i + period meets the same rows in the same
+        order there, since C divides period, and after them both walks only
+        repeat cycle rows until they reach the same prefix rows.  The
+        generator row is the same because L divides period;
+      * a family bounded at N lists, for members n = 1 .. N, the tail rows
+        at positions i .. i - N + 1: no generator row occurs, since
+        i >= stab >= N - 1 + tail prefix gives n <= N <= i + 1, and the
+        whole window lies in the tail cycle, so the window at i + period
+        holds the same rows in the same order, shifted by a multiple of C.
+    Nothing recomputes a period to check this; verify_wrap re-checks wrap's
+    output against the original coordinate by coordinate past the horizon.
     """
+    explicit = [(eq, idx, {tuple(v.at(i) for v in const_values(eq)): None}) for idx, eq in enumerate(system.explicit)]
+    return explicit + [(fam.atom, idx, fam.rows_at(i)) for idx, fam in enumerate(system.families)]
+
+
+def projection_entries(system: PowerSystem, i: int) -> dict[Equation, SourceRef]:
+    """The distinct equations of pi_i(system), in projection_rows' order, each mapped to its earliest source."""
     out: dict[Equation, SourceRef] = {}
-    for idx, eq in enumerate(system.explicit):
-        atom = project_equation(eq, i)
-        if atom not in out:
-            out[atom] = SourceRef(idx)
-    for fidx, fam in enumerate(system.families):
-        for row, n in fam.rows_at(i).items():
-            atom = _with_slots(fam.atom, row)
-            if atom not in out:
-                out[atom] = SourceRef(fidx, n)
+    for atom, index, rows in projection_rows(system, i):
+        for values, member in rows.items():
+            out.setdefault(_with_slots(atom, values), SourceRef(index, member))
     return out
 
 
 def projected_system(system: PowerSystem, i: int) -> EquationSystem:
-    """pi_i of the whole system as a base equation system (distinct equations).
+    """pi_i of the whole system as a base equation system (distinct equations), read at i however far out.
 
-    For i >= stab, pi_(i + period) lists the same equations as pi_i in the
-    same order (see coordinate_profile), so a coordinate past the first period
-    is read at stab + (i - stab) mod period.
+    Past the stream_horizon's stab it repeats with the period; projection_rows proves it.
     """
-    stab, period = stream_horizon(system)
-    if i >= stab + period:
-        i = stab + (i - stab) % period
     return EquationSystem(system.variables, tuple(projection_entries(system, i)))
 
 
@@ -451,52 +476,20 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
 def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Periodic:
     """Per-coordinate solution profile: the distinct atom masks of pi_i(system), in projection order.
 
-    The masks come in the first-occurrence order of a sequence made of one
-    segment per explicit equation and per family: an explicit equation's
-    slot values at i, then each family's rows from
-    StaircaseFamily.rows_at(i), which lists the distinct rows of its
-    members 1..i + 2 in first-occurrence order.  Each segment keeps one
-    dict from slot values to mask, so each distinct row is turned into an
-    atom and classified once.  That is projection_entries' order: an atom
-    is a function of its slot values, and repeats only drop later copies.
-
-    The prefix covers the stabilization and the cycle one period, so at(i)
-    holds for every coordinate because, with (stab, period) the
-    stream_horizon, the sequence at i + period has the same first-occurrence
-    order as the one at i for every i >= stab.  The first-occurrence order
-    of a concatenation is determined by those of its segments, so it
-    suffices that each segment's first-occurrence order of slot values
-    repeats:
-      * an explicit equation's slot values at i are its streams' entries at
-        i; stab covers every prefix and period is a multiple of every cycle;
-      * a family without a constant slot projects to its atom everywhere;
-      * an unbounded family lists, for members n = 1 .. i + 2, the tail rows
-        at positions i, i - 1, .., 0 and then the generator row at i mod L.
-        Since stab >= tail prefix + C, positions i .. i - C + 1 lie in the
-        tail cycle, so the walk meets all C cycle rows within its first C
-        steps.  The walk from i + period meets the same rows in the same
-        order there, since C divides period, and after them both walks only
-        repeat cycle rows until they reach the same prefix rows.  The
-        generator row is the same because L divides period;
-      * a family bounded at N lists, for members n = 1 .. N, the tail rows
-        at positions i .. i - N + 1: no generator row occurs, since
-        i >= stab >= N - 1 + tail prefix gives n <= N <= i + 1, and the
-        whole window lies in the tail cycle, so the window at i + period
-        holds the same rows in the same order, shifted by a multiple of C.
-    Nothing recomputes a period to check this; verify_wrap re-checks wrap's
-    output against the original coordinate by coordinate past the horizon.
+    Entry i lists the masks of projection_rows(system, i) in first-occurrence
+    order, with one dict from slot values to mask per explicit equation and
+    per family, so each distinct row is classified once over the whole scan.
+    The prefix covers the stream_horizon's stabilization and the cycle one
+    period, so at(i) holds for every coordinate: projection_rows proves that
+    the rows repeat with that period from there on.
     """
     stab, period = stream_horizon(system)
     classifier = AtomClassifier.of(structure, system.variables)
-    atoms = system.explicit + tuple(fam.atom for fam in system.families)
-    explicit = [const_values(eq) for eq in system.explicit]
-    masks: list[dict[tuple[Any, ...], int]] = [{} for _ in atoms]  # per segment: slot values -> mask
+    memos: list[dict[tuple[Any, ...], int]] = [{} for _ in system.explicit + system.families]  # row -> mask
     table = []
     for i in range(stab + period):
-        segments = [(tuple(v.at(i) for v in values),) for values in explicit]
-        segments += [fam.rows_at(i) for fam in system.families]
         entry: dict[int, None] = {}
-        for atom, seen, rows in zip(atoms, masks, segments):
+        for seen, (atom, _, rows) in zip(memos, projection_rows(system, i)):
             for values in rows:
                 mask = seen.get(values)
                 if mask is None:

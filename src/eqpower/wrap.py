@@ -6,7 +6,7 @@ realizing it), seed the output with the chosen sources, then add one equation
 per solution set whose coordinate stream follows that set wherever it occurs
 and falls back to the source stream elsewhere.  The output is equivalent to
 the input coordinate by coordinate, since the profile it is built from
-repeats as coordinate_profile's docstring proves; that profile reads each
+repeats as projection_rows' docstring proves; that profile reads each
 family's distinct rows once per coordinate through StaircaseFamily.rows_at,
 whose docstring proves that the members it skips add nothing.  The JSON
 trace stores each fact once: no step repeats the complement of its index
@@ -84,11 +84,11 @@ class WrapResult:
     bound_ok: bool
 
 
-def _candidates(system: PowerSystem, horizon: int) -> dict[SourceRef, Equation]:
-    """The explicit equations, then per family its members 1..min(horizon, L) + 1 (see class_representatives)."""
+def _candidates(system: PowerSystem, stop: int) -> dict[SourceRef, Equation]:
+    """The explicit equations, then per family its members 1..min(stop, L) + 1 (see class_representatives)."""
     out = {SourceRef(idx): eq for idx, eq in enumerate(system.explicit)}
     for fidx, fam in enumerate(system.families):
-        for n in fam.members(min(horizon, len(fam.slot_rows[0].cycle)) + 1):
+        for n in fam.members(min(stop, len(fam.slot_rows[0].cycle)) + 1):
             out[SourceRef(fidx, n)] = fam.member(n)
     return out
 

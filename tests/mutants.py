@@ -148,8 +148,8 @@ MUTANTS = (
     Mutant(
         "projection_entries keeps the latest source of a repeated equation",
         "src/eqpower/power.py",
-        "            if atom not in out:\n                out[atom] = SourceRef(fidx, n)",
-        "            out[atom] = SourceRef(fidx, n)",
+        "out.setdefault(_with_slots(atom, values), SourceRef(index, member))",
+        "out[_with_slots(atom, values)] = SourceRef(index, member)",
         ("tests/test_power.py::test_projection_entries_order_and_dedup",),
     ),
     Mutant(
@@ -176,8 +176,8 @@ MUTANTS = (
     Mutant(
         "wrap's candidate scan stops at member L",
         "src/eqpower/wrap.py",
-        "fam.members(min(horizon, len(fam.slot_rows[0].cycle)) + 1)",
-        "fam.members(min(horizon, len(fam.slot_rows[0].cycle)))",
+        "fam.members(min(stop, len(fam.slot_rows[0].cycle)) + 1)",
+        "fam.members(min(stop, len(fam.slot_rows[0].cycle)))",
         ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
     ),
     Mutant(
@@ -199,7 +199,10 @@ MUTANTS = (
         "src/eqpower/power.py",
         "tail_prefix, fam_period = horizon(fam.slot_rows)",
         "tail_prefix, fam_period = len(fam.slot_rows[1].prefix), len(fam.slot_rows[0].cycle)",
-        ("tests/test_power.py::test_projected_system_reads_far_coordinates_at_their_residue",),
+        (
+            "tests/test_power.py::test_profile_fold_matches_recomputation",
+            "tests/test_power.py::test_projected_system_reads_far_coordinates_at_their_residue",
+        ),
     ),
     Mutant(
         "Periodic.at reads the cycle without subtracting the prefix length",
