@@ -10,8 +10,8 @@ present one equation per n >= 1 (or per n up to a bound, for a truncation) by
 splicing a repeating generator stream in front of a shifted tail stream.
 A family's slot_rows are two Periodic streams of slot-value rows, one by
 generator residue and one by joint tail position, and every per-coordinate
-reading of a family goes through them with at(); Staircase.member_constant
-writes one member out.
+reading of a family goes through them with at(), wrap's candidate scan through
+projected_member; Staircase.member_constant writes one member out.
 
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of

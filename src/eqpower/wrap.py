@@ -1,19 +1,20 @@
 """Compress an infinite staircase-presented system into a finite equivalent one.
 
 The construction works per solution set of projected equations: collect one
-representative equation per distinct solution set (with a source equation
-realizing it), seed the output with the chosen sources, then add one equation
-per solution set whose coordinate stream follows that set wherever it occurs
-and falls back to the source stream elsewhere.  The output is equivalent to
-the input coordinate by coordinate, since the profile it is built from
-repeats as projection_rows' docstring proves; that profile reads each
-family's distinct rows once per coordinate through StaircaseFamily.rows_at,
-whose docstring proves that the members it skips add nothing.  The JSON
-trace stores each fact once: no step repeats the complement of its index
-set, and no list repeats the representatives' coordinates and sources.
-verify_wrap checks the equivalence exhaustively, computing every coordinate
-below the joint stream_horizon plus one extra period, so an output spoilt by
-a wrong horizon is never verified.
+representative equation per distinct solution set with a source realizing it,
+reading family members through StaircaseFamily.projected_member, seed the
+output with the chosen sources, the only ones written out, then add one
+equation per solution set whose coordinate stream follows that set wherever it
+occurs and falls back to the source stream elsewhere.  The output is
+equivalent to the input coordinate by coordinate, since the profile it is
+built from repeats as projection_rows' docstring proves; that profile reads
+each family's distinct rows once per coordinate through
+StaircaseFamily.rows_at, whose docstring proves that the members it skips add
+nothing.  The JSON trace stores each fact once: no step repeats the complement
+of its index set, and no list repeats the representatives' coordinates and
+sources.  verify_wrap checks the equivalence exhaustively, computing every
+coordinate below the joint stream_horizon plus one extra period, so an output
+spoilt by a wrong horizon is never verified.
 
 Because there are at most 2^(k^n) solution sets over a k-element structure and
 n variables, the output never exceeds 2^(k^n + 1) equations.
@@ -22,7 +23,8 @@ n variables, the output never exceeds 2^(k^n + 1) equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping
+from itertools import chain
+from typing import Any, Iterable
 
 from .errors import InputFormatError, json_bool, json_int, json_list, json_object, json_str_list
 from .power import (
@@ -40,6 +42,7 @@ from .power import (
     power_system_from_json_dict,
     power_system_to_json_dict,
     project_equation,
+    resolve_source,
     stream_horizon,
 )
 from .solver import AtomClassifier, Equation, const_values, map_constants
@@ -84,21 +87,28 @@ class WrapResult:
     bound_ok: bool
 
 
-def _candidates(system: PowerSystem, stop: int) -> dict[SourceRef, Equation]:
-    """The explicit equations, then per family its members 1..min(stop, L) + 1 (see class_representatives)."""
-    out = {SourceRef(idx): eq for idx, eq in enumerate(system.explicit)}
+def _candidates(system: PowerSystem, stop: int) -> dict[SourceRef, list[tuple[int, Equation]]]:
+    """Per candidate source, its (coordinate, projection) pairs at the coordinates where it can show a new row.
+
+    Explicit equations come first, at every coordinate below their horizon;
+    then member n of each family for n <= min(stop, L) + 1 (see class_representatives),
+    read by projected_member at its generator residues i < min(n - 1, L) and at
+    its tail positions, n - 1 <= i < n - 1 + P + C for tail prefix P and cycle C.
+    """
+    out = {
+        SourceRef(idx): [(i, project_equation(eq, i)) for i in range(sum(horizon(const_values(eq))))]
+        for idx, eq in enumerate(system.explicit)
+    }
     for fidx, fam in enumerate(system.families):
-        for n in fam.members(min(stop, len(fam.slot_rows[0].cycle)) + 1):
-            out[SourceRef(fidx, n)] = fam.member(n)
+        generators, tails = fam.slot_rows
+        gen_period, tail_span = len(generators.cycle), len(tails.prefix) + len(tails.cycle)
+        for n in fam.members(min(stop, gen_period) + 1):
+            coords = chain(range(min(n - 1, gen_period)), range(n - 1, n - 1 + tail_span))
+            out[SourceRef(fidx, n)] = [(i, fam.projected_member(n, i)) for i in coords]
     return out
 
 
-def class_representatives(
-    structure: FiniteStructure,
-    system: PowerSystem,
-    profile: Periodic,
-    candidates: Mapping[SourceRef, Equation],
-) -> tuple[ClassRep, ...]:
+def class_representatives(structure: FiniteStructure, system: PowerSystem, profile: Periodic) -> tuple[ClassRep, ...]:
     """One representative per projected solution set, sources chosen greedily.
 
     Sets are ordered by first occurrence in the coordinate scan, read off
@@ -117,51 +127,41 @@ def class_representatives(
     sets: those of all L generator residues and of every tail position.
     max takes the first candidate of the largest gain, and equal sets give
     equal gains, so no member past L + 1 is ever taken and scanning it would
-    change nothing.  candidates is that list as _candidates writes it out
-    for the profile's horizon; wrap builds it once and seed_equations reuses it.
+    change nothing.  _candidates lists those members' projections.
     """
     classifier = AtomClassifier.of(structure, system.variables)
     discovery = list(dict.fromkeys(mask for masks in profile.prefix + profile.cycle for mask in masks))
     uncovered = set(discovery)
 
-    # least coordinate per solution set realized by each candidate source
-    coverage: list[tuple[SourceRef, Equation, dict[int, int]]] = []
-    for ref, eq in candidates.items():
-        realized: dict[int, int] = {}
-        for i in range(sum(horizon(const_values(eq)))):
-            mask = classifier.mask(project_equation(eq, i))
+    # least coordinate per solution set realized by each candidate source, with the projection there
+    coverage: list[tuple[SourceRef, dict[int, tuple[int, Equation]]]] = []
+    for ref, projections in _candidates(system, len(profile.prefix) + len(profile.cycle)).items():
+        realized: dict[int, tuple[int, Equation]] = {}
+        for i, projected in projections:
+            mask = classifier.mask(projected)
             if mask in uncovered and mask not in realized:
-                realized[mask] = i
-        coverage.append((ref, eq, realized))
+                realized[mask] = (i, projected)
+        coverage.append((ref, realized))
 
-    assignment: dict[int, tuple[int, SourceRef, Equation]] = {}
+    assignment: dict[int, ClassRep] = {}
     while uncovered:
-        ref, eq, realized = max(coverage, key=lambda c: sum(1 for mask in c[2] if mask in uncovered))
+        ref, realized = max(coverage, key=lambda c: sum(1 for mask in c[1] if mask in uncovered))
         if uncovered.isdisjoint(realized):
             raise RuntimeError("uncovered projected solution set without a source; this is a bug")
-        for mask, least_i in realized.items():
+        for mask, (least_i, projected) in realized.items():
             if mask in uncovered:
                 uncovered.discard(mask)
-                assignment[mask] = (least_i, ref, eq)
-
-    reps = []
-    for mask in discovery:
-        coord, ref, eq = assignment[mask]
-        reps.append(ClassRep(classifier.decode(mask), project_equation(eq, coord), coord, ref))
-    return tuple(reps)
+                assignment[mask] = ClassRep(classifier.decode(mask), projected, least_i, ref)
+    return tuple(assignment[mask] for mask in discovery)
 
 
-def seed_equations(
-    candidates: Mapping[SourceRef, Equation], reps: Iterable[ClassRep]
-) -> dict[SourceRef, Equation]:
-    """Each distinct chosen source and its equation, in first-use order, read from the candidates.
+def seed_equations(system: PowerSystem, reps: Iterable[ClassRep]) -> dict[SourceRef, Equation]:
+    """Each distinct chosen source and its equation, in first-use order, written out once by resolve_source.
 
-    The equations are the ones class_representatives' coverage scan
-    projected, so no source is written out a second time.  Each source
-    realizes its set at the representative's coordinate because that scan
-    found it there; verify_wrap re-checks the output.
+    The coverage scan found each source realizing its set at its representative's
+    coordinate, so nothing is checked here; verify_wrap re-checks the output.
     """
-    return {rep.source: candidates[rep.source] for rep in reps}
+    return {ref: resolve_source(system, ref) for ref in dict.fromkeys(rep.source for rep in reps)}
 
 
 def _merged_equation(rep: ClassRep, source_eq: Equation, match: Periodic) -> Equation:
@@ -179,9 +179,8 @@ def _merged_equation(rep: ClassRep, source_eq: Equation, match: Periodic) -> Equ
 def wrap(structure: FiniteStructure, system: PowerSystem) -> WrapResult:
     """Compute the finite equivalent system plus the full construction trace."""
     profile = coordinate_profile(structure, system)
-    candidates = _candidates(system, len(profile.prefix) + len(profile.cycle))
-    reps = class_representatives(structure, system, profile, candidates)
-    sources = seed_equations(candidates, reps)
+    reps = class_representatives(structure, system, profile)
+    sources = seed_equations(system, reps)
     seeds = tuple(dict.fromkeys(sources.values()))  # distinct sources may write out equal equations
 
     classifier = AtomClassifier.of(structure, system.variables)

@@ -176,8 +176,22 @@ MUTANTS = (
     Mutant(
         "wrap's candidate scan stops at member L",
         "src/eqpower/wrap.py",
-        "fam.members(min(stop, len(fam.slot_rows[0].cycle)) + 1)",
-        "fam.members(min(stop, len(fam.slot_rows[0].cycle)))",
+        "fam.members(min(stop, gen_period) + 1)",
+        "fam.members(min(stop, gen_period))",
+        ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
+    ),
+    Mutant(
+        "member n's generator coordinates stop one short",
+        "src/eqpower/wrap.py",
+        "range(min(n - 1, gen_period))",
+        "range(min(n - 2, gen_period))",
+        ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
+    ),
+    Mutant(
+        "member n's tail rows start at coordinate n",
+        "src/eqpower/wrap.py",
+        "range(n - 1, n - 1 + tail_span)",
+        "range(n, n - 1 + tail_span)",
         ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
     ),
     Mutant(

@@ -1,11 +1,12 @@
-"""Every mutant in tests/mutants.py names an old text that occurs exactly once in its file.
+"""Every mutant in tests/mutants.py names an old text that occurs exactly once in its file, and tests that exist.
 
 `python tests/mutants.py` refuses a stale entry too, but only in a run that
-takes minutes; this test reads the table without copying the tree or
+takes minutes; these tests read the table without copying the tree or
 running a mutant.
 """
 
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,3 +24,16 @@ def test_every_mutant_text_occurs_once_in_its_file():
     assert mutants
     counts = {m.name: (ROOT / m.path).read_text().count(m.old) for m in mutants}
     assert {name: count for name, count in counts.items() if count != 1} == {}
+
+
+def test_every_mutant_selects_tests_that_exist():
+    """Each selection entry names a file and, after `::` with any `[param]` id stripped, a `def` in it."""
+    stale = []
+    for m in _mutants():
+        for entry in m.tests:
+            path, _, name = entry.partition("::")
+            file = ROOT / path
+            name = name.partition("[")[0]
+            if not file.is_file() or (name and not re.search(rf"^def {re.escape(name)}\(", file.read_text(), re.M)):
+                stale.append((m.name, entry))
+    assert stale == []

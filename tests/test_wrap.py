@@ -68,16 +68,10 @@ def test_index_set_json_round_trip():
     assert index_set_from_json_dict(json.loads(json.dumps(periodic_to_json_dict(s)))) == s
 
 
-def _scan(structure, system):
-    """The profile and the candidates wrap hands to class_representatives."""
-    profile = coordinate_profile(structure, system)
-    return profile, WRAP_MODULE._candidates(system, len(profile.prefix) + len(profile.cycle))
-
-
 def test_demo_class_representatives():
     g = triangle_graph()
     system = staircase_demo_system()
-    reps = class_representatives(g, system, *_scan(g, system))
+    reps = class_representatives(g, system, coordinate_profile(g, system))
     assert [rep.solutions for rep in reps] == [
         frozenset({("b",), ("c",)}),
         frozenset({("a",), ("c",)}),
@@ -96,14 +90,13 @@ def test_demo_class_representatives():
 def test_demo_seeds():
     g = triangle_graph()
     system = staircase_demo_system()
-    candidates = {SourceRef(0, n): system.families[0].member(n) for n in (1, 2, 3)}
-    reps = class_representatives(g, system, coordinate_profile(g, system), candidates)
-    assert seed_equations(candidates, reps) == {SourceRef(0, 3): MEMBER3}
+    reps = class_representatives(g, system, coordinate_profile(g, system))
+    assert seed_equations(system, reps) == {SourceRef(0, 3): MEMBER3}
     assert wrap(g, system).trace.seeds == (MEMBER3,)
 
 
 def test_wrap_writes_each_chosen_source_out_once():
-    """The candidate scan writes out members 1..3, and the seeds reuse member 3 rather than writing it again."""
+    """The candidate scan reads members off slot_rows, so only the chosen source, member 3, is written out."""
     built = []
     member = StaircaseFamily.member
 
@@ -113,7 +106,7 @@ def test_wrap_writes_each_chosen_source_out_once():
 
     with mock.patch.object(StaircaseFamily, "member", spy):
         result = wrap(triangle_graph(), staircase_demo_system())
-    assert built == [1, 2, 3]
+    assert built == [3]
     assert result.trace.seeds == (MEMBER3,)
 
 
@@ -383,12 +376,10 @@ def staircase_systems(draw):
 def test_cut_candidate_scan_matches_the_uncut_reference(drawn):
     """Scanning members up to L + 1 per family picks what scanning every member up to the horizon picks."""
     structure, system = drawn
-    profile, candidates = _scan(structure, system)
+    profile = coordinate_profile(structure, system)
     expected = support.reference_class_representatives(structure, system, profile)
-    assert class_representatives(structure, system, profile, candidates) == expected
-    with mock.patch.object(
-        WRAP_MODULE, "class_representatives", lambda st, sy, p, c: support.reference_class_representatives(st, sy, p)
-    ):
+    assert class_representatives(structure, system, profile) == expected
+    with mock.patch.object(WRAP_MODULE, "class_representatives", support.reference_class_representatives):
         reference = wrap_result_to_json_dict(wrap(structure, system))
     assert wrap_result_to_json_dict(wrap(structure, system)) == reference
 
@@ -425,36 +416,45 @@ def test_wrap_verifies_planted_systems(name):
     """On every fixture, 40 systems with a planted solution: the point solves, and wrap's output is equivalent.
 
     The random corpora above are nearly all inconsistent, and any two
-    inconsistent systems are equivalent; these systems all solve.
+    inconsistent systems are equivalent; these systems all solve.  About 35%
+    of the families are bounded at 1-9, which keeps the point a solution, and
+    the cut candidate scan picks what the uncut reference picks.
     """
     _, structure = support.fixture_structures()[name]
     rng = random.Random(0)
     for _ in range(40):
         system, point = support.planted_power_system(rng, structure)
+        families = tuple(
+            StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
+        )
+        system = PowerSystem(system.variables, system.explicit, families)
         assert satisfies(structure, system, point) and support.oracle_satisfies(structure, system, point), system
+        profile = coordinate_profile(structure, system)
+        expected = support.reference_class_representatives(structure, system, profile)
+        assert class_representatives(structure, system, profile) == expected, system
         result = wrap(structure, system)
         assert result.verified and power_systems_equivalent(structure, system, result.wrapped), system
 
 
 @pytest.mark.parametrize("case", ["staircase_demo", "wide_staircase"])
 def test_wrap_builds_no_member_past_generator_period_plus_one(case):
-    """Member L + 1 is the last one wrap writes out, L the lcm of the family's generator lengths."""
+    """Member L + 1 is the last one wrap's candidate scan reads, L the lcm of the family's generator lengths."""
     if case == "staircase_demo":
         system = staircase_demo_system()
     else:
         system = power_system_from_json_dict(json.loads(WIDE_STAIRCASE.read_text()))
-    built = []
-    member = StaircaseFamily.member
+    read = []
+    projected_member = StaircaseFamily.projected_member
 
-    def spy(fam, n):
-        built.append(n)
-        return member(fam, n)
+    def spy(fam, n, i):
+        read.append(n)
+        return projected_member(fam, n, i)
 
-    with mock.patch.object(StaircaseFamily, "member", spy):
+    with mock.patch.object(StaircaseFamily, "projected_member", spy):
         result = wrap(triangle_graph(), system)
     (fam,) = system.families
     last = len(fam.slot_rows[0].cycle) + 1
-    assert max(built) == last  # both inputs take member L + 1 as a source
+    assert max(read) == last  # both inputs take member L + 1 as a source
     assert {rep.source for rep in result.trace.representatives if rep.source.member is not None} == {
         SourceRef(0, last)
     }
