@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Any, Callable
 
@@ -84,8 +85,66 @@ def _render_source(ref) -> str:
     return f"family {ref.index} member {ref.member}"
 
 
+def _json_key(key: Any) -> str:
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):  # written as json.dumps writes the scalar, then quoted
+        return encode_basestring_ascii(json.dumps(key))
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _json_text(doc: Any) -> str:
+    """The text of json.dumps(doc, indent=2), written by one recursive pass into one list.
+
+    With indent set, json.dumps runs the stdlib's pure-Python encoder.  This
+    writer makes the same choices in the same order: strings and keys by
+    encode_basestring_ascii, None, True, False, ints by int.__repr__,
+    tuples as lists, "[]" and "{}" for empty containers, and every other
+    value (floats, and what JSON cannot hold) by json.dumps itself, which
+    raises the same TypeError.
+    """
+    out: list[str] = []
+    write = out.append
+
+    def value(v: Any, pad: str) -> None:  # pad: a newline and the current indent
+        if isinstance(v, str):
+            write(encode_basestring_ascii(v))
+        elif v is None:
+            write("null")
+        elif v is True:
+            write("true")
+        elif v is False:
+            write("false")
+        elif isinstance(v, int):
+            write(int.__repr__(v))
+        elif isinstance(v, (list, tuple, dict)):
+            if not v:
+                write("{}" if isinstance(v, dict) else "[]")
+                return
+            inner = pad + "  "
+            if isinstance(v, dict):
+                sep = "{" + inner
+                for key, item in v.items():
+                    write(sep + _json_key(key) + ": ")
+                    value(item, inner)
+                    sep = "," + inner
+                write(pad + "}")
+            else:
+                sep = "[" + inner
+                for item in v:
+                    write(sep)
+                    value(item, inner)
+                    sep = "," + inner
+                write(pad + "]")
+        else:
+            write(json.dumps(v))
+
+    value(doc, "\n")
+    return "".join(out)
+
+
 def _print_json(doc: Any) -> None:
-    print(json.dumps(doc, indent=2))
+    print(_json_text(doc))
 
 
 def cmd_validate(args: argparse.Namespace) -> int:

@@ -10,8 +10,8 @@ present one equation per n >= 1 (or per n up to a bound, for a truncation) by
 splicing a repeating generator stream in front of a shifted tail stream.
 A family's slot_rows are two Periodic streams of slot-value rows, one by
 generator residue and one by joint tail position, and every per-coordinate
-reading of a family goes through them with at(), wrap's candidate scan through
-projected_member; Staircase.member_constant writes one member out.
+reading of a family goes through them; wrap's candidate scan classifies each
+of their rows once, and Staircase.member_constant writes one member out.
 
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of
@@ -22,14 +22,14 @@ once per coordinate, through the one AtomClassifier.of that serves a
 structure and variable list, so consistent's core search reuses its masks.
 projection_rows lists pi_i in projection order: each explicit equation's
 slot values at i, then each family's distinct rows from
-StaircaseFamily.rows_at, which walks at most tail prefix + tail cycle + 1
-members however far out i is.  projection_entries makes its rows atoms with
-their earliest sources; coordinate_profile makes them each coordinate's
-distinct masks, which wrap reads, classifying each distinct row once.  The
-finite horizon used for those reductions is computed from the input data by
-stream_horizon; projection_rows' docstring proves that the rows repeat from
-there on, and verify_wrap re-checks wrap's output coordinate by coordinate
-past it.
+StaircaseFamily.rows_at, which starts from the family's cycle_orders entry
+for i and reads at most tail prefix + 1 more rows however far out i is.
+projection_entries makes its rows atoms with their earliest sources;
+coordinate_profile makes them each coordinate's distinct masks, which wrap
+reads, classifying each distinct row once.  The finite horizon used for
+those reductions is computed from the input data by stream_horizon;
+projection_rows' docstring proves that the rows repeat from there on, and
+verify_wrap re-checks wrap's output coordinate by coordinate past it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import functools
 import math
 from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import Any
 
@@ -202,8 +202,9 @@ class StaircaseFamily:
         as the largest tail prefix, then a cycle of C rows, C the lcm of the
         tail cycles.  The rows depend on the atom alone, and every
         per-coordinate reading of the family goes through them:
-        projected_member, rows_at, coordinate_checks and stream_horizon.  A
-        family without a constant slot has one empty row in each cycle.
+        cycle_orders and rows_at, coordinate_checks, stream_horizon, wrap's
+        candidate scan, and projected_member.  A family without a constant
+        slot has one empty row in each cycle.
         """
         descs = self.descriptors()
         if not descs:
@@ -303,33 +304,75 @@ class StaircaseFamily:
         """Base-structure equation pi_i(member n), read off slot_rows with Periodic.at.
 
         Member n shows the generator row at i for i <= n - 2 and the joint
-        tail row at position i - n + 1 after that.
+        tail row at position i - n + 1 after that.  The package reads members
+        by rows (rows_at, wrap's candidate scan); this one-member reader
+        serves the tests and the benchmark's tracer.
         """
         self._require_member(n)
         generators, tails = self.slot_rows
         return _with_slots(self.atom, generators.at(i) if n >= i + 2 else tails.at(i - n + 1))
 
+    @functools.cached_property
+    def cycle_orders(self) -> tuple[dict[tuple[str, ...], int], ...]:
+        """Per residue r of the tail cycle, its distinct rows read backwards from r, each to its least member.
+
+        Entry r maps each distinct row of the tails' cycle to k + 1 for the
+        least k >= 0 with cycle[(r - k) % C] equal to it, in ascending k,
+        where C is the length of the cycle.  Two passes keep each row's
+        latest position in a dict ordered by that position: one over the
+        whole cycle, then one up to r.  A row met at or before r in the
+        second pass has its latest position p <= r there, so k = r - p; any
+        other row occurs only past r, and its latest position p, one cycle
+        back, is p - C, so k = r - p + C.  Both are (r - p) % C, and the
+        dict holds the first-pass rows (positions below 0) before the
+        second-pass ones, each part in ascending position, so reversed it
+        lists the rows in ascending k.  Each entry has one item per distinct
+        row, so the entries take O(C * distinct rows) in total.
+        """
+        cycle = self.slot_rows[1].cycle
+        last: dict[tuple[str, ...], int] = {}  # row -> its latest position, in the order of those positions
+        for p, row in enumerate(cycle):
+            last.pop(row, None)
+            last[row] = p
+        orders = []
+        for r, row in enumerate(cycle):
+            last.pop(row, None)
+            last[row] = r
+            orders.append({row: (r - p) % len(cycle) + 1 for row, p in reversed(last.items())})
+        return tuple(orders)
+
     def rows_at(self, i: int) -> dict[tuple[str, ...], int]:
         """The distinct slot-value rows of members 1..min(i + 2, bound) at coordinate i, each to its least member.
 
-        Rows come in ascending member order.  Member n shows the generator
-        row at i when n >= i + 2 and the joint tail row at position i - n + 1
-        otherwise, as in projected_member, and members past i + 2 repeat
-        member i + 2.  With P the tail prefix and C the tail cycle, the walk
-        skips members C + 1 .. i - P + 1.  Such a member shows the tail
-        position j = i - n + 1 with P <= j <= i - C, a cycle row.  When that
-        range is nonempty, members 1..C show positions i - C + 1 .. i, which
-        are C consecutive positions past P and so hold every cycle row; one
-        of them is j + kC for some k >= 1, with a smaller member.  So a
-        skipped member adds no row and is never a row's least member, and
-        the walk reads at most C + P + 1 members however large i is.
+        Rows come in ascending member order.  Member n shows the joint tail
+        row at position i - n + 1 when n <= i + 1 and the generator row at i
+        when n = i + 2, as in projected_member; members past i + 2 repeat
+        member i + 2.  With P the tail prefix, C the tail cycle and m the
+        last member, min(i + 2, bound), the members fall into three runs:
+          * members 1 .. K, K = min(m, i - P + 1), show the tail positions
+            i, i - 1, .. down to P at most.  Member k + 1 shows the cycle row
+            at (i - k - P) % C, that is cycle[(r - k) % C] with
+            r = (i - P) % C.  A row shown there has its least such k below
+            both K and C, which is its least k >= 0, so these rows and their
+            least members are the items of cycle_orders[r] with a member of
+            at most K, in the same order; when K >= C that is all of them;
+          * members i - j + 1 for the prefix positions j from min(P - 1, i)
+            down to max(0, i + 1 - m), read with at();
+          * member i + 2, when m = i + 2, with the generator row at i.
+        So a call reads at most P + 1 rows beyond cycle_orders however large
+        i and C are, and each family's coordinate scan costs O(C * distinct
+        rows) once plus O(distinct rows + P) per coordinate.
         """
         generators, tails = self.slot_rows
+        tail_prefix, tail_cycle = len(tails.prefix), len(tails.cycle)
         last = i + 2 if self.bound is None else min(i + 2, self.bound)
-        skip = range(len(tails.cycle) + 1, i - len(tails.prefix) + 2)
-        rows: dict[tuple[str, ...], int] = {}
-        for n in chain(range(1, min(last + 1, skip.start)), range(max(skip.start, skip.stop), last + 1)):
-            rows.setdefault(generators.at(i) if n >= i + 2 else tails.at(i - n + 1), n)
+        cycle_last = min(last, i - tail_prefix + 1)
+        order = self.cycle_orders[(i - tail_prefix) % tail_cycle]
+        rows = dict(order) if cycle_last >= tail_cycle else {row: n for row, n in order.items() if n <= cycle_last}
+        for j in range(min(tail_prefix - 1, i), max(-1, i - last), -1):
+            rows.setdefault(tails.at(j), i - j + 1)
+        if last == i + 2:
+            rows.setdefault(generators.at(i), last)
         return rows
 
 
@@ -406,10 +449,9 @@ def projection_rows(system: PowerSystem, i: int) -> list[tuple[Equation, int, Ma
     With (stab, period) the stream_horizon, the rows at i + period are those
     at i, entry by entry and in the same order, for every i >= stab; only
     the members they map to may differ.  rows_at lists the distinct rows of
-    the walk over members 1..min(i + 2, bound) in first-occurrence order
-    (the members it skips add none), so it suffices that each walk's
-    first-occurrence order of rows repeats.  Let L be a family's lcm of
-    generator lengths and C its lcm of tail cycles:
+    members 1..min(i + 2, bound) in first-occurrence order, so it suffices
+    that the first-occurrence order of rows over those members repeats.  Let
+    L be a family's lcm of generator lengths and C its lcm of tail cycles:
       * an explicit equation's row at i holds its streams' entries at i;
         stab covers every prefix and period is a multiple of every cycle;
       * a family without a constant slot has the empty row everywhere;

@@ -2,19 +2,20 @@
 
 The construction works per solution set of projected equations: collect one
 representative equation per distinct solution set with a source realizing it,
-reading family members through StaircaseFamily.projected_member, seed the
-output with the chosen sources, the only ones written out, then add one
-equation per solution set whose coordinate stream follows that set wherever it
-occurs and falls back to the source stream elsewhere.  The output is
-equivalent to the input coordinate by coordinate, since the profile it is
-built from repeats as projection_rows' docstring proves; that profile reads
-each family's distinct rows once per coordinate through
-StaircaseFamily.rows_at, whose docstring proves that the members it skips add
-nothing.  The JSON trace stores each fact once: no step repeats the complement
-of its index set, and no list repeats the representatives' coordinates and
-sources.  verify_wrap checks the equivalence exhaustively, computing every
-coordinate below the joint stream_horizon plus one extra period, so an output
-spoilt by a wrong horizon is never verified.
+classifying each family's generator and tail rows once and reading every
+member's sets off them, seed the output with the chosen sources, the only
+ones written out, then add one equation per solution set whose coordinate
+stream follows that set wherever it occurs and falls back to the source
+stream elsewhere.  The output is equivalent to the input coordinate by
+coordinate, since the profile it is built from repeats as projection_rows'
+docstring proves; that profile reads each family's distinct rows once per
+coordinate through StaircaseFamily.rows_at, whose docstring proves that its
+per-residue cycle orders give the rows of every member.  The JSON trace
+stores each fact once: no step repeats the complement of its index set, and
+no list repeats the representatives' coordinates and sources.  verify_wrap
+checks the equivalence exhaustively, computing every coordinate below the
+joint stream_horizon plus one extra period, so an output spoilt by a wrong
+horizon is never verified.
 
 Because there are at most 2^(k^n) solution sets over a k-element structure and
 n variables, the output never exceeds 2^(k^n + 1) equations.
@@ -23,7 +24,6 @@ n variables, the output never exceeds 2^(k^n + 1) equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Any, Iterable
 
 from .errors import InputFormatError, json_bool, json_int, json_list, json_object, json_str_list
@@ -32,6 +32,7 @@ from .power import (
     PowerElement,
     PowerSystem,
     SourceRef,
+    _with_slots,
     coordinate_masks,
     coordinate_profile,
     horizon,
@@ -87,24 +88,53 @@ class WrapResult:
     bound_ok: bool
 
 
-def _candidates(system: PowerSystem, stop: int) -> dict[SourceRef, list[tuple[int, Equation]]]:
-    """Per candidate source, its (coordinate, projection) pairs at the coordinates where it can show a new row.
+def _first_sets(classifier: AtomClassifier, atom: Equation, rows: Iterable[tuple]) -> dict[int, tuple[int, Equation]]:
+    """Each solution set of the atom with a row in its slots, to the first row position showing it and that atom.
 
-    Explicit equations come first, at every coordinate below their horizon;
-    then member n of each family for n <= min(stop, L) + 1 (see class_representatives),
-    read by projected_member at its generator residues i < min(n - 1, L) and at
-    its tail positions, n - 1 <= i < n - 1 + P + C for tail prefix P and cycle C.
+    A repeated row shows its set again, so only a row's first occurrence is
+    built into an atom and classified.
     """
-    out = {
-        SourceRef(idx): [(i, project_equation(eq, i)) for i in range(sum(horizon(const_values(eq))))]
-        for idx, eq in enumerate(system.explicit)
-    }
+    out: dict[int, tuple[int, Equation]] = {}
+    seen: set[tuple] = set()
+    for pos, row in enumerate(rows):
+        if row not in seen:
+            seen.add(row)
+            projected = _with_slots(atom, row)
+            out.setdefault(classifier.mask(projected), (pos, projected))
+    return out
+
+
+def _candidates(
+    classifier: AtomClassifier, system: PowerSystem, stop: int
+) -> dict[SourceRef, dict[int, tuple[int, Equation]]]:
+    """Per candidate source, each solution set it realizes, to the least coordinate showing it and the projection there.
+
+    Explicit equations come first, read at every coordinate below their own
+    horizon; then member n of each family for n <= min(stop, L) + 1 (see
+    class_representatives).  Member n shows the generator row G[r] at each
+    coordinate r < min(n - 1, L) and the tail row T[j] at n - 1 + j for
+    every j < P + C, P the tail prefix and C the tail cycle; every other
+    coordinate repeats one of those rows.  So each family's rows G[r] and
+    T[j] are classified once, and member n's sets are the generator sets
+    whose first residue is below n - 1, at that residue, and then the tail
+    sets at n - 1 plus their first tail position: every generator
+    coordinate lies below every tail coordinate.
+    """
+    out = {}
+    for idx, eq in enumerate(system.explicit):
+        streams = const_values(eq)
+        rows = (tuple(v.at(i) for v in streams) for i in range(sum(horizon(streams))))
+        out[SourceRef(idx)] = _first_sets(classifier, eq, rows)
     for fidx, fam in enumerate(system.families):
         generators, tails = fam.slot_rows
-        gen_period, tail_span = len(generators.cycle), len(tails.prefix) + len(tails.cycle)
-        for n in fam.members(min(stop, gen_period) + 1):
-            coords = chain(range(min(n - 1, gen_period)), range(n - 1, n - 1 + tail_span))
-            out[SourceRef(fidx, n)] = [(i, fam.projected_member(n, i)) for i in coords]
+        gen_period = len(generators.cycle)
+        members = fam.members(min(stop, gen_period) + 1)
+        gen_sets = _first_sets(classifier, fam.atom, generators.cycle[: len(members) - 1])
+        tail_sets = _first_sets(classifier, fam.atom, tails.prefix + tails.cycle)
+        for n in members:
+            shown = {mask: (n - 1 + j, projected) for mask, (j, projected) in tail_sets.items()}
+            shown.update((mask, hit) for mask, hit in gen_sets.items() if hit[0] < n - 1)
+            out[SourceRef(fidx, n)] = shown
     return out
 
 
@@ -117,7 +147,7 @@ def class_representatives(structure: FiniteStructure, system: PowerSystem, profi
     members by ascending index and n) that realizes the most still uncovered
     sets; each set then gets the least coordinate at which its chosen source
     realizes it, and its representative is the source's projection there,
-    the very equation the coverage scan classified into that set.
+    the very atom _candidates classified into that set.
 
     A family's candidates stop at member min(H + 1, L + 1), where H is the
     profile's horizon and L the lcm of the family's generator lengths.
@@ -127,21 +157,13 @@ def class_representatives(structure: FiniteStructure, system: PowerSystem, profi
     sets: those of all L generator residues and of every tail position.
     max takes the first candidate of the largest gain, and equal sets give
     equal gains, so no member past L + 1 is ever taken and scanning it would
-    change nothing.  _candidates lists those members' projections.
+    change nothing.  _candidates classifies each family's L + P + C rows
+    once and builds every member's sets from them.
     """
     classifier = AtomClassifier.of(structure, system.variables)
     discovery = list(dict.fromkeys(mask for masks in profile.prefix + profile.cycle for mask in masks))
     uncovered = set(discovery)
-
-    # least coordinate per solution set realized by each candidate source, with the projection there
-    coverage: list[tuple[SourceRef, dict[int, tuple[int, Equation]]]] = []
-    for ref, projections in _candidates(system, len(profile.prefix) + len(profile.cycle)).items():
-        realized: dict[int, tuple[int, Equation]] = {}
-        for i, projected in projections:
-            mask = classifier.mask(projected)
-            if mask in uncovered and mask not in realized:
-                realized[mask] = (i, projected)
-        coverage.append((ref, realized))
+    coverage = list(_candidates(classifier, system, len(profile.prefix) + len(profile.cycle)).items())
 
     assignment: dict[int, ClassRep] = {}
     while uncovered:

@@ -153,17 +153,45 @@ MUTANTS = (
         ("tests/test_power.py::test_projection_entries_order_and_dedup",),
     ),
     Mutant(
-        "rows_at skips from member C, not C + 1",
+        "rows_at's cycle run ends one member early",
         "src/eqpower/power.py",
-        "skip = range(len(tails.cycle) + 1, i - len(tails.prefix) + 2)",
-        "skip = range(len(tails.cycle), i - len(tails.prefix) + 2)",
+        "cycle_last = min(last, i - tail_prefix + 1)",
+        "cycle_last = min(last, i - tail_prefix)",
         ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
     ),
     Mutant(
-        "rows_at skips through member i - P + 2, one past the last cycle row",
+        "rows_at's cycle run takes member i - P + 2, which shows a prefix row",
         "src/eqpower/power.py",
-        "skip = range(len(tails.cycle) + 1, i - len(tails.prefix) + 2)",
-        "skip = range(len(tails.cycle) + 1, i - len(tails.prefix) + 3)",
+        "cycle_last = min(last, i - tail_prefix + 1)",
+        "cycle_last = min(last, i - tail_prefix + 2)",
+        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+    ),
+    Mutant(
+        "cycle_orders reads the tail cycle forwards from the residue",
+        "src/eqpower/power.py",
+        "(r - p) % len(cycle) + 1",
+        "(p - r) % len(cycle) + 1",
+        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+    ),
+    Mutant(
+        "rows_at takes the whole residue order from i >= P + C - 2",
+        "src/eqpower/power.py",
+        "dict(order) if cycle_last >= tail_cycle else",
+        "dict(order) if cycle_last >= tail_cycle - 1 else",
+        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+    ),
+    Mutant(
+        "rows_at reads every prefix position below coordinate P - 1",
+        "src/eqpower/power.py",
+        "range(min(tail_prefix - 1, i), max(-1, i - last), -1)",
+        "range(tail_prefix - 1, max(-1, i - last), -1)",
+        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+    ),
+    Mutant(
+        "a bounded family shows its generator row past its last member",
+        "src/eqpower/power.py",
+        "if last == i + 2:",
+        "if True:",
         ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
     ),
     Mutant(
@@ -183,15 +211,15 @@ MUTANTS = (
     Mutant(
         "member n's generator coordinates stop one short",
         "src/eqpower/wrap.py",
-        "range(min(n - 1, gen_period))",
-        "range(min(n - 2, gen_period))",
+        "if hit[0] < n - 1)",
+        "if hit[0] < n - 2)",
         ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
     ),
     Mutant(
         "member n's tail rows start at coordinate n",
         "src/eqpower/wrap.py",
-        "range(n - 1, n - 1 + tail_span)",
-        "range(n, n - 1 + tail_span)",
+        "(n - 1 + j, projected)",
+        "(n + j, projected)",
         ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
     ),
     Mutant(
@@ -326,6 +354,13 @@ MUTANTS = (
         "tuple(map_constants(eq, stream) for eq in self.explicit))",
         "tuple(map_constants(eq, stream) for eq in self.explicit[:1]) + tuple(self.explicit[1:]))",
         ("tests/test_wrap.py::test_wrap_verifies_planted_systems",),
+    ),
+    Mutant(
+        "the JSON writer drops the case of an empty list or object",
+        "src/eqpower/cli.py",
+        '            if not v:\n                write("{}" if isinstance(v, dict) else "[]")\n                return\n',
+        "",
+        ("tests/test_cli.py::test_json_writer_matches_json_dumps_indent_2",),
     ),
 )
 

@@ -183,6 +183,22 @@ def reference_projection_entries(system: PowerSystem, i: int) -> dict:
     return out
 
 
+def oracle_projection_entries(system: PowerSystem, i: int) -> dict:
+    """reference_projection_entries with each member read at i by staircase_value_at, not written out.
+
+    The same uncut walk, members 1..min(i + 2, bound) by ascending n, each
+    distinct atom keeping its earliest source; reading a member's slot
+    values at one coordinate keeps coordinates in the thousands cheap.
+    """
+    out = {}
+    for idx, eq in enumerate(system.explicit):
+        out.setdefault(project_equation(eq, i), SourceRef(idx))
+    for fidx, fam in enumerate(system.families):
+        for n in fam.members(i + 2):
+            out.setdefault(map_constants(fam.atom, lambda s: staircase_value_at(s, n, i)), SourceRef(fidx, n))
+    return out
+
+
 def oracle_atom_solutions(structure: FiniteStructure, variables, eq) -> frozenset:
     """Solution set of one atom by evaluating it under every assignment, one dict each."""
     pts = set()
@@ -553,6 +569,49 @@ def random_power_system(
         for _ in range(rng.randint(0, 2))
     )
     return PowerSystem(variables, explicit, tuple(families))
+
+
+def wide_power_system(rng: random.Random) -> tuple[FiniteStructure, PowerSystem, list[int]]:
+    """(structure, system, coordinates): one family with a long generator and tail cycle, and where to check it.
+
+    The structure is a random_relational_structure of two or three labels.
+    The wide family has one staircase slot with a generator of 1-30 labels,
+    a tail prefix of 1-3 and a tail cycle of 1-30, so L and C reach about
+    30 (canonical form may shorten a drawn prefix or cycle).  Half the draws
+    add a random_staircase family and half an explicit equation on a
+    random_stream, whose cycles of at most 3 keep the joint period near
+    lcm(L, C).  About 35% of the families are bounded: the wide one at
+    1 .. P + C + 3, the other at 1-9.  The coordinates are every i below
+    2 * (P + C) + 4 of the wide family, which takes it through its prefix
+    positions, the coordinates whose members show only part of the tail
+    cycle, and a whole pass of the cycle's residues past them; then two
+    drawn ones and the last one below stab + 3 * period of the
+    stream_horizon, where the uncut readers walk thousands of members.
+    """
+    structure = random_relational_structure(rng)
+    while structure.size < 2:
+        structure = random_relational_structure(rng)
+    labels = list(structure.universe)
+    variables = ("x", "y")[: rng.randint(1, 2)]
+
+    def labels_of(lo: int, hi: int) -> tuple[str, ...]:
+        return tuple(rng.choice(labels) for _ in range(rng.randint(lo, hi)))
+
+    def family(stair: Staircase, bound: int) -> StaircaseFamily:
+        slot, var = Const(stair), Var(rng.choice(variables))
+        atom = RelationAtom(rng.choice(("R", EQUALITY)), (var, slot) if rng.random() < 0.5 else (slot, var))
+        return StaircaseFamily(atom, rng.randint(1, bound) if rng.random() < 0.35 else None)
+
+    wide = Staircase(labels_of(1, 30), PowerElement(labels_of(1, 3), labels_of(1, 30)))
+    span = len(wide.tail.prefix) + len(wide.tail.cycle)
+    families = [family(wide, span + 3)] + [family(random_staircase(rng, labels), 9) for _ in range(rng.randint(0, 1))]
+    streams = [random_stream(rng, labels) for _ in range(rng.randint(0, 1))]
+    explicit = tuple(RelationAtom("R", (Var(rng.choice(variables)), Const(pe))) for pe in streams)
+    system = PowerSystem(variables, explicit, tuple(families))
+    stab, period = stream_horizon(system)
+    stop = stab + 3 * period
+    coordinates = sorted({*range(min(2 * span + 4, stop)), rng.randrange(stop), rng.randrange(stop), stop - 1})
+    return structure, system, coordinates
 
 
 def planted_power_system(rng: random.Random, structure: FiniteStructure) -> tuple[PowerSystem, tuple]:

@@ -6,8 +6,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eqpower.cli import main
+from eqpower.cli import _json_text, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -410,3 +412,52 @@ def test_closed_stdout_exits_141_quietly(argv):
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr.decode()) == (141, "")
+
+
+# strings over ASCII, quotes, backslashes, control characters, non-ASCII, astral code points and a lone surrogate
+json_strings = st.text(st.characters(codec="utf-8") | st.sampled_from('"\\\x00\x1f\x7f/é\u2028\U0001f600\ud800'))
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(-(10**40), 10**40)
+    | st.floats(allow_nan=False)
+    | st.sampled_from([-0.0, 1e300, -1e-300, 0.1])
+    | json_strings
+)
+json_documents = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(json_strings, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=200)
+@given(json_documents)
+def test_json_writer_matches_json_dumps_indent_2(doc):
+    """The CLI's writer gives json.dumps(doc, indent=2) byte for byte, nested empty containers and tuples too."""
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"a": [[], {}, ()]}, [{}], {"": {"": []}}, {1: "x", None: 2, True: [], 2.5: {}}, float("nan"), [float("-inf")]],
+    ids=["empties", "empty-dict-in-list", "empty-keys", "scalar-keys", "nan", "negative-infinity"],
+)
+def test_json_writer_matches_json_dumps_on_edge_documents(doc):
+    assert _json_text(doc) == json.dumps(doc, indent=2)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"a": {1, 2}}, [object()], {("tuple", "key"): 1}, {"a": [b"bytes"]}, {frozenset(): 0}],
+    ids=["set", "object", "tuple-key", "bytes", "frozenset-key"],
+)
+def test_json_writer_refuses_what_json_dumps_refuses(doc):
+    with pytest.raises(TypeError) as expected:
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError) as refused:
+        _json_text(doc)
+    assert str(refused.value) == str(expected.value)

@@ -189,7 +189,7 @@ def test_projection_entries_order_and_dedup():
 def test_rows_at_demo():
     """The demo family (generator b, c; tail (a)) at coordinate 5: member 1 shows the tail, member 7 the generator.
 
-    Members 2..6 would repeat the tail's one cycle row, so the walk skips them.
+    Members 2..6 repeat the tail's one cycle row; cycle_orders gives member 1 as its least member.
     """
     fam = staircase_demo_system().families[0]
     assert fam.rows_at(0) == {("a",): 1, ("b",): 2}
@@ -198,17 +198,46 @@ def test_rows_at_demo():
     assert StaircaseFamily(fam.atom, 7).rows_at(5) == {("a",): 1, ("c",): 7}
 
 
+def test_cycle_orders_pinned():
+    """Tail cycle a, b, a, c: per residue r, the rows at r, r - 1, .. (mod 4), each to its least member k + 1."""
+    stair = Staircase(("b",), PowerElement((), ("a", "b", "a", "c")))
+    fam = StaircaseFamily(RelationAtom("E", (x, Const(stair))))
+    a, b, c = ("a",), ("b",), ("c",)
+    orders = [list(order.items()) for order in fam.cycle_orders]
+    assert orders == [
+        [(a, 1), (c, 2), (b, 4)],
+        [(b, 1), (a, 2), (c, 3)],
+        [(a, 1), (b, 2), (c, 4)],
+        [(c, 1), (a, 2), (b, 3)],
+    ]
+    # coordinate 9 reads residue 1 whole; member 11 shows the generator row b, already shown by member 1
+    assert list(fam.rows_at(9).items()) == [(b, 1), (a, 2), (c, 3)]
+    # coordinate 1: members 1..2 show cycle positions 1, 0 only, member 3 the generator
+    assert list(fam.rows_at(1).items()) == [(b, 1), (a, 2)]
+
+
 @settings(deadline=None, max_examples=150)
-@given(st.integers(0, 2**30), st.booleans())
-def test_projection_entries_match_the_uncut_reference(seed, planted):
-    """At every i < stab + 3 * period, projection_entries equals the walk over every member, items, order and sources.
+@given(st.integers(0, 2**30), st.sampled_from(["random", "planted", "wide"]))
+def test_projection_entries_match_the_uncut_reference(seed, draw):
+    """projection_entries equals the walk over every member, items, order and sources.
 
     Systems come from support.random_power_system or from
     support.planted_power_system on a fixture structure, with about 35% of
-    their families bounded at 1-9.
+    their families bounded at 1-9, and are checked at every
+    i < stab + 3 * period against support.reference_projection_entries.
+    Or they come from support.wide_power_system, with L and C up to about
+    30 and tail prefixes, and are checked at its coordinates against
+    support.oracle_projection_entries, which reads each member at i without
+    writing it out.
     """
     rng = random.Random(seed)
-    if planted:
+    if draw == "wide":
+        _, system, coordinates = support.wide_power_system(rng)
+        for i in coordinates:
+            expected = list(support.oracle_projection_entries(system, i).items())
+            assert list(projection_entries(system, i).items()) == expected, i
+        return
+    if draw == "planted":
         structure = rng.choice(sorted(support.fixture_structures().items()))[1][1]
         system, _ = support.planted_power_system(rng, structure)
     else:
@@ -311,26 +340,34 @@ def test_an_underreported_profile_period_fails_wrap_verification(monkeypatch):
     assert wrap(g, system).verified is False
 
 
-@settings(deadline=None, max_examples=25)
-@given(st.integers(0, 2**30))
-def test_profile_fold_matches_recomputation(seed):
-    """Over two periods past the horizon the folded profile equals direct recomputation, in projection order.
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**30), st.booleans())
+def test_profile_fold_matches_recomputation(seed, wide):
+    """Past the horizon the folded profile equals direct recomputation, in projection order.
 
-    The recomputation projects every member written out, by
-    support.reference_projection_entries, not through rows_at.
+    The recomputation projects every member, not through rows_at: written
+    out by support.reference_projection_entries at every coordinate below
+    three periods past the horizon for support.random_power_system draws,
+    or read at i by support.oracle_projection_entries at the coordinates of
+    a support.wide_power_system draw, where L and C reach about 30.
     """
     rng = random.Random(seed)
-    structure = support.random_relational_structure(rng)
-    system = support.random_power_system(rng, structure)
-    families = tuple(
-        StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
-    )
-    system = PowerSystem(system.variables, system.explicit, families)
+    if wide:
+        structure, system, coordinates = support.wide_power_system(rng)
+        recompute = support.oracle_projection_entries
+    else:
+        structure = support.random_relational_structure(rng)
+        system = support.random_power_system(rng, structure)
+        families = tuple(
+            StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
+        )
+        system = PowerSystem(system.variables, system.explicit, families)
+        coordinates, recompute = None, support.reference_projection_entries
     profile = coordinate_profile(structure, system)
     clf = AtomClassifier(structure, system.variables)
-    for i in range(len(profile.prefix) + 3 * len(profile.cycle)):
+    for i in coordinates or range(len(profile.prefix) + 3 * len(profile.cycle)):
         masks = profile.at(i)
-        assert masks == tuple(dict.fromkeys(map(clf.mask, support.reference_projection_entries(system, i)))), i
+        assert masks == tuple(dict.fromkeys(map(clf.mask, recompute(system, i)))), i
         assert frozenset(map(clf.decode, masks)) == support.oracle_profile(structure, system, i)
 
 

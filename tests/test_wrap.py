@@ -24,12 +24,13 @@ from eqpower.power import (
     StaircaseFamily,
     coordinate_masks,
     coordinate_profile,
+    horizon,
     power_system_from_json_dict,
     power_systems_equivalent,
     satisfies,
     stream_horizon,
 )
-from eqpower.solver import AtomClassifier, Const, RelationAtom, Var
+from eqpower.solver import AtomClassifier, Const, RelationAtom, Var, const_values
 from eqpower.structures import EQUALITY
 from eqpower.power import periodic_to_json_dict
 from eqpower.wrap import (
@@ -438,23 +439,38 @@ def test_wrap_verifies_planted_systems(name):
 
 @pytest.mark.parametrize("case", ["staircase_demo", "wide_staircase"])
 def test_wrap_builds_no_member_past_generator_period_plus_one(case):
-    """Member L + 1 is the last one wrap's candidate scan reads, L the lcm of the family's generator lengths."""
+    """Member L + 1 is the last candidate, and the scan builds L + P + C family atoms at most.
+
+    L is the lcm of the family's generator lengths, P its tail prefix and C
+    its tail cycle; each explicit equation adds at most its own horizon's
+    projections.  Every atom the scan builds goes through wrap's
+    _with_slots binding.
+    """
     if case == "staircase_demo":
         system = staircase_demo_system()
     else:
         system = power_system_from_json_dict(json.loads(WIDE_STAIRCASE.read_text()))
-    read = []
-    projected_member = StaircaseFamily.projected_member
+    built, listed = [], []
+    with_slots, candidates = WRAP_MODULE._with_slots, WRAP_MODULE._candidates
 
-    def spy(fam, n, i):
-        read.append(n)
-        return projected_member(fam, n, i)
+    def spy_atoms(atom, values):
+        built.append(values)
+        return with_slots(atom, values)
 
-    with mock.patch.object(StaircaseFamily, "projected_member", spy):
-        result = wrap(triangle_graph(), system)
+    def spy_candidates(*args):
+        out = candidates(*args)
+        listed.extend(out)
+        return out
+
+    with mock.patch.object(WRAP_MODULE, "_with_slots", spy_atoms):
+        with mock.patch.object(WRAP_MODULE, "_candidates", spy_candidates):
+            result = wrap(triangle_graph(), system)
     (fam,) = system.families
-    last = len(fam.slot_rows[0].cycle) + 1
-    assert max(read) == last  # both inputs take member L + 1 as a source
+    generators, tails = fam.slot_rows
+    last = len(generators.cycle) + 1
+    explicit = sum(sum(horizon(const_values(eq))) for eq in system.explicit)
+    assert 0 < len(built) <= len(generators.cycle) + len(tails.prefix) + len(tails.cycle) + explicit
+    assert max(ref.member for ref in listed if ref.member is not None) == last
     assert {rep.source for rep in result.trace.representatives if rep.source.member is not None} == {
-        SourceRef(0, last)
+        SourceRef(0, last)  # both inputs take member L + 1 as a source
     }
