@@ -20,25 +20,26 @@ power_systems_equivalent and wrap's verify_wrap are queries on it.  It
 classifies an explicit equation once per distinct tuple of slot values, not
 once per coordinate, through the one AtomClassifier.of that serves a
 structure and variable list, so consistent's core search reuses its masks.
-projection_rows lists pi_i in projection order: each explicit equation's
-slot values at i, then each family's distinct rows from
-StaircaseFamily.rows_at, which starts from the family's cycle_orders entry
-for i and reads at most tail prefix + 1 more rows however far out i is.
-projection_entries makes its rows atoms with their earliest sources;
-coordinate_profile makes them each coordinate's distinct masks, which wrap
-reads, classifying each distinct row once.  The finite horizon used for
-those reductions is computed from the input data by stream_horizon;
-projection_rows' docstring proves that the rows repeat from there on, and
-verify_wrap re-checks wrap's output coordinate by coordinate past it.
+projection_rows lists pi_i coordinate by coordinate in projection order:
+each explicit equation's slot values at i, then each family's distinct rows
+from StaircaseFamily.row_scan, one move-to-front pass over the tail rows
+that starts anywhere in O(tail prefix + tail cycle) reads.
+projection_entries makes its first item's rows atoms with their earliest
+sources; coordinate_profile makes its items each coordinate's distinct
+masks, which wrap reads, classifying each distinct row once.  The finite
+horizon used for those reductions is computed from the input data by
+stream_horizon; projection_rows' docstring proves that the rows repeat from
+there on, and verify_wrap re-checks wrap's output coordinate by coordinate
+past it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Collection, Iterable, Mapping, Sequence
+from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, count, repeat
 from operator import itemgetter
 from typing import Any
 
@@ -201,10 +202,10 @@ class StaircaseFamily:
         tails holds the joint tail values by tail position: a prefix as long
         as the largest tail prefix, then a cycle of C rows, C the lcm of the
         tail cycles.  The rows depend on the atom alone, and every
-        per-coordinate reading of the family goes through them:
-        cycle_orders and rows_at, coordinate_checks, stream_horizon, wrap's
-        candidate scan, and projected_member.  A family without a constant
-        slot has one empty row in each cycle.
+        per-coordinate reading of the family goes through them: row_scan,
+        coordinate_checks, stream_horizon, wrap's candidate scan, and
+        projected_member.  A family without a constant slot has one empty
+        row in each cycle.
         """
         descs = self.descriptors()
         if not descs:
@@ -305,75 +306,48 @@ class StaircaseFamily:
 
         Member n shows the generator row at i for i <= n - 2 and the joint
         tail row at position i - n + 1 after that.  The package reads members
-        by rows (rows_at, wrap's candidate scan); this one-member reader
+        by rows (row_scan, wrap's candidate scan); this one-member reader
         serves the tests and the benchmark's tracer.
         """
         self._require_member(n)
         generators, tails = self.slot_rows
         return _with_slots(self.atom, generators.at(i) if n >= i + 2 else tails.at(i - n + 1))
 
-    @functools.cached_property
-    def cycle_orders(self) -> tuple[dict[tuple[str, ...], int], ...]:
-        """Per residue r of the tail cycle, its distinct rows read backwards from r, each to its least member.
+    def row_scan(self, start: int = 0) -> Iterator[dict[tuple[str, ...], int]]:
+        """Per coordinate i = start, start + 1, ..: the distinct slot-value rows of members 1..min(i + 2, bound).
 
-        Entry r maps each distinct row of the tails' cycle to k + 1 for the
-        least k >= 0 with cycle[(r - k) % C] equal to it, in ascending k,
-        where C is the length of the cycle.  Two passes keep each row's
-        latest position in a dict ordered by that position: one over the
-        whole cycle, then one up to r.  A row met at or before r in the
-        second pass has its latest position p <= r there, so k = r - p; any
-        other row occurs only past r, and its latest position p, one cycle
-        back, is p - C, so k = r - p + C.  Both are (r - p) % C, and the
-        dict holds the first-pass rows (positions below 0) before the
-        second-pass ones, each part in ascending position, so reversed it
-        lists the rows in ascending k.  Each entry has one item per distinct
-        row, so the entries take O(C * distinct rows) in total.
-        """
-        cycle = self.slot_rows[1].cycle
-        last: dict[tuple[str, ...], int] = {}  # row -> its latest position, in the order of those positions
-        for p, row in enumerate(cycle):
-            last.pop(row, None)
-            last[row] = p
-        orders = []
-        for r, row in enumerate(cycle):
-            last.pop(row, None)
-            last[row] = r
-            orders.append({row: (r - p) % len(cycle) + 1 for row, p in reversed(last.items())})
-        return tuple(orders)
+        Each row maps to its least member, in ascending member order.  As in
+        projected_member, a member n <= i + 1 shows the joint tail row at
+        position i - n + 1, member i + 2 the generator row at i, and later
+        members repeat member i + 2.  So a row's least tail member is i - j + 1
+        for its latest position j <= i, kept when that member is at most the
+        last one.  `latest` keeps each row's latest position fed so far,
+        ordered by it: feeding i moves its row to the end, and reversed it
+        lists the tail rows in ascending member order.  The generator row
+        follows when the family has member i + 2 and no tail member shows
+        that row.
 
-    def rows_at(self, i: int) -> dict[tuple[str, ...], int]:
-        """The distinct slot-value rows of members 1..min(i + 2, bound) at coordinate i, each to its least member.
-
-        Rows come in ascending member order.  Member n shows the joint tail
-        row at position i - n + 1 when n <= i + 1 and the generator row at i
-        when n = i + 2, as in projected_member; members past i + 2 repeat
-        member i + 2.  With P the tail prefix, C the tail cycle and m the
-        last member, min(i + 2, bound), the members fall into three runs:
-          * members 1 .. K, K = min(m, i - P + 1), show the tail positions
-            i, i - 1, .. down to P at most.  Member k + 1 shows the cycle row
-            at (i - k - P) % C, that is cycle[(r - k) % C] with
-            r = (i - P) % C.  A row shown there has its least such k below
-            both K and C, which is its least k >= 0, so these rows and their
-            least members are the items of cycle_orders[r] with a member of
-            at most K, in the same order; when K >= C that is all of them;
-          * members i - j + 1 for the prefix positions j from min(P - 1, i)
-            down to max(0, i + 1 - m), read with at();
-          * member i + 2, when m = i + 2, with the generator row at i.
-        So a call reads at most P + 1 rows beyond cycle_orders however large
-        i and C are, and each family's coordinate scan costs O(C * distinct
-        rows) once plus O(distinct rows + P) per coordinate.
+        Before start the scan feeds the tail prefix positions below start,
+        then the cycle positions from max(P, start - C + 1) on, with P the
+        tail prefix and C the tail cycle.  An earlier cycle position p shows
+        the row of some p + kC in start - C + 1 .. start, so it is no row's
+        latest.  A scan starts in at most P + C tail reads however large
+        start is, then costs O(distinct rows) per coordinate.
         """
         generators, tails = self.slot_rows
         tail_prefix, tail_cycle = len(tails.prefix), len(tails.cycle)
-        last = i + 2 if self.bound is None else min(i + 2, self.bound)
-        cycle_last = min(last, i - tail_prefix + 1)
-        order = self.cycle_orders[(i - tail_prefix) % tail_cycle]
-        rows = dict(order) if cycle_last >= tail_cycle else {row: n for row, n in order.items() if n <= cycle_last}
-        for j in range(min(tail_prefix - 1, i), max(-1, i - last), -1):
-            rows.setdefault(tails.at(j), i - j + 1)
-        if last == i + 2:
-            rows.setdefault(generators.at(i), last)
-        return rows
+        last = math.inf if self.bound is None else self.bound  # the family's last member
+        latest: dict[tuple[str, ...], int] = {}  # row -> its latest tail position, in the order of those positions
+        fed = chain(range(min(tail_prefix, start)), range(max(tail_prefix, start - tail_cycle + 1), start))
+        for i in chain(fed, count(start)):
+            row = tails.at(i)
+            latest.pop(row, None)
+            latest[row] = i
+            if i >= start:
+                rows = {row: i - j + 1 for row, j in reversed(latest.items()) if i - j < last}
+                if i + 2 <= last:
+                    rows.setdefault(generators.at(i), i + 2)
+                yield rows
 
 
 @dataclass(frozen=True)
@@ -436,19 +410,21 @@ def resolve_source(system: PowerSystem, ref: SourceRef) -> Equation:
     return system.families[ref.index].member(ref.member)
 
 
-def projection_rows(system: PowerSystem, i: int) -> list[tuple[Equation, int, Mapping[tuple[Any, ...], int | None]]]:
-    """pi_i(system) in projection order: (atom, index, rows) per explicit equation, then per family.
+def projection_rows(
+    system: PowerSystem, start: int = 0
+) -> Iterator[list[tuple[Equation, int, Mapping[tuple[Any, ...], int | None]]]]:
+    """pi_i(system) for i = start, start + 1, ..: (atom, index, rows) per explicit equation, then per family.
 
     An explicit equation has one row, its streams' values at i, mapped to
-    None.  Family `index` has StaircaseFamily.rows_at(i) as it is: the
-    distinct slot-value rows of its members in ascending member order, each
-    mapped to its least member.  The atom with a row in its slots is pi_i of
-    every source that shows the row, and SourceRef(index, member) names the
-    earliest.
+    None.  Family `index` has its StaircaseFamily.row_scan item for i as it
+    is: the distinct slot-value rows of its members in ascending member
+    order, each mapped to its least member.  The atom with a row in its
+    slots is pi_i of every source that shows the row, and
+    SourceRef(index, member) names the earliest.
 
     With (stab, period) the stream_horizon, the rows at i + period are those
     at i, entry by entry and in the same order, for every i >= stab; only
-    the members they map to may differ.  rows_at lists the distinct rows of
+    the members they map to may differ.  row_scan lists the distinct rows of
     members 1..min(i + 2, bound) in first-occurrence order, so it suffices
     that the first-occurrence order of rows over those members repeats.  Let
     L be a family's lcm of generator lengths and C its lcm of tail cycles:
@@ -471,14 +447,17 @@ def projection_rows(system: PowerSystem, i: int) -> list[tuple[Equation, int, Ma
     Nothing recomputes a period to check this; verify_wrap re-checks wrap's
     output against the original coordinate by coordinate past the horizon.
     """
-    explicit = [(eq, idx, {tuple(v.at(i) for v in const_values(eq)): None}) for idx, eq in enumerate(system.explicit)]
-    return explicit + [(fam.atom, idx, fam.rows_at(i)) for idx, fam in enumerate(system.families)]
+    explicit = [(eq, idx, const_values(eq)) for idx, eq in enumerate(system.explicit)]
+    scans = [(fam.atom, idx, fam.row_scan(start)) for idx, fam in enumerate(system.families)]
+    for i in count(start):
+        rows = [(eq, idx, {tuple(v.at(i) for v in values): None}) for eq, idx, values in explicit]
+        yield rows + [(atom, idx, next(scan)) for atom, idx, scan in scans]
 
 
 def projection_entries(system: PowerSystem, i: int) -> dict[Equation, SourceRef]:
     """The distinct equations of pi_i(system), in projection_rows' order, each mapped to its earliest source."""
     out: dict[Equation, SourceRef] = {}
-    for atom, index, rows in projection_rows(system, i):
+    for atom, index, rows in next(projection_rows(system, i)):
         for values, member in rows.items():
             out.setdefault(_with_slots(atom, values), SourceRef(index, member))
     return out
@@ -518,9 +497,10 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
 def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Periodic:
     """Per-coordinate solution profile: the distinct atom masks of pi_i(system), in projection order.
 
-    Entry i lists the masks of projection_rows(system, i) in first-occurrence
-    order, with one dict from slot values to mask per explicit equation and
-    per family, so each distinct row is classified once over the whole scan.
+    Entry i lists the masks of projection_rows' item for i in
+    first-occurrence order, with one dict from slot values to mask per
+    explicit equation and per family, so each distinct row is classified
+    once over the whole scan.
     The prefix covers the stream_horizon's stabilization and the cycle one
     period, so at(i) holds for every coordinate: projection_rows proves that
     the rows repeat with that period from there on.
@@ -529,9 +509,9 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
     classifier = AtomClassifier.of(structure, system.variables)
     memos: list[dict[tuple[Any, ...], int]] = [{} for _ in system.explicit + system.families]  # row -> mask
     table = []
-    for i in range(stab + period):
+    for _, sources in zip(range(stab + period), projection_rows(system)):
         entry: dict[int, None] = {}
-        for seen, (atom, _, rows) in zip(memos, projection_rows(system, i)):
+        for seen, (atom, _, rows) in zip(memos, sources):
             for values in rows:
                 mask = seen.get(values)
                 if mask is None:

@@ -9,8 +9,8 @@ stream follows that set wherever it occurs and falls back to the source
 stream elsewhere.  The output is equivalent to the input coordinate by
 coordinate, since the profile it is built from repeats as projection_rows'
 docstring proves; that profile reads each family's distinct rows once per
-coordinate through StaircaseFamily.rows_at, whose docstring proves that its
-per-residue cycle orders give the rows of every member.  The JSON trace
+coordinate through StaircaseFamily.row_scan, whose docstring proves that its
+move-to-front pass gives the rows of every member.  The JSON trace
 stores each fact once: no step repeats the complement of its index set, and
 no list repeats the representatives' coordinates and sources.  verify_wrap
 checks the equivalence exhaustively, computing every coordinate below the

@@ -153,46 +153,64 @@ MUTANTS = (
         ("tests/test_power.py::test_projection_entries_order_and_dedup",),
     ),
     Mutant(
-        "rows_at's cycle run ends one member early",
+        "row_scan feeds the tail row at i - 1 instead of i",
         "src/eqpower/power.py",
-        "cycle_last = min(last, i - tail_prefix + 1)",
-        "cycle_last = min(last, i - tail_prefix)",
-        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+        "row = tails.at(i)",
+        "row = tails.at(max(i - 1, 0))",
+        (
+            "tests/test_power.py::test_row_scan_pinned",
+            "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
+        ),
     ),
     Mutant(
-        "rows_at's cycle run takes member i - P + 2, which shows a prefix row",
+        "row_scan keeps a bounded family's tail row one member past its last",
         "src/eqpower/power.py",
-        "cycle_last = min(last, i - tail_prefix + 1)",
-        "cycle_last = min(last, i - tail_prefix + 2)",
-        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+        "if i - j < last}",
+        "if i - j <= last}",
+        (
+            "tests/test_power.py::test_row_scan_pinned",
+            "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
+        ),
     ),
     Mutant(
-        "cycle_orders reads the tail cycle forwards from the residue",
+        "row_scan pre-feeds the tail cycle from start - C + 2, one residue short",
         "src/eqpower/power.py",
-        "(r - p) % len(cycle) + 1",
-        "(p - r) % len(cycle) + 1",
-        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+        "start - tail_cycle + 1), start))",
+        "start - tail_cycle + 2), start))",
+        (
+            "tests/test_power.py::test_row_scan_pinned",
+            "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
+        ),
     ),
     Mutant(
-        "rows_at takes the whole residue order from i >= P + C - 2",
+        "row_scan pre-feeds one tail prefix position short",
         "src/eqpower/power.py",
-        "dict(order) if cycle_last >= tail_cycle else",
-        "dict(order) if cycle_last >= tail_cycle - 1 else",
-        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+        "range(min(tail_prefix, start))",
+        "range(min(tail_prefix, start) - 1)",
+        (
+            "tests/test_power.py::test_row_scan_pinned",
+            "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
+        ),
     ),
     Mutant(
-        "rows_at reads every prefix position below coordinate P - 1",
+        "row_scan lists the tail rows in descending member order",
         "src/eqpower/power.py",
-        "range(min(tail_prefix - 1, i), max(-1, i - last), -1)",
-        "range(tail_prefix - 1, max(-1, i - last), -1)",
-        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+        "for row, j in reversed(latest.items())",
+        "for row, j in latest.items()",
+        (
+            "tests/test_power.py::test_row_scan_pinned",
+            "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
+        ),
     ),
     Mutant(
         "a bounded family shows its generator row past its last member",
         "src/eqpower/power.py",
-        "if last == i + 2:",
-        "if True:",
-        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+        "if i + 2 <= last:",
+        "if i + 1 <= last:",
+        (
+            "tests/test_power.py::test_row_scan_pinned",
+            "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
+        ),
     ),
     Mutant(
         "the greedy takes the last candidate of the largest gain",

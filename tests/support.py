@@ -504,6 +504,53 @@ def enumerate_posets_up_to(n: int):
         yield from enumerate_posets(size)
 
 
+def enumerate_matroids_from_bases(n: int):
+    """All labelled matroids on e1..en, one per basis family: equal-size subsets with the exchange axiom.
+
+    P_k holds every ordering of every k-element subset of a basis, for
+    k = 1..n, which is the layout free_matroid uses.
+    """
+    labels = [f"e{i}" for i in range(1, n + 1)]
+    for rank in range(n + 1):
+        subsets = [frozenset(c) for c in combinations(labels, rank)]
+        for bits in range(1, 2 ** len(subsets)):
+            bases = [b for i, b in enumerate(subsets) if bits >> i & 1]
+            if not all(any((a - {x}) | {y} in bases for y in b - a) for a in bases for b in bases for x in a - b):
+                continue
+            tables = {f"P{k}": set() for k in range(1, n + 1)}
+            for b, k in product(bases, range(1, rank + 1)):
+                tables[f"P{k}"].update(p for c in combinations(b, k) for p in permutations(c))
+            yield FiniteStructure(matroid_signature(n), labels, tables)
+
+
+def shape_obstruction(structure: FiniteStructure) -> tuple | None:
+    """The first (symbol, slots, filling, other filling) whose solution sets meet but differ, or None.
+
+    A shape is a symbol, equality included, with each argument place either
+    a distinct variable or a constant slot (`slots` holds those places); a
+    filling puts a universe label in each slot.  The power of the structure
+    is equationally Noetherian exactly when no shape has two fillings whose
+    solution sets meet and differ.  A repeated variable restricts both
+    solution sets to the same diagonal, so it would add no obstruction.
+    Tables are read raw and solution sets compared pairwise, without the
+    graph, poset or matroid certificate searches.
+    """
+    universe = structure.universe
+    for symbol, arity in [*structure.signature.symbols, (EQUALITY, 2)]:
+        rows = [(u, u) for u in universe] if symbol == EQUALITY else list(structure.tuples(symbol))
+        for size in range(arity + 1):
+            for slots in combinations(range(arity), size):
+                free = [k for k in range(arity) if k not in slots]
+                solutions = {}
+                for filling in product(universe, repeat=size):
+                    shown = (row for row in rows if all(row[k] == v for k, v in zip(slots, filling)))
+                    solutions[filling] = {tuple(row[k] for k in free) for row in shown}
+                for c, d in combinations(solutions, 2):
+                    if solutions[c] & solutions[d] and solutions[c] != solutions[d]:
+                        return symbol, slots, c, d
+    return None
+
+
 def least_equivalent_truncation(structure: FiniteStructure, system: PowerSystem) -> int | None:
     """Least N <= stab + 2 * period + 2 at which the system with every family cut to members 1..N is equivalent.
 

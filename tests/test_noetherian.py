@@ -1,5 +1,6 @@
 import json
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -118,6 +119,27 @@ def test_poset_verdicts_over_every_poset_up_to_four_elements():
         package = build_witness_family(poset, "poset", verdict.certificate)
         assert all(verify_witness(poset, package, n) for n in range(1, 6))
     assert antichains == 4
+
+
+def test_shape_criterion_agrees_with_every_verdict():
+    """support.shape_obstruction's criterion gives power_noetherian's verdict on every small structure.
+
+    The structures are the fixtures, all labelled graphs on 1-5 vertices,
+    all posets on 1-4 elements, and every matroid on 1-3 elements built from
+    its bases.  The NOETHERIAN counts per class and size of the enumerated
+    ones are the census in ROADMAP item 10.
+    """
+    cases = [(g, "graph") for g in support.enumerate_graphs_up_to(5)]
+    cases += [(p, "poset") for p in support.enumerate_posets_up_to(4)]
+    cases += [(m, "matroid") for n in (1, 2, 3) for m in support.enumerate_matroids_from_bases(n)]
+    assert len(cases) == 1099 + 242 + 2 + 5 + 16
+    checked = cases + [(s, k) for k, s in support.fixture_structures().values()]
+    verdicts = [power_noetherian(s, k).status == NOETHERIAN for s, k in checked]
+    assert [support.shape_obstruction(s) is None for s, _ in checked] == verdicts
+    noetherian = Counter((kind, s.size) for (s, kind), holds in zip(cases, verdicts) if holds)
+    census = {"graph": [1, 2, 7, 29, 136], "poset": [1, 1, 1, 1], "matroid": [2, 5, 14]}
+    assert noetherian == {(kind, n): count for kind, counts in census.items() for n, count in enumerate(counts, 1)}
+    assert support.shape_obstruction(chain_poset(2)) == ("leq", (0,), ("c1",), ("c2",))
 
 
 SYSTEM_CHECK_CASES = {

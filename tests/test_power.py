@@ -2,7 +2,7 @@ import importlib
 import json
 import math
 import random
-from itertools import product
+from itertools import islice, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -186,34 +186,42 @@ def test_projection_entries_order_and_dedup():
     ]
 
 
-def test_rows_at_demo():
+def test_row_scan_demo():
     """The demo family (generator b, c; tail (a)) at coordinate 5: member 1 shows the tail, member 7 the generator.
 
-    Members 2..6 repeat the tail's one cycle row; cycle_orders gives member 1 as its least member.
+    Members 2..6 repeat the tail's one cycle row, so member 1 is its least member.
     """
     fam = staircase_demo_system().families[0]
-    assert fam.rows_at(0) == {("a",): 1, ("b",): 2}
-    assert fam.rows_at(5) == {("a",): 1, ("c",): 7}
-    assert StaircaseFamily(fam.atom, 4).rows_at(5) == {("a",): 1}
-    assert StaircaseFamily(fam.atom, 7).rows_at(5) == {("a",): 1, ("c",): 7}
+    assert next(fam.row_scan()) == {("a",): 1, ("b",): 2}
+    assert next(fam.row_scan(5)) == {("a",): 1, ("c",): 7}
+    assert next(StaircaseFamily(fam.atom, 4).row_scan(5)) == {("a",): 1}
+    assert next(StaircaseFamily(fam.atom, 7).row_scan(5)) == {("a",): 1, ("c",): 7}
 
 
-def test_cycle_orders_pinned():
-    """Tail cycle a, b, a, c: per residue r, the rows at r, r - 1, .. (mod 4), each to its least member k + 1."""
+def test_row_scan_pinned():
+    """Tail cycle a, b, a, c (P = 0, C = 4), generator b: the rows at every coordinate below 2(P + C) + 2.
+
+    Coordinate i shows the tail positions i, i - 1, .., 0 at members 1, 2, ..;
+    from coordinate 3 on that is the cycle read backwards from i mod 4, and
+    member i + 2's generator row b is already shown.  A scan started at any
+    of these coordinates, unbounded or bounded, equals the scan from 0 from
+    there on.
+    """
     stair = Staircase(("b",), PowerElement((), ("a", "b", "a", "c")))
     fam = StaircaseFamily(RelationAtom("E", (x, Const(stair))))
     a, b, c = ("a",), ("b",), ("c",)
-    orders = [list(order.items()) for order in fam.cycle_orders]
-    assert orders == [
+    by_residue = [
         [(a, 1), (c, 2), (b, 4)],
         [(b, 1), (a, 2), (c, 3)],
         [(a, 1), (b, 2), (c, 4)],
         [(c, 1), (a, 2), (b, 3)],
     ]
-    # coordinate 9 reads residue 1 whole; member 11 shows the generator row b, already shown by member 1
-    assert list(fam.rows_at(9).items()) == [(b, 1), (a, 2), (c, 3)]
-    # coordinate 1: members 1..2 show cycle positions 1, 0 only, member 3 the generator
-    assert list(fam.rows_at(1).items()) == [(b, 1), (a, 2)]
+    expected = [[(a, 1), (b, 2)], [(b, 1), (a, 2)], [(a, 1), (b, 2)]] + [by_residue[i % 4] for i in range(3, 10)]
+    assert [list(rows.items()) for rows in islice(fam.row_scan(), 10)] == expected
+    for bounded in (fam, *(StaircaseFamily(fam.atom, n) for n in (1, 2, 3, 5))):
+        scan = list(islice(bounded.row_scan(), 10))
+        for start in range(10):
+            assert list(islice(bounded.row_scan(start), 10 - start)) == scan[start:], (bounded.bound, start)
 
 
 @settings(deadline=None, max_examples=150)
@@ -269,7 +277,7 @@ def test_projected_system_reads_far_coordinates_at_their_residue(seed, offset, b
     """Past the first period, projected_system at i equals it at stab + (i - stab) mod period, in order.
 
     That is the repeat projection_rows proves.  The draws include a
-    coordinate 10**12 past the first period, which rows_at reads without
+    coordinate 10**12 past the first period, which row_scan starts at without
     walking its members.
     """
     rng = random.Random(seed)
@@ -345,7 +353,7 @@ def test_an_underreported_profile_period_fails_wrap_verification(monkeypatch):
 def test_profile_fold_matches_recomputation(seed, wide):
     """Past the horizon the folded profile equals direct recomputation, in projection order.
 
-    The recomputation projects every member, not through rows_at: written
+    The recomputation projects every member, not through row_scan: written
     out by support.reference_projection_entries at every coordinate below
     three periods past the horizon for support.random_power_system draws,
     or read at i by support.oracle_projection_entries at the coordinates of

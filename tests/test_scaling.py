@@ -47,27 +47,27 @@ def test_candidate_scan_classifies_each_family_row_once_at_L_400():
     assert len(calls) <= 400 + 2 + 3
 
 
-def test_rows_at_reads_at_most_P_plus_one_rows_past_the_cycle_orders_at_C_400():
-    """At C = 400 every rows_at call reads P + 1 rows at most beyond cycle_orders, built once in O(C * rows).
+def test_row_scan_reads_each_tail_row_once_per_coordinate_at_C_400():
+    """At C = 400 the profile's scan reads one tail row and one generator row per coordinate.
 
-    The walk it replaced read up to C + P + 1 members at every coordinate.
+    It covers stab + period coordinates, and a single read at 10**12 starts
+    its scan in at most P + C tail reads, plus one generator read.  A walk
+    over the members would read up to C + P + 1 rows at every coordinate.
     """
     system = edge_family(1, 2, 400)
     (fam,) = system.families
-    distinct = len(set(fam.slot_rows[1].cycle))
-    assert sum(len(order) for order in fam.cycle_orders) <= 400 * distinct
-    reads = []
+    generators, tails = fam.slot_rows
+    reads = {id(generators): 0, id(tails): 0}
     at = Periodic.at
 
     def counted(self, i):
-        reads.append(i)
+        reads[id(self)] += 1
         return at(self, i)
 
     stab, period = stream_horizon(system)
-    worst = 0
     with mock.patch.object(Periodic, "at", counted):
-        for i in [*range(stab + period), 10**12]:
-            reads.clear()
-            fam.rows_at(i)
-            worst = max(worst, len(reads))
-    assert worst <= 2 + 1
+        coordinate_profile(triangle_graph(), system)
+        assert reads == {id(generators): stab + period, id(tails): stab + period}
+        reads.update(dict.fromkeys(reads, 0))
+        next(fam.row_scan(10**12))
+    assert reads == {id(generators): 1, id(tails): 2 + 400}
