@@ -85,14 +85,6 @@ def _render_source(ref) -> str:
     return f"family {ref.index} member {ref.member}"
 
 
-def _json_key(key: Any) -> str:
-    if isinstance(key, str):
-        return encode_basestring_ascii(key)
-    if key is None or isinstance(key, (int, float)):  # written as json.dumps writes the scalar, then quoted
-        return encode_basestring_ascii(json.dumps(key))
-    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
-
-
 def _json_text(doc: Any) -> str:
     """The text of json.dumps(doc, indent=2), written by one recursive pass into one list.
 
@@ -101,7 +93,8 @@ def _json_text(doc: Any) -> str:
     encode_basestring_ascii, None, True, False, ints by int.__repr__,
     tuples as lists, "[]" and "{}" for empty containers, and every other
     value (floats, and what JSON cannot hold) by json.dumps itself, which
-    raises the same TypeError.
+    raises the same TypeError.  Keys must be strings, as in every document
+    a command writes; encode_basestring_ascii raises TypeError for any other.
     """
     out: list[str] = []
     write = out.append
@@ -125,7 +118,7 @@ def _json_text(doc: Any) -> str:
             if isinstance(v, dict):
                 sep = "{" + inner
                 for key, item in v.items():
-                    write(sep + _json_key(key) + ": ")
+                    write(sep + encode_basestring_ascii(key) + ": ")
                     value(item, inner)
                     sep = "," + inner
                 write(pad + "}")

@@ -3,8 +3,9 @@
 For a finite graph the power is equationally Noetherian exactly when every
 walk of length three closes back to its start (a quasi-identity over all
 vertex quadruples, repeats included).  For matroids the same criterion runs on
-the underlying graph of independent pairs after ruling out independent
-triples.  A poset is refuted by any strict pair.  Without one it is an
+P2, after ruling out independent triples: P2 is the edge relation of the
+graph of independent pairs, symmetric in a valid matroid, so walks follow it
+as they follow E.  A poset is refuted by any strict pair.  Without one it is an
 antichain, and its power is Noetherian: leq is equality in A and in A^N, so
 every atom is s = t over variables and constants.  A system in n variables has
 at most n^2 distinct variable-variable atoms.  A false constant-constant atom
@@ -37,20 +38,15 @@ from .power import (
     satisfies,
 )
 from .solver import Const, RelationAtom, Var
-from .structures import (
-    FiniteStructure,
-    GRAPH_EDGE_SYMBOL,
-    POSET_ORDER_SYMBOL,
-    adjacency,
-    matroid_underlying_graph,
-    validate,
-)
+from .structures import FiniteStructure, GRAPH_EDGE_SYMBOL, POSET_ORDER_SYMBOL, validate
 
 NOETHERIAN = "NOETHERIAN"
 NOT_NOETHERIAN = "NOT_NOETHERIAN"
 CERTIFICATE_KINDS = {4: "quadruple", 3: "triple", 2: "pair"}  # by the number of labels
 # the certificate kinds that verdicts and witness packages on each kind of structure carry
 KIND_CERTIFICATES = {"graph": ("quadruple",), "poset": ("pair",), "matroid": ("triple", "quadruple")}
+# the relation that each kind's open walks (quadruple certificates) follow
+WALK_SYMBOLS = {"graph": GRAPH_EDGE_SYMBOL, "matroid": "P2"}
 WITNESS_VARIABLE = "x"
 
 
@@ -118,20 +114,25 @@ def _certificate_from_json_dict(doc: Any, kind: str) -> tuple[str, ...]:
     return values
 
 
-def graph_quasi_identity(graph: FiniteStructure) -> tuple[str, str, str, str] | None:
-    """First (lexicographically least) length-3 walk that does not close, else None.
+def graph_quasi_identity(
+    structure: FiniteStructure, symbol: str = GRAPH_EDGE_SYMBOL
+) -> tuple[str, str, str, str] | None:
+    """First (lexicographically least) length-3 walk along the symbol's pairs that does not close, else None.
 
-    Quadruples range over all vertices with repeats allowed; only walks can
-    violate, so the scan follows edges and stays lexicographic.
+    Quadruples range over all elements with repeats allowed; only walks can
+    violate, so the scan follows the pairs, through neighbour lists sorted
+    by index, and stays lexicographic.
     """
-    neigh = adjacency(graph)
-    table = graph.index_table(GRAPH_EDGE_SYMBOL)
-    for x1 in range(graph.size):
+    table = structure.index_table(symbol)
+    neigh: list[list[int]] = [[] for _ in range(structure.size)]
+    for x, y in sorted(table):
+        neigh[x].append(y)
+    for x1 in range(structure.size):
         for x2 in neigh[x1]:
             for x3 in neigh[x2]:
                 for x4 in neigh[x3]:
                     if (x4, x1) not in table:
-                        return tuple(graph.label(v) for v in (x1, x2, x3, x4))
+                        return tuple(structure.label(v) for v in (x1, x2, x3, x4))
     return None
 
 
@@ -151,9 +152,9 @@ def power_noetherian(structure: FiniteStructure, kind: str) -> NoetherianVerdict
     """The verdict for the power of a structure that passes validation as its kind.
 
     The certificate is the kind's obstruction: a strict pair for a poset, an
-    independent triple or else an open walk in the graph of independent pairs
-    for a matroid, an open walk for a graph.  Without one the power is
-    Noetherian, and the transcript names the argument.
+    independent triple or else an open walk along P2 for a matroid (one
+    without P2 has no walk), an open walk for a graph.  Without one the
+    power is Noetherian, and the transcript names the argument.
     """
     if kind not in KIND_CERTIFICATES:
         raise ValueError(f"no decision procedure for kind {kind!r}")
@@ -164,10 +165,12 @@ def power_noetherian(structure: FiniteStructure, kind: str) -> NoetherianVerdict
         obstruction = poset_strict_pair(structure)
         transcript = "no strict pair, so the order is equality: one pin per class plus the variable equalities suffice"
     elif kind == "matroid":
-        obstruction = matroid_independent_triple(structure) or graph_quasi_identity(matroid_underlying_graph(structure))
+        obstruction = matroid_independent_triple(structure)
+        if obstruction is None and structure.signature.has(WALK_SYMBOLS[kind]):
+            obstruction = graph_quasi_identity(structure, WALK_SYMBOLS[kind])
         transcript = "no independent triple; all walks in the independent-pair graph close"
     else:
-        obstruction = graph_quasi_identity(structure)
+        obstruction = graph_quasi_identity(structure, WALK_SYMBOLS[kind])
         transcript = f"all {structure.size ** 4} vertex quadruples close their walks"
     if obstruction is not None:
         return NoetherianVerdict(kind, obstruction)
@@ -177,11 +180,11 @@ def power_noetherian(structure: FiniteStructure, kind: str) -> NoetherianVerdict
 def _is_obstruction(structure: FiniteStructure, kind: str, labels: tuple[str, ...]) -> bool:
     """Whether the labels are the kind's obstruction, told apart by their number.
 
-    Four labels must be an open length-3 walk under E (graphs) or P2
-    (matroids), two a strict pair under leq, three a row of P3.
+    Four labels must be an open length-3 walk along the kind's WALK_SYMBOLS
+    relation, two a strict pair under leq, three a row of P3.
     """
     if len(labels) == 4:
-        symbol = GRAPH_EDGE_SYMBOL if kind == "graph" else "P2"
+        symbol = WALK_SYMBOLS[kind]
         walk = all(structure.holds(symbol, step) for step in zip(labels, labels[1:]))
         return walk and not structure.holds(symbol, (labels[3], labels[0]))
     if len(labels) == 2:
@@ -195,7 +198,7 @@ def _expand_certificate(kind: str, labels: tuple[str, ...]) -> tuple[str, str, s
         a1, a2, a3, a4 = labels
         # members pair the repeating a4 stream against the a2 tail; the point
         # puts n - 1 copies of a3 in front of a1 forever
-        return GRAPH_EDGE_SYMBOL if kind == "graph" else "P2", a4, a2, a3, a1, -1
+        return WALK_SYMBOLS[kind], a4, a2, a3, a1, -1
     if kind == "poset":
         a, b = labels
         return POSET_ORDER_SYMBOL, a, b, a, b, 0

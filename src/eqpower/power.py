@@ -3,12 +3,13 @@
 Periodic is the one eventually periodic sequence type: a finite prefix plus a
 repeating cycle.  Elements of the power are Periodic streams of universe
 labels kept in canonical form (shortest prefix, then shortest cycle).  The
-coordinate profile and wrap's index sets are Periodic too, and horizon() is
-the one rule for when a set of them repeats.  Equation systems over the power may
-list equations explicitly and may also include staircase families, which
+coordinate profile and wrap's index sets are Periodic too, horizon() is the
+one rule for when a set of them repeats, and zip_streams() the one way to
+read several of them as rows.  Equation systems over the power may list
+equations explicitly and may also include staircase families, which
 present one equation per n >= 1 (or per n up to a bound, for a truncation) by
 splicing a repeating generator stream in front of a shifted tail stream.
-A family's slot_rows are two Periodic streams of slot-value rows, one by
+A family's slot_rows are two zipped streams of slot-value rows, one by
 generator residue and one by joint tail position, and every per-coordinate
 reading of a family goes through them; wrap's candidate scan classifies each
 of their rows once, and Staircase.member_constant writes one member out.
@@ -21,7 +22,7 @@ classifies an explicit equation once per distinct tuple of slot values, not
 once per coordinate, through the one AtomClassifier.of that serves a
 structure and variable list, so consistent's core search reuses its masks.
 projection_rows lists pi_i coordinate by coordinate in projection order:
-each explicit equation's slot values at i, then each family's distinct rows
+each explicit equation's explicit_rows at i, then each family's distinct rows
 from StaircaseFamily.row_scan, one move-to-front pass over the tail rows
 that starts anywhere in O(tail prefix + tail cycle) reads.
 projection_entries makes its first item's rows atoms with their earliest
@@ -124,6 +125,17 @@ def horizon(streams: Iterable[Periodic]) -> tuple[int, int]:
     return stab, period
 
 
+def zip_streams(streams: Sequence[Periodic]) -> Periodic:
+    """The stream of entry tuples: entry i holds the streams' entries at i, in order.
+
+    The prefix covers horizon(streams)' stabilization and the cycle one period;
+    with no streams every entry is () (zip yields no row, and horizon is (0, 1)).
+    """
+    stab, period = horizon(streams)
+    rows = tuple(zip(*(s.take(stab + period) for s in streams))) or ((),)
+    return Periodic(rows[:stab], rows[stab:])
+
+
 @dataclass(frozen=True)
 class PowerElement(Periodic):
     """Element of the power: a stream of universe labels.
@@ -197,24 +209,18 @@ class StaircaseFamily:
     def slot_rows(self) -> tuple[Periodic, Periodic]:
         """(generators, tails): the family's slot values as two Periodic row streams, computed on first use.
 
-        generators has no prefix and a cycle of L rows, L the lcm of the
-        generator lengths: row r holds the generator values at residue r.
-        tails holds the joint tail values by tail position: a prefix as long
-        as the largest tail prefix, then a cycle of C rows, C the lcm of the
-        tail cycles.  The rows depend on the atom alone, and every
-        per-coordinate reading of the family goes through them: row_scan,
-        coordinate_checks, stream_horizon, wrap's candidate scan, and
-        projected_member.  A family without a constant slot has one empty
-        row in each cycle.
+        Both zip_streams the slots' streams.  generators has no prefix and a
+        cycle of L rows, L the lcm of the generator lengths: row r holds the
+        generator values at residue r.  tails holds the joint tail values by
+        tail position: a prefix as long as the largest tail prefix, then a
+        cycle of C rows, C the lcm of the tail cycles.  The rows depend on the
+        atom alone, and every per-coordinate reading of the family goes
+        through them: row_scan, coordinate_checks, stream_horizon, wrap's
+        candidate scan, and projected_member.  A family without a constant
+        slot has one empty row in each cycle.
         """
         descs = self.descriptors()
-        if not descs:
-            return Periodic((), ((),)), Periodic((), ((),))
-        gen_period = math.lcm(*(len(s.generator) for s in descs))
-        tail_prefix, tail_cycle = horizon(s.tail for s in descs)
-        tails = tuple(zip(*(s.tail.take(tail_prefix + tail_cycle) for s in descs)))
-        generators = tuple(zip(*(s.generator * (gen_period // len(s.generator)) for s in descs)))
-        return Periodic((), generators), Periodic(tails[:tail_prefix], tails[tail_prefix:])
+        return zip_streams([Periodic((), s.generator) for s in descs]), zip_streams([s.tail for s in descs])
 
     @functools.cached_property
     def row_order(self) -> Callable[[tuple[str, ...]], tuple[str, ...]] | None:
@@ -373,6 +379,11 @@ class PowerSystem:
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variables: {self.variables}")
 
+    @functools.cached_property
+    def explicit_rows(self) -> tuple[Periodic, ...]:
+        """Per explicit equation, zip_streams of its constants: its slot values by coordinate, computed on first use."""
+        return tuple(zip_streams(const_values(eq)) for eq in self.explicit)
+
 
 def project_equation(eq: Equation, i: int) -> Equation:
     """Replace every stream constant by its value at coordinate i."""
@@ -415,8 +426,8 @@ def projection_rows(
 ) -> Iterator[list[tuple[Equation, int, Mapping[tuple[Any, ...], int | None]]]]:
     """pi_i(system) for i = start, start + 1, ..: (atom, index, rows) per explicit equation, then per family.
 
-    An explicit equation has one row, its streams' values at i, mapped to
-    None.  Family `index` has its StaircaseFamily.row_scan item for i as it
+    An explicit equation has one row, its explicit_rows entry at i, mapped
+    to None.  Family `index` has its StaircaseFamily.row_scan item for i as it
     is: the distinct slot-value rows of its members in ascending member
     order, each mapped to its least member.  The atom with a row in its
     slots is pi_i of every source that shows the row, and
@@ -447,10 +458,10 @@ def projection_rows(
     Nothing recomputes a period to check this; verify_wrap re-checks wrap's
     output against the original coordinate by coordinate past the horizon.
     """
-    explicit = [(eq, idx, const_values(eq)) for idx, eq in enumerate(system.explicit)]
+    explicit = list(enumerate(zip(system.explicit, system.explicit_rows)))
     scans = [(fam.atom, idx, fam.row_scan(start)) for idx, fam in enumerate(system.families)]
     for i in count(start):
-        rows = [(eq, idx, {tuple(v.at(i) for v in values): None}) for eq, idx, values in explicit]
+        rows = [(eq, idx, {values.at(i): None}) for idx, (eq, values) in explicit]
         yield rows + [(atom, idx, next(scan)) for atom, idx, scan in scans]
 
 
@@ -552,13 +563,13 @@ def _rows_hold(structure: FiniteStructure, eq: Equation, rows: Collection[tuple[
 def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[PowerElement]) -> bool:
     """Exact membership of the point in the system's solution set, one equation at a time.
 
-    An explicit equation's rows repeat after the largest prefix plus the lcm
-    of the cycles among its own streams (constants and the point's entries
-    for its variables), so only the coordinates below that are checked.  A
-    family is decided by the blocks of StaircaseFamily.coordinate_checks
-    against the horizon of the point's entries for the family's variables.
-    Each of those entries is written out once, up to the largest block stop,
-    and a block reads only the distinct tuples of the point's values over its
+    An explicit equation's rows are the zip_streams of its own streams
+    (constants and the point's entries for its variables), so only the
+    distinct rows of its prefix and cycle are checked.  A family is decided
+    by the blocks of StaircaseFamily.coordinate_checks against the horizon
+    of the point's entries for the family's variables.  Each of those
+    entries is written out once, up to the largest block stop, and a block
+    reads only the distinct tuples of the point's values over its
     coordinates: set(column[cut]) for one variable, set(zip(*slices)) for
     several, and the one empty tuple for an atom without a variable (every
     block is nonempty).  Each distinct (tuple, slot values) row is put in
@@ -568,10 +579,8 @@ def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[P
         raise ValueError(f"point has {len(point)} entries for variables {system.variables}")
     streams = dict(zip(system.variables, point))
     for eq in system.explicit:
-        args = [_stream_of(streams, a) for a in eq.args]
-        length = sum(horizon(args))
-        rows = set(zip(*(pe.take(length) for pe in args))) if args else {()}
-        if not _rows_hold(structure, eq, rows):
+        rows = zip_streams([_stream_of(streams, a) for a in eq.args])
+        if not _rows_hold(structure, eq, {*rows.prefix, *rows.cycle}):
             return False
     for fam in system.families:
         args = fam.atom.args
@@ -624,9 +633,9 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
     """The AND of the atom masks of pi_i(system) at every coordinate i < stop.
 
     Each entry is computed at its own coordinate, never read off a folded
-    cycle.  An explicit equation's slot values at i are its streams' entries
-    at i (PowerSystem makes every constant a stream), and each distinct
-    tuple of them is turned into an atom and classified once.  A family's
+    cycle.  An explicit equation's slot values at i are its explicit_rows
+    entry at i (PowerSystem makes every constant a stream), and each
+    distinct tuple of them is turned into an atom and classified once.  A family's
     blocks from StaircaseFamily.coordinate_checks(stop, 1), as for a point
     that is constant from `stop` on, list exactly the coordinates below
     `stop` where their slot values occur, so each block's one mask is ANDed
@@ -635,10 +644,9 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
     """
     classifier = AtomClassifier.of(structure, system.variables)
     masks = [classifier.full] * stop
-    for eq in system.explicit:
-        columns = [v.take(stop) for v in const_values(eq)]
+    for eq, rows in zip(system.explicit, system.explicit_rows):
         seen: dict[tuple[Any, ...], int] = {}
-        for i, values in enumerate(zip(*columns) if columns else repeat((), stop)):
+        for i, values in enumerate(rows.take(stop)):
             mask = seen.get(values)
             if mask is None:
                 mask = seen[values] = classifier.mask(_with_slots(eq, values))

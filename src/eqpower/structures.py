@@ -1,4 +1,4 @@
-"""Finite relational structures, kind-specific axiom checks, and graph helpers.
+"""Finite relational structures and kind-specific axiom checks.
 
 A structure is a finite labelled universe together with one relation table per
 signature symbol.  Tables are stored extensionally; nothing is ever closed or
@@ -322,30 +322,6 @@ def validate(structure: FiniteStructure, kind: str) -> ValidationReport:
     else:
         violations = []
     return ValidationReport(kind, tuple(violations))
-
-
-def adjacency(graph: FiniteStructure) -> dict[int, tuple[int, ...]]:
-    """Neighbor indices per vertex index, each list sorted ascending."""
-    table = graph.index_table(GRAPH_EDGE_SYMBOL)
-    neigh: dict[int, list[int]] = {i: [] for i in range(graph.size)}
-    for x, y in table:
-        neigh[x].append(y)
-    return {i: tuple(sorted(vs)) for i, vs in neigh.items()}
-
-
-def matroid_underlying_graph(matroid: FiniteStructure) -> FiniteStructure:
-    """Graph on the same universe whose edges are the independent pairs.
-
-    Both orientations are stored outright, so the result always passes graph
-    validation when the input is a valid matroid (no loops by the repetition
-    axiom, symmetry by construction).
-    """
-    _check_kind_signature(matroid, "matroid")
-    edges = []
-    if matroid.signature.has("P2"):
-        for a, b in matroid.tuples("P2"):
-            edges.append((a, b))
-    return graph_from_edges(matroid.universe, edges)
 
 
 def structure_from_json_dict(doc: Any) -> tuple[str, FiniteStructure]:

@@ -2,10 +2,11 @@
 
 The construction works per solution set of projected equations: collect one
 representative equation per distinct solution set with a source realizing it,
-classifying each family's generator and tail rows once and reading every
-member's sets off them, seed the output with the chosen sources, the only
-ones written out, then add one equation per solution set whose coordinate
-stream follows that set wherever it occurs and falls back to the source
+classifying each family's generator and tail rows (its slot_rows, zipped by
+power.zip_streams) once and reading every member's sets off them, seed the
+output with the chosen sources, the only ones written out, then add one
+equation per solution set whose coordinate stream, zipped with the set's
+index set, follows that set wherever it occurs and falls back to the source
 stream elsewhere.  The output is equivalent to the input coordinate by
 coordinate, since the profile it is built from repeats as projection_rows'
 docstring proves; that profile reads each family's distinct rows once per
@@ -35,7 +36,6 @@ from .power import (
     _with_slots,
     coordinate_masks,
     coordinate_profile,
-    horizon,
     periodic_from_json_dict,
     periodic_to_json_dict,
     power_equation_from_json_dict,
@@ -45,8 +45,9 @@ from .power import (
     project_equation,
     resolve_source,
     stream_horizon,
+    zip_streams,
 )
-from .solver import AtomClassifier, Equation, const_values, map_constants
+from .solver import AtomClassifier, Equation, map_constants
 from .solver import equation_from_json_dict, equation_to_json_dict
 from .structures import FiniteStructure
 
@@ -109,11 +110,13 @@ def _candidates(
 ) -> dict[SourceRef, dict[int, tuple[int, Equation]]]:
     """Per candidate source, each solution set it realizes, to the least coordinate showing it and the projection there.
 
-    Explicit equations come first, read at every coordinate below their own
-    horizon; then member n of each family for n <= min(stop, L) + 1 (see
-    class_representatives).  Member n shows the generator row G[r] at each
-    coordinate r < min(n - 1, L) and the tail row T[j] at n - 1 + j for
-    every j < P + C, P the tail prefix and C the tail cycle; every other
+    Explicit equations come first, each read as the prefix and cycle rows of
+    its PowerSystem.explicit_rows; then member n of each family for
+    n <= min(stop, L) + 1 (see class_representatives).  The family's rows
+    are its slot_rows, the zipped generators G and the zipped tails T.
+    Member n shows the generator row G[r] at each coordinate
+    r < min(n - 1, L) and the tail row T[j] at n - 1 + j for every
+    j < P + C, P the tail prefix and C the tail cycle; every other
     coordinate repeats one of those rows.  So each family's rows G[r] and
     T[j] are classified once, and member n's sets are the generator sets
     whose first residue is below n - 1, at that residue, and then the tail
@@ -121,10 +124,8 @@ def _candidates(
     coordinate lies below every tail coordinate.
     """
     out = {}
-    for idx, eq in enumerate(system.explicit):
-        streams = const_values(eq)
-        rows = (tuple(v.at(i) for v in streams) for i in range(sum(horizon(streams))))
-        out[SourceRef(idx)] = _first_sets(classifier, eq, rows)
+    for idx, (eq, rows) in enumerate(zip(system.explicit, system.explicit_rows)):
+        out[SourceRef(idx)] = _first_sets(classifier, eq, rows.prefix + rows.cycle)
     for fidx, fam in enumerate(system.families):
         generators, tails = fam.slot_rows
         gen_period = len(generators.cycle)
@@ -191,9 +192,8 @@ def _merged_equation(rep: ClassRep, source_eq: Equation, match: Periodic) -> Equ
 
     def merged(slot: PowerElement) -> PowerElement:
         rep_value = slot.at(rep.coordinate)
-        stab, period = horizon((match, slot))
-        values = tuple(rep_value if match.at(i) else slot.at(i) for i in range(stab + period))
-        return PowerElement(values[:stab], values[stab:])
+        values = zip_streams((match, slot)).map(lambda row: rep_value if row[0] else row[1])
+        return PowerElement(values.prefix, values.cycle)
 
     return map_constants(source_eq, merged)
 

@@ -76,11 +76,24 @@ MUTANTS = (
         ("tests/test_structures.py::test_holds_names_an_unknown_label_like_index",),
     ),
     Mutant(
-        "an explicit equation without a constant slot gets a bare zip()",
+        "zip_streams of no streams has no empty row",
         "src/eqpower/power.py",
-        "zip(*columns) if columns else repeat((), stop)",
-        "zip(*columns)",
-        ("tests/test_acceptance.py::test_wrap_size_bound_on_random_systems",),
+        "for s in streams))) or ((),)",
+        "for s in streams)))",
+        (
+            "tests/test_power.py::test_zip_streams_reads_every_stream_at_every_coordinate",
+            "tests/test_acceptance.py::test_wrap_size_bound_on_random_systems",
+        ),
+    ),
+    Mutant(
+        "zip_streams takes period rows instead of stab + period",
+        "src/eqpower/power.py",
+        "s.take(stab + period) for s in streams",
+        "s.take(period) for s in streams",
+        (
+            "tests/test_power.py::test_zip_streams_reads_every_stream_at_every_coordinate",
+            "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
+        ),
     ),
     Mutant(
         "the core search builds its own AtomClassifier",
@@ -248,11 +261,14 @@ MUTANTS = (
         ("tests/test_noetherian.py::test_poset_verdicts_over_every_poset_up_to_four_elements",),
     ),
     Mutant(
-        "slot_rows repeats each generator once, not to length L",
+        "zip_streams repeats each stream's cycle once, not to the joint period",
         "src/eqpower/power.py",
-        "zip(*(s.generator * (gen_period // len(s.generator)) for s in descs))",
-        "zip(*(s.generator for s in descs))",
-        ("tests/test_power.py::test_projected_member_is_the_projection_of_the_written_out_member",),
+        "zip(*(s.take(stab + period) for s in streams))",
+        "zip(*(s.prefix + s.cycle for s in streams))",
+        (
+            "tests/test_power.py::test_zip_streams_reads_every_stream_at_every_coordinate",
+            "tests/test_power.py::test_projected_member_is_the_projection_of_the_written_out_member",
+        ),
     ),
     Mutant(
         "stream_horizon leaves C out of the period",
@@ -372,6 +388,31 @@ MUTANTS = (
         "tuple(map_constants(eq, stream) for eq in self.explicit))",
         "tuple(map_constants(eq, stream) for eq in self.explicit[:1]) + tuple(self.explicit[1:]))",
         ("tests/test_wrap.py::test_wrap_verifies_planted_systems",),
+    ),
+    Mutant(
+        "power_noetherian tries the P2 walk before the independent triple",
+        "src/eqpower/noetherian.py",
+        "        obstruction = matroid_independent_triple(structure)\n"
+        "        if obstruction is None and structure.signature.has(WALK_SYMBOLS[kind]):\n"
+        "            obstruction = graph_quasi_identity(structure, WALK_SYMBOLS[kind])\n",
+        '        obstruction = graph_quasi_identity(structure, "P2") if structure.signature.has("P2") else None\n'
+        "        if obstruction is None:\n"
+        "            obstruction = matroid_independent_triple(structure)\n",
+        ("tests/test_noetherian.py::test_matroid_walks_follow_p2_as_the_graph_of_independent_pairs",),
+    ),
+    Mutant(
+        "graph_quasi_identity walks E whatever the symbol",
+        "src/eqpower/noetherian.py",
+        "table = structure.index_table(symbol)",
+        "table = structure.index_table(GRAPH_EDGE_SYMBOL)",
+        ("tests/test_noetherian.py::test_matroid_walks_follow_p2_as_the_graph_of_independent_pairs",),
+    ),
+    Mutant(
+        "shape_obstruction skips two-slot shapes",
+        "tests/support.py",
+        "for size in range(min(arity, max_slots) + 1):",
+        "for size in (s for s in range(min(arity, max_slots) + 1) if s != 2):",
+        ("tests/test_noetherian.py::test_a_quaternary_obstruction_needs_two_slots",),
     ),
     Mutant(
         "the JSON writer drops the case of an empty list or object",

@@ -39,7 +39,6 @@ from eqpower.structures import (
     POSET_ORDER_SYMBOL,
     FiniteStructure,
     Signature,
-    adjacency,
     graph_from_edges,
     matroid_signature,
     poset_signature,
@@ -254,6 +253,12 @@ def family_system(package) -> PowerSystem:
     return PowerSystem((package.variable,), (), (package.family,))
 
 
+def quaternary_structure() -> FiniteStructure:
+    """The generic structure on a, b with one 4-ary Q whose every obstruction shape has two constant slots."""
+    rows = [("a", "a", "a", "b"), ("a", "b", "b", "b"), ("b", "a", "a", "a")]
+    return FiniteStructure(Signature((("Q", 4),)), ("a", "b"), {"Q": rows})
+
+
 def fixture_structures() -> dict[str, tuple[str, FiniteStructure]]:
     """Name -> (kind, structure) for the files shipped under fixtures/."""
     return {
@@ -267,6 +272,11 @@ def fixture_structures() -> dict[str, tuple[str, FiniteStructure]]:
         "free_matroid3": ("matroid", free_matroid(3)),
         "rank_one_matroid2": ("matroid", rank_one_matroid(2)),
     }
+
+
+def planted_structures() -> dict[str, tuple[str, FiniteStructure]]:
+    """The fixture structures and quaternary_structure, on which planted_power_system draws two-slot families."""
+    return {**fixture_structures(), "quaternary": ("generic", quaternary_structure())}
 
 
 def random_solution_points(rng: random.Random, structure: FiniteStructure, system: PowerSystem) -> list:
@@ -401,6 +411,12 @@ def enumerate_graphs_up_to(n: int):
         yield from enumerate_graphs(size)
 
 
+def adjacency(graph: FiniteStructure) -> dict[int, tuple[int, ...]]:
+    """Neighbour indices per vertex index, each list sorted ascending, read off the edge table."""
+    table = graph.index_table(GRAPH_EDGE_SYMBOL)
+    return {x: tuple(sorted(y for v, y in table if v == x)) for x in range(graph.size)}
+
+
 def has_triangle(graph: FiniteStructure) -> tuple[str, str, str] | None:
     """Lexicographically least triple (x1, x2, x3) of pairwise adjacent vertices, if any."""
     neigh = adjacency(graph)
@@ -523,22 +539,29 @@ def enumerate_matroids_from_bases(n: int):
             yield FiniteStructure(matroid_signature(n), labels, tables)
 
 
-def shape_obstruction(structure: FiniteStructure) -> tuple | None:
+def shape_obstruction(structure: FiniteStructure, max_slots: float = math.inf) -> tuple | None:
     """The first (symbol, slots, filling, other filling) whose solution sets meet but differ, or None.
 
     A shape is a symbol, equality included, with each argument place either
-    a distinct variable or a constant slot (`slots` holds those places); a
-    filling puts a universe label in each slot.  The power of the structure
-    is equationally Noetherian exactly when no shape has two fillings whose
-    solution sets meet and differ.  A repeated variable restricts both
-    solution sets to the same diagonal, so it would add no obstruction.
-    Tables are read raw and solution sets compared pairwise, without the
-    graph, poset or matroid certificate searches.
+    a distinct variable or a constant slot (`slots` holds those places, at
+    most max_slots of them); a filling puts a universe label in each slot.
+    The power of the structure is equationally Noetherian exactly when no
+    shape has two fillings whose solution sets meet and differ.  A repeated
+    variable restricts both solution sets to the same diagonal, so it would
+    add no obstruction.  Tables are read raw and solution sets compared
+    pairwise, without the graph, poset or matroid certificate searches.
+
+    Complementary shapes obstruct together.  Say fillings c and d of the
+    slots S meet at u and differ at v, a solution for c but not for d (swap
+    them otherwise).  In the shape with slots at the free places, the
+    fillings u and v both have c as a solution, u has d and v does not: they
+    meet at c and differ at d.  So a symbol of arity 3 never needs two
+    slots, while one of arity 4 may need exactly two (the tests pin one).
     """
     universe = structure.universe
     for symbol, arity in [*structure.signature.symbols, (EQUALITY, 2)]:
         rows = [(u, u) for u in universe] if symbol == EQUALITY else list(structure.tuples(symbol))
-        for size in range(arity + 1):
+        for size in range(min(arity, max_slots) + 1):
             for slots in combinations(range(arity), size):
                 free = [k for k in range(arity) if k not in slots]
                 solutions = {}
@@ -673,11 +696,15 @@ def planted_power_system(rng: random.Random, structure: FiniteStructure) -> tupl
         cycle a multiple of the point's period, and is drawn row by row at
         the coordinates below that, so every later coordinate repeats one;
       * a plain label (a whole row of them) agrees at every coordinate;
-      * a family has one staircase slot.  Its generator value at residue r
-        agrees at every coordinate i = r mod L, and its tail value at
-        position j at every coordinate i >= j: member n shows that value at
-        coordinate n - 1 + j.
-    An atom without such a value keeps its symbol and is drawn again, up to
+      * a family has one staircase slot, or for a symbol of arity 3 or more
+        half the time two, with generator lengths 2 and 3 so that L = 6
+        exceeds both, and each its own tail prefix and cycle.  The slots'
+        joint generator row at residue r agrees at every coordinate
+        i = r mod L, and their joint tail row at position j at every
+        coordinate i >= j: member n shows that row at coordinate n - 1 + j.
+        The slots are drawn one after the other, each against the rows that
+        agree with the point and with the slots drawn before it.
+    An atom without such values keeps its symbol and is drawn again, up to
     eight times, and is then left out; a family left out is not replaced.
     """
     labels = list(structure.universe)
@@ -712,20 +739,54 @@ def planted_power_system(rng: random.Random, structure: FiniteStructure) -> tupl
         return RelationAtom(symbol, tuple(args))
 
     def family_atom(symbol, arity):
-        slot = rng.randrange(arity)
-        pattern = [None if k == slot else rng.choice(variables) for k in range(arity)]
+        two = arity >= 3 and rng.random() < 0.5
+        slots = sorted(rng.sample(range(arity), 2)) if two else [rng.randrange(arity)]
+        pattern = [None if k in slots else rng.choice(variables) for k in range(arity)]
 
-        def value(coords):
-            options = set.intersection(*({row[slot] for row in rows_at(symbol, pattern, i)} for i in coords))
-            return rng.choice(sorted(options)) if options else None
+        def draw(sizes, index, positions):
+            """Per slot t, sizes[t] labels, None where no label fits.
 
-        gen_period, tail_prefix, tail_cycle = rng.randint(1, 3), rng.randint(0, 2), rng.randint(1, 3)
-        generator = [value(range(r, stab + math.lcm(period, gen_period), gen_period)) for r in range(gen_period)]
-        tail = [value(range(j, max(j, stab) + period)) for j in range(tail_prefix + tail_cycle)]
-        if None in generator + tail:
+            At joint position j the slots' labels index(t, j) fill a row that
+            agrees with the point at every coordinate of positions[j].
+            """
+            joint = [
+                set.intersection(*({tuple(row[k] for k in slots) for row in rows_at(symbol, pattern, i)} for i in c))
+                for c in positions
+            ]
+            drawn = []
+            for t, size in enumerate(sizes):
+                column = []
+                for own in range(size):
+                    shown = [j for j in range(len(positions)) if index(t, j) == own]
+                    options = set.intersection(*(
+                        {row[t] for row in joint[j] if all(row[u] == drawn[u][index(u, j)] for u in range(t))}
+                        for j in shown
+                    ))
+                    column.append(rng.choice(sorted(options)) if options else None)
+                drawn.append(column)
+            return drawn
+
+        gen_periods = rng.sample((2, 3), 2) if two else [rng.randint(1, 3)]
+        shapes = [(rng.randint(0, 2), rng.randint(1, 3)) for _ in slots]  # (tail prefix, tail cycle)
+        gen_period = math.lcm(*gen_periods)
+        tail_prefix, tail_cycle = max(p for p, _ in shapes), math.lcm(*(c for _, c in shapes))
+        generators = draw(
+            gen_periods,
+            lambda t, r: r % gen_periods[t],
+            [range(r, stab + math.lcm(period, gen_period), gen_period) for r in range(gen_period)],
+        )
+        tails = draw(
+            [p + c for p, c in shapes],
+            lambda t, j: j if j < shapes[t][0] else shapes[t][0] + (j - shapes[t][0]) % shapes[t][1],
+            [range(j, max(j, stab) + period) for j in range(tail_prefix + tail_cycle)],
+        )
+        if None in [v for column in generators + tails for v in column]:
             return None
-        stair = Staircase(tuple(generator), PowerElement(tuple(tail[:tail_prefix]), tuple(tail[tail_prefix:])))
-        return StaircaseFamily(RelationAtom(symbol, tuple(Var(a) if a else Const(stair) for a in pattern)))
+        stairs = iter(
+            Staircase(tuple(g), PowerElement(tuple(tail[:p]), tuple(tail[p:])))
+            for g, tail, (p, _) in zip(generators, tails, shapes)
+        )
+        return StaircaseFamily(RelationAtom(symbol, tuple(Var(a) if a else Const(next(stairs)) for a in pattern)))
 
     def retried(make):
         symbol, arity = rng.choice(symbols)

@@ -35,7 +35,7 @@ from eqpower.power import (
     stream_horizon,
 )
 from eqpower.solver import Const, EquationSystem, RelationAtom, Var, solve
-from eqpower.structures import EQUALITY, graph_from_edges, matroid_underlying_graph, validate
+from eqpower.structures import EQUALITY, graph_from_edges, validate
 from eqpower.wrap import verify_wrap, wrap
 
 SEED = 20260821
@@ -206,11 +206,7 @@ def test_matroid_verdicts_and_graph_reduction_agreement():
             pair_graph = graph_from_edges(m.universe, pair_rows)
             graph_fails = support.quasi_identity_oracle(pair_graph) is not None
             direct = NOT_NOETHERIAN if (has_triple or graph_fails) else NOETHERIAN
-            via_graph = (
-                NOT_NOETHERIAN
-                if graph_quasi_identity(matroid_underlying_graph(m)) is not None
-                else NOETHERIAN
-            )
+            via_graph = NOT_NOETHERIAN if graph_quasi_identity(pair_graph) is not None else NOETHERIAN
             if not (lib == direct == via_graph):
                 disagreements += 1
 

@@ -443,17 +443,15 @@ def test_json_writer_matches_json_dumps_indent_2(doc):
 
 @pytest.mark.parametrize(
     "doc",
-    [{"a": [[], {}, ()]}, [{}], {"": {"": []}}, {1: "x", None: 2, True: [], 2.5: {}}, float("nan"), [float("-inf")]],
-    ids=["empties", "empty-dict-in-list", "empty-keys", "scalar-keys", "nan", "negative-infinity"],
+    [{"a": [[], {}, ()]}, [{}], {"": {"": []}}, float("nan"), [float("-inf")]],
+    ids=["empties", "empty-dict-in-list", "empty-keys", "nan", "negative-infinity"],
 )
 def test_json_writer_matches_json_dumps_on_edge_documents(doc):
     assert _json_text(doc) == json.dumps(doc, indent=2)
 
 
 @pytest.mark.parametrize(
-    "doc",
-    [{"a": {1, 2}}, [object()], {("tuple", "key"): 1}, {"a": [b"bytes"]}, {frozenset(): 0}],
-    ids=["set", "object", "tuple-key", "bytes", "frozenset-key"],
+    "doc", [{"a": {1, 2}}, [object()], {"a": [b"bytes"]}], ids=["set", "object", "bytes"]
 )
 def test_json_writer_refuses_what_json_dumps_refuses(doc):
     with pytest.raises(TypeError) as expected:
@@ -461,3 +459,14 @@ def test_json_writer_refuses_what_json_dumps_refuses(doc):
     with pytest.raises(TypeError) as refused:
         _json_text(doc)
     assert str(refused.value) == str(expected.value)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [1, 2.5, True, None, ("tuple", "key"), frozenset()],
+    ids=["int-key", "float-key", "bool-key", "none-key", "tuple-key", "frozenset-key"],
+)
+def test_json_writer_refuses_a_non_string_key(key):
+    """Every key a command writes is a string; the writer refuses any other, even where json.dumps would quote it."""
+    with pytest.raises(TypeError):
+        _json_text({"a": [{"b": 0, key: 1}]})

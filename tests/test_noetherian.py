@@ -31,8 +31,9 @@ from eqpower.noetherian import (
     power_noetherian,
     verify_witness,
 )
-from eqpower.power import PowerSystem, satisfies
-from eqpower.structures import FiniteStructure, matroid_signature
+from eqpower.power import PowerElement, PowerSystem, Staircase, StaircaseFamily, consistent, satisfies
+from eqpower.solver import Const, RelationAtom, Var
+from eqpower.structures import FiniteStructure, graph_from_edges, matroid_signature
 
 
 def uniform_rank2_matroid3() -> FiniteStructure:
@@ -142,6 +143,26 @@ def test_shape_criterion_agrees_with_every_verdict():
     assert support.shape_obstruction(chain_poset(2)) == ("leq", (0,), ("c1",), ("c2",))
 
 
+def test_a_quaternary_obstruction_needs_two_slots():
+    """Q on a, b needs two constant slots: no one-slot shape obstructs, and the two-slot one is a real witness.
+
+    The fillings d = (b, a) and c = (a, b) of slots 0 and 3 both allow
+    y = z = a, and only c allows y = z = b.  The family Q(stair, y, z, stair)
+    with generator d and tail c is consistent (y = z = a everywhere), while
+    each truncation also admits y = z = b past its last member, so none is
+    equivalent to it.
+    """
+    structure = support.quaternary_structure()
+    assert support.shape_obstruction(structure) == ("Q", (0, 3), ("a", "b"), ("b", "a"))
+    assert support.shape_obstruction(structure, max_slots=1) is None
+    (d0, d3), (c0, c3) = ("b", "a"), ("a", "b")
+    slot0, slot3 = (Const(Staircase((d,), PowerElement((), (c,)))) for d, c in ((d0, c0), (d3, c3)))
+    family = StaircaseFamily(RelationAtom("Q", (slot0, Var("y"), Var("z"), slot3)))
+    system = PowerSystem(("y", "z"), (), (family,))
+    assert consistent(structure, system).consistent
+    assert support.least_equivalent_truncation(structure, system) is None
+
+
 SYSTEM_CHECK_CASES = {
     **{f"antichain{n}": (antichain_poset(n), "poset", "leq") for n in range(1, 5)},
     "star3": (star_bipartite_graph(3), "graph", "E"),
@@ -193,6 +214,24 @@ def test_matroid_verdicts():
     assert power_noetherian(free_matroid(3), "matroid").status == NOT_NOETHERIAN
     assert power_noetherian(free_matroid(2), "matroid").status == NOETHERIAN
     assert power_noetherian(rank_one_matroid(3), "matroid").status == NOETHERIAN
+
+
+def test_matroid_walks_follow_p2_as_the_graph_of_independent_pairs():
+    """graph_quasi_identity along P2 finds what it finds in the graph built from P2, on every small matroid.
+
+    The matroids are the 23 on 1-3 elements built from their bases and the
+    fixtures.  One without P2 (on one element) has no walk, as its empty
+    pair graph has none, and each verdict's certificate is the independent
+    triple or else that walk.
+    """
+    matroids = [m for n in (1, 2, 3) for m in support.enumerate_matroids_from_bases(n)]
+    assert len(matroids) == 23
+    matroids += [s for kind, s in support.fixture_structures().values() if kind == "matroid"]
+    for m in matroids:
+        has_pairs = m.signature.has("P2")
+        expected = graph_quasi_identity(graph_from_edges(m.universe, m.tuples("P2") if has_pairs else ()))
+        assert (graph_quasi_identity(m, "P2") if has_pairs else None) == expected
+        assert power_noetherian(m, "matroid").certificate == (matroid_independent_triple(m) or expected)
 
 
 def test_matroid_quadruple_path():

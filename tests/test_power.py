@@ -35,6 +35,7 @@ from eqpower.power import (
     resolve_source,
     satisfies,
     stream_horizon,
+    zip_streams,
 )
 from eqpower.solver import AtomClassifier, Const, RelationAtom, Var, solve
 from eqpower.structures import EQUALITY, FiniteStructure, Signature
@@ -109,6 +110,22 @@ def test_periodic_take_map_and_horizon():
     assert horizon([]) == (0, 1)
     # a canonical stream is a Periodic with its own equality
     assert PowerElement(("a",), ("a",)) == PowerElement((), ("a",)) != Periodic((), ("a",))
+
+
+@given(st.lists(st.tuples(prefix_st, cycle_st).map(lambda pc: Periodic(*pc)), max_size=4))
+def test_zip_streams_reads_every_stream_at_every_coordinate(streams):
+    """Entry i of zip_streams is the tuple of the streams' entries at i, for i up to three horizons.
+
+    Its prefix is horizon's stabilization and its cycle one period, and
+    with no streams every entry is ().
+    """
+    zipped = zip_streams(streams)
+    stab, period = horizon(streams)
+    assert (len(zipped.prefix), len(zipped.cycle)) == (stab, period)
+    for i in range(3 * (stab + period)):
+        assert zipped.at(i) == tuple(s.at(i) for s in streams)
+    if not streams:
+        assert zipped == Periodic((), ((),))
 
 
 def test_staircase_members_pinned():
@@ -230,8 +247,9 @@ def test_projection_entries_match_the_uncut_reference(seed, draw):
     """projection_entries equals the walk over every member, items, order and sources.
 
     Systems come from support.random_power_system or from
-    support.planted_power_system on a fixture structure, with about 35% of
-    their families bounded at 1-9, and are checked at every
+    support.planted_power_system on one of support.planted_structures (with
+    two-slot families on free_matroid3 and the quaternary structure), with
+    about 35% of their families bounded at 1-9, and are checked at every
     i < stab + 3 * period against support.reference_projection_entries.
     Or they come from support.wide_power_system, with L and C up to about
     30 and tail prefixes, and are checked at its coordinates against
@@ -246,7 +264,7 @@ def test_projection_entries_match_the_uncut_reference(seed, draw):
             assert list(projection_entries(system, i).items()) == expected, i
         return
     if draw == "planted":
-        structure = rng.choice(sorted(support.fixture_structures().items()))[1][1]
+        structure = rng.choice(sorted(support.planted_structures().items()))[1][1]
         system, _ = support.planted_power_system(rng, structure)
     else:
         structure = support.random_relational_structure(rng)

@@ -3,6 +3,7 @@ import math
 
 import pytest
 from support import (
+    adjacency,
     antichain_poset,
     chain_poset,
     cycle_graph,
@@ -22,11 +23,9 @@ from eqpower.structures import (
     FiniteStructure,
     Signature,
     ValidationReport,
-    adjacency,
     graph_from_edges,
     graph_signature,
     matroid_signature,
-    matroid_underlying_graph,
     poset_signature,
     structure_from_json_dict,
     validate,
@@ -202,12 +201,15 @@ def test_star_bipartite_graph_shape():
 
 
 def test_matroid_underlying_graph():
-    g = matroid_underlying_graph(free_matroid(2))
-    assert g.tuples("E") == (("e1", "e2"), ("e2", "e1"))
+    """A matroid's graph of independent pairs is its P2 table, with both orientations of each pair."""
+    matroid = free_matroid(2)
+    assert matroid.index_table("P2") == {(0, 1), (1, 0)}
+    g = graph_from_edges(matroid.universe, matroid.tuples("P2"))
+    assert g.index_table("E") == matroid.index_table("P2")
     assert validate(g, "graph").passed
-    assert matroid_underlying_graph(rank_one_matroid(2)).tuples("E") == ()
-    with pytest.raises(SignatureMismatchError):
-        matroid_underlying_graph(triangle_graph())
+    assert rank_one_matroid(2).index_table("P2") == frozenset()
+    with pytest.raises(KeyError, match="P2"):
+        triangle_graph().index_table("P2")
 
 
 def test_structure_json_round_trip():

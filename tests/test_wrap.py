@@ -22,6 +22,7 @@ from eqpower.power import (
     SourceRef,
     Staircase,
     StaircaseFamily,
+    consistent,
     coordinate_masks,
     coordinate_profile,
     horizon,
@@ -412,16 +413,18 @@ def test_verify_wrap_matches_the_oracle_profile(drawn):
         assert verify_wrap(structure, system, candidate) == expected
 
 
-@pytest.mark.parametrize("name", sorted(support.fixture_structures()))
+@pytest.mark.parametrize("name", sorted(support.planted_structures()))
 def test_wrap_verifies_planted_systems(name):
-    """On every fixture, 40 systems with a planted solution: the point solves, and wrap's output is equivalent.
+    """Per planted structure, 40 systems with a planted solution: the point solves, and wrap's output is too.
 
     The random corpora above are nearly all inconsistent, and any two
-    inconsistent systems are equivalent; these systems all solve.  About 35%
-    of the families are bounded at 1-9, which keeps the point a solution, and
-    the cut candidate scan picks what the uncut reference picks.
+    inconsistent systems are equivalent; these systems all solve, and
+    consistent says so.  About 35% of the families are bounded at 1-9, which
+    keeps the point a solution, the profile matches the oracle's solution
+    sets, and the cut candidate scan picks what the uncut reference picks.
+    free_matroid3 and quaternary draw two-slot families.
     """
-    _, structure = support.fixture_structures()[name]
+    _, structure = support.planted_structures()[name]
     rng = random.Random(0)
     for _ in range(40):
         system, point = support.planted_power_system(rng, structure)
@@ -430,7 +433,11 @@ def test_wrap_verifies_planted_systems(name):
         )
         system = PowerSystem(system.variables, system.explicit, families)
         assert satisfies(structure, system, point) and support.oracle_satisfies(structure, system, point), system
+        assert consistent(structure, system).consistent, system
         profile = coordinate_profile(structure, system)
+        clf = AtomClassifier(structure, system.variables)
+        for i in range(len(profile.prefix) + 2 * len(profile.cycle)):
+            assert frozenset(map(clf.decode, profile.at(i))) == support.oracle_profile(structure, system, i), system
         expected = support.reference_class_representatives(structure, system, profile)
         assert class_representatives(structure, system, profile) == expected, system
         result = wrap(structure, system)
