@@ -34,8 +34,9 @@ from .power import (
     PowerSystem,
     Staircase,
     StaircaseFamily,
+    failing_members,
     family_to_json_dict,
-    satisfies,
+    members_hold,
 )
 from .solver import Const, RelationAtom, Var
 from .structures import FiniteStructure, GRAPH_EDGE_SYMBOL, POSET_ORDER_SYMBOL, validate
@@ -294,7 +295,8 @@ def verify_witness(structure: FiniteStructure, package: WitnessPackage, n: int) 
 
     Checked as first_violated_member: the point solves members 1..m-1 for the
     predicted m > n and fails member m, which implies the claim.  For every
-    package build_witness_family makes, the two are equivalent.
+    package build_witness_family makes, the two are equivalent, and a label
+    outside the universe raises KeyError exactly as there.
     """
     return first_violated_member(structure, package, n) is not None
 
@@ -305,10 +307,17 @@ def first_violated_member(structure: FiniteStructure, package: WitnessPackage, n
     Member m reads its generator at coordinates 0..m-2, and witness_point(n)
     switches from its repeat to its tail at coordinate n + offset; the
     certificate makes that tail against the generator the one failing row.
-    m is returned only if the point solves truncation(m - 1) but not
-    truncation(m), else None.  Offsets are -1 or 0, so m > n always.
+    One failing_members scan of the unbounded family at the point decides
+    it: m is returned only if no failing row maps to a member <= m - 1 and
+    some row maps to m, else None.  As members_hold reads them, the labels
+    of the failing rows of members <= m - 1 are looked up first and, only if
+    there are none, those of member m.  So a label outside the universe
+    raises KeyError exactly when a failing row of a member <= m - 1 holds
+    it, or when there is no such row and a failing row of member m holds it.
+    Offsets are -1 or 0, so m > n always.
     """
     m = n + package.witness_rule[2] + 2
-    point = package.witness_point(n)
-    solves_earlier = satisfies(structure, package.truncation(m - 1), point)
-    return m if solves_earlier and not satisfies(structure, package.truncation(m), point) else None
+    (point,) = package.witness_point(n)
+    failing = failing_members(structure, package.family, {package.variable: point})
+    solves_earlier = members_hold(structure, failing, m - 1)
+    return m if solves_earlier and not members_hold(structure, failing, m) else None

@@ -13,6 +13,11 @@ A family's slot_rows are two zipped streams of slot-value rows, one by
 generator residue and one by joint tail position, and every per-coordinate
 reading of a family goes through them; wrap's candidate scan classifies each
 of their rows once, and Staircase.member_constant writes one member out.
+failing_members reads a family at a point: one slice of each point column per
+generator residue and per tail position maps every failing row to the least
+member that shows it, so satisfies decides a family bounded at N as "no
+failing row of a member <= N" and the witness check in noetherian reads the
+same scan.
 
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of
@@ -40,7 +45,7 @@ import functools
 import math
 from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, count, repeat
+from itertools import chain, count
 from operator import itemgetter
 from typing import Any
 
@@ -215,9 +220,9 @@ class StaircaseFamily:
         tail position: a prefix as long as the largest tail prefix, then a
         cycle of C rows, C the lcm of the tail cycles.  The rows depend on the
         atom alone, and every per-coordinate reading of the family goes
-        through them: row_scan, coordinate_checks, stream_horizon, wrap's
-        candidate scan, and projected_member.  A family without a constant
-        slot has one empty row in each cycle.
+        through them: row_scan, coordinate_checks, failing_members,
+        stream_horizon, wrap's candidate scan, and projected_member.  A
+        family without a constant slot has one empty row in each cycle.
         """
         descs = self.descriptors()
         return zip_streams([Periodic((), s.generator) for s in descs]), zip_streams([s.tail for s in descs])
@@ -227,8 +232,9 @@ class StaircaseFamily:
         """Puts a row of the atom's variables' values, then its slot values, in argument order.
 
         The variables are the atom's distinct ones in order of first
-        appearance, as satisfies writes them.  None when such a row already
-        is in argument order, as it is for every atom of one argument.
+        appearance, as failing_members writes them.  None when such a row
+        already is in argument order, as it is for every atom of one
+        argument.
         """
         args = self.atom.args
         names = list(dict.fromkeys(a.name for a in args if isinstance(a, Var)))
@@ -242,56 +248,45 @@ class StaircaseFamily:
         fam.__dict__.update(slot_rows=self.slot_rows, row_order=self.row_order)  # where cached_property keeps values
         return fam
 
-    def coordinate_checks(self, stab: int, period: int) -> list[tuple[range, tuple[str, ...]]]:
-        """(coordinates, slot values) blocks that decide the family at a point.
+    def coordinate_checks(self, stop: int) -> list[tuple[range, tuple[str, ...]]]:
+        """(coordinates, slot values) blocks: where below `stop` some member shows each row of slot values.
 
-        The family holds at the point exactly when its atom holds at every
-        coordinate i of every block, with the point's values at i and the
-        block's values in the slots.  At coordinate i member n projects to the
-        generators at i when n >= i + 2, and to the joint tail at position
-        j = i - n + 1 when n <= i + 1.  Let the point's values repeat with
-        `period` from coordinate `stab` on, let L be the lcm of the generator
-        lengths and C the lcm of the tail cycles.  The unbounded family gets
-          * per residue r < L, the generator values at r on
-            range(r, stab + lcm(period, L), L): the generator values at i
-            depend only on i mod L, and later coordinates repeat these rows;
-          * per joint tail position j below tail prefix + C, its values on
-            range(j, max(j, stab) + period), which stands for every
-            coordinate i >= j; a later tail position repeats position j - C
-            against fewer coordinates.
-        A family with no constant slot gets the empty tuple on
-        range(0, stab + period): its atom at every coordinate.
+        At coordinate i member n shows the generators at i when n >= i + 2,
+        and the joint tail at position j = i - n + 1 when n <= i + 1.  Let L
+        be the lcm of the generator lengths, P the tail prefix and C the lcm
+        of the tail cycles.  The unbounded family gets
+          * per residue r < L, the generator values at r on range(r, stop, L):
+            member i + 2 shows them at every such i;
+          * per joint tail position j < P + C, its values on range(j, stop):
+            member i - j + 1 shows position j at every i >= j, and a later
+            tail position repeats position j - C.
+        A family with no constant slot gets the empty tuple on range(0, stop)
+        (its one residue) and on range(0, stop) again (its one tail position).
 
         With a bound N, coordinate i gets the generator values only when
-        i <= N - 2, so the generator ranges stop at
-        min(N - 1, stab + lcm(period, L)), and i gets the joint tail at the
-        window of positions max(0, i - N + 1) .. i.  From
-        max(stab, N - 1 + tail prefix) on that window has N positions, all
-        past the tail prefix, so the rows at i are those at
-        i - lcm(period, C), and coordinates below
-        E = max(stab, N - 1 + tail prefix) + lcm(period, C) suffice.  Below E:
+        i <= N - 2, so the generator ranges stop at min(stop, N - 1), and i
+        gets the joint tail at the window of positions max(0, i - N + 1) .. i:
           * a tail prefix position j is in the window of i exactly for i in
-            range(j, min(j + N, E));
-          * a tail cycle position j (tail prefix <= j < tail prefix + C)
-            stands for the positions j + kC, k >= 0, which carry its values;
-            j + kC is in the window of i for j + kC <= i < j + kC + N.  When
-            N >= C these windows join into range(j, E), and otherwise they are
-            the N stepped ranges range(j + d, E, C) for d < N.
-        Every block's range is nonempty.  The slot values per residue are
-        the cycle of slot_rows' generators, those per tail position the
-        prefix and cycle of its tails; only the ranges are built per call.
+            range(j, j + N);
+          * a tail cycle position j (P <= j < P + C) stands for the positions
+            j + kC, k >= 0, which carry its values; j + kC is in the window of
+            i for j + kC <= i < j + kC + N.  When N >= C these windows join
+            into range(j, stop), and otherwise they are the N stepped ranges
+            range(j + d, stop, C) for d < N.
+        Every range stops at `stop` or earlier, and a generator residue that
+        no coordinate below the bound reaches gets no block.  The slot values
+        per residue are the cycle of slot_rows' generators, those per tail
+        position the prefix and cycle of its tails; only the ranges are
+        built per call.
         """
         generators, tails = self.slot_rows
         gen_period, tail_prefix, tail_cycle = len(generators.cycle), len(tails.prefix), len(tails.cycle)
         rows = tails.prefix + tails.cycle
-        gen_stop = stab + math.lcm(period, gen_period)
-        if self.bound is not None:
-            gen_stop = min(gen_stop, self.bound - 1)
+        gen_stop = stop if self.bound is None else min(stop, self.bound - 1)
         checks = [(range(r, gen_stop, gen_period), generators.cycle[r]) for r in range(min(gen_period, gen_stop))]
         if self.bound is None:
-            return checks + [(range(j, max(j, stab) + period), values) for j, values in enumerate(rows)]
+            return checks + [(range(j, stop), values) for j, values in enumerate(rows)]
         n = self.bound
-        stop = max(stab, n - 1 + tail_prefix) + math.lcm(period, tail_cycle)
         checks += [(range(j, min(j + n, stop)), rows[j]) for j in range(tail_prefix)]
         offsets, step = (range(1), 1) if n >= tail_cycle else (range(n), tail_cycle)
         checks += [(range(j + d, stop, step), rows[j]) for j in range(tail_prefix, len(rows)) for d in offsets]
@@ -490,8 +485,8 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
     max prefix + lcm of tail cycles).  A family bounded at N instead covers
     N - 1 + tail prefix: from there on no member reads its generator and the
     window of tail positions at coordinate i lies past the tail prefix (see
-    StaircaseFamily.coordinate_checks).  The period is the lcm of all cycle
-    lengths: explicit constants, family tails, family generators.  A
+    projection_rows).  The period is the lcm of all cycle lengths: explicit
+    constants, family tails, family generators.  A
     family's tail prefix and lcm(L, C) are horizon() of its slot_rows, and C
     is the length of the tails' cycle.  Given several systems, this is their
     joint horizon.
@@ -542,22 +537,128 @@ def _stream_of(streams: Mapping[str, PowerElement], arg: Any) -> PowerElement:
     return arg.value
 
 
+def _none_fail(structure: FiniteStructure, failing: Iterable[tuple[str, ...]]) -> bool:
+    """Whether there is no failing row.
+
+    Every label of every failing row is looked up first, rows in sorted
+    order, so a label outside the universe raises KeyError whatever the
+    rows' iteration order.
+    """
+    rows = sorted(failing)
+    for row in rows:
+        for label in row:
+            structure.index(label)  # raises for a label outside the universe
+    return not rows
+
+
 def _rows_hold(structure: FiniteStructure, eq: Equation, rows: Collection[tuple[str, ...]]) -> bool:
     """Whether the atom holds on every row of argument labels.
 
     The rows are looked up among the table's label rows; an equality's table
-    is the diagonal.  If some are not there, every label of every such row
-    is looked up, rows in sorted order, so a label outside the universe
-    raises KeyError whatever the rows' iteration order; otherwise the atom
-    fails.
+    is the diagonal.  Those that are not there fail, through _none_fail.
     """
     table = structure.label_table(eq.symbol)
-    if table.issuperset(rows):
-        return True
-    for row in sorted(row for row in rows if row not in table):
-        for label in row:
-            structure.index(label)  # raises for a label outside the universe
-    return False
+    return table.issuperset(rows) or _none_fail(structure, (row for row in rows if row not in table))
+
+
+def _least_cycle_member(keys: Sequence[Any], key: Any, unique: int, cycle: int, step: int) -> int:
+    """The least member that shows a tail cycle class's row with the point's key, searched over its keys.
+
+    keys[k] is the point's key at coordinate j + k, where member (k mod
+    cycle) + 1 shows the class of tail position j.  An offset k below
+    `unique` (the point's prefix) stands for itself; a later one for every
+    k + mp, m >= 0, with p the point's period, whose residues mod cycle are
+    those congruent to k mod step = gcd(p, cycle), so k mod step is the
+    least of them.
+    """
+    return min(k % (cycle if k < unique else step) for k, other in enumerate(keys) if other == key) + 1
+
+
+def failing_members(
+    structure: FiniteStructure, family: StaircaseFamily, streams: Mapping[str, PowerElement]
+) -> dict[tuple[str, ...], int]:
+    """Each failing row of the unbounded family at a point, mapped to the least member that shows it.
+
+    A row holds the point's values at a coordinate for the atom's distinct
+    variables, in order of first appearance, then a member's slot values
+    there, put in argument order by row_order; it fails when the relation's
+    label table lacks it.  `streams` gives the point's entry per variable
+    name.  The family's own bound is not read: members 1..N of a family
+    bounded at N hold exactly when no row here maps to a member <= N
+    (members_hold).
+
+    Let (s, p) be the horizon of the point's entries for the atom's
+    variables, L the lcm of the generator lengths, P the tail prefix and C
+    the lcm of the tail cycles.  Each entry is written out once as a column,
+    and a source's coordinates are one slice of it, read as the set of its
+    distinct value tuples; only a failing row looks for its member:
+      * member n >= i + 2 shows the generator row at residue r = i mod L, so
+        the least member for a value tuple is i + 2 at its first coordinate
+        i = r (mod L).  The pair (i mod L, the point's values at i) repeats
+        with lcm(p, L) from s on, so range(r, s + lcm(p, L), L) shows every
+        value tuple and holds its first coordinate;
+      * member i - j + 1 shows tail prefix position j < P at coordinate
+        i >= j, least at the first such i.  The values repeat with p from
+        s on, so range(j, max(j, s) + p) shows every value tuple and holds
+        its first coordinate;
+      * a tail cycle position j (P <= j < P + C) stands for its class, the
+        positions j + kC, k >= 0, which carry its slot values.  The latest of
+        them at or below i >= j is shown by member ((i - j) mod C) + 1, and
+        range(j, max(j, s) + p) shows every value tuple.  The least member
+        for a value tuple is exact from the coordinates i of that range that
+        show it: one below s gives ((i - j) mod C) + 1 alone, and one at or
+        past s stands for every i + kp, k >= 0, whose residues (i - j + kp)
+        mod C are those congruent to i - j mod g = gcd(p, C); the least of
+        them is ((i - j) mod g) + 1.  Every later coordinate repeats one of
+        the range's by a multiple of p.
+    So a solving point costs L + P + C slices and set builds, all in C, and
+    a failing row one index or one scan of its slice.  A row that several
+    sources show keeps the least of their members.  An atom without a
+    variable has no column: every coordinate shows the one empty value
+    tuple, first at the start of each range.
+    """
+    used = {a.name: _stream_of(streams, a) for a in family.atom.args if isinstance(a, Var)}
+    stab, period = horizon(used.values())
+    generators, tails = family.slot_rows
+    gen_period, tail_prefix, tail_cycle = len(generators.cycle), len(tails.prefix), len(tails.cycle)
+    repeat_step = math.gcd(period, tail_cycle)
+    gen_stop = stab + math.lcm(period, gen_period)
+    tail_stop = max(tail_prefix + tail_cycle - 1, stab) + period
+    columns = [pe.take(max(gen_stop, tail_stop)) for pe in used.values()]
+    table = structure.label_table(family.atom.symbol)
+    order = family.row_order
+    failing: dict[tuple[str, ...], int] = {}
+    for k, values in enumerate(generators.cycle + tails.prefix + tails.cycle):
+        j = k - gen_period  # the tail position, negative for generator residue k
+        cut = slice(k, gen_stop, gen_period) if j < 0 else slice(j, max(j, stab) + period)
+        if len(columns) == 1:  # the bare label is the key, so no tuple is built per coordinate
+            keys: Sequence = columns[0][cut]
+            rows = [((key,) + values, key) for key in set(keys)]
+        else:  # with no column the one empty key stands for every coordinate
+            keys = list(zip(*(column[cut] for column in columns))) if columns else [()]
+            rows = [(key + values, key) for key in set(keys)]
+        for row, key in rows:
+            if order is not None:
+                row = order(row)
+            if row in table:
+                continue
+            if j < 0:
+                member = k + gen_period * keys.index(key) + 2
+            elif j < tail_prefix:
+                member = keys.index(key) + 1
+            else:
+                member = _least_cycle_member(keys, key, stab - j, tail_cycle, repeat_step)
+            failing[row] = min(member, failing.get(row, member))
+    return failing
+
+
+def members_hold(structure: FiniteStructure, failing: Mapping[tuple[str, ...], int], last: float) -> bool:
+    """Whether members 1..last hold at a point whose failing_members are `failing`.
+
+    They hold when no failing row maps to a member <= last; the labels of
+    those rows are looked up first, through _none_fail.
+    """
+    return _none_fail(structure, (row for row, member in failing.items() if member <= last))
 
 
 def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[PowerElement]) -> bool:
@@ -565,15 +666,9 @@ def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[P
 
     An explicit equation's rows are the zip_streams of its own streams
     (constants and the point's entries for its variables), so only the
-    distinct rows of its prefix and cycle are checked.  A family is decided
-    by the blocks of StaircaseFamily.coordinate_checks against the horizon
-    of the point's entries for the family's variables.  Each of those
-    entries is written out once, up to the largest block stop, and a block
-    reads only the distinct tuples of the point's values over its
-    coordinates: set(column[cut]) for one variable, set(zip(*slices)) for
-    several, and the one empty tuple for an atom without a variable (every
-    block is nonempty).  Each distinct (tuple, slot values) row is put in
-    argument order by the family's row_order and checked once.
+    distinct rows of its prefix and cycle are checked.  A family bounded at
+    N, or unbounded (N infinite), holds when no row of its failing_members
+    at the point maps to a member <= N.
     """
     if len(point) != len(system.variables):
         raise ValueError(f"point has {len(point)} entries for variables {system.variables}")
@@ -583,24 +678,8 @@ def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[P
         if not _rows_hold(structure, eq, {*rows.prefix, *rows.cycle}):
             return False
     for fam in system.families:
-        args = fam.atom.args
-        used = {a.name: _stream_of(streams, a) for a in args if isinstance(a, Var)}
-        blocks = fam.coordinate_checks(*horizon(used.values()))
-        stop = max(r.stop for r, _ in blocks)
-        columns = [pe.take(stop) for pe in used.values()]
-        rows = set()  # the point's values, then the slot values
-        for r, values in blocks:
-            cut = slice(r.start, r.stop, r.step)
-            if len(columns) == 1:  # a set of labels builds no tuple per coordinate
-                tuples = zip(set(columns[0][cut]))
-            elif columns:
-                tuples = set(zip(*(column[cut] for column in columns)))
-            else:
-                tuples = [()]
-            rows.update(map(tuple.__add__, tuples, repeat(values)))
-        if fam.row_order is not None:
-            rows = list(map(fam.row_order, rows))
-        if not _rows_hold(structure, fam.atom, rows):
+        last = math.inf if fam.bound is None else fam.bound
+        if not members_hold(structure, failing_members(structure, fam, streams), last):
             return False
     return True
 
@@ -636,10 +715,9 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
     cycle.  An explicit equation's slot values at i are its explicit_rows
     entry at i (PowerSystem makes every constant a stream), and each
     distinct tuple of them is turned into an atom and classified once.  A family's
-    blocks from StaircaseFamily.coordinate_checks(stop, 1), as for a point
-    that is constant from `stop` on, list exactly the coordinates below
-    `stop` where their slot values occur, so each block's one mask is ANDed
-    into those.  The classifier is AtomClassifier.of's, which
+    blocks from StaircaseFamily.coordinate_checks(stop) list exactly the
+    coordinates below `stop` where their slot values occur, so each block's
+    one mask is ANDed into those.  The classifier is AtomClassifier.of's, which
     minimal_inconsistent_subset reads after this scan.
     """
     classifier = AtomClassifier.of(structure, system.variables)
@@ -652,9 +730,9 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
                 mask = seen[values] = classifier.mask(_with_slots(eq, values))
             masks[i] &= mask
     for fam in system.families:
-        for r, values in fam.coordinate_checks(stop, 1):
+        for r, values in fam.coordinate_checks(stop):
             mask = classifier.mask(_with_slots(fam.atom, values))
-            for i in range(r.start, min(r.stop, stop), r.step):  # r[:stop] would cut by count
+            for i in r:
                 masks[i] &= mask
     return masks
 

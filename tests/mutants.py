@@ -41,11 +41,14 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "coordinate_masks cuts a block by count",
+        "coordinate_checks lets a bounded family's generator reach coordinate N - 1",
         "src/eqpower/power.py",
-        "for i in range(r.start, min(r.stop, stop), r.step):  # r[:stop] would cut by count",
-        "for i in r[:stop]:",
-        ("tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",),
+        "min(stop, self.bound - 1)",
+        "min(stop, self.bound)",
+        (
+            "tests/test_power.py::test_coordinate_checks_cover_every_member_projection",
+            "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
+        ),
     ),
     Mutant(
         "verify_wrap compares masks folded at stab + period",
@@ -103,9 +106,9 @@ MUTANTS = (
         ("tests/test_power.py::test_consistent_builds_one_mask_per_distinct_atom",),
     ),
     Mutant(
-        "first_violated_member returns m without its truncation checks",
+        "first_violated_member returns m without reading its failing rows",
         "src/eqpower/noetherian.py",
-        "return m if solves_earlier and not satisfies(structure, package.truncation(m), point) else None",
+        "return m if solves_earlier and not members_hold(structure, failing, m) else None",
         "return m",
         ("tests/test_noetherian.py::test_first_violated_member_refuses_a_wrong_package",),
     ),
@@ -131,11 +134,62 @@ MUTANTS = (
         ("tests/test_power.py::test_truncated_family_shares_slot_rows",),
     ),
     Mutant(
-        "a satisfies block drops its first coordinate",
+        "a failing_members slice drops its first coordinate",
         "src/eqpower/power.py",
-        "cut = slice(r.start, r.stop, r.step)",
-        "cut = slice(r.start + r.step, r.stop, r.step)",
-        ("tests/test_power.py::test_satisfies_matches_oracle",),
+        "cut = slice(k, gen_stop, gen_period) if j < 0 else slice(j, max(j, stab) + period)",
+        "cut = slice(k + gen_period, gen_stop, gen_period) if j < 0 else slice(j + 1, max(j, stab) + period)",
+        (
+            "tests/test_power.py::test_satisfies_matches_oracle",
+            "tests/test_power.py::test_failing_members_match_the_oracle",
+        ),
+    ),
+    Mutant(
+        "failing_members gives a generator row member i + 1",
+        "src/eqpower/power.py",
+        "member = k + gen_period * keys.index(key) + 2",
+        "member = k + gen_period * keys.index(key) + 1",
+        ("tests/test_power.py::test_failing_members_match_the_oracle",),
+    ),
+    Mutant(
+        "failing_members gives a tail cycle row member d, not d + 1",
+        "src/eqpower/power.py",
+        "for k, other in enumerate(keys) if other == key) + 1",
+        "for k, other in enumerate(keys) if other == key)",
+        ("tests/test_power.py::test_failing_members_match_the_oracle",),
+    ),
+    Mutant(
+        "the exact search skips a tail cycle class's first coordinate",
+        "src/eqpower/power.py",
+        "for k, other in enumerate(keys) if other",
+        "for k, other in enumerate(keys[1:], 1) if other",
+        ("tests/test_power.py::test_failing_members_match_the_oracle",),
+    ),
+    Mutant(
+        "the exact search reads a repeating coordinate modulo C, not gcd(p, C)",
+        "src/eqpower/power.py",
+        "k % (cycle if k < unique else step)",
+        "k % cycle",
+        ("tests/test_power.py::test_failing_members_match_the_oracle",),
+    ),
+    Mutant(
+        "members_hold filters members < last",
+        "src/eqpower/power.py",
+        "if member <= last)",
+        "if member < last)",
+        (
+            "tests/test_power.py::test_satisfies_matches_oracle",
+            "tests/test_power.py::test_failing_members_match_the_oracle",
+        ),
+    ),
+    Mutant(
+        "a family's failing rows skip the label lookup",
+        "src/eqpower/power.py",
+        "return _none_fail(structure, (row for row, member in failing.items() if member <= last))",
+        "return not any(member <= last for member in failing.values())",
+        (
+            "tests/test_power.py::test_satisfies_names_a_point_label_outside_the_universe",
+            "tests/test_noetherian.py::test_first_violated_member_names_an_unknown_label_as_the_truncation_checks_did",
+        ),
     ),
     Mutant(
         "row_order is always None",
@@ -145,17 +199,17 @@ MUTANTS = (
         ("tests/test_power.py::test_row_order_puts_variable_values_then_slot_values_in_argument_order",),
     ),
     Mutant(
-        "_rows_hold swallows an unknown label",
+        "_none_fail swallows an unknown label",
         "src/eqpower/power.py",
         "structure.index(label)  # raises for a label outside the universe",
         "pass",
         ("tests/test_power.py::test_satisfies_names_a_point_label_outside_the_universe",),
     ),
     Mutant(
-        "_rows_hold checks only the first failing row",
+        "_none_fail looks up only the first failing row",
         "src/eqpower/power.py",
-        "for row in sorted(row for row in rows if row not in table):",
-        "for row in sorted(row for row in rows if row not in table)[:1]:",
+        "rows = sorted(failing)",
+        "rows = sorted(failing)[:1]",
         ("tests/test_power.py::test_satisfies_names_an_unknown_label_whatever_the_row_order",),
     ),
     Mutant(
@@ -377,9 +431,9 @@ MUTANTS = (
     Mutant(
         "satisfies compares equality labels pairwise",
         "src/eqpower/power.py",
-        "    table = structure.label_table(eq.symbol)\n    if table.issuperset(rows):",
+        "    table = structure.label_table(eq.symbol)\n    return table.issuperset(rows)",
         '    if eq.symbol == "=":\n        return all(lhs == rhs for lhs, rhs in rows)\n'
-        "    table = structure.label_table(eq.symbol)\n    if table.issuperset(rows):",
+        "    table = structure.label_table(eq.symbol)\n    return table.issuperset(rows)",
         ("tests/test_power.py::test_satisfies_names_a_point_label_outside_the_universe",),
     ),
     Mutant(  # of the random corpora, only support.planted_power_system writes plain labels

@@ -359,6 +359,34 @@ def test_first_violated_member_refuses_a_wrong_package():
         assert not verify_witness(g, bad, 3)
 
 
+def test_first_violated_member_names_an_unknown_label_as_the_truncation_checks_did():
+    """A label outside the universe raises KeyError exactly when the point's check of members 1..m-1 or m reads it.
+
+    The labels of the failing rows of members <= m - 1 are looked up first
+    and, only if there are none, those of member m.  On the triangle at
+    depth 3 (m = 4) every position of a quadruple puts "zz" in a failing row
+    of member 1 or 2; so does either label of a chain pair.  At depth 1 the
+    point is constant in the quadruple's first label, so the third is never
+    read, and a failing row of member 1 keeps member 2's row, the only one
+    holding "zz", from being looked up.
+    """
+    g = triangle_graph()
+    unknown = "unknown universe element 'zz'"
+    chain = chain_poset(2)
+    quadruple = ("a", "b", "c", "a")
+    cases = [(g, WitnessPackage("graph", quadruple[:k] + ("zz",) + quadruple[k + 1 :]), 3) for k in range(4)]
+    cases += [(chain, WitnessPackage("poset", pair), n) for pair in (("zz", "c2"), ("c1", "zz")) for n in (1, 3)]
+    cases.append((g, WitnessPackage("graph", ("a", "b", "c", "zz")), 1))  # member 1 holds, member m = 2 reads zz
+    for structure, package, n in cases:
+        for check in (first_violated_member, verify_witness):
+            with pytest.raises(KeyError, match=unknown):
+                check(structure, package, n)
+    unread = WitnessPackage("graph", ("a", "b", "zz", "a"))  # the depth-1 point holds no zz
+    assert first_violated_member(g, unread, 1) == 2 and verify_witness(g, unread, 1)
+    earlier = WitnessPackage("graph", ("a", "a", "b", "zz"))  # E(a, a) fails member 1 before member 2 reads zz
+    assert first_violated_member(g, earlier, 1) is None and not verify_witness(g, earlier, 1)
+
+
 def test_union_of_passing_graphs_passes_small():
     passing = [g for g in support.enumerate_graphs_up_to(3) if graph_quasi_identity(g) is None]
     for g in passing:

@@ -2,7 +2,7 @@ import importlib
 import json
 import math
 import random
-from itertools import islice, product
+from itertools import count, islice, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,7 +25,9 @@ from eqpower.power import (
     consistent,
     coordinate_masks,
     coordinate_profile,
+    failing_members,
     horizon,
+    members_hold,
     power_system_from_json_dict,
     power_system_to_json_dict,
     power_systems_equivalent,
@@ -686,46 +688,90 @@ def test_satisfies_matches_oracle_on_long_prefixes(case):
     assert satisfies(structure, system, point) == support.oracle_satisfies(structure, system, point)
 
 
+@settings(deadline=None, max_examples=150)
+@given(st.integers(0, 2**30), st.sampled_from(["random", "planted", "wide"]))
+def test_failing_members_match_the_oracle(seed, draw):
+    """The least member in failing_members is the least N at which the oracle fails on members 1..N written out.
+
+    It is None exactly when oracle_satisfies says that the point solves the
+    unbounded family.  Members 1..N fail exactly when one of them does, so
+    the least such N is the least member that fails alone.  Systems
+    come from the three corpora of test_projection_entries_match_the_uncut_reference,
+    with about 35% of the random and planted families bounded at 1-9 and
+    wide_power_system bounding its own.  The reader does not read a bound,
+    and members_hold at the bound must agree with oracle_satisfies on the
+    bounded family.  Points are a random one, and for random and planted
+    systems the planted point and random_solution_points' solving and
+    failing points.
+    """
+    rng = random.Random(seed)
+    points = []
+    if draw == "wide":
+        structure, system, _ = support.wide_power_system(rng)
+    else:
+        if draw == "planted":
+            structure = rng.choice(sorted(support.planted_structures().items()))[1][1]
+            system, planted = support.planted_power_system(rng, structure)
+            points.append(planted)
+        else:
+            structure = support.random_relational_structure(rng)
+            system = support.random_power_system(rng, structure, max_prefix=3, max_cycle=4)
+        families = tuple(
+            StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
+        )
+        system = PowerSystem(system.variables, system.explicit, families)
+        points += support.random_solution_points(rng, structure, system)
+    points.append(tuple(support.random_stream(rng, list(structure.universe), 3, 4) for _ in system.variables))
+    variables = system.variables
+    for point in points:
+        for fam in system.families:
+            failing = failing_members(structure, fam, dict(zip(variables, point)))
+            least = min(failing.values(), default=None)
+            whole = StaircaseFamily(fam.atom)
+            if support.oracle_satisfies(structure, PowerSystem(variables, (), (whole,)), point):
+                assert least is None, (fam, point)
+            else:
+                member_fails = (
+                    n for n in count(1)
+                    if not support.oracle_satisfies(structure, PowerSystem(variables, (whole.member(n),)), point)
+                )
+                assert least == next(member_fails), (fam, point)
+            if fam.bound is not None:
+                solves = support.oracle_satisfies(structure, PowerSystem(variables, (), (fam,)), point)
+                assert members_hold(structure, failing, fam.bound) == solves, (fam, point)
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_coordinate_checks_cover_every_member_projection(data):
-    """The staircase identity: the checks' rows are exactly the rows of all members at all coordinates.
+    """The staircase identity: the blocks list exactly the (coordinate, slot values) pairs of all members below stop.
 
     For a family bounded at N, all members means members 1..N.  Bounds up to
     4 are drawn more often: there the window of tail positions meets the
-    tail and point prefixes.
+    tail prefix.  At coordinate i every member past i + 2 shows what member
+    i + 2 shows, so members 1..i + 2 stand for all of them.
     """
     labels = ["a", "b", "c"]
     descs = data.draw(st.lists(staircases(labels), max_size=3))
-    point = data.draw(st.lists(streams(labels), min_size=1, max_size=2))
     bound = data.draw(st.none() | st.integers(1, 4) | st.integers(1, 20))
+    stop = data.draw(st.integers(0, 30))
     fam = StaircaseFamily(RelationAtom("R", tuple(Const(s) for s in descs)), bound)
-    stab = max(len(pe.prefix) for pe in point)
-    period = math.lcm(*(len(pe.cycle) for pe in point))
-
-    def at(i):
-        return tuple(pe.at(i) for pe in point)
-
-    blocks = fam.coordinate_checks(stab, period)
-    assert all(coords for coords, _ in blocks)  # so a block of an atom without a variable is one row
-    checked = {(at(i), values) for i, values in support.expand_checks(blocks)}
-    window = 40  # every row of the family shows up at a coordinate below this
-    constants = [tuple(s.member_constant(n) for s in descs) for n in fam.members(window + 2)]
-    members = {(at(i), tuple(c.at(i) for c in member)) for i in range(window) for member in constants}
-    assert checked == members
+    constants = {n: tuple(s.member_constant(n) for s in descs) for n in fam.members(stop + 1)}
+    members = {(i, tuple(c.at(i) for c in constants[n])) for i in range(stop) for n in fam.members(i + 2)}
+    assert support.expand_checks(fam.coordinate_checks(stop)) == members
 
 
 def test_unbounded_coordinate_checks_pinned():
     fam = staircase_demo_system().families[0]
-    assert support.expand_checks(fam.coordinate_checks(1, 2)) == {
+    assert support.expand_checks(fam.coordinate_checks(3)) == {
         (0, ("a",)), (0, ("b",)), (1, ("a",)), (1, ("c",)), (2, ("a",)), (2, ("b",))
     }
     first = Staircase(("a", "b"), PowerElement(("a", "a", "c"), ("a",)))
     second = Staircase(("c",), PowerElement(("c",), ("c", "b", "c")))
     two_slots = StaircaseFamily(RelationAtom("T", (x, Const(first), Const(second))))
-    assert support.expand_checks(two_slots.coordinate_checks(2, 1)) == {
+    assert support.expand_checks(two_slots.coordinate_checks(4)) == {
         (0, ("a", "c")), (1, ("a", "c")), (1, ("b", "c")), (2, ("a", "c")), (2, ("c", "b")),
-        (3, ("a", "c")), (3, ("b", "c")), (4, ("a", "c")), (5, ("a", "b")),
+        (3, ("a", "c")), (3, ("b", "c")), (3, ("c", "b")),
     }
     assert StaircaseFamily(two_slots.atom, None) == two_slots
 
@@ -743,7 +789,7 @@ def test_truncated_family_shares_slot_rows():
         cut = fam.truncated(n)
         assert cut == StaircaseFamily(fam.atom, n) and cut.slot_rows is fam.slot_rows
         assert cut.row_order is fam.row_order is None  # x comes first, so rows are in argument order
-        assert cut.coordinate_checks(3, 2) == StaircaseFamily(fam.atom, n).coordinate_checks(3, 2)
+        assert cut.coordinate_checks(5) == StaircaseFamily(fam.atom, n).coordinate_checks(5)
 
 
 def test_row_order_puts_variable_values_then_slot_values_in_argument_order():

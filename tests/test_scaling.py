@@ -1,17 +1,20 @@
-"""wrap's per-family work counted, not timed: it grows with L + P + C, not with L^2 or C^2.
+"""Per-family work counted, not timed: it grows with L + P + C, and witness checks build no truncation.
 
 One family E(x, stair) over the triangle, with L the generator length, P
-the tail prefix and C the tail cycle.  Counts are the same on every Python
-the CI matrix runs, so a return to a quadratic scan fails here wherever
-it runs.
+the tail prefix and C the tail cycle.  wrap's scans grow with L + P + C,
+not with L^2 or C^2.  Counts are the same on every Python the CI matrix
+runs, so a return to a quadratic scan, or to a bounded family built per
+witness depth, fails here wherever it runs.
 """
 
 import random
 from unittest import mock
 
+from eqpower import noetherian, power
 from eqpower.fixtures import triangle_graph
+from eqpower.noetherian import build_witness_family, first_violated_member, power_noetherian
 from eqpower.power import Periodic, PowerElement, PowerSystem, Staircase, StaircaseFamily, coordinate_profile
-from eqpower.power import stream_horizon
+from eqpower.power import failing_members, stream_horizon
 from eqpower.solver import AtomClassifier, Const, RelationAtom, Var
 from eqpower.wrap import class_representatives
 
@@ -71,3 +74,36 @@ def test_row_scan_reads_each_tail_row_once_per_coordinate_at_C_400():
         reads.update(dict.fromkeys(reads, 0))
         next(fam.row_scan(10**12))
     assert reads == {id(generators): 1, id(tails): 2 + 400}
+
+
+def test_witness_depths_read_one_scan_each_and_build_no_truncation():
+    """Over depths 1..60 first_violated_member runs one failing_members scan per depth and never calls truncated."""
+    g = triangle_graph()
+    package = build_witness_family(g, "graph", power_noetherian(g, "graph").certificate)
+    with (
+        mock.patch.object(StaircaseFamily, "truncated", wraps=package.family.truncated) as truncated,
+        mock.patch.object(noetherian, "failing_members", wraps=failing_members) as scans,
+    ):
+        firsts = [first_violated_member(g, package, n) for n in range(1, 61)]
+    assert firsts == list(range(2, 62))  # quadruples fail member n + 1
+    assert (truncated.call_count, scans.call_count) == (0, 60)
+
+
+def test_a_solving_point_runs_no_exact_member_search_at_C_400():
+    """At C = 400 a solving point costs slices only; the exact search runs once per failing tail cycle row.
+
+    The tail is b, a, then a cycle of 399 a's and one b.  The constant c is
+    adjacent to both, so it solves every member.  The constant b fails on
+    (b, b): at tail prefix position 0, whose least member is read off its
+    first coordinate, and at the one cycle position holding b, the only
+    search.
+    """
+    g = triangle_graph()
+    stair = Staircase(("a",), PowerElement(("b", "a"), ("a",) * 399 + ("b",)))
+    fam = StaircaseFamily(RelationAtom("E", (Var("x"), Const(stair))))
+    assert len(fam.slot_rows[1].cycle) == 400
+    with mock.patch.object(power, "_least_cycle_member", wraps=power._least_cycle_member) as search:
+        assert failing_members(g, fam, {"x": PowerElement((), ("c",))}) == {}
+        assert search.call_count == 0
+        assert failing_members(g, fam, {"x": PowerElement((), ("b",))}) == {("b", "b"): 1}
+        assert search.call_count == 1
