@@ -34,9 +34,9 @@ from .power import (
     PowerSystem,
     Staircase,
     StaircaseFamily,
-    failing_members,
     family_to_json_dict,
     members_hold,
+    switch_failing_members,
 )
 from .solver import Const, RelationAtom, Var
 from .structures import FiniteStructure, GRAPH_EDGE_SYMBOL, POSET_ORDER_SYMBOL, validate
@@ -248,8 +248,8 @@ class WitnessPackage:
         return (PowerElement((repeat,) * (n + offset), (tail,)),)
 
     def truncation(self, n: int) -> PowerSystem:
-        """Members 1..n of the family, as the family bounded at n that shares its slot rows."""
-        return PowerSystem((self.variable,), (), (self.family.truncated(n),))
+        """Members 1..n of the family, as the family bounded at n."""
+        return PowerSystem((self.variable,), (), (StaircaseFamily(self.family.atom, n),))
 
     def to_json_dict(self) -> dict:
         repeat, tail, offset = self.witness_rule
@@ -307,17 +307,20 @@ def first_violated_member(structure: FiniteStructure, package: WitnessPackage, n
     Member m reads its generator at coordinates 0..m-2, and witness_point(n)
     switches from its repeat to its tail at coordinate n + offset; the
     certificate makes that tail against the generator the one failing row.
-    One failing_members scan of the unbounded family at the point decides
-    it: m is returned only if no failing row maps to a member <= m - 1 and
-    some row maps to m, else None.  As members_hold reads them, the labels
-    of the failing rows of members <= m - 1 are looked up first and, only if
-    there are none, those of member m.  So a label outside the universe
-    raises KeyError exactly when a failing row of a member <= m - 1 holds
-    it, or when there is no such row and a failing row of member m holds it.
-    Offsets are -1 or 0, so m > n always.
+    The failing rows of the unbounded family at the point decide it, read
+    in closed form by switch_failing_members from the witness rule, with no
+    point built: m is returned only if no failing row maps to a member
+    <= m - 1 and some row maps to m, else None.  As members_hold reads them,
+    the labels of the failing rows of members <= m - 1 are looked up first
+    and, only if there are none, those of member m.  So a label outside the
+    universe raises KeyError exactly when a failing row of a member <= m - 1
+    holds it, or when there is no such row and a failing row of member m
+    holds it.  Offsets are -1 or 0, so m > n always.
     """
-    m = n + package.witness_rule[2] + 2
-    (point,) = package.witness_point(n)
-    failing = failing_members(structure, package.family, {package.variable: point})
+    if n < 1:
+        raise ValueError("witness points are indexed from 1")
+    repeat, tail, offset = package.witness_rule
+    m = n + offset + 2
+    failing = switch_failing_members(structure, package.family, repeat, n + offset, tail)
     solves_earlier = members_hold(structure, failing, m - 1)
     return m if solves_earlier and not members_hold(structure, failing, m) else None

@@ -16,8 +16,10 @@ of their rows once, and Staircase.member_constant writes one member out.
 failing_members reads a family at a point: one slice of each point column per
 generator residue and per tail position maps every failing row to the least
 member that shows it, so satisfies decides a family bounded at N as "no
-failing row of a member <= N" and the witness check in noetherian reads the
-same scan.
+failing row of a member <= N".  switch_failing_members gives the same map at
+a point that switches once from one value to another, as every witness point
+does, in closed form: at most two rows per source and no column, so the
+witness check in noetherian costs the same at every depth.
 
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of
@@ -221,8 +223,9 @@ class StaircaseFamily:
         cycle of C rows, C the lcm of the tail cycles.  The rows depend on the
         atom alone, and every per-coordinate reading of the family goes
         through them: row_scan, coordinate_checks, failing_members,
-        stream_horizon, wrap's candidate scan, and projected_member.  A
-        family without a constant slot has one empty row in each cycle.
+        switch_failing_members, stream_horizon, wrap's candidate scan, and
+        projected_member.  A family without a constant slot has one empty
+        row in each cycle.
         """
         descs = self.descriptors()
         return zip_streams([Periodic((), s.generator) for s in descs]), zip_streams([s.tail for s in descs])
@@ -241,12 +244,6 @@ class StaircaseFamily:
         slots = iter(range(len(names), len(args)))
         order = [names.index(a.name) if isinstance(a, Var) else next(slots) for a in args]
         return None if order == list(range(len(args))) else itemgetter(*order)
-
-    def truncated(self, n: int) -> "StaircaseFamily":
-        """Members 1..n, as the family bounded at n; it shares this family's slot_rows and row_order."""
-        fam = StaircaseFamily(self.atom, n)
-        fam.__dict__.update(slot_rows=self.slot_rows, row_order=self.row_order)  # where cached_property keeps values
-        return fam
 
     def coordinate_checks(self, stop: int) -> list[tuple[range, tuple[str, ...]]]:
         """(coordinates, slot values) blocks: where below `stop` some member shows each row of slot values.
@@ -648,6 +645,56 @@ def failing_members(
                 member = keys.index(key) + 1
             else:
                 member = _least_cycle_member(keys, key, stab - j, tail_cycle, repeat_step)
+            failing[row] = min(member, failing.get(row, member))
+    return failing
+
+
+def switch_failing_members(
+    structure: FiniteStructure, family: StaircaseFamily, before: str, switch: int, after: str
+) -> dict[tuple[str, ...], int]:
+    """failing_members of the family at the point that is `before` below coordinate `switch` and `after` from there.
+
+    That point is PowerElement((before,) * switch, (after,)) for the atom's
+    one distinct variable; an atom with any other number of distinct
+    variables raises ValueError.  No point or column is built: at a
+    coordinate i the point's value is `before` if i < switch and `after`
+    otherwise, so each source of slot values shows at most two rows, and
+    the least member of each is read off where its value first occurs.
+    With L the lcm of the generator lengths, P the tail prefix and C the
+    lcm of the tail cycles, as in failing_members:
+      * member i + 2 shows generator residue r at each i = r (mod L),
+        i >= r.  The least such i below switch is r itself, when r < switch;
+        the least at or past switch is the least i = r (mod L) with
+        i >= max(r, switch).  Members i + 2 at those coordinates are least;
+      * member i - j + 1 shows tail prefix position j at each i >= j.  The
+        least such i below switch is j, member 1, when j < switch; the least
+        at or past switch is max(j, switch), member max(0, switch - j) + 1;
+      * the class of tail cycle position j is shown by member
+        ((i - j) mod C) + 1 at each i >= j.  Below switch, i = j gives
+        member 1, when j < switch; at or past switch, i runs through every
+        residue mod C, so the member is 1 there too.
+    A row that several sources or both values show keeps the least of
+    their members.  When before == after the point is that one constant,
+    and the two rows of a source coincide with the least member kept.  So
+    the result is the same dict, at 2 (L + P + C) table lookups at most.
+    """
+    if len({a.name for a in family.atom.args if isinstance(a, Var)}) != 1:
+        raise ValueError("switch_failing_members reads an atom with one distinct variable")
+    generators, tails = family.slot_rows
+    gen_period, tail_prefix = len(generators.cycle), len(tails.prefix)
+    shown: list[tuple[str, tuple[str, ...], int]] = []  # (point value, slot values, least member that shows them)
+    for r, values in enumerate(generators.cycle):
+        first_after = r + gen_period * -(-max(0, switch - r) // gen_period)  # least i = r (mod L), i >= max(r, switch)
+        shown += [(before, values, r + 2)] * (r < switch) + [(after, values, first_after + 2)]
+    for j, values in enumerate(tails.prefix + tails.cycle):
+        after_member = max(0, switch - j) + 1 if j < tail_prefix else 1
+        shown += [(before, values, 1)] * (j < switch) + [(after, values, after_member)]
+    table = structure.label_table(family.atom.symbol)
+    order = family.row_order
+    failing: dict[tuple[str, ...], int] = {}
+    for key, values, member in shown:
+        row = (key,) + values if order is None else order((key,) + values)
+        if row not in table:
             failing[row] = min(member, failing.get(row, member))
     return failing
 

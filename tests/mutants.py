@@ -127,11 +127,46 @@ MUTANTS = (
         ("tests/test_noetherian.py::test_verdict_copies_must_agree",),
     ),
     Mutant(
-        "truncated keeps the whole family",
+        "a witness truncation keeps the whole family",
+        "src/eqpower/noetherian.py",
+        "StaircaseFamily(self.family.atom, n)",
+        "StaircaseFamily(self.family.atom)",
+        ("tests/test_noetherian.py::test_witness_package_computes_its_rule_once_and_truncations_bound_the_family",),
+    ),
+    Mutant(
+        "first_violated_member takes depth 0",
+        "src/eqpower/noetherian.py",
+        'raise ValueError("witness points are indexed from 1")\n    repeat, tail, offset',
+        "repeat, tail, offset",
+        ("tests/test_noetherian.py::test_witness_depths_are_numbered_from_1",),
+    ),
+    Mutant(
+        "switch_failing_members rounds the after generator coordinate down instead of up",
         "src/eqpower/power.py",
-        "fam = StaircaseFamily(self.atom, n)",
-        "fam = StaircaseFamily(self.atom)",
-        ("tests/test_power.py::test_truncated_family_shares_slot_rows",),
+        "r + gen_period * -(-max(0, switch - r) // gen_period)",
+        "r + gen_period * (max(0, switch - r) // gen_period)",
+        ("tests/test_power.py::test_switch_failing_members_equal_failing_members_at_the_switch_point",),
+    ),
+    Mutant(
+        "switch_failing_members gives a tail prefix after row member switch + 1, not switch - j + 1",
+        "src/eqpower/power.py",
+        "max(0, switch - j) + 1 if j < tail_prefix else 1",
+        "max(0, switch) + 1 if j < tail_prefix else 1",
+        ("tests/test_power.py::test_switch_failing_members_equal_failing_members_at_the_switch_point",),
+    ),
+    Mutant(
+        "switch_failing_members notes a before generator row when r >= switch",
+        "src/eqpower/power.py",
+        "[(before, values, r + 2)] * (r < switch)",
+        "[(before, values, r + 2)]",
+        ("tests/test_power.py::test_switch_failing_members_equal_failing_members_at_the_switch_point",),
+    ),
+    Mutant(
+        "switch_failing_members notes a before tail row when j >= switch",
+        "src/eqpower/power.py",
+        "[(before, values, 1)] * (j < switch)",
+        "[(before, values, 1)]",
+        ("tests/test_power.py::test_switch_failing_members_equal_failing_members_at_the_switch_point",),
     ),
     Mutant(
         "a failing_members slice drops its first coordinate",

@@ -577,12 +577,13 @@ def shape_obstruction(structure: FiniteStructure, max_slots: float = math.inf) -
 def least_equivalent_truncation(structure: FiniteStructure, system: PowerSystem) -> int | None:
     """Least N <= stab + 2 * period + 2 at which the system with every family cut to members 1..N is equivalent.
 
-    Explicit equations stay; each family becomes family.truncated(N).  None
+    Explicit equations stay; each family becomes the family bounded at N.  None
     when no such N exists up to that bound.
     """
     stab, period = stream_horizon(system)
     for n in range(1, stab + 2 * period + 3):
-        truncation = PowerSystem(system.variables, system.explicit, tuple(f.truncated(n) for f in system.families))
+        families = tuple(StaircaseFamily(f.atom, n) for f in system.families)
+        truncation = PowerSystem(system.variables, system.explicit, families)
         if power_systems_equivalent(structure, truncation, system):
             return n
     return None

@@ -320,15 +320,27 @@ def test_deep_witness_index_at_long_depths(case):
         assert first_violated_member(structure, package, n) == n + package.witness_rule[2] + 2 == n + offset
 
 
-def test_witness_package_computes_its_rule_once_and_truncations_share_the_family_data():
-    """witness_rule is computed on first use; every truncation reuses the family's slot rows and row order."""
+def test_witness_package_computes_its_rule_once_and_truncations_bound_the_family():
+    """witness_rule is computed on first use; truncation(n) is the family's atom bounded at n, members 1..n."""
     structure = cycle_graph(5)
     package = build_witness_family(structure, "graph", power_noetherian(structure, "graph").certificate)
     assert package.witness_rule is package.witness_rule
     for n in (1, 30, 300):
-        (fam,) = package.truncation(n).families
-        assert fam.bound == n and fam.slot_rows is package.family.slot_rows
-        assert fam.__dict__["row_order"] is package.family.row_order is None
+        system = package.truncation(n)
+        (fam,) = system.families
+        assert system.variables == (package.variable,) and system.explicit == ()
+        assert fam.bound == n and fam.atom is package.family.atom
+        assert list(fam.members(n + 1)) == list(range(1, n + 1))
+        assert fam.member(n) == package.family.member(n)
+
+
+def test_witness_depths_are_numbered_from_1():
+    """Depth 0 is refused with ValueError by first_violated_member and verify_witness, as by witness_point."""
+    g = triangle_graph()
+    package = build_witness_family(g, "graph", ("a", "b", "c", "a"))
+    for check in (first_violated_member, verify_witness, lambda _, package, n: package.witness_point(n)):
+        with pytest.raises(ValueError, match="indexed from 1"):
+            check(g, package, 0)
 
 
 def test_witness_rejects_bogus_certificates():

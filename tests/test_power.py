@@ -37,6 +37,7 @@ from eqpower.power import (
     resolve_source,
     satisfies,
     stream_horizon,
+    switch_failing_members,
     zip_streams,
 )
 from eqpower.solver import AtomClassifier, Const, RelationAtom, Var, solve
@@ -741,6 +742,90 @@ def test_failing_members_match_the_oracle(seed, draw):
                 assert members_hold(structure, failing, fam.bound) == solves, (fam, point)
 
 
+def _one_variable_families(rng: random.Random, draw: str) -> tuple[FiniteStructure, list[StaircaseFamily]]:
+    """A structure and the families of one drawn system whose atoms read one distinct variable.
+
+    "random" draws random_power_system on a random binary structure,
+    "planted" planted_power_system on a planted structure, and "quaternary"
+    planted_power_system on quaternary_structure, whose families have two
+    constant slots and may repeat their variable.
+    """
+    if draw == "random":
+        structure = support.random_relational_structure(rng)
+        system = support.random_power_system(rng, structure, max_prefix=3, max_cycle=4)
+    else:
+        if draw == "planted":
+            structure = rng.choice(sorted(support.planted_structures().items()))[1][1]
+        else:
+            structure = support.quaternary_structure()
+        system, _ = support.planted_power_system(rng, structure)
+    readers = [fam for fam in system.families if len({a.name for a in fam.atom.args if isinstance(a, Var)}) == 1]
+    return structure, readers
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(0, 2**30),
+    st.sampled_from(["random", "planted", "quaternary"]),
+    st.integers(0, 12),
+    st.sampled_from(["two", "same", "unknown before", "unknown after"]),
+)
+def test_switch_failing_members_equal_failing_members_at_the_switch_point(seed, draw, switch, values):
+    """The closed form equals failing_members at PowerElement((before,) * switch, (after,)), dict for dict.
+
+    Families come from random, planted and quaternary_structure systems,
+    the last with two constant slots and often a repeated variable; switch
+    runs from 0; before and after are two drawn labels, one label twice, or
+    one of them is "zz", outside the universe, which both readers only put
+    in failing rows.
+    """
+    rng = random.Random(seed)
+    structure, families = _one_variable_families(rng, draw)
+    labels = list(structure.universe)
+    before, after = rng.choice(labels), rng.choice(labels)
+    if values == "same":
+        after = before
+    elif values == "unknown before":
+        before = "zz"
+    elif values == "unknown after":
+        after = "zz"
+    for fam in families:
+        (variable,) = {a.name for a in fam.atom.args if isinstance(a, Var)}
+        point = PowerElement((before,) * switch, (after,))
+        expected = failing_members(structure, fam, {variable: point})
+        assert switch_failing_members(structure, fam, before, switch, after) == expected, (fam, point)
+
+
+def test_switch_failing_members_pinned():
+    """Pinned cases: a repeated variable, switch 0, one value twice, an unknown label; other atoms are refused."""
+    q = support.quaternary_structure()  # Q rows: aaab, abbb, baaa
+    a_then_b = Staircase(("a",), PowerElement((), ("b",)))
+    repeated = StaircaseFamily(RelationAtom("Q", (x, Const(a_then_b), x, Const(a_then_b))))
+    prefixed = Staircase(("b",), PowerElement(("a", "a"), ("b",)))
+    cases = [
+        # member n shows the generator a at coordinates 0..n-2 and the tail b from n - 1 on
+        (repeated, "a", 2, "b", {("a", "a", "a", "a"): 2, ("a", "b", "a", "b"): 1, ("b", "a", "b", "a"): 4,
+                                  ("b", "b", "b", "b"): 1}),
+        (repeated, "b", 0, "b", {("b", "a", "b", "a"): 2, ("b", "b", "b", "b"): 1}),
+        (repeated, "zz", 0, "a", {("a", "a", "a", "a"): 2, ("a", "b", "a", "b"): 1}),
+        (repeated, "a", 1, "zz", {("a", "a", "a", "a"): 2, ("a", "b", "a", "b"): 1, ("zz", "a", "zz", "a"): 3,
+                                   ("zz", "b", "zz", "b"): 1}),
+        # tail prefix position 1 first shows b at coordinate 3, to member 3 = 3 - 1 + 1
+        (StaircaseFamily(RelationAtom("Q", (x, Const(prefixed), x, Const(prefixed)))), "a", 3, "b",
+         {("a", "a", "a", "a"): 1, ("a", "b", "a", "b"): 1, ("b", "a", "b", "a"): 3, ("b", "b", "b", "b"): 1}),
+    ]
+    for fam, before, switch, after, expected in cases:
+        point = PowerElement((before,) * switch, (after,))
+        assert failing_members(q, fam, {"x": point}) == expected
+        assert switch_failing_members(q, fam, before, switch, after) == expected
+    g = triangle_graph()
+    stair = Const(a_then_b)
+    for atom in (RelationAtom("E", (stair, stair)), RelationAtom("E", (x, Var("y"))),
+                 RelationAtom("Q", (x, stair, Var("y"), stair))):
+        with pytest.raises(ValueError, match="one distinct variable"):
+            switch_failing_members(g, StaircaseFamily(atom), "a", 1, "b")
+
+
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_coordinate_checks_cover_every_member_projection(data):
@@ -776,8 +861,8 @@ def test_unbounded_coordinate_checks_pinned():
     assert StaircaseFamily(two_slots.atom, None) == two_slots
 
 
-def test_truncated_family_shares_slot_rows():
-    """A truncation is the bounded family, and reuses the slot values its parent computed."""
+def test_a_truncation_is_the_family_bounded_at_n():
+    """Members 1..n of a family are its atom bounded at n: the bound, the members and the atom are pinned."""
     first = Staircase(("a", "b", "c"), PowerElement(("a", "c"), ("b", "a")))
     second = Staircase(("c", "a"), PowerElement((), ("b",)))
     fam = StaircaseFamily(RelationAtom("T", (x, Const(first), Const(second))))
@@ -786,10 +871,13 @@ def test_truncated_family_shares_slot_rows():
         Periodic((("a", "b"), ("c", "b")), (("b", "b"), ("a", "b"))),
     )
     for n in (1, 4, 9):
-        cut = fam.truncated(n)
-        assert cut == StaircaseFamily(fam.atom, n) and cut.slot_rows is fam.slot_rows
-        assert cut.row_order is fam.row_order is None  # x comes first, so rows are in argument order
-        assert cut.coordinate_checks(5) == StaircaseFamily(fam.atom, n).coordinate_checks(5)
+        cut = StaircaseFamily(fam.atom, n)
+        assert cut.atom is fam.atom and cut.bound == n and cut != fam
+        assert list(cut.members(n + 5)) == list(range(1, n + 1))
+        assert [cut.member(k) for k in cut.members(n)] == [fam.member(k) for k in range(1, n + 1)]
+        with pytest.raises(ValueError, match=f"members 1..{n}, not {n + 1}"):
+            cut.member(n + 1)
+        assert cut.slot_rows == fam.slot_rows and cut.row_order is fam.row_order is None
 
 
 def test_row_order_puts_variable_values_then_slot_values_in_argument_order():
@@ -806,7 +894,7 @@ def test_row_order_puts_variable_values_then_slot_values_in_argument_order():
     for atom, row, expected in cases:
         fam = StaircaseFamily(atom)
         assert fam.row_order(row) == expected
-        assert fam.truncated(3).row_order is fam.row_order
+        assert StaircaseFamily(atom, 3).row_order(row) == expected
     for atom in (
         RelationAtom("T", (x, y, stair)), RelationAtom("T", (x, stair, stair)), RelationAtom(EQUALITY, (x, stair)),
     ):

@@ -1,21 +1,22 @@
-"""Per-family work counted, not timed: it grows with L + P + C, and witness checks build no truncation.
+"""Per-family work counted, not timed: it grows with L + P + C, and witness checks build no point or truncation.
 
 One family E(x, stair) over the triangle, with L the generator length, P
 the tail prefix and C the tail cycle.  wrap's scans grow with L + P + C,
 not with L^2 or C^2.  Counts are the same on every Python the CI matrix
-runs, so a return to a quadratic scan, or to a bounded family built per
-witness depth, fails here wherever it runs.
+runs, so a return to a quadratic scan, or to a point or a bounded family
+built per witness depth, fails here wherever it runs.
 """
 
 import random
 from unittest import mock
 
-from eqpower import noetherian, power
+from eqpower import power
 from eqpower.fixtures import triangle_graph
 from eqpower.noetherian import build_witness_family, first_violated_member, power_noetherian
 from eqpower.power import Periodic, PowerElement, PowerSystem, Staircase, StaircaseFamily, coordinate_profile
 from eqpower.power import failing_members, stream_horizon
 from eqpower.solver import AtomClassifier, Const, RelationAtom, Var
+from eqpower.structures import FiniteStructure
 from eqpower.wrap import class_representatives
 
 
@@ -77,16 +78,43 @@ def test_row_scan_reads_each_tail_row_once_per_coordinate_at_C_400():
 
 
 def test_witness_depths_read_one_scan_each_and_build_no_truncation():
-    """Over depths 1..60 first_violated_member runs one failing_members scan per depth and never calls truncated."""
+    """Each witness depth, 1..60 or 10**6, reads the same few table rows and builds no point, column or truncation.
+
+    first_violated_member reads the witness family in closed form through
+    switch_failing_members: no failing_members call, no PowerElement and no
+    StaircaseFamily, so a depth costs O(L + P + C) row lookups in the
+    relation's label table, the same number at every depth that has a
+    repeat before its tail.
+    """
     g = triangle_graph()
     package = build_witness_family(g, "graph", power_noetherian(g, "graph").certificate)
+    assert package.family and package.witness_rule  # both cached on first use, before counting
+    lookups = []
+    label_table = FiniteStructure.label_table
+
+    class CountedTable(frozenset):
+        def __contains__(self, row):
+            lookups[-1] += 1
+            return frozenset.__contains__(self, row)
+
+    def counted_table(self, symbol):
+        return CountedTable(label_table(self, symbol))
+
     with (
-        mock.patch.object(StaircaseFamily, "truncated", wraps=package.family.truncated) as truncated,
-        mock.patch.object(noetherian, "failing_members", wraps=failing_members) as scans,
+        mock.patch.object(power, "failing_members", wraps=failing_members) as scans,
+        mock.patch.object(PowerElement, "__post_init__", autospec=True, wraps=PowerElement.__post_init__) as points,
+        mock.patch.object(StaircaseFamily, "__post_init__", autospec=True, wraps=StaircaseFamily.__post_init__) as fams,
+        mock.patch.object(FiniteStructure, "label_table", counted_table),
     ):
-        firsts = [first_violated_member(g, package, n) for n in range(1, 61)]
-    assert firsts == list(range(2, 62))  # quadruples fail member n + 1
-    assert (truncated.call_count, scans.call_count) == (0, 60)
+        firsts = []
+        for n in (*range(1, 61), 10**6):
+            lookups.append(0)
+            firsts.append(first_violated_member(g, package, n))
+    assert firsts == [n + 1 for n in (*range(1, 61), 10**6)]  # quadruples fail member n + 1
+    assert (scans.call_count, points.call_count, fams.call_count) == (0, 0, 0)
+    # the one generator residue and the one tail position, each with the repeat's row and the tail's;
+    # a quadruple's depth-1 point switches at coordinate 0, so it is its tail alone
+    assert lookups == [2] + [4] * 60
 
 
 def test_a_solving_point_runs_no_exact_member_search_at_C_400():
