@@ -13,21 +13,21 @@ A family's slot_rows are two zipped streams of slot-value rows, one by
 generator residue and one by joint tail position, and every per-coordinate
 reading of a family goes through them; wrap's candidate scan classifies each
 of their rows once, and Staircase.member_constant writes one member out.
-failing_members reads a family at a point: one slice of each point column per
-generator residue and per tail position maps every failing row to the least
-member that shows it, so satisfies decides a family bounded at N as "no
-failing row of a member <= N".  switch_failing_members gives the same map at
-a point that switches once from one value to another, as every witness point
-does, in closed form: at most two rows per source and no column, so the
-witness check in noetherian costs the same at every depth.
+switch_failing_members reads a family at a point that switches once from
+one value to another, as every witness point does: it maps every failing
+row to the least member that shows it, in closed form from at most two rows
+per source and with no point built, so the witness check in noetherian costs
+the same at every depth.  members_hold decides members 1..N from that map as
+"no failing row of a member <= N".
 
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of
 its atom masks, computed coordinate by coordinate; consistent,
-power_systems_equivalent and wrap's verify_wrap are queries on it.  It
-classifies an explicit equation once per distinct tuple of slot values, not
-once per coordinate, through the one AtomClassifier.of that serves a
-structure and variable list, so consistent's core search reuses its masks.
+power_systems_equivalent, satisfies and wrap's verify_wrap are queries on
+it.  It classifies an explicit equation once per distinct tuple of slot
+values, not once per coordinate, through the one AtomClassifier.of that
+serves a structure and variable list, so consistent's core search reuses its
+masks.
 projection_rows lists pi_i coordinate by coordinate in projection order:
 each explicit equation's explicit_rows at i, then each family's distinct rows
 from StaircaseFamily.row_scan, one move-to-front pass over the tail rows
@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Collection, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, count
 from operator import itemgetter
 from typing import Any
 
-from .errors import InputFormatError, UnboundVariableError, json_int, json_object, json_str_list
+from .errors import InputFormatError, json_int, json_object, json_str_list
 from .solver import (
     AtomClassifier,
     Const,
@@ -222,10 +222,9 @@ class StaircaseFamily:
         tail position: a prefix as long as the largest tail prefix, then a
         cycle of C rows, C the lcm of the tail cycles.  The rows depend on the
         atom alone, and every per-coordinate reading of the family goes
-        through them: row_scan, coordinate_checks, failing_members,
-        switch_failing_members, stream_horizon, wrap's candidate scan, and
-        projected_member.  A family without a constant slot has one empty
-        row in each cycle.
+        through them: row_scan, coordinate_checks, switch_failing_members,
+        stream_horizon, wrap's candidate scan, and projected_member.  A
+        family without a constant slot has one empty row in each cycle.
         """
         descs = self.descriptors()
         return zip_streams([Periodic((), s.generator) for s in descs]), zip_streams([s.tail for s in descs])
@@ -235,8 +234,8 @@ class StaircaseFamily:
         """Puts a row of the atom's variables' values, then its slot values, in argument order.
 
         The variables are the atom's distinct ones in order of first
-        appearance, as failing_members writes them.  None when such a row
-        already is in argument order, as it is for every atom of one
+        appearance, as switch_failing_members writes them.  None when such a
+        row already is in argument order, as it is for every atom of one
         argument.
         """
         args = self.atom.args
@@ -524,159 +523,42 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
     return Periodic(tuple(table[:stab]), tuple(table[stab:]))
 
 
-def _stream_of(streams: Mapping[str, PowerElement], arg: Any) -> PowerElement:
-    """The stream an argument takes: the point's entry for a variable, else the constant itself."""
-    if isinstance(arg, Var):
-        try:
-            return streams[arg.name]
-        except KeyError:
-            raise UnboundVariableError(f"no value assigned to variable {arg.name!r}") from None
-    return arg.value
-
-
-def _none_fail(structure: FiniteStructure, failing: Iterable[tuple[str, ...]]) -> bool:
-    """Whether there is no failing row.
-
-    Every label of every failing row is looked up first, rows in sorted
-    order, so a label outside the universe raises KeyError whatever the
-    rows' iteration order.
-    """
-    rows = sorted(failing)
-    for row in rows:
-        for label in row:
-            structure.index(label)  # raises for a label outside the universe
-    return not rows
-
-
-def _rows_hold(structure: FiniteStructure, eq: Equation, rows: Collection[tuple[str, ...]]) -> bool:
-    """Whether the atom holds on every row of argument labels.
-
-    The rows are looked up among the table's label rows; an equality's table
-    is the diagonal.  Those that are not there fail, through _none_fail.
-    """
-    table = structure.label_table(eq.symbol)
-    return table.issuperset(rows) or _none_fail(structure, (row for row in rows if row not in table))
-
-
-def _least_cycle_member(keys: Sequence[Any], key: Any, unique: int, cycle: int, step: int) -> int:
-    """The least member that shows a tail cycle class's row with the point's key, searched over its keys.
-
-    keys[k] is the point's key at coordinate j + k, where member (k mod
-    cycle) + 1 shows the class of tail position j.  An offset k below
-    `unique` (the point's prefix) stands for itself; a later one for every
-    k + mp, m >= 0, with p the point's period, whose residues mod cycle are
-    those congruent to k mod step = gcd(p, cycle), so k mod step is the
-    least of them.
-    """
-    return min(k % (cycle if k < unique else step) for k, other in enumerate(keys) if other == key) + 1
-
-
-def failing_members(
-    structure: FiniteStructure, family: StaircaseFamily, streams: Mapping[str, PowerElement]
-) -> dict[tuple[str, ...], int]:
-    """Each failing row of the unbounded family at a point, mapped to the least member that shows it.
-
-    A row holds the point's values at a coordinate for the atom's distinct
-    variables, in order of first appearance, then a member's slot values
-    there, put in argument order by row_order; it fails when the relation's
-    label table lacks it.  `streams` gives the point's entry per variable
-    name.  The family's own bound is not read: members 1..N of a family
-    bounded at N hold exactly when no row here maps to a member <= N
-    (members_hold).
-
-    Let (s, p) be the horizon of the point's entries for the atom's
-    variables, L the lcm of the generator lengths, P the tail prefix and C
-    the lcm of the tail cycles.  Each entry is written out once as a column,
-    and a source's coordinates are one slice of it, read as the set of its
-    distinct value tuples; only a failing row looks for its member:
-      * member n >= i + 2 shows the generator row at residue r = i mod L, so
-        the least member for a value tuple is i + 2 at its first coordinate
-        i = r (mod L).  The pair (i mod L, the point's values at i) repeats
-        with lcm(p, L) from s on, so range(r, s + lcm(p, L), L) shows every
-        value tuple and holds its first coordinate;
-      * member i - j + 1 shows tail prefix position j < P at coordinate
-        i >= j, least at the first such i.  The values repeat with p from
-        s on, so range(j, max(j, s) + p) shows every value tuple and holds
-        its first coordinate;
-      * a tail cycle position j (P <= j < P + C) stands for its class, the
-        positions j + kC, k >= 0, which carry its slot values.  The latest of
-        them at or below i >= j is shown by member ((i - j) mod C) + 1, and
-        range(j, max(j, s) + p) shows every value tuple.  The least member
-        for a value tuple is exact from the coordinates i of that range that
-        show it: one below s gives ((i - j) mod C) + 1 alone, and one at or
-        past s stands for every i + kp, k >= 0, whose residues (i - j + kp)
-        mod C are those congruent to i - j mod g = gcd(p, C); the least of
-        them is ((i - j) mod g) + 1.  Every later coordinate repeats one of
-        the range's by a multiple of p.
-    So a solving point costs L + P + C slices and set builds, all in C, and
-    a failing row one index or one scan of its slice.  A row that several
-    sources show keeps the least of their members.  An atom without a
-    variable has no column: every coordinate shows the one empty value
-    tuple, first at the start of each range.
-    """
-    used = {a.name: _stream_of(streams, a) for a in family.atom.args if isinstance(a, Var)}
-    stab, period = horizon(used.values())
-    generators, tails = family.slot_rows
-    gen_period, tail_prefix, tail_cycle = len(generators.cycle), len(tails.prefix), len(tails.cycle)
-    repeat_step = math.gcd(period, tail_cycle)
-    gen_stop = stab + math.lcm(period, gen_period)
-    tail_stop = max(tail_prefix + tail_cycle - 1, stab) + period
-    columns = [pe.take(max(gen_stop, tail_stop)) for pe in used.values()]
-    table = structure.label_table(family.atom.symbol)
-    order = family.row_order
-    failing: dict[tuple[str, ...], int] = {}
-    for k, values in enumerate(generators.cycle + tails.prefix + tails.cycle):
-        j = k - gen_period  # the tail position, negative for generator residue k
-        cut = slice(k, gen_stop, gen_period) if j < 0 else slice(j, max(j, stab) + period)
-        if len(columns) == 1:  # the bare label is the key, so no tuple is built per coordinate
-            keys: Sequence = columns[0][cut]
-            rows = [((key,) + values, key) for key in set(keys)]
-        else:  # with no column the one empty key stands for every coordinate
-            keys = list(zip(*(column[cut] for column in columns))) if columns else [()]
-            rows = [(key + values, key) for key in set(keys)]
-        for row, key in rows:
-            if order is not None:
-                row = order(row)
-            if row in table:
-                continue
-            if j < 0:
-                member = k + gen_period * keys.index(key) + 2
-            elif j < tail_prefix:
-                member = keys.index(key) + 1
-            else:
-                member = _least_cycle_member(keys, key, stab - j, tail_cycle, repeat_step)
-            failing[row] = min(member, failing.get(row, member))
-    return failing
-
-
 def switch_failing_members(
     structure: FiniteStructure, family: StaircaseFamily, before: str, switch: int, after: str
 ) -> dict[tuple[str, ...], int]:
-    """failing_members of the family at the point that is `before` below coordinate `switch` and `after` from there.
+    """Each failing row of the unbounded family at a switch point, mapped to the least member that shows it.
 
-    That point is PowerElement((before,) * switch, (after,)) for the atom's
-    one distinct variable; an atom with any other number of distinct
-    variables raises ValueError.  No point or column is built: at a
-    coordinate i the point's value is `before` if i < switch and `after`
-    otherwise, so each source of slot values shows at most two rows, and
-    the least member of each is read off where its value first occurs.
-    With L the lcm of the generator lengths, P the tail prefix and C the
-    lcm of the tail cycles, as in failing_members:
+    The point is `before` below coordinate `switch` and `after` from there,
+    PowerElement((before,) * switch, (after,)), for the atom's one distinct
+    variable; an atom with any other number of distinct variables raises
+    ValueError.  A row holds the point's value at a coordinate, then a
+    member's slot values there, put in argument order by row_order; it fails
+    when the relation's label table lacks it.  The family's own bound is not
+    read: members 1..N hold exactly when no row here maps to a member <= N
+    (members_hold).
+
+    No point or column is built: at a coordinate i the point's value is
+    `before` if i < switch and `after` otherwise, so each source of slot
+    values shows at most two rows, and the least member of each is read off
+    where its value first occurs.  With L the lcm of the generator lengths,
+    P the tail prefix and C the lcm of the tail cycles:
       * member i + 2 shows generator residue r at each i = r (mod L),
-        i >= r.  The least such i below switch is r itself, when r < switch;
-        the least at or past switch is the least i = r (mod L) with
-        i >= max(r, switch).  Members i + 2 at those coordinates are least;
+        i >= r, and so does every later member.  The least such i below
+        switch is r itself, when r < switch; the least at or past switch is
+        the least i = r (mod L) with i >= max(r, switch).  Members i + 2 at
+        those coordinates are least;
       * member i - j + 1 shows tail prefix position j at each i >= j.  The
         least such i below switch is j, member 1, when j < switch; the least
         at or past switch is max(j, switch), member max(0, switch - j) + 1;
-      * the class of tail cycle position j is shown by member
-        ((i - j) mod C) + 1 at each i >= j.  Below switch, i = j gives
-        member 1, when j < switch; at or past switch, i runs through every
-        residue mod C, so the member is 1 there too.
+      * the class of tail cycle position j, the positions j + kC, k >= 0,
+        which carry its slot values, is shown by member ((i - j) mod C) + 1
+        at each i >= j.  Below switch, i = j gives member 1, when j < switch;
+        at or past switch, i runs through every residue mod C, so the member
+        is 1 there too.
     A row that several sources or both values show keeps the least of
     their members.  When before == after the point is that one constant,
     and the two rows of a source coincide with the least member kept.  So
-    the result is the same dict, at 2 (L + P + C) table lookups at most.
+    the map costs 2 (L + P + C) table lookups at most, at any switch.
     """
     if len({a.name for a in family.atom.args if isinstance(a, Var)}) != 1:
         raise ValueError("switch_failing_members reads an atom with one distinct variable")
@@ -700,35 +582,17 @@ def switch_failing_members(
 
 
 def members_hold(structure: FiniteStructure, failing: Mapping[tuple[str, ...], int], last: float) -> bool:
-    """Whether members 1..last hold at a point whose failing_members are `failing`.
+    """Whether members 1..last hold at a point, given each failing row's least member in `failing`.
 
-    They hold when no failing row maps to a member <= last; the labels of
-    those rows are looked up first, through _none_fail.
+    They hold when no failing row maps to a member <= last.  Every label of
+    those rows is looked up first, rows in sorted order, so a label outside
+    the universe raises KeyError whatever the dict's order.
     """
-    return _none_fail(structure, (row for row, member in failing.items() if member <= last))
-
-
-def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[PowerElement]) -> bool:
-    """Exact membership of the point in the system's solution set, one equation at a time.
-
-    An explicit equation's rows are the zip_streams of its own streams
-    (constants and the point's entries for its variables), so only the
-    distinct rows of its prefix and cycle are checked.  A family bounded at
-    N, or unbounded (N infinite), holds when no row of its failing_members
-    at the point maps to a member <= N.
-    """
-    if len(point) != len(system.variables):
-        raise ValueError(f"point has {len(point)} entries for variables {system.variables}")
-    streams = dict(zip(system.variables, point))
-    for eq in system.explicit:
-        rows = zip_streams([_stream_of(streams, a) for a in eq.args])
-        if not _rows_hold(structure, eq, {*rows.prefix, *rows.cycle}):
-            return False
-    for fam in system.families:
-        last = math.inf if fam.bound is None else fam.bound
-        if not members_hold(structure, failing_members(structure, fam, streams), last):
-            return False
-    return True
+    rows = sorted(row for row, member in failing.items() if member <= last)
+    for row in rows:
+        for label in row:
+            structure.index(label)  # raises for a label outside the universe
+    return not rows
 
 
 @dataclass(frozen=True)
@@ -809,6 +673,31 @@ def power_systems_equivalent(structure: FiniteStructure, first: PowerSystem, sec
     stop = sum(stream_horizon(first, second))
     a, b = (coordinate_masks(structure, s, stop) for s in (first, second))
     return a == b or (0 in a and 0 in b)
+
+
+def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[PowerElement]) -> bool:
+    """Exact membership of the point in the system's solution set: a query on coordinate_masks.
+
+    The universe indices of the point's labels at coordinate i are the
+    digits of one assignment index, variable 0 the most significant: that is
+    itertools.product's order, and so AtomClassifier's bit order.  Every
+    label of the point is looked up, and one outside the universe raises
+    KeyError, whether or not an equation reads it.  The masks repeat with the
+    stream_horizon's period from its stabilization on, and the point with
+    its own period from its longest prefix, so checking the bit at every
+    i < max(stab, point prefix) + lcm(period, point cycles) decides every
+    coordinate.  It reads the same blocks as consistent;
+    support.oracle_satisfies is its independent check.
+    """
+    if len(point) != len(system.variables):
+        raise ValueError(f"point has {len(point)} entries for variables {system.variables}")
+    stab, period = stream_horizon(system)
+    point_stab, point_period = horizon(point)
+    stop = max(stab, point_stab) + math.lcm(period, point_period)
+    rows = zip_streams([pe.map(structure.index) for pe in point]).take(stop)
+    masks = coordinate_masks(structure, system, stop)
+    k = structure.size
+    return all(mask >> functools.reduce(lambda j, u: j * k + u, row, 0) & 1 for mask, row in zip(masks, rows))
 
 
 # --- JSON layout -----------------------------------------------------------

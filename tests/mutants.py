@@ -145,66 +145,28 @@ MUTANTS = (
         "src/eqpower/power.py",
         "r + gen_period * -(-max(0, switch - r) // gen_period)",
         "r + gen_period * (max(0, switch - r) // gen_period)",
-        ("tests/test_power.py::test_switch_failing_members_equal_failing_members_at_the_switch_point",),
+        ("tests/test_power.py::test_switch_failing_members_match_the_oracle_at_the_switch_point",),
     ),
     Mutant(
         "switch_failing_members gives a tail prefix after row member switch + 1, not switch - j + 1",
         "src/eqpower/power.py",
         "max(0, switch - j) + 1 if j < tail_prefix else 1",
         "max(0, switch) + 1 if j < tail_prefix else 1",
-        ("tests/test_power.py::test_switch_failing_members_equal_failing_members_at_the_switch_point",),
+        ("tests/test_power.py::test_switch_failing_members_match_the_oracle_at_the_switch_point",),
     ),
     Mutant(
         "switch_failing_members notes a before generator row when r >= switch",
         "src/eqpower/power.py",
         "[(before, values, r + 2)] * (r < switch)",
         "[(before, values, r + 2)]",
-        ("tests/test_power.py::test_switch_failing_members_equal_failing_members_at_the_switch_point",),
+        ("tests/test_power.py::test_switch_failing_members_match_the_oracle_at_the_switch_point",),
     ),
     Mutant(
         "switch_failing_members notes a before tail row when j >= switch",
         "src/eqpower/power.py",
         "[(before, values, 1)] * (j < switch)",
         "[(before, values, 1)]",
-        ("tests/test_power.py::test_switch_failing_members_equal_failing_members_at_the_switch_point",),
-    ),
-    Mutant(
-        "a failing_members slice drops its first coordinate",
-        "src/eqpower/power.py",
-        "cut = slice(k, gen_stop, gen_period) if j < 0 else slice(j, max(j, stab) + period)",
-        "cut = slice(k + gen_period, gen_stop, gen_period) if j < 0 else slice(j + 1, max(j, stab) + period)",
-        (
-            "tests/test_power.py::test_satisfies_matches_oracle",
-            "tests/test_power.py::test_failing_members_match_the_oracle",
-        ),
-    ),
-    Mutant(
-        "failing_members gives a generator row member i + 1",
-        "src/eqpower/power.py",
-        "member = k + gen_period * keys.index(key) + 2",
-        "member = k + gen_period * keys.index(key) + 1",
-        ("tests/test_power.py::test_failing_members_match_the_oracle",),
-    ),
-    Mutant(
-        "failing_members gives a tail cycle row member d, not d + 1",
-        "src/eqpower/power.py",
-        "for k, other in enumerate(keys) if other == key) + 1",
-        "for k, other in enumerate(keys) if other == key)",
-        ("tests/test_power.py::test_failing_members_match_the_oracle",),
-    ),
-    Mutant(
-        "the exact search skips a tail cycle class's first coordinate",
-        "src/eqpower/power.py",
-        "for k, other in enumerate(keys) if other",
-        "for k, other in enumerate(keys[1:], 1) if other",
-        ("tests/test_power.py::test_failing_members_match_the_oracle",),
-    ),
-    Mutant(
-        "the exact search reads a repeating coordinate modulo C, not gcd(p, C)",
-        "src/eqpower/power.py",
-        "k % (cycle if k < unique else step)",
-        "k % cycle",
-        ("tests/test_power.py::test_failing_members_match_the_oracle",),
+        ("tests/test_power.py::test_switch_failing_members_match_the_oracle_at_the_switch_point",),
     ),
     Mutant(
         "members_hold filters members < last",
@@ -212,17 +174,19 @@ MUTANTS = (
         "if member <= last)",
         "if member < last)",
         (
-            "tests/test_power.py::test_satisfies_matches_oracle",
-            "tests/test_power.py::test_failing_members_match_the_oracle",
+            "tests/test_noetherian.py::test_first_violated_member_refuses_a_wrong_package",
+            "tests/test_power.py::test_members_hold_names_an_unknown_label_whatever_the_row_order",
         ),
     ),
     Mutant(
         "a family's failing rows skip the label lookup",
         "src/eqpower/power.py",
-        "return _none_fail(structure, (row for row, member in failing.items() if member <= last))",
+        "rows = sorted(row for row, member in failing.items() if member <= last)\n    for row in rows:\n"
+        "        for label in row:\n            structure.index(label)  # raises for a label outside the universe\n"
+        "    return not rows",
         "return not any(member <= last for member in failing.values())",
         (
-            "tests/test_power.py::test_satisfies_names_a_point_label_outside_the_universe",
+            "tests/test_power.py::test_members_hold_names_an_unknown_label_whatever_the_row_order",
             "tests/test_noetherian.py::test_first_violated_member_names_an_unknown_label_as_the_truncation_checks_did",
         ),
     ),
@@ -234,18 +198,25 @@ MUTANTS = (
         ("tests/test_power.py::test_row_order_puts_variable_values_then_slot_values_in_argument_order",),
     ),
     Mutant(
-        "_none_fail swallows an unknown label",
+        "members_hold swallows an unknown label",
         "src/eqpower/power.py",
         "structure.index(label)  # raises for a label outside the universe",
         "pass",
-        ("tests/test_power.py::test_satisfies_names_a_point_label_outside_the_universe",),
+        ("tests/test_power.py::test_members_hold_names_an_unknown_label_whatever_the_row_order",),
     ),
     Mutant(
-        "_none_fail looks up only the first failing row",
+        "members_hold looks up only the first failing row",
         "src/eqpower/power.py",
-        "rows = sorted(failing)",
-        "rows = sorted(failing)[:1]",
-        ("tests/test_power.py::test_satisfies_names_an_unknown_label_whatever_the_row_order",),
+        "rows = sorted(row for row, member in failing.items() if member <= last)",
+        "rows = sorted(row for row, member in failing.items() if member <= last)[:1]",
+        ("tests/test_power.py::test_members_hold_names_an_unknown_label_whatever_the_row_order",),
+    ),
+    Mutant(
+        "satisfies stops at the system's horizon, not the joint one with the point",
+        "src/eqpower/power.py",
+        "stop = max(stab, point_stab) + math.lcm(period, point_period)",
+        "stop = stab + period",
+        ("tests/test_power.py::test_satisfies_matches_oracle_on_long_prefixes",),
     ),
     Mutant(
         "projection_entries keeps the latest source of a repeated equation",
@@ -462,14 +433,6 @@ MUTANTS = (
         "return v if isinstance(v, PowerElement) else PowerElement((), (v,))",
         "return v",
         ("tests/test_power.py::test_a_plain_label_is_its_constant_stream",),
-    ),
-    Mutant(
-        "satisfies compares equality labels pairwise",
-        "src/eqpower/power.py",
-        "    table = structure.label_table(eq.symbol)\n    return table.issuperset(rows)",
-        '    if eq.symbol == "=":\n        return all(lhs == rhs for lhs, rhs in rows)\n'
-        "    table = structure.label_table(eq.symbol)\n    return table.issuperset(rows)",
-        ("tests/test_power.py::test_satisfies_names_a_point_label_outside_the_universe",),
     ),
     Mutant(  # of the random corpora, only support.planted_power_system writes plain labels
         "PowerSystem writes plain labels as streams in its first explicit equation only",

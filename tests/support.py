@@ -233,6 +233,44 @@ def oracle_satisfies(structure: FiniteStructure, system: PowerSystem, point) -> 
     return True
 
 
+def oracle_failing_members(structure: FiniteStructure, family: StaircaseFamily, streams, last: int) -> dict:
+    """Each argument row of members 1..last that the relation lacks, at a point, mapped to the least member showing it.
+
+    `streams` gives the point's entry per variable name; the family's bound
+    is not read.  Member n is read coordinate by coordinate with
+    staircase_value_at below its joint horizon with the point: from
+    max(n - 1 + tail prefixes, point prefixes) on both repeat with the lcm of
+    the tail and point cycles.
+
+    At the switch point PowerElement((before,) * switch, (after,)) this is
+    the unbounded family's whole map once last = switch + L + 1, L the lcm
+    of the generator lengths: a member n > switch + L + 1 shows no row that
+    an earlier member does not.  At a coordinate i <= n - 2 it shows the
+    generator row at residue r = i mod L; below switch member r + 2 shows
+    the same row at coordinate r, and from switch on member i' + 2 does, at
+    the least i' = r (mod L) with i' >= max(r, switch), so i' + 2 <=
+    switch + L + 1.  At i >= n - 1 > switch it shows `after` with tail
+    position j = i - n + 1, which member 1 shows at coordinate j when
+    j >= switch and member switch - j + 1 shows at coordinate switch when
+    j < switch.
+    """
+    stairs = [a.value for a in family.atom.args if isinstance(a, Const)]
+    points = [streams[a.name] for a in family.atom.args if isinstance(a, Var)]
+    period = math.lcm(*(len(s.tail.cycle) for s in stairs), *(len(pe.cycle) for pe in points))
+    table = structure.label_table(family.atom.symbol)
+    failing: dict = {}
+    for n in range(1, last + 1):
+        stab = max([n - 1 + len(s.tail.prefix) for s in stairs] + [len(pe.prefix) for pe in points], default=0)
+        for i in range(stab + period):
+            row = tuple(
+                streams[a.name].at(i) if isinstance(a, Var) else staircase_value_at(a.value, n, i)
+                for a in family.atom.args
+            )
+            if row not in table:
+                failing.setdefault(row, n)
+    return failing
+
+
 def expand_checks(blocks) -> set:
     """The (coordinate, slot values) pairs that StaircaseFamily.coordinate_checks blocks stand for."""
     return {(i, values) for coords, values in blocks for i in coords}

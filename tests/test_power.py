@@ -2,7 +2,7 @@ import importlib
 import json
 import math
 import random
-from itertools import count, islice, product
+from itertools import islice, product
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -25,7 +25,6 @@ from eqpower.power import (
     consistent,
     coordinate_masks,
     coordinate_profile,
-    failing_members,
     horizon,
     members_hold,
     power_system_from_json_dict,
@@ -689,59 +688,6 @@ def test_satisfies_matches_oracle_on_long_prefixes(case):
     assert satisfies(structure, system, point) == support.oracle_satisfies(structure, system, point)
 
 
-@settings(deadline=None, max_examples=150)
-@given(st.integers(0, 2**30), st.sampled_from(["random", "planted", "wide"]))
-def test_failing_members_match_the_oracle(seed, draw):
-    """The least member in failing_members is the least N at which the oracle fails on members 1..N written out.
-
-    It is None exactly when oracle_satisfies says that the point solves the
-    unbounded family.  Members 1..N fail exactly when one of them does, so
-    the least such N is the least member that fails alone.  Systems
-    come from the three corpora of test_projection_entries_match_the_uncut_reference,
-    with about 35% of the random and planted families bounded at 1-9 and
-    wide_power_system bounding its own.  The reader does not read a bound,
-    and members_hold at the bound must agree with oracle_satisfies on the
-    bounded family.  Points are a random one, and for random and planted
-    systems the planted point and random_solution_points' solving and
-    failing points.
-    """
-    rng = random.Random(seed)
-    points = []
-    if draw == "wide":
-        structure, system, _ = support.wide_power_system(rng)
-    else:
-        if draw == "planted":
-            structure = rng.choice(sorted(support.planted_structures().items()))[1][1]
-            system, planted = support.planted_power_system(rng, structure)
-            points.append(planted)
-        else:
-            structure = support.random_relational_structure(rng)
-            system = support.random_power_system(rng, structure, max_prefix=3, max_cycle=4)
-        families = tuple(
-            StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
-        )
-        system = PowerSystem(system.variables, system.explicit, families)
-        points += support.random_solution_points(rng, structure, system)
-    points.append(tuple(support.random_stream(rng, list(structure.universe), 3, 4) for _ in system.variables))
-    variables = system.variables
-    for point in points:
-        for fam in system.families:
-            failing = failing_members(structure, fam, dict(zip(variables, point)))
-            least = min(failing.values(), default=None)
-            whole = StaircaseFamily(fam.atom)
-            if support.oracle_satisfies(structure, PowerSystem(variables, (), (whole,)), point):
-                assert least is None, (fam, point)
-            else:
-                member_fails = (
-                    n for n in count(1)
-                    if not support.oracle_satisfies(structure, PowerSystem(variables, (whole.member(n),)), point)
-                )
-                assert least == next(member_fails), (fam, point)
-            if fam.bound is not None:
-                solves = support.oracle_satisfies(structure, PowerSystem(variables, (), (fam,)), point)
-                assert members_hold(structure, failing, fam.bound) == solves, (fam, point)
-
-
 def _one_variable_families(rng: random.Random, draw: str) -> tuple[FiniteStructure, list[StaircaseFamily]]:
     """A structure and the families of one drawn system whose atoms read one distinct variable.
 
@@ -770,9 +716,11 @@ def _one_variable_families(rng: random.Random, draw: str) -> tuple[FiniteStructu
     st.integers(0, 12),
     st.sampled_from(["two", "same", "unknown before", "unknown after"]),
 )
-def test_switch_failing_members_equal_failing_members_at_the_switch_point(seed, draw, switch, values):
-    """The closed form equals failing_members at PowerElement((before,) * switch, (after,)), dict for dict.
+def test_switch_failing_members_match_the_oracle_at_the_switch_point(seed, draw, switch, values):
+    """The closed form equals oracle_failing_members at PowerElement((before,) * switch, (after,)), dict for dict.
 
+    The oracle reads members 1..switch + L + 1, L the lcm of the generator
+    lengths, which its docstring shows is every member that shows a new row.
     Families come from random, planted and quaternary_structure systems,
     the last with two constant slots and often a repeated variable; switch
     runs from 0; before and after are two drawn labels, one label twice, or
@@ -792,7 +740,8 @@ def test_switch_failing_members_equal_failing_members_at_the_switch_point(seed, 
     for fam in families:
         (variable,) = {a.name for a in fam.atom.args if isinstance(a, Var)}
         point = PowerElement((before,) * switch, (after,))
-        expected = failing_members(structure, fam, {variable: point})
+        last = switch + math.lcm(*(len(s.generator) for s in fam.descriptors())) + 1
+        expected = support.oracle_failing_members(structure, fam, {variable: point}, last)
         assert switch_failing_members(structure, fam, before, switch, after) == expected, (fam, point)
 
 
@@ -816,7 +765,7 @@ def test_switch_failing_members_pinned():
     ]
     for fam, before, switch, after, expected in cases:
         point = PowerElement((before,) * switch, (after,))
-        assert failing_members(q, fam, {"x": point}) == expected
+        assert support.oracle_failing_members(q, fam, {"x": point}, switch + 2) == expected  # L = 1
         assert switch_failing_members(q, fam, before, switch, after) == expected
     g = triangle_graph()
     stair = Const(a_then_b)
@@ -1027,7 +976,12 @@ def test_satisfies_edge_cases_match_oracle():
 
 
 def test_satisfies_names_a_point_label_outside_the_universe():
-    """Any atom, equality too, raises KeyError naming the label, explicit or in a family."""
+    """Any atom, equality too, raises KeyError naming the label, explicit or in a family, and so does an unread entry.
+
+    A point entry that no equation reads, or a point for a system with no
+    equation, is looked up too.  A system constant outside the universe
+    raises ValueError, as in consistent.
+    """
     g = triangle_graph()
     to_a = Const(constant_stream("a"))
     stair = Const(Staircase(("a",), constant_stream("a")))  # every member is the constant a
@@ -1051,6 +1005,19 @@ def test_satisfies_names_a_point_label_outside_the_universe():
         with pytest.raises(KeyError, match="unknown universe element 'z'"):
             satisfies(g, system, (constant_stream("z"),))
     assert satisfies(g, equalities[-1], (constant_stream("a"),)) is True
+    unread = (PowerSystem(("x", "w"), (RelationAtom("E", (x, to_a)),)), (constant_stream("b"), constant_stream("zz")))
+    no_equation = (PowerSystem(("x",)), (constant_stream("zz"),))
+    for system, point in (unread, no_equation):
+        with pytest.raises(KeyError, match="unknown universe element 'zz'"):
+            satisfies(g, system, point)
+    zz_stair = Const(Staircase(("a",), constant_stream("zz")))
+    for system in (
+        PowerSystem(("x",), (RelationAtom("E", (x, Const(constant_stream("zz")))),)),
+        PowerSystem(("x",), (), (StaircaseFamily(RelationAtom("E", (x, zz_stair))),)),
+    ):
+        for check in (satisfies, lambda g, system, _: consistent(g, system)):
+            with pytest.raises(ValueError, match="constant 'zz' is not a universe element"):
+                check(g, system, (constant_stream("b"),))
 
 
 def test_satisfies_names_an_unknown_label_whatever_the_row_order():
@@ -1075,6 +1042,25 @@ def test_satisfies_names_an_unknown_label_whatever_the_row_order():
                 satisfies(g, system, point)
             with pytest.raises(KeyError, match=f"unknown universe element 'z{k}'"):
                 support.oracle_satisfies(g, system, point)
+
+
+def test_members_hold_names_an_unknown_label_whatever_the_row_order():
+    """members_hold names the unknown label beside a failing row of known labels, whatever the dict's order.
+
+    Every member of E(x, stair(a; a)) is the constant a, so on the triangle
+    the point that is zk at coordinate 0 and a from there fails member 1 on
+    (zk, a) and on (a, a).  Over 40 labels zk, each dict order and each
+    bound, a check that looks up only one failing row misses some of them.
+    """
+    g = triangle_graph()
+    fam = StaircaseFamily(RelationAtom("E", (x, Const(Staircase(("a",), constant_stream("a"))))))
+    for k in range(40):
+        failing = switch_failing_members(g, fam, f"z{k}", 1, "a")
+        assert failing == {(f"z{k}", "a"): 1, ("a", "a"): 1}
+        for rows in (failing, dict(reversed(failing.items()))):
+            for last in (1, math.inf):
+                with pytest.raises(KeyError, match=f"unknown universe element 'z{k}'"):
+                    members_hold(g, rows, last)
 
 
 def test_satisfies_rejects_bad_points_like_the_oracle():

@@ -14,7 +14,7 @@ from eqpower import power
 from eqpower.fixtures import triangle_graph
 from eqpower.noetherian import build_witness_family, first_violated_member, power_noetherian
 from eqpower.power import Periodic, PowerElement, PowerSystem, Staircase, StaircaseFamily, coordinate_profile
-from eqpower.power import failing_members, stream_horizon
+from eqpower.power import coordinate_masks, stream_horizon
 from eqpower.solver import AtomClassifier, Const, RelationAtom, Var
 from eqpower.structures import FiniteStructure
 from eqpower.wrap import class_representatives
@@ -81,7 +81,7 @@ def test_witness_depths_read_one_scan_each_and_build_no_truncation():
     """Each witness depth, 1..60 or 10**6, reads the same few table rows and builds no point, column or truncation.
 
     first_violated_member reads the witness family in closed form through
-    switch_failing_members: no failing_members call, no PowerElement and no
+    switch_failing_members: no coordinate_masks scan, no PowerElement and no
     StaircaseFamily, so a depth costs O(L + P + C) row lookups in the
     relation's label table, the same number at every depth that has a
     repeat before its tail.
@@ -101,7 +101,7 @@ def test_witness_depths_read_one_scan_each_and_build_no_truncation():
         return CountedTable(label_table(self, symbol))
 
     with (
-        mock.patch.object(power, "failing_members", wraps=failing_members) as scans,
+        mock.patch.object(power, "coordinate_masks", wraps=coordinate_masks) as scans,
         mock.patch.object(PowerElement, "__post_init__", autospec=True, wraps=PowerElement.__post_init__) as points,
         mock.patch.object(StaircaseFamily, "__post_init__", autospec=True, wraps=StaircaseFamily.__post_init__) as fams,
         mock.patch.object(FiniteStructure, "label_table", counted_table),
@@ -116,22 +116,3 @@ def test_witness_depths_read_one_scan_each_and_build_no_truncation():
     # a quadruple's depth-1 point switches at coordinate 0, so it is its tail alone
     assert lookups == [2] + [4] * 60
 
-
-def test_a_solving_point_runs_no_exact_member_search_at_C_400():
-    """At C = 400 a solving point costs slices only; the exact search runs once per failing tail cycle row.
-
-    The tail is b, a, then a cycle of 399 a's and one b.  The constant c is
-    adjacent to both, so it solves every member.  The constant b fails on
-    (b, b): at tail prefix position 0, whose least member is read off its
-    first coordinate, and at the one cycle position holding b, the only
-    search.
-    """
-    g = triangle_graph()
-    stair = Staircase(("a",), PowerElement(("b", "a"), ("a",) * 399 + ("b",)))
-    fam = StaircaseFamily(RelationAtom("E", (Var("x"), Const(stair))))
-    assert len(fam.slot_rows[1].cycle) == 400
-    with mock.patch.object(power, "_least_cycle_member", wraps=power._least_cycle_member) as search:
-        assert failing_members(g, fam, {"x": PowerElement((), ("c",))}) == {}
-        assert search.call_count == 0
-        assert failing_members(g, fam, {"x": PowerElement((), ("b",))}) == {("b", "b"): 1}
-        assert search.call_count == 1
