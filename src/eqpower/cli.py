@@ -22,7 +22,7 @@ from typing import Any, Callable
 
 from .errors import InputFormatError, UnboundVariableError
 from .fixtures import staircase_demo_system, triangle_graph
-from .noetherian import build_witness_family, first_violated_member, power_noetherian
+from .noetherian import build_witness_family, first_violated_members, power_noetherian
 from .power import (
     consistent,
     power_equation_to_json_dict,
@@ -77,6 +77,17 @@ def _render_equation(eq: Equation) -> str:
 
 def _render_family(fam) -> str:
     return f"{_render_equation(fam.atom)} for every member n >= 1"
+
+
+def _render_witness_point(package, n: int) -> str:
+    """str(package.witness_point(n)[0]), written from the witness rule with no point built.
+
+    The point is n + offset repeats, then the tail forever; its canonical
+    form drops the repeats only when they equal the tail.
+    """
+    repeat, tail, offset = package.witness_rule
+    body = "" if repeat == tail else f"{repeat}," * (n + offset)
+    return f"[{body}({tail})]"
 
 
 def _render_source(ref) -> str:
@@ -255,7 +266,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
             print(f"status: {verdict.status}; no witness family to build")
         return 1
     package = build_witness_family(structure, kind, verdict.certificate)
-    firsts = {n: first_violated_member(structure, package, n) for n in range(1, args.depth + 1)}
+    firsts = dict(enumerate(first_violated_members(structure, package, args.depth), start=1))
     all_ok = None not in firsts.values()
     if args.format == "json":
         _print_json(
@@ -273,7 +284,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         print(f"certificate ({package.certificate_kind}): {', '.join(package.certificate)}")
         print(f"family: {_render_family(package.family)}")
         for n, first in firsts.items():
-            point = package.witness_point(n)[0]
+            point = _render_witness_point(package, n)
             status = "ok" if first is not None else "FAILED"
             tail = f", first violated member {first}" if first is not None else ""
             print(f"  depth {n}: point {point} solves members 1..{n} but not the family: {status}{tail}")

@@ -324,3 +324,52 @@ def first_violated_member(structure: FiniteStructure, package: WitnessPackage, n
     failing = switch_failing_members(structure, package.family, repeat, n + offset, tail)
     solves_earlier = members_hold(structure, failing, m - 1)
     return m if solves_earlier and not members_hold(structure, failing, m) else None
+
+
+def _checked_depths(package: WitnessPackage) -> tuple[int, int]:
+    """(T - offset + L - 1, L): the depths first_violated_members checks, and the period of the rest.
+
+    L, P and C are read off the family's slot_rows, and T = max(L, P + C);
+    witness_at_every_depth proves that these depths decide every later one.
+    """
+    generators, tails = package.family.slot_rows
+    period = len(generators.cycle)
+    return max(period, len(tails.prefix) + len(tails.cycle)) - package.witness_rule[2] + period - 1, period
+
+
+def first_violated_members(structure: FiniteStructure, package: WitnessPackage, depth: int) -> list[int | None]:
+    """first_violated_member at depths 1..depth, called only at the depths before the answers repeat.
+
+    Those are depths 1..T - offset + L - 1 (_checked_depths).  Each later
+    depth n takes the answer of depth n - L, as witness_at_every_depth
+    proves: member n + offset + 2 if that depth was ok, else None.  The
+    first depth that raises KeyError is a checked one, so the call raises
+    exactly when the per-depth calls would.
+    """
+    last, period = _checked_depths(package)
+    offset = package.witness_rule[2]
+    firsts = [first_violated_member(structure, package, n) for n in range(1, min(depth, last) + 1)]
+    for n in range(last + 1, depth + 1):
+        firsts.append(None if firsts[n - period - 1] is None else n + offset + 2)
+    return firsts
+
+
+def witness_at_every_depth(structure: FiniteStructure, package: WitnessPackage) -> bool:
+    """Whether verify_witness holds at every depth n >= 1, decided from depths 1..T - offset + L - 1.
+
+    With L the lcm of the generator lengths, P the tail prefix and C the lcm
+    of the tail cycles, T = max(L, P + C).  first_violated_member at depth n
+    makes two members_hold calls on switch_failing_members at the switch
+    s = n + offset, and m = s + 2.  By the lemma in switch_failing_members'
+    docstring, for s >= T both calls, and any KeyError they raise, depend
+    only on s mod L, and m - (n + offset) is always 2.  So at every depth
+    n >= T - offset, depth n + L answers as depth n does, with its own m.
+    Depths T - offset .. T - offset + L - 1 switch at T .. T + L - 1, one
+    per residue mod L, and T - offset >= 1 since every offset is -1 or 0.
+    Every depth past T - offset + L - 1 therefore repeats one of the depths
+    1..T - offset + L - 1, which first_violated_members checks, and the
+    witness holds at every depth exactly when it holds at those.  A witness
+    package has L = C = 1 and P = 0: one depth for a pair or a triple, two
+    for a quadruple.
+    """
+    return None not in first_violated_members(structure, package, _checked_depths(package)[0])

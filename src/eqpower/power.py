@@ -16,9 +16,12 @@ of their rows once, and Staircase.member_constant writes one member out.
 switch_failing_members reads a family at a point that switches once from
 one value to another, as every witness point does: it maps every failing
 row to the least member that shows it, in closed form from at most two rows
-per source and with no point built, so the witness check in noetherian costs
-the same at every depth.  members_hold decides members 1..N from that map as
-"no failing row of a member <= N".
+per source and with no point built, so a witness depth costs the same
+however deep it is.  members_hold decides members 1..N from that map as
+"no failing row of a member <= N".  Once the switch passes the generator
+period and the tail's prefix plus cycle, a witness depth's two checks repeat
+with the generator period (proof in switch_failing_members), so noetherian
+checks only the witness depths before the repeat.
 
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of
@@ -559,6 +562,19 @@ def switch_failing_members(
     their members.  When before == after the point is that one constant,
     and the two rows of a source coincide with the least member kept.  So
     the map costs 2 (L + P + C) table lookups at most, at any switch.
+
+    From T = max(L, P + C) on, the two checks a witness depth makes repeat
+    with period L.  Let m = switch + 2.  When switch >= T, every residue
+    r < L and every tail position j < P + C lies below switch, so every
+    source shows its `before` row, at member r + 2 <= m - 1 or member 1.
+    Every tail `after` row has member max(0, switch - j) + 1 <= m - 1 or 1.
+    The generator `after` row of residue r has member
+    m + ((r - switch) mod L) >= m, equal to m only for r = switch (mod L).
+    The rows themselves do not depend on switch.  So the failing rows of
+    members <= m - 1 are the same set at every switch >= T, and member m
+    adds only the generator `after` row of residue switch mod L.  Both
+    members_hold(m - 1) and members_hold(m), and the KeyError either may
+    raise, depend on switch >= T only through switch mod L.
     """
     if len({a.name for a in family.atom.args if isinstance(a, Var)}) != 1:
         raise ValueError("switch_failing_members reads an atom with one distinct variable")

@@ -467,6 +467,33 @@ MUTANTS = (
         ("tests/test_noetherian.py::test_a_quaternary_obstruction_needs_two_slots",),
     ),
     Mutant(
+        "first_violated_members checks one depth before the repeat too few",
+        "src/eqpower/noetherian.py",
+        "+ period - 1, period",
+        "+ period - 2, period",
+        ("tests/test_noetherian.py::test_folded_depths_match_the_per_depth_calls_on_every_certificate",),
+    ),
+    Mutant(
+        "a folded witness depth reads depth n - 1, not n - L",
+        "src/eqpower/noetherian.py",
+        "firsts[n - period - 1] is None",
+        "firsts[n - 2] is None",
+        (
+            "tests/test_noetherian.py::test_a_folded_depth_takes_the_answer_of_its_residue",
+            "tests/test_noetherian.py::test_folded_depths_match_the_per_depth_calls_on_long_generators",
+        ),
+    ),
+    Mutant(
+        "a folded witness depth copies the member number of depth n - L",
+        "src/eqpower/noetherian.py",
+        "None if firsts[n - period - 1] is None else n + offset + 2",
+        "firsts[n - period - 1]",
+        (
+            "tests/test_scaling.py::test_witness_checks_only_the_depths_before_its_repeat",
+            "tests/test_noetherian.py::test_folded_depths_match_the_per_depth_calls_on_every_certificate",
+        ),
+    ),
+    Mutant(
         "the JSON writer drops the case of an empty list or object",
         "src/eqpower/cli.py",
         '            if not v:\n                write("{}" if isinstance(v, dict) else "[]")\n                return\n',

@@ -836,6 +836,39 @@ def planted_power_system(rng: random.Random, structure: FiniteStructure) -> tupl
     return PowerSystem(variables, explicit, families), point
 
 
+def one_variable_families(rng: random.Random, draw: str) -> tuple[FiniteStructure, list[StaircaseFamily]]:
+    """A structure and the families of one drawn system whose atoms read one distinct variable.
+
+    "random" draws random_power_system on a random binary structure,
+    "planted" planted_power_system on a planted structure, and "quaternary"
+    planted_power_system on quaternary_structure, whose families have two
+    constant slots and may repeat their variable.  "long" draws one family
+    R(x, stair) or R(stair, x) on a random binary structure, with a
+    generator of 1-4 labels and a tail of prefix 0-3 and cycle 1-4.
+    """
+    if draw == "long":
+        structure = random_relational_structure(rng)
+        labels = list(structure.universe)
+
+        def drawn(lo: int, hi: int) -> tuple[str, ...]:
+            return tuple(rng.choice(labels) for _ in range(rng.randint(lo, hi)))
+
+        slot = Const(Staircase(drawn(1, 4), PowerElement(drawn(0, 3), drawn(1, 4))))
+        args = (Var("x"), slot) if rng.random() < 0.5 else (slot, Var("x"))
+        return structure, [StaircaseFamily(RelationAtom("R", args))]
+    if draw == "random":
+        structure = random_relational_structure(rng)
+        system = random_power_system(rng, structure, max_prefix=3, max_cycle=4)
+    else:
+        if draw == "planted":
+            structure = rng.choice(sorted(planted_structures().items()))[1][1]
+        else:
+            structure = quaternary_structure()
+        system, _ = planted_power_system(rng, structure)
+    readers = [fam for fam in system.families if len({a.name for a in fam.atom.args if isinstance(a, Var)}) == 1]
+    return structure, readers
+
+
 def edge_staircase_family(rng: random.Random, labels) -> PowerSystem:
     """Single-variable edge family with a random generator and tail."""
     stair = random_staircase(rng, labels)

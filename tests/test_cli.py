@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eqpower.cli import _json_text, main
+import support
+from eqpower.cli import _json_text, _render_witness_point, main
+from eqpower.noetherian import WitnessPackage, build_witness_family, power_noetherian
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -212,6 +214,31 @@ def test_witness_text(capsys):
     assert "certificate (quadruple):" in out
     assert "first violated member 4" in out
     assert "witness verified to depth 3: yes" in out
+
+
+def test_witness_text_prints_each_point_as_the_point_itself_prints(capsys):
+    """Every `depth n:` line's point is str(witness_point(n)[0]), at depths 1..50 on every refuted fixture.
+
+    The lines are written from the witness rule without building the point.
+    Quadruples switch at n - 1, so their depth-1 point is the tail alone;
+    a rule whose repeat equals its tail prints as that constant stream.
+    """
+    refuted = 0
+    for name, (kind, structure) in sorted(support.fixture_structures().items()):
+        verdict = power_noetherian(structure, kind)
+        if verdict.certificate is None:
+            continue
+        refuted += 1
+        package = build_witness_family(structure, kind, verdict.certificate)
+        code, out, _ = run(capsys, "witness", str(FIXTURES / f"{name}.json"), "--depth", "50")
+        assert code == 0
+        points = [line.split(" point ")[1].split(" solves ")[0] for line in out.splitlines() if "  depth " in line]
+        assert points == [str(package.witness_point(n)[0]) for n in range(1, 51)], name
+        assert (package.witness_rule[2] == -1) == (points[0] == f"[({package.witness_rule[1]})]")
+    assert refuted >= 5
+    constant = WitnessPackage("graph", ("a", "b", "a", "c"))  # repeat a, tail a
+    assert [_render_witness_point(constant, n) for n in (1, 2, 5)] == ["[(a)]"] * 3
+    assert all(_render_witness_point(constant, n) == str(constant.witness_point(n)[0]) for n in (1, 2, 5))
 
 
 def test_witness_json(capsys):

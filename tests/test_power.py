@@ -688,47 +688,8 @@ def test_satisfies_matches_oracle_on_long_prefixes(case):
     assert satisfies(structure, system, point) == support.oracle_satisfies(structure, system, point)
 
 
-def _one_variable_families(rng: random.Random, draw: str) -> tuple[FiniteStructure, list[StaircaseFamily]]:
-    """A structure and the families of one drawn system whose atoms read one distinct variable.
-
-    "random" draws random_power_system on a random binary structure,
-    "planted" planted_power_system on a planted structure, and "quaternary"
-    planted_power_system on quaternary_structure, whose families have two
-    constant slots and may repeat their variable.
-    """
-    if draw == "random":
-        structure = support.random_relational_structure(rng)
-        system = support.random_power_system(rng, structure, max_prefix=3, max_cycle=4)
-    else:
-        if draw == "planted":
-            structure = rng.choice(sorted(support.planted_structures().items()))[1][1]
-        else:
-            structure = support.quaternary_structure()
-        system, _ = support.planted_power_system(rng, structure)
-    readers = [fam for fam in system.families if len({a.name for a in fam.atom.args if isinstance(a, Var)}) == 1]
-    return structure, readers
-
-
-@settings(deadline=None, max_examples=200)
-@given(
-    st.integers(0, 2**30),
-    st.sampled_from(["random", "planted", "quaternary"]),
-    st.integers(0, 12),
-    st.sampled_from(["two", "same", "unknown before", "unknown after"]),
-)
-def test_switch_failing_members_match_the_oracle_at_the_switch_point(seed, draw, switch, values):
-    """The closed form equals oracle_failing_members at PowerElement((before,) * switch, (after,)), dict for dict.
-
-    The oracle reads members 1..switch + L + 1, L the lcm of the generator
-    lengths, which its docstring shows is every member that shows a new row.
-    Families come from random, planted and quaternary_structure systems,
-    the last with two constant slots and often a repeated variable; switch
-    runs from 0; before and after are two drawn labels, one label twice, or
-    one of them is "zz", outside the universe, which both readers only put
-    in failing rows.
-    """
-    rng = random.Random(seed)
-    structure, families = _one_variable_families(rng, draw)
+def _switch_values(rng: random.Random, structure: FiniteStructure, values: str) -> tuple[str, str]:
+    """(before, after): two drawn labels, one label twice ("same"), or "zz", outside the universe, on one side."""
     labels = list(structure.universe)
     before, after = rng.choice(labels), rng.choice(labels)
     if values == "same":
@@ -737,6 +698,31 @@ def test_switch_failing_members_match_the_oracle_at_the_switch_point(seed, draw,
         before = "zz"
     elif values == "unknown after":
         after = "zz"
+    return before, after
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(0, 2**30),
+    st.sampled_from(["random", "long", "planted", "quaternary"]),
+    st.integers(0, 12),
+    st.sampled_from(["two", "same", "unknown before", "unknown after"]),
+)
+def test_switch_failing_members_match_the_oracle_at_the_switch_point(seed, draw, switch, values):
+    """The closed form equals oracle_failing_members at PowerElement((before,) * switch, (after,)), dict for dict.
+
+    The oracle reads members 1..switch + L + 1, L the lcm of the generator
+    lengths, which its docstring shows is every member that shows a new row.
+    Families come from random, long-generator, planted and
+    quaternary_structure systems (support.one_variable_families), the last
+    with two constant slots and often a repeated variable; switch
+    runs from 0; before and after are two drawn labels, one label twice, or
+    one of them is "zz", outside the universe, which both readers only put
+    in failing rows.
+    """
+    rng = random.Random(seed)
+    structure, families = support.one_variable_families(rng, draw)
+    before, after = _switch_values(rng, structure, values)
     for fam in families:
         (variable,) = {a.name for a in fam.atom.args if isinstance(a, Var)}
         point = PowerElement((before,) * switch, (after,))
@@ -773,6 +759,43 @@ def test_switch_failing_members_pinned():
                  RelationAtom("Q", (x, stair, Var("y"), stair))):
         with pytest.raises(ValueError, match="one distinct variable"):
             switch_failing_members(g, StaircaseFamily(atom), "a", 1, "b")
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.integers(0, 2**30),
+    st.sampled_from(["long", "random", "planted", "quaternary"]),
+    st.sampled_from(["two", "same", "unknown before", "unknown after"]),
+)
+def test_witness_checks_repeat_with_the_generator_period_from_T(seed, draw, values):
+    """From switch T = max(L, P + C) on, members_hold at m - 1 and at m, m = switch + 2, depend only on switch mod L.
+
+    Each call's answer, or the KeyError message it raises, is taken on
+    switch_failing_members at every switch 0..T + 5L, and each switch
+    s >= T must answer as the folded switch T + (s - T) mod L does.
+    "long" families have generators of up to 4 labels, tail prefixes up to
+    3 and tail cycles up to 4; two-slot "quaternary" ones have L = 6.
+    """
+    rng = random.Random(seed)
+    structure, families = support.one_variable_families(rng, draw)
+    before, after = _switch_values(rng, structure, values)
+
+    def held(failing, last):
+        try:
+            return members_hold(structure, failing, last)
+        except KeyError as exc:
+            return exc.args[0]
+
+    for fam in families:
+        generators, tails = fam.slot_rows
+        period = len(generators.cycle)
+        start = max(period, len(tails.prefix) + len(tails.cycle))
+        checks = []
+        for switch in range(start + 5 * period + 1):
+            failing = switch_failing_members(structure, fam, before, switch, after)
+            checks.append((held(failing, switch + 1), held(failing, switch + 2)))
+        folded = [checks[start + (s - start) % period] for s in range(start, len(checks))]
+        assert checks[start:] == folded, fam
 
 
 @settings(deadline=None, max_examples=200)

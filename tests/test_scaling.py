@@ -4,13 +4,18 @@ One family E(x, stair) over the triangle, with L the generator length, P
 the tail prefix and C the tail cycle.  wrap's scans grow with L + P + C,
 not with L^2 or C^2.  Counts are the same on every Python the CI matrix
 runs, so a return to a quadratic scan, or to a point or a bounded family
-built per witness depth, fails here wherever it runs.
+built per witness depth, or a closed-form check at every depth past the
+witness's repeat, fails here wherever it runs.
 """
 
+import contextlib
+import io
+import json
 import random
+from pathlib import Path
 from unittest import mock
 
-from eqpower import power
+from eqpower import cli, noetherian, power
 from eqpower.fixtures import triangle_graph
 from eqpower.noetherian import build_witness_family, first_violated_member, power_noetherian
 from eqpower.power import Periodic, PowerElement, PowerSystem, Staircase, StaircaseFamily, coordinate_profile
@@ -18,6 +23,8 @@ from eqpower.power import coordinate_masks, stream_horizon
 from eqpower.solver import AtomClassifier, Const, RelationAtom, Var
 from eqpower.structures import FiniteStructure
 from eqpower.wrap import class_representatives
+
+TRIANGLE = str(Path(__file__).resolve().parent.parent / "fixtures" / "triangle.json")
 
 
 def edge_family(length: int, prefix: int, cycle: int) -> PowerSystem:
@@ -116,3 +123,34 @@ def test_witness_depths_read_one_scan_each_and_build_no_truncation():
     # a quadruple's depth-1 point switches at coordinate 0, so it is its tail alone
     assert lookups == [2] + [4] * 60
 
+
+
+def _witness_json(depth: int) -> str:
+    """What `eqpower witness fixtures/triangle.json --depth <depth> --format json` prints, run in process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(["witness", TRIANGLE, "--depth", str(depth), "--format", "json"]) == 0
+    return out.getvalue()
+
+
+def test_witness_checks_only_the_depths_before_its_repeat():
+    """witness --depth 100000 reads switch_failing_members twice, and its document is the per-depth loop's.
+
+    The triangle's quadruple has L = C = 1, P = 0 and offset -1, so T = 1
+    and first_violated_members checks depths 1..T - offset + L - 1 = 2;
+    every later depth repeats depth n - 1.  At depth 200 the document is
+    byte for byte the one that calling first_violated_member at every depth
+    writes.
+    """
+    with mock.patch.object(noetherian, "switch_failing_members", wraps=power.switch_failing_members) as reads:
+        doc = json.loads(_witness_json(100_000))
+    assert reads.call_count == 2
+    assert doc["all_ok"] is True and len(doc["checked_members"]) == 100_000
+    assert doc["checked_members"][-1] == {"n": 100_000, "ok": True, "first_violated_member": 100_001}
+
+    def per_depth(structure, package, depth):
+        return [first_violated_member(structure, package, n) for n in range(1, depth + 1)]
+
+    with mock.patch.object(cli, "first_violated_members", per_depth):
+        expected = _witness_json(200)
+    assert _witness_json(200) == expected
