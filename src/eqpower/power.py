@@ -30,14 +30,20 @@ power_systems_equivalent, satisfies and wrap's verify_wrap are queries on
 it.  It classifies an explicit equation once per distinct tuple of slot
 values, not once per coordinate, through the one AtomClassifier.of that
 serves a structure and variable list, so consistent's core search reuses its
-masks.
+masks, and it folds a family's blocks that run to the end of the scan into
+one running AND, so every tail position costs one mask, not one per
+coordinate.
 projection_rows lists pi_i coordinate by coordinate in projection order:
 each explicit equation's explicit_rows at i, then each family's distinct rows
 from StaircaseFamily.row_scan, one move-to-front pass over the tail rows
 that starts anywhere in O(tail prefix + tail cycle) reads.
 projection_entries makes its first item's rows atoms with their earliest
-sources; coordinate_profile makes its items each coordinate's distinct
-masks, which wrap reads, classifying each distinct row once.  The finite
+sources.  coordinate_profile, which wrap reads, lists each coordinate's
+distinct masks in the same order from one column per source, classifying
+each distinct row once: a family's column steps row_scan only to the
+family's stabilization plus one tail cycle, and from its stabilization on
+reads the tail rows' masks by tail residue and the generator row's mask by
+generator residue.  The finite
 horizon used for those reductions is computed from the input data by
 stream_horizon; projection_rows' docstring proves that the rows repeat from
 there on, and verify_wrap re-checks wrap's output coordinate by coordinate
@@ -503,26 +509,78 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
     """Per-coordinate solution profile: the distinct atom masks of pi_i(system), in projection order.
 
     Entry i lists the masks of projection_rows' item for i in
-    first-occurrence order, with one dict from slot values to mask per
-    explicit equation and per family, so each distinct row is classified
-    once over the whole scan.
+    first-occurrence order.  It is built from one column per source, in
+    source order: a column's entry i lists the masks of the source's rows at
+    i in projection_rows' order, and the profile's entry i is the columns'
+    entries at i concatenated and deduplicated, which keeps each mask's
+    first occurrence as a per-coordinate scan would.  One memo classifies
+    each distinct row of a source once over the whole build.
+      * An explicit equation's column is its explicit_rows, each row
+        classified.
+      * A family's column reads row_scan below the family's stabilization
+        F, P + C unbounded and N - 1 + P bounded at N as in stream_horizon,
+        with L the lcm of the generator lengths, P the tail prefix and C
+        the lcm of the tail cycles.  At i, row_scan lists the tail rows in
+        ascending member order, then the generator row at i mod L if
+        i + 2 <= the last member and no tail row equals it.  From F on the
+        tail rows depend on i only through (i - P) mod C, by
+        projection_rows' repeat argument.  Unbounded, i >= P + C puts
+        positions i .. i - C + 1 in the tail cycle, so the walk down from i
+        meets all C cycle rows within C steps, in an order set by
+        (i - P) mod C, and after them only repeats cycle rows until it
+        reaches the same prefix rows.  Bounded, the window i .. i - N + 1
+        lies in the tail cycle and position i - k reads cycle entry
+        (i - k - P) mod C.  So from F on the family's entry is two table
+        reads: the tail rows' masks at the residue (i - P) mod C, filled
+        from row_scan at F .. F + C - 1, which meets each residue once, and
+        the generator row's mask at the residue i mod L.  An unbounded
+        family shows its generator row at every i and a bounded one at no
+        i >= F >= N - 1, so the second table holds the residues of those i
+        in F .. F + L - 1 with i + 2 <= the last member: all L of them, or
+        none.  A generator mask that a tail row already gave is dropped by
+        the deduplication, as row_scan dropped that row.  row_scan steps
+        F + C times, P + 2C unbounded and N - 1 + P + C bounded, or
+        stab + period if that is fewer, and each later entry costs two
+        table reads however large L and C are.
     The prefix covers the stream_horizon's stabilization and the cycle one
     period, so at(i) holds for every coordinate: projection_rows proves that
     the rows repeat with that period from there on.
     """
     stab, period = stream_horizon(system)
+    stop = stab + period
     classifier = AtomClassifier.of(structure, system.variables)
-    memos: list[dict[tuple[Any, ...], int]] = [{} for _ in system.explicit + system.families]  # row -> mask
-    table = []
-    for _, sources in zip(range(stab + period), projection_rows(system)):
-        entry: dict[int, None] = {}
-        for seen, (atom, _, rows) in zip(memos, sources):
-            for values in rows:
-                mask = seen.get(values)
-                if mask is None:
-                    mask = seen[values] = classifier.mask(_with_slots(atom, values))
-                entry[mask] = None
-        table.append(tuple(entry))
+    memo: dict[tuple[int, tuple[Any, ...]], int] = {}  # (source, row) -> mask
+
+    def masks(source: int, atom: Equation, rows: Iterable[tuple[Any, ...]]) -> tuple[int, ...]:
+        """The distinct masks of a source's rows, in row order."""
+        out: dict[int, None] = {}
+        for values in rows:
+            mask = memo.get((source, values))
+            if mask is None:
+                mask = memo[source, values] = classifier.mask(_with_slots(atom, values))
+            out[mask] = None
+        return tuple(out)
+
+    explicit = enumerate(zip(system.explicit, system.explicit_rows))
+    columns = [rows.map(lambda values: masks(k, eq, (values,))).take(stop) for k, (eq, rows) in explicit]
+    for k, fam in enumerate(system.families, len(system.explicit)):
+        generators, tails = fam.slot_rows
+        gen_period, tail_prefix, tail_cycle = len(generators.cycle), len(tails.prefix), len(tails.cycle)
+        last = math.inf if fam.bound is None else fam.bound  # the family's last member
+        first = tail_prefix + (tail_cycle if fam.bound is None else last - 1)  # its stabilization F
+        scan = list(zip(range(min(first + tail_cycle, stop)), fam.row_scan()))
+        tail = {  # (i - P) mod C -> the tail rows' masks at every i >= F
+            (i - tail_prefix) % tail_cycle: masks(k, fam.atom, (values for values, n in rows.items() if n <= i + 1))
+            for i, rows in scan[first:]
+        }
+        gen = {  # i mod L -> the generator row's mask, for the residues some i >= F with i + 2 <= last shows
+            i % gen_period: masks(k, fam.atom, (generators.cycle[i % gen_period],))
+            for i in range(first, min(first + gen_period, last - 1))
+        }
+        column = [masks(k, fam.atom, rows) for _, rows in scan[:first]]
+        column += [tail[(i - tail_prefix) % tail_cycle] + gen.get(i % gen_period, ()) for i in range(first, stop)]
+        columns.append(column)
+    table = [tuple(dict.fromkeys(chain.from_iterable(entry))) for entry in zip(*columns)] if columns else [()] * stop
     return Periodic(tuple(table[:stab]), tuple(table[stab:]))
 
 
@@ -644,7 +702,16 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
     distinct tuple of them is turned into an atom and classified once.  A family's
     blocks from StaircaseFamily.coordinate_checks(stop) list exactly the
     coordinates below `stop` where their slot values occur, so each block's
-    one mask is ANDed into those.  The classifier is AtomClassifier.of's, which
+    one mask is ANDed into those.  A nonempty block range(j, stop), as every
+    unbounded family's tail position j < P + C gives, covers every i with
+    j <= i < stop, so its mask belongs in the AND at i exactly when j <= i.
+    Such blocks are folded: folded[j] is the AND of their masks with start
+    j, and one running AND over the starts in ascending order holds, from
+    each start on, the AND of every folded mask with a start at or below i.
+    That costs O(stop + blocks) where a loop per block cost
+    O((P + C) * stop).  A block with j >= stop is empty and skipped, so the
+    walk never passes `stop`; every other block keeps its per-coordinate
+    loop.  The classifier is AtomClassifier.of's, which
     minimal_inconsistent_subset reads after this scan.
     """
     classifier = AtomClassifier.of(structure, system.variables)
@@ -656,11 +723,21 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
             if mask is None:
                 mask = seen[values] = classifier.mask(_with_slots(eq, values))
             masks[i] &= mask
+    folded: dict[int, int] = {}  # j -> the AND of the masks of the blocks range(j, stop)
     for fam in system.families:
         for r, values in fam.coordinate_checks(stop):
             mask = classifier.mask(_with_slots(fam.atom, values))
-            for i in r:
-                masks[i] &= mask
+            if r and r.step == 1 and r.stop == stop:
+                folded[r.start] = folded.get(r.start, mask) & mask
+            else:
+                for i in r:
+                    masks[i] &= mask
+    starts = sorted(folded)
+    running = classifier.full
+    for j, end in zip(starts, starts[1:] + [stop]):
+        running &= folded[j]
+        for i in range(j, end):
+            masks[i] &= running
     return masks
 
 

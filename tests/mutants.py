@@ -51,6 +51,41 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "the profile reads a family's tail table at i mod C, not (i - P) mod C",
+        "src/eqpower/power.py",
+        "tail[(i - tail_prefix) % tail_cycle] + gen.get",
+        "tail[i % tail_cycle] + gen.get",
+        ("tests/test_power.py::test_profile_fold_matches_recomputation",),
+    ),
+    Mutant(
+        "the profile starts a bounded family's residue tables one coordinate early, at N - 2 + P",
+        "src/eqpower/power.py",
+        "else last - 1)  # its stabilization F",
+        "else last - 2)  # its stabilization F",
+        ("tests/test_power.py::test_profile_fold_matches_recomputation",),
+    ),
+    Mutant(
+        "the profile keeps a bounded family's generator masks past its last member",
+        "src/eqpower/power.py",
+        "range(first, min(first + gen_period, last - 1))",
+        "range(first, first + gen_period)",
+        ("tests/test_power.py::test_profile_fold_matches_recomputation",),
+    ),
+    Mutant(
+        "coordinate_masks seeds each folded tail block one coordinate late",
+        "src/eqpower/power.py",
+        "folded[r.start] = folded.get(r.start, mask) & mask",
+        "folded[r.start + 1] = folded.get(r.start + 1, mask) & mask",
+        ("tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",),
+    ),
+    Mutant(
+        "coordinate_masks folds an empty tail block that starts at or past stop",
+        "src/eqpower/power.py",
+        "if r and r.step == 1 and r.stop == stop:",
+        "if r.step == 1 and r.stop == stop:",
+        ("tests/test_power.py::test_coordinate_masks_stop_before_the_tail_blocks_start",),
+    ),
+    Mutant(
         "verify_wrap compares masks folded at stab + period",
         "src/eqpower/wrap.py",
         "stop = stab + 2 * period",

@@ -13,6 +13,7 @@ from itertools import combinations, permutations, product
 
 from eqpower.fixtures import triangle_graph
 from eqpower.power import (
+    Periodic,
     PowerElement,
     PowerSystem,
     SourceRef,
@@ -21,6 +22,7 @@ from eqpower.power import (
     horizon,
     power_systems_equivalent,
     project_equation,
+    projection_rows,
     stream_horizon,
 )
 from eqpower.solver import (
@@ -196,6 +198,53 @@ def oracle_projection_entries(system: PowerSystem, i: int) -> dict:
         for n in fam.members(i + 2):
             out.setdefault(map_constants(fam.atom, lambda s: staircase_value_at(s, n, i)), SourceRef(fidx, n))
     return out
+
+
+def with_slot_values(atom, values):
+    """The atom with its constant slots, in argument order, holding the values."""
+    slot = iter(values)
+    return map_constants(atom, lambda _: next(slot))
+
+
+def reference_coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Periodic:
+    """coordinate_profile as a per-coordinate scan: projection_rows' item at every i below stab + period.
+
+    Entry i lists the masks of the item's rows in first-occurrence order,
+    one memo per source from rows to masks.  It reads row_scan at every
+    coordinate and no residue table, so it is the reference for the
+    profile's folded columns.
+    """
+    stab, period = stream_horizon(system)
+    classifier = AtomClassifier.of(structure, system.variables)
+    memos = [{} for _ in system.explicit + system.families]
+    table = []
+    for _, sources in zip(range(stab + period), projection_rows(system)):
+        entry = {}
+        for seen, (atom, _, rows) in zip(memos, sources):
+            for values in rows:
+                if values not in seen:
+                    seen[values] = classifier.mask(with_slot_values(atom, values))
+                entry[seen[values]] = None
+        table.append(tuple(entry))
+    return Periodic(tuple(table[:stab]), tuple(table[stab:]))
+
+
+def reference_coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int) -> list:
+    """coordinate_masks with every family block's mask ANDed into each coordinate the block lists, none folded."""
+    classifier = AtomClassifier.of(structure, system.variables)
+    masks = [classifier.full] * stop
+    for eq, rows in zip(system.explicit, system.explicit_rows):
+        seen = {}
+        for i, values in enumerate(rows.take(stop)):
+            if values not in seen:
+                seen[values] = classifier.mask(with_slot_values(eq, values))
+            masks[i] &= seen[values]
+    for fam in system.families:
+        for coords, values in fam.coordinate_checks(stop):
+            mask = classifier.mask(with_slot_values(fam.atom, values))
+            for i in coords:
+                masks[i] &= mask
+    return masks
 
 
 def oracle_atom_solutions(structure: FiniteStructure, variables, eq) -> frozenset:
@@ -848,14 +897,7 @@ def one_variable_families(rng: random.Random, draw: str) -> tuple[FiniteStructur
     """
     if draw == "long":
         structure = random_relational_structure(rng)
-        labels = list(structure.universe)
-
-        def drawn(lo: int, hi: int) -> tuple[str, ...]:
-            return tuple(rng.choice(labels) for _ in range(rng.randint(lo, hi)))
-
-        slot = Const(Staircase(drawn(1, 4), PowerElement(drawn(0, 3), drawn(1, 4))))
-        args = (Var("x"), slot) if rng.random() < 0.5 else (slot, Var("x"))
-        return structure, [StaircaseFamily(RelationAtom("R", args))]
+        return structure, [long_family(rng, list(structure.universe))]
     if draw == "random":
         structure = random_relational_structure(rng)
         system = random_power_system(rng, structure, max_prefix=3, max_cycle=4)
@@ -867,6 +909,55 @@ def one_variable_families(rng: random.Random, draw: str) -> tuple[FiniteStructur
         system, _ = planted_power_system(rng, structure)
     readers = [fam for fam in system.families if len({a.name for a in fam.atom.args if isinstance(a, Var)}) == 1]
     return structure, readers
+
+
+def long_family(rng: random.Random, labels, bound: int | None = None) -> StaircaseFamily:
+    """R(x, stair) or R(stair, x) with a generator of 1-4 labels and a tail of prefix 0-3 and cycle 1-4."""
+
+    def drawn(lo: int, hi: int) -> tuple[str, ...]:
+        return tuple(rng.choice(labels) for _ in range(rng.randint(lo, hi)))
+
+    slot = Const(Staircase(drawn(1, 4), PowerElement(drawn(0, 3), drawn(1, 4))))
+    args = (Var("x"), slot) if rng.random() < 0.5 else (slot, Var("x"))
+    return StaircaseFamily(RelationAtom("R", args), bound)
+
+
+def profile_power_system(rng: random.Random, draw: str) -> tuple[FiniteStructure, PowerSystem]:
+    """A structure and a system on which coordinate_profile's residue tables do the work.
+
+    "long" is one_variable_families' one long family.  "bounded" is such a
+    family bounded at N below, at or above its tail cycle C (N = 1 when
+    C = 1 has nothing below it), so its tail window is shorter than, as long
+    as or longer than a cycle.  "two-slot" is planted_power_system on
+    quaternary_structure, whose families have two constant slots with
+    generator lengths 2 and 3, beside 0-2 explicit equations.  "several"
+    puts 2-3 long families, each bounded at 1-9 with probability 0.35, on
+    the one variable x beside 1-2 explicit equations, and half the time a
+    family R(x, x) without a constant slot, bounded or not.
+    """
+    if draw == "two-slot":
+        structure = quaternary_structure()
+        return structure, planted_power_system(rng, structure)[0]
+    structure = random_relational_structure(rng)
+    labels = list(structure.universe)
+    if draw == "long":
+        return structure, PowerSystem(("x",), (), (long_family(rng, labels),))
+    if draw == "bounded":
+        fam = long_family(rng, labels)
+        cycle = len(fam.slot_rows[1].cycle)
+        bound = rng.choice([rng.randint(1, max(1, cycle - 1)), cycle, cycle + rng.randint(1, 4)])
+        return structure, PowerSystem(("x",), (), (StaircaseFamily(fam.atom, bound),))
+    families = [
+        long_family(rng, labels, rng.randint(1, 9) if rng.random() < 0.35 else None) for _ in range(rng.randint(2, 3))
+    ]
+    if rng.random() < 0.5:
+        no_slot = StaircaseFamily(RelationAtom("R", (Var("x"), Var("x"))), rng.choice([None, rng.randint(1, 5)]))
+        families.insert(rng.randint(0, len(families)), no_slot)
+    explicit = tuple(
+        RelationAtom(rng.choice(("R", EQUALITY)), (Var("x"), Const(random_stream(rng, labels, 3, 4))))
+        for _ in range(rng.randint(1, 2))
+    )
+    return structure, PowerSystem(("x",), explicit, tuple(families))
 
 
 def edge_staircase_family(rng: random.Random, labels) -> PowerSystem:

@@ -368,29 +368,38 @@ def test_an_underreported_profile_period_fails_wrap_verification(monkeypatch):
     assert wrap(g, system).verified is False
 
 
-@settings(deadline=None, max_examples=40)
-@given(st.integers(0, 2**30), st.booleans())
-def test_profile_fold_matches_recomputation(seed, wide):
+@settings(deadline=None, max_examples=120)
+@given(st.integers(0, 2**30), st.sampled_from(("random", "wide", "long", "bounded", "two-slot", "several")))
+def test_profile_fold_matches_recomputation(seed, draw):
     """Past the horizon the folded profile equals direct recomputation, in projection order.
 
     The recomputation projects every member, not through row_scan: written
     out by support.reference_projection_entries at every coordinate below
-    three periods past the horizon for support.random_power_system draws,
-    or read at i by support.oracle_projection_entries at the coordinates of
-    a support.wide_power_system draw, where L and C reach about 30.
+    three periods past the horizon, or read at i by
+    support.oracle_projection_entries at the coordinates of a
+    support.wide_power_system draw, where L and C reach about 30.  The
+    other draws are support.random_power_system with families bounded at
+    1-9 about a third of the time, and support.profile_power_system's
+    draws, where the profile's tail and generator residue tables carry
+    every entry past a family's stabilization: one long family, one bounded
+    below, at or above its tail cycle, two-slot planted families beside
+    explicit equations, and several families on one variable beside
+    explicit equations, some bounded and some without a constant slot.
     """
     rng = random.Random(seed)
-    if wide:
+    coordinates, recompute = None, support.reference_projection_entries
+    if draw == "wide":
         structure, system, coordinates = support.wide_power_system(rng)
         recompute = support.oracle_projection_entries
-    else:
+    elif draw == "random":
         structure = support.random_relational_structure(rng)
         system = support.random_power_system(rng, structure)
         families = tuple(
             StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
         )
         system = PowerSystem(system.variables, system.explicit, families)
-        coordinates, recompute = None, support.reference_projection_entries
+    else:
+        structure, system = support.profile_power_system(rng, draw)
     profile = coordinate_profile(structure, system)
     clf = AtomClassifier(structure, system.variables)
     for i in coordinates or range(len(profile.prefix) + 3 * len(profile.cycle)):
@@ -399,24 +408,36 @@ def test_profile_fold_matches_recomputation(seed, wide):
         assert frozenset(map(clf.decode, masks)) == support.oracle_profile(structure, system, i)
 
 
-@settings(deadline=None, max_examples=100)
-@given(st.integers(0, 2**30))
-def test_coordinate_masks_match_the_oracle_at_every_coordinate(seed):
-    """Entry i is the intersection of pi_i's solution sets, also past the horizon and for bounded families."""
+@settings(deadline=None, max_examples=400)
+@given(st.integers(0, 2**30), st.sampled_from(("random", "long", "bounded", "several")))
+def test_coordinate_masks_match_the_oracle_at_every_coordinate(seed, draw):
+    """Entry i is the intersection of pi_i's solution sets, also past the horizon and for bounded families.
+
+    Besides support.random_power_system with equalities added, the draws
+    are support.profile_power_system's long, bounded (N below, at or above
+    C, so some cycle blocks are stepped) and several-family systems.  A
+    stop below a family's P + C, about a quarter of the draws, leaves tail
+    blocks that start at or past it.
+    """
     rng = random.Random(seed)
-    structure = support.random_relational_structure(rng)
-    system = support.random_power_system(rng, structure)
-    families = tuple(
-        StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
-    )
-    system = PowerSystem(system.variables, system.explicit, families)
-    labels = list(structure.universe)
-    equalities = (  # random_power_system's explicit equations are all R atoms
-        RelationAtom(EQUALITY, (Var(rng.choice(system.variables)), Const(support.random_stream(rng, labels)))),
-        RelationAtom(EQUALITY, (Const(support.random_stream(rng, labels)), Const(support.random_stream(rng, labels)))),
-    )
-    explicit = system.explicit + tuple(eq for eq in equalities if rng.random() < 0.5)
-    system = PowerSystem(system.variables, explicit, families)
+    if draw == "random":
+        structure = support.random_relational_structure(rng)
+        system = support.random_power_system(rng, structure)
+        families = tuple(
+            StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
+        )
+        system = PowerSystem(system.variables, system.explicit, families)
+        labels = list(structure.universe)
+        equalities = (  # random_power_system's explicit equations are all R atoms
+            RelationAtom(EQUALITY, (Var(rng.choice(system.variables)), Const(support.random_stream(rng, labels)))),
+            RelationAtom(
+                EQUALITY, (Const(support.random_stream(rng, labels)), Const(support.random_stream(rng, labels)))
+            ),
+        )
+        explicit = system.explicit + tuple(eq for eq in equalities if rng.random() < 0.5)
+        system = PowerSystem(system.variables, explicit, families)
+    else:
+        structure, system = support.profile_power_system(rng, draw)
     stab, period = stream_horizon(system)
     stop = rng.randint(0, stab + 3 * period + 5)
     masks = coordinate_masks(structure, system, stop)
@@ -425,6 +446,32 @@ def test_coordinate_masks_match_the_oracle_at_every_coordinate(seed):
     everything = frozenset(product(structure.universe, repeat=len(system.variables)))
     for i, mask in enumerate(masks):
         assert clf.decode(mask) == everything.intersection(*support.oracle_profile(structure, system, i))
+
+
+def test_coordinate_masks_stop_before_the_tail_blocks_start():
+    """A scan that stops before tail position P + C - 1 skips the blocks range(j, stop) with j >= stop.
+
+    One family on the triangle with tail prefix P = 3 and cycle C = 4, so
+    its tail blocks start at 0..6; satisfies, power_systems_equivalent on a
+    short joint horizon, or a direct call may stop below 7.  Every stop
+    0..9 gives the first `stop` entries of the scan to 12, each the
+    intersection of the oracle's solution sets; so do the family bounded at
+    N = 2 < C, whose cycle blocks are stepped ranges, and at N = C.
+    """
+    g = triangle_graph()
+    stair = Staircase(("a", "b"), PowerElement(("a", "b", "c"), ("b", "c", "b", "a")))
+    atom = RelationAtom("E", (x, Const(stair)))
+    assert (len(stair.tail.prefix), len(stair.tail.cycle)) == (3, 4)
+    clf = AtomClassifier(g, ("x",))
+    everything = frozenset(product(g.universe, repeat=1))
+    for bound in (None, 2, 4):
+        system = PowerSystem(("x",), (), (StaircaseFamily(atom, bound),))
+        full = coordinate_masks(g, system, 12)
+        assert [clf.decode(m) for m in full] == [
+            everything.intersection(*support.oracle_profile(g, system, i)) for i in range(12)
+        ], bound
+        for stop in range(10):
+            assert coordinate_masks(g, system, stop) == full[:stop], (bound, stop)
 
 
 def test_profile_queries_project_only_at_a_failing_coordinate(monkeypatch):

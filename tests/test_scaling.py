@@ -9,12 +9,14 @@ witness's repeat, fails here wherever it runs.
 """
 
 import contextlib
+import importlib
 import io
 import json
 import random
 from pathlib import Path
 from unittest import mock
 
+import support
 from eqpower import cli, noetherian, power
 from eqpower.fixtures import triangle_graph
 from eqpower.noetherian import build_witness_family, first_violated_member, power_noetherian
@@ -22,8 +24,9 @@ from eqpower.power import Periodic, PowerElement, PowerSystem, Staircase, Stairc
 from eqpower.power import coordinate_masks, stream_horizon
 from eqpower.solver import AtomClassifier, Const, RelationAtom, Var
 from eqpower.structures import FiniteStructure
-from eqpower.wrap import class_representatives
+from eqpower.wrap import class_representatives, wrap, wrap_result_to_json_dict
 
+WRAP_MODULE = importlib.import_module("eqpower.wrap")  # eqpower.wrap the attribute is the function
 TRIANGLE = str(Path(__file__).resolve().parent.parent / "fixtures" / "triangle.json")
 
 
@@ -59,11 +62,13 @@ def test_candidate_scan_classifies_each_family_row_once_at_L_400():
 
 
 def test_row_scan_reads_each_tail_row_once_per_coordinate_at_C_400():
-    """At C = 400 the profile's scan reads one tail row and one generator row per coordinate.
+    """At C = 400 the profile's scan reads one tail row and one generator row per coordinate it steps.
 
-    It covers stab + period coordinates, and a single read at 10**12 starts
-    its scan in at most P + C tail reads, plus one generator read.  A walk
-    over the members would read up to C + P + 1 rows at every coordinate.
+    It steps the family's stabilization P + C plus one tail cycle, P + 2C
+    coordinates, and reads every later entry from its residue tables, and
+    a single read at 10**12 starts its scan in at most P + C tail reads,
+    plus one generator read.  A walk over the members would read up to
+    C + P + 1 rows at every coordinate.
     """
     system = edge_family(1, 2, 400)
     (fam,) = system.families
@@ -75,13 +80,72 @@ def test_row_scan_reads_each_tail_row_once_per_coordinate_at_C_400():
         reads[id(self)] += 1
         return at(self, i)
 
-    stab, period = stream_horizon(system)
     with mock.patch.object(Periodic, "at", counted):
         coordinate_profile(triangle_graph(), system)
-        assert reads == {id(generators): stab + period, id(tails): stab + period}
+        assert reads == {id(generators): 2 + 2 * 400, id(tails): 2 + 2 * 400}
         reads.update(dict.fromkeys(reads, 0))
         next(fam.row_scan(10**12))
     assert reads == {id(generators): 1, id(tails): 2 + 400}
+
+
+def test_coprime_wrap_reads_each_residue_once_at_L_211_C_199():
+    """Generator 211 against tail cycle 199: the profile's reads and the masks scan do not grow with L * C.
+
+    The horizon is (199, 41,989).  The profile steps row_scan over
+    P + 2C = 398 coordinates, one tail and one generator read each, and
+    reads the other 41,790 entries from its residue tables.
+    coordinate_masks' family branch ANDs once per coordinate of the
+    generator blocks (stop in all), once per coordinate of the running AND
+    over the folded tail blocks and once per tail block: 2 * stop + 199,
+    where a loop per tail block made 200 * stop.  wrap's document is the
+    one that the per-coordinate scans support.reference_coordinate_profile
+    and support.reference_coordinate_masks give.
+    """
+    g = triangle_graph()
+    system = edge_family(211, 0, 199)
+    (fam,) = system.families
+    generators, tails = fam.slot_rows
+    stab, period = stream_horizon(system)
+    assert (stab, period) == (199, 211 * 199)
+    reads = {id(generators): 0, id(tails): 0}
+    at = Periodic.at
+
+    def counted(self, i):
+        reads[id(self)] += 1
+        return at(self, i)
+
+    with mock.patch.object(Periodic, "at", counted):
+        profile = coordinate_profile(g, system)
+    assert reads == {id(generators): 2 * 199, id(tails): 2 * 199}
+    assert (len(profile.prefix), len(profile.cycle)) == (stab, period)
+
+    ands = [0]
+
+    class Counted(int):
+        def __and__(self, other):
+            ands[0] += 1
+            return Counted(int(self) & other)
+
+    classifier = AtomClassifier.of(g, system.variables)
+    full, classifier.full = classifier.full, Counted(classifier.full)
+    try:
+        stop = stab + 2 * period
+        masks = coordinate_masks(g, system, stop)
+    finally:
+        classifier.full = full
+    assert ands[0] == 2 * stop + 199
+    assert masks == support.reference_coordinate_masks(g, system, stop)
+
+    def document(result):
+        return json.dumps(wrap_result_to_json_dict(result), indent=2)
+
+    fast = document(wrap(g, system))
+    with (
+        mock.patch.object(WRAP_MODULE, "coordinate_profile", support.reference_coordinate_profile),
+        mock.patch.object(WRAP_MODULE, "coordinate_masks", support.reference_coordinate_masks),
+    ):
+        assert document(wrap(g, system)) == fast
+    assert json.loads(fast)["verified"] is True
 
 
 def test_witness_depths_read_one_scan_each_and_build_no_truncation():
