@@ -248,8 +248,10 @@ class WitnessPackage:
         return (PowerElement((repeat,) * (n + offset), (tail,)),)
 
     def truncation(self, n: int) -> PowerSystem:
-        """Members 1..n of the family, as the family bounded at n."""
-        return PowerSystem((self.variable,), (), (StaircaseFamily(self.family.atom, n),))
+        """Members 1..n of the family, written out as explicit equations."""
+        if n < 1:
+            raise ValueError("truncations are indexed from 1")
+        return PowerSystem((self.variable,), tuple(self.family.member(m) for m in range(1, n + 1)))
 
     def to_json_dict(self) -> dict:
         repeat, tail, offset = self.witness_rule
@@ -307,7 +309,7 @@ def first_violated_member(structure: FiniteStructure, package: WitnessPackage, n
     Member m reads its generator at coordinates 0..m-2, and witness_point(n)
     switches from its repeat to its tail at coordinate n + offset; the
     certificate makes that tail against the generator the one failing row.
-    The failing rows of the unbounded family at the point decide it, read
+    The failing rows of the family at the point decide it, read
     in closed form by switch_failing_members from the witness rule, with no
     point built: m is returned only if no failing row maps to a member
     <= m - 1 and some row maps to m, else None.  As members_hold reads them,

@@ -7,8 +7,8 @@ coordinate profile and wrap's index sets are Periodic too, horizon() is the
 one rule for when a set of them repeats, and zip_streams() the one way to
 read several of them as rows.  Equation systems over the power may list
 equations explicitly and may also include staircase families, which
-present one equation per n >= 1 (or per n up to a bound, for a truncation) by
-splicing a repeating generator stream in front of a shifted tail stream.
+present one equation per n >= 1 by splicing a repeating generator stream in
+front of a shifted tail stream.
 A family's slot_rows are two zipped streams of slot-value rows, one by
 generator residue and one by joint tail position, and every per-coordinate
 reading of a family goes through them; wrap's candidate scan classifies each
@@ -201,25 +201,12 @@ class Staircase:
 
 @dataclass(frozen=True)
 class StaircaseFamily:
-    """One equation per member n: the atom with each Staircase constant replaced by member n's stream.
-
-    The members are n = 1..bound, or every n >= 1 when bound is None.  A
-    bounded family is how a finite truncation of a family is presented.
-    """
+    """One equation per member n >= 1: the atom with each Staircase constant replaced by member n's stream."""
 
     atom: Equation  # Const args hold Staircase descriptors
-    bound: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.bound is not None and self.bound < 1:
-            raise ValueError("a bounded family has at least member 1")
 
     def descriptors(self) -> tuple[Staircase, ...]:
         return tuple(a.value for a in self.atom.args if isinstance(a, Const))
-
-    def members(self, last: int) -> range:
-        """The family's member indices among 1..last."""
-        return range(1, (last if self.bound is None else min(last, self.bound)) + 1)
 
     @functools.cached_property
     def slot_rows(self) -> tuple[Periodic, Periodic]:
@@ -259,7 +246,7 @@ class StaircaseFamily:
         At coordinate i member n shows the generators at i when n >= i + 2,
         and the joint tail at position j = i - n + 1 when n <= i + 1.  Let L
         be the lcm of the generator lengths, P the tail prefix and C the lcm
-        of the tail cycles.  The unbounded family gets
+        of the tail cycles.  The family gets
           * per residue r < L, the generator values at r on range(r, stop, L):
             member i + 2 shows them at every such i;
           * per joint tail position j < P + C, its values on range(j, stop):
@@ -267,44 +254,19 @@ class StaircaseFamily:
             tail position repeats position j - C.
         A family with no constant slot gets the empty tuple on range(0, stop)
         (its one residue) and on range(0, stop) again (its one tail position).
-
-        With a bound N, coordinate i gets the generator values only when
-        i <= N - 2, so the generator ranges stop at min(stop, N - 1), and i
-        gets the joint tail at the window of positions max(0, i - N + 1) .. i:
-          * a tail prefix position j is in the window of i exactly for i in
-            range(j, j + N);
-          * a tail cycle position j (P <= j < P + C) stands for the positions
-            j + kC, k >= 0, which carry its values; j + kC is in the window of
-            i for j + kC <= i < j + kC + N.  When N >= C these windows join
-            into range(j, stop), and otherwise they are the N stepped ranges
-            range(j + d, stop, C) for d < N.
-        Every range stops at `stop` or earlier, and a generator residue that
-        no coordinate below the bound reaches gets no block.  The slot values
+        A generator residue at or past `stop` gets no block.  The slot values
         per residue are the cycle of slot_rows' generators, those per tail
         position the prefix and cycle of its tails; only the ranges are
         built per call.
         """
         generators, tails = self.slot_rows
-        gen_period, tail_prefix, tail_cycle = len(generators.cycle), len(tails.prefix), len(tails.cycle)
-        rows = tails.prefix + tails.cycle
-        gen_stop = stop if self.bound is None else min(stop, self.bound - 1)
-        checks = [(range(r, gen_stop, gen_period), generators.cycle[r]) for r in range(min(gen_period, gen_stop))]
-        if self.bound is None:
-            return checks + [(range(j, stop), values) for j, values in enumerate(rows)]
-        n = self.bound
-        checks += [(range(j, min(j + n, stop)), rows[j]) for j in range(tail_prefix)]
-        offsets, step = (range(1), 1) if n >= tail_cycle else (range(n), tail_cycle)
-        checks += [(range(j + d, stop, step), rows[j]) for j in range(tail_prefix, len(rows)) for d in offsets]
-        return checks
-
-    def _require_member(self, n: int) -> None:
-        if n < 1:
-            raise ValueError("family members are numbered from 1")
-        if self.bound is not None and n > self.bound:
-            raise ValueError(f"the family has members 1..{self.bound}, not {n}")
+        gen_period = len(generators.cycle)
+        checks = [(range(r, stop, gen_period), generators.cycle[r]) for r in range(min(gen_period, stop))]
+        return checks + [(range(j, stop), values) for j, values in enumerate(tails.prefix + tails.cycle)]
 
     def member(self, n: int) -> Equation:
-        self._require_member(n)
+        if n < 1:
+            raise ValueError("family members are numbered from 1")
         return map_constants(self.atom, lambda s: s.member_constant(n))
 
     def projected_member(self, n: int, i: int) -> Equation:
@@ -315,23 +277,22 @@ class StaircaseFamily:
         by rows (row_scan, wrap's candidate scan); this one-member reader
         serves the tests and the benchmark's tracer.
         """
-        self._require_member(n)
+        if n < 1:
+            raise ValueError("family members are numbered from 1")
         generators, tails = self.slot_rows
         return _with_slots(self.atom, generators.at(i) if n >= i + 2 else tails.at(i - n + 1))
 
     def row_scan(self, start: int = 0) -> Iterator[dict[tuple[str, ...], int]]:
-        """Per coordinate i = start, start + 1, ..: the distinct slot-value rows of members 1..min(i + 2, bound).
+        """Per coordinate i = start, start + 1, ..: the distinct slot-value rows of members 1..i + 2.
 
         Each row maps to its least member, in ascending member order.  As in
         projected_member, a member n <= i + 1 shows the joint tail row at
         position i - n + 1, member i + 2 the generator row at i, and later
         members repeat member i + 2.  So a row's least tail member is i - j + 1
-        for its latest position j <= i, kept when that member is at most the
-        last one.  `latest` keeps each row's latest position fed so far,
-        ordered by it: feeding i moves its row to the end, and reversed it
-        lists the tail rows in ascending member order.  The generator row
-        follows when the family has member i + 2 and no tail member shows
-        that row.
+        for its latest position j <= i.  `latest` keeps each row's latest
+        position fed so far, ordered by it: feeding i moves its row to the
+        end, and reversed it lists the tail rows in ascending member order.
+        The generator row follows when no tail member shows that row.
 
         Before start the scan feeds the tail prefix positions below start,
         then the cycle positions from max(P, start - C + 1) on, with P the
@@ -342,7 +303,6 @@ class StaircaseFamily:
         """
         generators, tails = self.slot_rows
         tail_prefix, tail_cycle = len(tails.prefix), len(tails.cycle)
-        last = math.inf if self.bound is None else self.bound  # the family's last member
         latest: dict[tuple[str, ...], int] = {}  # row -> its latest tail position, in the order of those positions
         fed = chain(range(min(tail_prefix, start)), range(max(tail_prefix, start - tail_cycle + 1), start))
         for i in chain(fed, count(start)):
@@ -350,9 +310,8 @@ class StaircaseFamily:
             latest.pop(row, None)
             latest[row] = i
             if i >= start:
-                rows = {row: i - j + 1 for row, j in reversed(latest.items()) if i - j < last}
-                if i + 2 <= last:
-                    rows.setdefault(generators.at(i), i + 2)
+                rows = {row: i - j + 1 for row, j in reversed(latest.items())}
+                rows.setdefault(generators.at(i), i + 2)
                 yield rows
 
 
@@ -436,25 +395,20 @@ def projection_rows(
     With (stab, period) the stream_horizon, the rows at i + period are those
     at i, entry by entry and in the same order, for every i >= stab; only
     the members they map to may differ.  row_scan lists the distinct rows of
-    members 1..min(i + 2, bound) in first-occurrence order, so it suffices
-    that the first-occurrence order of rows over those members repeats.  Let
-    L be a family's lcm of generator lengths and C its lcm of tail cycles:
+    members 1..i + 2 in first-occurrence order, so it suffices that the
+    first-occurrence order of rows over those members repeats.  Let L be a
+    family's lcm of generator lengths and C its lcm of tail cycles:
       * an explicit equation's row at i holds its streams' entries at i;
         stab covers every prefix and period is a multiple of every cycle;
       * a family without a constant slot has the empty row everywhere;
-      * an unbounded family lists, for members n = 1 .. i + 2, the tail rows
+      * any other family lists, for members n = 1 .. i + 2, the tail rows
         at positions i, i - 1, .., 0 and then the generator row at i mod L.
         Since stab >= tail prefix + C, positions i .. i - C + 1 lie in the
         tail cycle, so the walk meets all C cycle rows within its first C
         steps.  The walk from i + period meets the same rows in the same
         order there, since C divides period, and after them both walks only
         repeat cycle rows until they reach the same prefix rows.  The
-        generator row is the same because L divides period;
-      * a family bounded at N lists, for members n = 1 .. N, the tail rows
-        at positions i .. i - N + 1: no generator row occurs, since
-        i >= stab >= N - 1 + tail prefix gives n <= N <= i + 1, and the
-        whole window lies in the tail cycle, so the window at i + period
-        holds the same rows in the same order, shifted by a multiple of C.
+        generator row is the same because L divides period.
     Nothing recomputes a period to check this; verify_wrap re-checks wrap's
     output against the original coordinate by coordinate past the horizon.
     """
@@ -487,11 +441,8 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
 
     Stabilization covers every explicit constant prefix and, per family, one
     full pass of the joint tail streams (new tail values stop appearing after
-    max prefix + lcm of tail cycles).  A family bounded at N instead covers
-    N - 1 + tail prefix: from there on no member reads its generator and the
-    window of tail positions at coordinate i lies past the tail prefix (see
-    projection_rows).  The period is the lcm of all cycle lengths: explicit
-    constants, family tails, family generators.  A
+    max prefix + lcm of tail cycles).  The period is the lcm of all cycle
+    lengths: explicit constants, family tails, family generators.  A
     family's tail prefix and lcm(L, C) are horizon() of its slot_rows, and C
     is the length of the tails' cycle.  Given several systems, this is their
     joint horizon.
@@ -500,8 +451,7 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
     for fam in (f for system in systems for f in system.families):
         if fam.descriptors():
             tail_prefix, fam_period = horizon(fam.slot_rows)
-            fam_stab = tail_prefix + (len(fam.slot_rows[1].cycle) if fam.bound is None else fam.bound - 1)
-            stab, period = max(stab, fam_stab), math.lcm(period, fam_period)
+            stab, period = max(stab, tail_prefix + len(fam.slot_rows[1].cycle)), math.lcm(period, fam_period)
     return stab, period
 
 
@@ -518,30 +468,23 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
       * An explicit equation's column is its explicit_rows, each row
         classified.
       * A family's column reads row_scan below the family's stabilization
-        F, P + C unbounded and N - 1 + P bounded at N as in stream_horizon,
-        with L the lcm of the generator lengths, P the tail prefix and C
-        the lcm of the tail cycles.  At i, row_scan lists the tail rows in
-        ascending member order, then the generator row at i mod L if
-        i + 2 <= the last member and no tail row equals it.  From F on the
+        F = P + C, as in stream_horizon, with L the lcm of the generator
+        lengths, P the tail prefix and C the lcm of the tail cycles.  At i,
+        row_scan lists the tail rows in ascending member order, then the
+        generator row at i mod L if no tail row equals it.  From F on the
         tail rows depend on i only through (i - P) mod C, by
-        projection_rows' repeat argument.  Unbounded, i >= P + C puts
-        positions i .. i - C + 1 in the tail cycle, so the walk down from i
-        meets all C cycle rows within C steps, in an order set by
-        (i - P) mod C, and after them only repeats cycle rows until it
-        reaches the same prefix rows.  Bounded, the window i .. i - N + 1
-        lies in the tail cycle and position i - k reads cycle entry
-        (i - k - P) mod C.  So from F on the family's entry is two table
-        reads: the tail rows' masks at the residue (i - P) mod C, filled
-        from row_scan at F .. F + C - 1, which meets each residue once, and
-        the generator row's mask at the residue i mod L.  An unbounded
-        family shows its generator row at every i and a bounded one at no
-        i >= F >= N - 1, so the second table holds the residues of those i
-        in F .. F + L - 1 with i + 2 <= the last member: all L of them, or
-        none.  A generator mask that a tail row already gave is dropped by
-        the deduplication, as row_scan dropped that row.  row_scan steps
-        F + C times, P + 2C unbounded and N - 1 + P + C bounded, or
-        stab + period if that is fewer, and each later entry costs two
-        table reads however large L and C are.
+        projection_rows' repeat argument: i >= P + C puts positions
+        i .. i - C + 1 in the tail cycle, so the walk down from i meets all
+        C cycle rows within C steps, in an order set by (i - P) mod C, and
+        after them only repeats cycle rows until it reaches the same prefix
+        rows.  So from F on the family's entry is two table reads: the tail
+        rows' masks at the residue (i - P) mod C, filled from row_scan at
+        F .. F + C - 1, which meets each residue once, and the generator
+        row's mask at the residue i mod L.  A generator mask that a tail row
+        already gave is dropped by the deduplication, as row_scan dropped
+        that row.  row_scan steps F + C = P + 2C times, or stab + period if
+        that is fewer, and each later entry costs two table reads however
+        large L and C are.
     The prefix covers the stream_horizon's stabilization and the cycle one
     period, so at(i) holds for every coordinate: projection_rows proves that
     the rows repeat with that period from there on.
@@ -566,19 +509,15 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
     for k, fam in enumerate(system.families, len(system.explicit)):
         generators, tails = fam.slot_rows
         gen_period, tail_prefix, tail_cycle = len(generators.cycle), len(tails.prefix), len(tails.cycle)
-        last = math.inf if fam.bound is None else fam.bound  # the family's last member
-        first = tail_prefix + (tail_cycle if fam.bound is None else last - 1)  # its stabilization F
+        first = tail_prefix + tail_cycle  # the family's stabilization F
         scan = list(zip(range(min(first + tail_cycle, stop)), fam.row_scan()))
         tail = {  # (i - P) mod C -> the tail rows' masks at every i >= F
             (i - tail_prefix) % tail_cycle: masks(k, fam.atom, (values for values, n in rows.items() if n <= i + 1))
             for i, rows in scan[first:]
         }
-        gen = {  # i mod L -> the generator row's mask, for the residues some i >= F with i + 2 <= last shows
-            i % gen_period: masks(k, fam.atom, (generators.cycle[i % gen_period],))
-            for i in range(first, min(first + gen_period, last - 1))
-        }
+        gen = [masks(k, fam.atom, (values,)) for values in generators.cycle]  # i mod L -> the generator row's mask
         column = [masks(k, fam.atom, rows) for _, rows in scan[:first]]
-        column += [tail[(i - tail_prefix) % tail_cycle] + gen.get(i % gen_period, ()) for i in range(first, stop)]
+        column += [tail[(i - tail_prefix) % tail_cycle] + gen[i % gen_period] for i in range(first, stop)]
         columns.append(column)
     table = [tuple(dict.fromkeys(chain.from_iterable(entry))) for entry in zip(*columns)] if columns else [()] * stop
     return Periodic(tuple(table[:stab]), tuple(table[stab:]))
@@ -587,16 +526,15 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
 def switch_failing_members(
     structure: FiniteStructure, family: StaircaseFamily, before: str, switch: int, after: str
 ) -> dict[tuple[str, ...], int]:
-    """Each failing row of the unbounded family at a switch point, mapped to the least member that shows it.
+    """Each failing row of the family at a switch point, mapped to the least member that shows it.
 
     The point is `before` below coordinate `switch` and `after` from there,
     PowerElement((before,) * switch, (after,)), for the atom's one distinct
     variable; an atom with any other number of distinct variables raises
     ValueError.  A row holds the point's value at a coordinate, then a
     member's slot values there, put in argument order by row_order; it fails
-    when the relation's label table lacks it.  The family's own bound is not
-    read: members 1..N hold exactly when no row here maps to a member <= N
-    (members_hold).
+    when the relation's label table lacks it.  Members 1..N hold exactly
+    when no row here maps to a member <= N (members_hold).
 
     No point or column is built: at a coordinate i the point's value is
     `before` if i < switch and `after` otherwise, so each source of slot
@@ -703,7 +641,7 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
     blocks from StaircaseFamily.coordinate_checks(stop) list exactly the
     coordinates below `stop` where their slot values occur, so each block's
     one mask is ANDed into those.  A nonempty block range(j, stop), as every
-    unbounded family's tail position j < P + C gives, covers every i with
+    family's tail position j < P + C gives, covers every i with
     j <= i < stop, so its mask belongs in the AND at i exactly when j <= i.
     Such blocks are folded: folded[j] is the AND of their masks with start
     j, and one running AND over the starts in ascending order holds, from
@@ -839,8 +777,6 @@ def staircase_from_json_dict(doc: Any) -> Staircase:
 
 
 def family_to_json_dict(fam: StaircaseFamily) -> dict:
-    if fam.bound is not None:
-        raise ValueError("a bounded family (a truncation) has no JSON form")
     return {"family": equation_to_json_dict(fam.atom, ("staircase", staircase_to_json_dict))}
 
 

@@ -131,7 +131,7 @@ def _candidates(
     for fidx, fam in enumerate(system.families):
         generators, tails = fam.slot_rows
         gen_period = len(generators.cycle)
-        members = fam.members(min(stop, gen_period) + 1)
+        members = range(1, min(stop, gen_period) + 2)
         gen_sets = _first_sets(classifier, fam.atom, generators.cycle[: len(members) - 1])
         tail_sets = _first_sets(classifier, fam.atom, tails.prefix + tails.cycle)
         for n in members:

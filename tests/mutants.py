@@ -41,34 +41,10 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "coordinate_checks lets a bounded family's generator reach coordinate N - 1",
-        "src/eqpower/power.py",
-        "min(stop, self.bound - 1)",
-        "min(stop, self.bound)",
-        (
-            "tests/test_power.py::test_coordinate_checks_cover_every_member_projection",
-            "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
-        ),
-    ),
-    Mutant(
         "the profile reads a family's tail table at i mod C, not (i - P) mod C",
         "src/eqpower/power.py",
-        "tail[(i - tail_prefix) % tail_cycle] + gen.get",
-        "tail[i % tail_cycle] + gen.get",
-        ("tests/test_power.py::test_profile_fold_matches_recomputation",),
-    ),
-    Mutant(
-        "the profile starts a bounded family's residue tables one coordinate early, at N - 2 + P",
-        "src/eqpower/power.py",
-        "else last - 1)  # its stabilization F",
-        "else last - 2)  # its stabilization F",
-        ("tests/test_power.py::test_profile_fold_matches_recomputation",),
-    ),
-    Mutant(
-        "the profile keeps a bounded family's generator masks past its last member",
-        "src/eqpower/power.py",
-        "range(first, min(first + gen_period, last - 1))",
-        "range(first, first + gen_period)",
+        "tail[(i - tail_prefix) % tail_cycle] + gen[",
+        "tail[i % tail_cycle] + gen[",
         ("tests/test_power.py::test_profile_fold_matches_recomputation",),
     ),
     Mutant(
@@ -164,8 +140,15 @@ MUTANTS = (
     Mutant(
         "a witness truncation keeps the whole family",
         "src/eqpower/noetherian.py",
-        "StaircaseFamily(self.family.atom, n)",
-        "StaircaseFamily(self.family.atom)",
+        "tuple(self.family.member(m) for m in range(1, n + 1)))",
+        "(), (self.family,))",
+        ("tests/test_noetherian.py::test_witness_package_computes_its_rule_once_and_truncations_bound_the_family",),
+    ),
+    Mutant(
+        "a witness truncation stops one member short",
+        "src/eqpower/noetherian.py",
+        "for m in range(1, n + 1)",
+        "for m in range(1, n)",
         ("tests/test_noetherian.py::test_witness_package_computes_its_rule_once_and_truncations_bound_the_family",),
     ),
     Mutant(
@@ -271,16 +254,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "row_scan keeps a bounded family's tail row one member past its last",
-        "src/eqpower/power.py",
-        "if i - j < last}",
-        "if i - j <= last}",
-        (
-            "tests/test_power.py::test_row_scan_pinned",
-            "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
-        ),
-    ),
-    Mutant(
         "row_scan pre-feeds the tail cycle from start - C + 2, one residue short",
         "src/eqpower/power.py",
         "start - tail_cycle + 1), start))",
@@ -311,16 +284,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "a bounded family shows its generator row past its last member",
-        "src/eqpower/power.py",
-        "if i + 2 <= last:",
-        "if i + 1 <= last:",
-        (
-            "tests/test_power.py::test_row_scan_pinned",
-            "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
-        ),
-    ),
-    Mutant(
         "the greedy takes the last candidate of the largest gain",
         "src/eqpower/wrap.py",
         "max(coverage, key=",
@@ -330,8 +293,8 @@ MUTANTS = (
     Mutant(
         "wrap's candidate scan stops at member L",
         "src/eqpower/wrap.py",
-        "fam.members(min(stop, gen_period) + 1)",
-        "fam.members(min(stop, gen_period))",
+        "range(1, min(stop, gen_period) + 2)",
+        "range(1, min(stop, gen_period) + 1)",
         ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
     ),
     Mutant(
@@ -383,17 +346,10 @@ MUTANTS = (
         ("tests/test_power.py::test_projected_member_is_the_projection_of_the_written_out_member",),
     ),
     Mutant(
-        "stream_horizon drops the - 1 of a bounded family",
+        "stream_horizon leaves the tail pass out of a family's stabilization",
         "src/eqpower/power.py",
-        "if fam.bound is None else fam.bound - 1)",
-        "if fam.bound is None else fam.bound)",
-        ("tests/test_power.py::test_stream_horizon_of_one_family_matches_the_descriptor_formula",),
-    ),
-    Mutant(
-        "stream_horizon leaves the tail pass out of an unbounded family's stabilization",
-        "src/eqpower/power.py",
-        "fam_stab = tail_prefix + (len(fam.slot_rows[1].cycle) if fam.bound is None else fam.bound - 1)",
-        "fam_stab = tail_prefix + (0 if fam.bound is None else fam.bound - 1)",
+        "max(stab, tail_prefix + len(fam.slot_rows[1].cycle))",
+        "max(stab, tail_prefix)",
         (
             "tests/test_power.py::test_profile_fold_matches_recomputation",
             "tests/test_wrap.py::test_verify_wrap_matches_the_oracle_profile",

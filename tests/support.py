@@ -142,17 +142,16 @@ def staircase_value_at(stair: Staircase, n: int, i: int) -> str:
     return stair.tail.at(i - (n - 1))
 
 
-def staircase_family_horizon(stairs, bound: int | None) -> tuple[int, int]:
+def staircase_family_horizon(stairs) -> tuple[int, int]:
     """(stabilization, period) of one staircase family, from its Staircase descriptors alone.
 
     The stabilization is the largest tail prefix plus C, the lcm of the tail
-    cycles, or plus N - 1 for a family bounded at N; the period is the lcm of
-    C and the generator lengths.
+    cycles; the period is the lcm of C and the generator lengths.
     """
     tail_prefix = max(len(s.tail.prefix) for s in stairs)
     tail_cycle = math.lcm(*(len(s.tail.cycle) for s in stairs))
     period = math.lcm(tail_cycle, *(len(s.generator) for s in stairs))
-    return tail_prefix + (tail_cycle if bound is None else bound - 1), period
+    return tail_prefix + tail_cycle, period
 
 
 def oracle_projection(system: PowerSystem, i: int) -> list:
@@ -162,13 +161,13 @@ def oracle_projection(system: PowerSystem, i: int) -> list:
     """
     atoms = [project_equation(eq, i) for eq in system.explicit]
     for fam in system.families:
-        for n in fam.members(i + 2):
+        for n in range(1, i + 3):
             atoms.append(map_constants(fam.atom, lambda s: staircase_value_at(s, n, i)))
     return atoms
 
 
 def reference_projection_entries(system: PowerSystem, i: int) -> dict:
-    """projection_entries without the member cut: every member 1..min(i + 2, bound) written out and projected.
+    """projection_entries without the member cut: every member 1..i + 2 written out and projected.
 
     Each member is written out with StaircaseFamily.member and projected with
     project_equation, so slot_rows is never read.  Each distinct atom keeps
@@ -179,7 +178,7 @@ def reference_projection_entries(system: PowerSystem, i: int) -> dict:
     for idx, eq in enumerate(system.explicit):
         out.setdefault(project_equation(eq, i), SourceRef(idx))
     for fidx, fam in enumerate(system.families):
-        for n in fam.members(i + 2):
+        for n in range(1, i + 3):
             out.setdefault(project_equation(fam.member(n), i), SourceRef(fidx, n))
     return out
 
@@ -187,7 +186,7 @@ def reference_projection_entries(system: PowerSystem, i: int) -> dict:
 def oracle_projection_entries(system: PowerSystem, i: int) -> dict:
     """reference_projection_entries with each member read at i by staircase_value_at, not written out.
 
-    The same uncut walk, members 1..min(i + 2, bound) by ascending n, each
+    The same uncut walk, members 1..i + 2 by ascending n, each
     distinct atom keeping its earliest source; reading a member's slot
     values at one coordinate keeps coordinates in the thousands cheap.
     """
@@ -195,7 +194,7 @@ def oracle_projection_entries(system: PowerSystem, i: int) -> dict:
     for idx, eq in enumerate(system.explicit):
         out.setdefault(project_equation(eq, i), SourceRef(idx))
     for fidx, fam in enumerate(system.families):
-        for n in fam.members(i + 2):
+        for n in range(1, i + 3):
             out.setdefault(map_constants(fam.atom, lambda s: staircase_value_at(s, n, i)), SourceRef(fidx, n))
     return out
 
@@ -285,14 +284,13 @@ def oracle_satisfies(structure: FiniteStructure, system: PowerSystem, point) -> 
 def oracle_failing_members(structure: FiniteStructure, family: StaircaseFamily, streams, last: int) -> dict:
     """Each argument row of members 1..last that the relation lacks, at a point, mapped to the least member showing it.
 
-    `streams` gives the point's entry per variable name; the family's bound
-    is not read.  Member n is read coordinate by coordinate with
-    staircase_value_at below its joint horizon with the point: from
-    max(n - 1 + tail prefixes, point prefixes) on both repeat with the lcm of
-    the tail and point cycles.
+    `streams` gives the point's entry per variable name.  Member n is read
+    coordinate by coordinate with staircase_value_at below its joint horizon
+    with the point: from max(n - 1 + tail prefixes, point prefixes) on both
+    repeat with the lcm of the tail and point cycles.
 
     At the switch point PowerElement((before,) * switch, (after,)) this is
-    the unbounded family's whole map once last = switch + L + 1, L the lcm
+    the family's whole map once last = switch + L + 1, L the lcm
     of the generator lengths: a member n > switch + L + 1 shows no row that
     an earlier member does not.  At a coordinate i <= n - 2 it shows the
     generator row at residue r = i mod L; below switch member r + 2 shows
@@ -330,9 +328,20 @@ def explicit_members(family: StaircaseFamily, n: int) -> tuple:
     return tuple(family.member(m) for m in range(1, n + 1))
 
 
-def explicit_truncation(package, n: int) -> PowerSystem:
-    """The witness package's truncation at n: members 1..n as explicit equations, not a bounded family."""
-    return PowerSystem((package.variable,), explicit_members(package.family, n), ())
+def truncate_some(rng: random.Random, system: PowerSystem, most: int) -> PowerSystem:
+    """The system with each family, with probability 0.35, replaced by its members 1..N, N drawn from 1..most.
+
+    The members are written out by explicit_members after the system's own
+    explicit equations, so a draw sees finite truncations beside whole
+    families.
+    """
+    explicit, families = list(system.explicit), []
+    for fam in system.families:
+        if rng.random() < 0.35:
+            explicit += explicit_members(fam, rng.randint(1, most))
+        else:
+            families.append(fam)
+    return PowerSystem(system.variables, tuple(explicit), tuple(families))
 
 
 def family_system(package) -> PowerSystem:
@@ -423,7 +432,7 @@ def reference_class_representatives(structure: FiniteStructure, system: PowerSys
     last = len(profile.prefix) + len(profile.cycle) + 1
     candidates = [(SourceRef(idx), eq) for idx, eq in enumerate(system.explicit)]
     for fidx, fam in enumerate(system.families):
-        candidates += [(SourceRef(fidx, n), fam.member(n)) for n in fam.members(last)]
+        candidates += [(SourceRef(fidx, n), fam.member(n)) for n in range(1, last + 1)]
     coverage = []
     for ref, eq in candidates:
         streams = [v for v in const_values(eq) if isinstance(v, PowerElement)]
@@ -664,13 +673,13 @@ def shape_obstruction(structure: FiniteStructure, max_slots: float = math.inf) -
 def least_equivalent_truncation(structure: FiniteStructure, system: PowerSystem) -> int | None:
     """Least N <= stab + 2 * period + 2 at which the system with every family cut to members 1..N is equivalent.
 
-    Explicit equations stay; each family becomes the family bounded at N.  None
-    when no such N exists up to that bound.
+    Explicit equations stay; each family is written out as its members 1..N
+    by explicit_members.  None when no such N exists up to that bound.
     """
     stab, period = stream_horizon(system)
     for n in range(1, stab + 2 * period + 3):
-        families = tuple(StaircaseFamily(f.atom, n) for f in system.families)
-        truncation = PowerSystem(system.variables, system.explicit, families)
+        members = tuple(eq for f in system.families for eq in explicit_members(f, n))
+        truncation = PowerSystem(system.variables, system.explicit + members)
         if power_systems_equivalent(structure, truncation, system):
             return n
     return None
@@ -738,8 +747,9 @@ def wide_power_system(rng: random.Random) -> tuple[FiniteStructure, PowerSystem,
     30 (canonical form may shorten a drawn prefix or cycle).  Half the draws
     add a random_staircase family and half an explicit equation on a
     random_stream, whose cycles of at most 3 keep the joint period near
-    lcm(L, C).  About 35% of the families are bounded: the wide one at
-    1 .. P + C + 3, the other at 1-9.  The coordinates are every i below
+    lcm(L, C).  About 35% of the families are written out as their members
+    1..N by explicit_members, the wide one with N up to P + C + 3, the other
+    with N up to 9.  The coordinates are every i below
     2 * (P + C) + 4 of the wide family, which takes it through its prefix
     positions, the coordinates whose members show only part of the tail
     cycle, and a whole pass of the cycle's residues past them; then two
@@ -755,17 +765,25 @@ def wide_power_system(rng: random.Random) -> tuple[FiniteStructure, PowerSystem,
     def labels_of(lo: int, hi: int) -> tuple[str, ...]:
         return tuple(rng.choice(labels) for _ in range(rng.randint(lo, hi)))
 
-    def family(stair: Staircase, bound: int) -> StaircaseFamily:
+    families: list[StaircaseFamily] = []
+    members: list = []
+
+    def family(stair: Staircase, most: int) -> None:
         slot, var = Const(stair), Var(rng.choice(variables))
         atom = RelationAtom(rng.choice(("R", EQUALITY)), (var, slot) if rng.random() < 0.5 else (slot, var))
-        return StaircaseFamily(atom, rng.randint(1, bound) if rng.random() < 0.35 else None)
+        if rng.random() < 0.35:
+            members.extend(explicit_members(StaircaseFamily(atom), rng.randint(1, most)))
+        else:
+            families.append(StaircaseFamily(atom))
 
     wide = Staircase(labels_of(1, 30), PowerElement(labels_of(1, 3), labels_of(1, 30)))
     span = len(wide.tail.prefix) + len(wide.tail.cycle)
-    families = [family(wide, span + 3)] + [family(random_staircase(rng, labels), 9) for _ in range(rng.randint(0, 1))]
+    family(wide, span + 3)
+    for _ in range(rng.randint(0, 1)):
+        family(random_staircase(rng, labels), 9)
     streams = [random_stream(rng, labels) for _ in range(rng.randint(0, 1))]
     explicit = tuple(RelationAtom("R", (Var(rng.choice(variables)), Const(pe))) for pe in streams)
-    system = PowerSystem(variables, explicit, tuple(families))
+    system = PowerSystem(variables, explicit + tuple(members), tuple(families))
     stab, period = stream_horizon(system)
     stop = stab + 3 * period
     coordinates = sorted({*range(min(2 * span + 4, stop)), rng.randrange(stop), rng.randrange(stop), stop - 1})
@@ -911,7 +929,7 @@ def one_variable_families(rng: random.Random, draw: str) -> tuple[FiniteStructur
     return structure, readers
 
 
-def long_family(rng: random.Random, labels, bound: int | None = None) -> StaircaseFamily:
+def long_family(rng: random.Random, labels) -> StaircaseFamily:
     """R(x, stair) or R(stair, x) with a generator of 1-4 labels and a tail of prefix 0-3 and cycle 1-4."""
 
     def drawn(lo: int, hi: int) -> tuple[str, ...]:
@@ -919,21 +937,22 @@ def long_family(rng: random.Random, labels, bound: int | None = None) -> Stairca
 
     slot = Const(Staircase(drawn(1, 4), PowerElement(drawn(0, 3), drawn(1, 4))))
     args = (Var("x"), slot) if rng.random() < 0.5 else (slot, Var("x"))
-    return StaircaseFamily(RelationAtom("R", args), bound)
+    return StaircaseFamily(RelationAtom("R", args))
 
 
 def profile_power_system(rng: random.Random, draw: str) -> tuple[FiniteStructure, PowerSystem]:
     """A structure and a system on which coordinate_profile's residue tables do the work.
 
-    "long" is one_variable_families' one long family.  "bounded" is such a
-    family bounded at N below, at or above its tail cycle C (N = 1 when
-    C = 1 has nothing below it), so its tail window is shorter than, as long
-    as or longer than a cycle.  "two-slot" is planted_power_system on
-    quaternary_structure, whose families have two constant slots with
-    generator lengths 2 and 3, beside 0-2 explicit equations.  "several"
-    puts 2-3 long families, each bounded at 1-9 with probability 0.35, on
-    the one variable x beside 1-2 explicit equations, and half the time a
-    family R(x, x) without a constant slot, bounded or not.
+    "long" is one_variable_families' one long family.  "truncated" is such
+    a family's members 1..N written out by explicit_members, with N below,
+    at or above its tail cycle C (N = 1 when C = 1 has nothing below it),
+    and half the time the family itself after them.  "two-slot" is
+    planted_power_system on quaternary_structure, whose families have two
+    constant slots with generator lengths 2 and 3, beside 0-2 explicit
+    equations.  "several" puts 2-3 long families on the one variable x
+    beside 1-2 explicit equations, and half the time a family R(x, x)
+    without a constant slot; truncate_some writes about a third of them out
+    as their members 1..N, N up to 9.
     """
     if draw == "two-slot":
         structure = quaternary_structure()
@@ -942,22 +961,19 @@ def profile_power_system(rng: random.Random, draw: str) -> tuple[FiniteStructure
     labels = list(structure.universe)
     if draw == "long":
         return structure, PowerSystem(("x",), (), (long_family(rng, labels),))
-    if draw == "bounded":
+    if draw == "truncated":
         fam = long_family(rng, labels)
         cycle = len(fam.slot_rows[1].cycle)
-        bound = rng.choice([rng.randint(1, max(1, cycle - 1)), cycle, cycle + rng.randint(1, 4)])
-        return structure, PowerSystem(("x",), (), (StaircaseFamily(fam.atom, bound),))
-    families = [
-        long_family(rng, labels, rng.randint(1, 9) if rng.random() < 0.35 else None) for _ in range(rng.randint(2, 3))
-    ]
+        n = rng.choice([rng.randint(1, max(1, cycle - 1)), cycle, cycle + rng.randint(1, 4)])
+        return structure, PowerSystem(("x",), explicit_members(fam, n), (fam,) * rng.randint(0, 1))
+    families = [long_family(rng, labels) for _ in range(rng.randint(2, 3))]
     if rng.random() < 0.5:
-        no_slot = StaircaseFamily(RelationAtom("R", (Var("x"), Var("x"))), rng.choice([None, rng.randint(1, 5)]))
-        families.insert(rng.randint(0, len(families)), no_slot)
+        families.insert(rng.randint(0, len(families)), StaircaseFamily(RelationAtom("R", (Var("x"), Var("x")))))
     explicit = tuple(
         RelationAtom(rng.choice(("R", EQUALITY)), (Var("x"), Const(random_stream(rng, labels, 3, 4))))
         for _ in range(rng.randint(1, 2))
     )
-    return structure, PowerSystem(("x",), explicit, tuple(families))
+    return structure, truncate_some(rng, PowerSystem(("x",), explicit, tuple(families)), 9)
 
 
 def edge_staircase_family(rng: random.Random, labels) -> PowerSystem:

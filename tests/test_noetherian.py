@@ -307,7 +307,7 @@ def test_deep_witness_matches_oracle(case):
         assert verify_witness(structure, package, n)
     for n in ORACLE_DEPTHS:
         point = package.witness_point(n)
-        assert support.oracle_satisfies(structure, support.explicit_truncation(package, n), point)
+        assert support.oracle_satisfies(structure, package.truncation(n), point)
         assert not support.oracle_satisfies(structure, support.family_system(package), point)
         variables = (package.variable,)
         held = [
@@ -327,17 +327,29 @@ def test_deep_witness_index_at_long_depths(case):
 
 
 def test_witness_package_computes_its_rule_once_and_truncations_bound_the_family():
-    """witness_rule is computed on first use; truncation(n) is the family's atom bounded at n, members 1..n."""
-    structure = cycle_graph(5)
-    package = build_witness_family(structure, "graph", power_noetherian(structure, "graph").certificate)
-    assert package.witness_rule is package.witness_rule
-    for n in (1, 30, 300):
-        system = package.truncation(n)
-        (fam,) = system.families
-        assert system.variables == (package.variable,) and system.explicit == ()
-        assert fam.bound == n and fam.atom is package.family.atom
-        assert list(fam.members(n + 1)) == list(range(1, n + 1))
-        assert fam.member(n) == package.family.member(n)
+    """witness_rule is computed on first use; truncation(n) writes members 1..n out, and witness_point(n) solves it.
+
+    On every refuted fixture truncation(n) is the explicit equations
+    family.member(1..n) and no family, truncation(0) raises ValueError as
+    witness_point(0) does, and satisfies(truncation(n), witness_point(n))
+    holds.
+    """
+    refuted = 0
+    for kind, structure in support.fixture_structures().values():
+        verdict = power_noetherian(structure, kind)
+        if verdict.status != NOT_NOETHERIAN:
+            continue
+        refuted += 1
+        package = build_witness_family(structure, kind, verdict.certificate)
+        assert package.witness_rule is package.witness_rule
+        for n in (1, 2, 30, 300):
+            system = package.truncation(n)
+            assert system.variables == (package.variable,) and system.families == ()
+            assert system.explicit == tuple(package.family.member(m) for m in range(1, n + 1))
+            assert satisfies(structure, system, package.witness_point(n)), (kind, n)
+        with pytest.raises(ValueError):
+            package.truncation(0)
+    assert refuted == 5
 
 
 def test_witness_depths_are_numbered_from_1():

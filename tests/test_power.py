@@ -4,7 +4,6 @@ import math
 import random
 from itertools import islice, product
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -155,8 +154,8 @@ def test_projected_member_is_the_projection_of_the_written_out_member(data):
     """projected_member(n, i), read off slot_rows, equals pi_i of member(n), which member_constant writes out.
 
     Families of 1-3 slots beside one variable, tail prefixes up to 3 and
-    cycles up to 4, bounded or not; coordinates run past tail prefix + C, so
-    tail positions are folded.
+    cycles up to 4; coordinates run past tail prefix + C, so tail positions
+    are folded.
     """
     labels = st.sampled_from(["a", "b", "c"])
     tail = st.builds(
@@ -165,8 +164,8 @@ def test_projected_member_is_the_projection_of_the_written_out_member(data):
     stair = st.builds(lambda gen, t: Staircase(tuple(gen), t), st.lists(labels, min_size=1, max_size=3), tail)
     slots = [Const(s) for s in data.draw(st.lists(stair, min_size=1, max_size=3))]
     args = data.draw(st.permutations([x, *slots]))
-    fam = StaircaseFamily(RelationAtom("R", tuple(args)), data.draw(st.none() | st.integers(1, 12)))
-    for n in fam.members(14):
+    fam = StaircaseFamily(RelationAtom("R", tuple(args)))
+    for n in range(1, 15):
         member = fam.member(n)
         for i in range(24):
             assert fam.projected_member(n, i) == project_equation(member, i), (n, i)
@@ -213,8 +212,6 @@ def test_row_scan_demo():
     fam = staircase_demo_system().families[0]
     assert next(fam.row_scan()) == {("a",): 1, ("b",): 2}
     assert next(fam.row_scan(5)) == {("a",): 1, ("c",): 7}
-    assert next(StaircaseFamily(fam.atom, 4).row_scan(5)) == {("a",): 1}
-    assert next(StaircaseFamily(fam.atom, 7).row_scan(5)) == {("a",): 1, ("c",): 7}
 
 
 def test_row_scan_pinned():
@@ -223,8 +220,7 @@ def test_row_scan_pinned():
     Coordinate i shows the tail positions i, i - 1, .., 0 at members 1, 2, ..;
     from coordinate 3 on that is the cycle read backwards from i mod 4, and
     member i + 2's generator row b is already shown.  A scan started at any
-    of these coordinates, unbounded or bounded, equals the scan from 0 from
-    there on.
+    of these coordinates equals the scan from 0 from there on.
     """
     stair = Staircase(("b",), PowerElement((), ("a", "b", "a", "c")))
     fam = StaircaseFamily(RelationAtom("E", (x, Const(stair))))
@@ -237,10 +233,8 @@ def test_row_scan_pinned():
     ]
     expected = [[(a, 1), (b, 2)], [(b, 1), (a, 2)], [(a, 1), (b, 2)]] + [by_residue[i % 4] for i in range(3, 10)]
     assert [list(rows.items()) for rows in islice(fam.row_scan(), 10)] == expected
-    for bounded in (fam, *(StaircaseFamily(fam.atom, n) for n in (1, 2, 3, 5))):
-        scan = list(islice(bounded.row_scan(), 10))
-        for start in range(10):
-            assert list(islice(bounded.row_scan(start), 10 - start)) == scan[start:], (bounded.bound, start)
+    for start in range(10):
+        assert [list(rows.items()) for rows in islice(fam.row_scan(start), 10 - start)] == expected[start:], start
 
 
 @settings(deadline=None, max_examples=150)
@@ -251,7 +245,8 @@ def test_projection_entries_match_the_uncut_reference(seed, draw):
     Systems come from support.random_power_system or from
     support.planted_power_system on one of support.planted_structures (with
     two-slot families on free_matroid3 and the quaternary structure), with
-    about 35% of their families bounded at 1-9, and are checked at every
+    about 35% of their families written out as members 1..N, N up to 9
+    (support.truncate_some), and are checked at every
     i < stab + 3 * period against support.reference_projection_entries.
     Or they come from support.wide_power_system, with L and C up to about
     30 and tail prefixes, and are checked at its coordinates against
@@ -271,10 +266,7 @@ def test_projection_entries_match_the_uncut_reference(seed, draw):
     else:
         structure = support.random_relational_structure(rng)
         system = support.random_power_system(rng, structure, max_prefix=3, max_cycle=4)
-    families = tuple(
-        StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
-    )
-    system = PowerSystem(system.variables, system.explicit, families)
+    system = support.truncate_some(rng, system, 9)
     stab, period = stream_horizon(system)
     for i in range(stab + 3 * period):
         expected = list(support.reference_projection_entries(system, i).items())
@@ -293,19 +285,19 @@ def test_projected_system_and_sources():
 
 @settings(deadline=None, max_examples=100)
 @given(st.integers(0, 2**30), st.integers(0, 40) | st.just(10**12), st.none() | st.integers(1, 8))
-def test_projected_system_reads_far_coordinates_at_their_residue(seed, offset, bound):
+def test_projected_system_reads_far_coordinates_at_their_residue(seed, offset, members):
     """Past the first period, projected_system at i equals it at stab + (i - stab) mod period, in order.
 
     That is the repeat projection_rows proves.  The draws include a
     coordinate 10**12 past the first period, which row_scan starts at without
-    walking its members.
+    walking its members, and systems whose families are all written out as
+    their members 1..N, N up to 8.
     """
     rng = random.Random(seed)
     system = support.random_power_system(rng, support.random_relational_structure(rng), max_prefix=3, max_cycle=4)
-    if bound is not None:
-        system = PowerSystem(
-            system.variables, system.explicit, tuple(StaircaseFamily(fam.atom, bound) for fam in system.families)
-        )
+    if members is not None:
+        explicit = tuple(eq for fam in system.families for eq in support.explicit_members(fam, members))
+        system = PowerSystem(system.variables, system.explicit + explicit)
     stab, period = stream_horizon(system)
     i = stab + period + offset
     assert projected_system(system, i) == projected_system(system, stab + (i - stab) % period)
@@ -322,8 +314,8 @@ def test_stream_horizon_demo():
 def test_stream_horizon_of_one_family_matches_the_descriptor_formula(data):
     """stream_horizon of a one-family system, with or without one explicit equation, against support's formula.
 
-    Families are unbounded or bounded at 1-8, with 1-3 slots, generators of
-    length 1-5, tail prefixes up to 3 and tail cycles of 1-4 entries.
+    Families have 1-3 slots, generators of length 1-5, tail prefixes up to 3
+    and tail cycles of 1-4 entries.
     """
     labels = st.sampled_from(["a", "b", "c"])
     stream = st.builds(
@@ -331,10 +323,9 @@ def test_stream_horizon_of_one_family_matches_the_descriptor_formula(data):
     )
     stair = st.builds(Staircase, st.lists(labels, min_size=1, max_size=5).map(tuple), stream)
     stairs = data.draw(st.lists(stair, min_size=1, max_size=3))
-    bound = data.draw(st.none() | st.integers(1, 8))
     explicit = tuple(RelationAtom(EQUALITY, (x, Const(pe))) for pe in data.draw(st.lists(stream, max_size=1)))
-    system = PowerSystem(("x",), explicit, (StaircaseFamily(RelationAtom("R", (x, *map(Const, stairs))), bound),))
-    stab, period = support.staircase_family_horizon(stairs, bound)
+    system = PowerSystem(("x",), explicit, (StaircaseFamily(RelationAtom("R", (x, *map(Const, stairs)))),))
+    stab, period = support.staircase_family_horizon(stairs)
     for eq in explicit:
         pe = eq.args[1].value
         stab, period = max(stab, len(pe.prefix)), math.lcm(period, len(pe.cycle))
@@ -369,7 +360,7 @@ def test_an_underreported_profile_period_fails_wrap_verification(monkeypatch):
 
 
 @settings(deadline=None, max_examples=120)
-@given(st.integers(0, 2**30), st.sampled_from(("random", "wide", "long", "bounded", "two-slot", "several")))
+@given(st.integers(0, 2**30), st.sampled_from(("random", "wide", "long", "truncated", "two-slot", "several")))
 def test_profile_fold_matches_recomputation(seed, draw):
     """Past the horizon the folded profile equals direct recomputation, in projection order.
 
@@ -378,13 +369,14 @@ def test_profile_fold_matches_recomputation(seed, draw):
     three periods past the horizon, or read at i by
     support.oracle_projection_entries at the coordinates of a
     support.wide_power_system draw, where L and C reach about 30.  The
-    other draws are support.random_power_system with families bounded at
-    1-9 about a third of the time, and support.profile_power_system's
-    draws, where the profile's tail and generator residue tables carry
-    every entry past a family's stabilization: one long family, one bounded
+    other draws are support.random_power_system with about a third of its
+    families written out as members 1..N (support.truncate_some), and
+    support.profile_power_system's draws, where the profile's tail and
+    generator residue tables carry every entry past a family's
+    stabilization: one long family, a long family's members 1..N with N
     below, at or above its tail cycle, two-slot planted families beside
     explicit equations, and several families on one variable beside
-    explicit equations, some bounded and some without a constant slot.
+    explicit equations, some written out and some without a constant slot.
     """
     rng = random.Random(seed)
     coordinates, recompute = None, support.reference_projection_entries
@@ -393,11 +385,7 @@ def test_profile_fold_matches_recomputation(seed, draw):
         recompute = support.oracle_projection_entries
     elif draw == "random":
         structure = support.random_relational_structure(rng)
-        system = support.random_power_system(rng, structure)
-        families = tuple(
-            StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
-        )
-        system = PowerSystem(system.variables, system.explicit, families)
+        system = support.truncate_some(rng, support.random_power_system(rng, structure), 9)
     else:
         structure, system = support.profile_power_system(rng, draw)
     profile = coordinate_profile(structure, system)
@@ -409,24 +397,21 @@ def test_profile_fold_matches_recomputation(seed, draw):
 
 
 @settings(deadline=None, max_examples=400)
-@given(st.integers(0, 2**30), st.sampled_from(("random", "long", "bounded", "several")))
+@given(st.integers(0, 2**30), st.sampled_from(("random", "long", "truncated", "several")))
 def test_coordinate_masks_match_the_oracle_at_every_coordinate(seed, draw):
-    """Entry i is the intersection of pi_i's solution sets, also past the horizon and for bounded families.
+    """Entry i is the intersection of pi_i's solution sets, also past the horizon and for written-out members.
 
-    Besides support.random_power_system with equalities added, the draws
-    are support.profile_power_system's long, bounded (N below, at or above
-    C, so some cycle blocks are stepped) and several-family systems.  A
+    Besides support.random_power_system with equalities added and some
+    families written out (support.truncate_some), the draws are
+    support.profile_power_system's long, truncated (members 1..N with N
+    below, at or above C) and several-family systems.  A
     stop below a family's P + C, about a quarter of the draws, leaves tail
     blocks that start at or past it.
     """
     rng = random.Random(seed)
     if draw == "random":
         structure = support.random_relational_structure(rng)
-        system = support.random_power_system(rng, structure)
-        families = tuple(
-            StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
-        )
-        system = PowerSystem(system.variables, system.explicit, families)
+        system = support.truncate_some(rng, support.random_power_system(rng, structure), 9)
         labels = list(structure.universe)
         equalities = (  # random_power_system's explicit equations are all R atoms
             RelationAtom(EQUALITY, (Var(rng.choice(system.variables)), Const(support.random_stream(rng, labels)))),
@@ -435,7 +420,7 @@ def test_coordinate_masks_match_the_oracle_at_every_coordinate(seed, draw):
             ),
         )
         explicit = system.explicit + tuple(eq for eq in equalities if rng.random() < 0.5)
-        system = PowerSystem(system.variables, explicit, families)
+        system = PowerSystem(system.variables, explicit, system.families)
     else:
         structure, system = support.profile_power_system(rng, draw)
     stab, period = stream_horizon(system)
@@ -455,8 +440,7 @@ def test_coordinate_masks_stop_before_the_tail_blocks_start():
     its tail blocks start at 0..6; satisfies, power_systems_equivalent on a
     short joint horizon, or a direct call may stop below 7.  Every stop
     0..9 gives the first `stop` entries of the scan to 12, each the
-    intersection of the oracle's solution sets; so do the family bounded at
-    N = 2 < C, whose cycle blocks are stepped ranges, and at N = C.
+    intersection of the oracle's solution sets.
     """
     g = triangle_graph()
     stair = Staircase(("a", "b"), PowerElement(("a", "b", "c"), ("b", "c", "b", "a")))
@@ -464,14 +448,13 @@ def test_coordinate_masks_stop_before_the_tail_blocks_start():
     assert (len(stair.tail.prefix), len(stair.tail.cycle)) == (3, 4)
     clf = AtomClassifier(g, ("x",))
     everything = frozenset(product(g.universe, repeat=1))
-    for bound in (None, 2, 4):
-        system = PowerSystem(("x",), (), (StaircaseFamily(atom, bound),))
-        full = coordinate_masks(g, system, 12)
-        assert [clf.decode(m) for m in full] == [
-            everything.intersection(*support.oracle_profile(g, system, i)) for i in range(12)
-        ], bound
-        for stop in range(10):
-            assert coordinate_masks(g, system, stop) == full[:stop], (bound, stop)
+    system = PowerSystem(("x",), (), (StaircaseFamily(atom),))
+    full = coordinate_masks(g, system, 12)
+    assert [clf.decode(m) for m in full] == [
+        everything.intersection(*support.oracle_profile(g, system, i)) for i in range(12)
+    ]
+    for stop in range(10):
+        assert coordinate_masks(g, system, stop) == full[:stop], stop
 
 
 def test_profile_queries_project_only_at_a_failing_coordinate(monkeypatch):
@@ -681,12 +664,12 @@ def long_streams(draw, labels):
 
 
 @st.composite
-def satisfies_cases(draw, point_streams=streams, bounds=st.none(), family_counts=st.integers(0, 2)):
+def satisfies_cases(draw, point_streams=streams, truncations=st.none(), family_counts=st.integers(0, 2)):
     """A structure with binary R and ternary T, a power system over it, and a point.
 
-    point_streams draws each point entry from the labels, bounds each
-    family's bound (None for an unbounded family) and family_counts the
-    number of families.
+    point_streams draws each point entry from the labels, truncations each
+    family's N (None keeps the whole family, N writes out its members 1..N
+    as explicit equations) and family_counts the number of families.
     """
     k = draw(st.integers(1, 3))
     labels = [f"u{i}" for i in range(k)]
@@ -709,11 +692,15 @@ def satisfies_cases(draw, point_streams=streams, bounds=st.none(), family_counts
         return RelationAtom(symbol, tuple(args))
 
     explicit = tuple(atom(streams(labels)) for _ in range(draw(st.integers(0, 3))))
-    families = tuple(
-        StaircaseFamily(atom(staircases(labels)), draw(bounds)) for _ in range(draw(family_counts))
-    )
+    families = []
+    for _ in range(draw(family_counts)):
+        fam, n = StaircaseFamily(atom(staircases(labels))), draw(truncations)
+        if n is None:
+            families.append(fam)
+        else:
+            explicit += support.explicit_members(fam, n)
     point = tuple(draw(point_streams(labels)) for _ in variables)
-    return structure, PowerSystem(variables, explicit, families), point
+    return structure, PowerSystem(variables, explicit, tuple(families)), point
 
 
 @settings(deadline=None, max_examples=300)
@@ -726,10 +713,11 @@ def test_satisfies_matches_oracle(case):
 @settings(deadline=None, max_examples=100)
 @given(satisfies_cases(long_streams, st.none() | st.integers(1, 250), st.integers(1, 2)))
 def test_satisfies_matches_oracle_on_long_prefixes(case):
-    """Point prefixes of 50 to 200 entries, against unbounded families and families bounded below or past them.
+    """Point prefixes of 50 to 200 entries, against whole families and truncations ending below or past them.
 
-    A block then spans up to about 200 coordinates, and satisfies reads only
-    the distinct tuples of point values among them.
+    A truncation is a family's members 1..N, N up to 250, written out as
+    explicit equations, so their prefixes of up to about 250 entries meet
+    the point's.
     """
     structure, system, point = case
     assert satisfies(structure, system, point) == support.oracle_satisfies(structure, system, point)
@@ -850,18 +838,15 @@ def test_witness_checks_repeat_with_the_generator_period_from_T(seed, draw, valu
 def test_coordinate_checks_cover_every_member_projection(data):
     """The staircase identity: the blocks list exactly the (coordinate, slot values) pairs of all members below stop.
 
-    For a family bounded at N, all members means members 1..N.  Bounds up to
-    4 are drawn more often: there the window of tail positions meets the
-    tail prefix.  At coordinate i every member past i + 2 shows what member
-    i + 2 shows, so members 1..i + 2 stand for all of them.
+    At coordinate i every member past i + 2 shows what member i + 2 shows,
+    so members 1..i + 2 stand for all of them.
     """
     labels = ["a", "b", "c"]
     descs = data.draw(st.lists(staircases(labels), max_size=3))
-    bound = data.draw(st.none() | st.integers(1, 4) | st.integers(1, 20))
     stop = data.draw(st.integers(0, 30))
-    fam = StaircaseFamily(RelationAtom("R", tuple(Const(s) for s in descs)), bound)
-    constants = {n: tuple(s.member_constant(n) for s in descs) for n in fam.members(stop + 1)}
-    members = {(i, tuple(c.at(i) for c in constants[n])) for i in range(stop) for n in fam.members(i + 2)}
+    fam = StaircaseFamily(RelationAtom("R", tuple(Const(s) for s in descs)))
+    constants = {n: tuple(s.member_constant(n) for s in descs) for n in range(1, stop + 2)}
+    members = {(i, tuple(c.at(i) for c in constants[n])) for i in range(stop) for n in range(1, i + 3)}
     assert support.expand_checks(fam.coordinate_checks(stop)) == members
 
 
@@ -877,11 +862,10 @@ def test_unbounded_coordinate_checks_pinned():
         (0, ("a", "c")), (1, ("a", "c")), (1, ("b", "c")), (2, ("a", "c")), (2, ("c", "b")),
         (3, ("a", "c")), (3, ("b", "c")), (3, ("c", "b")),
     }
-    assert StaircaseFamily(two_slots.atom, None) == two_slots
 
 
-def test_a_truncation_is_the_family_bounded_at_n():
-    """Members 1..n of a family are its atom bounded at n: the bound, the members and the atom are pinned."""
+def test_slot_rows_pinned():
+    """Two slots with generator lengths 3 and 2 and tail prefixes 2 and 0: L = 6, P = 2, C = 2."""
     first = Staircase(("a", "b", "c"), PowerElement(("a", "c"), ("b", "a")))
     second = Staircase(("c", "a"), PowerElement((), ("b",)))
     fam = StaircaseFamily(RelationAtom("T", (x, Const(first), Const(second))))
@@ -889,14 +873,7 @@ def test_a_truncation_is_the_family_bounded_at_n():
         Periodic((), (("a", "c"), ("b", "a"), ("c", "c"), ("a", "a"), ("b", "c"), ("c", "a"))),
         Periodic((("a", "b"), ("c", "b")), (("b", "b"), ("a", "b"))),
     )
-    for n in (1, 4, 9):
-        cut = StaircaseFamily(fam.atom, n)
-        assert cut.atom is fam.atom and cut.bound == n and cut != fam
-        assert list(cut.members(n + 5)) == list(range(1, n + 1))
-        assert [cut.member(k) for k in cut.members(n)] == [fam.member(k) for k in range(1, n + 1)]
-        with pytest.raises(ValueError, match=f"members 1..{n}, not {n + 1}"):
-            cut.member(n + 1)
-        assert cut.slot_rows == fam.slot_rows and cut.row_order is fam.row_order is None
+    assert fam.row_order is None
 
 
 def test_row_order_puts_variable_values_then_slot_values_in_argument_order():
@@ -913,88 +890,10 @@ def test_row_order_puts_variable_values_then_slot_values_in_argument_order():
     for atom, row, expected in cases:
         fam = StaircaseFamily(atom)
         assert fam.row_order(row) == expected
-        assert StaircaseFamily(atom, 3).row_order(row) == expected
     for atom in (
         RelationAtom("T", (x, y, stair)), RelationAtom("T", (x, stair, stair)), RelationAtom(EQUALITY, (x, stair)),
     ):
         assert StaircaseFamily(atom).row_order is None
-
-
-# --- bounded families against their members written out ----------------------
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.integers(0, 2**30), st.integers(1, 40))
-def test_bounded_family_matches_its_explicit_members(seed, bound):
-    """Members 1..bound as one bounded family and as explicit equations carve out the same solutions."""
-    rng = random.Random(seed)
-    structure = support.random_relational_structure(rng)
-    system = support.random_power_system(rng, structure, max_prefix=3, max_cycle=4)
-    bounded = PowerSystem(
-        system.variables, system.explicit, tuple(StaircaseFamily(fam.atom, bound) for fam in system.families)
-    )
-    members = tuple(eq for fam in system.families for eq in support.explicit_members(fam, bound))
-    explicit = PowerSystem(system.variables, system.explicit + members)
-    labels = list(structure.universe)
-    point = tuple(support.random_stream(rng, labels, max_prefix=3, max_cycle=4) for _ in system.variables)
-    for p in [point] + support.random_solution_points(rng, structure, explicit):
-        assert satisfies(structure, bounded, p) == support.oracle_satisfies(structure, explicit, p)
-
-    def atoms(s, i):
-        return set(projection_entries(s, i))
-
-    stab, period = stream_horizon(bounded, explicit)
-    own_stab, own_period = stream_horizon(bounded)
-    for i in range(stab + 3 * period):
-        assert atoms(bounded, i) == atoms(explicit, i)
-        if i >= own_stab:  # the bounded family's own horizon holds too
-            assert atoms(bounded, i) == atoms(bounded, own_stab + (i - own_stab) % own_period)
-    assert power_systems_equivalent(structure, bounded, explicit)
-
-
-@settings(deadline=None, max_examples=100)
-@given(st.integers(0, 2**30), st.integers(1, 7), st.integers(1, 6) | st.integers(1, 60))
-def test_bounded_family_blocks_match_explicit_truncation(seed, tail_cycle, bound):
-    """satisfies on a family bounded at N against the oracle on members 1..N written out.
-
-    Tail cycles up to 7 and bounds up to 60, behind tail prefixes up to 5,
-    give both N < tail cycle (stepped tail blocks) and N >= tail cycle (one
-    block per tail cycle position); bounds up to 6 are drawn more often so
-    that the first case is common.
-    """
-    rng = random.Random(seed)
-    labels = ["u1", "u2", "u3"]  # three labels keep most drawn tail cycles primitive
-    rows = [(a, b) for a in labels for b in labels if rng.random() < 0.6]
-    structure = FiniteStructure(Signature((("R", 2),)), labels, {"R": rows})
-    tail = PowerElement(
-        tuple(rng.choice(labels) for _ in range(rng.randint(0, 5))),
-        tuple(rng.choice(labels) for _ in range(tail_cycle)),
-    )
-    stair = Const(Staircase(tuple(rng.choice(labels) for _ in range(rng.randint(1, 3))), tail))
-    fam = StaircaseFamily(RelationAtom("R", (x, stair) if rng.random() < 0.5 else (stair, x)), bound)
-    bounded = PowerSystem(("x",), (), (fam,))
-    explicit = support.explicit_truncation(SimpleNamespace(variable="x", family=fam), bound)
-    point = (support.random_stream(rng, labels, max_prefix=bound + 5),)
-    for p in [point] + support.random_solution_points(rng, structure, explicit):
-        assert satisfies(structure, bounded, p) == support.oracle_satisfies(structure, explicit, p)
-
-
-def test_bounded_family_members_and_codec():
-    fam = staircase_demo_system().families[0]
-    bounded = StaircaseFamily(fam.atom, 3)
-    assert bounded.member(3) == fam.member(3)
-    assert list(bounded.members(10)) == [1, 2, 3] and list(fam.members(4)) == [1, 2, 3, 4]
-    system = PowerSystem(("x",), (), (bounded,))
-    with pytest.raises(ValueError, match="members 1..3"):
-        bounded.member(4)
-    with pytest.raises(ValueError, match="members 1..3"):
-        bounded.projected_member(4, 0)
-    with pytest.raises(ValueError, match="members 1..3"):
-        resolve_source(system, SourceRef(0, 4))
-    with pytest.raises(ValueError):
-        StaircaseFamily(fam.atom, 0)
-    with pytest.raises(ValueError, match="no JSON form"):
-        power_system_to_json_dict(system)
 
 
 def test_satisfies_edge_cases_match_oracle():

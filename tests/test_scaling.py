@@ -3,7 +3,7 @@
 One family E(x, stair) over the triangle, with L the generator length, P
 the tail prefix and C the tail cycle.  wrap's scans grow with L + P + C,
 not with L^2 or C^2.  Counts are the same on every Python the CI matrix
-runs, so a return to a quadratic scan, or to a point or a bounded family
+runs, so a return to a quadratic scan, or to a point or a truncation
 built per witness depth, or a closed-form check at every depth past the
 witness's repeat, fails here wherever it runs.
 """
@@ -174,7 +174,7 @@ def test_witness_depths_read_one_scan_each_and_build_no_truncation():
     with (
         mock.patch.object(power, "coordinate_masks", wraps=coordinate_masks) as scans,
         mock.patch.object(PowerElement, "__post_init__", autospec=True, wraps=PowerElement.__post_init__) as points,
-        mock.patch.object(StaircaseFamily, "__post_init__", autospec=True, wraps=StaircaseFamily.__post_init__) as fams,
+        mock.patch.object(StaircaseFamily, "__init__", autospec=True, wraps=StaircaseFamily.__init__) as fams,
         mock.patch.object(FiniteStructure, "label_table", counted_table),
     ):
         firsts = []

@@ -346,10 +346,11 @@ WIDE_STAIRCASE = Path(__file__).resolve().parent / "golden" / "power_inputs" / "
 
 @st.composite
 def staircase_systems(draw):
-    """(structure, system): 1-3 families, bounded or not, and 0-2 explicit stream equations over 1-2 variables.
+    """(structure, system): 1-3 families and 0-2 explicit stream equations over 1-2 variables.
 
     Generators have 1-6 entries; tails and explicit streams have a prefix of
-    0-3 and a cycle of 1-4 entries.
+    0-3 and a cycle of 1-4 entries.  A family may be drawn as its members
+    1..N, N up to 12, written out as explicit equations after the others.
     """
     structure = draw(st.sampled_from((triangle_graph(), path_graph(4))))
     variables = ("x", "y")[: draw(st.integers(1, 2))]
@@ -366,11 +367,15 @@ def staircase_systems(draw):
         args = draw(st.tuples(var | slot.map(Const), slot.map(Const)))
         return RelationAtom("E", args[::-1] if draw(st.booleans()) else args)
 
-    families = tuple(
-        StaircaseFamily(atom(stair), draw(st.none() | st.integers(1, 12))) for _ in range(draw(st.integers(1, 3)))
-    )
+    families, members = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        fam, n = StaircaseFamily(atom(stair)), draw(st.none() | st.integers(1, 12))
+        if n is None:
+            families.append(fam)
+        else:
+            members += support.explicit_members(fam, n)
     explicit = tuple(atom(stream) for _ in range(draw(st.integers(0, 2))))
-    return structure, PowerSystem(variables, explicit, families)
+    return structure, PowerSystem(variables, explicit + tuple(members), tuple(families))
 
 
 @settings(deadline=None, max_examples=100)
@@ -419,8 +424,9 @@ def test_wrap_verifies_planted_systems(name):
 
     The random corpora above are nearly all inconsistent, and any two
     inconsistent systems are equivalent; these systems all solve, and
-    consistent says so.  About 35% of the families are bounded at 1-9, which
-    keeps the point a solution, the profile matches the oracle's solution
+    consistent says so.  About 35% of the families are written out as their
+    members 1..N, N up to 9 (support.truncate_some), which keeps the point a
+    solution, the profile matches the oracle's solution
     sets, and the cut candidate scan picks what the uncut reference picks.
     free_matroid3 and quaternary draw two-slot families.
     """
@@ -428,10 +434,7 @@ def test_wrap_verifies_planted_systems(name):
     rng = random.Random(0)
     for _ in range(40):
         system, point = support.planted_power_system(rng, structure)
-        families = tuple(
-            StaircaseFamily(fam.atom, rng.randint(1, 9)) if rng.random() < 0.35 else fam for fam in system.families
-        )
-        system = PowerSystem(system.variables, system.explicit, families)
+        system = support.truncate_some(rng, system, 9)
         assert satisfies(structure, system, point) and support.oracle_satisfies(structure, system, point), system
         assert consistent(structure, system).consistent, system
         profile = coordinate_profile(structure, system)
