@@ -33,31 +33,28 @@ serves a structure and variable list, so consistent's core search reuses its
 masks, and it folds a family's blocks that run to the end of the scan into
 one running AND, so every tail position costs one mask, not one per
 coordinate.
-projection_rows lists pi_i coordinate by coordinate in projection order:
-each explicit equation's explicit_rows at i, then each family's distinct rows
-from StaircaseFamily.row_scan, one move-to-front pass over the tail rows
-that starts anywhere in O(tail prefix + tail cycle) reads.
-projection_entries makes its first item's rows atoms with their earliest
-sources.  coordinate_profile, which wrap reads, lists each coordinate's
-distinct masks in the same order from one column per source, classifying
-each distinct row once: a family's column steps row_scan only to the
-family's stabilization plus one tail cycle, and from its stabilization on
-reads the tail rows' masks by tail residue and the generator row's mask by
-generator residue.  The finite
-horizon used for those reductions is computed from the input data by
-stream_horizon; projection_rows' docstring proves that the rows repeat from
-there on, and verify_wrap re-checks wrap's output coordinate by coordinate
-past it.
+projection_entries lists pi_i at one coordinate in projection order, each
+distinct equation with its earliest source: each explicit equation's
+explicit_rows at i, then per family the rows its members show, which at
+coordinate i are exactly the tail rows at positions 0..i and one generator
+row; the walk down from i reads at most P + C tail rows however large i is.
+coordinate_profile, which wrap reads, lists each coordinate's distinct masks
+from one column per source, classifying each distinct row once: a family's
+entry at i is the running masks of its tail positions 0..min(i, P + C - 1)
+and the generator row's mask at i mod L.  The finite horizon used for those
+reductions is computed from the input data by stream_horizon, whose
+docstring proves that the rows repeat from there on, and verify_wrap
+re-checks wrap's output coordinate by coordinate past it.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, count
-from operator import itemgetter
+from itertools import chain, cycle, islice, repeat
+from operator import add, itemgetter
 from typing import Any
 
 from .errors import InputFormatError, json_int, json_object, json_str_list
@@ -218,9 +215,10 @@ class StaircaseFamily:
         tail position: a prefix as long as the largest tail prefix, then a
         cycle of C rows, C the lcm of the tail cycles.  The rows depend on the
         atom alone, and every per-coordinate reading of the family goes
-        through them: row_scan, coordinate_checks, switch_failing_members,
-        stream_horizon, wrap's candidate scan, and projected_member.  A
-        family without a constant slot has one empty row in each cycle.
+        through them: projection_entries, coordinate_profile,
+        coordinate_checks, switch_failing_members, stream_horizon, wrap's
+        candidate scan, and projected_member.  A family without a constant
+        slot has one empty row in each cycle.
         """
         descs = self.descriptors()
         return zip_streams([Periodic((), s.generator) for s in descs]), zip_streams([s.tail for s in descs])
@@ -274,45 +272,13 @@ class StaircaseFamily:
 
         Member n shows the generator row at i for i <= n - 2 and the joint
         tail row at position i - n + 1 after that.  The package reads members
-        by rows (row_scan, wrap's candidate scan); this one-member reader
-        serves the tests and the benchmark's tracer.
+        by rows (projection_entries, wrap's candidate scan); this one-member
+        reader serves the tests and the benchmark's tracer.
         """
         if n < 1:
             raise ValueError("family members are numbered from 1")
         generators, tails = self.slot_rows
         return _with_slots(self.atom, generators.at(i) if n >= i + 2 else tails.at(i - n + 1))
-
-    def row_scan(self, start: int = 0) -> Iterator[dict[tuple[str, ...], int]]:
-        """Per coordinate i = start, start + 1, ..: the distinct slot-value rows of members 1..i + 2.
-
-        Each row maps to its least member, in ascending member order.  As in
-        projected_member, a member n <= i + 1 shows the joint tail row at
-        position i - n + 1, member i + 2 the generator row at i, and later
-        members repeat member i + 2.  So a row's least tail member is i - j + 1
-        for its latest position j <= i.  `latest` keeps each row's latest
-        position fed so far, ordered by it: feeding i moves its row to the
-        end, and reversed it lists the tail rows in ascending member order.
-        The generator row follows when no tail member shows that row.
-
-        Before start the scan feeds the tail prefix positions below start,
-        then the cycle positions from max(P, start - C + 1) on, with P the
-        tail prefix and C the tail cycle.  An earlier cycle position p shows
-        the row of some p + kC in start - C + 1 .. start, so it is no row's
-        latest.  A scan starts in at most P + C tail reads however large
-        start is, then costs O(distinct rows) per coordinate.
-        """
-        generators, tails = self.slot_rows
-        tail_prefix, tail_cycle = len(tails.prefix), len(tails.cycle)
-        latest: dict[tuple[str, ...], int] = {}  # row -> its latest tail position, in the order of those positions
-        fed = chain(range(min(tail_prefix, start)), range(max(tail_prefix, start - tail_cycle + 1), start))
-        for i in chain(fed, count(start)):
-            row = tails.at(i)
-            latest.pop(row, None)
-            latest[row] = i
-            if i >= start:
-                rows = {row: i - j + 1 for row, j in reversed(latest.items())}
-                rows.setdefault(generators.at(i), i + 2)
-                yield rows
 
 
 @dataclass(frozen=True)
@@ -380,58 +346,44 @@ def resolve_source(system: PowerSystem, ref: SourceRef) -> Equation:
     return system.families[ref.index].member(ref.member)
 
 
-def projection_rows(
-    system: PowerSystem, start: int = 0
-) -> Iterator[list[tuple[Equation, int, Mapping[tuple[Any, ...], int | None]]]]:
-    """pi_i(system) for i = start, start + 1, ..: (atom, index, rows) per explicit equation, then per family.
-
-    An explicit equation has one row, its explicit_rows entry at i, mapped
-    to None.  Family `index` has its StaircaseFamily.row_scan item for i as it
-    is: the distinct slot-value rows of its members in ascending member
-    order, each mapped to its least member.  The atom with a row in its
-    slots is pi_i of every source that shows the row, and
-    SourceRef(index, member) names the earliest.
-
-    With (stab, period) the stream_horizon, the rows at i + period are those
-    at i, entry by entry and in the same order, for every i >= stab; only
-    the members they map to may differ.  row_scan lists the distinct rows of
-    members 1..i + 2 in first-occurrence order, so it suffices that the
-    first-occurrence order of rows over those members repeats.  Let L be a
-    family's lcm of generator lengths and C its lcm of tail cycles:
-      * an explicit equation's row at i holds its streams' entries at i;
-        stab covers every prefix and period is a multiple of every cycle;
-      * a family without a constant slot has the empty row everywhere;
-      * any other family lists, for members n = 1 .. i + 2, the tail rows
-        at positions i, i - 1, .., 0 and then the generator row at i mod L.
-        Since stab >= tail prefix + C, positions i .. i - C + 1 lie in the
-        tail cycle, so the walk meets all C cycle rows within its first C
-        steps.  The walk from i + period meets the same rows in the same
-        order there, since C divides period, and after them both walks only
-        repeat cycle rows until they reach the same prefix rows.  The
-        generator row is the same because L divides period.
-    Nothing recomputes a period to check this; verify_wrap re-checks wrap's
-    output against the original coordinate by coordinate past the horizon.
-    """
-    explicit = list(enumerate(zip(system.explicit, system.explicit_rows)))
-    scans = [(fam.atom, idx, fam.row_scan(start)) for idx, fam in enumerate(system.families)]
-    for i in count(start):
-        rows = [(eq, idx, {values.at(i): None}) for idx, (eq, values) in explicit]
-        yield rows + [(atom, idx, next(scan)) for atom, idx, scan in scans]
-
-
 def projection_entries(system: PowerSystem, i: int) -> dict[Equation, SourceRef]:
-    """The distinct equations of pi_i(system), in projection_rows' order, each mapped to its earliest source."""
+    """The distinct equations of pi_i(system) in projection order, each mapped to its earliest source.
+
+    Projection order lists each explicit equation's explicit_rows entry at
+    i, then per family the rows its members show at i in ascending member
+    order.  Member n <= i + 1 shows the joint tail row at position
+    j = i - n + 1, and member i + 2 and every later one the generator row at
+    i mod L (projected_member).  So at coordinate i a family shows exactly
+    the tail rows at positions 0..i and one generator row.  The walk reads
+    positions i, i - 1, .. as members 1, 2, .., then the generator row as
+    member i + 2; setdefault keeps each row's least member, and then each
+    equation's earliest source, so each distinct row is built into an
+    equation once.  With P the tail prefix and C the tail cycle, a cycle
+    position p < i - C + 1 shows the row of some p + kC in i - C + 1 .. i,
+    a lesser member, so the walk goes from max(P, i - C + 1) straight to the
+    prefix positions min(i, P - 1) .. 0: at most P + C tail reads and one
+    generator read however large i is.
+    """
     out: dict[Equation, SourceRef] = {}
-    for atom, index, rows in next(projection_rows(system, i)):
-        for values, member in rows.items():
-            out.setdefault(_with_slots(atom, values), SourceRef(index, member))
+    for index, (eq, rows) in enumerate(zip(system.explicit, system.explicit_rows)):
+        out.setdefault(_with_slots(eq, rows.at(i)), SourceRef(index))
+    for index, fam in enumerate(system.families):
+        generators, tails = fam.slot_rows
+        tail_prefix, tail_cycle = len(tails.prefix), len(tails.cycle)
+        walk = chain(range(i, max(tail_prefix, i - tail_cycle + 1) - 1, -1), range(min(i, tail_prefix - 1), -1, -1))
+        members: dict[tuple[str, ...], int] = {}  # each row the family shows at i, to its least member
+        for j in walk:
+            members.setdefault(tails.at(j), i - j + 1)
+        members.setdefault(generators.at(i), i + 2)
+        for values, member in members.items():
+            out.setdefault(_with_slots(fam.atom, values), SourceRef(index, member))
     return out
 
 
 def projected_system(system: PowerSystem, i: int) -> EquationSystem:
     """pi_i of the whole system as a base equation system (distinct equations), read at i however far out.
 
-    Past the stream_horizon's stab it repeats with the period; projection_rows proves it.
+    Past the stream_horizon's stab it repeats with the period; stream_horizon proves it.
     """
     return EquationSystem(system.variables, tuple(projection_entries(system, i)))
 
@@ -446,6 +398,17 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
     family's tail prefix and lcm(L, C) are horizon() of its slot_rows, and C
     is the length of the tails' cycle.  Given several systems, this is their
     joint horizon.
+
+    From stabilization on, projection_entries lists the same equations at
+    i + period as at i, in the same order; only the members may differ.  An
+    explicit equation's row at i holds its streams' entries at i, past
+    their prefixes, and period is a multiple of their cycles.  A family's
+    walk from i >= P + C - 1 reads the cycle positions i .. i - C + 1, in an
+    order set by (i - P) mod C, then the same prefix positions, and then the
+    generator row at i mod L; C and L divide the period.  So the tail rows'
+    set is constant past P + C - 1, and coordinate_profile repeats too.
+    Nothing recomputes a period to check this; verify_wrap re-checks wrap's
+    output against the original coordinate by coordinate past the horizon.
     """
     stab, period = horizon(pe for system in systems for eq in system.explicit for pe in const_values(eq))
     for fam in (f for system in systems for f in system.families):
@@ -456,69 +419,49 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
 
 
 def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Periodic:
-    """Per-coordinate solution profile: the distinct atom masks of pi_i(system), in projection order.
+    """Per-coordinate solution profile: the distinct atom masks of pi_i(system), one column per source.
 
-    Entry i lists the masks of projection_rows' item for i in
-    first-occurrence order.  It is built from one column per source, in
-    source order: a column's entry i lists the masks of the source's rows at
-    i in projection_rows' order, and the profile's entry i is the columns'
-    entries at i concatenated and deduplicated, which keeps each mask's
-    first occurrence as a per-coordinate scan would.  One memo classifies
-    each distinct row of a source once over the whole build.
-      * An explicit equation's column is its explicit_rows, each row
-        classified.
-      * A family's column reads row_scan below the family's stabilization
-        F = P + C, as in stream_horizon, with L the lcm of the generator
-        lengths, P the tail prefix and C the lcm of the tail cycles.  At i,
-        row_scan lists the tail rows in ascending member order, then the
-        generator row at i mod L if no tail row equals it.  From F on the
-        tail rows depend on i only through (i - P) mod C, by
-        projection_rows' repeat argument: i >= P + C puts positions
-        i .. i - C + 1 in the tail cycle, so the walk down from i meets all
-        C cycle rows within C steps, in an order set by (i - P) mod C, and
-        after them only repeats cycle rows until it reaches the same prefix
-        rows.  So from F on the family's entry is two table reads: the tail
-        rows' masks at the residue (i - P) mod C, filled from row_scan at
-        F .. F + C - 1, which meets each residue once, and the generator
-        row's mask at the residue i mod L.  A generator mask that a tail row
-        already gave is dropped by the deduplication, as row_scan dropped
-        that row.  row_scan steps F + C = P + 2C times, or stab + period if
-        that is fewer, and each later entry costs two table reads however
-        large L and C are.
+    Entry i is the columns' entries at i concatenated in source order and
+    deduplicated, keeping first occurrences.  Each source classifies each
+    of its distinct rows once over the whole build.
+      * An explicit equation's column is its explicit_rows, each row's mask.
+      * A family shows at i its tail rows T[0..i] and its generator row
+        G[i mod L] (projection_entries).  With P the tail prefix and C the
+        tail cycle, tail[j] lists the distinct masks of T[0..j] for
+        j < P + C, and a later position repeats one of those, so the
+        family's entry i is tail[min(i, P + C - 1)] + gen[i mod L], gen[r]
+        being G[r]'s mask.
+    Within an entry a family's masks come in tail position order, not in
+    projection order.  The order of first occurrences over the whole table,
+    which class_representatives reads, is unchanged: every tail row at
+    j < i already showed at j (as member 1), and G[i mod L] showed at
+    i mod L, so only T[i] (i < P + C) and G[i] (i < L) can bring a new mask
+    at i, and they come in the same order in both listings.
     The prefix covers the stream_horizon's stabilization and the cycle one
-    period, so at(i) holds for every coordinate: projection_rows proves that
+    period, so at(i) holds for every coordinate: stream_horizon proves that
     the rows repeat with that period from there on.
     """
     stab, period = stream_horizon(system)
     stop = stab + period
     classifier = AtomClassifier.of(structure, system.variables)
-    memo: dict[tuple[int, tuple[Any, ...]], int] = {}  # (source, row) -> mask
 
-    def masks(source: int, atom: Equation, rows: Iterable[tuple[Any, ...]]) -> tuple[int, ...]:
-        """The distinct masks of a source's rows, in row order."""
-        out: dict[int, None] = {}
-        for values in rows:
-            mask = memo.get((source, values))
-            if mask is None:
-                mask = memo[source, values] = classifier.mask(_with_slots(atom, values))
-            out[mask] = None
-        return tuple(out)
+    def classify(atom: Equation) -> Callable[[tuple[Any, ...]], int]:
+        """The mask of the atom with a row in its slots, each distinct row classified once."""
+        return functools.cache(lambda values: classifier.mask(_with_slots(atom, values)))
 
-    explicit = enumerate(zip(system.explicit, system.explicit_rows))
-    columns = [rows.map(lambda values: masks(k, eq, (values,))).take(stop) for k, (eq, rows) in explicit]
-    for k, fam in enumerate(system.families, len(system.explicit)):
+    columns: list[Iterable[tuple[int, ...]]] = []
+    for eq, rows in zip(system.explicit, system.explicit_rows):
+        mask = classify(eq)
+        columns.append(rows.map(lambda values: (mask(values),)).take(stop))
+    for fam in system.families:
         generators, tails = fam.slot_rows
-        gen_period, tail_prefix, tail_cycle = len(generators.cycle), len(tails.prefix), len(tails.cycle)
-        first = tail_prefix + tail_cycle  # the family's stabilization F
-        scan = list(zip(range(min(first + tail_cycle, stop)), fam.row_scan()))
-        tail = {  # (i - P) mod C -> the tail rows' masks at every i >= F
-            (i - tail_prefix) % tail_cycle: masks(k, fam.atom, (values for values, n in rows.items() if n <= i + 1))
-            for i, rows in scan[first:]
-        }
-        gen = [masks(k, fam.atom, (values,)) for values in generators.cycle]  # i mod L -> the generator row's mask
-        column = [masks(k, fam.atom, rows) for _, rows in scan[:first]]
-        column += [tail[(i - tail_prefix) % tail_cycle] + gen[i % gen_period] for i in range(first, stop)]
-        columns.append(column)
+        mask = classify(fam.atom)
+        tail, seen = [], {}  # tail[j]: the distinct masks of tail positions 0..j
+        for values in tails.prefix + tails.cycle:
+            seen[mask(values)] = None
+            tail.append(tuple(seen))
+        gen = [(mask(values),) for values in generators.cycle]
+        columns.append(map(add, chain(tail, repeat(tail[-1])), islice(cycle(gen), stop)))
     table = [tuple(dict.fromkeys(chain.from_iterable(entry))) for entry in zip(*columns)] if columns else [()] * stop
     return Periodic(tuple(table[:stab]), tuple(table[stab:]))
 

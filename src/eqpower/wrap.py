@@ -8,12 +8,11 @@ output with the chosen sources, the only ones written out, then add one
 equation per solution set whose coordinate stream, zipped with the set's
 index set, follows that set wherever it occurs and falls back to the source
 stream elsewhere.  The output is equivalent to the input coordinate by
-coordinate, since the profile it is built from repeats as projection_rows'
-docstring proves; that profile reads each family's distinct rows through
-StaircaseFamily.row_scan, whose docstring proves that its move-to-front
-pass gives the rows of every member, up to the family's stabilization plus
-one tail cycle, and from its stabilization on reads them by tail and
-generator residue (coordinate_profile proves it).  The JSON trace
+coordinate, since the profile it is built from repeats as stream_horizon's
+docstring proves; at coordinate i that profile reads a family's tail rows
+at positions 0..i as running masks and its generator row at i mod L, and
+coordinate_profile proves that this keeps the first-occurrence order of the
+solution sets that class_representatives reads.  The JSON trace
 stores each fact once: no step repeats the complement of its index set, and
 no list repeats the representatives' coordinates and sources.  verify_wrap
 checks the equivalence exhaustively, computing every coordinate below the

@@ -41,10 +41,24 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "the profile reads a family's tail table at i mod C, not (i - P) mod C",
+        "the profile reads a family's running tail masks at i mod (P + C), not at min(i, P + C - 1)",
         "src/eqpower/power.py",
-        "tail[(i - tail_prefix) % tail_cycle] + gen[",
-        "tail[i % tail_cycle] + gen[",
+        "chain(tail, repeat(tail[-1]))",
+        "cycle(tail)",
+        ("tests/test_power.py::test_profile_fold_matches_recomputation",),
+    ),
+    Mutant(
+        "the profile's tail column is shifted by one coordinate",
+        "src/eqpower/power.py",
+        "chain(tail, repeat(tail[-1]))",
+        "chain(tail[1:], repeat(tail[-1]))",
+        ("tests/test_power.py::test_profile_fold_matches_recomputation",),
+    ),
+    Mutant(
+        "the profile reads the generator row at residue i + 1 mod L",
+        "src/eqpower/power.py",
+        "islice(cycle(gen), stop)",
+        "islice(cycle(gen[1:] + gen[:1]), stop)",
         ("tests/test_power.py::test_profile_fold_matches_recomputation",),
     ),
     Mutant(
@@ -239,49 +253,36 @@ MUTANTS = (
     Mutant(
         "projection_entries keeps the latest source of a repeated equation",
         "src/eqpower/power.py",
-        "out.setdefault(_with_slots(atom, values), SourceRef(index, member))",
-        "out[_with_slots(atom, values)] = SourceRef(index, member)",
+        "out.setdefault(_with_slots(fam.atom, values), SourceRef(index, member))",
+        "out[_with_slots(fam.atom, values)] = SourceRef(index, member)",
         ("tests/test_power.py::test_projection_entries_order_and_dedup",),
     ),
     Mutant(
-        "row_scan feeds the tail row at i - 1 instead of i",
+        "projection_entries names tail position j member i - j + 2",
         "src/eqpower/power.py",
-        "row = tails.at(i)",
-        "row = tails.at(max(i - 1, 0))",
+        "members.setdefault(tails.at(j), i - j + 1)",
+        "members.setdefault(tails.at(j), i - j + 2)",
         (
-            "tests/test_power.py::test_row_scan_pinned",
+            "tests/test_power.py::test_projection_entries_pinned",
             "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
         ),
     ),
     Mutant(
-        "row_scan pre-feeds the tail cycle from start - C + 2, one residue short",
+        "projection_entries walks the tail cycle down to i - C + 2, one residue short",
         "src/eqpower/power.py",
-        "start - tail_cycle + 1), start))",
-        "start - tail_cycle + 2), start))",
+        "max(tail_prefix, i - tail_cycle + 1)",
+        "max(tail_prefix, i - tail_cycle + 2)",
         (
-            "tests/test_power.py::test_row_scan_pinned",
+            "tests/test_power.py::test_projection_entries_pinned",
             "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
         ),
     ),
     Mutant(
-        "row_scan pre-feeds one tail prefix position short",
+        "projection_entries walks the tail prefix from P - 2, one position short",
         "src/eqpower/power.py",
-        "range(min(tail_prefix, start))",
-        "range(min(tail_prefix, start) - 1)",
-        (
-            "tests/test_power.py::test_row_scan_pinned",
-            "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
-        ),
-    ),
-    Mutant(
-        "row_scan lists the tail rows in descending member order",
-        "src/eqpower/power.py",
-        "for row, j in reversed(latest.items())",
-        "for row, j in latest.items()",
-        (
-            "tests/test_power.py::test_row_scan_pinned",
-            "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
-        ),
+        "range(min(i, tail_prefix - 1), -1, -1)",
+        "range(min(i, tail_prefix - 2), -1, -1)",
+        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
     ),
     Mutant(
         "the greedy takes the last candidate of the largest gain",

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
 
 from eqpower.fixtures import triangle_graph
 from eqpower.power import (
@@ -22,7 +22,6 @@ from eqpower.power import (
     horizon,
     power_systems_equivalent,
     project_equation,
-    projection_rows,
     stream_horizon,
 )
 from eqpower.solver import (
@@ -155,13 +154,15 @@ def staircase_family_horizon(stairs) -> tuple[int, int]:
 
 
 def oracle_projection(system: PowerSystem, i: int) -> list:
-    """Every equation of pi_i(system): the explicit ones, then members 1..i + 2 of each family, by staircase_value_at.
+    """Every equation of pi_i(system) by staircase_value_at, in coordinate_profile's order.
 
-    Members past i + 2 project like member i + 2, whose coordinate i reads the generator.
+    The explicit ones come first, then per family members i + 1 down to 1,
+    whose coordinate i reads tail positions 0..i, then member i + 2, which
+    reads the generator there.  Members past i + 2 project like member i + 2.
     """
     atoms = [project_equation(eq, i) for eq in system.explicit]
     for fam in system.families:
-        for n in range(1, i + 3):
+        for n in (*range(i + 1, 0, -1), i + 2):
             atoms.append(map_constants(fam.atom, lambda s: staircase_value_at(s, n, i)))
     return atoms
 
@@ -205,22 +206,49 @@ def with_slot_values(atom, values):
     return map_constants(atom, lambda _: next(slot))
 
 
-def reference_coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Periodic:
-    """coordinate_profile as a per-coordinate scan: projection_rows' item at every i below stab + period.
+def move_to_front_rows(fam: StaircaseFamily):
+    """Per coordinate i = 0, 1, ..: the family's distinct slot-value rows at i in ascending member order.
 
-    Entry i lists the masks of the item's rows in first-occurrence order,
-    one memo per source from rows to masks.  It reads row_scan at every
-    coordinate and no residue table, so it is the reference for the
-    profile's folded columns.
+    Each row maps to its least member.  Member n <= i + 1 shows the joint
+    tail row at position i - n + 1, member i + 2 the generator row at i, and
+    later members repeat member i + 2.  So a row's least tail member is
+    i - j + 1 for its latest position j <= i.  `latest` keeps each row's
+    latest position fed so far, ordered by it: feeding i moves its row to
+    the end, and reversed it lists the tail rows in ascending member order.
+    The generator row follows when no tail member shows that row.
+    """
+    generators, tails = fam.slot_rows
+    latest = {}  # row -> its latest tail position, in the order of those positions
+    for i in count():
+        row = tails.at(i)
+        latest.pop(row, None)
+        latest[row] = i
+        rows = {row: i - j + 1 for row, j in reversed(latest.items())}
+        rows.setdefault(generators.at(i), i + 2)
+        yield rows
+
+
+def reference_coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Periodic:
+    """coordinate_profile in projection order: a per-coordinate scan below stab + period.
+
+    Entry i lists the masks of pi_i's rows in first-occurrence order: each
+    explicit equation's explicit_rows entry at i, then each family's
+    move_to_front_rows item for i, one memo per source from rows to masks.
+    It reads no running tail masks and no residue, so it is the reference
+    for the profile's columns, and for the order in which wrap discovers
+    solution sets.
     """
     stab, period = stream_horizon(system)
     classifier = AtomClassifier.of(structure, system.variables)
-    memos = [{} for _ in system.explicit + system.families]
+    explicit = zip(system.explicit, system.explicit_rows)
+    sources = [(eq, ([values] for values in rows.take(stab + period))) for eq, rows in explicit]
+    sources += [(fam.atom, move_to_front_rows(fam)) for fam in system.families]
+    memos = [{} for _ in sources]
     table = []
-    for _, sources in zip(range(stab + period), projection_rows(system)):
+    for _ in range(stab + period):
         entry = {}
-        for seen, (atom, _, rows) in zip(memos, sources):
-            for values in rows:
+        for seen, (atom, scan) in zip(memos, sources):
+            for values in next(scan):
                 if values not in seen:
                     seen[values] = classifier.mask(with_slot_values(atom, values))
                 entry[seen[values]] = None

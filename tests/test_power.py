@@ -2,7 +2,7 @@ import importlib
 import json
 import math
 import random
-from itertools import islice, product
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -204,27 +204,27 @@ def test_projection_entries_order_and_dedup():
     ]
 
 
-def test_row_scan_demo():
+def test_projection_entries_demo():
     """The demo family (generator b, c; tail (a)) at coordinate 5: member 1 shows the tail, member 7 the generator.
 
     Members 2..6 repeat the tail's one cycle row, so member 1 is its least member.
     """
-    fam = staircase_demo_system().families[0]
-    assert next(fam.row_scan()) == {("a",): 1, ("b",): 2}
-    assert next(fam.row_scan(5)) == {("a",): 1, ("c",): 7}
+    system = staircase_demo_system()
+    a, b, c = (RelationAtom("E", (x, Const(v))) for v in "abc")
+    assert list(projection_entries(system, 0).items()) == [(a, SourceRef(0, 1)), (b, SourceRef(0, 2))]
+    assert list(projection_entries(system, 5).items()) == [(a, SourceRef(0, 1)), (c, SourceRef(0, 7))]
 
 
-def test_row_scan_pinned():
-    """Tail cycle a, b, a, c (P = 0, C = 4), generator b: the rows at every coordinate below 2(P + C) + 2.
+def test_projection_entries_pinned():
+    """Tail cycle a, b, a, c (P = 0, C = 4), generator b: the rows and members at 0..9 and at 10**12.
 
     Coordinate i shows the tail positions i, i - 1, .., 0 at members 1, 2, ..;
     from coordinate 3 on that is the cycle read backwards from i mod 4, and
-    member i + 2's generator row b is already shown.  A scan started at any
-    of these coordinates equals the scan from 0 from there on.
+    member i + 2's generator row b is already shown.  10**12 is 0 mod 4.
     """
     stair = Staircase(("b",), PowerElement((), ("a", "b", "a", "c")))
-    fam = StaircaseFamily(RelationAtom("E", (x, Const(stair))))
-    a, b, c = ("a",), ("b",), ("c",)
+    system = PowerSystem(("x",), (), (StaircaseFamily(RelationAtom("E", (x, Const(stair)))),))
+    a, b, c = (RelationAtom("E", (x, Const(v))) for v in "abc")
     by_residue = [
         [(a, 1), (c, 2), (b, 4)],
         [(b, 1), (a, 2), (c, 3)],
@@ -232,9 +232,8 @@ def test_row_scan_pinned():
         [(c, 1), (a, 2), (b, 3)],
     ]
     expected = [[(a, 1), (b, 2)], [(b, 1), (a, 2)], [(a, 1), (b, 2)]] + [by_residue[i % 4] for i in range(3, 10)]
-    assert [list(rows.items()) for rows in islice(fam.row_scan(), 10)] == expected
-    for start in range(10):
-        assert [list(rows.items()) for rows in islice(fam.row_scan(start), 10 - start)] == expected[start:], start
+    for i, rows in [*enumerate(expected), (10**12, by_residue[0])]:
+        assert list(projection_entries(system, i).items()) == [(eq, SourceRef(0, n)) for eq, n in rows], i
 
 
 @settings(deadline=None, max_examples=150)
@@ -288,10 +287,10 @@ def test_projected_system_and_sources():
 def test_projected_system_reads_far_coordinates_at_their_residue(seed, offset, members):
     """Past the first period, projected_system at i equals it at stab + (i - stab) mod period, in order.
 
-    That is the repeat projection_rows proves.  The draws include a
-    coordinate 10**12 past the first period, which row_scan starts at without
-    walking its members, and systems whose families are all written out as
-    their members 1..N, N up to 8.
+    That is the repeat stream_horizon proves.  The draws include a
+    coordinate 10**12 past the first period, which projection_entries reads
+    without walking its members, and systems whose families are all written
+    out as their members 1..N, N up to 8.
     """
     rng = random.Random(seed)
     system = support.random_power_system(rng, support.random_relational_structure(rng), max_prefix=3, max_cycle=4)
@@ -345,7 +344,7 @@ def test_coordinate_profile_demo():
         frozenset({nbh["a"], nbh["c"]}),
         frozenset({nbh["a"], nbh["b"]}),
     ]
-    # masks come in projection order: E(x, a) from member 1, then E(x, b) from member 2
+    # at coordinate 0 tail position 0 (member 1) shows E(x, a) before the generator (member 2) shows E(x, b)
     assert profile.at(0) == tuple(map(clf.mask, projection_entries(system, 0)))
     assert profile.at(3) == profile.cycle[0]
     assert profile.at(100) == profile.cycle[1]
@@ -362,27 +361,27 @@ def test_an_underreported_profile_period_fails_wrap_verification(monkeypatch):
 @settings(deadline=None, max_examples=120)
 @given(st.integers(0, 2**30), st.sampled_from(("random", "wide", "long", "truncated", "two-slot", "several")))
 def test_profile_fold_matches_recomputation(seed, draw):
-    """Past the horizon the folded profile equals direct recomputation, in projection order.
+    """Past the horizon the profile equals direct recomputation, entry by entry and in the profile's order.
 
-    The recomputation projects every member, not through row_scan: written
-    out by support.reference_projection_entries at every coordinate below
-    three periods past the horizon, or read at i by
-    support.oracle_projection_entries at the coordinates of a
-    support.wide_power_system draw, where L and C reach about 30.  The
+    The recomputation, support.oracle_projection, reads every member at i
+    with support.staircase_value_at and never reads slot_rows: the
+    explicit equations, then per family the tail positions 0..i (members
+    i + 1 down to 1), then the generator (member i + 2).  It runs at every
+    coordinate below three periods past the horizon, or at the coordinates
+    of a support.wide_power_system draw, where L and C reach about 30.  The
     other draws are support.random_power_system with about a third of its
     families written out as members 1..N (support.truncate_some), and
-    support.profile_power_system's draws, where the profile's tail and
-    generator residue tables carry every entry past a family's
+    support.profile_power_system's draws, where the running tail masks and
+    the generator residues carry every entry past a family's
     stabilization: one long family, a long family's members 1..N with N
     below, at or above its tail cycle, two-slot planted families beside
     explicit equations, and several families on one variable beside
     explicit equations, some written out and some without a constant slot.
     """
     rng = random.Random(seed)
-    coordinates, recompute = None, support.reference_projection_entries
+    coordinates = None
     if draw == "wide":
         structure, system, coordinates = support.wide_power_system(rng)
-        recompute = support.oracle_projection_entries
     elif draw == "random":
         structure = support.random_relational_structure(rng)
         system = support.truncate_some(rng, support.random_power_system(rng, structure), 9)
@@ -392,7 +391,7 @@ def test_profile_fold_matches_recomputation(seed, draw):
     clf = AtomClassifier(structure, system.variables)
     for i in coordinates or range(len(profile.prefix) + 3 * len(profile.cycle)):
         masks = profile.at(i)
-        assert masks == tuple(dict.fromkeys(map(clf.mask, recompute(system, i)))), i
+        assert masks == tuple(dict.fromkeys(map(clf.mask, support.oracle_projection(system, i)))), i
         assert frozenset(map(clf.decode, masks)) == support.oracle_profile(structure, system, i)
 
 

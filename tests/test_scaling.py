@@ -61,39 +61,59 @@ def test_candidate_scan_classifies_each_family_row_once_at_L_400():
     assert len(calls) <= 400 + 2 + 3
 
 
-def test_row_scan_reads_each_tail_row_once_per_coordinate_at_C_400():
-    """At C = 400 the profile's scan reads one tail row and one generator row per coordinate it steps.
+def _counted_profile(structure, system):
+    """coordinate_profile's result, its Periodic.at reads and its AtomClassifier.mask calls."""
+    reads, calls = [0], [0]
+    at, mask = Periodic.at, AtomClassifier.mask
 
-    It steps the family's stabilization P + C plus one tail cycle, P + 2C
-    coordinates, and reads every later entry from its residue tables, and
-    a single read at 10**12 starts its scan in at most P + C tail reads,
-    plus one generator read.  A walk over the members would read up to
-    C + P + 1 rows at every coordinate.
+    def counted_at(self, i):
+        reads[0] += 1
+        return at(self, i)
+
+    def counted_mask(self, eq):
+        calls[0] += 1
+        return mask(self, eq)
+
+    with mock.patch.object(Periodic, "at", counted_at), mock.patch.object(AtomClassifier, "mask", counted_mask):
+        profile = coordinate_profile(structure, system)
+    return profile, reads[0], calls[0]
+
+
+def test_profile_and_one_projection_read_each_family_row_at_most_once_at_C_400():
+    """At C = 400 the profile reads no row by coordinate and classifies each distinct row once.
+
+    It builds running tail masks from the P + C tail rows and one mask per
+    generator residue, so it makes no Periodic.at read and classifies at
+    most L + P + C rows, the distinct ones.  projection_entries at 10**12
+    walks down from i through one tail cycle and the tail prefix: at most
+    P + C tail reads, plus one generator read.  A walk over the members
+    would read 10**12 + 2 rows.
     """
     system = edge_family(1, 2, 400)
     (fam,) = system.families
     generators, tails = fam.slot_rows
-    reads = {id(generators): 0, id(tails): 0}
+    profile, reads, calls = _counted_profile(triangle_graph(), system)
+    assert reads == 0
+    assert calls == len(set(generators.cycle + tails.prefix + tails.cycle)) <= 1 + 2 + 400
+    assert (len(profile.prefix), len(profile.cycle)) == (402, 400)
+    rows = {id(generators): 0, id(tails): 0}
     at = Periodic.at
 
     def counted(self, i):
-        reads[id(self)] += 1
+        rows[id(self)] += 1
         return at(self, i)
 
     with mock.patch.object(Periodic, "at", counted):
-        coordinate_profile(triangle_graph(), system)
-        assert reads == {id(generators): 2 + 2 * 400, id(tails): 2 + 2 * 400}
-        reads.update(dict.fromkeys(reads, 0))
-        next(fam.row_scan(10**12))
-    assert reads == {id(generators): 1, id(tails): 2 + 400}
+        power.projection_entries(system, 10**12)
+    assert rows == {id(generators): 1, id(tails): 2 + 400}
 
 
 def test_coprime_wrap_reads_each_residue_once_at_L_211_C_199():
     """Generator 211 against tail cycle 199: the profile's reads and the masks scan do not grow with L * C.
 
-    The horizon is (199, 41,989).  The profile steps row_scan over
-    P + 2C = 398 coordinates, one tail and one generator read each, and
-    reads the other 41,790 entries from its residue tables.
+    The horizon is (199, 41,989).  The profile makes no Periodic.at read
+    and classifies at most L + P + C = 410 rows, each distinct row once;
+    every entry is a running tail mask list and a generator residue's mask.
     coordinate_masks' family branch ANDs once per coordinate of the
     generator blocks (stop in all), once per coordinate of the running AND
     over the folded tail blocks and once per tail block: 2 * stop + 199,
@@ -107,16 +127,9 @@ def test_coprime_wrap_reads_each_residue_once_at_L_211_C_199():
     generators, tails = fam.slot_rows
     stab, period = stream_horizon(system)
     assert (stab, period) == (199, 211 * 199)
-    reads = {id(generators): 0, id(tails): 0}
-    at = Periodic.at
-
-    def counted(self, i):
-        reads[id(self)] += 1
-        return at(self, i)
-
-    with mock.patch.object(Periodic, "at", counted):
-        profile = coordinate_profile(g, system)
-    assert reads == {id(generators): 2 * 199, id(tails): 2 * 199}
+    profile, reads, calls = _counted_profile(g, system)
+    assert reads == 0
+    assert calls == len(set(generators.cycle + tails.cycle)) <= 211 + 199
     assert (len(profile.prefix), len(profile.cycle)) == (stab, period)
 
     ands = [0]

@@ -391,6 +391,33 @@ def test_cut_candidate_scan_matches_the_uncut_reference(drawn):
     assert wrap_result_to_json_dict(wrap(structure, system)) == reference
 
 
+@settings(deadline=None, max_examples=100)
+@given(st.integers(0, 2**30), st.sampled_from(("random", "planted", "long", "two-slot")))
+def test_wrap_discovers_solution_sets_in_projection_order(seed, draw):
+    """wrap's document is byte for byte the one built from support.reference_coordinate_profile.
+
+    Within an entry coordinate_profile lists a family's masks in tail
+    position order, and the reference in projection order; wrap reads only
+    membership and the order in which sets first occur over the whole
+    profile, which both share.  Systems are support.random_power_system on
+    a random structure with about a third of its families written out
+    (support.truncate_some), support.planted_power_system on a planted
+    structure, and support.profile_power_system's long and two-slot draws.
+    """
+    rng = random.Random(seed)
+    if draw == "random":
+        structure = support.random_relational_structure(rng)
+        system = support.truncate_some(rng, support.random_power_system(rng, structure), 9)
+    elif draw == "planted":
+        structure = rng.choice(sorted(support.planted_structures().items()))[1][1]
+        system, _ = support.planted_power_system(rng, structure)
+    else:
+        structure, system = support.profile_power_system(rng, draw)
+    document = json.dumps(wrap_result_to_json_dict(wrap(structure, system)))
+    with mock.patch.object(WRAP_MODULE, "coordinate_profile", support.reference_coordinate_profile):
+        assert json.dumps(wrap_result_to_json_dict(wrap(structure, system))) == document
+
+
 @settings(deadline=None, max_examples=50)
 @given(staircase_systems())
 def test_verify_wrap_matches_the_oracle_profile(drawn):
