@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from collections.abc import Mapping
+from itertools import repeat
 from typing import Any
 
 
@@ -55,6 +56,6 @@ def json_str(doc: Any, what: str) -> str:
 
 
 def json_str_list(doc: Any, what: str) -> list[str]:
-    if not isinstance(doc, list) or not all(isinstance(v, str) for v in doc):
+    if not isinstance(doc, list) or not all(map(isinstance, doc, repeat(str))):
         raise InputFormatError(f"{what} must be a list of strings, got {doc!r}")
     return doc

@@ -27,12 +27,15 @@ Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of
 its atom masks, computed coordinate by coordinate; consistent,
 power_systems_equivalent, satisfies and wrap's verify_wrap are queries on
-it.  It classifies an explicit equation once per distinct tuple of slot
-values, not once per coordinate, through the one AtomClassifier.of that
-serves a structure and variable list, so consistent's core search reuses its
-masks, and it folds a family's blocks that run to the end of the scan into
-one running AND, so every tail position costs one mask, not one per
-coordinate.
+it.  Every per-row classification here, in coordinate_masks,
+coordinate_profile and wrap's candidate scan, reads AtomClassifier.rows of
+the one AtomClassifier.of that serves a structure and variable list, so a
+row of slot values is built into an atom and classified once per atom shape
+and job, and consistent's core search reuses the masks.  coordinate_masks
+ANDs whole columns: an explicit equation's masks by coordinate, a generator
+residue's mask into its stepped slice, and one running AND over a family's
+blocks that run to the end of the scan, so every tail position costs one
+mask, not one per coordinate.
 projection_entries lists pi_i at one coordinate in projection order, each
 distinct equation with its earliest source: each explicit equation's
 explicit_rows at i, then per family the rows its members show, which at
@@ -54,7 +57,7 @@ import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, cycle, islice, repeat
-from operator import add, itemgetter
+from operator import add, and_, itemgetter
 from typing import Any
 
 from .errors import InputFormatError, json_int, json_object, json_str_list
@@ -64,6 +67,7 @@ from .solver import (
     Equation,
     EquationSystem,
     Var,
+    _with_slots,
     const_values,
     equation_from_json_dict,
     equation_to_json_dict,
@@ -122,12 +126,6 @@ class Periodic:
             raise IndexError("coordinates are numbered from 0")
         repeats = -(-max(0, n - len(self.prefix)) // len(self.cycle))
         return (self.prefix + self.cycle * repeats)[:n]
-
-
-def _with_slots(atom: Equation, values: Iterable[Any]) -> Equation:
-    """The atom with its constant slots, in argument order, holding the values."""
-    slot = iter(values)
-    return map_constants(atom, lambda _: next(slot))
 
 
 def horizon(streams: Iterable[Periodic]) -> tuple[int, int]:
@@ -422,8 +420,10 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
     """Per-coordinate solution profile: the distinct atom masks of pi_i(system), one column per source.
 
     Entry i is the columns' entries at i concatenated in source order and
-    deduplicated, keeping first occurrences.  Each source classifies each
-    of its distinct rows once over the whole build.
+    deduplicated, keeping first occurrences.  Rows are classified through
+    AtomClassifier.rows, so each distinct row of an atom shape is built
+    into an atom once, and wrap's candidate scan and verify_wrap read the
+    same memo after this build.
       * An explicit equation's column is its explicit_rows, each row's mask.
       * A family shows at i its tail rows T[0..i] and its generator row
         G[i mod L] (projection_entries).  With P the tail prefix and C the
@@ -444,23 +444,18 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
     stab, period = stream_horizon(system)
     stop = stab + period
     classifier = AtomClassifier.of(structure, system.variables)
-
-    def classify(atom: Equation) -> Callable[[tuple[Any, ...]], int]:
-        """The mask of the atom with a row in its slots, each distinct row classified once."""
-        return functools.cache(lambda values: classifier.mask(_with_slots(atom, values)))
-
     columns: list[Iterable[tuple[int, ...]]] = []
     for eq, rows in zip(system.explicit, system.explicit_rows):
-        mask = classify(eq)
-        columns.append(rows.map(lambda values: (mask(values),)).take(stop))
+        row_masks = classifier.rows(eq)
+        columns.append(rows.map(lambda values: (row_masks[values],)).take(stop))
     for fam in system.families:
         generators, tails = fam.slot_rows
-        mask = classify(fam.atom)
+        row_masks = classifier.rows(fam.atom)
         tail, seen = [], {}  # tail[j]: the distinct masks of tail positions 0..j
         for values in tails.prefix + tails.cycle:
-            seen[mask(values)] = None
+            seen[row_masks[values]] = None
             tail.append(tuple(seen))
-        gen = [(mask(values),) for values in generators.cycle]
+        gen = [(row_masks[values],) for values in generators.cycle]
         columns.append(map(add, chain(tail, repeat(tail[-1])), islice(cycle(gen), stop)))
     table = [tuple(dict.fromkeys(chain.from_iterable(entry))) for entry in zip(*columns)] if columns else [()] * stop
     return Periodic(tuple(table[:stab]), tuple(table[stab:]))
@@ -578,47 +573,49 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
     """The AND of the atom masks of pi_i(system) at every coordinate i < stop.
 
     Each entry is computed at its own coordinate, never read off a folded
-    cycle.  An explicit equation's slot values at i are its explicit_rows
-    entry at i (PowerSystem makes every constant a stream), and each
-    distinct tuple of them is turned into an atom and classified once.  A family's
-    blocks from StaircaseFamily.coordinate_checks(stop) list exactly the
-    coordinates below `stop` where their slot values occur, so each block's
-    one mask is ANDed into those.  A nonempty block range(j, stop), as every
-    family's tail position j < P + C gives, covers every i with
-    j <= i < stop, so its mask belongs in the AND at i exactly when j <= i.
-    Such blocks are folded: folded[j] is the AND of their masks with start
-    j, and one running AND over the starts in ascending order holds, from
-    each start on, the AND of every folded mask with a start at or below i.
-    That costs O(stop + blocks) where a loop per block cost
-    O((P + C) * stop).  A block with j >= stop is empty and skipped, so the
-    walk never passes `stop`; every other block keeps its per-coordinate
-    loop.  The classifier is AtomClassifier.of's, which
+    cycle or wrap's profile.  Rows are classified through
+    AtomClassifier.rows, each distinct row of an atom shape once.  An
+    explicit equation's slot values at i are its explicit_rows entry at i
+    (PowerSystem makes every constant a stream), and its column of masks is
+    ANDed into the entries in one pass.  A family's blocks from
+    StaircaseFamily.coordinate_checks(stop) list exactly the coordinates
+    below `stop` where their slot values occur, so each block's one mask is
+    ANDed into those: a generator residue's block range(r, stop, L) into
+    the slice of the same start, stop and step.  A nonempty block
+    range(j, stop), as every family's tail position j < P + C gives, covers
+    every i with j <= i < stop, so its mask belongs in the AND at i exactly
+    when j <= i.  Such blocks are folded: folded[j] is the AND of their
+    masks with start j, and one running AND over the starts in ascending
+    order holds, from each start on, the AND of every folded mask with a
+    start at or below i.  Written out from the least start to `stop`, the
+    running ANDs form one column, ANDed in once.  That costs
+    O(stop + blocks) where a loop per block cost O((P + C) * stop).  A
+    block with j >= stop is empty; its start sorts after every start below
+    `stop`, so it only lengthens the column past `stop`, where the AND's map
+    ends.  The classifier is AtomClassifier.of's, which
     minimal_inconsistent_subset reads after this scan.
     """
     classifier = AtomClassifier.of(structure, system.variables)
     masks = [classifier.full] * stop
     for eq, rows in zip(system.explicit, system.explicit_rows):
-        seen: dict[tuple[Any, ...], int] = {}
-        for i, values in enumerate(rows.take(stop)):
-            mask = seen.get(values)
-            if mask is None:
-                mask = seen[values] = classifier.mask(_with_slots(eq, values))
-            masks[i] &= mask
+        masks = list(map(and_, masks, map(classifier.rows(eq).__getitem__, rows.take(stop))))
     folded: dict[int, int] = {}  # j -> the AND of the masks of the blocks range(j, stop)
     for fam in system.families:
+        row_masks = classifier.rows(fam.atom)
         for r, values in fam.coordinate_checks(stop):
-            mask = classifier.mask(_with_slots(fam.atom, values))
-            if r and r.step == 1 and r.stop == stop:
+            mask = row_masks[values]
+            if r.step == 1 and r.stop == stop:
                 folded[r.start] = folded.get(r.start, mask) & mask
             else:
-                for i in r:
-                    masks[i] &= mask
+                s = slice(r.start, r.stop, r.step)
+                masks[s] = map(and_, masks[s], repeat(mask))
     starts = sorted(folded)
-    running = classifier.full
+    running, column = classifier.full, []
     for j, end in zip(starts, starts[1:] + [stop]):
         running &= folded[j]
-        for i in range(j, end):
-            masks[i] &= running
+        column += [running] * (end - j)
+    if starts:
+        masks[starts[0] :] = map(and_, masks[starts[0] :], column)
     return masks
 
 

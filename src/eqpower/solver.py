@@ -48,6 +48,12 @@ def map_constants(eq: Equation, fn: Callable[[Any], Any]) -> Equation:
     return RelationAtom(eq.symbol, tuple(Const(fn(a.value)) if isinstance(a, Const) else a for a in eq.args))
 
 
+def _with_slots(atom: Equation, values: Iterable[Any]) -> Equation:
+    """The atom with its constant slots, in argument order, holding the values."""
+    slot = iter(values)
+    return map_constants(atom, lambda _: next(slot))
+
+
 def const_values(eq: Equation) -> tuple[Any, ...]:
     return tuple(a.value for a in eq.args if isinstance(a, Const))
 
@@ -125,11 +131,24 @@ class AtomClassifier:
     system_solutions decode masks into label-tuple frozensets,
     memoized per mask so equal sets come back as the same object.
 
+    rows(atom) is the one row memo: a dict from a row of slot values to the
+    mask of the atom with that row in its constant slots, filled on first
+    lookup through mask, so a bad row raises where it is first met.  It is
+    keyed by the atom's shape, its symbol and each argument's variable name
+    (None for a constant slot), not by the atom, so an explicit equation, a
+    family and a merged copy of the same shape share one memo, and no
+    lookup hashes their stream constants.
+
     AtomClassifier.of(structure, variables) is the one classifier that
-    solve, equivalent, minimal_inconsistent_subset and the power layer's
-    coordinate_masks share for a structure and variable list, so an atom is
-    checked by check_equation and built once however many of them meet it.
-    It is memoized on the structure instance and dies with it.
+    solve, equivalent, minimal_inconsistent_subset and every phase of the
+    power layer (coordinate_profile, wrap's candidate scan, coordinate_masks)
+    share for a structure and variable list, so an atom is checked by
+    check_equation and built once however many of them meet it.  It is
+    memoized on the structure instance and dies with it.
+
+    Element u's cylinder for variable p repeats every k * block bits, block
+    being k^(n - 1 - p); __init__ writes one period out and doubles it by
+    shift and OR up to k^n bits, then shifts it by u * block per element.
     """
 
     def __init__(self, structure: FiniteStructure, variables: tuple[str, ...]) -> None:
@@ -142,10 +161,14 @@ class AtomClassifier:
         self._cylinders = []
         for p in range(n):
             block = k ** (n - 1 - p)
-            repunit = self.full // ((1 << k * block) - 1)  # one bit every k * block positions
-            ones = (1 << block) - 1
-            self._cylinders.append([(ones << u * block) * repunit for u in range(k)])
+            first, width = (1 << block) - 1, k * block  # element 0's bits over one period
+            while width < self.space_size:
+                first |= first << width
+                width *= 2
+            first &= self.full
+            self._cylinders.append([first << u * block for u in range(k)])
         self._masks: dict[Equation, int] = {}
+        self._rows: dict[tuple[str, tuple[str | None, ...]], _RowMasks] = {}
         self._decoded: dict[int, frozenset[tuple[str, ...]]] = {}
 
     @classmethod
@@ -163,6 +186,14 @@ class AtomClassifier:
             check_equation(self.structure, self.variables, eq)
             cached = self._masks[eq] = self._build_mask(eq)
         return cached
+
+    def rows(self, atom: Equation) -> "_RowMasks":
+        """The shared memo from a row of slot values to the mask of the atom with that row in its slots."""
+        key = (atom.symbol, tuple(a.name if isinstance(a, Var) else None for a in atom.args))
+        memo = self._rows.get(key)
+        if memo is None:
+            memo = self._rows[key] = _RowMasks(self, atom)
+        return memo
 
     def _build_mask(self, eq: Equation) -> int:
         index, position, cylinders = self.structure.index, self._position, self._cylinders
@@ -200,6 +231,23 @@ class AtomClassifier:
 
     def system_solutions(self, equations: Iterable[Equation]) -> frozenset[tuple[str, ...]]:
         return self.decode(self.system_mask(equations))
+
+
+class _RowMasks(dict):
+    """AtomClassifier.rows' memo for one atom shape: row -> mask, each missing row classified through mask.
+
+    The first atom of the shape is kept as the template; every atom of the
+    shape gives the same atom once its slots hold the row.
+    """
+
+    def __init__(self, classifier: AtomClassifier, template: Equation) -> None:
+        super().__init__()
+        self._classifier = classifier
+        self._template = template
+
+    def __missing__(self, row: tuple[Any, ...]) -> int:
+        mask = self[row] = self._classifier.mask(_with_slots(self._template, row))
+        return mask
 
 
 def solve(structure: FiniteStructure, system: EquationSystem) -> AlgebraicSet:

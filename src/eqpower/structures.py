@@ -111,14 +111,15 @@ class FiniteStructure:
         for name in tables:
             if not signature.has(name):
                 raise ValueError(f"table given for {name!r}, which is not in the signature")
+        index = self._index.__getitem__
         for name, arity in signature.symbols:
             rows = set()
             for row in tables.get(name, ()):
-                row = tuple(str(v) for v in row)
+                row = tuple(map(str, row))
                 if len(row) != arity:
                     raise ValueError(f"{name!r} expects {arity}-tuples, got {row}")
                 try:
-                    rows.add(tuple(self._index[v] for v in row))
+                    rows.add(tuple(map(index, row)))
                 except KeyError as exc:
                     raise ValueError(f"{name!r} tuple {row} mentions unknown element {exc.args[0]!r}") from None
             self._tables[name] = frozenset(rows)

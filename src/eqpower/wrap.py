@@ -2,22 +2,24 @@
 
 The construction works per solution set of projected equations: collect one
 representative equation per distinct solution set with a source realizing it,
-classifying each family's generator and tail rows (its slot_rows, zipped by
-power.zip_streams) once and reading every member's sets off them, seed the
-output with the chosen sources, the only ones written out, then add one
-equation per solution set whose coordinate stream, zipped with the set's
-index set, follows that set wherever it occurs and falls back to the source
-stream elsewhere.  The output is equivalent to the input coordinate by
-coordinate, since the profile it is built from repeats as stream_horizon's
-docstring proves; at coordinate i that profile reads a family's tail rows
-at positions 0..i as running masks and its generator row at i mod L, and
-coordinate_profile proves that this keeps the first-occurrence order of the
-solution sets that class_representatives reads.  The JSON trace
-stores each fact once: no step repeats the complement of its index set, and
-no list repeats the representatives' coordinates and sources.  verify_wrap
-checks the equivalence exhaustively, computing every coordinate below the
-joint stream_horizon plus one extra period, so an output spoilt by a wrong
-horizon is never verified.
+reading the masks of each family's generator and tail rows (its slot_rows,
+zipped by power.zip_streams) from the row memo AtomClassifier.rows, which
+the profile filled, and every member's sets off them, seed the output with
+the chosen sources, the only ones written out, then add one equation per
+solution set whose coordinate stream, read beside the set's index set,
+follows that set wherever it occurs and falls back to the source stream
+elsewhere.  An index set is the profile mapped through the set of its
+distinct entries that hold the set's mask.  The output is equivalent to the
+input coordinate by coordinate, since the profile it is built from repeats
+as stream_horizon's docstring proves; at coordinate i that profile reads a
+family's tail rows at positions 0..i as running masks and its generator row
+at i mod L, and coordinate_profile proves that this keeps the
+first-occurrence order of the solution sets that class_representatives
+reads.  The JSON trace stores each fact once: no step repeats the
+complement of its index set, and no list repeats the representatives'
+coordinates and sources.  verify_wrap checks the equivalence exhaustively,
+computing every coordinate below the joint stream_horizon plus one extra
+period, so an output spoilt by a wrong horizon is never verified.
 
 Because there are at most 2^(k^n) solution sets over a k-element structure and
 n variables, the output never exceeds 2^(k^n + 1) equations.
@@ -26,6 +28,7 @@ n variables, the output never exceeds 2^(k^n + 1) equations.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Any, Iterable
 
 from .errors import InputFormatError, json_bool, json_int, json_list, json_object, json_str_list
@@ -34,9 +37,9 @@ from .power import (
     PowerElement,
     PowerSystem,
     SourceRef,
-    _with_slots,
     coordinate_masks,
     coordinate_profile,
+    horizon,
     periodic_from_json_dict,
     periodic_to_json_dict,
     power_equation_from_json_dict,
@@ -46,9 +49,8 @@ from .power import (
     project_equation,
     resolve_source,
     stream_horizon,
-    zip_streams,
 )
-from .solver import AtomClassifier, Equation, map_constants
+from .solver import AtomClassifier, Equation, _with_slots, map_constants
 from .solver import equation_from_json_dict, equation_to_json_dict
 from .structures import FiniteStructure
 
@@ -93,17 +95,14 @@ class WrapResult:
 def _first_sets(classifier: AtomClassifier, atom: Equation, rows: Iterable[tuple]) -> dict[int, tuple[int, Equation]]:
     """Each solution set of the atom with a row in its slots, to the first row position showing it and that atom.
 
-    A repeated row shows its set again, so only a row's first occurrence is
-    built into an atom and classified.
+    Rows are classified through AtomClassifier.rows, which coordinate_profile
+    has filled, and only each set's first row is built into an atom.
     """
-    out: dict[int, tuple[int, Equation]] = {}
-    seen: set[tuple] = set()
+    masks = classifier.rows(atom)
+    first: dict[int, tuple[int, tuple]] = {}
     for pos, row in enumerate(rows):
-        if row not in seen:
-            seen.add(row)
-            projected = _with_slots(atom, row)
-            out.setdefault(classifier.mask(projected), (pos, projected))
-    return out
+        first.setdefault(masks[row], (pos, row))
+    return {mask: (pos, _with_slots(atom, row)) for mask, (pos, row) in first.items()}
 
 
 def _candidates(
@@ -119,10 +118,10 @@ def _candidates(
     r < min(n - 1, L) and the tail row T[j] at n - 1 + j for every
     j < P + C, P the tail prefix and C the tail cycle; every other
     coordinate repeats one of those rows.  So each family's rows G[r] and
-    T[j] are classified once, and member n's sets are the generator sets
-    whose first residue is below n - 1, at that residue, and then the tail
-    sets at n - 1 plus their first tail position: every generator
-    coordinate lies below every tail coordinate.
+    T[j] are read once from AtomClassifier.rows, and member n's sets are
+    the generator sets whose first residue is below n - 1, at that residue,
+    and then the tail sets at n - 1 plus their first tail position: every
+    generator coordinate lies below every tail coordinate.
     """
     out = {}
     for idx, (eq, rows) in enumerate(zip(system.explicit, system.explicit_rows)):
@@ -159,17 +158,17 @@ def class_representatives(structure: FiniteStructure, system: PowerSystem, profi
     sets: those of all L generator residues and of every tail position.
     max takes the first candidate of the largest gain, and equal sets give
     equal gains, so no member past L + 1 is ever taken and scanning it would
-    change nothing.  _candidates classifies each family's L + P + C rows
+    change nothing.  _candidates reads each family's L + P + C row masks
     once and builds every member's sets from them.
     """
     classifier = AtomClassifier.of(structure, system.variables)
-    discovery = list(dict.fromkeys(mask for masks in profile.prefix + profile.cycle for mask in masks))
+    discovery = dict.fromkeys(chain.from_iterable(profile.prefix + profile.cycle))
     uncovered = set(discovery)
     coverage = list(_candidates(classifier, system, len(profile.prefix) + len(profile.cycle)).items())
 
     assignment: dict[int, ClassRep] = {}
     while uncovered:
-        ref, realized = max(coverage, key=lambda c: sum(1 for mask in c[1] if mask in uncovered))
+        ref, realized = max(coverage, key=lambda c: len(uncovered.intersection(c[1])))
         if uncovered.isdisjoint(realized):
             raise RuntimeError("uncovered projected solution set without a source; this is a bug")
         for mask, (least_i, projected) in realized.items():
@@ -193,8 +192,10 @@ def _merged_equation(rep: ClassRep, source_eq: Equation, match: Periodic) -> Equ
 
     def merged(slot: PowerElement) -> PowerElement:
         rep_value = slot.at(rep.coordinate)
-        values = zip_streams((match, slot)).map(lambda row: rep_value if row[0] else row[1])
-        return PowerElement(values.prefix, values.cycle)
+        stab, period = horizon((match, slot))
+        h = stab + period
+        values = [rep_value if hit else value for hit, value in zip(match.take(h), slot.take(h))]
+        return PowerElement(values[:stab], values[stab:])
 
     return map_constants(source_eq, merged)
 
@@ -207,10 +208,12 @@ def wrap(structure: FiniteStructure, system: PowerSystem) -> WrapResult:
     seeds = tuple(dict.fromkeys(sources.values()))  # distinct sources may write out equal equations
 
     classifier = AtomClassifier.of(structure, system.variables)
+    entries = set(profile.prefix + profile.cycle)
     steps = []
     for rep in reps:
         mask = classifier.mask(rep.representative)  # memoized: the coverage scan classified it
-        match = profile.map(lambda masks: mask in masks)
+        hits = {masks for masks in entries if mask in masks}
+        match = profile.map(hits.__contains__)
         steps.append(WrapStep(match, _merged_equation(rep, sources[rep.source], match)))
 
     # canonical stream form makes equal equations structurally equal

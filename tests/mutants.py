@@ -69,11 +69,35 @@ MUTANTS = (
         ("tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",),
     ),
     Mutant(
-        "coordinate_masks folds an empty tail block that starts at or past stop",
+        "coordinate_masks ANDs each generator block one coordinate late",
         "src/eqpower/power.py",
-        "if r and r.step == 1 and r.stop == stop:",
-        "if r.step == 1 and r.stop == stop:",
-        ("tests/test_power.py::test_coordinate_masks_stop_before_the_tail_blocks_start",),
+        "s = slice(r.start, r.stop, r.step)",
+        "s = slice(r.start + 1, r.stop, r.step)",
+        ("tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",),
+    ),
+    Mutant(
+        "coordinate_masks ANDs the running tail column one coordinate late",
+        "src/eqpower/power.py",
+        "masks[starts[0] :] = map(and_, masks[starts[0] :], column)",
+        "masks[starts[0] + 1 :] = map(and_, masks[starts[0] + 1 :], column)",
+        (
+            "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
+            "tests/test_power.py::test_coordinate_masks_stop_before_the_tail_blocks_start",
+        ),
+    ),
+    Mutant(
+        "the row memo is keyed without the variable pattern",
+        "src/eqpower/solver.py",
+        "key = (atom.symbol, tuple(a.name if isinstance(a, Var) else None for a in atom.args))",
+        "key = (atom.symbol, len(atom.args))",
+        ("tests/test_solver.py::test_row_memo_is_the_mask_of_the_atom_with_the_row_whoever_filled_it",),
+    ),
+    Mutant(
+        "the row memo is keyed without the symbol",
+        "src/eqpower/solver.py",
+        "key = (atom.symbol, tuple(a.name if isinstance(a, Var) else None for a in atom.args))",
+        "key = tuple(a.name if isinstance(a, Var) else None for a in atom.args)",
+        ("tests/test_solver.py::test_row_memo_is_the_mask_of_the_atom_with_the_row_whoever_filled_it",),
     ),
     Mutant(
         "verify_wrap compares masks folded at stab + period",

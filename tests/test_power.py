@@ -403,9 +403,10 @@ def test_coordinate_masks_match_the_oracle_at_every_coordinate(seed, draw):
     Besides support.random_power_system with equalities added and some
     families written out (support.truncate_some), the draws are
     support.profile_power_system's long, truncated (members 1..N with N
-    below, at or above C) and several-family systems.  A
-    stop below a family's P + C, about a quarter of the draws, leaves tail
-    blocks that start at or past it.
+    below, at or above C) and several-family systems.  The stop lies below
+    the horizon's stabilization, within its first period, or past that, up
+    to three periods and 5 more, each in a third of the draws; a stop below
+    a family's P + C leaves tail blocks that start at or past it.
     """
     rng = random.Random(seed)
     if draw == "random":
@@ -423,7 +424,7 @@ def test_coordinate_masks_match_the_oracle_at_every_coordinate(seed, draw):
     else:
         structure, system = support.profile_power_system(rng, draw)
     stab, period = stream_horizon(system)
-    stop = rng.randint(0, stab + 3 * period + 5)
+    stop = rng.randint(*rng.choice(((0, stab), (stab, stab + period), (stab + period, stab + 3 * period + 5))))
     masks = coordinate_masks(structure, system, stop)
     assert len(masks) == stop
     clf = AtomClassifier(structure, system.variables)

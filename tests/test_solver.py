@@ -8,13 +8,14 @@ from support import chain_poset
 
 from eqpower.errors import InputFormatError, UnboundVariableError
 from eqpower.fixtures import triangle_graph
-from eqpower.power import power_system_from_json_dict
+from eqpower.power import PowerElement, power_system_from_json_dict
 from eqpower.solver import (
     AtomClassifier,
     Const,
     EquationSystem,
     RelationAtom,
     Var,
+    _with_slots,
     check_equation,
     const_values,
     equation_from_json_dict,
@@ -138,6 +139,72 @@ def test_classifier_memoizes():
     assert clf.solutions(RelationAtom(EQUALITY, (x, Const("a")))) == {("a",)}
     assert clf.solutions(E(x, Const("a"))) is first
     assert clf.system_solutions([E(x, Const("a")), E(x, Const("b"))]) == {("c",)}
+
+
+def test_cylinders_match_the_division_formula():
+    """The doubling build gives every cylinder that full // (2^(k * block) - 1) times one block gave, k <= 5, n <= 8."""
+    for k in range(1, 6):
+        structure = FiniteStructure(Signature(()), [f"u{i}" for i in range(k)])
+        for n in range(9):
+            clf = AtomClassifier(structure, tuple(f"x{i}" for i in range(n)))
+            full = (1 << k**n) - 1
+            for p in range(n):
+                block = k ** (n - 1 - p)
+                repunit = full // ((1 << k * block) - 1)
+                assert clf._cylinders[p] == [((1 << block) - 1 << u * block) * repunit for u in range(k)], (k, n, p)
+
+
+@st.composite
+def row_memo_lookups(draw):
+    """A structure with binary E and ternary T, and lookups (atom, row) over atoms of shared and distinct shapes.
+
+    The atoms are E(x, c), E(c, x), E(y, c), x = c and T(x, c, c), each
+    with label constants and again with stream constants; the tables are
+    drawn, so E need not be symmetric.
+    """
+    labels = [f"u{i}" for i in range(draw(st.integers(1, 3)))]
+    label = st.sampled_from(labels)
+    tables = {"E": draw(st.sets(st.tuples(label, label))), "T": draw(st.sets(st.tuples(label, label, label)))}
+    structure = FiniteStructure(Signature((("E", 2), ("T", 3))), labels, tables)
+    a, stream = Const(labels[0]), Const(PowerElement((labels[-1],), (labels[0],)))
+    shapes = [
+        lambda c: E(x, c),
+        lambda c: E(c, x),
+        lambda c: E(y, c),
+        lambda c: RelationAtom(EQUALITY, (x, c)),
+        lambda c: RelationAtom("T", (x, c, c)),
+    ]
+    atoms = [shape(c) for shape in shapes for c in (a, stream)]
+    rows = {1: st.tuples(label), 2: st.tuples(label, label)}
+    lookups = draw(
+        st.lists(st.sampled_from(atoms).flatmap(lambda atom: st.tuples(st.just(atom), rows[len(const_values(atom))])))
+    )
+    return structure, lookups
+
+
+@settings(max_examples=200, deadline=None)
+@given(row_memo_lookups())
+def test_row_memo_is_the_mask_of_the_atom_with_the_row_whoever_filled_it(case):
+    """rows(atom)[row] is mask(atom with the row in its slots), whichever atom of the shape filled the entry."""
+    structure, lookups = case
+    clf = AtomClassifier(structure, ("x", "y"))
+    for atom, row in lookups:
+        projected = _with_slots(atom, row)
+        assert clf.rows(atom)[row] == AtomClassifier(structure, ("x", "y")).mask(projected), (atom, row)
+        assert clf.rows(atom)[row] == clf.mask(projected)
+
+
+def test_row_memo_is_one_dict_per_shape():
+    """Atoms that differ only in their constants share one memo; the symbol and the variable pattern split it."""
+    g = triangle_graph()
+    clf = AtomClassifier(g, ("x", "y"))
+    memo = clf.rows(E(x, Const("a")))
+    assert clf.rows(E(x, Const(PowerElement(("b",), ("c",))))) is memo
+    others = [E(Const("a"), x), E(y, Const("a")), RelationAtom(EQUALITY, (x, Const("a"))), E(x, y)]
+    assert all(clf.rows(atom) is not memo for atom in others)
+    assert memo[("b",)] == clf.mask(E(x, Const("b")))
+    with pytest.raises(ValueError, match="not a universe element"):
+        memo[("z",)]
 
 
 def test_minimal_inconsistent_subset():

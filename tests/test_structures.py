@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import pytest
 from support import (
@@ -67,10 +68,14 @@ def test_structure_construction_errors():
         FiniteStructure(sig, ["a", "a"])
     with pytest.raises(ValueError):
         FiniteStructure(sig, ["a"], {"F": [("a", "a")]})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("'E' expects 2-tuples, got ('a',)")):
         FiniteStructure(sig, ["a"], {"E": [("a",)]})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("'E' tuple ('a', 'z') mentions unknown element 'z'")):
         FiniteStructure(sig, ["a"], {"E": [("a", "z")]})
+    # entries are read as strings before they are looked up
+    with pytest.raises(ValueError, match=re.escape("'E' tuple ('a', '1') mentions unknown element '1'")):
+        FiniteStructure(sig, ["a"], {"E": [("a", 1)]})
+    assert FiniteStructure(sig, [1, 2], {"E": [(1, 2), ("2", "1")]}).tuples("E") == (("1", "2"), ("2", "1"))
 
 
 def test_structure_tables_and_equality():

@@ -32,7 +32,7 @@ from eqpower.power import (
     stream_horizon,
 )
 from eqpower.solver import AtomClassifier, Const, RelationAtom, Var, const_values
-from eqpower.structures import EQUALITY
+from eqpower.structures import EQUALITY, FiniteStructure
 from eqpower.power import periodic_to_json_dict
 from eqpower.wrap import (
     class_representatives,
@@ -443,6 +443,28 @@ def test_verify_wrap_matches_the_oracle_profile(drawn):
         stab, period = stream_horizon(system, candidate)
         expected = all(solutions(system, i) == solutions(candidate, i) for i in range(stab + 2 * period))
         assert verify_wrap(structure, system, candidate) == expected
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**30), st.sampled_from(("long", "truncated", "two-slot", "several")))
+def test_verify_wrap_on_a_cold_classifier_agrees_with_the_warm_one(seed, draw):
+    """verify_wrap gives the same verdict on the classifier wrap filled and on a fresh copy of the structure.
+
+    wrap fills AtomClassifier.of's row memos for the structure; the copy
+    has its own classifier, whose memos start empty.  The wrapped system and
+    each copy of it without one equation are checked both ways, on
+    support.profile_power_system's draws.
+    """
+    structure, system = support.profile_power_system(random.Random(seed), draw)
+    result = wrap(structure, system)
+    assert result.verified
+    assert bool(AtomClassifier.of(structure, system.variables)._rows) == bool(system.explicit or system.families)
+    tables = {name: structure.tuples(name) for name in structure.signature.names()}
+    eqs = result.wrapped.explicit
+    for candidate in [eqs] + [eqs[:k] + eqs[k + 1 :] for k in range(len(eqs))]:
+        candidate = PowerSystem(system.variables, candidate, ())
+        cold = FiniteStructure(structure.signature, structure.universe, tables)
+        assert verify_wrap(cold, system, candidate) == verify_wrap(structure, system, candidate)
 
 
 @pytest.mark.parametrize("name", sorted(support.planted_structures()))
