@@ -16,7 +16,11 @@ finite subsystem.
 
 Every negative verdict carries a certificate, and every certificate expands
 into a concrete witness family: an infinite staircase system none of whose
-finite truncations is equivalent to the whole.
+finite truncations is equivalent to the whole.  The family is
+R(x, stair(g; t)), one generator label against a constant tail, so a
+witness depth reads the family's four rows at its point in closed form from
+the certificate (_failing_rows), and every depth past 1 - offset answers as
+depth 1 - offset does.
 """
 
 from __future__ import annotations
@@ -35,8 +39,6 @@ from .power import (
     Staircase,
     StaircaseFamily,
     family_to_json_dict,
-    members_hold,
-    switch_failing_members,
 )
 from .solver import Const, RelationAtom, Var
 from .structures import FiniteStructure, GRAPH_EDGE_SYMBOL, POSET_ORDER_SYMBOL, validate
@@ -303,75 +305,97 @@ def verify_witness(structure: FiniteStructure, package: WitnessPackage, n: int) 
     return first_violated_member(structure, package, n) is not None
 
 
+def _failing_rows(structure: FiniteStructure, package: WitnessPackage, switch: int) -> dict[tuple[str, ...], int]:
+    """Each row of the witness family that the relation lacks at the switch point, mapped to its least member.
+
+    The family is R(x, stair(g; t)): member n shows the one generator label
+    g at coordinates 0..n-2 and the constant tail t from n - 1 on.  The point
+    is the rule's repeat below coordinate `switch` and the certificate's
+    point tail u from there, so no point is built and the family shows four
+    rows:
+      * (u, t) at member 1, at coordinate switch;
+      * (repeat, t) at member 1, at coordinate 0, only when switch > 0;
+      * (repeat, g) at member 2, at coordinate 0, only when switch > 0;
+      * (u, g) at member switch + 2, at coordinate switch.
+    They come in ascending member order, so setdefault keeps the least
+    member of a row that two of them share.
+    """
+    relation, generator, tail, repeat, point_tail, _ = _expand_certificate(package.kind, package.certificate)
+    shown = [((point_tail, tail), 1)]
+    if switch > 0:
+        shown += [((repeat, tail), 1), ((repeat, generator), 2)]
+    shown.append(((point_tail, generator), switch + 2))
+    table = structure.label_table(relation)
+    failing: dict[tuple[str, ...], int] = {}
+    for row, member in shown:
+        if row not in table:
+            failing.setdefault(row, member)
+    return failing
+
+
+def members_hold(structure: FiniteStructure, failing: Mapping[tuple[str, ...], int], last: float) -> bool:
+    """Whether members 1..last hold at a point, given each failing row's least member in `failing`.
+
+    They hold when no failing row maps to a member <= last.  Every label of
+    those rows is looked up first, rows in sorted order, so a label outside
+    the universe raises KeyError whatever the dict's order.
+    """
+    rows = sorted(row for row, member in failing.items() if member <= last)
+    for row in rows:
+        for label in row:
+            structure.index(label)  # raises for a label outside the universe
+    return not rows
+
+
 def first_violated_member(structure: FiniteStructure, package: WitnessPackage, n: int) -> int | None:
     """The first member that witness_point(n) fails: m = n + offset + 2.
 
-    Member m reads its generator at coordinates 0..m-2, and witness_point(n)
-    switches from its repeat to its tail at coordinate n + offset; the
-    certificate makes that tail against the generator the one failing row.
-    The failing rows of the family at the point decide it, read
-    in closed form by switch_failing_members from the witness rule, with no
-    point built: m is returned only if no failing row maps to a member
-    <= m - 1 and some row maps to m, else None.  As members_hold reads them,
-    the labels of the failing rows of members <= m - 1 are looked up first
-    and, only if there are none, those of member m.  So a label outside the
-    universe raises KeyError exactly when a failing row of a member <= m - 1
-    holds it, or when there is no such row and a failing row of member m
-    holds it.  Offsets are -1 or 0, so m > n always.
+    witness_point(n) switches from its repeat to its tail at coordinate
+    n + offset, and member m is the first to show that tail against the
+    generator, the row the certificate makes fail.  The family's failing
+    rows at the point (_failing_rows) decide it with no point built: m is
+    returned only if no failing row maps to a member <= m - 1 and some row
+    maps to m, else None.  As members_hold reads them, the labels of the
+    failing rows of members <= m - 1 are looked up first and, only if there
+    are none, those of member m.  So a label outside the universe raises
+    KeyError exactly when a failing row of a member <= m - 1 holds it, or
+    when there is no such row and a failing row of member m holds it.
+    Offsets are -1 or 0, so m > n always.
     """
     if n < 1:
         raise ValueError("witness points are indexed from 1")
-    repeat, tail, offset = package.witness_rule
+    offset = package.witness_rule[2]
     m = n + offset + 2
-    failing = switch_failing_members(structure, package.family, repeat, n + offset, tail)
+    failing = _failing_rows(structure, package, n + offset)
     solves_earlier = members_hold(structure, failing, m - 1)
     return m if solves_earlier and not members_hold(structure, failing, m) else None
 
 
-def _checked_depths(package: WitnessPackage) -> tuple[int, int]:
-    """(T - offset + L - 1, L): the depths first_violated_members checks, and the period of the rest.
-
-    L, P and C are read off the family's slot_rows, and T = max(L, P + C);
-    witness_at_every_depth proves that these depths decide every later one.
-    """
-    generators, tails = package.family.slot_rows
-    period = len(generators.cycle)
-    return max(period, len(tails.prefix) + len(tails.cycle)) - package.witness_rule[2] + period - 1, period
-
-
 def first_violated_members(structure: FiniteStructure, package: WitnessPackage, depth: int) -> list[int | None]:
-    """first_violated_member at depths 1..depth, called only at the depths before the answers repeat.
+    """first_violated_member at depths 1..depth, called only at depths 1..1 - offset.
 
-    Those are depths 1..T - offset + L - 1 (_checked_depths).  Each later
-    depth n takes the answer of depth n - L, as witness_at_every_depth
-    proves: member n + offset + 2 if that depth was ok, else None.  The
-    first depth that raises KeyError is a checked one, so the call raises
-    exactly when the per-depth calls would.
+    Each later depth n takes the answer of depth 1 - offset, as
+    witness_at_every_depth proves: member n + offset + 2 if that depth was
+    ok, else None.  The first depth that raises KeyError is a checked one,
+    so the call raises exactly when the per-depth calls would.
     """
-    last, period = _checked_depths(package)
     offset = package.witness_rule[2]
+    last = 1 - offset
     firsts = [first_violated_member(structure, package, n) for n in range(1, min(depth, last) + 1)]
-    for n in range(last + 1, depth + 1):
-        firsts.append(None if firsts[n - period - 1] is None else n + offset + 2)
-    return firsts
+    return firsts + [None if firsts[-1] is None else n + offset + 2 for n in range(last + 1, depth + 1)]
 
 
 def witness_at_every_depth(structure: FiniteStructure, package: WitnessPackage) -> bool:
-    """Whether verify_witness holds at every depth n >= 1, decided from depths 1..T - offset + L - 1.
+    """Whether verify_witness holds at every depth n >= 1, decided from depths 1..1 - offset.
 
-    With L the lcm of the generator lengths, P the tail prefix and C the lcm
-    of the tail cycles, T = max(L, P + C).  first_violated_member at depth n
-    makes two members_hold calls on switch_failing_members at the switch
-    s = n + offset, and m = s + 2.  By the lemma in switch_failing_members'
-    docstring, for s >= T both calls, and any KeyError they raise, depend
-    only on s mod L, and m - (n + offset) is always 2.  So at every depth
-    n >= T - offset, depth n + L answers as depth n does, with its own m.
-    Depths T - offset .. T - offset + L - 1 switch at T .. T + L - 1, one
-    per residue mod L, and T - offset >= 1 since every offset is -1 or 0.
-    Every depth past T - offset + L - 1 therefore repeats one of the depths
-    1..T - offset + L - 1, which first_violated_members checks, and the
-    witness holds at every depth exactly when it holds at those.  A witness
-    package has L = C = 1 and P = 0: one depth for a pair or a triple, two
-    for a quadruple.
+    first_violated_member at depth n makes two members_hold calls on
+    _failing_rows at the switch s = n + offset, with m = s + 2.  For every
+    s >= 1 the four rows are the same, and so are their members, except
+    that (u, g) sits at member s + 2 = m itself.  So at every s >= 1,
+    members_hold(m - 1) reads those of (u, t), (repeat, t) and (repeat, g)
+    that fail, and members_hold(m) adds (u, g) if it fails: both calls, and
+    any KeyError they raise, are the same at every depth n >= 1 - offset.  Offsets are -1 or 0, so 1 - offset >= 1, and the
+    witness holds at every depth exactly when it holds at depths
+    1..1 - offset: one depth for a pair or a triple, two for a quadruple.
     """
-    return None not in first_violated_members(structure, package, _checked_depths(package)[0])
+    return None not in first_violated_members(structure, package, 1 - package.witness_rule[2])

@@ -13,15 +13,6 @@ A family's slot_rows are two zipped streams of slot-value rows, one by
 generator residue and one by joint tail position, and every per-coordinate
 reading of a family goes through them; wrap's candidate scan classifies each
 of their rows once, and Staircase.member_constant writes one member out.
-switch_failing_members reads a family at a point that switches once from
-one value to another, as every witness point does: it maps every failing
-row to the least member that shows it, in closed form from at most two rows
-per source and with no point built, so a witness depth costs the same
-however deep it is.  members_hold decides members 1..N from that map as
-"no failing row of a member <= N".  Once the switch passes the generator
-period and the tail's prefix plus cycle, a witness depth's two checks repeat
-with the generator period (proof in switch_failing_members), so noetherian
-checks only the witness depths before the repeat.
 
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of
@@ -57,7 +48,7 @@ import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from itertools import chain, cycle, islice, repeat
-from operator import add, and_, itemgetter
+from operator import add, and_
 from typing import Any
 
 from .errors import InputFormatError, json_int, json_object, json_str_list
@@ -66,7 +57,6 @@ from .solver import (
     Const,
     Equation,
     EquationSystem,
-    Var,
     _with_slots,
     const_values,
     equation_from_json_dict,
@@ -214,27 +204,12 @@ class StaircaseFamily:
         cycle of C rows, C the lcm of the tail cycles.  The rows depend on the
         atom alone, and every per-coordinate reading of the family goes
         through them: projection_entries, coordinate_profile,
-        coordinate_checks, switch_failing_members, stream_horizon, wrap's
-        candidate scan, and projected_member.  A family without a constant
+        coordinate_checks, stream_horizon, wrap's candidate scan, and
+        projected_member.  A family without a constant
         slot has one empty row in each cycle.
         """
         descs = self.descriptors()
         return zip_streams([Periodic((), s.generator) for s in descs]), zip_streams([s.tail for s in descs])
-
-    @functools.cached_property
-    def row_order(self) -> Callable[[tuple[str, ...]], tuple[str, ...]] | None:
-        """Puts a row of the atom's variables' values, then its slot values, in argument order.
-
-        The variables are the atom's distinct ones in order of first
-        appearance, as switch_failing_members writes them.  None when such a
-        row already is in argument order, as it is for every atom of one
-        argument.
-        """
-        args = self.atom.args
-        names = list(dict.fromkeys(a.name for a in args if isinstance(a, Var)))
-        slots = iter(range(len(names), len(args)))
-        order = [names.index(a.name) if isinstance(a, Var) else next(slots) for a in args]
-        return None if order == list(range(len(args))) else itemgetter(*order)
 
     def coordinate_checks(self, stop: int) -> list[tuple[range, tuple[str, ...]]]:
         """(coordinates, slot values) blocks: where below `stop` some member shows each row of slot values.
@@ -459,90 +434,6 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
         columns.append(map(add, chain(tail, repeat(tail[-1])), islice(cycle(gen), stop)))
     table = [tuple(dict.fromkeys(chain.from_iterable(entry))) for entry in zip(*columns)] if columns else [()] * stop
     return Periodic(tuple(table[:stab]), tuple(table[stab:]))
-
-
-def switch_failing_members(
-    structure: FiniteStructure, family: StaircaseFamily, before: str, switch: int, after: str
-) -> dict[tuple[str, ...], int]:
-    """Each failing row of the family at a switch point, mapped to the least member that shows it.
-
-    The point is `before` below coordinate `switch` and `after` from there,
-    PowerElement((before,) * switch, (after,)), for the atom's one distinct
-    variable; an atom with any other number of distinct variables raises
-    ValueError.  A row holds the point's value at a coordinate, then a
-    member's slot values there, put in argument order by row_order; it fails
-    when the relation's label table lacks it.  Members 1..N hold exactly
-    when no row here maps to a member <= N (members_hold).
-
-    No point or column is built: at a coordinate i the point's value is
-    `before` if i < switch and `after` otherwise, so each source of slot
-    values shows at most two rows, and the least member of each is read off
-    where its value first occurs.  With L the lcm of the generator lengths,
-    P the tail prefix and C the lcm of the tail cycles:
-      * member i + 2 shows generator residue r at each i = r (mod L),
-        i >= r, and so does every later member.  The least such i below
-        switch is r itself, when r < switch; the least at or past switch is
-        the least i = r (mod L) with i >= max(r, switch).  Members i + 2 at
-        those coordinates are least;
-      * member i - j + 1 shows tail prefix position j at each i >= j.  The
-        least such i below switch is j, member 1, when j < switch; the least
-        at or past switch is max(j, switch), member max(0, switch - j) + 1;
-      * the class of tail cycle position j, the positions j + kC, k >= 0,
-        which carry its slot values, is shown by member ((i - j) mod C) + 1
-        at each i >= j.  Below switch, i = j gives member 1, when j < switch;
-        at or past switch, i runs through every residue mod C, so the member
-        is 1 there too.
-    A row that several sources or both values show keeps the least of
-    their members.  When before == after the point is that one constant,
-    and the two rows of a source coincide with the least member kept.  So
-    the map costs 2 (L + P + C) table lookups at most, at any switch.
-
-    From T = max(L, P + C) on, the two checks a witness depth makes repeat
-    with period L.  Let m = switch + 2.  When switch >= T, every residue
-    r < L and every tail position j < P + C lies below switch, so every
-    source shows its `before` row, at member r + 2 <= m - 1 or member 1.
-    Every tail `after` row has member max(0, switch - j) + 1 <= m - 1 or 1.
-    The generator `after` row of residue r has member
-    m + ((r - switch) mod L) >= m, equal to m only for r = switch (mod L).
-    The rows themselves do not depend on switch.  So the failing rows of
-    members <= m - 1 are the same set at every switch >= T, and member m
-    adds only the generator `after` row of residue switch mod L.  Both
-    members_hold(m - 1) and members_hold(m), and the KeyError either may
-    raise, depend on switch >= T only through switch mod L.
-    """
-    if len({a.name for a in family.atom.args if isinstance(a, Var)}) != 1:
-        raise ValueError("switch_failing_members reads an atom with one distinct variable")
-    generators, tails = family.slot_rows
-    gen_period, tail_prefix = len(generators.cycle), len(tails.prefix)
-    shown: list[tuple[str, tuple[str, ...], int]] = []  # (point value, slot values, least member that shows them)
-    for r, values in enumerate(generators.cycle):
-        first_after = r + gen_period * -(-max(0, switch - r) // gen_period)  # least i = r (mod L), i >= max(r, switch)
-        shown += [(before, values, r + 2)] * (r < switch) + [(after, values, first_after + 2)]
-    for j, values in enumerate(tails.prefix + tails.cycle):
-        after_member = max(0, switch - j) + 1 if j < tail_prefix else 1
-        shown += [(before, values, 1)] * (j < switch) + [(after, values, after_member)]
-    table = structure.label_table(family.atom.symbol)
-    order = family.row_order
-    failing: dict[tuple[str, ...], int] = {}
-    for key, values, member in shown:
-        row = (key,) + values if order is None else order((key,) + values)
-        if row not in table:
-            failing[row] = min(member, failing.get(row, member))
-    return failing
-
-
-def members_hold(structure: FiniteStructure, failing: Mapping[tuple[str, ...], int], last: float) -> bool:
-    """Whether members 1..last hold at a point, given each failing row's least member in `failing`.
-
-    They hold when no failing row maps to a member <= last.  Every label of
-    those rows is looked up first, rows in sorted order, so a label outside
-    the universe raises KeyError whatever the dict's order.
-    """
-    rows = sorted(row for row, member in failing.items() if member <= last)
-    for row in rows:
-        for label in row:
-            structure.index(label)  # raises for a label outside the universe
-    return not rows
 
 
 @dataclass(frozen=True)

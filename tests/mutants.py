@@ -192,41 +192,34 @@ MUTANTS = (
     Mutant(
         "first_violated_member takes depth 0",
         "src/eqpower/noetherian.py",
-        'raise ValueError("witness points are indexed from 1")\n    repeat, tail, offset',
-        "repeat, tail, offset",
+        'raise ValueError("witness points are indexed from 1")\n    offset = package.witness_rule[2]',
+        "offset = package.witness_rule[2]",
         ("tests/test_noetherian.py::test_witness_depths_are_numbered_from_1",),
     ),
     Mutant(
-        "switch_failing_members rounds the after generator coordinate down instead of up",
-        "src/eqpower/power.py",
-        "r + gen_period * -(-max(0, switch - r) // gen_period)",
-        "r + gen_period * (max(0, switch - r) // gen_period)",
-        ("tests/test_power.py::test_switch_failing_members_match_the_oracle_at_the_switch_point",),
+        "the witness family shows the repeat's rows at switch 0 too",
+        "src/eqpower/noetherian.py",
+        "if switch > 0:",
+        "if switch >= 0:",
+        ("tests/test_noetherian.py::test_failing_rows_match_the_oracle_at_every_switch",),
     ),
     Mutant(
-        "switch_failing_members gives a tail prefix after row member switch + 1, not switch - j + 1",
-        "src/eqpower/power.py",
-        "max(0, switch - j) + 1 if j < tail_prefix else 1",
-        "max(0, switch) + 1 if j < tail_prefix else 1",
-        ("tests/test_power.py::test_switch_failing_members_match_the_oracle_at_the_switch_point",),
+        "the witness family shows (u, g) at member switch + 1",
+        "src/eqpower/noetherian.py",
+        "((point_tail, generator), switch + 2)",
+        "((point_tail, generator), switch + 1)",
+        ("tests/test_noetherian.py::test_failing_rows_match_the_oracle_at_every_switch",),
     ),
     Mutant(
-        "switch_failing_members notes a before generator row when r >= switch",
-        "src/eqpower/power.py",
-        "[(before, values, r + 2)] * (r < switch)",
-        "[(before, values, r + 2)]",
-        ("tests/test_power.py::test_switch_failing_members_match_the_oracle_at_the_switch_point",),
-    ),
-    Mutant(
-        "switch_failing_members notes a before tail row when j >= switch",
-        "src/eqpower/power.py",
-        "[(before, values, 1)] * (j < switch)",
-        "[(before, values, 1)]",
-        ("tests/test_power.py::test_switch_failing_members_match_the_oracle_at_the_switch_point",),
+        "the witness family shows (repeat, g) at member 1",
+        "src/eqpower/noetherian.py",
+        "((repeat, generator), 2)",
+        "((repeat, generator), 1)",
+        ("tests/test_noetherian.py::test_failing_rows_match_the_oracle_at_every_switch",),
     ),
     Mutant(
         "members_hold filters members < last",
-        "src/eqpower/power.py",
+        "src/eqpower/noetherian.py",
         "if member <= last)",
         "if member < last)",
         (
@@ -236,7 +229,7 @@ MUTANTS = (
     ),
     Mutant(
         "a family's failing rows skip the label lookup",
-        "src/eqpower/power.py",
+        "src/eqpower/noetherian.py",
         "rows = sorted(row for row, member in failing.items() if member <= last)\n    for row in rows:\n"
         "        for label in row:\n            structure.index(label)  # raises for a label outside the universe\n"
         "    return not rows",
@@ -247,22 +240,15 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "row_order is always None",
-        "src/eqpower/power.py",
-        "return None if order == list(range(len(args))) else itemgetter(*order)",
-        "return None",
-        ("tests/test_power.py::test_row_order_puts_variable_values_then_slot_values_in_argument_order",),
-    ),
-    Mutant(
         "members_hold swallows an unknown label",
-        "src/eqpower/power.py",
+        "src/eqpower/noetherian.py",
         "structure.index(label)  # raises for a label outside the universe",
         "pass",
         ("tests/test_power.py::test_members_hold_names_an_unknown_label_whatever_the_row_order",),
     ),
     Mutant(
         "members_hold looks up only the first failing row",
-        "src/eqpower/power.py",
+        "src/eqpower/noetherian.py",
         "rows = sorted(row for row, member in failing.items() if member <= last)",
         "rows = sorted(row for row, member in failing.items() if member <= last)[:1]",
         ("tests/test_power.py::test_members_hold_names_an_unknown_label_whatever_the_row_order",),
@@ -485,25 +471,15 @@ MUTANTS = (
     Mutant(
         "first_violated_members checks one depth before the repeat too few",
         "src/eqpower/noetherian.py",
-        "+ period - 1, period",
-        "+ period - 2, period",
+        "last = 1 - offset",
+        "last = -offset",
         ("tests/test_noetherian.py::test_folded_depths_match_the_per_depth_calls_on_every_certificate",),
     ),
     Mutant(
-        "a folded witness depth reads depth n - 1, not n - L",
+        "a folded witness depth copies the member number of depth 1 - offset",
         "src/eqpower/noetherian.py",
-        "firsts[n - period - 1] is None",
-        "firsts[n - 2] is None",
-        (
-            "tests/test_noetherian.py::test_a_folded_depth_takes_the_answer_of_its_residue",
-            "tests/test_noetherian.py::test_folded_depths_match_the_per_depth_calls_on_long_generators",
-        ),
-    ),
-    Mutant(
-        "a folded witness depth copies the member number of depth n - L",
-        "src/eqpower/noetherian.py",
-        "None if firsts[n - period - 1] is None else n + offset + 2",
-        "firsts[n - period - 1]",
+        "None if firsts[-1] is None else n + offset + 2",
+        "firsts[-1]",
         (
             "tests/test_scaling.py::test_witness_checks_only_the_depths_before_its_repeat",
             "tests/test_noetherian.py::test_folded_depths_match_the_per_depth_calls_on_every_certificate",

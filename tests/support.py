@@ -931,32 +931,6 @@ def planted_power_system(rng: random.Random, structure: FiniteStructure) -> tupl
     return PowerSystem(variables, explicit, families), point
 
 
-def one_variable_families(rng: random.Random, draw: str) -> tuple[FiniteStructure, list[StaircaseFamily]]:
-    """A structure and the families of one drawn system whose atoms read one distinct variable.
-
-    "random" draws random_power_system on a random binary structure,
-    "planted" planted_power_system on a planted structure, and "quaternary"
-    planted_power_system on quaternary_structure, whose families have two
-    constant slots and may repeat their variable.  "long" draws one family
-    R(x, stair) or R(stair, x) on a random binary structure, with a
-    generator of 1-4 labels and a tail of prefix 0-3 and cycle 1-4.
-    """
-    if draw == "long":
-        structure = random_relational_structure(rng)
-        return structure, [long_family(rng, list(structure.universe))]
-    if draw == "random":
-        structure = random_relational_structure(rng)
-        system = random_power_system(rng, structure, max_prefix=3, max_cycle=4)
-    else:
-        if draw == "planted":
-            structure = rng.choice(sorted(planted_structures().items()))[1][1]
-        else:
-            structure = quaternary_structure()
-        system, _ = planted_power_system(rng, structure)
-    readers = [fam for fam in system.families if len({a.name for a in fam.atom.args if isinstance(a, Var)}) == 1]
-    return structure, readers
-
-
 def long_family(rng: random.Random, labels) -> StaircaseFamily:
     """R(x, stair) or R(stair, x) with a generator of 1-4 labels and a tail of prefix 0-3 and cycle 1-4."""
 
@@ -971,7 +945,7 @@ def long_family(rng: random.Random, labels) -> StaircaseFamily:
 def profile_power_system(rng: random.Random, draw: str) -> tuple[FiniteStructure, PowerSystem]:
     """A structure and a system on which coordinate_profile's residue tables do the work.
 
-    "long" is one_variable_families' one long family.  "truncated" is such
+    "long" is one long_family.  "truncated" is such
     a family's members 1..N written out by explicit_members, with N below,
     at or above its tail cycle C (N = 1 when C = 1 has nothing below it),
     and half the time the family itself after them.  "two-slot" is

@@ -2,11 +2,8 @@ import json
 import random
 from collections import Counter
 from itertools import product
-from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import support
 from support import (
@@ -21,6 +18,7 @@ from support import (
 )
 from eqpower.errors import InputFormatError, InvalidCertificateError
 from eqpower.fixtures import triangle_graph
+from eqpower import noetherian
 from eqpower.noetherian import (
     KIND_CERTIFICATES,
     NOETHERIAN,
@@ -39,7 +37,7 @@ from eqpower.noetherian import (
 )
 from eqpower.power import PowerElement, PowerSystem, Staircase, StaircaseFamily, consistent, satisfies
 from eqpower.solver import Const, RelationAtom, Var
-from eqpower.structures import FiniteStructure, Signature, graph_from_edges, matroid_signature
+from eqpower.structures import FiniteStructure, graph_from_edges, matroid_signature
 
 
 def uniform_rank2_matroid3() -> FiniteStructure:
@@ -417,17 +415,40 @@ def test_first_violated_member_names_an_unknown_label_as_the_truncation_checks_d
     assert first_violated_member(g, earlier, 1) is None and not verify_witness(g, earlier, 1)
 
 
+def test_failing_rows_match_the_oracle_at_every_switch():
+    """The four-row closed form equals oracle_failing_members, dict for dict, on every certificate at switches 0..3.
+
+    Certificates run over each fixture's labels plus "zz", outside the
+    universe, obstruction or not.  The point is the rule's repeat below the
+    switch and the point tail from there, and the oracle reads members
+    1..switch + 2 of the family coordinate by coordinate: with L = 1 its
+    docstring shows that no later member shows a new row.
+    """
+    lengths = {"pair": 2, "triple": 3, "quadruple": 4}
+    cases = 0
+    for kind, structure in support.fixture_structures().values():
+        labels = (*structure.universe, "zz")
+        for shape in KIND_CERTIFICATES[kind]:
+            for certificate in product(labels, repeat=lengths[shape]):
+                package = WitnessPackage(kind, certificate)
+                repeat, point_tail, _ = package.witness_rule
+                for switch in range(4):
+                    point = PowerElement((repeat,) * switch, (point_tail,))
+                    expected = support.oracle_failing_members(structure, package.family, {"x": point}, switch + 2)
+                    assert noetherian._failing_rows(structure, package, switch) == expected, (package, switch)
+                    cases += 1
+    assert cases > 16000
+
+
 def _folded_and_per_depth_answers(structure, package) -> list:
     """Assert first_violated_members and witness_at_every_depth against per-depth calls; return those answers.
 
-    Depths run to T + 5L past the offset, T = max(L, P + C) read off the
-    family's slot_rows.  A depth whose call raises KeyError answers with the
-    message; first_violated_members(d) must raise it exactly when a depth
-    <= d does, and otherwise list the answers of depths 1..d.
+    Depths run to 1 - offset + 5, five past the last checked depth.  A
+    depth whose call raises KeyError answers with the message;
+    first_violated_members(d) must raise it exactly when a depth <= d does,
+    and otherwise list the answers of depths 1..d.
     """
-    generators, tails = package.family.slot_rows
-    period = len(generators.cycle)
-    depth = max(period, len(tails.prefix) + len(tails.cycle)) - package.witness_rule[2] + 5 * period
+    depth = 1 - package.witness_rule[2] + 5
     answers = []
     for n in range(1, depth + 1):
         try:
@@ -457,9 +478,9 @@ def test_folded_depths_match_the_per_depth_calls_on_every_certificate():
 
     Most are not obstructions, so their points fail at some depths; some
     fail at depth 1 only or hold there only, where a quadruple's point is
-    its tail alone.  Each package folds depths past T - offset + L - 1 onto
-    depth n - L, and the fold matches the per-depth calls at depths up to
-    T + 5L past the offset.
+    its tail alone.  Each package folds depths past 1 - offset onto depth
+    1 - offset, and the fold matches the per-depth calls at the five depths
+    after it.
     """
     lengths = {"pair": 2, "triple": 3, "quadruple": 4}
     mixed = 0
@@ -473,51 +494,6 @@ def test_folded_depths_match_the_per_depth_calls_on_every_certificate():
         answers = _folded_and_per_depth_answers(structure, package)
         mixed += len({a is None for a in answers}) == 2
     assert len(cases) > 1500 and mixed > 0
-
-
-@settings(deadline=None, max_examples=150)
-@given(st.integers(0, 2**30), st.sampled_from(["long", "dense", "planted", "quaternary"]), st.sampled_from([-1, 0]))
-def test_folded_depths_match_the_per_depth_calls_on_long_generators(seed, draw, offset):
-    """first_violated_members reads L, P and C from the family, so it folds any package with that interface.
-
-    Witness packages have L = 1, so here a stand-in package pairs drawn
-    families (generators of up to 4 labels, or L = 6 with two slots) with
-    a random witness rule, its labels drawn from the universe and "zz".
-    A "dense" draw keeps a "long" family but lacks only one or two rows of
-    R, so that whether a depth holds often turns on its residue mod L.
-    """
-    rng = random.Random(seed)
-    structure, families = support.one_variable_families(rng, "long" if draw == "dense" else draw)
-    if draw == "dense":
-        pairs = list(product(structure.universe, repeat=2))
-        missing = rng.sample(pairs, min(len(pairs), rng.randint(1, 2)))
-        rows = [row for row in pairs if row not in missing]
-        structure = FiniteStructure(Signature((("R", 2),)), structure.universe, {"R": rows})
-    labels = [*structure.universe, "zz"]
-    for fam in families:
-        rule = (rng.choice(labels), rng.choice(labels), offset)
-        _folded_and_per_depth_answers(structure, SimpleNamespace(family=fam, witness_rule=rule))
-
-
-def test_a_folded_depth_takes_the_answer_of_its_residue():
-    """With L = 2 the witness holds at every other depth, and each folded depth copies depth n - 2.
-
-    On {a, b, c} with every pair but (c, a), the family R(x, stair(a, b; b))
-    at the point b..b c c .. (offset 0) fails only the generator row (c, a).
-    From switch T = 2 on, depth n is ok exactly when its member n + 2 shows
-    that row first, at even n; depth 1 switches below T, and its member 3
-    shows (c, b), which holds.  Depths 1..3 are checked.
-    """
-    labels = ("a", "b", "c")
-    rows = [row for row in product(labels, repeat=2) if row != ("c", "a")]
-    structure = FiniteStructure(Signature((("R", 2),)), labels, {"R": rows})
-    stair = Staircase(("a", "b"), PowerElement((), ("b",)))
-    package = SimpleNamespace(family=StaircaseFamily(RelationAtom("R", (Var("x"), Const(stair)))),
-                              witness_rule=("b", "c", 0))
-    expected = [None if n % 2 else n + 2 for n in range(1, 11)]
-    assert [first_violated_member(structure, package, n) for n in range(1, 11)] == expected
-    assert first_violated_members(structure, package, 10) == expected
-    assert not witness_at_every_depth(structure, package)
 
 
 def test_union_of_passing_graphs_passes_small():

@@ -13,7 +13,8 @@ import support
 from support import constant_stream
 from eqpower.errors import InputFormatError, UnboundVariableError
 from eqpower.fixtures import staircase_demo_system, triangle_graph
-from eqpower import power
+from eqpower import noetherian, power
+from eqpower.noetherian import WitnessPackage
 from eqpower.power import (
     Periodic,
     PowerElement,
@@ -25,7 +26,6 @@ from eqpower.power import (
     coordinate_masks,
     coordinate_profile,
     horizon,
-    members_hold,
     power_system_from_json_dict,
     power_system_to_json_dict,
     power_systems_equivalent,
@@ -35,7 +35,6 @@ from eqpower.power import (
     resolve_source,
     satisfies,
     stream_horizon,
-    switch_failing_members,
     zip_streams,
 )
 from eqpower.solver import AtomClassifier, Const, RelationAtom, Var, solve
@@ -723,116 +722,6 @@ def test_satisfies_matches_oracle_on_long_prefixes(case):
     assert satisfies(structure, system, point) == support.oracle_satisfies(structure, system, point)
 
 
-def _switch_values(rng: random.Random, structure: FiniteStructure, values: str) -> tuple[str, str]:
-    """(before, after): two drawn labels, one label twice ("same"), or "zz", outside the universe, on one side."""
-    labels = list(structure.universe)
-    before, after = rng.choice(labels), rng.choice(labels)
-    if values == "same":
-        after = before
-    elif values == "unknown before":
-        before = "zz"
-    elif values == "unknown after":
-        after = "zz"
-    return before, after
-
-
-@settings(deadline=None, max_examples=200)
-@given(
-    st.integers(0, 2**30),
-    st.sampled_from(["random", "long", "planted", "quaternary"]),
-    st.integers(0, 12),
-    st.sampled_from(["two", "same", "unknown before", "unknown after"]),
-)
-def test_switch_failing_members_match_the_oracle_at_the_switch_point(seed, draw, switch, values):
-    """The closed form equals oracle_failing_members at PowerElement((before,) * switch, (after,)), dict for dict.
-
-    The oracle reads members 1..switch + L + 1, L the lcm of the generator
-    lengths, which its docstring shows is every member that shows a new row.
-    Families come from random, long-generator, planted and
-    quaternary_structure systems (support.one_variable_families), the last
-    with two constant slots and often a repeated variable; switch
-    runs from 0; before and after are two drawn labels, one label twice, or
-    one of them is "zz", outside the universe, which both readers only put
-    in failing rows.
-    """
-    rng = random.Random(seed)
-    structure, families = support.one_variable_families(rng, draw)
-    before, after = _switch_values(rng, structure, values)
-    for fam in families:
-        (variable,) = {a.name for a in fam.atom.args if isinstance(a, Var)}
-        point = PowerElement((before,) * switch, (after,))
-        last = switch + math.lcm(*(len(s.generator) for s in fam.descriptors())) + 1
-        expected = support.oracle_failing_members(structure, fam, {variable: point}, last)
-        assert switch_failing_members(structure, fam, before, switch, after) == expected, (fam, point)
-
-
-def test_switch_failing_members_pinned():
-    """Pinned cases: a repeated variable, switch 0, one value twice, an unknown label; other atoms are refused."""
-    q = support.quaternary_structure()  # Q rows: aaab, abbb, baaa
-    a_then_b = Staircase(("a",), PowerElement((), ("b",)))
-    repeated = StaircaseFamily(RelationAtom("Q", (x, Const(a_then_b), x, Const(a_then_b))))
-    prefixed = Staircase(("b",), PowerElement(("a", "a"), ("b",)))
-    cases = [
-        # member n shows the generator a at coordinates 0..n-2 and the tail b from n - 1 on
-        (repeated, "a", 2, "b", {("a", "a", "a", "a"): 2, ("a", "b", "a", "b"): 1, ("b", "a", "b", "a"): 4,
-                                  ("b", "b", "b", "b"): 1}),
-        (repeated, "b", 0, "b", {("b", "a", "b", "a"): 2, ("b", "b", "b", "b"): 1}),
-        (repeated, "zz", 0, "a", {("a", "a", "a", "a"): 2, ("a", "b", "a", "b"): 1}),
-        (repeated, "a", 1, "zz", {("a", "a", "a", "a"): 2, ("a", "b", "a", "b"): 1, ("zz", "a", "zz", "a"): 3,
-                                   ("zz", "b", "zz", "b"): 1}),
-        # tail prefix position 1 first shows b at coordinate 3, to member 3 = 3 - 1 + 1
-        (StaircaseFamily(RelationAtom("Q", (x, Const(prefixed), x, Const(prefixed)))), "a", 3, "b",
-         {("a", "a", "a", "a"): 1, ("a", "b", "a", "b"): 1, ("b", "a", "b", "a"): 3, ("b", "b", "b", "b"): 1}),
-    ]
-    for fam, before, switch, after, expected in cases:
-        point = PowerElement((before,) * switch, (after,))
-        assert support.oracle_failing_members(q, fam, {"x": point}, switch + 2) == expected  # L = 1
-        assert switch_failing_members(q, fam, before, switch, after) == expected
-    g = triangle_graph()
-    stair = Const(a_then_b)
-    for atom in (RelationAtom("E", (stair, stair)), RelationAtom("E", (x, Var("y"))),
-                 RelationAtom("Q", (x, stair, Var("y"), stair))):
-        with pytest.raises(ValueError, match="one distinct variable"):
-            switch_failing_members(g, StaircaseFamily(atom), "a", 1, "b")
-
-
-@settings(deadline=None, max_examples=200)
-@given(
-    st.integers(0, 2**30),
-    st.sampled_from(["long", "random", "planted", "quaternary"]),
-    st.sampled_from(["two", "same", "unknown before", "unknown after"]),
-)
-def test_witness_checks_repeat_with_the_generator_period_from_T(seed, draw, values):
-    """From switch T = max(L, P + C) on, members_hold at m - 1 and at m, m = switch + 2, depend only on switch mod L.
-
-    Each call's answer, or the KeyError message it raises, is taken on
-    switch_failing_members at every switch 0..T + 5L, and each switch
-    s >= T must answer as the folded switch T + (s - T) mod L does.
-    "long" families have generators of up to 4 labels, tail prefixes up to
-    3 and tail cycles up to 4; two-slot "quaternary" ones have L = 6.
-    """
-    rng = random.Random(seed)
-    structure, families = support.one_variable_families(rng, draw)
-    before, after = _switch_values(rng, structure, values)
-
-    def held(failing, last):
-        try:
-            return members_hold(structure, failing, last)
-        except KeyError as exc:
-            return exc.args[0]
-
-    for fam in families:
-        generators, tails = fam.slot_rows
-        period = len(generators.cycle)
-        start = max(period, len(tails.prefix) + len(tails.cycle))
-        checks = []
-        for switch in range(start + 5 * period + 1):
-            failing = switch_failing_members(structure, fam, before, switch, after)
-            checks.append((held(failing, switch + 1), held(failing, switch + 2)))
-        folded = [checks[start + (s - start) % period] for s in range(start, len(checks))]
-        assert checks[start:] == folded, fam
-
-
 @settings(deadline=None, max_examples=200)
 @given(st.data())
 def test_coordinate_checks_cover_every_member_projection(data):
@@ -873,27 +762,6 @@ def test_slot_rows_pinned():
         Periodic((), (("a", "c"), ("b", "a"), ("c", "c"), ("a", "a"), ("b", "c"), ("c", "a"))),
         Periodic((("a", "b"), ("c", "b")), (("b", "b"), ("a", "b"))),
     )
-    assert fam.row_order is None
-
-
-def test_row_order_puts_variable_values_then_slot_values_in_argument_order():
-    """A row is the distinct variables' values in order of first appearance, then the slot values."""
-    stair = Const(Staircase(("a",), PowerElement((), ("b",))))
-    y = Var("y")
-    cases = [
-        (RelationAtom("T", (stair, x, y)), ("u", "v", "s"), ("s", "u", "v")),
-        (RelationAtom("T", (y, stair, x)), ("u", "v", "s"), ("u", "s", "v")),
-        (RelationAtom("T", (x, stair, x)), ("u", "s"), ("u", "s", "u")),
-        (RelationAtom("T", (stair, stair, x)), ("u", "s", "t"), ("s", "t", "u")),
-        (RelationAtom(EQUALITY, (stair, x)), ("u", "s"), ("s", "u")),
-    ]
-    for atom, row, expected in cases:
-        fam = StaircaseFamily(atom)
-        assert fam.row_order(row) == expected
-    for atom in (
-        RelationAtom("T", (x, y, stair)), RelationAtom("T", (x, stair, stair)), RelationAtom(EQUALITY, (x, stair)),
-    ):
-        assert StaircaseFamily(atom).row_order is None
 
 
 def test_satisfies_edge_cases_match_oracle():
@@ -1016,20 +884,20 @@ def test_satisfies_names_an_unknown_label_whatever_the_row_order():
 def test_members_hold_names_an_unknown_label_whatever_the_row_order():
     """members_hold names the unknown label beside a failing row of known labels, whatever the dict's order.
 
-    Every member of E(x, stair(a; a)) is the constant a, so on the triangle
-    the point that is zk at coordinate 0 and a from there fails member 1 on
-    (zk, a) and on (a, a).  Over 40 labels zk, each dict order and each
-    bound, a check that looks up only one failing row misses some of them.
+    The certificate (a, a, zk, a) gives the family E(x, stair(a; a)), every
+    member the constant a, so on the triangle the point that is zk at
+    coordinate 0 and a from there (switch 1) fails member 1 on (zk, a) and
+    on (a, a).  Over 40 labels zk, each dict order and each bound, a check
+    that looks up only one failing row misses some of them.
     """
     g = triangle_graph()
-    fam = StaircaseFamily(RelationAtom("E", (x, Const(Staircase(("a",), constant_stream("a"))))))
     for k in range(40):
-        failing = switch_failing_members(g, fam, f"z{k}", 1, "a")
+        failing = noetherian._failing_rows(g, WitnessPackage("graph", ("a", "a", f"z{k}", "a")), 1)
         assert failing == {(f"z{k}", "a"): 1, ("a", "a"): 1}
         for rows in (failing, dict(reversed(failing.items()))):
             for last in (1, math.inf):
                 with pytest.raises(KeyError, match=f"unknown universe element 'z{k}'"):
-                    members_hold(g, rows, last)
+                    noetherian.members_hold(g, rows, last)
 
 
 def test_satisfies_rejects_bad_points_like_the_oracle():

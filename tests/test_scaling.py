@@ -187,9 +187,9 @@ def test_consistent_on_a_14_variable_path_builds_its_cylinders_in_well_under_a_s
 def test_witness_depths_read_one_scan_each_and_build_no_truncation():
     """Each witness depth, 1..60 or 10**6, reads the same few table rows and builds no point, column or truncation.
 
-    first_violated_member reads the witness family in closed form through
-    switch_failing_members: no coordinate_masks scan, no PowerElement and no
-    StaircaseFamily, so a depth costs O(L + P + C) row lookups in the
+    first_violated_member reads the witness family's four rows in closed
+    form from the certificate: no coordinate_masks scan, no PowerElement and
+    no StaircaseFamily, so a depth costs at most four row lookups in the
     relation's label table, the same number at every depth that has a
     repeat before its tail.
     """
@@ -234,15 +234,15 @@ def _witness_json(depth: int) -> str:
 
 
 def test_witness_checks_only_the_depths_before_its_repeat():
-    """witness --depth 100000 reads switch_failing_members twice, and its document is the per-depth loop's.
+    """witness --depth 100000 reads the family's failing rows twice, and its document is the per-depth loop's.
 
-    The triangle's quadruple has L = C = 1, P = 0 and offset -1, so T = 1
-    and first_violated_members checks depths 1..T - offset + L - 1 = 2;
-    every later depth repeats depth n - 1.  At depth 200 the document is
+    The triangle's quadruple has offset -1, so first_violated_members
+    checks depths 1..1 - offset = 2, and every later depth takes the answer
+    of depth 2.  At depth 200 the document is
     byte for byte the one that calling first_violated_member at every depth
     writes.
     """
-    with mock.patch.object(noetherian, "switch_failing_members", wraps=power.switch_failing_members) as reads:
+    with mock.patch.object(noetherian, "_failing_rows", wraps=noetherian._failing_rows) as reads:
         doc = json.loads(_witness_json(100_000))
     assert reads.call_count == 2
     assert doc["all_ok"] is True and len(doc["checked_members"]) == 100_000
