@@ -24,7 +24,7 @@ class InvalidCertificateError(ValueError):
 
 
 def json_object(doc: Any, keys: set[str], what: str) -> Mapping:
-    if not isinstance(doc, Mapping) or set(doc) != keys:
+    if (type(doc) is not dict and not isinstance(doc, Mapping)) or set(doc) != keys:
         raise InputFormatError(f"{what} must be an object with keys {sorted(keys)}, got {doc!r}")
     return doc
 

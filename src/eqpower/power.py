@@ -11,8 +11,9 @@ present one equation per n >= 1 by splicing a repeating generator stream in
 front of a shifted tail stream.
 A family's slot_rows are two zipped streams of slot-value rows, one by
 generator residue and one by joint tail position, and every per-coordinate
-reading of a family goes through them; wrap's candidate scan classifies each
-of their rows once, and Staircase.member_constant writes one member out.
+reading of a family goes through them, except that projection_entries reads
+its one generator row off the descriptors; wrap's candidate scan classifies
+each of their rows once, and Staircase.member_constant writes one member out.
 
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of
@@ -21,12 +22,12 @@ power_systems_equivalent, satisfies and wrap's verify_wrap are queries on
 it.  Every per-row classification here, in coordinate_masks,
 coordinate_profile and wrap's candidate scan, reads AtomClassifier.rows of
 the one AtomClassifier.of that serves a structure and variable list, so a
-row of slot values is built into an atom and classified once per atom shape
-and job, and consistent's core search reuses the masks.  coordinate_masks
-ANDs whole columns: an explicit equation's masks by coordinate, a generator
-residue's mask into its stepped slice, and one running AND over a family's
-blocks that run to the end of the scan, so every tail position costs one
-mask, not one per coordinate.
+row of slot values is classified once per atom shape and job, straight from
+the relation table and never built into an atom, and consistent's core
+search reuses the masks.  coordinate_masks ANDs whole columns: an explicit
+equation's masks by coordinate, a generator residue's mask into its stepped
+slice, and one running AND over a family's blocks that run to the end of
+the scan, so every tail position costs one mask, not one per coordinate.
 projection_entries lists pi_i at one coordinate in projection order, each
 distinct equation with its earliest source: each explicit equation's
 explicit_rows at i, then per family the rows its members show, which at
@@ -205,11 +206,16 @@ class StaircaseFamily:
         atom alone, and every per-coordinate reading of the family goes
         through them: projection_entries, coordinate_profile,
         coordinate_checks, stream_horizon, wrap's candidate scan, and
-        projected_member.  A family without a constant
-        slot has one empty row in each cycle.
+        projected_member.  A family without a constant slot has one empty
+        row in each cycle.  tails is tail_rows, which projection_entries
+        reads alone, taking its one generator row off the descriptors.
         """
-        descs = self.descriptors()
-        return zip_streams([Periodic((), s.generator) for s in descs]), zip_streams([s.tail for s in descs])
+        return zip_streams([Periodic((), s.generator) for s in self.descriptors()]), self.tail_rows
+
+    @functools.cached_property
+    def tail_rows(self) -> Periodic:
+        """slot_rows' tails alone, computed on first use."""
+        return zip_streams([s.tail for s in self.descriptors()])
 
     def coordinate_checks(self, stop: int) -> list[tuple[range, tuple[str, ...]]]:
         """(coordinates, slot values) blocks: where below `stop` some member shows each row of slot values.
@@ -272,7 +278,11 @@ class PowerSystem:
         def stream(v: Any) -> PowerElement:
             return v if isinstance(v, PowerElement) else PowerElement((), (v,))
 
-        object.__setattr__(self, "explicit", tuple(map_constants(eq, stream) for eq in self.explicit))
+        def streams(eq: Equation) -> Equation:
+            written = all(isinstance(a.value, PowerElement) for a in eq.args if isinstance(a, Const))
+            return eq if written else map_constants(eq, stream)
+
+        object.__setattr__(self, "explicit", tuple(map(streams, self.explicit)))
         object.__setattr__(self, "families", tuple(self.families))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variables: {self.variables}")
@@ -335,19 +345,20 @@ def projection_entries(system: PowerSystem, i: int) -> dict[Equation, SourceRef]
     position p < i - C + 1 shows the row of some p + kC in i - C + 1 .. i,
     a lesser member, so the walk goes from max(P, i - C + 1) straight to the
     prefix positions min(i, P - 1) .. 0: at most P + C tail reads and one
-    generator read however large i is.
+    generator read however large i is.  The generator row is read off the
+    descriptors at i, so no stream of the L generator rows is built.
     """
     out: dict[Equation, SourceRef] = {}
     for index, (eq, rows) in enumerate(zip(system.explicit, system.explicit_rows)):
         out.setdefault(_with_slots(eq, rows.at(i)), SourceRef(index))
     for index, fam in enumerate(system.families):
-        generators, tails = fam.slot_rows
+        tails = fam.tail_rows
         tail_prefix, tail_cycle = len(tails.prefix), len(tails.cycle)
         walk = chain(range(i, max(tail_prefix, i - tail_cycle + 1) - 1, -1), range(min(i, tail_prefix - 1), -1, -1))
         members: dict[tuple[str, ...], int] = {}  # each row the family shows at i, to its least member
         for j in walk:
             members.setdefault(tails.at(j), i - j + 1)
-        members.setdefault(generators.at(i), i + 2)
+        members.setdefault(tuple(s.generator[i % len(s.generator)] for s in fam.descriptors()), i + 2)
         for values, member in members.items():
             out.setdefault(_with_slots(fam.atom, values), SourceRef(index, member))
     return out
@@ -634,7 +645,7 @@ def power_system_from_json_dict(doc: Any) -> PowerSystem:
     variables, entries = system_fields_from_json(doc)
     explicit, families = [], []
     for entry in entries:
-        if isinstance(entry, Mapping) and set(entry) == {"family"}:
+        if (type(entry) is dict or isinstance(entry, Mapping)) and set(entry) == {"family"}:
             families.append(family_from_json_dict(entry))
         else:
             explicit.append(power_equation_from_json_dict(entry))

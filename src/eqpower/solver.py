@@ -4,8 +4,8 @@ An equation is a relation atom whose arguments are variables or constants;
 an equality is an atom of EQUALITY, every structure's diagonal relation.  A
 solution set over n variables and a k-element universe is a subset of the
 k^n assignments, held as one int: bit j stands for the j-th
-assignment of itertools.product(universe, repeat=n).  AtomClassifier builds an
-atom's mask from the relation table with big-int ANDs and ORs, so solving,
+assignment of itertools.product(universe, repeat=n).  AtomClassifier builds a
+row's mask from the relation table with big-int ANDs and ORs, so solving,
 intersecting systems and searching for minimal cores are mask arithmetic.
 Masks are decoded into label tuples only where a result leaves the solver
 (AlgebraicSet, and the solution sets that wrap reports).
@@ -15,11 +15,15 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product
+from operator import and_, itemgetter, or_
 from typing import Any
 
 from .errors import InputFormatError, UnboundVariableError, json_list, json_object, json_str, json_str_list
 from .structures import EQUALITY, FiniteStructure
+
+CYLINDER_BUDGET_BYTES = 2**30  # the most AtomClassifier's cylinders may take; see its docstring
 
 
 @dataclass(frozen=True)
@@ -127,28 +131,41 @@ class AtomClassifier:
     pick out, an equality's table being the diagonal; repeated variables
     need no special case because disjoint cylinders AND to zero.
 
+    The classifier classifies rows, not atoms.  rows(atom) is the one memo:
+    a dict from a row of slot values to the mask of the atom with that row
+    in its constant slots.  It is keyed by the atom's shape, its symbol and
+    each argument's variable name (None for a constant slot), not by the
+    atom, so an explicit equation, a family and a merged copy of the same
+    shape share one memo, and no lookup hashes their stream constants.  A
+    missing row is classified straight from the relation table by the
+    shape's plan (_RowMasks) and never built into an atom, unless it fails
+    check_equation, which then raises where the row is first met.
+    mask(eq) is the entry of eq's own constants in that memo.
+
     mask and system_mask are the working interface.  solutions and
     system_solutions decode masks into label-tuple frozensets,
     memoized per mask so equal sets come back as the same object.
 
-    rows(atom) is the one row memo: a dict from a row of slot values to the
-    mask of the atom with that row in its constant slots, filled on first
-    lookup through mask, so a bad row raises where it is first met.  It is
-    keyed by the atom's shape, its symbol and each argument's variable name
-    (None for a constant slot), not by the atom, so an explicit equation, a
-    family and a merged copy of the same shape share one memo, and no
-    lookup hashes their stream constants.
-
     AtomClassifier.of(structure, variables) is the one classifier that
     solve, equivalent, minimal_inconsistent_subset and every phase of the
     power layer (coordinate_profile, wrap's candidate scan, coordinate_masks)
-    share for a structure and variable list, so an atom is checked by
-    check_equation and built once however many of them meet it.  It is
+    share for a structure and variable list, so a row of an atom shape is
+    checked and classified once however many of them meet it.  It is
     memoized on the structure instance and dies with it.
 
     Element u's cylinder for variable p repeats every k * block bits, block
     being k^(n - 1 - p); __init__ writes one period out and doubles it by
     shift and OR up to k^n bits, then shifts it by u * block per element.
+    The n * k cylinders take about n * k * k^n / 8 bytes.  __init__ refuses,
+    with a ValueError that names k, n, k^n and the estimate, any variable
+    list whose cylinders would pass CYLINDER_BUDGET_BYTES, before it
+    allocates anything, so the CLI reports it as an input error (exit 2).
+    Without the check 40 variables over the triangle (3^40 bits a mask) died
+    with a MemoryError and exit 1, which reads as "no solution".  The limit
+    is fixed, not an option: it admits 17 variables over three elements
+    (about 820 MB of cylinders, 15 MB a mask), and one more variable asks
+    for 2.5 GB of cylinders before any answer, more than a machine of a few
+    GB can spare.
     """
 
     def __init__(self, structure: FiniteStructure, variables: tuple[str, ...]) -> None:
@@ -156,6 +173,13 @@ class AtomClassifier:
         self.variables = tuple(variables)
         k, n = structure.size, len(self.variables)
         self.space_size = k**n
+        estimate = n * k * self.space_size // 8
+        if estimate > CYLINDER_BUDGET_BYTES:
+            raise ValueError(
+                f"{n} variables over {k} elements give {k}^{n} = {self.space_size:,} assignments;"
+                f" their cylinder masks would take about {estimate / 2**20:,.0f} MB,"
+                f" over the {CYLINDER_BUDGET_BYTES // 2**20:,} MB limit"
+            )
         self.full = (1 << self.space_size) - 1
         self._position = {v: p for p, v in enumerate(self.variables)}
         self._cylinders = []
@@ -167,7 +191,6 @@ class AtomClassifier:
                 width *= 2
             first &= self.full
             self._cylinders.append([first << u * block for u in range(k)])
-        self._masks: dict[Equation, int] = {}
         self._rows: dict[tuple[str, tuple[str | None, ...]], _RowMasks] = {}
         self._decoded: dict[int, frozenset[tuple[str, ...]]] = {}
 
@@ -181,11 +204,7 @@ class AtomClassifier:
         return classifier
 
     def mask(self, eq: Equation) -> int:
-        cached = self._masks.get(eq)
-        if cached is None:
-            check_equation(self.structure, self.variables, eq)
-            cached = self._masks[eq] = self._build_mask(eq)
-        return cached
+        return self.rows(eq)[const_values(eq)]
 
     def rows(self, atom: Equation) -> "_RowMasks":
         """The shared memo from a row of slot values to the mask of the atom with that row in its slots."""
@@ -194,21 +213,6 @@ class AtomClassifier:
         if memo is None:
             memo = self._rows[key] = _RowMasks(self, atom)
         return memo
-
-    def _build_mask(self, eq: Equation) -> int:
-        index, position, cylinders = self.structure.index, self._position, self._cylinders
-        slots = [(position[a.name], None) if isinstance(a, Var) else (None, index(a.value)) for a in eq.args]
-        out = 0
-        for row in self.structure.index_table(eq.symbol):
-            m = self.full
-            for (p, c), u in zip(slots, row):
-                if p is not None:
-                    m &= cylinders[p][u]
-                elif c != u:
-                    break
-            else:
-                out |= m
-        return out
 
     def system_mask(self, equations: Iterable[Equation]) -> int:
         m = self.full
@@ -234,19 +238,62 @@ class AtomClassifier:
 
 
 class _RowMasks(dict):
-    """AtomClassifier.rows' memo for one atom shape: row -> mask, each missing row classified through mask.
+    """AtomClassifier.rows' memo for one atom shape: row of slot values -> mask, a missing row classified by the plan.
 
-    The first atom of the shape is kept as the template; every atom of the
-    shape gives the same atom once its slots hold the row.
+    The first atom of the shape is kept as the template.  The first miss
+    builds the shape's plan: the relation's index_table, an itemgetter of
+    the constant slots' argument positions, and per variable argument its
+    position and its variable's cylinders.  A miss indexes the row's labels,
+    picks the table rows that hold them at the slots with one comprehension,
+    and ORs, over those, the AND of the cylinders they pick; a shape with
+    one or two variable arguments takes one reduce over a list.  A shape
+    that fails check_equation (unknown symbol, wrong arity, undeclared
+    variable) gets no plan, and a row with a label outside the universe is
+    not indexed: either way the miss builds the atom with the row in its
+    slots and raises check_equation's error for it, so every error text has
+    one source.  No row that passes is built into an atom.
     """
 
     def __init__(self, classifier: AtomClassifier, template: Equation) -> None:
         super().__init__()
         self._classifier = classifier
         self._template = template
+        self._plan: tuple | None = None  # (index table, slot picker or None, [(position, cylinders)])
+
+    def _make_plan(self) -> tuple | None:
+        classifier, atom = self._classifier, self._template
+        try:
+            arity = classifier.structure.signature.arity(atom.symbol)
+        except KeyError:
+            return None
+        if arity != len(atom.args) or any(isinstance(a, Var) and a.name not in classifier._position for a in atom.args):
+            return None
+        slots = [p for p, a in enumerate(atom.args) if not isinstance(a, Var)]
+        cylinders = classifier._cylinders
+        variables = [(p, cylinders[classifier._position[a.name]]) for p, a in enumerate(atom.args) if isinstance(a, Var)]
+        return classifier.structure.index_table(atom.symbol), itemgetter(*slots) if slots else None, variables
 
     def __missing__(self, row: tuple[Any, ...]) -> int:
-        mask = self[row] = self._classifier.mask(_with_slots(self._template, row))
+        classifier = self._classifier
+        plan = self._plan = self._plan or self._make_plan()
+        labels = tuple(map(classifier.structure._index.get, row))
+        if plan is None or None in labels:
+            check_equation(classifier.structure, classifier.variables, _with_slots(self._template, row))
+            raise AssertionError(f"check_equation passed {row!r}, which the plan rejects")
+        table, pick, variables = plan
+        if pick is not None:  # itemgetter gives one entry for one slot, a tuple for more
+            want = labels if len(labels) > 1 else labels[0]
+            table = [t for t in table if pick(t) == want]
+        if len(variables) == 1:
+            ((p, cylinders),) = variables
+            mask = reduce(or_, [cylinders[t[p]] for t in table], 0)
+        elif len(variables) == 2:
+            (p, first), (q, second) = variables
+            mask = reduce(or_, [first[t[p]] & second[t[q]] for t in table], 0)
+        else:
+            full = classifier.full
+            mask = reduce(or_, [reduce(and_, [c[t[p]] for p, c in variables], full) for t in table], 0)
+        self[row] = mask
         return mask
 
 
@@ -320,7 +367,7 @@ def arg_to_json_dict(arg: Arg, const: ConstCodec = _BASE_CONST_ENCODER) -> dict:
 
 def arg_from_json_dict(doc: Any, const: ConstCodec = _BASE_CONST_DECODER) -> Arg:
     key, decode = const
-    if isinstance(doc, Mapping) and len(doc) == 1:
+    if (type(doc) is dict or isinstance(doc, Mapping)) and len(doc) == 1:
         ((found, payload),) = doc.items()
         if found == "var":
             return Var(json_str(payload, "variable names"))
@@ -335,13 +382,14 @@ def equation_to_json_dict(eq: Equation, const: ConstCodec = _BASE_CONST_ENCODER)
 
 
 def equation_from_json_dict(doc: Any, const: ConstCodec = _BASE_CONST_DECODER) -> Equation:
-    if isinstance(doc, Mapping) and set(doc) == {"rel", "args"}:
+    is_object = type(doc) is dict or isinstance(doc, Mapping)
+    if is_object and set(doc) == {"rel", "args"}:
         symbol = json_str(doc["rel"], "relation symbol")
         if symbol == EQUALITY:
             raise InputFormatError('equality is written {"eq": [lhs, rhs]}, not {"rel": "="}')
         args = json_list(doc["args"], "relation args")
         return RelationAtom(symbol, tuple(arg_from_json_dict(a, const) for a in args))
-    if isinstance(doc, Mapping) and set(doc) == {"eq"}:
+    if is_object and set(doc) == {"eq"}:
         pair = json_list(doc["eq"], "equality atom")
         if len(pair) != 2:
             raise InputFormatError("equality atoms take exactly two arguments")

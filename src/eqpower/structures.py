@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Any
 
 from .errors import (
@@ -111,18 +112,19 @@ class FiniteStructure:
         for name in tables:
             if not signature.has(name):
                 raise ValueError(f"table given for {name!r}, which is not in the signature")
-        index = self._index.__getitem__
         for name, arity in signature.symbols:
-            rows = set()
-            for row in tables.get(name, ()):
-                row = tuple(map(str, row))
-                if len(row) != arity:
-                    raise ValueError(f"{name!r} expects {arity}-tuples, got {row}")
-                try:
-                    rows.add(tuple(map(index, row)))
-                except KeyError as exc:
-                    raise ValueError(f"{name!r} tuple {row} mentions unknown element {exc.args[0]!r}") from None
-            self._tables[name] = frozenset(rows)
+            # one pass over the whole table; only a table that fails it is walked row by row for the message
+            rows = list(tables.get(name, ()))
+            indices = list(map(self._index.get, map(str, chain.from_iterable(rows))))
+            if None in indices or not all(map(arity.__eq__, map(len, rows))):
+                for row in rows:
+                    row = tuple(map(str, row))
+                    if len(row) != arity:
+                        raise ValueError(f"{name!r} expects {arity}-tuples, got {row}")
+                    for label in row:
+                        if label not in self._index:
+                            raise ValueError(f"{name!r} tuple {row} mentions unknown element {label!r}")
+            self._tables[name] = frozenset(zip(*[iter(indices)] * arity))
         self._tables[EQUALITY] = frozenset((i, i) for i in range(len(labels)))
 
     @property
@@ -333,7 +335,7 @@ def structure_from_json_dict(doc: Any) -> tuple[str, FiniteStructure]:
         raise InputFormatError(f"structure kind must be one of {STRUCTURE_KINDS}, got {kind!r}")
     universe = json_str_list(doc["universe"], "structure universe")
     relations = doc["relations"]
-    if not isinstance(relations, Mapping):
+    if type(relations) is not dict and not isinstance(relations, Mapping):
         raise InputFormatError("structure relations must be an object")
     symbols = []
     tables = {}
@@ -341,7 +343,13 @@ def structure_from_json_dict(doc: Any) -> tuple[str, FiniteStructure]:
         entry = json_object(entry, {"arity", "tuples"}, f"relation {name!r}")
         symbols.append((str(name), json_int(entry["arity"], f"relation {name!r} arity", 1)))
         what = f"relation {name!r} tuples"
-        tables[str(name)] = [tuple(json_str_list(row, what)) for row in json_list(entry["tuples"], what)]
+        rows = json_list(entry["tuples"], what)
+        # one pass over the whole table; only a table that fails it is walked row by row for the message
+        lists = all(map(isinstance, rows, repeat(list)))
+        if not (lists and all(map(isinstance, chain.from_iterable(rows), repeat(str)))):
+            for row in rows:
+                json_str_list(row, what)
+        tables[str(name)] = rows
     try:
         structure = FiniteStructure(Signature(tuple(symbols)), universe, tables)
     except ValueError as exc:

@@ -4,9 +4,10 @@ The construction works per solution set of projected equations: collect one
 representative equation per distinct solution set with a source realizing it,
 reading the masks of each family's generator and tail rows (its slot_rows,
 zipped by power.zip_streams) from the row memo AtomClassifier.rows, which
-the profile filled, and every member's sets off them, seed the output with
-the chosen sources, the only ones written out, then add one equation per
-solution set whose coordinate stream, read beside the set's index set,
+the profile filled by classifying rows straight from the relation table, and
+every member's sets off them (only each set's first row is built into an
+atom, its representative), seed the output with the chosen sources, the
+only ones written out, then add one equation per solution set whose coordinate stream, read beside the set's index set,
 follows that set wherever it occurs and falls back to the source stream
 elsewhere.  An index set is the profile mapped through the set of its
 distinct entries that hold the set's mask.  The output is equivalent to the

@@ -100,6 +100,41 @@ MUTANTS = (
         ("tests/test_solver.py::test_row_memo_is_the_mask_of_the_atom_with_the_row_whoever_filled_it",),
     ),
     Mutant(
+        "the row plan compares each constant at the argument position before its own",
+        "src/eqpower/solver.py",
+        "itemgetter(*slots) if slots else None",
+        "itemgetter(*[p - 1 for p in slots]) if slots else None",
+        ("tests/test_solver.py::test_row_plan_matches_oracle_on_every_shape_and_row",),
+    ),
+    Mutant(
+        "a one-variable row ORs the cylinder of the entry before its variable's",
+        "src/eqpower/solver.py",
+        "[cylinders[t[p]] for t in table]",
+        "[cylinders[t[p - 1]] for t in table]",
+        ("tests/test_solver.py::test_row_plan_matches_oracle_on_every_shape_and_row",),
+    ),
+    Mutant(
+        "a two-variable row drops the AND with the second variable's cylinder",
+        "src/eqpower/solver.py",
+        "[first[t[p]] & second[t[q]] for t in table]",
+        "[first[t[p]] for t in table]",
+        ("tests/test_solver.py::test_row_plan_matches_oracle_on_every_shape_and_row",),
+    ),
+    Mutant(
+        "FiniteStructure's whole-table pass skips the arity check",
+        "src/eqpower/structures.py",
+        "if None in indices or not all(map(arity.__eq__, map(len, rows))):",
+        "if None in indices:",
+        ("tests/test_structures.py::test_structure_decode_names_a_bad_row_after_good_rows",),
+    ),
+    Mutant(
+        "the structure decoder's whole-table pass skips the string check",
+        "src/eqpower/structures.py",
+        "if not (lists and all(map(isinstance, chain.from_iterable(rows), repeat(str)))):",
+        "if not lists:",
+        ("tests/test_structures.py::test_structure_decode_names_a_bad_row_after_good_rows",),
+    ),
+    Mutant(
         "verify_wrap compares masks folded at stab + period",
         "src/eqpower/wrap.py",
         "stop = stab + 2 * period",
@@ -439,8 +474,8 @@ MUTANTS = (
     Mutant(  # of the random corpora, only support.planted_power_system writes plain labels
         "PowerSystem writes plain labels as streams in its first explicit equation only",
         "src/eqpower/power.py",
-        "tuple(map_constants(eq, stream) for eq in self.explicit))",
-        "tuple(map_constants(eq, stream) for eq in self.explicit[:1]) + tuple(self.explicit[1:]))",
+        "tuple(map(streams, self.explicit)))",
+        "tuple(map(streams, self.explicit[:1])) + tuple(self.explicit[1:]))",
         ("tests/test_wrap.py::test_wrap_verifies_planted_systems",),
     ),
     Mutant(

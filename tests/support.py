@@ -7,9 +7,11 @@ logic, not against itself.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from itertools import combinations, count, permutations, product
+from unittest import mock
 
 from eqpower.fixtures import triangle_graph
 from eqpower.power import (
@@ -30,6 +32,7 @@ from eqpower.solver import (
     EquationSystem,
     RelationAtom,
     Var,
+    _RowMasks,
     const_values,
     evaluate,
     map_constants,
@@ -204,6 +207,20 @@ def with_slot_values(atom, values):
     """The atom with its constant slots, in argument order, holding the values."""
     slot = iter(values)
     return map_constants(atom, lambda _: next(slot))
+
+
+@contextlib.contextmanager
+def counted_row_classifications():
+    """Yield a list that gets, per row AtomClassifier classifies (a miss of its row memo), the atom it stands for."""
+    built = []
+    missing = _RowMasks.__missing__
+
+    def counted(self, row):
+        built.append(with_slot_values(self._template, row))
+        return missing(self, row)
+
+    with mock.patch.object(_RowMasks, "__missing__", counted):
+        yield built
 
 
 def move_to_front_rows(fam: StaircaseFamily):

@@ -183,6 +183,29 @@ def test_consistent_rejects_an_unknown_label_past_the_failing_coordinate(capsys,
     assert "error: constant 'z' is not a universe element" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "consistent", "wrap"])
+def test_a_space_past_the_cylinder_budget_is_an_input_error(command, tmp_path):
+    """A 39-edge path over 40 variables asks for 3^40 bits a mask: exit 2 with the estimate, never a traceback.
+
+    Exit 1 is "no solution" for solve and "inconsistent" for consistent, so
+    a MemoryError there would read as an answer.
+    """
+    xs = [f"x{i}" for i in range(40)]
+    doc = {"variables": xs, "equations": [{"rel": "E", "args": [{"var": a}, {"var": b}]} for a, b in zip(xs, xs[1:])]}
+    path = write_json(tmp_path, "path40.json", doc)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "eqpower", command, str(FIXTURES / "triangle.json"), path],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: 40 variables over 3 elements give 3^40 = 12,157,665,459,056,928,801")
+    assert "MB, over the 1,024 MB limit" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_noetherian_exit_codes(capsys):
     code, out, _ = run(capsys, "noetherian", str(FIXTURES / "triangle.json"))
     assert code == 1

@@ -480,19 +480,12 @@ def test_profile_queries_project_only_at_a_failing_coordinate(monkeypatch):
 
 
 @pytest.mark.parametrize("fixture", ["planted_inconsistent", "staircase_demo"])
-def test_consistent_builds_one_mask_per_distinct_atom(fixture, monkeypatch):
-    """The scan classifies each distinct atom of the horizon once, and the core search builds none."""
+def test_consistent_builds_one_mask_per_distinct_atom(fixture):
+    """The scan classifies each distinct atom of the horizon once, and the core search classifies none."""
     path = Path(__file__).resolve().parent.parent / "fixtures" / f"{fixture}.json"
     system = power_system_from_json_dict(json.loads(path.read_text()))
-    built = []
-    original = AtomClassifier._build_mask
-
-    def counted(self, eq):
-        built.append(eq)
-        return original(self, eq)
-
-    monkeypatch.setattr(AtomClassifier, "_build_mask", counted)
-    consistent(triangle_graph(), system)
+    with support.counted_row_classifications() as built:
+        consistent(triangle_graph(), system)
     stab, period = stream_horizon(system)
     atoms = {atom for i in range(stab + period) for atom in projection_entries(system, i)}
     assert len(built) == len(atoms)

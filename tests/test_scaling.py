@@ -17,6 +17,7 @@ import contextlib
 import importlib
 import io
 import json
+import math
 import random
 import time
 from pathlib import Path
@@ -50,39 +51,32 @@ def edge_family(length: int, prefix: int, cycle: int) -> PowerSystem:
 
 
 def test_candidate_scan_classifies_each_family_row_once_at_L_400():
-    """At L = 400 the scan classifies at most L + P + C atoms; projecting each member n <= L + 1 made about L^2 / 2."""
-    g = triangle_graph()
+    """At L = 400 the scan classifies at most L + P + C rows; projecting each member n <= L + 1 made about L^2 / 2.
+
+    The profile is built on one triangle and the scan run on another, so the
+    scan's classifier starts with an empty row memo and classifies every
+    row it reads itself.
+    """
     system = edge_family(400, 2, 3)
-    profile = coordinate_profile(g, system)
-    calls = []
-    mask = AtomClassifier.mask
-
-    def counted(self, eq):
-        calls.append(eq)
-        return mask(self, eq)
-
-    with mock.patch.object(AtomClassifier, "mask", counted):
-        reps = class_representatives(g, system, profile)
+    profile = coordinate_profile(triangle_graph(), system)
+    with support.counted_row_classifications() as built:
+        reps = class_representatives(triangle_graph(), system, profile)
     assert reps
-    assert len(calls) <= 400 + 2 + 3
+    assert 0 < len(built) <= 400 + 2 + 3
 
 
 def _counted_profile(structure, system):
-    """coordinate_profile's result, its Periodic.at reads and its AtomClassifier.mask calls."""
-    reads, calls = [0], [0]
-    at, mask = Periodic.at, AtomClassifier.mask
+    """coordinate_profile's result, its Periodic.at reads and the rows its AtomClassifier classifies."""
+    reads = [0]
+    at = Periodic.at
 
     def counted_at(self, i):
         reads[0] += 1
         return at(self, i)
 
-    def counted_mask(self, eq):
-        calls[0] += 1
-        return mask(self, eq)
-
-    with mock.patch.object(Periodic, "at", counted_at), mock.patch.object(AtomClassifier, "mask", counted_mask):
+    with mock.patch.object(Periodic, "at", counted_at), support.counted_row_classifications() as built:
         profile = coordinate_profile(structure, system)
-    return profile, reads[0], calls[0]
+    return profile, reads[0], len(built)
 
 
 def test_profile_and_one_projection_read_each_family_row_at_most_once_at_C_400():
@@ -92,8 +86,9 @@ def test_profile_and_one_projection_read_each_family_row_at_most_once_at_C_400()
     generator residue, so it makes no Periodic.at read and classifies at
     most L + P + C rows, the distinct ones.  projection_entries at 10**12
     walks down from i through one tail cycle and the tail prefix: at most
-    P + C tail reads, plus one generator read.  A walk over the members
-    would read 10**12 + 2 rows.
+    P + C tail reads, plus one generator row read off the descriptors, not
+    off the generator stream.  A walk over the members would read
+    10**12 + 2 rows.
     """
     system = edge_family(1, 2, 400)
     (fam,) = system.families
@@ -111,7 +106,29 @@ def test_profile_and_one_projection_read_each_family_row_at_most_once_at_C_400()
 
     with mock.patch.object(Periodic, "at", counted):
         power.projection_entries(system, 10**12)
-    assert rows == {id(generators): 1, id(tails): 2 + 400}
+    assert rows == {id(generators): 0, id(tails): 2 + 400}
+
+
+def test_one_coordinate_projection_zips_no_generator_rows_at_L_716539():
+    """projection_entries reads the generator row at i off the descriptors, so the L generator rows are never zipped.
+
+    Three slots with generators of lengths 97, 89 and 83 give L = 716,539
+    generator rows; zipping them made `project --coordinate 5` take about
+    0.26 s and 82 MB.  Only the tails are zipped, and the entries are
+    support.oracle_projection_entries', in the same order.
+    """
+    rng = random.Random(716539)
+
+    def stair(length):
+        tail = PowerElement(("a",), tuple(rng.choice("ab") for _ in range(3)))
+        return Staircase(tuple(rng.choice("ab") for _ in range(length)), tail)
+
+    fam = StaircaseFamily(RelationAtom("Q", (Var("x"), Const(stair(97)), Const(stair(89)), Const(stair(83)))))
+    system = PowerSystem(("x",), (RelationAtom("Q", (Var("x"),) + (Const(PowerElement((), ("a", "b"))),) * 3),), (fam,))
+    entries = power.projection_entries(system, 5)
+    assert "slot_rows" not in vars(fam) and "tail_rows" in vars(fam)
+    assert list(entries.items()) == list(support.oracle_projection_entries(system, 5).items())
+    assert math.lcm(97, 89, 83) == 716539
 
 
 def test_coprime_wrap_reads_each_residue_once_at_L_211_C_199():

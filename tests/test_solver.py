@@ -1,4 +1,7 @@
+import itertools
 import json
+import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +11,7 @@ from support import chain_poset
 
 from eqpower.errors import InputFormatError, UnboundVariableError
 from eqpower.fixtures import triangle_graph
+from eqpower import solver
 from eqpower.power import PowerElement, power_system_from_json_dict
 from eqpower.solver import (
     AtomClassifier,
@@ -30,7 +34,14 @@ from eqpower.solver import (
 )
 from eqpower.structures import EQUALITY, FiniteStructure, Signature
 
-from support import brute_minimal_core, brute_solutions, fixture_structures, oracle_atom_solutions
+from support import (
+    brute_minimal_core,
+    brute_solutions,
+    fixture_structures,
+    oracle_atom_solutions,
+    quaternary_structure,
+    random_relational_structure,
+)
 
 
 def E(*args):
@@ -314,6 +325,81 @@ def test_mask_shapes_match_oracle():
     clf = AtomClassifier(structure, ())
     assert clf.solutions(RelationAtom("R", (p, q))) == {()}
     assert clf.solutions(RelationAtom(EQUALITY, (p, q))) == frozenset()
+
+
+def _row_plan_structures() -> dict[str, FiniteStructure]:
+    rng = random.Random(20)
+    return {**{f"random{i}": random_relational_structure(rng) for i in range(10)}, "quaternary": quaternary_structure()}
+
+
+@pytest.mark.parametrize("name", sorted(_row_plan_structures()))
+def test_row_plan_matches_oracle_on_every_shape_and_row(name):
+    """Every atom shape over x, y, z, and every row of labels for its constant slots, through mask and rows.
+
+    A place holds x, y, z or a constant slot, so the shapes have 0 to 4
+    variable places, repeated variables and constant-only atoms, on every
+    symbol and on equality.  The classifier's variables are y, x, z and an
+    unused w.  mask fills one classifier's memo atom by atom; rows fills
+    another's in the reverse order of the rows, through the first atom of
+    the shape.
+    """
+    structure = _row_plan_structures()[name]
+    variables = ("y", "x", "z", "w")
+    by_mask, by_rows = AtomClassifier(structure, variables), AtomClassifier(structure, variables)
+    for symbol, arity in structure.signature.symbols + ((EQUALITY, 2),):
+        for places in itertools.product(("x", "y", "z", None), repeat=arity):
+            template = RelationAtom(symbol, tuple(Var(v) if v else Const("") for v in places))
+            slot_rows = list(itertools.product(structure.universe, repeat=places.count(None)))
+            atoms = [_with_slots(template, row) for row in slot_rows]
+            for atom in atoms:
+                assert by_mask.decode(by_mask.mask(atom)) == oracle_atom_solutions(structure, variables, atom), atom
+            memo = by_rows.rows(atoms[0])
+            for row, atom in reversed(list(zip(slot_rows, atoms))):
+                assert by_rows.decode(memo[row]) == by_mask.decode(by_mask.mask(atom)), atom
+            assert set(memo) == set(slot_rows)
+
+
+# each atom over the triangle with variables (x,) is refused by check_equation, with this exception type
+REFUSED_ATOMS = {
+    "unknown symbol": (RelationAtom("F", (x, Const("a"))), KeyError),
+    "wrong arity": (RelationAtom("E", (x, Const("a"), Const("b"))), ValueError),
+    "undeclared variable": (E(y, Const("a")), UnboundVariableError),
+    "unknown label": (E(x, Const("z")), ValueError),
+    "non-string constant": (E(Const(1), x), ValueError),
+    "undeclared variable, then unknown label": (E(y, Const("z")), UnboundVariableError),
+    "unknown label, then undeclared variable": (E(Const("z"), y), ValueError),
+}
+
+
+@pytest.mark.parametrize("atom, error", REFUSED_ATOMS.values(), ids=REFUSED_ATOMS)
+def test_row_plan_raises_check_equations_error(atom, error):
+    """mask(atom) and rows(template)[row] raise what check_equation raises on the atom: type and text."""
+    g = triangle_graph()
+    with pytest.raises(error) as expected:
+        check_equation(g, ("x",), atom)
+    template = map_constants(atom, lambda _: "a")
+    for classify in (lambda clf: clf.mask(atom), lambda clf: clf.rows(template)[const_values(atom)]):
+        with pytest.raises(error) as raised:
+            classify(AtomClassifier(g, ("x",)))
+        assert (type(raised.value), raised.value.args) == (type(expected.value), expected.value.args)
+
+
+def test_classifier_refuses_a_space_past_its_cylinder_budget(monkeypatch):
+    """The estimate n * k * k^n / 8 bytes is checked before any cylinder is built; the budget admits it exactly."""
+    g = triangle_graph()
+    with pytest.raises(ValueError) as err:
+        AtomClassifier(g, tuple(f"x{i}" for i in range(40)))
+    assert str(err.value).startswith("40 variables over 3 elements give 3^40 = 12,157,665,459,056,928,801 assignments;")
+    assert str(err.value).endswith("MB, over the 1,024 MB limit")
+    refused = "give 3^18 = 387,420,489 assignments; their cylinder masks would take about 2,494 MB"
+    with pytest.raises(ValueError, match=re.escape(refused)):
+        AtomClassifier(g, tuple(f"x{i}" for i in range(18)))
+    variables = tuple(f"x{i}" for i in range(5))
+    monkeypatch.setattr(solver, "CYLINDER_BUDGET_BYTES", 5 * 3 * 3**5 // 8)
+    assert AtomClassifier(g, variables).space_size == 3**5
+    monkeypatch.setattr(solver, "CYLINDER_BUDGET_BYTES", 5 * 3 * 3**5 // 8 - 1)
+    with pytest.raises(ValueError, match="3\\^5 = 243 assignments"):
+        AtomClassifier(g, variables)
 
 
 def test_equation_json_round_trip():

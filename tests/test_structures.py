@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -247,6 +248,63 @@ def test_structure_json_round_trip():
 def test_structure_json_rejects_malformed(doc):
     with pytest.raises(InputFormatError):
         structure_from_json_dict(doc)
+
+
+GOOD_ROWS = [["a", "b"], ["b", "a"]]
+# fault -> (bad row of a binary E over {a, b}, the message naming it); the first two are JSON faults
+TABLE_FAULTS = {
+    "non-list row": ("ab", "relation 'E' tuples must be a list of strings, got 'ab'"),
+    "non-string entry": (["a", 1], "relation 'E' tuples must be a list of strings, got ['a', 1]"),
+    "wrong arity": (["a", "b", "a"], "'E' expects 2-tuples, got ('a', 'b', 'a')"),
+    "unknown label": (["a", "z"], "'E' tuple ('a', 'z') mentions unknown element 'z'"),
+}
+JSON_FAULTS = {"non-list row", "non-string entry"}
+
+
+def _binary_doc(rows, **more):
+    relations = {"E": {"arity": 2, "tuples": rows}, **{name: {"arity": 2, "tuples": t} for name, t in more.items()}}
+    return {"kind": "generic", "universe": ["a", "b"], "relations": relations}
+
+
+def _decode_error(doc) -> str:
+    with pytest.raises(InputFormatError) as err:
+        structure_from_json_dict(doc)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+def test_structure_decode_names_a_bad_row_after_good_rows(fault):
+    """The whole-table checks fail, and the walk names the bad row as the row-by-row decoder did."""
+    row, message = TABLE_FAULTS[fault]
+    assert _decode_error(_binary_doc(GOOD_ROWS + [row] + GOOD_ROWS)) == message
+
+
+@pytest.mark.parametrize("first, second", list(itertools.permutations(TABLE_FAULTS, 2)))
+def test_structure_decode_of_two_bad_rows_names_the_one_checked_first(first, second):
+    """Every row of a table is checked as JSON before any row is checked against the universe and the arity.
+
+    So a JSON fault wins over a table fault wherever it stands, and of two
+    faults of the same stage the earlier row wins.
+    """
+    rows = GOOD_ROWS + [TABLE_FAULTS[first][0]] + GOOD_ROWS + [TABLE_FAULTS[second][0]]
+    named = second if second in JSON_FAULTS and first not in JSON_FAULTS else first
+    assert _decode_error(_binary_doc(rows)) == TABLE_FAULTS[named][1]
+
+
+def test_structure_decode_checks_every_table_as_json_before_any_against_the_universe():
+    """A JSON fault in a later relation wins over a table fault in an earlier one."""
+    doc = _binary_doc(GOOD_ROWS + [["a", "z"]], F=GOOD_ROWS + [["a", 1]])
+    assert _decode_error(doc) == "relation 'F' tuples must be a list of strings, got ['a', 1]"
+
+
+def test_structure_reads_a_one_pass_generator_of_rows():
+    """Tables given as generators build the tables their lists build, and a bad row is still named."""
+    sig, rows = graph_signature(), [("a", "b"), ("b", "c"), ("c", "a")]
+    built = FiniteStructure(sig, ["a", "b", "c"], {"E": (row for row in rows)})
+    assert built == FiniteStructure(sig, ["a", "b", "c"], {"E": rows})
+    assert built.tuples("E") == (("a", "b"), ("b", "c"), ("c", "a"))
+    with pytest.raises(ValueError, match=re.escape("'E' expects 2-tuples, got ('c',)")):
+        FiniteStructure(sig, ["a", "b", "c"], {"E": (row for row in rows + [("c",)] + rows)})
 
 
 def test_validation_report_round_trip():
