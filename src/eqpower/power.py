@@ -9,11 +9,13 @@ read several of them as rows.  Equation systems over the power may list
 equations explicitly and may also include staircase families, which
 present one equation per n >= 1 by splicing a repeating generator stream in
 front of a shifted tail stream.
-A family's slot_rows are two zipped streams of slot-value rows, one by
-generator residue and one by joint tail position, and every per-coordinate
-reading of a family goes through them, except that projection_entries reads
-its one generator row off the descriptors; wrap's candidate scan classifies
-each of their rows once, and Staircase.member_constant writes one member out.
+A family's rows are two tables built once from its descriptors, the L
+generator_rows by residue and the tail_rows by joint tail position, whose
+docstring states which rows a member shows where.  Every per-coordinate
+reading of a family reads those two tables, except that projection_entries
+reads its one generator row off the descriptors; wrap's candidate scan
+classifies each of their rows once, and Staircase.member_constant writes one
+member out.
 
 Everything decidable here reduces to per-coordinate questions over the base
 structure.  coordinate_masks gives each coordinate's solution set, the AND of
@@ -24,15 +26,14 @@ coordinate_profile and wrap's candidate scan, reads AtomClassifier.rows of
 the one AtomClassifier.of that serves a structure and variable list, so a
 row of slot values is classified once per atom shape and job, straight from
 the relation table and never built into an atom, and consistent's core
-search reuses the masks.  coordinate_masks ANDs whole columns: an explicit
-equation's masks by coordinate, a generator residue's mask into its stepped
-slice, and one running AND over a family's blocks that run to the end of
-the scan, so every tail position costs one mask, not one per coordinate.
-projection_entries lists pi_i at one coordinate in projection order, each
-distinct equation with its earliest source: each explicit equation's
-explicit_rows at i, then per family the rows its members show, which at
-coordinate i are exactly the tail rows at positions 0..i and one generator
-row; the walk down from i reads at most P + C tail rows however large i is.
+search reuses the masks.  coordinate_masks ANDs one column per source: an
+explicit equation's masks by coordinate, and per family the running AND of
+its tail masks, held from P + C - 1 on, ANDed with its generator masks
+cycled by residue, so every tail position costs one mask, not one per
+coordinate.  projection_entries lists pi_i at one coordinate in projection
+order, each distinct equation with its earliest source: each explicit
+equation projected at i, then per family the rows its members show; the walk
+down from i reads at most P + C tail rows however large i is.
 coordinate_profile, which wrap reads, lists each coordinate's distinct masks
 from one column per source, classifying each distinct row once: a family's
 entry at i is the running masks of its tail positions 0..min(i, P + C - 1)
@@ -48,7 +49,7 @@ import functools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
-from itertools import chain, cycle, islice, repeat
+from itertools import accumulate, chain, cycle, islice, repeat
 from operator import add, and_
 from typing import Any
 
@@ -195,51 +196,25 @@ class StaircaseFamily:
         return tuple(a.value for a in self.atom.args if isinstance(a, Const))
 
     @functools.cached_property
-    def slot_rows(self) -> tuple[Periodic, Periodic]:
-        """(generators, tails): the family's slot values as two Periodic row streams, computed on first use.
+    def generator_rows(self) -> tuple[tuple[str, ...], ...]:
+        """The L generator rows, L the lcm of the generator lengths: row r holds the slots' generators at residue r.
 
-        Both zip_streams the slots' streams.  generators has no prefix and a
-        cycle of L rows, L the lcm of the generator lengths: row r holds the
-        generator values at residue r.  tails holds the joint tail values by
-        tail position: a prefix as long as the largest tail prefix, then a
-        cycle of C rows, C the lcm of the tail cycles.  The rows depend on the
-        atom alone, and every per-coordinate reading of the family goes
-        through them: projection_entries, coordinate_profile,
-        coordinate_checks, stream_horizon, wrap's candidate scan, and
-        projected_member.  A family without a constant slot has one empty
-        row in each cycle.  tails is tail_rows, which projection_entries
-        reads alone, taking its one generator row off the descriptors.
+        Computed on first use.  A family without a constant slot has one
+        empty row here and in tail_rows.
         """
-        return zip_streams([Periodic((), s.generator) for s in self.descriptors()]), self.tail_rows
+        return zip_streams([Periodic((), s.generator) for s in self.descriptors()]).cycle
 
     @functools.cached_property
     def tail_rows(self) -> Periodic:
-        """slot_rows' tails alone, computed on first use."""
-        return zip_streams([s.tail for s in self.descriptors()])
+        """The joint tail rows by tail position, computed on first use: a prefix of P rows, then a cycle of C.
 
-    def coordinate_checks(self, stop: int) -> list[tuple[range, tuple[str, ...]]]:
-        """(coordinates, slot values) blocks: where below `stop` some member shows each row of slot values.
-
-        At coordinate i member n shows the generators at i when n >= i + 2,
-        and the joint tail at position j = i - n + 1 when n <= i + 1.  Let L
-        be the lcm of the generator lengths, P the tail prefix and C the lcm
-        of the tail cycles.  The family gets
-          * per residue r < L, the generator values at r on range(r, stop, L):
-            member i + 2 shows them at every such i;
-          * per joint tail position j < P + C, its values on range(j, stop):
-            member i - j + 1 shows position j at every i >= j, and a later
-            tail position repeats position j - C.
-        A family with no constant slot gets the empty tuple on range(0, stop)
-        (its one residue) and on range(0, stop) again (its one tail position).
-        A generator residue at or past `stop` gets no block.  The slot values
-        per residue are the cycle of slot_rows' generators, those per tail
-        position the prefix and cycle of its tails; only the ranges are
-        built per call.
+        P is the largest tail prefix and C the lcm of the tail cycles.
+        Member n shows generator_rows[i mod L] at each coordinate i <= n - 2
+        and tail_rows.at(i - n + 1) at every later i, so at coordinate i the
+        family shows the tail rows at positions 0..i and the generator row
+        at i mod L.
         """
-        generators, tails = self.slot_rows
-        gen_period = len(generators.cycle)
-        checks = [(range(r, stop, gen_period), generators.cycle[r]) for r in range(min(gen_period, stop))]
-        return checks + [(range(j, stop), values) for j, values in enumerate(tails.prefix + tails.cycle)]
+        return zip_streams([s.tail for s in self.descriptors()])
 
     def member(self, n: int) -> Equation:
         if n < 1:
@@ -247,17 +222,16 @@ class StaircaseFamily:
         return map_constants(self.atom, lambda s: s.member_constant(n))
 
     def projected_member(self, n: int, i: int) -> Equation:
-        """Base-structure equation pi_i(member n), read off slot_rows with Periodic.at.
+        """Base-structure equation pi_i(member n), read off generator_rows and tail_rows.
 
-        Member n shows the generator row at i for i <= n - 2 and the joint
-        tail row at position i - n + 1 after that.  The package reads members
-        by rows (projection_entries, wrap's candidate scan); this one-member
-        reader serves the tests and the benchmark's tracer.
+        It applies the member law that tail_rows states.  The package reads
+        members by rows (projection_entries, wrap's candidate scan); this
+        one-member reader serves the tests and the benchmark's tracer.
         """
         if n < 1:
             raise ValueError("family members are numbered from 1")
-        generators, tails = self.slot_rows
-        return _with_slots(self.atom, generators.at(i) if n >= i + 2 else tails.at(i - n + 1))
+        generators = self.generator_rows
+        return _with_slots(self.atom, generators[i % len(generators)] if n >= i + 2 else self.tail_rows.at(i - n + 1))
 
 
 @dataclass(frozen=True)
@@ -332,25 +306,27 @@ def resolve_source(system: PowerSystem, ref: SourceRef) -> Equation:
 def projection_entries(system: PowerSystem, i: int) -> dict[Equation, SourceRef]:
     """The distinct equations of pi_i(system) in projection order, each mapped to its earliest source.
 
-    Projection order lists each explicit equation's explicit_rows entry at
-    i, then per family the rows its members show at i in ascending member
-    order.  Member n <= i + 1 shows the joint tail row at position
-    j = i - n + 1, and member i + 2 and every later one the generator row at
-    i mod L (projected_member).  So at coordinate i a family shows exactly
-    the tail rows at positions 0..i and one generator row.  The walk reads
-    positions i, i - 1, .. as members 1, 2, .., then the generator row as
-    member i + 2; setdefault keeps each row's least member, and then each
+    Projection order lists each explicit equation projected at i, then per
+    family the rows its members show at i in ascending member order.  An
+    explicit equation is read at i by project_equation, so one coordinate
+    never zips its constants to their joint horizon, which for two coprime
+    cycles p and q holds p * q rows.  Member n <= i + 1 shows the joint tail
+    row at position j = i - n + 1, and member i + 2 and every later one the
+    generator row at i mod L (tail_rows).  So at coordinate i a family shows
+    exactly the tail rows at positions 0..i and one generator row.  The walk
+    reads positions i, i - 1, .. as members 1, 2, .., then the generator row
+    as member i + 2; setdefault keeps each row's least member, and then each
     equation's earliest source, so each distinct row is built into an
     equation once.  With P the tail prefix and C the tail cycle, a cycle
     position p < i - C + 1 shows the row of some p + kC in i - C + 1 .. i,
     a lesser member, so the walk goes from max(P, i - C + 1) straight to the
     prefix positions min(i, P - 1) .. 0: at most P + C tail reads and one
     generator read however large i is.  The generator row is read off the
-    descriptors at i, so no stream of the L generator rows is built.
+    descriptors at i, so the L generator_rows are not built.
     """
     out: dict[Equation, SourceRef] = {}
-    for index, (eq, rows) in enumerate(zip(system.explicit, system.explicit_rows)):
-        out.setdefault(_with_slots(eq, rows.at(i)), SourceRef(index))
+    for index, eq in enumerate(system.explicit):
+        out.setdefault(project_equation(eq, i), SourceRef(index))
     for index, fam in enumerate(system.families):
         tails = fam.tail_rows
         tail_prefix, tail_cycle = len(tails.prefix), len(tails.cycle)
@@ -379,26 +355,27 @@ def stream_horizon(*systems: PowerSystem) -> tuple[int, int]:
     full pass of the joint tail streams (new tail values stop appearing after
     max prefix + lcm of tail cycles).  The period is the lcm of all cycle
     lengths: explicit constants, family tails, family generators.  A
-    family's tail prefix and lcm(L, C) are horizon() of its slot_rows, and C
-    is the length of the tails' cycle.  Given several systems, this is their
-    joint horizon.
+    family's P + C and C are read off its tail_rows, and L is the number of
+    its generator_rows.  Given several systems, this is their joint horizon.
 
     From stabilization on, projection_entries lists the same equations at
     i + period as at i, in the same order; only the members may differ.  An
-    explicit equation's row at i holds its streams' entries at i, past
-    their prefixes, and period is a multiple of their cycles.  A family's
-    walk from i >= P + C - 1 reads the cycle positions i .. i - C + 1, in an
-    order set by (i - P) mod C, then the same prefix positions, and then the
-    generator row at i mod L; C and L divide the period.  So the tail rows'
-    set is constant past P + C - 1, and coordinate_profile repeats too.
-    Nothing recomputes a period to check this; verify_wrap re-checks wrap's
-    output against the original coordinate by coordinate past the horizon.
+    explicit equation's projection at i reads its streams' entries at i,
+    past their prefixes, and period is a multiple of their cycles.  A
+    family's walk from i >= P + C - 1 reads the cycle positions
+    i .. i - C + 1, in an order set by (i - P) mod C, then the same prefix
+    positions, and then the generator row at i mod L; C and L divide the
+    period.  So the tail rows' set is constant past P + C - 1, and
+    coordinate_profile repeats too.  Nothing recomputes a period to check
+    this; verify_wrap re-checks wrap's output against the original
+    coordinate by coordinate past the horizon.
     """
     stab, period = horizon(pe for system in systems for eq in system.explicit for pe in const_values(eq))
     for fam in (f for system in systems for f in system.families):
         if fam.descriptors():
-            tail_prefix, fam_period = horizon(fam.slot_rows)
-            stab, period = max(stab, tail_prefix + len(fam.slot_rows[1].cycle)), math.lcm(period, fam_period)
+            tails = fam.tail_rows
+            stab = max(stab, len(tails.prefix) + len(tails.cycle))
+            period = math.lcm(period, len(fam.generator_rows), len(tails.cycle))
     return stab, period
 
 
@@ -435,13 +412,12 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
         row_masks = classifier.rows(eq)
         columns.append(rows.map(lambda values: (row_masks[values],)).take(stop))
     for fam in system.families:
-        generators, tails = fam.slot_rows
-        row_masks = classifier.rows(fam.atom)
+        tails, row_masks = fam.tail_rows, classifier.rows(fam.atom)
         tail, seen = [], {}  # tail[j]: the distinct masks of tail positions 0..j
         for values in tails.prefix + tails.cycle:
             seen[row_masks[values]] = None
             tail.append(tuple(seen))
-        gen = [(row_masks[values],) for values in generators.cycle]
+        gen = [(row_masks[values],) for values in fam.generator_rows]
         columns.append(map(add, chain(tail, repeat(tail[-1])), islice(cycle(gen), stop)))
     table = [tuple(dict.fromkeys(chain.from_iterable(entry))) for entry in zip(*columns)] if columns else [()] * stop
     return Periodic(tuple(table[:stab]), tuple(table[stab:]))
@@ -474,50 +450,30 @@ class ConsistencyVerdict:
 def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int) -> list[int]:
     """The AND of the atom masks of pi_i(system) at every coordinate i < stop.
 
-    Each entry is computed at its own coordinate, never read off a folded
-    cycle or wrap's profile.  Rows are classified through
-    AtomClassifier.rows, each distinct row of an atom shape once.  An
-    explicit equation's slot values at i are its explicit_rows entry at i
-    (PowerSystem makes every constant a stream), and its column of masks is
-    ANDed into the entries in one pass.  A family's blocks from
-    StaircaseFamily.coordinate_checks(stop) list exactly the coordinates
-    below `stop` where their slot values occur, so each block's one mask is
-    ANDed into those: a generator residue's block range(r, stop, L) into
-    the slice of the same start, stop and step.  A nonempty block
-    range(j, stop), as every family's tail position j < P + C gives, covers
-    every i with j <= i < stop, so its mask belongs in the AND at i exactly
-    when j <= i.  Such blocks are folded: folded[j] is the AND of their
-    masks with start j, and one running AND over the starts in ascending
-    order holds, from each start on, the AND of every folded mask with a
-    start at or below i.  Written out from the least start to `stop`, the
-    running ANDs form one column, ANDed in once.  That costs
-    O(stop + blocks) where a loop per block cost O((P + C) * stop).  A
-    block with j >= stop is empty; its start sorts after every start below
-    `stop`, so it only lengthens the column past `stop`, where the AND's map
-    ends.  The classifier is AtomClassifier.of's, which
-    minimal_inconsistent_subset reads after this scan.
+    verify_wrap's own reader: it never reads coordinate_profile, only the
+    row memo AtomClassifier.rows, each explicit equation's explicit_rows and
+    each family's generator_rows and tail_rows, so a fault in the profile
+    wrap is built from cannot agree with itself here.  Each source gives
+    one column of masks, ANDed into the entries in one pass.  An explicit
+    equation's column is the masks of its explicit_rows up to `stop`.  A
+    family shows at coordinate i its tail rows at positions 0..i and its
+    generator row at i mod L, and a tail position past P + C - 1 repeats
+    one at or below it, so its column at i is the running AND of its tail
+    masks up to position min(i, P + C - 1), ANDed with the generator mask
+    at i mod L.  Per family the generator rows r < min(L, stop) are
+    classified first, then all P + C tail rows.  The classifier is
+    AtomClassifier.of's, which minimal_inconsistent_subset reads after this
+    scan.
     """
     classifier = AtomClassifier.of(structure, system.variables)
     masks = [classifier.full] * stop
     for eq, rows in zip(system.explicit, system.explicit_rows):
         masks = list(map(and_, masks, map(classifier.rows(eq).__getitem__, rows.take(stop))))
-    folded: dict[int, int] = {}  # j -> the AND of the masks of the blocks range(j, stop)
     for fam in system.families:
-        row_masks = classifier.rows(fam.atom)
-        for r, values in fam.coordinate_checks(stop):
-            mask = row_masks[values]
-            if r.step == 1 and r.stop == stop:
-                folded[r.start] = folded.get(r.start, mask) & mask
-            else:
-                s = slice(r.start, r.stop, r.step)
-                masks[s] = map(and_, masks[s], repeat(mask))
-    starts = sorted(folded)
-    running, column = classifier.full, []
-    for j, end in zip(starts, starts[1:] + [stop]):
-        running &= folded[j]
-        column += [running] * (end - j)
-    if starts:
-        masks[starts[0] :] = map(and_, masks[starts[0] :], column)
+        tails, row_masks = fam.tail_rows, classifier.rows(fam.atom)
+        gen = [row_masks[values] for values in fam.generator_rows[:stop]]
+        tail = list(accumulate(map(row_masks.__getitem__, tails.prefix + tails.cycle), and_))
+        masks = list(map(and_, masks, map(and_, chain(tail, repeat(tail[-1])), cycle(gen))))
     return masks
 
 
@@ -559,7 +515,7 @@ def satisfies(structure: FiniteStructure, system: PowerSystem, point: Sequence[P
     stream_horizon's period from its stabilization on, and the point with
     its own period from its longest prefix, so checking the bit at every
     i < max(stab, point prefix) + lcm(period, point cycles) decides every
-    coordinate.  It reads the same blocks as consistent;
+    coordinate.  It reads the same columns as consistent;
     support.oracle_satisfies is its independent check.
     """
     if len(point) != len(system.variables):

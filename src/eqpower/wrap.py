@@ -2,8 +2,8 @@
 
 The construction works per solution set of projected equations: collect one
 representative equation per distinct solution set with a source realizing it,
-reading the masks of each family's generator and tail rows (its slot_rows,
-zipped by power.zip_streams) from the row memo AtomClassifier.rows, which
+reading the masks of each family's generator_rows and tail_rows (zipped by
+power.zip_streams) from the row memo AtomClassifier.rows, which
 the profile filled by classifying rows straight from the relation table, and
 every member's sets off them (only each set's first row is built into an
 atom, its representative), seed the output with the chosen sources, the
@@ -114,7 +114,7 @@ def _candidates(
     Explicit equations come first, each read as the prefix and cycle rows of
     its PowerSystem.explicit_rows; then member n of each family for
     n <= min(stop, L) + 1 (see class_representatives).  The family's rows
-    are its slot_rows, the zipped generators G and the zipped tails T.
+    are its generator_rows G and its tail_rows T.
     Member n shows the generator row G[r] at each coordinate
     r < min(n - 1, L) and the tail row T[j] at n - 1 + j for every
     j < P + C, P the tail prefix and C the tail cycle; every other
@@ -128,10 +128,9 @@ def _candidates(
     for idx, (eq, rows) in enumerate(zip(system.explicit, system.explicit_rows)):
         out[SourceRef(idx)] = _first_sets(classifier, eq, rows.prefix + rows.cycle)
     for fidx, fam in enumerate(system.families):
-        generators, tails = fam.slot_rows
-        gen_period = len(generators.cycle)
-        members = range(1, min(stop, gen_period) + 2)
-        gen_sets = _first_sets(classifier, fam.atom, generators.cycle[: len(members) - 1])
+        generators, tails = fam.generator_rows, fam.tail_rows
+        members = range(1, min(stop, len(generators)) + 2)
+        gen_sets = _first_sets(classifier, fam.atom, generators[: len(members) - 1])
         tail_sets = _first_sets(classifier, fam.atom, tails.prefix + tails.cycle)
         for n in members:
             shown = {mask: (n - 1 + j, projected) for mask, (j, projected) in tail_sets.items()}

@@ -43,15 +43,15 @@ MUTANTS = (
     Mutant(
         "the profile reads a family's running tail masks at i mod (P + C), not at min(i, P + C - 1)",
         "src/eqpower/power.py",
-        "chain(tail, repeat(tail[-1]))",
-        "cycle(tail)",
+        "map(add, chain(tail, repeat(tail[-1]))",
+        "map(add, cycle(tail)",
         ("tests/test_power.py::test_profile_fold_matches_recomputation",),
     ),
     Mutant(
         "the profile's tail column is shifted by one coordinate",
         "src/eqpower/power.py",
-        "chain(tail, repeat(tail[-1]))",
-        "chain(tail[1:], repeat(tail[-1]))",
+        "map(add, chain(tail, repeat(tail[-1]))",
+        "map(add, chain(tail[1:], repeat(tail[-1]))",
         ("tests/test_power.py::test_profile_fold_matches_recomputation",),
     ),
     Mutant(
@@ -62,28 +62,73 @@ MUTANTS = (
         ("tests/test_power.py::test_profile_fold_matches_recomputation",),
     ),
     Mutant(
-        "coordinate_masks seeds each folded tail block one coordinate late",
+        "coordinate_masks starts a family's running tail column one coordinate late",
         "src/eqpower/power.py",
-        "folded[r.start] = folded.get(r.start, mask) & mask",
-        "folded[r.start + 1] = folded.get(r.start + 1, mask) & mask",
-        ("tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",),
-    ),
-    Mutant(
-        "coordinate_masks ANDs each generator block one coordinate late",
-        "src/eqpower/power.py",
-        "s = slice(r.start, r.stop, r.step)",
-        "s = slice(r.start + 1, r.stop, r.step)",
-        ("tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",),
-    ),
-    Mutant(
-        "coordinate_masks ANDs the running tail column one coordinate late",
-        "src/eqpower/power.py",
-        "masks[starts[0] :] = map(and_, masks[starts[0] :], column)",
-        "masks[starts[0] + 1 :] = map(and_, masks[starts[0] + 1 :], column)",
+        "chain(tail, repeat(tail[-1])), cycle(gen)",
+        "chain([classifier.full], tail, repeat(tail[-1])), cycle(gen)",
         (
             "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
-            "tests/test_power.py::test_coordinate_masks_stop_before_the_tail_blocks_start",
+            "tests/test_power.py::test_coordinate_masks_match_the_oracle_for_every_slot_count",
         ),
+    ),
+    Mutant(
+        "coordinate_masks reads each generator row one coordinate late",
+        "src/eqpower/power.py",
+        ", cycle(gen))))",
+        ", chain([classifier.full], cycle(gen)))))",
+        (
+            "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
+            "tests/test_power.py::test_coordinate_masks_match_the_oracle_for_every_slot_count",
+        ),
+    ),
+    Mutant(
+        "coordinate_masks ANDs a family's column one coordinate late",
+        "src/eqpower/power.py",
+        "masks = list(map(and_, masks, map(and_, chain(",
+        "masks = masks[:1] + list(map(and_, masks[1:], map(and_, chain(",
+        (
+            "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
+            "tests/test_power.py::test_coordinate_masks_stop_before_the_tail_column_holds",
+        ),
+    ),
+    Mutant(
+        "coordinate_masks reads the generator row at residue i + 1 mod L",
+        "src/eqpower/power.py",
+        ", cycle(gen))))",
+        ", cycle(gen[1:] + gen[:1]))))",
+        (
+            "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
+            "tests/test_power.py::test_coordinate_masks_match_the_oracle_for_every_slot_count",
+        ),
+    ),
+    Mutant(
+        "coordinate_masks holds a family's tail column at position 0, not at P + C - 1",
+        "src/eqpower/power.py",
+        "chain(tail, repeat(tail[-1])), cycle(gen)",
+        "chain(tail, repeat(tail[0])), cycle(gen)",
+        (
+            "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
+            "tests/test_power.py::test_coordinate_masks_match_the_oracle_for_every_slot_count",
+        ),
+    ),
+    Mutant(
+        "coordinate_masks reads each tail position's own mask, not the running AND",
+        "src/eqpower/power.py",
+        "tail = list(accumulate(map(row_masks.__getitem__, tails.prefix + tails.cycle), and_))",
+        "tail = list(map(row_masks.__getitem__, tails.prefix + tails.cycle))",
+        (
+            "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
+            "tests/test_power.py::test_coordinate_masks_match_the_oracle_for_every_slot_count",
+        ),
+    ),
+    Mutant(
+        "coordinate_masks classifies a family's tail rows before its generator rows",
+        "src/eqpower/power.py",
+        "        gen = [row_masks[values] for values in fam.generator_rows[:stop]]\n"
+        "        tail = list(accumulate(map(row_masks.__getitem__, tails.prefix + tails.cycle), and_))\n",
+        "        tail = list(accumulate(map(row_masks.__getitem__, tails.prefix + tails.cycle), and_))\n"
+        "        gen = [row_masks[values] for values in fam.generator_rows[:stop]]\n",
+        ("tests/test_power.py::test_unknown_labels_are_named_in_classification_order",),
     ),
     Mutant(
         "the row memo is keyed without the variable pattern",
@@ -293,7 +338,10 @@ MUTANTS = (
         "src/eqpower/power.py",
         "stop = max(stab, point_stab) + math.lcm(period, point_period)",
         "stop = stab + period",
-        ("tests/test_power.py::test_satisfies_matches_oracle_on_long_prefixes",),
+        (
+            "tests/test_power.py::test_satisfies_edge_cases_match_oracle",
+            "tests/test_power.py::test_satisfies_matches_oracle_on_long_prefixes",
+        ),
     ),
     Mutant(
         "projection_entries keeps the latest source of a repeated equation",
@@ -339,8 +387,8 @@ MUTANTS = (
     Mutant(
         "wrap's candidate scan stops at member L",
         "src/eqpower/wrap.py",
-        "range(1, min(stop, gen_period) + 2)",
-        "range(1, min(stop, gen_period) + 1)",
+        "range(1, min(stop, len(generators)) + 2)",
+        "range(1, min(stop, len(generators)) + 1)",
         ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
     ),
     Mutant(
@@ -377,8 +425,8 @@ MUTANTS = (
     Mutant(
         "stream_horizon leaves C out of the period",
         "src/eqpower/power.py",
-        "tail_prefix, fam_period = horizon(fam.slot_rows)",
-        "tail_prefix, fam_period = len(fam.slot_rows[1].prefix), len(fam.slot_rows[0].cycle)",
+        "period = math.lcm(period, len(fam.generator_rows), len(tails.cycle))",
+        "period = math.lcm(period, len(fam.generator_rows))",
         (
             "tests/test_power.py::test_profile_fold_matches_recomputation",
             "tests/test_power.py::test_projected_system_reads_far_coordinates_at_their_residue",
@@ -394,8 +442,8 @@ MUTANTS = (
     Mutant(
         "stream_horizon leaves the tail pass out of a family's stabilization",
         "src/eqpower/power.py",
-        "max(stab, tail_prefix + len(fam.slot_rows[1].cycle))",
-        "max(stab, tail_prefix)",
+        "stab = max(stab, len(tails.prefix) + len(tails.cycle))",
+        "stab = max(stab, len(tails.prefix))",
         (
             "tests/test_power.py::test_profile_fold_matches_recomputation",
             "tests/test_wrap.py::test_verify_wrap_matches_the_oracle_profile",

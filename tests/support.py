@@ -8,9 +8,11 @@ logic, not against itself.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import random
 from itertools import combinations, count, permutations, product
+from operator import and_
 from unittest import mock
 
 from eqpower.fixtures import triangle_graph
@@ -137,7 +139,7 @@ def staircase_value_at(stair: Staircase, n: int, i: int) -> str:
     """Coordinate i of member n's constant: the generator at i <= n - 2, then the tail restarted at n - 1.
 
     The oracles' own copy of the staircase rule, so they do not read
-    StaircaseFamily.slot_rows.
+    StaircaseFamily.generator_rows or tail_rows.
     """
     if i <= n - 2:
         return stair.generator[i % len(stair.generator)]
@@ -174,9 +176,9 @@ def reference_projection_entries(system: PowerSystem, i: int) -> dict:
     """projection_entries without the member cut: every member 1..i + 2 written out and projected.
 
     Each member is written out with StaircaseFamily.member and projected with
-    project_equation, so slot_rows is never read.  Each distinct atom keeps
-    its earliest source: explicit equations by index, then families by index
-    with members by ascending n.
+    project_equation, so neither row table of the family is read.  Each
+    distinct atom keeps its earliest source: explicit equations by index,
+    then families by index with members by ascending n.
     """
     out = {}
     for idx, eq in enumerate(system.explicit):
@@ -234,61 +236,54 @@ def move_to_front_rows(fam: StaircaseFamily):
     the end, and reversed it lists the tail rows in ascending member order.
     The generator row follows when no tail member shows that row.
     """
-    generators, tails = fam.slot_rows
+    generators, tails = fam.generator_rows, fam.tail_rows
     latest = {}  # row -> its latest tail position, in the order of those positions
     for i in count():
         row = tails.at(i)
         latest.pop(row, None)
         latest[row] = i
         rows = {row: i - j + 1 for row, j in reversed(latest.items())}
-        rows.setdefault(generators.at(i), i + 2)
+        rows.setdefault(generators[i % len(generators)], i + 2)
         yield rows
 
 
-def reference_coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Periodic:
-    """coordinate_profile in projection order: a per-coordinate scan below stab + period.
+def reference_row_masks(structure: FiniteStructure, system: PowerSystem, stop: int):
+    """Per coordinate i < stop, the masks of pi_i's rows in projection order, by a per-coordinate scan.
 
-    Entry i lists the masks of pi_i's rows in first-occurrence order: each
-    explicit equation's explicit_rows entry at i, then each family's
-    move_to_front_rows item for i, one memo per source from rows to masks.
-    It reads no running tail masks and no residue, so it is the reference
-    for the profile's columns, and for the order in which wrap discovers
-    solution sets.
+    Entry i lists each explicit equation's explicit_rows entry at i, then
+    each family's move_to_front_rows item for i, one memo per source from
+    rows to masks.  It reads no running tail masks and no residue.
     """
-    stab, period = stream_horizon(system)
     classifier = AtomClassifier.of(structure, system.variables)
     explicit = zip(system.explicit, system.explicit_rows)
-    sources = [(eq, ([values] for values in rows.take(stab + period))) for eq, rows in explicit]
+    sources = [(eq, ([values] for values in rows.take(stop))) for eq, rows in explicit]
     sources += [(fam.atom, move_to_front_rows(fam)) for fam in system.families]
     memos = [{} for _ in sources]
-    table = []
-    for _ in range(stab + period):
-        entry = {}
+    for _ in range(stop):
+        entry = []
         for seen, (atom, scan) in zip(memos, sources):
             for values in next(scan):
                 if values not in seen:
                     seen[values] = classifier.mask(with_slot_values(atom, values))
-                entry[seen[values]] = None
-        table.append(tuple(entry))
+                entry.append(seen[values])
+        yield entry
+
+
+def reference_coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Periodic:
+    """coordinate_profile in projection order: reference_row_masks below stab + period, first occurrences kept.
+
+    It is the reference for the profile's columns, and for the order in
+    which wrap discovers solution sets.
+    """
+    stab, period = stream_horizon(system)
+    table = [tuple(dict.fromkeys(entry)) for entry in reference_row_masks(structure, system, stab + period)]
     return Periodic(tuple(table[:stab]), tuple(table[stab:]))
 
 
 def reference_coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int) -> list:
-    """coordinate_masks with every family block's mask ANDed into each coordinate the block lists, none folded."""
-    classifier = AtomClassifier.of(structure, system.variables)
-    masks = [classifier.full] * stop
-    for eq, rows in zip(system.explicit, system.explicit_rows):
-        seen = {}
-        for i, values in enumerate(rows.take(stop)):
-            if values not in seen:
-                seen[values] = classifier.mask(with_slot_values(eq, values))
-            masks[i] &= seen[values]
-    for fam in system.families:
-        for coords, values in fam.coordinate_checks(stop):
-            mask = classifier.mask(with_slot_values(fam.atom, values))
-            for i in coords:
-                masks[i] &= mask
-    return masks
+    """coordinate_masks as a per-coordinate scan: the AND of the masks reference_row_masks lists at each i < stop."""
+    full = AtomClassifier.of(structure, system.variables).full
+    return [functools.reduce(and_, entry, full) for entry in reference_row_masks(structure, system, stop)]
 
 
 def oracle_atom_solutions(structure: FiniteStructure, variables, eq) -> frozenset:
@@ -361,11 +356,6 @@ def oracle_failing_members(structure: FiniteStructure, family: StaircaseFamily, 
             if row not in table:
                 failing.setdefault(row, n)
     return failing
-
-
-def expand_checks(blocks) -> set:
-    """The (coordinate, slot values) pairs that StaircaseFamily.coordinate_checks blocks stand for."""
-    return {(i, values) for coords, values in blocks for i in coords}
 
 
 def explicit_members(family: StaircaseFamily, n: int) -> tuple:
@@ -982,7 +972,7 @@ def profile_power_system(rng: random.Random, draw: str) -> tuple[FiniteStructure
         return structure, PowerSystem(("x",), (), (long_family(rng, labels),))
     if draw == "truncated":
         fam = long_family(rng, labels)
-        cycle = len(fam.slot_rows[1].cycle)
+        cycle = len(fam.tail_rows.cycle)
         n = rng.choice([rng.randint(1, max(1, cycle - 1)), cycle, cycle + rng.randint(1, 4)])
         return structure, PowerSystem(("x",), explicit_members(fam, n), (fam,) * rng.randint(0, 1))
     families = [long_family(rng, labels) for _ in range(rng.randint(2, 3))]

@@ -13,7 +13,7 @@ import support
 from support import constant_stream
 from eqpower.errors import InputFormatError, UnboundVariableError
 from eqpower.fixtures import staircase_demo_system, triangle_graph
-from eqpower import noetherian, power
+from eqpower import cli, noetherian, power
 from eqpower.noetherian import WitnessPackage
 from eqpower.power import (
     Periodic,
@@ -42,6 +42,7 @@ from eqpower.structures import EQUALITY, FiniteStructure, Signature
 from eqpower.wrap import verify_wrap, wrap
 
 x = Var("x")
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 labels_st = st.sampled_from(["a", "b", "c"])
 prefix_st = st.lists(labels_st, min_size=0, max_size=4).map(tuple)
@@ -150,7 +151,7 @@ def test_staircase_value_at_matches_member(n, i, tail_prefix, tail_cycle, genera
 @settings(deadline=None, max_examples=150)
 @given(st.data())
 def test_projected_member_is_the_projection_of_the_written_out_member(data):
-    """projected_member(n, i), read off slot_rows, equals pi_i of member(n), which member_constant writes out.
+    """projected_member(n, i), read off the family's row tables, equals pi_i of member(n), which member_constant writes.
 
     Families of 1-3 slots beside one variable, tail prefixes up to 3 and
     cycles up to 4; coordinates run past tail prefix + C, so tail positions
@@ -363,7 +364,7 @@ def test_profile_fold_matches_recomputation(seed, draw):
     """Past the horizon the profile equals direct recomputation, entry by entry and in the profile's order.
 
     The recomputation, support.oracle_projection, reads every member at i
-    with support.staircase_value_at and never reads slot_rows: the
+    with support.staircase_value_at and never reads the family's row tables: the
     explicit equations, then per family the tail positions 0..i (members
     i + 1 down to 1), then the generator (member i + 2).  It runs at every
     coordinate below three periods past the horizon, or at the coordinates
@@ -405,7 +406,7 @@ def test_coordinate_masks_match_the_oracle_at_every_coordinate(seed, draw):
     below, at or above C) and several-family systems.  The stop lies below
     the horizon's stabilization, within its first period, or past that, up
     to three periods and 5 more, each in a third of the draws; a stop below
-    a family's P + C leaves tail blocks that start at or past it.
+    a family's P + C cuts its running tail column short.
     """
     rng = random.Random(seed)
     if draw == "random":
@@ -432,12 +433,13 @@ def test_coordinate_masks_match_the_oracle_at_every_coordinate(seed, draw):
         assert clf.decode(mask) == everything.intersection(*support.oracle_profile(structure, system, i))
 
 
-def test_coordinate_masks_stop_before_the_tail_blocks_start():
-    """A scan that stops before tail position P + C - 1 skips the blocks range(j, stop) with j >= stop.
+def test_coordinate_masks_stop_before_the_tail_column_holds():
+    """A scan that stops before tail position P + C - 1 cuts the running tail column short.
 
     One family on the triangle with tail prefix P = 3 and cycle C = 4, so
-    its tail blocks start at 0..6; satisfies, power_systems_equivalent on a
-    short joint horizon, or a direct call may stop below 7.  Every stop
+    its running tail AND grows over positions 0..6 and holds from 6 on;
+    satisfies, power_systems_equivalent on a short joint horizon, or a
+    direct call may stop below 7.  Every stop
     0..9 gives the first `stop` entries of the scan to 12, each the
     intersection of the oracle's solution sets.
     """
@@ -717,44 +719,86 @@ def test_satisfies_matches_oracle_on_long_prefixes(case):
 
 @settings(deadline=None, max_examples=200)
 @given(st.data())
-def test_coordinate_checks_cover_every_member_projection(data):
-    """The staircase identity: the blocks list exactly the (coordinate, slot values) pairs of all members below stop.
+def test_coordinate_masks_match_the_oracle_for_every_slot_count(data):
+    """A family R(x, s_1, .., s_k), k = 0..3, on a drawn relation R: entry i is the AND over every member's row at i.
 
-    At coordinate i every member past i + 2 shows what member i + 2 shows,
-    so members 1..i + 2 stand for all of them.
+    support.oracle_profile reads members 1..i + 2 at i with
+    support.staircase_value_at, and every member past i + 2 shows what
+    member i + 2 shows.  Stops run from 0 to 30.
     """
     labels = ["a", "b", "c"]
     descs = data.draw(st.lists(staircases(labels), max_size=3))
+    arity = len(descs) + 1
+    table = data.draw(st.lists(st.tuples(*[st.sampled_from(labels)] * arity), unique=True))
+    structure = FiniteStructure(Signature((("R", arity),)), labels, {"R": table})
+    system = PowerSystem(("x",), (), (StaircaseFamily(RelationAtom("R", (x, *map(Const, descs)))),))
     stop = data.draw(st.integers(0, 30))
-    fam = StaircaseFamily(RelationAtom("R", tuple(Const(s) for s in descs)))
-    constants = {n: tuple(s.member_constant(n) for s in descs) for n in range(1, stop + 2)}
-    members = {(i, tuple(c.at(i) for c in constants[n])) for i in range(stop) for n in range(1, i + 3)}
-    assert support.expand_checks(fam.coordinate_checks(stop)) == members
+    masks = coordinate_masks(structure, system, stop)
+    assert len(masks) == stop
+    clf = AtomClassifier(structure, system.variables)
+    everything = frozenset(product(labels, repeat=1))
+    for i, mask in enumerate(masks):
+        assert clf.decode(mask) == everything.intersection(*support.oracle_profile(structure, system, i)), i
 
 
-def test_unbounded_coordinate_checks_pinned():
-    fam = staircase_demo_system().families[0]
-    assert support.expand_checks(fam.coordinate_checks(3)) == {
-        (0, ("a",)), (0, ("b",)), (1, ("a",)), (1, ("c",)), (2, ("a",)), (2, ("b",))
-    }
+def test_coordinate_masks_pinned_on_two_families():
+    """The demo family and a two-slot family, against the oracle and pinned as solution sets.
+
+    The demo family E(x, stair(b, c; a)) shows the rows a, b at coordinate
+    0 and a, c at coordinate 1 on the triangle.  The two-slot family shows
+    (a, c), then (a, c) and (b, c), then (a, c) and (c, b), then all
+    three; T makes their solution sets {a, b}, {b} and {a, c}.
+    """
+    triangle = triangle_graph()
+    demo = PowerSystem(("x",), (), staircase_demo_system().families)
     first = Staircase(("a", "b"), PowerElement(("a", "a", "c"), ("a",)))
     second = Staircase(("c",), PowerElement(("c",), ("c", "b", "c")))
-    two_slots = StaircaseFamily(RelationAtom("T", (x, Const(first), Const(second))))
-    assert support.expand_checks(two_slots.coordinate_checks(4)) == {
-        (0, ("a", "c")), (1, ("a", "c")), (1, ("b", "c")), (2, ("a", "c")), (2, ("c", "b")),
-        (3, ("a", "c")), (3, ("b", "c")), (3, ("c", "b")),
-    }
+    t_rows = [("a", "a", "c"), ("b", "a", "c"), ("b", "b", "c"), ("a", "c", "b"), ("c", "c", "b")]
+    ternary = FiniteStructure(SAT_SIGNATURE, ["a", "b", "c"], {"R": [], "T": t_rows})
+    two_slots = PowerSystem(("x",), (), (StaircaseFamily(RelationAtom("T", (x, Const(first), Const(second)))),))
+    for structure, system, stop, expected in (
+        (triangle, demo, 3, [{"c"}, {"b"}, {"c"}]),
+        (ternary, two_slots, 4, [{"a", "b"}, {"b"}, {"a"}, set()]),
+    ):
+        clf = AtomClassifier(structure, system.variables)
+        everything = frozenset(product(structure.universe, repeat=1))
+        solutions = [clf.decode(mask) for mask in coordinate_masks(structure, system, stop)]
+        oracle = [everything.intersection(*support.oracle_profile(structure, system, i)) for i in range(stop)]
+        assert solutions == oracle
+        assert solutions == [{(label,) for label in labels} for labels in expected]
 
 
-def test_slot_rows_pinned():
+def test_generator_and_tail_rows_pinned():
     """Two slots with generator lengths 3 and 2 and tail prefixes 2 and 0: L = 6, P = 2, C = 2."""
     first = Staircase(("a", "b", "c"), PowerElement(("a", "c"), ("b", "a")))
     second = Staircase(("c", "a"), PowerElement((), ("b",)))
     fam = StaircaseFamily(RelationAtom("T", (x, Const(first), Const(second))))
-    assert fam.slot_rows == (
-        Periodic((), (("a", "c"), ("b", "a"), ("c", "c"), ("a", "a"), ("b", "c"), ("c", "a"))),
-        Periodic((("a", "b"), ("c", "b")), (("b", "b"), ("a", "b"))),
-    )
+    assert fam.generator_rows == (("a", "c"), ("b", "a"), ("c", "c"), ("a", "a"), ("b", "c"), ("c", "a"))
+    assert fam.tail_rows == Periodic((("a", "b"), ("c", "b")), (("b", "b"), ("a", "b")))
+    assert StaircaseFamily(RelationAtom("R", (x, x))).generator_rows == ((),)
+
+
+def test_unknown_labels_are_named_in_classification_order(tmp_path, capsys):
+    """A label outside the universe in a generator row, a tail row and an explicit equation: which one is named.
+
+    coordinate_masks classifies each explicit equation's rows below `stop`,
+    then per family the generator rows r < min(L, stop), then all P + C tail
+    rows.  So stops 0 and 1 name the tail's zt, stop 2 < L = 3 the
+    generator's zg at residue 1, and the horizon the explicit ze at
+    coordinate 2, as `consistent` on the command line does.
+    """
+    stair = Staircase(("a", "zg", "b"), PowerElement(("a",), ("zt",)))
+    explicit = RelationAtom("E", (x, Const(PowerElement(("a", "a"), ("ze",)))))
+    system = PowerSystem(("x",), (explicit,), (StaircaseFamily(RelationAtom("E", (x, Const(stair)))),))
+    assert stream_horizon(system) == (2, 3)
+    for stop, label in ((0, "zt"), (1, "zt"), (2, "zg"), (5, "ze")):
+        with pytest.raises(ValueError) as raised:
+            coordinate_masks(triangle_graph(), system, stop)
+        assert (raised.type, str(raised.value)) == (ValueError, f"constant '{label}' is not a universe element"), stop
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(power_system_to_json_dict(system)))
+    assert cli.main(["consistent", str(FIXTURES / "triangle.json"), str(path)]) == 2
+    assert capsys.readouterr() == ("", "error: constant 'ze' is not a universe element\n")
 
 
 def test_satisfies_edge_cases_match_oracle():

@@ -98,7 +98,7 @@ def test_demo_seeds():
 
 
 def test_wrap_writes_each_chosen_source_out_once():
-    """The candidate scan reads members off slot_rows, so only the chosen source, member 3, is written out."""
+    """The candidate scan reads members off the row tables, so only the chosen source, member 3, is written out."""
     built = []
     member = StaircaseFamily.member
 
@@ -525,10 +525,10 @@ def test_wrap_builds_no_member_past_generator_period_plus_one(case):
         with mock.patch.object(WRAP_MODULE, "_candidates", spy_candidates):
             result = wrap(triangle_graph(), system)
     (fam,) = system.families
-    generators, tails = fam.slot_rows
-    last = len(generators.cycle) + 1
+    generators, tails = fam.generator_rows, fam.tail_rows
+    last = len(generators) + 1
     explicit = sum(sum(horizon(const_values(eq))) for eq in system.explicit)
-    assert 0 < len(built) <= len(generators.cycle) + len(tails.prefix) + len(tails.cycle) + explicit
+    assert 0 < len(built) <= len(generators) + len(tails.prefix) + len(tails.cycle) + explicit
     assert max(ref.member for ref in listed if ref.member is not None) == last
     assert {rep.source for rep in result.trace.representatives if rep.source.member is not None} == {
         SourceRef(0, last)  # both inputs take member L + 1 as a source
