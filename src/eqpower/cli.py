@@ -17,7 +17,6 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from pathlib import Path
 from typing import Any, Callable
 
 from .errors import InputFormatError, UnboundVariableError
@@ -48,13 +47,24 @@ class CliInputError(Exception):
 
 
 def _load(path: str, decode: Callable[[Any], Any]) -> Any:
-    """Read a JSON file and decode it; unusable input becomes a CliInputError naming the file."""
+    """Read a JSON file and decode it; unusable input becomes a CliInputError naming the file.
+
+    The file is read as bytes and decoded from UTF-8 in one call, which
+    costs less than a text-mode read.  A text that holds a carriage return
+    has each CR LF pair, and then each lone CR, replaced by LF: that is the
+    universal-newline text Path.read_text(encoding="utf-8") gives, so JSON
+    error lines and columns, decode-error byte offsets and OSError texts
+    read as they did from a text-mode read.
+    """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as file:
+            text = file.read().decode("utf-8")
     except OSError as exc:
         raise CliInputError(f"{path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise CliInputError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return decode(json.loads(text))
     except json.JSONDecodeError as exc:

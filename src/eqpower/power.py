@@ -3,12 +3,11 @@
 Periodic is the one eventually periodic sequence type: a finite prefix plus a
 repeating cycle.  Elements of the power are Periodic streams of universe
 labels kept in canonical form (shortest prefix, then shortest cycle).  The
-coordinate profile and wrap's index sets are Periodic too, horizon() is the
-one rule for when a set of them repeats, and zip_streams() the one way to
-read several of them as rows.  Equation systems over the power may list
-equations explicitly and may also include staircase families, which
-present one equation per n >= 1 by splicing a repeating generator stream in
-front of a shifted tail stream.
+coordinate profile and wrap's index sets are Periodic too, and horizon() is
+the one rule for when a set of them repeats.  Equation systems over the
+power may list equations explicitly and may also include staircase
+families, which present one equation per n >= 1 by splicing a repeating
+generator stream in front of a shifted tail stream.
 A family's rows are two tables built once from its descriptors, the L
 generator_rows by residue and the tail_rows by joint tail position, whose
 docstring states which rows a member shows where.  Every per-coordinate
@@ -27,13 +26,14 @@ the one AtomClassifier.of that serves a structure and variable list, so a
 row of slot values is classified once per atom shape and job, straight from
 the relation table and never built into an atom, and consistent's core
 search reuses the masks.  coordinate_masks ANDs one column per source: an
-explicit equation's masks by coordinate, and per family the running AND of
-its tail masks, held from P + C - 1 on, ANDed with its generator masks
-cycled by residue, so every tail position costs one mask, not one per
-coordinate.  projection_entries lists pi_i at one coordinate in projection
-order, each distinct equation with its earliest source: each explicit
-equation projected at i, then per family the rows its members show; the walk
-down from i reads at most P + C tail rows however large i is.
+explicit equation's masks by coordinate, its constants zipped straight up
+to the stop, and per family the running AND of its tail masks, held from
+P + C - 1 on, ANDed with its generator masks cycled by residue, so every
+tail position costs one mask, not one per coordinate.  projection_entries
+lists pi_i at one coordinate in projection order, each distinct equation
+with its earliest source: each explicit equation projected at i, then per
+family the rows its members show; the walk down from i reads at most P + C
+tail rows however large i is.
 coordinate_profile, which wrap reads, lists each coordinate's distinct masks
 from one column per source, classifying each distinct row once: a family's
 entry at i is the running masks of its tail positions 0..min(i, P + C - 1)
@@ -263,7 +263,12 @@ class PowerSystem:
 
     @functools.cached_property
     def explicit_rows(self) -> tuple[Periodic, ...]:
-        """Per explicit equation, zip_streams of its constants: its slot values by coordinate, computed on first use."""
+        """Per explicit equation, zip_streams of its constants: its slot values by coordinate, computed on first use.
+
+        coordinate_profile and wrap's candidate scan read it, so a wrap
+        zips each equation once; coordinate_masks zips its own columns
+        only up to its stop and never builds this table.
+        """
         return tuple(zip_streams(const_values(eq)) for eq in self.explicit)
 
 
@@ -450,12 +455,15 @@ class ConsistencyVerdict:
 def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int) -> list[int]:
     """The AND of the atom masks of pi_i(system) at every coordinate i < stop.
 
-    verify_wrap's own reader: it never reads coordinate_profile, only the
-    row memo AtomClassifier.rows, each explicit equation's explicit_rows and
-    each family's generator_rows and tail_rows, so a fault in the profile
-    wrap is built from cannot agree with itself here.  Each source gives
-    one column of masks, ANDed into the entries in one pass.  An explicit
-    equation's column is the masks of its explicit_rows up to `stop`.  A
+    verify_wrap's own reader: it never reads coordinate_profile or
+    PowerSystem.explicit_rows, only the row memo AtomClassifier.rows, each
+    explicit equation's constants and each family's generator_rows and
+    tail_rows, so a fault in the profile wrap is built from cannot agree
+    with itself here.  Each source gives one column of masks, ANDed into
+    the entries in one pass.  An explicit equation's column is the masks of
+    its constants' entries at 0..stop - 1 zipped into rows, or of `stop`
+    empty rows when it has no constant, classified in coordinate order; no
+    horizon is computed and no Periodic built for it.  A
     family shows at coordinate i its tail rows at positions 0..i and its
     generator row at i mod L, and a tail position past P + C - 1 repeats
     one at or below it, so its column at i is the running AND of its tail
@@ -467,8 +475,10 @@ def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int)
     """
     classifier = AtomClassifier.of(structure, system.variables)
     masks = [classifier.full] * stop
-    for eq, rows in zip(system.explicit, system.explicit_rows):
-        masks = list(map(and_, masks, map(classifier.rows(eq).__getitem__, rows.take(stop))))
+    for eq in system.explicit:
+        streams = const_values(eq)
+        rows = zip(*[s.take(stop) for s in streams]) if streams else repeat((), stop)
+        masks = list(map(and_, masks, map(classifier.rows(eq).__getitem__, rows)))
     for fam in system.families:
         tails, row_masks = fam.tail_rows, classifier.rows(fam.atom)
         gen = [row_masks[values] for values in fam.generator_rows[:stop]]

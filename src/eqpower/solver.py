@@ -192,6 +192,7 @@ class AtomClassifier:
             first &= self.full
             self._cylinders.append([first << u * block for u in range(k)])
         self._rows: dict[tuple[str, tuple[str | None, ...]], _RowMasks] = {}
+        self._tables: dict[tuple[str, int, tuple[int, ...]], tuple | None] = {}  # see _RowMasks
         self._decoded: dict[int, frozenset[tuple[str, ...]]] = {}
 
     @classmethod
@@ -243,7 +244,11 @@ class _RowMasks(dict):
     The first atom of the shape is kept as the template.  The first miss
     builds the shape's plan: the relation's index_table, an itemgetter of
     the constant slots' argument positions, and per variable argument its
-    position and its variable's cylinders.  A miss indexes the row's labels,
+    position and its variable's cylinders.  The table part, the arity check
+    with the index_table and the itemgetter, is shared on the classifier per
+    (symbol, number of arguments, slot positions), so shapes that differ
+    only in the variables they name look it up once and each builds only
+    its cylinder list.  A miss indexes the row's labels,
     picks the table rows that hold them at the slots with one comprehension,
     and ORs, over those, the AND of the cylinders they pick; a shape with
     one or two variable arguments takes one reduce over a list.  A shape
@@ -262,16 +267,26 @@ class _RowMasks(dict):
 
     def _make_plan(self) -> tuple | None:
         classifier, atom = self._classifier, self._template
-        try:
-            arity = classifier.structure.signature.arity(atom.symbol)
-        except KeyError:
-            return None
-        if arity != len(atom.args) or any(isinstance(a, Var) and a.name not in classifier._position for a in atom.args):
-            return None
-        slots = [p for p, a in enumerate(atom.args) if not isinstance(a, Var)]
-        cylinders = classifier._cylinders
-        variables = [(p, cylinders[classifier._position[a.name]]) for p, a in enumerate(atom.args) if isinstance(a, Var)]
-        return classifier.structure.index_table(atom.symbol), itemgetter(*slots) if slots else None, variables
+        position, cylinders = classifier._position, classifier._cylinders
+        slots, variables = [], []
+        for p, a in enumerate(atom.args):
+            if not isinstance(a, Var):
+                slots.append(p)
+            elif a.name in position:
+                variables.append((p, cylinders[position[a.name]]))
+            else:
+                return None
+        key = (atom.symbol, len(atom.args), tuple(slots))
+        if key not in classifier._tables:
+            structure = classifier.structure
+            try:
+                fits = structure.signature.arity(atom.symbol) == len(atom.args)
+            except KeyError:
+                fits = False
+            pick = itemgetter(*slots) if slots else None
+            classifier._tables[key] = (structure.index_table(atom.symbol), pick) if fits else None
+        shared = classifier._tables[key]
+        return None if shared is None else (*shared, variables)
 
     def __missing__(self, row: tuple[Any, ...]) -> int:
         classifier = self._classifier

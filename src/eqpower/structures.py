@@ -304,11 +304,17 @@ def _matroid_violations(structure: FiniteStructure) -> list[tuple[str, tuple[str
         for row in sorted(tables[n]):
             if any(row[:i] + row[i + 1 :] not in tables[n - 1] for i in range(n)):
                 out.append(("hereditary", labels(row)))
-    # a shorter independent tuple extends by some entry of any longer one
+    # a shorter independent tuple extends by some entry of any longer one: short + (y,) is in
+    # P_{n+1} exactly when y is among short's one-entry extensions, so each pair is one isdisjoint
     for n in range(1, m):
+        longer = sorted(tables[n + 1])
+        extensions: dict[tuple[int, ...], set[int]] = {}
+        for row in longer:
+            extensions.setdefault(row[:-1], set()).add(row[-1])
         for short in sorted(tables[n]):
-            for long in sorted(tables[n + 1]):
-                if not any(short + (y,) in tables[n + 1] for y in long):
+            ends = extensions.get(short, set())
+            for long in longer:
+                if ends.isdisjoint(long):
                     out.append(("exchange", labels(short) + labels(long)))
     return out
 

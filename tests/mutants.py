@@ -69,6 +69,8 @@ MUTANTS = (
         (
             "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
             "tests/test_power.py::test_coordinate_masks_match_the_oracle_for_every_slot_count",
+            "tests/test_power.py::test_coordinate_masks_stop_before_the_tail_column_holds",
+            "tests/test_power.py::test_coordinate_masks_pinned_on_two_families",
         ),
     ),
     Mutant(
@@ -79,6 +81,7 @@ MUTANTS = (
         (
             "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
             "tests/test_power.py::test_coordinate_masks_match_the_oracle_for_every_slot_count",
+            "tests/test_power.py::test_coordinate_masks_pinned_on_two_families",
         ),
     ),
     Mutant(
@@ -99,6 +102,8 @@ MUTANTS = (
         (
             "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
             "tests/test_power.py::test_coordinate_masks_match_the_oracle_for_every_slot_count",
+            "tests/test_power.py::test_coordinate_masks_stop_before_the_tail_column_holds",
+            "tests/test_power.py::test_coordinate_masks_pinned_on_two_families",
         ),
     ),
     Mutant(
@@ -109,6 +114,7 @@ MUTANTS = (
         (
             "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
             "tests/test_power.py::test_coordinate_masks_match_the_oracle_for_every_slot_count",
+            "tests/test_power.py::test_coordinate_masks_stop_before_the_tail_column_holds",
         ),
     ),
     Mutant(
@@ -119,7 +125,16 @@ MUTANTS = (
         (
             "tests/test_power.py::test_coordinate_masks_match_the_oracle_at_every_coordinate",
             "tests/test_power.py::test_coordinate_masks_match_the_oracle_for_every_slot_count",
+            "tests/test_power.py::test_coordinate_masks_stop_before_the_tail_column_holds",
+            "tests/test_power.py::test_coordinate_masks_pinned_on_two_families",
         ),
+    ),
+    Mutant(
+        "coordinate_masks reads no row of an explicit equation without constants",
+        "src/eqpower/power.py",
+        "if streams else repeat((), stop)",
+        "if streams else ()",
+        ("tests/test_power.py::test_explicit_columns_without_constants_or_past_their_own_horizon_match_the_oracle",),
     ),
     Mutant(
         "coordinate_masks classifies a family's tail rows before its generator rows",
@@ -135,14 +150,34 @@ MUTANTS = (
         "src/eqpower/solver.py",
         "key = (atom.symbol, tuple(a.name if isinstance(a, Var) else None for a in atom.args))",
         "key = (atom.symbol, len(atom.args))",
-        ("tests/test_solver.py::test_row_memo_is_the_mask_of_the_atom_with_the_row_whoever_filled_it",),
+        (
+            "tests/test_solver.py::test_row_memo_is_the_mask_of_the_atom_with_the_row_whoever_filled_it",
+            "tests/test_solver.py::test_row_memo_is_one_dict_per_shape",
+        ),
     ),
     Mutant(
         "the row memo is keyed without the symbol",
         "src/eqpower/solver.py",
         "key = (atom.symbol, tuple(a.name if isinstance(a, Var) else None for a in atom.args))",
         "key = tuple(a.name if isinstance(a, Var) else None for a in atom.args)",
-        ("tests/test_solver.py::test_row_memo_is_the_mask_of_the_atom_with_the_row_whoever_filled_it",),
+        (
+            "tests/test_solver.py::test_row_memo_is_the_mask_of_the_atom_with_the_row_whoever_filled_it",
+            "tests/test_solver.py::test_row_memo_is_one_dict_per_shape",
+        ),
+    ),
+    Mutant(
+        "the row plans share a table across argument counts",
+        "src/eqpower/solver.py",
+        "key = (atom.symbol, len(atom.args), tuple(slots))",
+        "key = (atom.symbol, tuple(slots))",
+        ("tests/test_solver.py::test_row_plans_share_one_table_per_symbol_argument_count_and_slots",),
+    ),
+    Mutant(
+        "the row plans share a table, and its slot picker, across slot positions",
+        "src/eqpower/solver.py",
+        "key = (atom.symbol, len(atom.args), tuple(slots))",
+        "key = (atom.symbol, len(atom.args))",
+        ("tests/test_solver.py::test_row_plans_share_one_table_per_symbol_argument_count_and_slots",),
     ),
     Mutant(
         "the row plan compares each constant at the argument position before its own",
@@ -225,6 +260,7 @@ MUTANTS = (
         (
             "tests/test_power.py::test_zip_streams_reads_every_stream_at_every_coordinate",
             "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
+            "tests/test_power.py::test_zip_streams_pinned",
         ),
     ),
     Mutant(
@@ -420,6 +456,7 @@ MUTANTS = (
         (
             "tests/test_power.py::test_zip_streams_reads_every_stream_at_every_coordinate",
             "tests/test_power.py::test_projected_member_is_the_projection_of_the_written_out_member",
+            "tests/test_power.py::test_zip_streams_pinned",
         ),
     ),
     Mutant(

@@ -617,6 +617,36 @@ def disjoint_union(g: FiniteStructure, h: FiniteStructure) -> FiniteStructure:
     return graph_from_edges(labels, edges)
 
 
+def reference_matroid_violations(structure: FiniteStructure) -> list:
+    """validate's matroid violations as first written: the exchange check tries short + (y,) for every pair.
+
+    For each shorter row it re-sorts P_{n+1} and asks, per longer row,
+    whether any entry y extends the shorter one; structures' version builds
+    each shorter row's set of one-entry extensions once instead.
+    """
+    m = len(structure.signature.symbols)
+    tables = {n: structure.index_table(f"P{n}") for n in range(1, m + 1)}
+    out = []
+
+    def labels(row):
+        return tuple(structure.label(i) for i in row)
+
+    for n in range(1, m + 1):
+        for row in sorted(tables[n]):
+            if len(set(row)) != len(row):
+                out.append(("no repeated elements", labels(row)))
+    for n in range(2, m + 1):
+        for row in sorted(tables[n]):
+            if any(row[:i] + row[i + 1 :] not in tables[n - 1] for i in range(n)):
+                out.append(("hereditary", labels(row)))
+    for n in range(1, m):
+        for short in sorted(tables[n]):
+            for long in sorted(tables[n + 1]):
+                if not any(short + (y,) in tables[n + 1] for y in long):
+                    out.append(("exchange", labels(short) + labels(long)))
+    return out
+
+
 def enumerate_independence_systems(universe_size: int):
     """Every assignment of P1..Pu tables over repeat-free tuples, validated or not."""
     labels = [f"e{i}" for i in range(1, universe_size + 1)]

@@ -364,6 +364,49 @@ def test_non_utf8_file_names_the_file(capsys, tmp_path):
     assert err.startswith(f"error: {path}: ")
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b'{"variables": ["x"],\r\n"equations": [,]}\r\n', "line 2 column 15: Expecting value"),
+        (b'{"variables": ["x"],\r"equations": [,]}\r', "line 2 column 15: Expecting value"),
+        (b'{"variables": ["x"],\r\n"equations": [,]\r}\n', "line 2 column 15: Expecting value"),
+        (b'\xff{"variables": []}', "not UTF-8 text: invalid start byte at byte 0"),
+        (b"[" + b'"a", ' * 4000 + b'"\xe9\xff"]', "not UTF-8 text: invalid continuation byte at byte 20002"),
+    ],
+    ids=["crlf", "lone-cr", "mixed-newlines", "not-utf8", "not-utf8-deep"],
+)
+def test_unreadable_input_reads_as_a_universal_newline_text_read(capsys, tmp_path, data, message):
+    """Line ends and decode errors report as a text-mode read with universal newlines reported them.
+
+    A lone CR ends a line, as a CR LF pair does: without that, the lone-CR
+    file would report line 1 column 36.  A byte that is not UTF-8 is
+    named by its offset in the file, also past the first 20,000 bytes.
+    """
+    path = tmp_path / "input.json"
+    path.write_bytes(data)
+    assert run(capsys, "consistent", str(FIXTURES / "triangle.json"), str(path)) == (2, "", f"error: {path}: {message}\n")
+
+
+def test_a_missing_path_and_a_directory_name_the_os_error(capsys, tmp_path):
+    missing, folder = tmp_path / "missing.json", tmp_path / "folder"
+    folder.mkdir()
+    for path, reason in ((missing, "No such file or directory"), (folder, "Is a directory")):
+        code, out, err = run(capsys, "consistent", str(FIXTURES / "triangle.json"), str(path))
+        assert (code, out, err) == (2, "", f"error: {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_crlf_copy_of_an_input_prints_what_the_lf_file_prints(capsys, tmp_path, fmt):
+    planted = FIXTURES / "planted_inconsistent.json"
+    assert b"\r" not in planted.read_bytes()
+    crlf = tmp_path / "planted_crlf.json"
+    crlf.write_bytes(planted.read_bytes().replace(b"\n", b"\r\n"))
+    triangle = str(FIXTURES / "triangle.json")
+    expected = run(capsys, "consistent", triangle, str(planted), "--format", fmt)
+    assert expected[0] == 1 and expected[1]
+    assert run(capsys, "consistent", triangle, str(crlf), "--format", fmt) == expected
+
+
 def test_wrong_document_shape(capsys, tmp_path):
     path = write_json(tmp_path, "notastructure.json", {"variables": [], "equations": []})
     code, _, err = run(capsys, "validate", str(path))

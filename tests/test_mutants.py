@@ -2,7 +2,8 @@
 
 `python tests/mutants.py` refuses a stale entry too, but only in a run that
 takes minutes; these tests read the table without copying the tree or
-running a mutant.
+running a mutant.  A ratchet also bounds how many selections hold only
+Hypothesis tests.
 """
 
 import importlib.util
@@ -10,6 +11,8 @@ import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# selections whose every test is a @given test; lower it when one of them gains a deterministic test
+HYPOTHESIS_ONLY_AT_MOST = 14
 
 
 def _mutants() -> tuple:
@@ -37,3 +40,22 @@ def test_every_mutant_selects_tests_that_exist():
             if not file.is_file() or (name and not re.search(rf"^def {re.escape(name)}\(", file.read_text(), re.M)):
                 stale.append((m.name, entry))
     assert stale == []
+
+
+def _is_given(entry: str) -> bool:
+    """Whether a selection entry names a test that carries the `hypothesis` attribute @given sets."""
+    path, _, name = entry.partition("::")
+    module = importlib.import_module(Path(path).stem)  # tests/ is on sys.path, as `import support` needs
+    return hasattr(getattr(module, name.partition("[")[0]), "hypothesis")
+
+
+def test_few_mutants_are_killed_by_hypothesis_tests_alone():
+    """At most HYPOTHESIS_ONLY_AT_MOST selections hold only @given tests.
+
+    Hypothesis also draws literals it mines from the tested modules'
+    source, so whether such a selection kills its mutant under a fixed
+    seed can change with an unrelated edit; a deterministic test in the
+    selection keeps the kill.
+    """
+    only = [m.name for m in _mutants() if all(map(_is_given, m.tests))]
+    assert len(only) <= HYPOTHESIS_ONLY_AT_MOST, only

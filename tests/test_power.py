@@ -113,6 +113,14 @@ def test_periodic_take_map_and_horizon():
     assert PowerElement(("a",), ("a",)) == PowerElement((), ("a",)) != Periodic((), ("a",))
 
 
+def test_zip_streams_pinned():
+    """Prefixes of 1 and 0 and cycles of 2 and 3: one prefix row, then a cycle of 6 rows from coordinate 1."""
+    zipped = zip_streams([Periodic(("a",), ("b", "c")), Periodic((), ("d", "e", "f"))])
+    rows = (("b", "e"), ("c", "f"), ("b", "d"), ("c", "e"), ("b", "f"), ("c", "d"))
+    assert zipped == Periodic((("a", "d"),), rows)
+    assert zip_streams([]) == Periodic((), ((),))
+
+
 @given(st.lists(st.tuples(prefix_st, cycle_st).map(lambda pc: Periodic(*pc)), max_size=4))
 def test_zip_streams_reads_every_stream_at_every_coordinate(streams):
     """Entry i of zip_streams is the tuple of the streams' entries at i, for i up to three horizons.
@@ -799,6 +807,75 @@ def test_unknown_labels_are_named_in_classification_order(tmp_path, capsys):
     path.write_text(json.dumps(power_system_to_json_dict(system)))
     assert cli.main(["consistent", str(FIXTURES / "triangle.json"), str(path)]) == 2
     assert capsys.readouterr() == ("", "error: constant 'ze' is not a universe element\n")
+
+
+def test_coordinate_masks_never_build_explicit_rows():
+    """coordinate_masks zips each explicit equation's constants itself, up to its stop.
+
+    On freshly decoded systems, coordinate_masks, consistent (on the
+    planted fixture, whose certificate projects its failing coordinate too)
+    and verify_wrap (on the demo and its wrap, both read back from JSON)
+    leave PowerSystem.explicit_rows unbuilt on every system they read.
+    """
+    g = triangle_graph()
+
+    def fresh(system):
+        return power_system_from_json_dict(json.loads(json.dumps(power_system_to_json_dict(system))))
+
+    planted = power_system_from_json_dict(json.loads((FIXTURES / "planted_inconsistent.json").read_text()))
+    assert planted.explicit
+    system = fresh(planted)
+    coordinate_masks(g, system, 2 * sum(stream_horizon(system)))
+    assert "explicit_rows" not in vars(system)
+    system = fresh(planted)
+    assert consistent(g, system).certificate.coordinate == 2
+    assert "explicit_rows" not in vars(system)
+    demo = staircase_demo_system()
+    original, wrapped = fresh(demo), fresh(wrap(g, demo).wrapped)
+    assert wrapped.explicit and verify_wrap(g, original, wrapped)
+    assert "explicit_rows" not in vars(original) and "explicit_rows" not in vars(wrapped)
+
+
+def test_explicit_columns_without_constants_or_past_their_own_horizon_match_the_oracle():
+    """E(x, y) has no constant slot, and E(x, [b,(c)]) repeats from coordinate 1, below the system's horizon (3, 3).
+
+    At stops 0, 1, the horizon's stab + period and twice that, entry i is
+    the intersection of support.oracle_profile's sets at i: an equation
+    without constants gives a full column of `stop` rows, and a short
+    horizon is read on to `stop`.
+    """
+    g = triangle_graph()
+    y = Var("y")
+    no_constant = RelationAtom("E", (x, y))
+    short = RelationAtom("E", (x, Const(PowerElement(("b",), ("c",)))))
+    long = RelationAtom("E", (y, Const(PowerElement(("a", "a", "b"), ("c", "b", "a")))))
+    everything = frozenset(product(g.universe, repeat=2))
+    clf = AtomClassifier(g, ("x", "y"))
+    for explicit in ((no_constant,), (no_constant, short, long)):
+        system = PowerSystem(("x", "y"), explicit)
+        horizon_stop = sum(stream_horizon(system))
+        assert horizon_stop == (1 if len(explicit) == 1 else 6)
+        for stop in (0, 1, horizon_stop, 2 * horizon_stop):
+            masks = coordinate_masks(g, system, stop)
+            assert len(masks) == stop
+            oracle = [everything.intersection(*support.oracle_profile(g, system, i)) for i in range(stop)]
+            assert list(map(clf.decode, masks)) == oracle, (explicit, stop)
+
+
+def test_a_bad_label_in_the_second_explicit_prefix_is_named_where_it_is_read():
+    """E(x, [a,zp,(b)]) after a good equation: a stop of 1 never reads zp, and every stop past it names it."""
+    g = triangle_graph()
+    first = RelationAtom("E", (x, Const(PowerElement((), ("b", "c")))))
+    second = RelationAtom("E", (x, Const(PowerElement(("a", "zp"), ("b",)))))
+    system = PowerSystem(("x",), (first, second))
+    assert stream_horizon(system) == (2, 2)
+    assert len(coordinate_masks(g, system, 1)) == 1
+    for stop in (2, 4, 9):
+        with pytest.raises(ValueError) as raised:
+            coordinate_masks(g, system, stop)
+        assert (raised.type, str(raised.value)) == (ValueError, "constant 'zp' is not a universe element"), stop
+    with pytest.raises(ValueError, match="^constant 'zp' is not a universe element$"):
+        consistent(g, system)
 
 
 def test_satisfies_edge_cases_match_oracle():

@@ -2,6 +2,7 @@ import itertools
 import json
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -382,6 +383,31 @@ def test_row_plan_raises_check_equations_error(atom, error):
         with pytest.raises(error) as raised:
             classify(AtomClassifier(g, ("x",)))
         assert (type(raised.value), raised.value.args) == (type(expected.value), expected.value.args)
+
+
+def test_row_plans_share_one_table_per_symbol_argument_count_and_slots():
+    """Shapes that differ only in the variables they name share one table plan; other slots or arities do not.
+
+    R is not symmetric, so R(x, c) and R(a, x) need different slot
+    pickers, and each mask must be the oracle's.  Seven shapes on three
+    (symbol, number of arguments, slot positions) keys read three index
+    tables.  R(a) after R(a, x) has the same symbol and slot positions but
+    one argument, and still raises check_equation's error.
+    """
+    a, c = Const("a"), Const("c")
+    structure = FiniteStructure(Signature((("R", 2),)), ["a", "b", "c"], {"R": [("a", "b"), ("b", "c"), ("a", "c")]})
+    clf = AtomClassifier(structure, ("x", "y"))
+    atoms = [
+        RelationAtom("R", args)
+        for args in ((x, c), (y, c), (a, x), (a, y), (x, y), (y, x), (x, x), (x, Const("b")), (Const("b"), y))
+    ]
+    with mock.patch.object(structure, "index_table", wraps=structure.index_table) as tables:
+        for atom in atoms:
+            assert clf.decode(clf.mask(atom)) == oracle_atom_solutions(structure, ("x", "y"), atom), atom
+        assert len(clf._rows) == 7 and tables.call_count == 3
+        with pytest.raises(ValueError) as raised:
+            clf.mask(RelationAtom("R", (a,)))
+    assert (raised.type, str(raised.value)) == (ValueError, "'R' expects 2 arguments, got 1")
 
 
 def test_classifier_refuses_a_space_past_its_cylinder_budget(monkeypatch):

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import random
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from support import (
     has_triangle,
     path_graph,
     rank_one_matroid,
+    reference_matroid_violations,
     star_bipartite_graph,
     structure_to_json_dict,
 )
@@ -155,6 +157,31 @@ def test_matroid_validation_violations():
     )
     report = validate(asymmetric, "matroid")
     assert any(axiom == "exchange" for axiom, _ in report.violations)
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_matroid_violations_match_the_pairwise_exchange_check(size):
+    """Random P1..Pu tables over 3 and 4 elements: the same violations as the pairwise check, in the same order.
+
+    Rows are drawn from all tuples, repeated entries included, at densities
+    from sparse to nearly full, so every axiom fails in some draws and
+    passes in others.
+    """
+    rng = random.Random(size)
+    labels = [f"e{i}" for i in range(1, size + 1)]
+    axioms = set()
+    for _ in range(60):
+        density = rng.choice((0.1, 0.3, 0.6, 0.9, 1.0))
+        tables = {
+            f"P{k}": [row for row in itertools.product(labels, repeat=k) if rng.random() < density]
+            for k in range(1, size + 1)
+        }
+        structure = FiniteStructure(matroid_signature(size), labels, tables)
+        expected = reference_matroid_violations(structure)
+        assert list(validate(structure, "matroid").violations) == expected
+        axioms.update(axiom for axiom, _ in expected)
+    assert axioms == {"no repeated elements", "hereditary", "exchange"}
+    assert validate(free_matroid(size), "matroid").violations == ()
 
 
 def test_matroid_fixtures_pass():
