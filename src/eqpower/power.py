@@ -35,12 +35,13 @@ with its earliest source: each explicit equation projected at i, then per
 family the rows its members show; the walk down from i reads at most P + C
 tail rows however large i is.
 coordinate_profile, which wrap reads, lists each coordinate's distinct masks
-from one column per source, classifying each distinct row once: a family's
-entry at i is the running masks of its tail positions 0..min(i, P + C - 1)
-and the generator row's mask at i mod L.  The finite horizon used for those
-reductions is computed from the input data by stream_horizon, whose
-docstring proves that the rows repeat from there on, and verify_wrap
-re-checks wrap's output coordinate by coordinate past it.
+from one column per source, classifying each distinct row once: an explicit
+equation's entry at i is the mask of its zip_streams row, the one row reader
+on wrap's path, and a family's the running masks of its tail positions
+0..min(i, P + C - 1) and the generator row's mask at i mod L.  The finite
+horizon used for those reductions is computed from the input data by
+stream_horizon, whose docstring proves that the rows repeat from there on,
+and verify_wrap re-checks wrap's output coordinate by coordinate past it.
 """
 
 from __future__ import annotations
@@ -236,7 +237,7 @@ class StaircaseFamily:
 
 @dataclass(frozen=True)
 class PowerSystem:
-    """Equations over the direct power: an explicit list plus staircase families.
+    """Equations over the direct power: an explicit list plus staircase families, with no rows cached.
 
     A constant of the power is a stream: construction writes a plain label a
     in an explicit equation as its constant stream (a, a, ...).
@@ -260,16 +261,6 @@ class PowerSystem:
         object.__setattr__(self, "families", tuple(self.families))
         if len(set(self.variables)) != len(self.variables):
             raise ValueError(f"duplicate variables: {self.variables}")
-
-    @functools.cached_property
-    def explicit_rows(self) -> tuple[Periodic, ...]:
-        """Per explicit equation, zip_streams of its constants: its slot values by coordinate, computed on first use.
-
-        coordinate_profile and wrap's candidate scan read it, so a wrap
-        zips each equation once; coordinate_masks zips its own columns
-        only up to its stop and never builds this table.
-        """
-        return tuple(zip_streams(const_values(eq)) for eq in self.explicit)
 
 
 def project_equation(eq: Equation, i: int) -> Equation:
@@ -392,7 +383,7 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
     AtomClassifier.rows, so each distinct row of an atom shape is built
     into an atom once, and wrap's candidate scan and verify_wrap read the
     same memo after this build.
-      * An explicit equation's column is its explicit_rows, each row's mask.
+      * An explicit equation's column is the masks of its zip_streams rows.
       * A family shows at i its tail rows T[0..i] and its generator row
         G[i mod L] (projection_entries).  With P the tail prefix and C the
         tail cycle, tail[j] lists the distinct masks of T[0..j] for
@@ -413,9 +404,9 @@ def coordinate_profile(structure: FiniteStructure, system: PowerSystem) -> Perio
     stop = stab + period
     classifier = AtomClassifier.of(structure, system.variables)
     columns: list[Iterable[tuple[int, ...]]] = []
-    for eq, rows in zip(system.explicit, system.explicit_rows):
+    for eq in system.explicit:
         row_masks = classifier.rows(eq)
-        columns.append(rows.map(lambda values: (row_masks[values],)).take(stop))
+        columns.append(zip_streams(const_values(eq)).map(lambda values: (row_masks[values],)).take(stop))
     for fam in system.families:
         tails, row_masks = fam.tail_rows, classifier.rows(fam.atom)
         tail, seen = [], {}  # tail[j]: the distinct masks of tail positions 0..j
@@ -455,23 +446,22 @@ class ConsistencyVerdict:
 def coordinate_masks(structure: FiniteStructure, system: PowerSystem, stop: int) -> list[int]:
     """The AND of the atom masks of pi_i(system) at every coordinate i < stop.
 
-    verify_wrap's own reader: it never reads coordinate_profile or
-    PowerSystem.explicit_rows, only the row memo AtomClassifier.rows, each
-    explicit equation's constants and each family's generator_rows and
-    tail_rows, so a fault in the profile wrap is built from cannot agree
-    with itself here.  Each source gives one column of masks, ANDed into
-    the entries in one pass.  An explicit equation's column is the masks of
-    its constants' entries at 0..stop - 1 zipped into rows, or of `stop`
-    empty rows when it has no constant, classified in coordinate order; no
-    horizon is computed and no Periodic built for it.  A
+    verify_wrap's own reader: it never reads coordinate_profile nor zips an
+    explicit equation through zip_streams, only the row memo
+    AtomClassifier.rows, each explicit equation's constants and each
+    family's generator_rows and tail_rows, so a fault in the profile wrap is
+    built from cannot agree with itself here.  Each source gives one column
+    of masks, ANDed into the entries in one pass.  An explicit equation's
+    column is the masks of its constants' entries at 0..stop - 1 zipped into
+    rows, or of `stop` empty rows when it has no constant, classified in
+    coordinate order; no horizon is computed and no Periodic built for it.  A
     family shows at coordinate i its tail rows at positions 0..i and its
-    generator row at i mod L, and a tail position past P + C - 1 repeats
-    one at or below it, so its column at i is the running AND of its tail
-    masks up to position min(i, P + C - 1), ANDed with the generator mask
-    at i mod L.  Per family the generator rows r < min(L, stop) are
-    classified first, then all P + C tail rows.  The classifier is
-    AtomClassifier.of's, which minimal_inconsistent_subset reads after this
-    scan.
+    generator row at i mod L, and a tail position past P + C - 1 repeats one
+    at or below it, so its column at i is the running AND of its tail masks
+    up to position min(i, P + C - 1), ANDed with the generator mask at
+    i mod L.  Per family the generator rows r < min(L, stop) are classified
+    first, then all P + C tail rows.  The classifier is AtomClassifier.of's,
+    which minimal_inconsistent_subset reads after this scan.
     """
     classifier = AtomClassifier.of(structure, system.variables)
     masks = [classifier.full] * stop

@@ -2,25 +2,26 @@
 
 The construction works per solution set of projected equations: collect one
 representative equation per distinct solution set with a source realizing it,
-reading the masks of each family's generator_rows and tail_rows (zipped by
-power.zip_streams) from the row memo AtomClassifier.rows, which
-the profile filled by classifying rows straight from the relation table, and
-every member's sets off them (only each set's first row is built into an
-atom, its representative), seed the output with the chosen sources, the
-only ones written out, then add one equation per solution set whose coordinate stream, read beside the set's index set,
-follows that set wherever it occurs and falls back to the source stream
-elsewhere.  An index set is the profile mapped through the set of its
-distinct entries that hold the set's mask.  The output is equivalent to the
-input coordinate by coordinate, since the profile it is built from repeats
-as stream_horizon's docstring proves; at coordinate i that profile reads a
-family's tail rows at positions 0..i as running masks and its generator row
-at i mod L, and coordinate_profile proves that this keeps the
-first-occurrence order of the solution sets that class_representatives
-reads.  The JSON trace stores each fact once: no step repeats the
-complement of its index set, and no list repeats the representatives'
-coordinates and sources.  verify_wrap checks the equivalence exhaustively,
-computing every coordinate below the joint stream_horizon plus one extra
-period, so an output spoilt by a wrong horizon is never verified.
+reading the masks of each explicit equation's rows and each family's
+generator_rows and tail_rows, all zipped by power.zip_streams, from the row
+memo AtomClassifier.rows, which the profile filled by classifying rows
+straight from the relation table, and every member's sets off them (only each
+set's first row is built into an atom, its representative), seed the output
+with the chosen sources, the only ones written out, then add one equation per
+solution set whose coordinate stream, read beside the set's index set, follows
+that set wherever it occurs and falls back to the source stream elsewhere.  An
+index set is the profile mapped through the set of its distinct entries that
+hold the set's mask.  The output is equivalent to the input coordinate by
+coordinate, since the profile it is built from repeats as stream_horizon's
+docstring proves; at coordinate i that profile reads a family's tail rows at
+positions 0..i as running masks and its generator row at i mod L, and
+coordinate_profile proves that this keeps the first-occurrence order of the
+solution sets that class_representatives reads.  The JSON trace stores each
+fact once: no step repeats the complement of its index set, and no list
+repeats the representatives' coordinates and sources.  verify_wrap checks the
+equivalence exhaustively, computing every coordinate below the joint
+stream_horizon plus one extra period, so an output spoilt by a wrong horizon
+is never verified.
 
 Because there are at most 2^(k^n) solution sets over a k-element structure and
 n variables, the output never exceeds 2^(k^n + 1) equations.
@@ -50,8 +51,9 @@ from .power import (
     project_equation,
     resolve_source,
     stream_horizon,
+    zip_streams,
 )
-from .solver import AtomClassifier, Equation, _with_slots, map_constants
+from .solver import AtomClassifier, Equation, _with_slots, const_values, map_constants
 from .solver import equation_from_json_dict, equation_to_json_dict
 from .structures import FiniteStructure
 
@@ -111,10 +113,10 @@ def _candidates(
 ) -> dict[SourceRef, dict[int, tuple[int, Equation]]]:
     """Per candidate source, each solution set it realizes, to the least coordinate showing it and the projection there.
 
-    Explicit equations come first, each read as the prefix and cycle rows of
-    its PowerSystem.explicit_rows; then member n of each family for
-    n <= min(stop, L) + 1 (see class_representatives).  The family's rows
-    are its generator_rows G and its tail_rows T.
+    Explicit equations come first, each read over its own horizon as the
+    prefix and cycle rows of zip_streams of its constants; then member n
+    of each family for n <= min(stop, L) + 1 (see class_representatives).
+    The family's rows are its generator_rows G and its tail_rows T.
     Member n shows the generator row G[r] at each coordinate
     r < min(n - 1, L) and the tail row T[j] at n - 1 + j for every
     j < P + C, P the tail prefix and C the tail cycle; every other
@@ -125,7 +127,8 @@ def _candidates(
     generator coordinate lies below every tail coordinate.
     """
     out = {}
-    for idx, (eq, rows) in enumerate(zip(system.explicit, system.explicit_rows)):
+    for idx, eq in enumerate(system.explicit):
+        rows = zip_streams(const_values(eq))
         out[SourceRef(idx)] = _first_sets(classifier, eq, rows.prefix + rows.cycle)
     for fidx, fam in enumerate(system.families):
         generators, tails = fam.generator_rows, fam.tail_rows

@@ -45,21 +45,30 @@ MUTANTS = (
         "src/eqpower/power.py",
         "map(add, chain(tail, repeat(tail[-1]))",
         "map(add, cycle(tail)",
-        ("tests/test_power.py::test_profile_fold_matches_recomputation",),
+        (
+            "tests/test_power.py::test_profile_fold_matches_recomputation",
+            "tests/test_power.py::test_profile_fold_matches_recomputation_at_fixed_seeds",
+        ),
     ),
     Mutant(
         "the profile's tail column is shifted by one coordinate",
         "src/eqpower/power.py",
         "map(add, chain(tail, repeat(tail[-1]))",
         "map(add, chain(tail[1:], repeat(tail[-1]))",
-        ("tests/test_power.py::test_profile_fold_matches_recomputation",),
+        (
+            "tests/test_power.py::test_profile_fold_matches_recomputation",
+            "tests/test_power.py::test_profile_fold_matches_recomputation_at_fixed_seeds",
+        ),
     ),
     Mutant(
         "the profile reads the generator row at residue i + 1 mod L",
         "src/eqpower/power.py",
         "islice(cycle(gen), stop)",
         "islice(cycle(gen[1:] + gen[:1]), stop)",
-        ("tests/test_power.py::test_profile_fold_matches_recomputation",),
+        (
+            "tests/test_power.py::test_profile_fold_matches_recomputation",
+            "tests/test_power.py::test_profile_fold_matches_recomputation_at_fixed_seeds",
+        ),
     ),
     Mutant(
         "coordinate_masks starts a family's running tail column one coordinate late",
@@ -414,32 +423,58 @@ MUTANTS = (
         ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
     ),
     Mutant(
+        "the profile's explicit column stops one coordinate short",
+        "src/eqpower/power.py",
+        "(row_masks[values],)).take(stop)",
+        "(row_masks[values],)).take(stop - 1)",
+        ("tests/test_power.py::test_explicit_columns_without_constants_or_past_their_own_horizon_match_the_oracle",),
+    ),
+    Mutant(
+        "wrap's candidate scan reads an explicit equation's cycle rows only, not its prefix",
+        "src/eqpower/wrap.py",
+        "rows.prefix + rows.cycle",
+        "rows.cycle",
+        ("tests/test_power.py::test_explicit_columns_without_constants_or_past_their_own_horizon_match_the_oracle",),
+    ),
+    Mutant(
         "the greedy takes the last candidate of the largest gain",
         "src/eqpower/wrap.py",
         "max(coverage, key=",
         "max(reversed(coverage), key=",
-        ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
+        (
+            "tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",
+            "tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference_at_fixed_seeds",
+        ),
     ),
     Mutant(
         "wrap's candidate scan stops at member L",
         "src/eqpower/wrap.py",
         "range(1, min(stop, len(generators)) + 2)",
         "range(1, min(stop, len(generators)) + 1)",
-        ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
+        (
+            "tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",
+            "tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference_at_fixed_seeds",
+        ),
     ),
     Mutant(
         "member n's generator coordinates stop one short",
         "src/eqpower/wrap.py",
         "if hit[0] < n - 1)",
         "if hit[0] < n - 2)",
-        ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
+        (
+            "tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",
+            "tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference_at_fixed_seeds",
+        ),
     ),
     Mutant(
         "member n's tail rows start at coordinate n",
         "src/eqpower/wrap.py",
         "(n - 1 + j, projected)",
         "(n + j, projected)",
-        ("tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",),
+        (
+            "tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference",
+            "tests/test_wrap.py::test_cut_candidate_scan_matches_the_uncut_reference_at_fixed_seeds",
+        ),
     ),
     Mutant(
         "the poset scan returns the last strict pair",
@@ -483,6 +518,7 @@ MUTANTS = (
         "stab = max(stab, len(tails.prefix))",
         (
             "tests/test_power.py::test_profile_fold_matches_recomputation",
+            "tests/test_power.py::test_profile_fold_matches_recomputation_at_fixed_seeds",
             "tests/test_wrap.py::test_verify_wrap_matches_the_oracle_profile",
         ),
     ),

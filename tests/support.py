@@ -15,6 +15,7 @@ from itertools import combinations, count, permutations, product
 from operator import and_
 from unittest import mock
 
+from eqpower import power
 from eqpower.fixtures import triangle_graph
 from eqpower.power import (
     Periodic,
@@ -225,6 +226,26 @@ def counted_row_classifications():
         yield built
 
 
+@contextlib.contextmanager
+def explicit_zips(*systems: PowerSystem):
+    """Yield a list that gets the streams of each eqpower.power.zip_streams call holding an explicit constant.
+
+    The constants are those of the systems' explicit equations, compared by
+    identity, so a family stream equal to one of them is not counted.
+    """
+    constants = {id(c) for system in systems for eq in system.explicit for c in const_values(eq)}
+    zipped = []
+    zip_streams = power.zip_streams
+
+    def spied(streams):
+        if any(id(s) in constants for s in streams):
+            zipped.append(streams)
+        return zip_streams(streams)
+
+    with mock.patch.object(power, "zip_streams", spied):
+        yield zipped
+
+
 def move_to_front_rows(fam: StaircaseFamily):
     """Per coordinate i = 0, 1, ..: the family's distinct slot-value rows at i in ascending member order.
 
@@ -247,16 +268,22 @@ def move_to_front_rows(fam: StaircaseFamily):
         yield rows
 
 
+def projected_rows(eq):
+    """Per coordinate i, the one row of the explicit equation's slot values at i, read by project_equation."""
+    for i in count():
+        yield [const_values(project_equation(eq, i))]
+
+
 def reference_row_masks(structure: FiniteStructure, system: PowerSystem, stop: int):
     """Per coordinate i < stop, the masks of pi_i's rows in projection order, by a per-coordinate scan.
 
-    Entry i lists each explicit equation's explicit_rows entry at i, then
+    Entry i lists each explicit equation's projected_rows item for i, then
     each family's move_to_front_rows item for i, one memo per source from
-    rows to masks.  It reads no running tail masks and no residue.
+    rows to masks.  It reads no running tail masks, no residue and no
+    zipped constants.
     """
     classifier = AtomClassifier.of(structure, system.variables)
-    explicit = zip(system.explicit, system.explicit_rows)
-    sources = [(eq, ([values] for values in rows.take(stop))) for eq, rows in explicit]
+    sources = [(eq, projected_rows(eq)) for eq in system.explicit]
     sources += [(fam.atom, move_to_front_rows(fam)) for fam in system.families]
     memos = [{} for _ in sources]
     for _ in range(stop):

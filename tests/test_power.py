@@ -39,7 +39,7 @@ from eqpower.power import (
 )
 from eqpower.solver import AtomClassifier, Const, RelationAtom, Var, solve
 from eqpower.structures import EQUALITY, FiniteStructure, Signature
-from eqpower.wrap import verify_wrap, wrap
+from eqpower.wrap import class_representatives, verify_wrap, wrap
 
 x = Var("x")
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -366,8 +366,11 @@ def test_an_underreported_profile_period_fails_wrap_verification(monkeypatch):
     assert wrap(g, system).verified is False
 
 
+PROFILE_DRAWS = ("random", "wide", "long", "truncated", "two-slot", "several")
+
+
 @settings(deadline=None, max_examples=120)
-@given(st.integers(0, 2**30), st.sampled_from(("random", "wide", "long", "truncated", "two-slot", "several")))
+@given(st.integers(0, 2**30), st.sampled_from(PROFILE_DRAWS))
 def test_profile_fold_matches_recomputation(seed, draw):
     """Past the horizon the profile equals direct recomputation, entry by entry and in the profile's order.
 
@@ -386,6 +389,17 @@ def test_profile_fold_matches_recomputation(seed, draw):
     explicit equations, and several families on one variable beside
     explicit equations, some written out and some without a constant slot.
     """
+    check_profile_fold(seed, draw)
+
+
+@pytest.mark.parametrize("draw", PROFILE_DRAWS)
+@pytest.mark.parametrize("seed", range(3))
+def test_profile_fold_matches_recomputation_at_fixed_seeds(seed, draw):
+    """test_profile_fold_matches_recomputation's check at fixed seeds of every draw kind."""
+    check_profile_fold(seed, draw)
+
+
+def check_profile_fold(seed, draw):
     rng = random.Random(seed)
     coordinates = None
     if draw == "wide":
@@ -809,13 +823,15 @@ def test_unknown_labels_are_named_in_classification_order(tmp_path, capsys):
     assert capsys.readouterr() == ("", "error: constant 'ze' is not a universe element\n")
 
 
-def test_coordinate_masks_never_build_explicit_rows():
+def test_coordinate_masks_never_pass_explicit_constants_to_zip_streams():
     """coordinate_masks zips each explicit equation's constants itself, up to its stop.
 
     On freshly decoded systems, coordinate_masks, consistent (on the
     planted fixture, whose certificate projects its failing coordinate too)
     and verify_wrap (on the demo and its wrap, both read back from JSON)
-    leave PowerSystem.explicit_rows unbuilt on every system they read.
+    hand power.zip_streams no stream of an explicit equation, by
+    support.explicit_zips; coordinate_profile, which does zip them, shows
+    that the spy sees such a call.
     """
     g = triangle_graph()
 
@@ -825,15 +841,18 @@ def test_coordinate_masks_never_build_explicit_rows():
     planted = power_system_from_json_dict(json.loads((FIXTURES / "planted_inconsistent.json").read_text()))
     assert planted.explicit
     system = fresh(planted)
-    coordinate_masks(g, system, 2 * sum(stream_horizon(system)))
-    assert "explicit_rows" not in vars(system)
-    system = fresh(planted)
-    assert consistent(g, system).certificate.coordinate == 2
-    assert "explicit_rows" not in vars(system)
+    with support.explicit_zips(system) as zipped:
+        coordinate_masks(g, system, 2 * sum(stream_horizon(system)))
+        assert consistent(g, system).certificate.coordinate == 2
+    assert zipped == []
     demo = staircase_demo_system()
     original, wrapped = fresh(demo), fresh(wrap(g, demo).wrapped)
-    assert wrapped.explicit and verify_wrap(g, original, wrapped)
-    assert "explicit_rows" not in vars(original) and "explicit_rows" not in vars(wrapped)
+    with support.explicit_zips(original, wrapped) as zipped:
+        assert wrapped.explicit and verify_wrap(g, original, wrapped)
+    assert zipped == []
+    with support.explicit_zips(system) as zipped:
+        coordinate_profile(g, system)
+    assert len(zipped) == len(system.explicit)
 
 
 def test_explicit_columns_without_constants_or_past_their_own_horizon_match_the_oracle():
@@ -842,7 +861,12 @@ def test_explicit_columns_without_constants_or_past_their_own_horizon_match_the_
     At stops 0, 1, the horizon's stab + period and twice that, entry i is
     the intersection of support.oracle_profile's sets at i: an equation
     without constants gives a full column of `stop` rows, and a short
-    horizon is read on to `stop`.
+    horizon is read on to `stop`.  The same holds for wrap's readers:
+    coordinate_profile's sets are support.oracle_profile's at every i
+    below twice the horizon, class_representatives is
+    support.reference_class_representatives, and the wrap verifies.  E(x, y)
+    alone shows its one empty row at every coordinate of the profile, and
+    the candidate scan finds it at coordinate 0.
     """
     g = triangle_graph()
     y = Var("y")
@@ -860,6 +884,16 @@ def test_explicit_columns_without_constants_or_past_their_own_horizon_match_the_
             assert len(masks) == stop
             oracle = [everything.intersection(*support.oracle_profile(g, system, i)) for i in range(stop)]
             assert list(map(clf.decode, masks)) == oracle, (explicit, stop)
+        profile = coordinate_profile(g, system)
+        for i in range(2 * horizon_stop):
+            assert frozenset(map(clf.decode, profile.at(i))) == support.oracle_profile(g, system, i), (explicit, i)
+        reps = class_representatives(g, system, profile)
+        assert reps == support.reference_class_representatives(g, system, profile)
+        assert wrap(g, system).verified
+        if explicit == (no_constant,):
+            assert profile == Periodic((), ((clf.mask(no_constant),),))
+            (rep,) = reps
+            assert (rep.representative, rep.coordinate, rep.source) == (no_constant, 0, SourceRef(0))
 
 
 def test_a_bad_label_in_the_second_explicit_prefix_is_named_where_it_is_read():

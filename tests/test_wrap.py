@@ -382,13 +382,46 @@ def staircase_systems(draw):
 @given(staircase_systems())
 def test_cut_candidate_scan_matches_the_uncut_reference(drawn):
     """Scanning members up to L + 1 per family picks what scanning every member up to the horizon picks."""
-    structure, system = drawn
+    check_cut_candidate_scan(*drawn)
+
+
+@pytest.mark.parametrize("draw", ("random", "planted", "long", "truncated", "two-slot", "several"))
+@pytest.mark.parametrize("seed", range(8))
+def test_cut_candidate_scan_matches_the_uncut_reference_at_fixed_seeds(seed, draw):
+    """test_cut_candidate_scan_matches_the_uncut_reference's check on fixed seeds of every drawn_system kind.
+
+    Seeds 6 (random) and 7 (long) are draws on which a scan that stops at
+    member L, or cuts a member's generator coordinates one short, finds
+    other representatives or leaves a set uncovered.
+    """
+    check_cut_candidate_scan(*drawn_system(seed, draw))
+
+
+def check_cut_candidate_scan(structure, system):
     profile = coordinate_profile(structure, system)
     expected = support.reference_class_representatives(structure, system, profile)
     assert class_representatives(structure, system, profile) == expected
     with mock.patch.object(WRAP_MODULE, "class_representatives", support.reference_class_representatives):
         reference = wrap_result_to_json_dict(wrap(structure, system))
     assert wrap_result_to_json_dict(wrap(structure, system)) == reference
+
+
+def drawn_system(seed, draw):
+    """(structure, system) drawn from random.Random(seed) by the draw kind.
+
+    "random" is support.random_power_system on a random structure with
+    about a third of its families written out (support.truncate_some),
+    "planted" support.planted_power_system on a planted structure, and any
+    other kind support.profile_power_system's draw of that name.
+    """
+    rng = random.Random(seed)
+    if draw == "random":
+        structure = support.random_relational_structure(rng)
+        return structure, support.truncate_some(rng, support.random_power_system(rng, structure), 9)
+    if draw == "planted":
+        structure = rng.choice(sorted(support.planted_structures().items()))[1][1]
+        return structure, support.planted_power_system(rng, structure)[0]
+    return support.profile_power_system(rng, draw)
 
 
 @settings(deadline=None, max_examples=100)
@@ -404,15 +437,7 @@ def test_wrap_discovers_solution_sets_in_projection_order(seed, draw):
     (support.truncate_some), support.planted_power_system on a planted
     structure, and support.profile_power_system's long and two-slot draws.
     """
-    rng = random.Random(seed)
-    if draw == "random":
-        structure = support.random_relational_structure(rng)
-        system = support.truncate_some(rng, support.random_power_system(rng, structure), 9)
-    elif draw == "planted":
-        structure = rng.choice(sorted(support.planted_structures().items()))[1][1]
-        system, _ = support.planted_power_system(rng, structure)
-    else:
-        structure, system = support.profile_power_system(rng, draw)
+    structure, system = drawn_system(seed, draw)
     document = json.dumps(wrap_result_to_json_dict(wrap(structure, system)))
     with mock.patch.object(WRAP_MODULE, "coordinate_profile", support.reference_coordinate_profile):
         assert json.dumps(wrap_result_to_json_dict(wrap(structure, system))) == document
