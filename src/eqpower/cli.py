@@ -85,10 +85,6 @@ def _render_equation(eq: Equation) -> str:
     return f"{eq.symbol}({', '.join(map(_render_arg, eq.args))})"
 
 
-def _render_family(fam) -> str:
-    return f"{_render_equation(fam.atom)} for every member n >= 1"
-
-
 def _render_witness_point(package, n: int) -> str:
     """str(package.witness_point(n)[0]), written from the witness rule with no point built.
 
@@ -292,7 +288,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         )
     else:
         print(f"certificate ({package.certificate_kind}): {', '.join(package.certificate)}")
-        print(f"family: {_render_family(package.family)}")
+        print(f"family: {_render_equation(package.family.atom)} for every member n >= 1")
         for n, first in firsts.items():
             point = _render_witness_point(package, n)
             status = "ok" if first is not None else "FAILED"
@@ -340,8 +336,8 @@ def cmd_wrap(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by every later call."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommands' parsers by name, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="eqpower",
         description="Equation systems over direct powers of finite structures: "
@@ -398,13 +394,25 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
     p.set_defaults(handler=cmd_wrap)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    """Run the command that argv (sys.argv[1:] when None) names and return its exit code.
+
+    When argv[0] names a subcommand, that subcommand's parser alone reads the
+    rest, and the top-level parser reports what it leaves over as "unrecognized
+    arguments", as a top-level parse does.  Any other argv goes to the top-level parser.
+    """
+    parser, commands = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        if argv and argv[0] in commands:
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse already printed usage or help
         return int(exc.code or 0)
     try:

@@ -317,18 +317,20 @@ def _failing_rows(structure: FiniteStructure, package: WitnessPackage, switch: i
       * (repeat, t) at member 1, at coordinate 0, only when switch > 0;
       * (repeat, g) at member 2, at coordinate 0, only when switch > 0;
       * (u, g) at member switch + 2, at coordinate switch.
-    They come in ascending member order, so setdefault keeps the least
-    member of a row that two of them share.
+    They come in ascending member order, so setdefault keeps the least member
+    of a row that two of them share.  A row fails when the relation's index
+    table lacks its universe indices; a label outside the universe has none,
+    so its row fails.
     """
     relation, generator, tail, repeat, point_tail, _ = _expand_certificate(package.kind, package.certificate)
     shown = [((point_tail, tail), 1)]
     if switch > 0:
         shown += [((repeat, tail), 1), ((repeat, generator), 2)]
     shown.append(((point_tail, generator), switch + 2))
-    table = structure.label_table(relation)
+    table, index = structure.index_table(relation), structure._index.get
     failing: dict[tuple[str, ...], int] = {}
     for row, member in shown:
-        if row not in table:
+        if tuple(map(index, row)) not in table:
             failing.setdefault(row, member)
     return failing
 

@@ -69,12 +69,16 @@ class Signature:
         return any(sym == name for sym, _ in self.symbols)
 
 
+# the kinds whose signature is one fixed binary symbol, built once; validate compares against these
+FIXED_SIGNATURES = {"graph": Signature(((GRAPH_EDGE_SYMBOL, 2),)), "poset": Signature(((POSET_ORDER_SYMBOL, 2),))}
+
+
 def graph_signature() -> Signature:
-    return Signature(((GRAPH_EDGE_SYMBOL, 2),))
+    return FIXED_SIGNATURES["graph"]
 
 
 def poset_signature() -> Signature:
-    return Signature(((POSET_ORDER_SYMBOL, 2),))
+    return FIXED_SIGNATURES["poset"]
 
 
 def matroid_signature(max_arity: int) -> Signature:
@@ -107,7 +111,6 @@ class FiniteStructure:
         self._index = {label: i for i, label in enumerate(labels)}
         self._tables: dict[str, frozenset[tuple[int, ...]]] = {}
         self._classifiers: dict[tuple[str, ...], Any] = {}  # variable list -> AtomClassifier.of(self, variables)
-        self._label_tables: dict[str, frozenset[tuple[str, ...]]] = {}  # symbol -> label_table(symbol)
         tables = dict(tables or {})
         for name in tables:
             if not signature.has(name):
@@ -152,13 +155,6 @@ class FiniteStructure:
         if symbol not in self._tables:
             raise KeyError(f"unknown relation symbol {symbol!r}")
         return self._tables[symbol]
-
-    def label_table(self, symbol: str) -> frozenset[tuple[str, ...]]:
-        """The symbol's rows as label tuples, built on first use."""
-        table = self._label_tables.get(symbol)
-        if table is None:
-            table = self._label_tables[symbol] = frozenset(self.tuples(symbol))
-        return table
 
     def tuples(self, symbol: str) -> tuple[tuple[str, ...], ...]:
         rows = sorted(self.index_table(symbol))
@@ -236,20 +232,12 @@ class ValidationReport:
 
 def _check_kind_signature(structure: FiniteStructure, kind: str) -> None:
     sig = structure.signature
-    if kind == "graph":
-        if sig != graph_signature():
-            raise SignatureMismatchError(
-                f"graph structures use exactly the binary symbol {GRAPH_EDGE_SYMBOL!r}, got {sig.symbols}"
-            )
-    elif kind == "poset":
-        if sig != poset_signature():
-            raise SignatureMismatchError(
-                f"poset structures use exactly the binary symbol {POSET_ORDER_SYMBOL!r}, got {sig.symbols}"
-            )
+    if kind in FIXED_SIGNATURES:
+        if sig != FIXED_SIGNATURES[kind]:
+            sym = FIXED_SIGNATURES[kind].symbols[0][0]
+            raise SignatureMismatchError(f"{kind} structures use exactly the binary symbol {sym!r}, got {sig.symbols}")
     elif kind == "matroid":
-        names = sorted(sig.names())
-        expected = sorted(f"P{i}" for i in range(1, len(names) + 1))
-        if names != expected or any(sig.arity(f"P{i}") != i for i in range(1, len(names) + 1)):
+        if sorted(sig.symbols) != sorted((f"P{i}", i) for i in range(1, len(sig.symbols) + 1)):
             raise SignatureMismatchError(
                 f"matroid structures use consecutive symbols P1..Pm with arity(Pi) = i, got {sig.symbols}"
             )

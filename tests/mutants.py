@@ -509,7 +509,10 @@ MUTANTS = (
         "src/eqpower/power.py",
         "return self.cycle[(i - len(self.prefix)) % len(self.cycle)]",
         "return self.cycle[i % len(self.cycle)]",
-        ("tests/test_power.py::test_projected_member_is_the_projection_of_the_written_out_member",),
+        (
+            "tests/test_power.py::test_periodic_take_map_and_horizon",
+            "tests/test_power.py::test_projected_member_is_the_projection_of_the_written_out_member",
+        ),
     ),
     Mutant(
         "stream_horizon leaves the tail pass out of a family's stabilization",
@@ -646,7 +649,24 @@ MUTANTS = (
         "src/eqpower/cli.py",
         '            if not v:\n                write("{}" if isinstance(v, dict) else "[]")\n                return\n',
         "",
-        ("tests/test_cli.py::test_json_writer_matches_json_dumps_indent_2",),
+        (
+            "tests/test_cli.py::test_json_writer_matches_json_dumps_indent_2",
+            "tests/test_cli.py::test_json_writer_matches_json_dumps_on_edge_documents",
+        ),
+    ),
+    Mutant(
+        "main reports a subcommand's leftover arguments through the subcommand's parser",
+        "src/eqpower/cli.py",
+        "                parser.error(f\"unrecognized arguments: {' '.join(extras)}\")",
+        "                commands[argv[0]].error(f\"unrecognized arguments: {' '.join(extras)}\")",
+        ("tests/test_cli.py::test_argument_errors_and_spellings_print_what_a_top_level_parse_prints",),
+    ),
+    Mutant(
+        "main drops a subcommand's leftover arguments",
+        "src/eqpower/cli.py",
+        "            if extras:\n                parser.error(f\"unrecognized arguments: {' '.join(extras)}\")\n",
+        "",
+        ("tests/test_cli.py::test_argument_errors_and_spellings_print_what_a_top_level_parse_prints",),
     ),
 )
 

@@ -133,6 +133,11 @@ def structure_to_json_dict(structure: FiniteStructure, kind: str) -> dict:
     return {"kind": kind, "universe": list(structure.universe), "relations": relations}
 
 
+def label_table(structure: FiniteStructure, symbol: str) -> frozenset:
+    """The symbol's rows as label tuples, so a row is looked up by its labels and not through universe indices."""
+    return frozenset(structure.tuples(symbol))
+
+
 # --- oracles ----------------------------------------------------------------
 
 
@@ -371,7 +376,7 @@ def oracle_failing_members(structure: FiniteStructure, family: StaircaseFamily, 
     stairs = [a.value for a in family.atom.args if isinstance(a, Const)]
     points = [streams[a.name] for a in family.atom.args if isinstance(a, Var)]
     period = math.lcm(*(len(s.tail.cycle) for s in stairs), *(len(pe.cycle) for pe in points))
-    table = structure.label_table(family.atom.symbol)
+    table = label_table(structure, family.atom.symbol)
     failing: dict = {}
     for n in range(1, last + 1):
         stab = max([n - 1 + len(s.tail.prefix) for s in stairs] + [len(pe.prefix) for pe in points], default=0)

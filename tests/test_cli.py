@@ -4,13 +4,15 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from eqpower.cli import _json_text, _render_witness_point, main
+from eqpower import cli
+from eqpower.cli import _json_text, _render_witness_point, build_parser, main
 from eqpower.noetherian import WitnessPackage, build_witness_family, power_noetherian
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -448,6 +450,100 @@ def test_usage_error_exit_code(capsys):
 def test_no_arguments_is_usage_error(capsys):
     assert main([]) == 2
     capsys.readouterr()
+
+
+USAGE = """usage: eqpower [-h]
+               {validate,solve,project,consistent,noetherian,witness,wrap} ...
+"""
+CHOICES = "(choose from 'validate', 'solve', 'project', 'consistent', 'noetherian', 'witness', 'wrap')"
+FORMATS = "(choose from 'text', 'json')"
+WITNESS_USAGE = "usage: eqpower witness [-h] [--depth DEPTH] [--format {text,json}] structure\n"
+WITNESS_DEPTHS = """certificate (quadruple): a, b, c, a
+family: E(x, stair(generator=a; tail=[(b)])) for every member n >= 1
+  depth 1: point [(a)] solves members 1..1 but not the family: ok, first violated member 2
+  depth 2: point [c,(a)] solves members 1..2 but not the family: ok, first violated member 3
+"""
+DEPTH_3 = "  depth 3: point [c,c,(a)] solves members 1..3 but not the family: ok, first violated member 4\n"
+
+
+def top_error(message):
+    return USAGE + f"eqpower: error: {message}\n"
+
+
+def witness_error(message):
+    return WITNESS_USAGE + f"eqpower witness: error: {message}\n"
+
+
+# argv ("T" for the triangle fixture), exit code, stdout and stderr, as one top-level parse_args prints them
+PARSE_CASES = [
+    ([], 2, "", top_error("the following arguments are required: command")),
+    (["bogus"], 2, "", top_error(f"argument command: invalid choice: 'bogus' {CHOICES}")),
+    (["--format", "json", "witness", "T"], 2, "", top_error(f"argument command: invalid choice: 'json' {CHOICES}")),
+    (["witness"], 2, "", witness_error("the following arguments are required: structure")),
+    (["witness", "T", "--depth", "x"], 2, "", witness_error("argument --depth: invalid int value: 'x'")),
+    (["witness", "T", "--depth"], 2, "", witness_error("argument --depth: expected one argument")),
+    (["witness", "T", "--format", "xml"], 2, "", witness_error("argument --format: invalid choice: 'xml' " + FORMATS)),
+    (["witness", "T", "--bogus"], 2, "", top_error("unrecognized arguments: --bogus")),
+    (["witness", "--bogus", "T", "--depth", "1"], 2, "", top_error("unrecognized arguments: --bogus")),
+    (["witness", "T", "extra"], 2, "", top_error("unrecognized arguments: extra")),
+    (["wrap", "--paper-example-1", "--bogus"], 2, "", top_error("unrecognized arguments: --bogus")),
+    (["wrap", "T", "T", "extra", "--also"], 2, "", top_error("unrecognized arguments: extra --also")),
+    (["noetherian", "T", "--format", "json", "-x"], 2, "", top_error("unrecognized arguments: -x")),
+    (["witness", "--depth", "2", "--", "T"], 0, WITNESS_DEPTHS + "witness verified to depth 2: yes\n", ""),
+    (["witness", "T", "--", "--depth", "2"], 2, "", top_error("unrecognized arguments: --depth 2")),
+    (["witness", "T", "--dep", "2"], 0, WITNESS_DEPTHS + "witness verified to depth 2: yes\n", ""),
+    (["witness", "T", "--depth=3"], 0, WITNESS_DEPTHS + DEPTH_3 + "witness verified to depth 3: yes\n", ""),
+    (
+        ["solve", "T"],
+        2,
+        "",
+        "usage: eqpower solve [-h] [--format {text,json}] structure system\n"
+        "eqpower solve: error: the following arguments are required: system\n",
+    ),
+    (
+        ["project", "T", "T"],
+        2,
+        "",
+        "usage: eqpower project [-h] --coordinate COORDINATE [--format {text,json}]\n"
+        "                       structure system\n"
+        "eqpower project: error: the following arguments are required: --coordinate\n",
+    ),
+    (["validate", "T", "--format=json"], 0, '{\n  "kind": "graph",\n  "passed": true,\n  "violations": []\n}\n', ""),
+]
+
+
+def with_triangle(argv):
+    return [str(FIXTURES / "triangle.json") if a == "T" else a for a in argv]
+
+
+def run_top_level(capsys, *argv):
+    """run, with main reading every argv through one parse_args call on the top-level parser."""
+    with mock.patch.object(cli, "build_parser", lambda: (build_parser()[0], {})):
+        return run(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv, code, out, err", PARSE_CASES, ids=[" ".join(c[0]) or "none" for c in PARSE_CASES])
+def test_argument_errors_and_spellings_print_what_a_top_level_parse_prints(argv, code, out, err, capsys, monkeypatch):
+    """Usage errors, leftovers, `--`, abbreviations and `=` values: exit code, stdout and stderr byte for byte.
+
+    A subcommand's parser reads the words after its name and the top-level
+    parser reports what it leaves over, so the texts are those that one
+    parse_args call on the top-level parser prints: the pinned ones, and
+    those of this Python's argparse.
+    """
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = with_triangle(argv)
+    assert run(capsys, *argv) == run_top_level(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["witness", "-h"], ["wrap", "T", "--help"], ["-h", "witness"]])
+def test_help_prints_what_a_top_level_parse_prints(argv, capsys, monkeypatch):
+    """-h before or after the command prints the help and exits 0, as parse_args on the top-level parser does."""
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = with_triangle(argv)
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and out.startswith("usage: eqpower")
+    assert run_top_level(capsys, *argv) == (code, out, err)
 
 
 def test_second_call_builds_no_parser(capsys, monkeypatch):

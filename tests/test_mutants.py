@@ -12,7 +12,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 # selections whose every test is a @given test; lower it when one of them gains a deterministic test
-HYPOTHESIS_ONLY_AT_MOST = 6
+HYPOTHESIS_ONLY_AT_MOST = 4
 
 
 def _mutants() -> tuple:

@@ -104,6 +104,7 @@ def test_periodic_take_map_and_horizon():
     assert p.take(0) == () and p.take(1) == (1,)
     assert p.take(9) == (1, 2, 3, 4, 5, 3, 4, 5, 3)
     assert p.take(9) == tuple(p.at(i) for i in range(9))
+    assert [p.at(i) for i in (2, 4, 5, 11)] == [3, 5, 3, 3]  # the cycle starts where the prefix ends
     with pytest.raises(IndexError, match="numbered from 0"):
         Periodic(("a", "b"), ("c",)).take(-1)  # a negative slice would read ("a",)
     assert p.map(str) == Periodic(("1", "2"), ("3", "4", "5"))

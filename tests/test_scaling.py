@@ -227,28 +227,29 @@ def test_witness_depths_read_one_scan_each_and_build_no_truncation():
     first_violated_member reads the witness family's four rows in closed
     form from the certificate: no coordinate_masks scan, no PowerElement and
     no StaircaseFamily, so a depth costs at most four row lookups in the
-    relation's label table, the same number at every depth that has a
+    relation's index table, the same number at every depth that has a
     repeat before its tail.
     """
     g = triangle_graph()
     package = build_witness_family(g, "graph", power_noetherian(g, "graph").certificate)
     assert package.family and package.witness_rule  # both cached on first use, before counting
-    lookups = []
-    label_table = FiniteStructure.label_table
+    lookups, rows = [], []
+    index_table = FiniteStructure.index_table
 
     class CountedTable(frozenset):
         def __contains__(self, row):
             lookups[-1] += 1
+            rows.append(row)
             return frozenset.__contains__(self, row)
 
     def counted_table(self, symbol):
-        return CountedTable(label_table(self, symbol))
+        return CountedTable(index_table(self, symbol))
 
     with (
         mock.patch.object(power, "coordinate_masks", wraps=coordinate_masks) as scans,
         mock.patch.object(PowerElement, "__post_init__", autospec=True, wraps=PowerElement.__post_init__) as points,
         mock.patch.object(StaircaseFamily, "__init__", autospec=True, wraps=StaircaseFamily.__init__) as fams,
-        mock.patch.object(FiniteStructure, "label_table", counted_table),
+        mock.patch.object(FiniteStructure, "index_table", counted_table),
     ):
         firsts = []
         for n in (*range(1, 61), 10**6):
@@ -259,7 +260,9 @@ def test_witness_depths_read_one_scan_each_and_build_no_truncation():
     # the one generator residue and the one tail position, each with the repeat's row and the tail's;
     # a quadruple's depth-1 point switches at coordinate 0, so it is its tail alone
     assert lookups == [2] + [4] * 60
-
+    # each index row read is in the table exactly when its labels are a row of the relation
+    edges = support.label_table(g, "E")
+    assert all((row in g.index_table("E")) == (tuple(map(g.label, row)) in edges) for row in rows)
 
 
 def _witness_json(depth: int) -> str:
