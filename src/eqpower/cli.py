@@ -66,9 +66,13 @@ def _load(path: str, decode: Callable[[Any], Any]) -> Any:
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
-        return decode(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise CliInputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        try:
+            doc = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise CliInputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+        except ValueError as exc:  # an integer past int's digit limit, which is no JSONDecodeError
+            raise CliInputError(f"{path}: {exc}") from None
+        return decode(doc)
     except RecursionError:
         raise CliInputError(f"{path}: JSON nested too deeply to decode") from None
     except InputFormatError as exc:
@@ -83,17 +87,6 @@ def _render_equation(eq: Equation) -> str:
     if eq.symbol == EQUALITY:
         return " = ".join(map(_render_arg, eq.args))
     return f"{eq.symbol}({', '.join(map(_render_arg, eq.args))})"
-
-
-def _render_witness_point(package, n: int) -> str:
-    """str(package.witness_point(n)[0]), written from the witness rule with no point built.
-
-    The point is n + offset repeats, then the tail forever; its canonical
-    form drops the repeats only when they equal the tail.
-    """
-    repeat, tail, offset = package.witness_rule
-    body = "" if repeat == tail else f"{repeat}," * (n + offset)
-    return f"[{body}({tail})]"
 
 
 def _render_source(ref) -> str:
@@ -290,7 +283,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
         print(f"certificate ({package.certificate_kind}): {', '.join(package.certificate)}")
         print(f"family: {_render_equation(package.family.atom)} for every member n >= 1")
         for n, first in firsts.items():
-            point = _render_witness_point(package, n)
+            point = package.witness_point(n)[0]
             status = "ok" if first is not None else "FAILED"
             tail = f", first violated member {first}" if first is not None else ""
             print(f"  depth {n}: point {point} solves members 1..{n} but not the family: {status}{tail}")

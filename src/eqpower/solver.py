@@ -143,8 +143,8 @@ class AtomClassifier:
     mask(eq) is the entry of eq's own constants in that memo.
 
     mask and system_mask are the working interface.  solutions and
-    system_solutions decode masks into label-tuple frozensets,
-    memoized per mask so equal sets come back as the same object.
+    system_solutions decode masks into label-tuple frozensets, anew on
+    every call: solve and wrap decode each mask they keep once.
 
     AtomClassifier.of(structure, variables) is the one classifier that
     solve, equivalent, minimal_inconsistent_subset and every phase of the
@@ -192,8 +192,6 @@ class AtomClassifier:
             first &= self.full
             self._cylinders.append([first << u * block for u in range(k)])
         self._rows: dict[tuple[str, tuple[str | None, ...]], _RowMasks] = {}
-        self._tables: dict[tuple[str, int, tuple[int, ...]], tuple | None] = {}  # see _RowMasks
-        self._decoded: dict[int, frozenset[tuple[str, ...]]] = {}
 
     @classmethod
     def of(cls, structure: FiniteStructure, variables: tuple[str, ...]) -> "AtomClassifier":
@@ -224,12 +222,9 @@ class AtomClassifier:
         return m
 
     def decode(self, mask: int) -> frozenset[tuple[str, ...]]:
-        points = self._decoded.get(mask)
-        if points is None:
-            bits = format(mask, f"0{self.space_size}b")[::-1]  # bits[j] is bit j
-            assignments = product(self.structure.universe, repeat=len(self.variables))
-            points = self._decoded[mask] = frozenset(a for a, bit in zip(assignments, bits) if bit == "1")
-        return points
+        bits = format(mask, f"0{self.space_size}b")[::-1]  # bits[j] is bit j
+        assignments = product(self.structure.universe, repeat=len(self.variables))
+        return frozenset(a for a, bit in zip(assignments, bits) if bit == "1")
 
     def solutions(self, eq: Equation) -> frozenset[tuple[str, ...]]:
         return self.decode(self.mask(eq))
@@ -242,13 +237,10 @@ class _RowMasks(dict):
     """AtomClassifier.rows' memo for one atom shape: row of slot values -> mask, a missing row classified by the plan.
 
     The first atom of the shape is kept as the template.  The first miss
-    builds the shape's plan: the relation's index_table, an itemgetter of
-    the constant slots' argument positions, and per variable argument its
-    position and its variable's cylinders.  The table part, the arity check
-    with the index_table and the itemgetter, is shared on the classifier per
-    (symbol, number of arguments, slot positions), so shapes that differ
-    only in the variables they name look it up once and each builds only
-    its cylinder list.  A miss indexes the row's labels,
+    checks the shape's arity against the signature and builds the shape's
+    own plan: the relation's index_table, an itemgetter of the constant
+    slots' argument positions, and per variable argument its position and
+    its variable's cylinders.  A miss indexes the row's labels,
     picks the table rows that hold them at the slots with one comprehension,
     and ORs, over those, the AND of the cylinders they pick; a shape with
     one or two variable arguments takes one reduce over a list.  A shape
@@ -267,26 +259,16 @@ class _RowMasks(dict):
 
     def _make_plan(self) -> tuple | None:
         classifier, atom = self._classifier, self._template
-        position, cylinders = classifier._position, classifier._cylinders
-        slots, variables = [], []
-        for p, a in enumerate(atom.args):
-            if not isinstance(a, Var):
-                slots.append(p)
-            elif a.name in position:
-                variables.append((p, cylinders[position[a.name]]))
-            else:
-                return None
-        key = (atom.symbol, len(atom.args), tuple(slots))
-        if key not in classifier._tables:
-            structure = classifier.structure
-            try:
-                fits = structure.signature.arity(atom.symbol) == len(atom.args)
-            except KeyError:
-                fits = False
-            pick = itemgetter(*slots) if slots else None
-            classifier._tables[key] = (structure.index_table(atom.symbol), pick) if fits else None
-        shared = classifier._tables[key]
-        return None if shared is None else (*shared, variables)
+        structure, position = classifier.structure, classifier._position
+        try:
+            arity = structure.signature.arity(atom.symbol)
+        except KeyError:
+            return None
+        if arity != len(atom.args) or any(isinstance(a, Var) and a.name not in position for a in atom.args):
+            return None
+        slots = [p for p, a in enumerate(atom.args) if not isinstance(a, Var)]
+        variables = [(p, classifier._cylinders[position[a.name]]) for p, a in enumerate(atom.args) if isinstance(a, Var)]
+        return structure.index_table(atom.symbol), itemgetter(*slots) if slots else None, variables
 
     def __missing__(self, row: tuple[Any, ...]) -> int:
         classifier = self._classifier

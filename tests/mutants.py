@@ -175,20 +175,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the row plans share a table across argument counts",
-        "src/eqpower/solver.py",
-        "key = (atom.symbol, len(atom.args), tuple(slots))",
-        "key = (atom.symbol, tuple(slots))",
-        ("tests/test_solver.py::test_row_plans_share_one_table_per_symbol_argument_count_and_slots",),
-    ),
-    Mutant(
-        "the row plans share a table, and its slot picker, across slot positions",
-        "src/eqpower/solver.py",
-        "key = (atom.symbol, len(atom.args), tuple(slots))",
-        "key = (atom.symbol, len(atom.args))",
-        ("tests/test_solver.py::test_row_plans_share_one_table_per_symbol_argument_count_and_slots",),
-    ),
-    Mutant(
         "the row plan compares each constant at the argument position before its own",
         "src/eqpower/solver.py",
         "itemgetter(*slots) if slots else None",
@@ -242,7 +228,10 @@ MUTANTS = (
         "src/eqpower/wrap.py",
         "mask = classifier.mask(rep.representative)",
         "mask = classifier.mask(reps[0].representative)",
-        ("tests/test_wrap.py::test_verify_wrap_matches_the_oracle_profile",),
+        (
+            "tests/test_wrap.py::test_verify_wrap_matches_the_oracle_profile",
+            "tests/test_wrap.py::test_wrap_verifies_planted_systems",
+        ),
     ),
     Mutant(
         "holds looks labels up with a bare index",
@@ -420,7 +409,10 @@ MUTANTS = (
         "src/eqpower/power.py",
         "range(min(i, tail_prefix - 1), -1, -1)",
         "range(min(i, tail_prefix - 2), -1, -1)",
-        ("tests/test_power.py::test_projection_entries_match_the_uncut_reference",),
+        (
+            "tests/test_power.py::test_projection_entries_match_the_uncut_reference",
+            "tests/test_scaling.py::test_one_coordinate_projection_zips_no_generator_rows_at_L_716539",
+        ),
     ),
     Mutant(
         "the profile's explicit column stops one coordinate short",
@@ -502,6 +494,7 @@ MUTANTS = (
         (
             "tests/test_power.py::test_profile_fold_matches_recomputation",
             "tests/test_power.py::test_projected_system_reads_far_coordinates_at_their_residue",
+            "tests/test_scaling.py::test_coprime_wrap_reads_each_residue_once_at_L_211_C_199",
         ),
     ),
     Mutant(
@@ -586,7 +579,10 @@ MUTANTS = (
         "src/eqpower/wrap.py",
         "_merged_equation(rep, sources[rep.source], match)",
         "_merged_equation(rep, sources[reps[0].source], match)",
-        ("tests/test_wrap.py::test_verify_wrap_matches_the_oracle_profile",),
+        (
+            "tests/test_wrap.py::test_verify_wrap_matches_the_oracle_profile",
+            "tests/test_golden.py::test_golden_transcript[wrap_wide_staircase_json]",
+        ),
     ),
     Mutant(
         "PowerSystem keeps a plain label",

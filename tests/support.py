@@ -650,11 +650,12 @@ def disjoint_union(g: FiniteStructure, h: FiniteStructure) -> FiniteStructure:
 
 
 def reference_matroid_violations(structure: FiniteStructure) -> list:
-    """validate's matroid violations as first written: the exchange check tries short + (y,) for every pair.
+    """validate's matroid violations, kept here as a fixed copy: the exchange check tries short + (y,) for every pair.
 
     For each shorter row it re-sorts P_{n+1} and asks, per longer row,
-    whether any entry y extends the shorter one; structures' version builds
-    each shorter row's set of one-entry extensions once instead.
+    whether any entry y extends the shorter one.  structures' version does
+    the same today; this copy stays so that any faster exchange check
+    written there later is compared against the plain one.
     """
     m = len(structure.signature.symbols)
     tables = {n: structure.index_table(f"P{n}") for n in range(1, m + 1)}
