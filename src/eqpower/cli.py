@@ -16,7 +16,6 @@ import functools
 import json
 import os
 import sys
-from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 from .errors import InputFormatError, UnboundVariableError
@@ -95,66 +94,11 @@ def _render_source(ref) -> str:
     return f"family {ref.index} member {ref.member}"
 
 
-def _json_text(doc: Any) -> str:
-    """The text of json.dumps(doc, indent=2), written by one recursive pass into one list.
-
-    With indent set, json.dumps runs the stdlib's pure-Python encoder.  This
-    writer makes the same choices in the same order: strings and keys by
-    encode_basestring_ascii, None, True, False, ints by int.__repr__,
-    tuples as lists, "[]" and "{}" for empty containers, and every other
-    value (floats, and what JSON cannot hold) by json.dumps itself, which
-    raises the same TypeError.  Keys must be strings, as in every document
-    a command writes; encode_basestring_ascii raises TypeError for any other.
-    """
-    out: list[str] = []
-    write = out.append
-
-    def value(v: Any, pad: str) -> None:  # pad: a newline and the current indent
-        if isinstance(v, str):
-            write(encode_basestring_ascii(v))
-        elif v is None:
-            write("null")
-        elif v is True:
-            write("true")
-        elif v is False:
-            write("false")
-        elif isinstance(v, int):
-            write(int.__repr__(v))
-        elif isinstance(v, (list, tuple, dict)):
-            if not v:
-                write("{}" if isinstance(v, dict) else "[]")
-                return
-            inner = pad + "  "
-            if isinstance(v, dict):
-                sep = "{" + inner
-                for key, item in v.items():
-                    write(sep + encode_basestring_ascii(key) + ": ")
-                    value(item, inner)
-                    sep = "," + inner
-                write(pad + "}")
-            else:
-                sep = "[" + inner
-                for item in v:
-                    write(sep)
-                    value(item, inner)
-                    sep = "," + inner
-                write(pad + "]")
-        else:
-            write(json.dumps(v))
-
-    value(doc, "\n")
-    return "".join(out)
-
-
-def _print_json(doc: Any) -> None:
-    print(_json_text(doc))
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     kind, structure = _load(args.structure, structure_from_json_dict)
     report = validate(structure, kind)
     if args.format == "json":
-        _print_json(report.to_json_dict())
+        print(json.dumps(report.to_json_dict()))
     elif report.passed:
         print(f"{kind} axioms: PASS ({structure.size} elements)")
     else:
@@ -177,7 +121,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         }
         if core is not None:
             doc["minimal_core"] = [equation_to_json_dict(eq) for eq in core]
-        _print_json(doc)
+        print(json.dumps(doc))
     else:
         for point in result.sorted_points():
             print(", ".join(f"{v}={x}" for v, x in zip(system.variables, point)))
@@ -198,7 +142,7 @@ def cmd_project(args: argparse.Namespace) -> int:
     for eq in projected.equations:  # surfaces symbol and arity mismatches early
         check_equation(structure, projected.variables, eq)
     if args.format == "json":
-        _print_json(system_to_json_dict(projected))
+        print(json.dumps(system_to_json_dict(projected)))
     else:
         print(f"coordinate {args.coordinate}: {len(projected.equations)} distinct equations")
         for eq in projected.equations:
@@ -220,7 +164,7 @@ def cmd_consistent(args: argparse.Namespace) -> int:
                 "sources": [ref.to_json_dict() for ref in cert.sources],
                 "lifted": [power_equation_to_json_dict(eq) for eq in cert.lifted],
             }
-        _print_json(doc)
+        print(json.dumps(doc))
     elif verdict.consistent:
         print("consistent: every coordinate projection has a solution")
     else:
@@ -241,7 +185,7 @@ def cmd_noetherian(args: argparse.Namespace) -> int:
         raise CliInputError("noetherian verdicts need kind graph, poset, or matroid")
     verdict = power_noetherian(structure, kind)
     if args.format == "json":
-        _print_json(verdict.to_json_dict())
+        print(json.dumps(verdict.to_json_dict()))
     else:
         print(f"status: {verdict.status}")
         if verdict.certificate is not None:
@@ -260,7 +204,7 @@ def cmd_witness(args: argparse.Namespace) -> int:
     verdict = power_noetherian(structure, kind)
     if verdict.certificate is None:
         if args.format == "json":
-            _print_json({"status": verdict.status, "witness": None})
+            print(json.dumps({"status": verdict.status, "witness": None}))
         else:
             print(f"status: {verdict.status}; no witness family to build")
         return 1
@@ -268,17 +212,15 @@ def cmd_witness(args: argparse.Namespace) -> int:
     firsts = dict(enumerate(first_violated_members(structure, package, args.depth), start=1))
     all_ok = None not in firsts.values()
     if args.format == "json":
-        _print_json(
-            {
-                "status": verdict.status,
-                "witness": package.to_json_dict(),
-                "checked_members": [
-                    {"n": n, "ok": first is not None, "first_violated_member": first}
-                    for n, first in firsts.items()
-                ],
-                "all_ok": all_ok,
-            }
-        )
+        doc = {
+            "status": verdict.status,
+            "witness": package.to_json_dict(),
+            "checked_members": [
+                {"n": n, "ok": first is not None, "first_violated_member": first} for n, first in firsts.items()
+            ],
+            "all_ok": all_ok,
+        }
+        print(json.dumps(doc))
     else:
         print(f"certificate ({package.certificate_kind}): {', '.join(package.certificate)}")
         print(f"family: {_render_equation(package.family.atom)} for every member n >= 1")
@@ -304,7 +246,7 @@ def cmd_wrap(args: argparse.Namespace) -> int:
         system = _load(args.system, power_system_from_json_dict)
     result = wrap(structure, system)
     if args.format == "json":
-        _print_json(wrap_result_to_json_dict(result))
+        print(json.dumps(wrap_result_to_json_dict(result)))
     else:
         trace = result.trace
         print(

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from itertools import repeat
 from typing import Any
 
@@ -23,8 +22,8 @@ class InvalidCertificateError(ValueError):
     """A certificate does not re-verify against the structure it claims to describe."""
 
 
-def json_object(doc: Any, keys: set[str], what: str) -> Mapping:
-    if (type(doc) is not dict and not isinstance(doc, Mapping)) or set(doc) != keys:
+def json_object(doc: Any, keys: set[str], what: str) -> dict:
+    if not isinstance(doc, dict) or set(doc) != keys:
         raise InputFormatError(f"{what} must be an object with keys {sorted(keys)}, got {doc!r}")
     return doc
 

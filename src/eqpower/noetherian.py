@@ -82,7 +82,7 @@ class NoetherianVerdict:
     @staticmethod
     def from_json_dict(doc: Any) -> "NoetherianVerdict":
         keys = {"status", "kind", "certificate"}
-        if isinstance(doc, Mapping) and "transcript" in doc:
+        if isinstance(doc, dict) and "transcript" in doc:
             keys.add("transcript")
         doc = json_object(doc, keys, "verdict")
         kind = _kind_from_json(doc["kind"], "verdict kind")
@@ -106,7 +106,7 @@ def _kind_from_json(doc: Any, what: str) -> str:
 
 def _certificate_from_json_dict(doc: Any, kind: str) -> tuple[str, ...]:
     """{"quadruple": [4 labels]}, {"triple": [3 labels]} or {"pair": [2 labels]}, as the kind allows."""
-    if not isinstance(doc, Mapping) or len(doc) != 1:
+    if not isinstance(doc, dict) or len(doc) != 1:
         raise InputFormatError(f"certificate must be an object with one key, got {doc!r}")
     ((cert_kind, payload),) = doc.items()
     if cert_kind not in KIND_CERTIFICATES[kind]:

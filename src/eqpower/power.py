@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable, Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, cycle, islice, repeat
 from operator import add, and_
@@ -284,9 +284,9 @@ class SourceRef:
 
     @staticmethod
     def from_json_dict(doc: Any) -> "SourceRef":
-        if isinstance(doc, Mapping) and set(doc) == {"explicit"}:
+        if isinstance(doc, dict) and set(doc) == {"explicit"}:
             return SourceRef(json_int(doc["explicit"], "explicit index", 0))
-        if isinstance(doc, Mapping) and set(doc) == {"family", "member"}:
+        if isinstance(doc, dict) and set(doc) == {"family", "member"}:
             index = json_int(doc["family"], "family index", 0)
             return SourceRef(index, json_int(doc["member"], "family member", 1))
         raise InputFormatError(f"bad source reference {doc!r}")
@@ -601,7 +601,7 @@ def power_system_from_json_dict(doc: Any) -> PowerSystem:
     variables, entries = system_fields_from_json(doc)
     explicit, families = [], []
     for entry in entries:
-        if (type(entry) is dict or isinstance(entry, Mapping)) and set(entry) == {"family"}:
+        if isinstance(entry, dict) and set(entry) == {"family"}:
             families.append(family_from_json_dict(entry))
         else:
             explicit.append(power_equation_from_json_dict(entry))

@@ -364,7 +364,7 @@ def arg_to_json_dict(arg: Arg, const: ConstCodec = _BASE_CONST_ENCODER) -> dict:
 
 def arg_from_json_dict(doc: Any, const: ConstCodec = _BASE_CONST_DECODER) -> Arg:
     key, decode = const
-    if (type(doc) is dict or isinstance(doc, Mapping)) and len(doc) == 1:
+    if isinstance(doc, dict) and len(doc) == 1:
         ((found, payload),) = doc.items()
         if found == "var":
             return Var(json_str(payload, "variable names"))
@@ -379,7 +379,7 @@ def equation_to_json_dict(eq: Equation, const: ConstCodec = _BASE_CONST_ENCODER)
 
 
 def equation_from_json_dict(doc: Any, const: ConstCodec = _BASE_CONST_DECODER) -> Equation:
-    is_object = type(doc) is dict or isinstance(doc, Mapping)
+    is_object = isinstance(doc, dict)
     if is_object and set(doc) == {"rel", "args"}:
         symbol = json_str(doc["rel"], "relation symbol")
         if symbol == EQUALITY:

@@ -323,7 +323,7 @@ def structure_from_json_dict(doc: Any) -> tuple[str, FiniteStructure]:
         raise InputFormatError(f"structure kind must be one of {STRUCTURE_KINDS}, got {kind!r}")
     universe = json_str_list(doc["universe"], "structure universe")
     relations = doc["relations"]
-    if type(relations) is not dict and not isinstance(relations, Mapping):
+    if not isinstance(relations, dict):
         raise InputFormatError("structure relations must be an object")
     symbols = []
     tables = {}

@@ -641,16 +641,6 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "the JSON writer drops the case of an empty list or object",
-        "src/eqpower/cli.py",
-        '            if not v:\n                write("{}" if isinstance(v, dict) else "[]")\n                return\n',
-        "",
-        (
-            "tests/test_cli.py::test_json_writer_matches_json_dumps_indent_2",
-            "tests/test_cli.py::test_json_writer_matches_json_dumps_on_edge_documents",
-        ),
-    ),
-    Mutant(
         "main reports a subcommand's leftover arguments through the subcommand's parser",
         "src/eqpower/cli.py",
         "                parser.error(f\"unrecognized arguments: {' '.join(extras)}\")",

@@ -12,9 +12,12 @@ from __future__ import annotations
 
 import copy
 import json
+import types
 from pathlib import Path
 
-from eqpower.errors import InputFormatError
+import pytest
+
+from eqpower.errors import InputFormatError, json_object
 from eqpower.fixtures import staircase_demo_system, triangle_graph
 from eqpower.noetherian import (
     NOT_NOETHERIAN,
@@ -134,3 +137,16 @@ def test_decoders_raise_only_input_format_errors():
     assert count > 5000
     assert escaped == []
     assert {name: n for name, n in accepted.items() if n > ACCEPTED_AT_MOST[name]} == {}
+
+
+def test_an_object_is_a_dict_as_json_loads_makes_it():
+    """A read-only mapping is no JSON object, at the top of a document or inside it."""
+    proxy = types.MappingProxyType
+    with pytest.raises(InputFormatError):
+        json_object(proxy({"a": 1}), {"a"}, "object")
+    system = power_system_to_json_dict(staircase_demo_system())
+    with pytest.raises(InputFormatError):
+        power_system_from_json_dict(proxy(system))
+    family = next(entry for entry in system["equations"] if set(entry) == {"family"})
+    with pytest.raises(InputFormatError):
+        power_system_from_json_dict({**system, "equations": [proxy(family)]})

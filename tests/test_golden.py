@@ -106,6 +106,24 @@ def test_golden_transcript(case):
     assert code == _exit_codes()[case]
 
 
+@pytest.mark.parametrize("case", sorted(c for c in CASES if c.endswith("_json")))
+def test_json_transcripts_are_one_ascii_line_as_json_dumps_writes_it(case):
+    """--format json prints json.dumps(doc) and a newline: default separators, no indent, non-ASCII escaped."""
+    text = (GOLDEN / f"{case}.txt").read_text()
+    assert text == json.dumps(json.loads(text)) + "\n"
+    assert text.isascii()
+
+
+def test_a_non_ascii_label_is_written_as_an_escape(tmp_path):
+    """A label read as UTF-8 text comes back in a violation's witness as \\u00e9, so the output stays ASCII."""
+    structure = {"kind": "graph", "universe": ["\u00e9"], "relations": {"E": {"arity": 2, "tuples": [["\u00e9", "\u00e9"]]}}}
+    path = tmp_path / "accent.json"
+    path.write_bytes(json.dumps(structure, ensure_ascii=False).encode("utf-8"))
+    code, out = _run(["validate", str(path), "--format", "json"])
+    assert (code, out) == (1, '{"kind": "graph", "passed": false, "violations": [{"axiom": "no loops", "witness": ["\\u00e9"]}]}\n')
+    assert json.loads(out)["violations"][0]["witness"] == ["\u00e9"]
+
+
 def test_golden_directory_has_no_stale_cases():
     recorded = {p.stem for p in GOLDEN.glob("*.txt")}
     assert recorded == set(CASES)
